@@ -17,6 +17,10 @@ the master identity
                - (w')^2 Q'(w)/2 - (w')^2 Q(w)^2 / 4,
 
 whose pointwise residual is the structural check for every shipped solution.
+
+``to_potential`` tabulates q and chi once, as cumulative Gauss-Legendre panel
+sums over the whole domain, and answers each later query with batched numpy
+calls; ``v_from_Qw`` uses the closed-form antiderivative of Q.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .algebra import FGHCoefficients
 from .errors import BranchAmbiguity, NonMonotoneMap, SingularCoefficient
+from .specfun import gauss_legendre_nodes
 
 __all__ = [
     "TransformResult",
@@ -41,7 +45,11 @@ __all__ = [
     "v_from_Qw",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+_ORDER = 20          # Gauss-Legendre nodes per panel
+_DEPTH = 16          # panels halve this many times toward each domain end
+_TAYLOR = 1e-6       # f from Taylor data this close to a finite end (fraction of span)
+_NEWTON_STEPS = 60
+_S_TOL = 1e-14       # Newton stops once the step in s is this small
 
 
 @dataclass
@@ -61,19 +69,13 @@ class TransformResult:
         return (self.q_lo, self.q_hi)
 
 
-def _scalar_quad(fn, a, b):
-    if a == b:
-        return 0.0
-    val, _ = quad(fn, a, b, **_QUAD_OPTS)
-    return val
-
-
 def to_potential(fgh: FGHCoefficients, p0: float) -> TransformResult:
     """Transform a coefficient triple into potential form, anchored at p0.
 
     chi(p0) = 0 and q(p0) = 0 fix the integration constants.  Raises
     ``SingularCoefficient`` when f is not strictly positive on the interior
     and ``NonMonotoneMap`` when the coordinate integral fails to converge.
+    ``p_of_q`` maps q outside (q_lo, q_hi) to the nearest domain end.
     """
     dom = fgh.domain
     lo, hi = dom.lo, dom.hi
@@ -90,71 +92,22 @@ def to_potential(fgh: FGHCoefficients, p0: float) -> TransformResult:
             "or use the segment parametrization first"
         )
 
-    def chi_integrand(p):
-        return (fgh.df(p) + 2.0 * fgh.g(p)) / (4.0 * fgh.f(p))
-
-    def dq(p):
-        return 1.0 / math.sqrt(fgh.f(p))
+    # length scale of an infinite end: f(p0 + L) is about 3 f(p0) when f is
+    # convex at p0; 1 otherwise
+    f_p0 = float(fgh.f(p0))
+    ddf_p0 = float(fgh.ddf(p0))
+    scale = 2.0 * math.sqrt(f_p0 / ddf_p0) if ddf_p0 > 0.0 else 1.0
+    lower = _Half(fgh, p0, lo, scale, f_p0)
+    upper = _Half(fgh, p0, hi, scale, f_p0)
 
     def chi(p):
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        return np.array([_scalar_quad(chi_integrand, p0, pi) for pi in p])
-
-    # dense monotone table for q(p); refined near singular ends
-    interior = _graded_grid(lo, hi, p0)
-    qtab = np.empty_like(interior)
-    qtab[0] = 0.0
-    anchor = np.searchsorted(interior, p0)
-    interior[anchor] = p0
-    qtab[anchor] = 0.0
-    for i in range(anchor + 1, len(interior)):
-        qtab[i] = qtab[i - 1] + _scalar_quad(dq, interior[i - 1], interior[i])
-    for i in range(anchor - 1, -1, -1):
-        qtab[i] = qtab[i + 1] - _scalar_quad(dq, interior[i], interior[i + 1])
-    if np.any(np.diff(qtab) <= 0):
-        raise NonMonotoneMap("q(p) table is not strictly increasing")
-
-    # tails toward finite ends use a square-root substitution (regular even
-    # where f vanishes linearly) and evaluate f through its local Taylor data,
-    # which is exact for the tabulated walls and kills float cancellation
-    def _tail_quad(wall, sign, tlen):
-        f_w = max(float(fgh.f(wall)), 0.0)
-        df_w = float(fgh.df(wall))
-        ddf_w = float(fgh.ddf(wall))
-
-        def integrand(t):
-            d = t * t
-            fval = f_w + sign * df_w * d + 0.5 * ddf_w * d * d
-            if fval <= 0.0:
-                return 0.0
-            return 2.0 * t / math.sqrt(fval)
-
-        val, _ = quad(integrand, 0.0, tlen, **_QUAD_OPTS)
-        if not math.isfinite(val):
-            raise NonMonotoneMap("f^(-1/2) not integrable toward a finite end")
-        return val
-
-    if math.isfinite(lo):
-        q_lo = qtab[0] - _tail_quad(lo, +1, math.sqrt(interior[0] - lo))
-    else:
-        q_lo = qtab[0] + quad(dq, interior[0], -np.inf, **_QUAD_OPTS)[0]
-    if math.isfinite(hi):
-        q_hi = qtab[-1] + _tail_quad(hi, -1, math.sqrt(hi - interior[-1]))
-    else:
-        q_hi = qtab[-1] + quad(dq, interior[-1], np.inf, **_QUAD_OPTS)[0]
-
-    def q_scalar(pp):
-        i = int(np.clip(np.searchsorted(interior, pp) - 1, 0, len(interior) - 1))
-        return qtab[i] + _scalar_quad(dq, interior[i], pp)
+        return _by_side(p, p0, lower, upper, _Half.chi_of_p)
 
     def q_of_p(p):
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        return np.array([q_scalar(pi) for pi in p])
+        return _by_side(p, p0, lower, upper, _Half.q_of_p)
 
     def p_of_q(q):
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        return np.array([_invert_monotone(qi, interior, qtab, q_scalar, dq)
-                         for qi in q])
+        return _by_side(q, 0.0, lower, upper, _Half.p_of_q)
 
     def V_of_p(p):
         f = fgh.f(p)
@@ -167,54 +120,146 @@ def to_potential(fgh: FGHCoefficients, p0: float) -> TransformResult:
         return V_of_p(p_of_q(q))
 
     return TransformResult(chi=chi, q_of_p=q_of_p, p_of_q=p_of_q, V=V,
-                           q_lo=float(q_lo), q_hi=float(q_hi), p0=p0)
+                           q_lo=float(lower.q[-1]), q_hi=float(upper.q[-1]), p0=p0)
 
 
-def _graded_grid(lo, hi, p0, n=220):
-    """Node table covering the domain, graded toward finite ends, through p0."""
-    if math.isfinite(lo) and math.isfinite(hi):
-        t = np.linspace(0.0, 1.0, n)
-        graded = lo + (hi - lo) * (0.5 - 0.5 * np.cos(np.pi * t))
-        graded[0] = lo + 1e-10 * (hi - lo)
-        graded[-1] = hi - 1e-10 * (hi - lo)
-    else:
-        span = 60.0 + 10.0 * abs(p0)
-        a = lo if math.isfinite(lo) else p0 - span
-        b = hi if math.isfinite(hi) else p0 + span
-        if math.isfinite(lo):
-            a = lo + 1e-10 * (b - a)
-        if math.isfinite(hi):
-            b = hi - 1e-10 * (b - a)
-        graded = np.linspace(a, b, n)
-    graded = np.unique(np.concatenate([graded, [p0]]))
-    return graded
+def _by_side(x, x0, lower, upper, method):
+    """Evaluate ``method`` on the half that holds each point (x < x0: lower)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.full_like(x, np.nan)
+    for half, side in ((lower, x < x0), (upper, x >= x0)):
+        if np.any(side):
+            out[side] = method(half, x[side])
+    return out
 
 
-def _invert_monotone(q_target, ptab, qtab, q_of_p_scalar, dq, tol=1e-12, max_iter=80):
-    i = int(np.clip(np.searchsorted(qtab, q_target) - 1, 0, len(qtab) - 2))
-    a, b = ptab[i], ptab[i + 1]
-    fa = qtab[i] - q_target
-    fb = qtab[i + 1] - q_target
-    if fa > 0 or fb < 0:  # outside the table: clamp to nearest cell
-        a, b = ptab[0], ptab[-1]
-        fa = qtab[0] - q_target
-        fb = qtab[-1] - q_target
-    p = 0.5 * (a + b)
-    for _ in range(max_iter):
-        fp = q_of_p_scalar(p) - q_target
-        if fp > 0:
-            b = p
+class _Half:
+    """The domain on one side of the anchor p0, mapped onto s in [0, 1].
+
+    s = 0 is p0 and s = 1 the domain end.  The map keeps f^(-1/2) dp/ds
+    regular at s = 1: a finite end at distance D is graded as
+    p = end - sign D (1 - s)^2, which cancels a linear zero of f, and an
+    infinite end is mapped by p = p0 + sign L tan(pi s / 2), which cancels
+    growth of f like p^4.  chi' dp/ds still grows like 1/(1 - s), so the
+    panels halve toward s = 1.  q and chi are tabulated at the panel edges as
+    cumulative Gauss-Legendre panel sums; a query adds one Gauss-Legendre
+    integral from the edge below it.
+    """
+
+    def __init__(self, fgh: FGHCoefficients, p0: float, end: float,
+                 scale: float, f_p0: float):
+        self.fgh = fgh
+        self.p0 = p0
+        self.end = end
+        self.sign = 1.0 if end > p0 else -1.0
+        self.finite = math.isfinite(end)
+        if self.finite:
+            self.span = abs(end - p0)
+            # near the wall f comes from its Taylor data, which keeps the
+            # distance to the wall exact; a root of f there evaluates to
+            # round-off, which would shift q toward the wall by about its
+            # square root
+            f_end = float(fgh.f(end))
+            self.f_end = f_end if f_end > 1e-12 * f_p0 else 0.0
+            self.df_end = float(fgh.df(end))
+            self.ddf_end = float(fgh.ddf(end))
         else:
-            a = p
-        # Newton step inside the bracket, bisection fallback
-        slope = dq(p)
-        step = fp / slope if slope > 0 else 0.0
-        cand = p - step
-        p_next = cand if a < cand < b else 0.5 * (a + b)
-        if abs(p_next - p) <= tol * max(1.0, abs(p)):
-            return p_next
-        p = p_next
-    return p
+            self.span = scale
+        self.edges = np.concatenate(
+            [[0.0, 0.25], 1.0 - 0.5 ** np.arange(1, _DEPTH + 1), [1.0]])
+        a, b = self.edges[:-1], self.edges[1:]
+        dq = self._integral(self._dq, a, b)
+        self.q = np.concatenate([[0.0], np.cumsum(dq)])
+        self.chi = np.concatenate([[0.0], np.cumsum(self._integral(self._dchi, a, b))])
+        steps = self.sign * dq
+        if not np.all(np.isfinite(self.q)) or np.any(steps <= 0.0):
+            raise NonMonotoneMap("q(p) table is not strictly increasing")
+        # a convergent end halves the panel sums with the panel width; a
+        # divergent one keeps (log) or grows them
+        if steps[-2] > 0.75 * steps[-3]:
+            raise NonMonotoneMap("f^(-1/2) is not integrable toward the domain end")
+
+    def p(self, s):
+        if self.finite:
+            return self.end - self.sign * self.span * (1.0 - s) ** 2
+        return self.p0 + self.sign * self.span * np.tan(0.5 * np.pi * s)
+
+    def s_of(self, p):
+        if self.finite:
+            rel = np.clip(self.sign * (self.end - p) / self.span, 0.0, 1.0)
+            return 1.0 - np.sqrt(rel)
+        return np.arctan(np.maximum(self.sign * (p - self.p0), 0.0) / self.span) / (0.5 * np.pi)
+
+    def _map(self, s):
+        """p(s), dp/ds and f(p(s))."""
+        if self.finite:
+            r = 1.0 - s
+            d = self.span * r * r
+            p = self.end - self.sign * d
+            dpds = 2.0 * self.sign * self.span * r
+            taylor = self.f_end - self.sign * self.df_end * d + 0.5 * self.ddf_end * d * d
+            f = np.where(d < _TAYLOR * self.span, taylor, self.fgh.f(p))
+        else:
+            t = 0.5 * np.pi * s
+            p = self.p0 + self.sign * self.span * np.tan(t)
+            dpds = 0.5 * np.pi * self.sign * self.span / np.cos(t) ** 2
+            f = self.fgh.f(p)
+        return p, dpds, f
+
+    def _dq(self, s):
+        _, dpds, f = self._map(s)
+        return dpds / np.sqrt(f)
+
+    def _dchi(self, s):
+        p, dpds, f = self._map(s)
+        return (self.fgh.df(p) + 2.0 * self.fgh.g(p)) / (4.0 * f) * dpds
+
+    @staticmethod
+    def _integral(integrand, a, b):
+        """Gauss-Legendre integrals of ``integrand`` over each [a, b], batched."""
+        x, w = gauss_legendre_nodes(_ORDER)
+        half = 0.5 * (b - a)
+        nodes = (0.5 * (a + b))[..., None] + half[..., None] * x
+        return half * (integrand(nodes) @ w)
+
+    def _cell(self, s):
+        return np.clip(np.searchsorted(self.edges, s, side="right") - 1,
+                       0, len(self.edges) - 2)
+
+    def _at(self, table, integrand, s):
+        k = self._cell(s)
+        return table[k] + self._integral(integrand, self.edges[k], s)
+
+    def q_of_p(self, p):
+        return self._at(self.q, self._dq, self.s_of(p))
+
+    def chi_of_p(self, p):
+        return self._at(self.chi, self._dchi, self.s_of(p))
+
+    def p_of_q(self, q):
+        """Bracketed Newton iteration on q(s), batched over all targets."""
+        u = self.sign * q  # increases along s
+        table = self.sign * self.q
+        k = np.clip(np.searchsorted(table, u, side="right") - 1, 0, len(table) - 2)
+        a, b = self.edges[k], self.edges[k + 1]
+        frac = np.clip((u - table[k]) / (table[k + 1] - table[k]), 0.0, 1.0)
+        s = a + (b - a) * frac
+        todo = np.arange(s.size)
+        for _ in range(_NEWTON_STEPS):
+            st, kt, at, bt = s[todo], k[todo], a[todo], b[todo]
+            q_st = self.q[kt] + self._integral(self._dq, self.edges[kt], st)
+            resid = self.sign * q_st - u[todo]
+            at = np.where(resid < 0.0, st, at)
+            bt = np.where(resid > 0.0, st, bt)
+            slope = self.sign * self._dq(st)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                nxt = st - resid / slope
+            nxt = np.where((nxt >= at) & (nxt <= bt), nxt, 0.5 * (at + bt))
+            s[todo], a[todo], b[todo] = nxt, at, bt
+            todo = todo[np.abs(nxt - st) > _S_TOL]
+            if todo.size == 0:
+                break
+        return self.p(s)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +308,12 @@ class FactorizationAnsatz:
         a, b = self.a, self.b
         return -((2 + a + b) - 2 * (b - a) * w + (2 + a + b) * w ** 2) / (1 - w ** 2) ** 2
 
+    def intQ(self, w):
+        """An antiderivative of Q in w, valid on each interval that avoids w = +-1."""
+        if self.family == "associated_legendre":
+            return np.log(np.abs(w ** 2 - 1))
+        return (1 + self.a) * np.log(np.abs(1 - w)) + (1 + self.b) * np.log(np.abs(1 + w))
+
     def R(self, w):
         if self.family == "associated_legendre":
             nu, mu = self.nu, self.mu
@@ -300,7 +351,8 @@ def master_residual(ansatz: FactorizationAnsatz, transform: TransformResult,
 
 
 def v_from_Qw(ansatz: FactorizationAnsatz) -> Callable[[np.ndarray], np.ndarray]:
-    """v(q) = (w')^(-1/2) exp(1/2 int_{w_ref}^{w(q)} Q), by direct quadrature.
+    """v(q) = (w')^(-1/2) exp(1/2 int_{w_ref}^{w(q)} Q), from the closed-form
+    antiderivative ``ansatz.intQ``.
 
     The returned callable raises ``BranchAmbiguity`` when 1 - w^2 changes sign
     over the evaluation points.
@@ -311,11 +363,7 @@ def v_from_Qw(ansatz: FactorizationAnsatz) -> Callable[[np.ndarray], np.ndarray]
         if np.any((1 - w ** 2) <= 0):
             raise BranchAmbiguity("1 - w^2 must keep one sign on the domain")
         wp = ansatz.dw(q).astype(complex)
-        out = np.empty(len(q), dtype=complex)
-        for i, wi in enumerate(w):
-            integral = _scalar_quad(lambda t: float(np.real(ansatz.Q(t))),
-                                    ansatz.w_ref, wi)
-            out[i] = wp[i] ** (-0.5) * np.exp(0.5 * integral)
-        return out
+        integral = np.real(ansatz.intQ(w) - ansatz.intQ(ansatz.w_ref))
+        return wp ** (-0.5) * np.exp(0.5 * integral)
 
     return v

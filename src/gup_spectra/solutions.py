@@ -55,6 +55,7 @@ from .liouville import (
     to_potential,
     v_from_Qw,
 )
+from .phase import discriminant
 from .specfun import (
     JacobiSpec,
     LegendreSpec,
@@ -85,13 +86,6 @@ _LEGENDRE_REPS = (Representation.PI1, Representation.PI2, Representation.PI3,
 # ---------------------------------------------------------------------------
 # model-level spectral data
 
-def swanson_discriminant(model: Swanson, params: DeformationParams) -> float:
-    hw = params.hbar * params.omega
-    big = model.omega_shift(params)
-    return 4.0 * (hw ** 2 - 4.0 * model.alpha * model.beta) \
-        + params.tau * big * (params.tau * big - 4.0 * hw)
-
-
 def legendre_order(model: ModelSpec, params: DeformationParams) -> complex:
     """mu_- for the associated-Legendre family (negative real part branch)."""
     tau = params.tau
@@ -101,7 +95,7 @@ def legendre_order(model: ModelSpec, params: DeformationParams) -> complex:
         return -math.sqrt(1.0 + tau ** 2 / 4.0) / tau
     if isinstance(model, Swanson):
         big = model.omega_shift(params)
-        d = swanson_discriminant(model, params)
+        d = discriminant(model.alpha, model.beta, params.tau, params)
         return -cmath.sqrt(complex(d)) / (2.0 * tau * big)
     raise UnsupportedPair(f"{model!r} is not in the associated-Legendre family")
 
@@ -152,7 +146,7 @@ def classify_physical(model: ModelSpec, rep: Representation,
     if isinstance(model, HarmonicOscillator):
         return Classification(True, False, False, "real discrete spectrum")
     if isinstance(model, Swanson):
-        d = swanson_discriminant(model, params)
+        d = discriminant(model.alpha, model.beta, params.tau, params)
         if d >= 0.0:
             return Classification(True, False, False,
                                   f"discriminant {d:.6g} >= 0: symmetry unbroken, real spectrum")
@@ -302,7 +296,7 @@ def _ho_energy(params):
 def _swanson_energy(model, params):
     tau = params.tau
     big = model.omega_shift(params)
-    d = swanson_discriminant(model, params)
+    d = discriminant(model.alpha, model.beta, params.tau, params)
     sqrt_d = cmath.sqrt(complex(d))
 
     def energy(n):
@@ -586,7 +580,7 @@ def transformed_potential(model: ModelSpec, rep: Representation,
         # commutative limit: harmonic well in the stretched coordinate, on a
         # box wide enough that low levels are unaffected by truncation
         if isinstance(model, Swanson):
-            d = swanson_discriminant(model, params)
+            d = discriminant(model.alpha, model.beta, params.tau, params)
             if d < 0:
                 raise ParameterError("complex commutative spectrum; no real well")
             k = 0.5 * math.sqrt(d) / 2.0

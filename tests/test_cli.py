@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gup_spectra
 from gup_spectra.cli import main
 
 
@@ -186,3 +190,14 @@ class TestVerifyCommand:
         payload = json.loads(out)
         names = [c["name"] for c in payload["suites"]["commutators"]]
         assert any("pi4p" in name and "violates" in name for name in names)
+
+
+class TestStartup:
+    def test_cli_import_skips_scipy_integrate(self):
+        # scipy.integrate costs about 0.3 s of every process start
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gup_spectra.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, gup_spectra.cli; print('scipy.integrate' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "False"

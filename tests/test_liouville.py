@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from gup_spectra.algebra import (
     DeformationParams,
@@ -13,7 +14,7 @@ from gup_spectra.algebra import (
     Swanson,
     coefficients,
 )
-from gup_spectra.errors import BranchAmbiguity, SingularCoefficient
+from gup_spectra.errors import BranchAmbiguity, NonMonotoneMap, SingularCoefficient
 from gup_spectra.liouville import (
     FactorizationAnsatz,
     jacobi_ansatz,
@@ -23,6 +24,7 @@ from gup_spectra.liouville import (
     v_from_Qw,
 )
 from gup_spectra.solutions import ansatz_for, default_p0, solve, transformed_potential
+from gup_spectra.specfun import integrate_adaptive
 
 R = Representation
 
@@ -76,6 +78,63 @@ class TestTransform:
         back = tr.p_of_q(tr.q_of_p(ps))
         assert np.max(np.abs(back - ps)) < 1e-10
 
+    @pytest.mark.parametrize("tau", [1e-4, 1e-3, 1e-2, 0.25, 5.0, 50.0])
+    def test_oscillator_over_tau_range(self, tau):
+        params = DeformationParams(tau=tau)
+        sol = solve(HarmonicOscillator(), R.PI1, params)
+        tr = to_potential(coefficients(HarmonicOscillator(), R.PI1, params), 0.0)
+        stc = math.sqrt(params.tau_check)
+        ps = np.linspace(-4.0, 4.0, 17) / stc
+        expect_q = math.sqrt(2.0) / stc * np.arctan(stc * ps)
+        assert np.max(np.abs(tr.q_of_p(ps) - expect_q)) < 1e-11
+        assert np.max(np.abs(tr.p_of_q(tr.q_of_p(ps)) - ps)) <= 1e-10
+        # out to 0.9 of each end, beyond the reach of a table truncated in p
+        qs = np.concatenate([np.linspace(0.1, 0.9, 41) * tr.q_lo,
+                             np.linspace(0.1, 0.9, 41) * tr.q_hi])
+        vmax = float(np.max(np.abs(tr.V(qs))))
+        for n in (0, 1):
+            energy = float(sol.energy(n))
+            res = master_residual(ansatz_for(sol, n, coordinates="centered"), tr,
+                                  energy, qs)
+            assert res <= 1e-8 * max(1.0, abs(energy) + vmax)
+
+    @pytest.mark.parametrize("model,rep", [
+        (Swanson(0.1, 0.2), R.PI1), (Swanson(0.1, 0.2), R.PI3),
+        (Swanson(0.1, 0.2), R.PI4), (PoschlTeller(1.0, 0.5), R.PI1),
+        (PoschlTeller(1.0, 0.5), R.PI4),
+    ])
+    def test_matches_scalar_quadrature(self, model, rep):
+        # reference: adaptive scalar quadrature of q' and chi', point by point
+        params = DeformationParams(tau=0.25)
+        fgh = coefficients(model, rep, params)
+        p0 = default_p0(model, rep, params)
+        tr = to_potential(fgh, p0)
+        dom = fgh.domain
+        lo = dom.lo if math.isfinite(dom.lo) else -6.0
+        hi = dom.hi if math.isfinite(dom.hi) else 6.0
+        ps = np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 13)
+
+        def dq(p):
+            return 1.0 / math.sqrt(float(fgh.f(p)))
+
+        def dchi(p):
+            return float((fgh.df(p) + 2.0 * fgh.g(p)) / (4.0 * fgh.f(p)))
+
+        opts = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+        expect_q = [quad(dq, p0, p, **opts)[0] for p in ps]
+        expect_chi = [quad(dchi, p0, p, **opts)[0] for p in ps]
+        assert np.max(np.abs(tr.q_of_p(ps) - expect_q)) < 1e-12
+        assert np.max(np.abs(tr.chi(ps) - expect_chi)) < 1e-12
+        # the whole q range, tails included, against the closed-form well
+        pot = transformed_potential(model, rep, params)
+        assert tr.q_hi - tr.q_lo == pytest.approx(pot.q_hi - pot.q_lo, abs=1e-12)
+
+    def test_divergent_coordinate_rejected(self):
+        # f grows only like p^2, so q(p) diverges logarithmically
+        fgh = coefficients(HarmonicOscillator(), R.PI4_PRIME, DeformationParams(tau=0.25))
+        with pytest.raises(NonMonotoneMap):
+            to_potential(fgh, 0.0)
+
     def test_singular_coefficient_rejected(self):
         flip = FGHCoefficients(
             f=lambda p: -(1.0 + p ** 2),
@@ -126,6 +185,21 @@ class TestMasterIdentity:
 
 
 class TestGaugeFactor:
+    @pytest.mark.parametrize("an", [
+        legendre_ansatz(c=0.4, nu=2.5, mu=-1.5),
+        jacobi_ansatz(c=0.5, n=1, a=2.0, b=3.0),
+        jacobi_ansatz(c=0.5, n=0, a=1.3, b=-0.4),
+    ])
+    def test_closed_form_antiderivative(self, an):
+        ws = np.linspace(-0.9, 0.9, 19)
+        h = 1e-6
+        slope = (an.intQ(ws + h) - an.intQ(ws - h)) / (2 * h)
+        assert np.max(np.abs(slope - an.Q(ws)) / np.maximum(1.0, np.abs(an.Q(ws)))) < 1e-8
+        w1, w2 = -0.7, 0.85
+        mid, half = 0.5 * (w1 + w2), 0.5 * (w2 - w1)
+        expect = half * integrate_adaptive(lambda x: an.Q(mid + half * x))
+        assert an.intQ(w2) - an.intQ(w1) == pytest.approx(expect, abs=1e-11)
+
     def test_legendre_family_collapses_to_cosine_root(self):
         an = legendre_ansatz(c=0.25, nu=3.0, mu=-1.2)
         v = v_from_Qw(an)
@@ -143,6 +217,9 @@ class TestGaugeFactor:
                 return np.ones_like(np.asarray(q, dtype=float))
 
             def Q(self, w):
+                return 0.0 * np.asarray(w)
+
+            def intQ(self, w):
                 return 0.0 * np.asarray(w)
 
         an = IdentityAnsatz(family="associated_legendre", c=1.0)
