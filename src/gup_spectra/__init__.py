@@ -27,6 +27,7 @@ from .errors import (
     IntrinsicNoncommutativity,
     NoRoot,
     NonIntegrable,
+    NonFiniteResult,
     NonMonotoneMap,
     ParameterError,
     SingularCoefficient,
@@ -80,7 +81,6 @@ from .solutions import (
     native_quadrature,
     solve,
     transformed_potential,
-    wavefunction_eval,
 )
 from .specfun import (
     JacobiSpec,

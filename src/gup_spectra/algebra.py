@@ -28,7 +28,7 @@ unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Union
 
@@ -44,12 +44,15 @@ __all__ = [
     "DeformationParams",
     "Representation",
     "Domain",
+    "MomentumAngle",
+    "ANGLES",
     "HarmonicOscillator",
     "Swanson",
     "PoschlTeller",
     "ModelSpec",
     "FGHCoefficients",
     "p_domain",
+    "angle_domain",
     "coefficients",
 ]
 
@@ -96,8 +99,9 @@ class Domain:
 
     For Pi4 the physical momenta lie on the imaginary segment p = i*s with
     s in (lo, hi); ``imaginary_segment`` marks that the coordinate stored
-    here is s rather than p.  ``half_line_start`` > lo restricts models that
-    live on a half cell (the inverse-square models).
+    here is s rather than p.  Models that live on a half cell (the
+    inverse-square models) use the half-cell domain from ``angle_domain``,
+    which starts at lo = 0.
     """
 
     lo: float
@@ -113,22 +117,67 @@ class Domain:
         return bool(np.all(v > self.lo + margin) and np.all(v < self.hi - margin))
 
 
+@dataclass(frozen=True)
+class MomentumAngle:
+    """The angle theta = arctan(sqrt(tc) P) on one representation.
+
+    P is the same physical momentum in every representation, so theta is the
+    one coordinate they share.  Each map takes x = sqrt(tc) p (x = sqrt(tc) s
+    on the Pi4 segment) and gives sin and cos of theta in closed form, so no
+    precision is lost near the walls.  ``wall`` is x at theta = pi/2.  States
+    of the representation carry cos(theta)^e beyond the Pi1 shape: e = 1 is
+    the u^(-1) similarity factor of Pi2, e = -1 the segment factor of Pi4.
+    """
+
+    theta: Callable
+    sin: Callable
+    cos: Callable
+    dtheta: Callable   # d theta / dx
+    x_of: Callable     # inverse of theta
+    wall: float
+    e: int
+    segment: bool = False
+
+
+_TAN_ANGLE = MomentumAngle(
+    theta=np.arctan,
+    sin=lambda x: x / np.sqrt(1.0 + x * x),
+    cos=lambda x: 1.0 / np.sqrt(1.0 + x * x),
+    dtheta=lambda x: 1.0 / (1.0 + x * x),
+    x_of=np.tan, wall=math.inf, e=0)
+
+ANGLES = {
+    Representation.PI1: _TAN_ANGLE,
+    Representation.PI2: replace(_TAN_ANGLE, e=1),
+    Representation.PI3: MomentumAngle(
+        theta=lambda x: x, sin=np.sin, cos=np.cos, dtheta=np.ones_like,
+        x_of=lambda t: t, wall=math.pi / 2.0, e=0),
+    Representation.PI4: MomentumAngle(
+        theta=np.arcsin, sin=lambda x: x, cos=lambda x: np.sqrt(1.0 - x * x),
+        dtheta=lambda x: 1.0 / np.sqrt(1.0 - x * x),
+        x_of=np.sin, wall=1.0, e=-1, segment=True),
+}
+
+
+def angle_domain(rep: Representation, params: DeformationParams,
+                 half_cell: bool = False) -> Domain:
+    """Preimage of theta in (-pi/2, pi/2), or of the half cell (0, pi/2).
+
+    Without deformation every wall recedes to infinity.
+    """
+    if rep not in ANGLES:
+        raise UnsupportedPair(f"no momentum angle for {rep}")
+    angle = ANGLES[rep]
+    tc = params.tau_check
+    hi = angle.wall / math.sqrt(tc) if tc > 0.0 else math.inf
+    return Domain(0.0 if half_cell else -hi, hi, imaginary_segment=angle.segment)
+
+
 def p_domain(rep: Representation, params: DeformationParams) -> Domain:
     """Natural momentum domain of a representation."""
-    tc = params.tau_check
-    if rep in (Representation.PI1, Representation.PI2, Representation.PI4_PRIME):
+    if rep is Representation.PI4_PRIME:
         return Domain(-math.inf, math.inf)
-    if rep is Representation.PI3:
-        if tc == 0.0:
-            return Domain(-math.inf, math.inf)
-        edge = math.pi / (2.0 * math.sqrt(tc))
-        return Domain(-edge, edge)
-    if rep is Representation.PI4:
-        if tc == 0.0:
-            return Domain(-math.inf, math.inf, imaginary_segment=True)
-        edge = 1.0 / math.sqrt(tc)
-        return Domain(-edge, edge, imaginary_segment=True)
-    raise UnsupportedPair(f"unknown representation {rep}")
+    return angle_domain(rep, params)
 
 
 @dataclass(frozen=True)
@@ -320,6 +369,7 @@ def _poschl_teller_coeffs(model, rep, params):
     f0 = 0.5 * m * om ** 2 * hbar ** 2
     g0 = tau * hbar * om
     stc = math.sqrt(tc)
+    half_cell = angle_domain(rep, params, half_cell=True)
 
     if rep is Representation.PI1:
         return FGHCoefficients(
@@ -330,7 +380,7 @@ def _poschl_teller_coeffs(model, rep, params):
             df=lambda p: 4 * f0 * tc * p * (1 + tc * p ** 2),
             ddf=lambda p: 4 * f0 * tc * (1 + 3 * tc * p ** 2),
             dg=lambda p: -g0 * (1 + 3 * tc * p ** 2),
-            domain=Domain(0.0, math.inf),
+            domain=half_cell,
         )
     if rep is Representation.PI3:
         return FGHCoefficients(
@@ -341,7 +391,7 @@ def _poschl_teller_coeffs(model, rep, params):
             df=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
             ddf=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
             dg=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-            domain=Domain(0.0, math.pi / (2 * stc)),
+            domain=half_cell,
         )
     if rep is Representation.PI4:
         return FGHCoefficients(
@@ -353,7 +403,7 @@ def _poschl_teller_coeffs(model, rep, params):
             df=lambda s: -2 * f0 * tc * s,
             ddf=lambda s: -2 * f0 * tc * np.ones_like(np.asarray(s, dtype=float)),
             dg=lambda s: 1.5 * g0 * np.ones_like(np.asarray(s, dtype=float)),
-            domain=Domain(0.0, 1.0 / stc, imaginary_segment=True),
+            domain=half_cell,
         )
     raise UnsupportedPair(f"inverse-square model not tabulated for {rep}")
 

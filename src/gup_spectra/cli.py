@@ -26,7 +26,7 @@ from .algebra import (
     Representation,
     Swanson,
 )
-from .errors import GupSpectraError
+from .errors import GupSpectraError, NonFiniteResult
 from .operators import commutator_residual, default_grid
 from .liouville import master_residual
 from .oracle import (
@@ -181,6 +181,9 @@ def _fmt(x) -> str:
 
 
 def _emit(command, config, header, rows, args, extra=None):
+    if any(not isinstance(v, str) and not math.isfinite(float(v))
+           for row in rows for v in row):
+        raise NonFiniteResult(f"{command} produced inf or NaN values")
     if config.format == "json":
         payload = {
             "schema": SCHEMA,
@@ -239,8 +242,6 @@ def cmd_spectrum(args) -> int:
 def _display_grid(sol, config):
     dom = sol.domain
     lo, hi = dom.lo, dom.hi
-    if isinstance(sol.model, PoschlTeller):
-        lo = 0.0
     n = min(config.grid, 4096)
     if math.isfinite(lo) and math.isfinite(hi):
         h = (hi - lo) / (n + 1)

@@ -49,5 +49,9 @@ class ConvergenceFailure(GupSpectraError):
     """Grid-refinement estimates disagree beyond the requested tolerance."""
 
 
+class NonFiniteResult(GupSpectraError):
+    """A computed result holds inf or NaN where a number is required."""
+
+
 class NoRoot(GupSpectraError):
     """No admissible root exists for the requested boundary equation."""

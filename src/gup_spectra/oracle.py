@@ -397,16 +397,14 @@ _DIRECT_REPS = (Representation.PI1, Representation.PI2, Representation.PI3)
 
 
 def _direct_grid(sol: ClosedFormSolution, n_points, span_tol=1e-10):
-    rep = sol.rep
     dom = sol.domain
-    if dom.finite or isinstance(sol.model, PoschlTeller):
-        lo = 0.0 if isinstance(sol.model, PoschlTeller) else dom.lo
+    if math.isfinite(dom.lo):
         hi = dom.hi
         if not math.isfinite(hi):
             hi = _decay_span(sol, start=8.0 / math.sqrt(sol.params.tau_check),
                              tol=span_tol)
-        h = (hi - lo) / n_points
-        return lo + (np.arange(n_points) + 0.5) * h, h
+        h = (hi - dom.lo) / n_points
+        return dom.lo + (np.arange(n_points) + 0.5) * h, h
     half = _decay_span(sol, start=8.0 / math.sqrt(sol.params.tau_check), tol=span_tol)
     grid = uniform_grid(-half, half, n_points)
     return grid, grid[1] - grid[0]

@@ -9,6 +9,12 @@ transform, to one of two special-function ladders:
 * Jacobi family (inverse-square / Poeschl-Teller model): eigenfunctions
   proportional to P_n^{(a+, b+)}(w) on a half cell with csc^2 + sec^2 walls.
 
+Both ladders live on the momentum angle theta = arctan(sqrt(tc) P), which
+``algebra.ANGLES`` gives in closed form for every representation: the basis
+variable is z = sin(theta) or w = cos(2 theta), and the prefactor, metric,
+domain, quadrature, q(p) and chi(p) are powers and images of theta assembled
+once per family.  Adding a representation is one entry in that table.
+
 The metric that restores orthonormality is diagonal in momentum space,
 rho(p) = varrho(w) e^{-2 Re chi} |v|^{-2} dw/dp; metrics are normalized here
 to be real and positive at the domain reference point, and the discarded
@@ -32,6 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (
+    ANGLES,
     DeformationParams,
     Domain,
     HarmonicOscillator,
@@ -39,10 +46,12 @@ from .algebra import (
     PoschlTeller,
     Representation,
     Swanson,
+    angle_domain,
     coefficients,
     p_domain,
 )
 from .errors import (
+    BranchAmbiguity,
     DomainError,
     IntrinsicNoncommutativity,
     ParameterError,
@@ -53,7 +62,6 @@ from .liouville import (
     jacobi_ansatz,
     legendre_ansatz,
     to_potential,
-    v_from_Qw,
 )
 from .phase import discriminant
 from .specfun import (
@@ -71,7 +79,6 @@ __all__ = [
     "solve",
     "classify_physical",
     "metric_generic",
-    "wavefunction_eval",
     "transformed_potential",
     "native_quadrature",
     "gram_matrix",
@@ -79,8 +86,33 @@ __all__ = [
     "default_p0",
 ]
 
-_LEGENDRE_REPS = (Representation.PI1, Representation.PI2, Representation.PI3,
-                  Representation.PI4)
+
+@dataclass(frozen=True)
+class _Family:
+    """How one special-function ladder sits on the momentum angle.
+
+    The basis variable is y(sin theta, cos theta) for theta in (-pi/2, pi/2),
+    or in (0, pi/2) on a half cell; ``theta_of`` and ``dtheta_dy`` invert it
+    for quadrature.  The metric is scale * sqrt(tc) * dtheta/dx times a power
+    of cos(theta), and ``sign`` is the constant it discards off the segment.
+    """
+
+    half_cell: bool
+    y: Callable
+    theta_of: Callable
+    dtheta_dy: Callable
+    scale: float
+    sign: float
+
+
+_FAMILIES = {
+    # z = sin(theta), weight 1 in z
+    "legendre": _Family(False, lambda s, c: s, np.arcsin,
+                        lambda z: 1.0 / np.sqrt(1.0 - z * z), 1.0, 1.0),
+    # w = cos(2 theta), weight (1-w)^a (1+w)^b in w
+    "jacobi": _Family(True, lambda s, c: c * c - s * s, lambda w: 0.5 * np.arccos(w),
+                      lambda w: 0.5 / np.sqrt(1.0 - w * w), 2.0, -1.0),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +150,18 @@ def x_conjugation_coefficient(model: ModelSpec, params: DeformationParams) -> fl
     with kappa = 1/2 for the oscillator and (alpha-beta)/(tau Omega) + 1/2
     for the Swanson model (a single expression for Pi1..Pi4).
     """
+    return 2.0 * _legendre_scales(model, params)[1] + 0.5
+
+
+def _legendre_scales(model: ModelSpec, params: DeformationParams) -> tuple[float, float]:
+    """(base, eps): the frequency scale (hbar omega for the oscillator, Omega
+    for Swanson) and the XP asymmetry eps = (alpha - beta) / (2 tau Omega)."""
     if isinstance(model, HarmonicOscillator):
-        return 0.5
+        return params.hbar * params.omega, 0.0
     if isinstance(model, Swanson):
         big = model.omega_shift(params)
-        return (model.alpha - model.beta) / (params.tau * big) + 0.5
+        tau = params.tau
+        return big, (model.alpha - model.beta) / (2.0 * tau * big) if tau > 0 else 0.0
     raise UnsupportedPair(f"{model!r} is not in the associated-Legendre family")
 
 
@@ -181,9 +220,8 @@ class ClosedFormSolution:
     metric_constant: complex          # factor discarded when normalizing rho
     domain: Domain
     _energy: Callable[[int], complex]
-    _prefactor: Callable[[np.ndarray], np.ndarray] | None = None
-    _z_of_p: Callable[[np.ndarray], np.ndarray] | None = None
-    _metric: Callable[[np.ndarray], np.ndarray] | None = None
+    # powers of (sin theta, cos theta) in the prefactor, of cos theta in the metric
+    _powers: tuple[float, float, float] | None = None
     _norms: dict = field(default_factory=dict)
 
     # -- spectral data ------------------------------------------------------
@@ -211,14 +249,19 @@ class ClosedFormSolution:
 
     def z_of_p(self, p):
         self._require_states()
-        return self._z_of_p(np.asarray(p, dtype=float))
+        angle, x = self._angle(p)
+        return _FAMILIES[self.family].y(angle.sin(x), angle.cos(x))
 
     def psi_raw(self, n: int, p):
         """Unnormalized wavefunction samples."""
         self._require_states()
         p = np.asarray(p, dtype=float)
         self._check_samples(p)
-        return self._prefactor(p) * self.basis(n, self._z_of_p(p))
+        angle, x = self._angle(p)
+        s, c = angle.sin(x), angle.cos(x)
+        sin_pow, cos_pow, _ = self._powers
+        return (s ** sin_pow * c ** (cos_pow + angle.e)
+                * self.basis(n, _FAMILIES[self.family].y(s, c)))
 
     def norm(self, n: int) -> float:
         """Constant c_n with <psi_n | rho psi_n> = 1 for psi_n = psi_raw / c_n."""
@@ -237,30 +280,31 @@ class ClosedFormSolution:
     def metric(self, p):
         """Normalized positive metric density on the stored parametrization."""
         self._require_states()
-        return self._metric(np.asarray(p, dtype=float))
+        angle, x = self._angle(p)
+        scale = _FAMILIES[self.family].scale * math.sqrt(self.params.tau_check)
+        power = self._powers[2] - 2 * angle.e
+        if power:  # cos^0 = 1: constant-metric cases skip evaluating cos
+            scale = scale * angle.cos(x) ** power
+        return scale * angle.dtheta(x)
 
     # -- helpers -------------------------------------------------------------
 
+    def _angle(self, p):
+        """The table entry and x = sqrt(tc) p at the samples."""
+        return ANGLES[self.rep], math.sqrt(self.params.tau_check) * np.asarray(p, dtype=float)
+
     def _require_states(self):
-        if self._prefactor is None:
+        if self._powers is None:
             raise ParameterError(
                 "bound-state evaluators unavailable for this pair "
                 "(unphysical variant or commutative limit)")
 
     def _check_samples(self, p):
         d = self.domain
-        lo = d.lo
-        if isinstance(self.model, PoschlTeller):
-            lo = max(lo, 0.0)
-        if np.any(p <= lo) or np.any(p >= d.hi):
+        if np.any(p <= d.lo) or np.any(p >= d.hi):
             raise DomainError(
-                f"samples must lie inside ({lo:.6g}, {d.hi:.6g}) "
+                f"samples must lie inside ({d.lo:.6g}, {d.hi:.6g}) "
                 f"for {self.rep.value}")
-
-
-def wavefunction_eval(sol: ClosedFormSolution, n: int, p_samples):
-    """Normalized psi_n on the solution's parametrization (s for Pi4)."""
-    return sol.psi(n, p_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -272,264 +316,110 @@ def solve(model: ModelSpec, rep: Representation, params: DeformationParams,
 
     ``branch`` selects the Legendre order branch; anything but the default
     "minus" produces non-normalizable states and exists for negative tests.
+
+    States and metric come from the angle table: the prefactor is
+    sin^a cos^(b+e) of theta and the metric scale * sqrt(tc) * cos^(m-2e)
+    dtheta/dx, for the family's powers (a, b, m); the domain is the
+    preimage of the family's angle range.
     """
     cls = classify_physical(model, rep, params)
     if rep is Representation.PI4_PRIME:
-        return _solve_pi4_prime(model, rep, params, cls)
-    if isinstance(model, (HarmonicOscillator, Swanson)):
-        return _solve_legendre(model, rep, params, cls, branch)
+        return _solve_pi4_prime(model, rep, params)
+    tau = params.tau
+    hw = params.hbar * params.omega
+    energy = _energy(model, params)
     if isinstance(model, PoschlTeller):
-        return _solve_jacobi(model, rep, params, cls)
-    raise UnsupportedPair(f"unknown model {model!r}")
-
-
-def _ho_energy(params):
-    hw = params.hbar * params.omega
-    root = math.sqrt(1.0 + params.tau ** 2 / 4.0)
-
-    def energy(n):
-        return hw * (0.5 + n) * root + params.tau * hw / 4.0 * (1 + 2 * n + 2 * n * n)
-
-    return energy
-
-
-def _swanson_energy(model, params):
-    tau = params.tau
-    big = model.omega_shift(params)
-    d = discriminant(model.alpha, model.beta, params.tau, params)
-    sqrt_d = cmath.sqrt(complex(d))
-
-    def energy(n):
-        return 0.25 * ((tau + 2 * n * tau + 2 * n * n * tau) * big
-                       + (2 * n + 1) * sqrt_d)
-
-    return energy
-
-
-def _pt_energy(model, params):
-    tau = params.tau
-    hw = params.hbar * params.omega
-    a, b = jacobi_orders(model, params)
-
-    def energy(n):
-        return hw * tau / 2.0 * (1 + 2 * n + a + b) ** 2
-
-    return energy
-
-
-def _solve_pi4_prime(model, rep, params, cls):
-    tau = params.tau
-    hw = params.hbar * params.omega
-    if isinstance(model, HarmonicOscillator) and tau > 0:
-        c = tau * hw / 2.0
-
-        def energy(n):
-            return hw / (2.0 * tau) - c / 4.0 * (1 + 2 * n) ** 2
-
-        parameters = {"c": c}
+        family = "jacobi"
+        a_c, b_c = jacobi_orders(model, params)
+        c = 2.0 * tau * hw
+        parameters = {"a_plus": a_c, "b_plus": b_c, "a_minus": -a_c, "b_minus": -b_c,
+                      "c": c}
+        # complex exponents keep their energies but have no normalizable states
+        powers = (a_c.real + 0.5, b_c.real + 0.5, 0.0) if cls.physical else None
     else:
-        def energy(n):
+        family = "legendre"
+        base, eps = _legendre_scales(model, params)
+        c = tau * base / 2.0
+        # the commutative limit keeps its energies; mu_- diverges there
+        parameters, powers = {"commutative_limit": True}, None
+        if tau > 0.0:
+            mu_minus = legendre_order(model, params)
+            mu = mu_minus if branch == "minus" else -mu_minus
+            if abs(complex(mu).imag) < 1e-300:
+                mu = complex(mu).real
+            parameters = {"mu_minus": mu, "mu_plus": -mu_minus, "c": c,
+                          "lambda": -mu, "epsilon": eps}
+            powers = (0.0, 2.0 * eps + 0.5, -4.0 * eps)
+    fam = _FAMILIES[family]
+    # the paper-form metric on the segment carries the factor -i; written as
+    # -(1j * sign) so the printed constant keeps its signed zero, (-0-1j)
+    const = (1.0 if powers is None else -(1j * fam.sign) if ANGLES[rep].segment
+             else fam.sign)
+    return ClosedFormSolution(
+        model=model, rep=rep, params=params, family=family, c=c,
+        parameters=parameters, physical=cls.physical, metric_constant=const,
+        domain=angle_domain(rep, params, half_cell=fam.half_cell),
+        _energy=energy, _powers=powers)
+
+
+def _energy(model, params):
+    """E_n in closed form; the same in every representation of the model."""
+    tau = params.tau
+    hw = params.hbar * params.omega
+    if isinstance(model, HarmonicOscillator):
+        root = math.sqrt(1.0 + tau ** 2 / 4.0)
+        return lambda n: hw * (0.5 + n) * root + tau * hw / 4.0 * (1 + 2 * n + 2 * n * n)
+    if isinstance(model, Swanson):
+        big = model.omega_shift(params)
+        sqrt_d = cmath.sqrt(complex(discriminant(model.alpha, model.beta, tau, params)))
+        return lambda n: 0.25 * ((tau + 2 * n * tau + 2 * n * n * tau) * big
+                                 + (2 * n + 1) * sqrt_d)
+    a, b = jacobi_orders(model, params)
+    return lambda n: hw * tau / 2.0 * (1 + 2 * n + a + b) ** 2
+
+
+def _solve_pi4_prime(model, rep, params):
+    tau = params.tau
+    hw = params.hbar * params.omega
+    # only the oscillator has a published (unbounded) energy family
+    c = tau * hw / 2.0 if isinstance(model, HarmonicOscillator) and tau > 0 else 0.0
+
+    def energy(n):
+        if not c:
             raise UnsupportedPair(
                 "no published energy family for this pair; the variant is "
                 "unphysical for every model considered")
+        return hw / (2.0 * tau) - c / 4.0 * (1 + 2 * n) ** 2
 
-        parameters = {}
     return ClosedFormSolution(
-        model=model, rep=rep, params=params, family="unbounded", c=parameters.get("c", 0.0),
-        parameters=parameters, physical=False, metric_constant=1.0,
+        model=model, rep=rep, params=params, family="unbounded", c=c,
+        parameters={"c": c} if c else {}, physical=False, metric_constant=1.0,
         domain=p_domain(rep, params), _energy=energy)
-
-
-def _solve_legendre(model, rep, params, cls, branch):
-    if rep not in _LEGENDRE_REPS:
-        raise UnsupportedPair(f"{type(model).__name__} not tabulated for {rep}")
-    tau = params.tau
-    tc = params.tau_check
-    hw = params.hbar * params.omega
-    if isinstance(model, HarmonicOscillator):
-        energy = _ho_energy(params)
-        c = tau * hw / 2.0
-        eps = 0.0
-    else:
-        energy = _swanson_energy(model, params)
-        big = model.omega_shift(params)
-        c = tau * big / 2.0
-        eps = (model.alpha - model.beta) / (2.0 * tau * big) if tau > 0 else 0.0
-
-    if tau == 0.0:
-        return ClosedFormSolution(
-            model=model, rep=rep, params=params, family="legendre", c=0.0,
-            parameters={"commutative_limit": True}, physical=cls.physical,
-            metric_constant=1.0, domain=p_domain(rep, params), _energy=energy)
-
-    mu_minus = legendre_order(model, params)
-    mu = mu_minus if branch == "minus" else -mu_minus
-    if abs(complex(mu).imag) < 1e-300:
-        mu = complex(mu).real
-    parameters = {"mu_minus": mu, "mu_plus": -mu_minus, "c": c,
-                  "lambda": -mu, "epsilon": eps}
-
-    stc = math.sqrt(tc)
-
-    if rep in (Representation.PI1, Representation.PI2):
-        # the similarity partner carries the extra u^(-1) = (1+tc p^2)^(-1/2)
-        # and its metric gains the inverse square of that factor
-        expo = (-eps - 0.25) if rep is Representation.PI1 else (-eps - 0.75)
-        mexp = (2 * eps - 1.0) if rep is Representation.PI1 else 2 * eps
-
-        def z_of_p(p):
-            return stc * p / np.sqrt(1.0 + tc * p ** 2)
-
-        def prefactor(p):
-            return (1.0 + tc * p ** 2) ** expo
-
-        def metric(p):
-            return stc * (1.0 + tc * p ** 2) ** mexp
-
-        const = 1.0
-    elif rep is Representation.PI3:
-        pexp = 2 * eps + 0.5
-        mexp = -4.0 * eps
-
-        def z_of_p(p):
-            return np.sin(stc * p)
-
-        def prefactor(p):
-            return np.cos(stc * p) ** pexp
-
-        def metric(p):
-            return stc * np.cos(stc * p) ** mexp
-
-        const = 1.0
-    else:  # PI4, real segment parametrization s
-        pexp = eps - 0.25
-        mexp = -2.0 * eps + 0.5
-
-        def z_of_p(s):
-            return stc * s
-
-        def prefactor(s):
-            return (1.0 - tc * s ** 2) ** pexp
-
-        def metric(s):
-            return stc * (1.0 - tc * s ** 2) ** mexp
-
-        const = -1j  # paper-form metric carries the segment factor -i
-
-    return ClosedFormSolution(
-        model=model, rep=rep, params=params, family="legendre", c=c,
-        parameters=parameters, physical=cls.physical, metric_constant=const,
-        domain=p_domain(rep, params), _energy=energy,
-        _prefactor=prefactor, _z_of_p=z_of_p, _metric=metric)
-
-
-def _solve_jacobi(model, rep, params, cls):
-    if rep not in _LEGENDRE_REPS:
-        raise UnsupportedPair("inverse-square model not tabulated for this representation")
-    tau = params.tau
-    tc = params.tau_check
-    hw = params.hbar * params.omega
-    energy = _pt_energy(model, params)
-    a_c, b_c = jacobi_orders(model, params)
-    c = 2.0 * tau * hw
-    parameters = {"a_plus": a_c, "b_plus": b_c, "a_minus": -a_c, "b_minus": -b_c,
-                  "c": c}
-    stc = math.sqrt(tc)
-
-    if not cls.physical:
-        # complex exponents: keep energies, no normalizable states
-        return ClosedFormSolution(
-            model=model, rep=rep, params=params, family="jacobi", c=c,
-            parameters=parameters, physical=False, metric_constant=1.0,
-            domain=_pt_domain(rep, params), _energy=energy)
-
-    a, b = a_c.real, b_c.real
-
-    if rep in (Representation.PI1, Representation.PI2):
-        expo = -(1 + a + b) / 2.0 if rep is Representation.PI1 else -(1 + a + b) / 2.0 - 0.5
-
-        def z_of_p(p):
-            return (1.0 - tc * p ** 2) / (1.0 + tc * p ** 2)
-
-        def prefactor(p):
-            return p ** (0.5 + a) * (1.0 + tc * p ** 2) ** expo
-
-        if rep is Representation.PI1:
-            def metric(p):
-                return 2.0 * stc / (1.0 + tc * p ** 2)
-        else:
-            # similarity partner: constant metric (Hermitian Hamiltonian)
-            def metric(p):
-                return 2.0 * stc * np.ones_like(np.asarray(p, dtype=float))
-
-        const = -1.0
-    elif rep is Representation.PI3:
-        def z_of_p(p):
-            return np.cos(2.0 * stc * p)
-
-        def prefactor(p):
-            return np.sin(stc * p) ** (0.5 + a) * np.cos(stc * p) ** (0.5 + b)
-
-        def metric(p):
-            return 2.0 * stc * np.ones_like(np.asarray(p, dtype=float))
-
-        const = -1.0
-    else:  # PI4
-        def z_of_p(s):
-            return 1.0 - 2.0 * tc * s ** 2
-
-        def prefactor(s):
-            return s ** (a + 0.5) * (1.0 - tc * s ** 2) ** ((2 * b - 1) / 4.0)
-
-        def metric(s):
-            return 2.0 * stc * np.sqrt(1.0 - tc * s ** 2)
-
-        const = 1j
-
-    return ClosedFormSolution(
-        model=model, rep=rep, params=params, family="jacobi", c=c,
-        parameters=parameters, physical=True, metric_constant=const,
-        domain=_pt_domain(rep, params), _energy=energy,
-        _prefactor=prefactor, _z_of_p=z_of_p, _metric=metric)
-
-
-def _pt_domain(rep, params) -> Domain:
-    tc = params.tau_check
-    stc = math.sqrt(tc)
-    if rep in (Representation.PI1, Representation.PI2):
-        return Domain(0.0, math.inf)
-    if rep is Representation.PI3:
-        return Domain(0.0, math.pi / (2 * stc))
-    if rep is Representation.PI4:
-        return Domain(0.0, 1.0 / stc, imaginary_segment=True)
-    raise UnsupportedPair(f"inverse-square model not tabulated for {rep}")
 
 
 # ---------------------------------------------------------------------------
 # native quadrature, Gram matrices
 
 def native_quadrature(sol: ClosedFormSolution, order: int = 384):
-    """Quadrature nodes/weights for integrals over the solution's domain."""
-    z, w = gauss_legendre_nodes(order)
-    tc = sol.params.tau_check
+    """Quadrature nodes/weights for integrals over the solution's domain.
+
+    Finite domains map Gauss-Legendre nodes affinely; infinite ones take them
+    in the basis variable and pull them back to p through the momentum angle.
+    """
+    sol._require_states()
+    y, w = gauss_legendre_nodes(order)
     dom = sol.domain
-    model = sol.model
-    rep = sol.rep
-    if isinstance(model, PoschlTeller) and rep in (Representation.PI1, Representation.PI2):
-        # half line (0, inf): substitute the Jacobi argument
-        p = np.sqrt((1.0 - z) / (tc * (1.0 + z)))
-        jac = 1.0 / (tc * p * (1.0 + z) ** 2)
-        idx = np.argsort(p)
-        return p[idx], (w * jac)[idx]
-    if not dom.finite:
-        # full line: substitute the Legendre argument z -> p
-        p = z / (math.sqrt(tc) * np.sqrt(1.0 - z ** 2))
-        jac = (1.0 - z ** 2) ** -1.5 / math.sqrt(tc)
-        return p, w * jac
-    lo = 0.0 if isinstance(model, PoschlTeller) else dom.lo
-    mid = 0.5 * (lo + dom.hi)
-    half = 0.5 * (dom.hi - lo)
-    return mid + half * z, w * half
+    if dom.finite:
+        mid = 0.5 * (dom.lo + dom.hi)
+        half = 0.5 * (dom.hi - dom.lo)
+        return mid + half * y, w * half
+    fam = _FAMILIES[sol.family]
+    angle = ANGLES[sol.rep]
+    stc = math.sqrt(sol.params.tau_check)
+    x = angle.x_of(fam.theta_of(y))
+    jac = fam.dtheta_dy(y) / (stc * angle.dtheta(x))
+    idx = np.argsort(x)
+    return x[idx] / stc, (w * jac)[idx]
 
 
 def gram_matrix(sol: ClosedFormSolution, n_max: int, order: int = 384) -> np.ndarray:
@@ -567,143 +457,94 @@ class PotentialSpec:
 
 def transformed_potential(model: ModelSpec, rep: Representation,
                           params: DeformationParams) -> PotentialSpec:
-    """Closed-form potential data for the pair (Pi2 shares the Pi1 problem)."""
+    """Closed-form potential data for the pair (Pi2 shares the Pi1 problem).
+
+    q is proportional to the momentum angle, q = sqrt(2 / (tau base)) theta,
+    and the gauge is chi = (2 eps + e) ln cos(theta).
+    """
     if rep is Representation.PI2:
         rep = Representation.PI1
     tau = params.tau
-    tc = params.tau_check
     hbar, m, om = params.hbar, params.mass, params.omega
     hw = hbar * om
-    if tau == 0.0:
-        if isinstance(model, PoschlTeller):
+    if isinstance(model, PoschlTeller):
+        if tau == 0.0:
             raise ParameterError("the inverse-square model requires tau > 0")
-        # commutative limit: harmonic well in the stretched coordinate, on a
-        # box wide enough that low levels are unaffected by truncation
-        if isinstance(model, Swanson):
-            d = discriminant(model.alpha, model.beta, params.tau, params)
-            if d < 0:
-                raise ParameterError("complex commutative spectrum; no real well")
-            k = 0.5 * math.sqrt(d) / 2.0
-            base = model.omega_shift(params)
-        else:
+        base, eps = hw, 0.0
+        c = 2.0 * tau * hw
+        rc2 = math.sqrt(tau * hw / 2.0)  # = sqrt(c)/2
+        al, be, tc = model.alpha, model.beta, params.tau_check
+
+        def V(q):
+            s = rc2 * np.asarray(q)
+            return 0.5 * hw * al / np.sin(s) ** 2 + be / (2 * m * tc) / np.cos(s) ** 2
+
+        family, q_lo, q_hi = "jacobi", 0.0, math.pi / math.sqrt(2.0 * tau * hw)
+        phase = math.pi / 2.0
+    else:
+        base, eps = _legendre_scales(model, params)
+        if tau == 0.0:
+            # commutative limit: harmonic well in the stretched coordinate, on a
+            # box wide enough that low levels are unaffected by truncation
             k = 0.5 * hw
-            base = hw
-        edge = 9.0 / math.sqrt(k)
-        lin = math.sqrt(2.0 / (m * hbar * om * base))
+            if isinstance(model, Swanson):
+                d = discriminant(model.alpha, model.beta, params.tau, params)
+                if d < 0:
+                    raise ParameterError("complex commutative spectrum; no real well")
+                k = 0.5 * math.sqrt(d) / 2.0
+            edge = 9.0 / math.sqrt(k)
+            lin = math.sqrt(2.0 / (m * hbar * om * base))
 
-        def V0(q):
-            return (k * np.asarray(q)) ** 2
+            def V0(q):
+                return (k * np.asarray(q)) ** 2
 
-        def q_of_p0(p):
-            return lin * np.asarray(p)
+            def q_of_p0(p):
+                return lin * np.asarray(p)
 
-        def chi0(p):
-            return np.zeros_like(np.asarray(p, dtype=float))
+            def chi0(p):
+                return np.zeros_like(np.asarray(p, dtype=float))
 
-        return PotentialSpec(V=V0, q_lo=-edge, q_hi=edge, c=0.0,
-                             family="legendre", q_of_p=q_of_p0, chi=chi0,
-                             ansatz_phase=0.0)
-    stc = math.sqrt(tc)
-
-    if isinstance(model, (HarmonicOscillator, Swanson)):
-        if isinstance(model, HarmonicOscillator):
-            c = tau * hw / 2.0
-            amp = hw / (2.0 * tau)
-            eps = 0.0
-            big = None
-        else:
-            big = model.omega_shift(params)
-            c = tau * big / 2.0
+            return PotentialSpec(V=V0, q_lo=-edge, q_hi=edge, c=0.0,
+                                 family="legendre", q_of_p=q_of_p0, chi=chi0,
+                                 ansatz_phase=0.0)
+        amp = hw / (2.0 * tau)
+        if isinstance(model, Swanson):
             amp = ((1 - tau) * hw ** 2 - tau * hw * (model.alpha + model.beta)
-                   - 4 * model.alpha * model.beta) / (2.0 * tau * big)
-            eps = (model.alpha - model.beta) / (2.0 * tau * big)
+                   - 4 * model.alpha * model.beta) / (2.0 * tau * base)
+        c = tau * base / 2.0
         rc = math.sqrt(c)
         edge = math.pi / (2.0 * rc)
 
         def V(q):
             return amp * np.tan(rc * np.asarray(q)) ** 2
 
-        base = big if big is not None else hw
-        if rep is Representation.PI1:
-            arch = math.sqrt(2.0 / (tau * base))
+        family, q_lo, q_hi, phase = "legendre", -edge, edge, 0.0
+    if rep not in ANGLES:
+        raise UnsupportedPair(f"no transformed potential for {rep}")
+    angle = ANGLES[rep]
+    stc = math.sqrt(params.tau_check)
+    scale = math.sqrt(2.0 / (tau * base))
+    gauge = 2.0 * eps + angle.e
 
-            def q_of_p(p):
-                return arch * np.arctan(stc * np.asarray(p))
+    def q_of_p(p):
+        return scale * angle.theta(stc * np.asarray(p))
 
-            def chi(p):
-                return -eps * np.log(1.0 + tc * np.asarray(p) ** 2)
-        elif rep is Representation.PI3:
-            lin = math.sqrt(2.0 / (m * hbar * om * base))
+    def chi(p):
+        return gauge * np.log(angle.cos(stc * np.asarray(p)))
 
-            def q_of_p(p):
-                return lin * np.asarray(p)
-
-            def chi(p):
-                return 2.0 * eps * np.log(np.cos(stc * np.asarray(p)))
-        elif rep is Representation.PI4:
-
-            def q_of_p(s):
-                return math.sqrt(2.0 / (tau * base)) * np.arcsin(stc * np.asarray(s))
-
-            def chi(s):
-                return (eps - 0.5) * np.log(1.0 - tc * np.asarray(s) ** 2)
-        else:
-            raise UnsupportedPair(f"no transformed potential for {rep}")
-        return PotentialSpec(V=V, q_lo=-edge, q_hi=edge, c=c, family="legendre",
-                             q_of_p=q_of_p, chi=chi, ansatz_phase=0.0)
-
-    if isinstance(model, PoschlTeller):
-        c = 2.0 * tau * hw
-        rc2 = math.sqrt(tau * hw / 2.0)  # = sqrt(c)/2
-        edge = math.pi / math.sqrt(2.0 * tau * hw)
-        al, be = model.alpha, model.beta
-
-        def V(q):
-            s = rc2 * np.asarray(q)
-            return 0.5 * hw * al / np.sin(s) ** 2 + be / (2 * m * tc) / np.cos(s) ** 2
-
-        if rep is Representation.PI1:
-            def q_of_p(p):
-                return math.sqrt(2.0 / (tau * hw)) * np.arctan(stc * np.asarray(p))
-
-            def chi(p):
-                return np.zeros_like(np.asarray(p, dtype=float))
-        elif rep is Representation.PI3:
-            lin = math.sqrt(2.0 / (m * hbar ** 2 * om ** 2))
-
-            def q_of_p(p):
-                return lin * np.asarray(p)
-
-            def chi(p):
-                return np.zeros_like(np.asarray(p, dtype=float))
-        elif rep is Representation.PI4:
-            def q_of_p(s):
-                return math.sqrt(2.0 / (tau * hw)) * np.arcsin(stc * np.asarray(s))
-
-            def chi(s):
-                return -0.5 * np.log(1.0 - tc * np.asarray(s) ** 2)
-        else:
-            raise UnsupportedPair(f"no transformed potential for {rep}")
-        return PotentialSpec(V=V, q_lo=0.0, q_hi=edge, c=c, family="jacobi",
-                             q_of_p=q_of_p, chi=chi, ansatz_phase=math.pi / 2.0)
-
-    raise UnsupportedPair(f"unknown model {model!r}")
+    return PotentialSpec(V=V, q_lo=q_lo, q_hi=q_hi, c=c, family=family,
+                         q_of_p=q_of_p, chi=chi, ansatz_phase=phase)
 
 
 def default_p0(model: ModelSpec, rep: Representation,
                params: DeformationParams) -> float:
     """Anchor point for the generic transform: 0 on symmetric domains, the
-    q-midpoint image on half cells."""
+    q-midpoint image p(theta = pi/4) on half cells."""
     if not isinstance(model, PoschlTeller):
         return 0.0
-    tc = params.tau_check
-    if rep in (Representation.PI1, Representation.PI2):
-        return 1.0 / math.sqrt(tc)
-    if rep is Representation.PI3:
-        return math.pi / (4.0 * math.sqrt(tc))
-    if rep is Representation.PI4:
-        return 1.0 / math.sqrt(2.0 * tc)
-    raise UnsupportedPair(f"no anchor for {rep}")
+    if rep not in ANGLES:
+        raise UnsupportedPair(f"no anchor for {rep}")
+    return float(ANGLES[rep].x_of(math.pi / 4.0)) / math.sqrt(params.tau_check)
 
 
 def ansatz_for(sol: ClosedFormSolution, n: int,
@@ -731,43 +572,40 @@ def metric_generic(model: ModelSpec, rep: Representation,
                    params: DeformationParams) -> Callable[[np.ndarray], np.ndarray]:
     """Metric density assembled from the generic transform parts.
 
-    rho = varrho(w) e^{-2 Re chi} |v|^{-2} dw/dp, normalized real-positive at
-    the domain reference point.  The Pi2 metric is the Pi1 assembly divided by
-    the squared similarity factor, rho_1 * (1 + tc p^2).
+    rho = varrho(w) e^{-2 Re chi} |v|^{-2} dw/dp, summed as logarithms (the
+    Jacobi varrho and |v|^{-2} carry powers in the thousands at small tau,
+    which would overflow against each other) and normalized to 1 at the
+    anchor p0.  Pi2 shares the Pi1 transform; its metric gains cos^-2 of the
+    momentum angle, the inverse square of the similarity factor.
     """
-    if rep is Representation.PI2:
-        rho1 = metric_generic(model, Representation.PI1, params)
-        tc = params.tau_check
-        return lambda p: rho1(p) * (1.0 + tc * np.asarray(p, dtype=float) ** 2)
-    sol = solve(model, rep, params)
-    fgh = coefficients(model, rep, params)
-    p0 = default_p0(model, rep, params)
+    shared = Representation.PI1 if rep is Representation.PI2 else rep
+    sol = solve(model, shared, params)
+    fgh = coefficients(model, shared, params)
+    p0 = default_p0(model, shared, params)
     tr = to_potential(fgh, p0)
     ansatz = ansatz_for(sol, 0, coordinates="centered")
-    v = v_from_Qw(ansatz)
-
+    a = b = 0.0
     if sol.family == "jacobi":
         a = sol.parameters["a_plus"].real
         b = sol.parameters["b_plus"].real
+    angle = ANGLES[rep]
+    similarity = 2.0 * (ANGLES[shared].e - angle.e)
+    stc = math.sqrt(params.tau_check)
 
-        def varrho(w):
-            return (1.0 - w) ** a * (1.0 + w) ** b
-    else:
-        def varrho(w):
-            return np.ones_like(np.asarray(w, dtype=float))
-
-    def rho_raw(p):
-        p = np.atleast_1d(np.asarray(p, dtype=float))
+    def log_rho(p):
         q = tr.q_of_p(p)
         w = ansatz.w(q)
-        dwdp = ansatz.dw(q) / np.sqrt(np.asarray(fgh.f(p), dtype=float))
-        vv = v(q)
-        return varrho(w) * np.exp(-2.0 * np.real(tr.chi(p))) * np.abs(vv) ** -2.0 * dwdp
+        if np.any((1 - w ** 2) <= 0):
+            raise BranchAmbiguity("1 - w^2 must keep one sign on the domain")
+        # ln varrho - 2 Re chi + ln |v|^-2 + ln |dw/dp|
+        return (a * np.log1p(-w) + b * np.log1p(w) - 2.0 * np.real(tr.chi(p))
+                + 2.0 * np.log(np.abs(ansatz.dw(q))) - np.real(ansatz.intQ(w))
+                - 0.5 * np.log(np.asarray(fgh.f(p), dtype=float))
+                + similarity * np.log(angle.cos(stc * p)))
 
-    ref = float(np.real(rho_raw(np.array([p0]))[0])) or 1.0
-    sign = 1.0 if ref > 0 else -1.0
+    ref = float(log_rho(np.array([p0]))[0])
 
     def rho(p):
-        return sign * np.real(rho_raw(p))
+        return np.exp(log_rho(np.atleast_1d(np.asarray(p, dtype=float))) - ref)
 
     return rho

@@ -68,6 +68,18 @@ class TestSpectrumCommand:
         assert code == 3
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("wavefunction", "--model", "ho", "--tau", "0.01"),
+        ("wavefunction", "--model", "ho", "--tau", "0.01", "--format", "json"),
+        ("expectation", "--tau", "0.001", "H"),
+    ])
+    def test_nonfinite_output_exit_code(self, capsys, argv):
+        # inf/NaN cells are a numerical failure, not a printed result
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "numerical failure" in err
+        assert out == ""
+
 
 class TestJsonEnvelope:
     def test_schema_fields(self, capsys):

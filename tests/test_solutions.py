@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gup_spectra.algebra import (
+    ANGLES,
     DeformationParams,
     HarmonicOscillator,
     PoschlTeller,
@@ -25,7 +26,6 @@ from gup_spectra.solutions import (
     native_quadrature,
     solve,
     transformed_potential,
-    wavefunction_eval,
 )
 
 R = Representation
@@ -184,7 +184,7 @@ class TestWavefunctions:
     def test_commutative_limit_states_unavailable(self):
         sol = solve(HarmonicOscillator(), R.PI1, DeformationParams(tau=0.0))
         with pytest.raises(ParameterError):
-            wavefunction_eval(sol, 0, np.array([0.0]))
+            sol.psi(0, np.array([0.0]))
 
     def test_wrong_branch_rejected(self):
         sol = solve(HarmonicOscillator(), R.PI1, DeformationParams(tau=0.2),
@@ -241,20 +241,74 @@ class TestMetrics:
         (PoschlTeller(1.0, 0.5), R.PI3), (PoschlTeller(1.0, 0.5), R.PI4),
     ])
     def test_generic_assembly_matches_closed_form(self, model, rep):
-        params = DeformationParams(tau=0.25)
+        assert _assembly_spread(model, rep, DeformationParams(tau=0.25)) < 1e-8
+
+    @pytest.mark.parametrize("rep", [R.PI1, R.PI3, R.PI4])
+    @pytest.mark.parametrize("tau", [1e-4, 1e-3])
+    def test_generic_assembly_small_tau(self, rep, tau):
+        # a+ ~ 100 and b+ ~ 7071 at tau = 1e-4: the assembly's Jacobi weight
+        # and its |v|^-2 factor would overflow against each other if formed
+        # separately
+        spread = _assembly_spread(PoschlTeller(1.0, 0.5), rep, DeformationParams(tau=tau))
+        assert spread < 1e-8
+
+    @pytest.mark.parametrize("model,rep", SOLVABLE)
+    @pytest.mark.parametrize("tau", [1e-3, 0.25, 5.0, 50.0])
+    def test_momentum_angle_table(self, model, rep, tau):
+        params = DeformationParams(tau=tau)
+        tc = params.tau_check
+        stc = math.sqrt(tc)
         sol = solve(model, rep, params)
-        rho_gen = metric_generic(model, rep, params)
         dom = sol.domain
-        lo = 0.0 if isinstance(model, PoschlTeller) else dom.lo
-        hi = dom.hi
-        if not math.isfinite(hi):
-            hi = 8.0
-        if not math.isfinite(lo):
-            lo = -8.0
+        hi = dom.hi if math.isfinite(dom.hi) else 3.0 / stc
+        lo = dom.lo if math.isfinite(dom.lo) else -hi
         span = hi - lo
-        pts = np.linspace(lo + 0.05 * span, hi - 0.05 * span, 100)
-        ratio = rho_gen(pts) / sol.metric(pts)
-        assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-8
+        p = np.linspace(lo + 0.05 * span, hi - 0.05 * span, 40)
+        # the physical momentum P and dP/dp on the stored parametrization
+        if rep in (R.PI1, R.PI2):
+            big_p, dbig_p = p, np.ones_like(p)
+        elif rep is R.PI3:
+            big_p, dbig_p = np.tan(stc * p) / stc, 1.0 / np.cos(stc * p) ** 2
+        else:
+            big_p, dbig_p = p / np.sqrt(1.0 - tc * p ** 2), (1.0 - tc * p ** 2) ** -1.5
+        theta = np.arctan(stc * big_p)
+        assert np.allclose(np.tan(ANGLES[rep].theta(stc * p)) / stc, big_p,
+                           rtol=1e-12, atol=0.0)
+
+        q = transformed_potential(model, rep, params).q_of_p(p)
+        assert np.max(np.abs(q / theta / (q[0] / theta[0]) - 1.0)) < 1e-12
+
+        # weight 1 in z (Legendre), (1-w)^a (1+w)^b in w (Jacobi): the metric
+        # times the squared prefactor is that weight times |dz/dp|
+        z = sol.z_of_p(p)
+        dtheta = stc * dbig_p / (1.0 + tc * big_p ** 2)
+        if sol.family == "legendre":
+            weight, dz = np.ones_like(z), dtheta * np.cos(theta)
+        else:
+            a, b = sol.parameters["a_plus"].real, sol.parameters["b_plus"].real
+            weight, dz = (1.0 - z) ** a * (1.0 + z) ** b, 2.0 * np.sin(2.0 * theta) * dtheta
+        basis = sol.basis(0, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prefactor = np.abs(sol.psi_raw(0, p) / basis)
+        # at tau = 1e-3 the Legendre normalization k_n underflows to 0 and the
+        # steep Jacobi prefactor leaves the float range toward the far wall
+        usable = (np.abs(basis) > 1e-290) & (prefactor > 1e-140)
+        assert usable.sum() >= (40 if tau >= 0.25 else 0 if sol.family == "legendre" else 10)
+        ratio = sol.metric(p[usable]) * prefactor[usable] ** 2 / (weight * dz)[usable]
+        assert np.all(np.abs(ratio / ratio[:1] - 1.0) < 1e-9)
+
+
+def _assembly_spread(model, rep, params):
+    """Spread of metric_generic / sol.metric over the interior of the domain."""
+    sol = solve(model, rep, params)
+    rho_gen = metric_generic(model, rep, params)
+    dom = sol.domain
+    lo = dom.lo if math.isfinite(dom.lo) else -8.0
+    hi = dom.hi if math.isfinite(dom.hi) else 8.0
+    span = hi - lo
+    pts = np.linspace(lo + 0.05 * span, hi - 0.05 * span, 100)
+    ratio = rho_gen(pts) / sol.metric(pts)
+    return float(np.max(np.abs(ratio / ratio[0] - 1.0)))
 
 
 class TestOrthonormality:
