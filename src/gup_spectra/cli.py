@@ -14,6 +14,8 @@ import argparse
 import json
 import math
 import sys
+import warnings
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -531,15 +533,24 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except GupSpectraError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    # numpy / scipy warnings end up as one summary line, not raw stderr lines
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except GupSpectraError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
+        finally:
+            if caught:
+                counts = Counter(w.category.__name__ for w in caught)
+                print("warnings: " + ", ".join(f"{k} {name}" for name, k
+                                               in sorted(counts.items())),
+                      file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -64,10 +64,6 @@ class TransformResult:
     q_hi: float
     p0: float
 
-    @property
-    def q_domain(self) -> tuple[float, float]:
-        return (self.q_lo, self.q_hi)
-
 
 def to_potential(fgh: FGHCoefficients, p0: float) -> TransformResult:
     """Transform a coefficient triple into potential form, anchored at p0.

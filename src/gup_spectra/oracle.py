@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -274,6 +275,31 @@ def _hamiltonian_terms(model: ModelSpec, params: DeformationParams):
 # ---------------------------------------------------------------------------
 # unified engine (z-space, analytic derivatives via jets)
 
+# Callers sweep levels and words of one (model, params) at a time, and do not
+# come back to a configuration once they move on, so a few entries hold all
+# the reuse there is.
+@lru_cache(maxsize=4)
+def _gauss_jacobi(quad_order, alpha, beta):
+    """Read-only Gauss-Jacobi rule for the weight (1-z)^alpha (1+z)^beta.
+
+    It depends only on the model's exponents, so every level and word of one
+    (model, params) shares it.
+    """
+    rule = roots_jacobi(quad_order, alpha, beta)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+@lru_cache(maxsize=4)
+def _zspace(model, params, n, order, quad_order):
+    """The basis space of one level, shared read-only between words."""
+    zs = _ZSpace(model, params, n, order, quad_order)
+    for arr in (zs.weight, zs.basis.d, zs.zjet.d, zs.one_minus_z2.d):
+        arr.flags.writeable = False
+    return zs
+
+
 class _ZSpace:
     """Unified basis-variable machinery for one (model, params, n).
 
@@ -298,7 +324,7 @@ class _ZSpace:
                 raise ParameterError("complex exponents; unified integral not real here")
             self.family = "jacobi"
             self.a, self.b = a.real, b.real
-            self.z, self.wq = roots_jacobi(quad_order, self.a - 1.0, self.b - 1.0)
+            self.z, self.wq = _gauss_jacobi(quad_order, self.a - 1.0, self.b - 1.0)
             self.basis = jacobi_jet(JacobiSpec(n, self.a, self.b), self.z, order)
             # remainder after folding (1-w)^(a-1) (1+w)^(b-1) into the nodes
             self.weight = (1.0 - self.z) * (1.0 + self.z)
@@ -310,7 +336,7 @@ class _ZSpace:
             self.mu = complex(mu).real
             lam = -self.mu
             self.kappa = x_conjugation_coefficient(model, params)
-            self.z, self.wq = roots_jacobi(quad_order, lam - 1.0, lam - 1.0)
+            self.z, self.wq = _gauss_jacobi(quad_order, lam - 1.0, lam - 1.0)
             self.basis = assoc_legendre_jet(LegendreSpec(n, self.mu), self.z, order)
             self.weight = (1.0 - self.z ** 2) ** (1.0 - lam)
         zj = Jet.variable(self.z, order)
@@ -382,7 +408,7 @@ def expectation_unified(model: ModelSpec, params: DeformationParams, n: int,
     weight = _word_weight(terms)
     if weight > 4:
         raise ParameterError("operator words longer than 4 factors are not supported")
-    zs = _ZSpace(model, params, n, order=max(weight * 2, 4), quad_order=quad_order)
+    zs = _zspace(model, params, n, max(weight * 2, 4), quad_order)
     acc = 0.0 + 0.0j
     for coeff, factors in terms:
         out = zs.apply_term(factors, zs.basis)
@@ -465,8 +491,8 @@ def matrix_element_direct(model: ModelSpec, rep: Representation,
     sol = solve(model, rep, params)
     terms = parse_word(word)
     grid, h = _direct_grid(sol, grid_size)
-    bra = sol.psi(m, grid)
     ket = sol.psi(n, grid)
+    bra = ket if m == n else sol.psi(m, grid)
     out = _apply_word_direct(sol, terms, ket, grid)
     rho = sol.metric(grid)
     return complex(np.sum(np.conj(bra) * rho * out) * h)

@@ -68,8 +68,10 @@ from .specfun import (
     JacobiSpec,
     LegendreSpec,
     assoc_legendre,
+    assoc_legendre_ladder,
     gauss_legendre_nodes,
     jacobi,
+    jacobi_ladder,
 )
 
 __all__ = [
@@ -113,6 +115,9 @@ _FAMILIES = {
     "jacobi": _Family(True, lambda s, c: c * c - s * s, lambda w: 0.5 * np.arccos(w),
                       lambda w: 0.5 / np.sqrt(1.0 - w * w), 2.0, -1.0),
 }
+
+
+_NORM_ORDER = 384   # native Gauss-Legendre rule of the state norms
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +245,8 @@ class ClosedFormSolution:
     # -- basis functions ----------------------------------------------------
 
     def basis(self, n: int, z):
-        if self.family == "legendre":
-            return assoc_legendre(LegendreSpec(n, self.parameters["mu_minus"]), z)
-        if self.family == "jacobi":
-            return jacobi(JacobiSpec(n, self.parameters["a_plus"].real,
-                                     self.parameters["b_plus"].real), z)
-        raise UnsupportedPair("no bound-state basis for this pair")
+        evaluate = assoc_legendre if self.family == "legendre" else jacobi
+        return evaluate(self._spec(n), z)
 
     def z_of_p(self, p):
         self._require_states()
@@ -254,23 +255,25 @@ class ClosedFormSolution:
 
     def psi_raw(self, n: int, p):
         """Unnormalized wavefunction samples."""
-        self._require_states()
-        p = np.asarray(p, dtype=float)
-        self._check_samples(p)
-        angle, x = self._angle(p)
-        s, c = angle.sin(x), angle.cos(x)
-        sin_pow, cos_pow, _ = self._powers
-        return (s ** sin_pow * c ** (cos_pow + angle.e)
-                * self.basis(n, _FAMILIES[self.family].y(s, c)))
+        prefactor, y = self._prefactor(p)
+        return prefactor * self.basis(n, y)
+
+    def psi_raw_ladder(self, n_max: int, p):
+        """Rows psi_raw(0, p), ..., psi_raw(n_max, p) from one recurrence sweep."""
+        prefactor, y = self._prefactor(p)
+        ladder = assoc_legendre_ladder if self.family == "legendre" else jacobi_ladder
+        return prefactor * ladder(self._spec(n_max), y)
 
     def norm(self, n: int) -> float:
-        """Constant c_n with <psi_n | rho psi_n> = 1 for psi_n = psi_raw / c_n."""
+        """Constant c_n with <psi_n | rho psi_n> = 1 for psi_n = psi_raw / c_n.
+
+        The integral runs on the native rule of order _NORM_ORDER; a miss
+        fills every degree up to n from one ladder sweep.
+        """
         self._require_states()
         if n not in self._norms:
-            pq, wq = native_quadrature(self, order=384)
-            vals = self.psi_raw(n, pq)
-            self._norms[n] = math.sqrt(float(np.real(
-                np.sum(wq * np.abs(vals) ** 2 * self.metric(pq)))))
+            pq, wq = native_quadrature(self, order=_NORM_ORDER)
+            self._store_norms(self.psi_raw_ladder(n, pq), wq, self.metric(pq))
         return self._norms[n]
 
     def psi(self, n: int, p):
@@ -288,6 +291,29 @@ class ClosedFormSolution:
         return scale * angle.dtheta(x)
 
     # -- helpers -------------------------------------------------------------
+
+    def _spec(self, n):
+        if self.family == "legendre":
+            return LegendreSpec(n, self.parameters["mu_minus"])
+        if self.family == "jacobi":
+            return JacobiSpec(n, self.parameters["a_plus"].real,
+                              self.parameters["b_plus"].real)
+        raise UnsupportedPair("no bound-state basis for this pair")
+
+    def _prefactor(self, p):
+        """sin^a cos^(b+e) of the momentum angle, and the basis variable."""
+        self._require_states()
+        p = np.asarray(p, dtype=float)
+        self._check_samples(p)
+        angle, x = self._angle(p)
+        s, c = angle.sin(x), angle.cos(x)
+        sin_pow, cos_pow, _ = self._powers
+        return s ** sin_pow * c ** (cos_pow + angle.e), _FAMILIES[self.family].y(s, c)
+
+    def _store_norms(self, raw, wq, rho):
+        """Record c_k for rows psi_raw(k) sampled on the norm rule (wq, rho)."""
+        sums = np.sum(wq * np.abs(raw) ** 2 * rho, axis=-1)
+        self._norms.update((k, math.sqrt(float(np.real(v)))) for k, v in enumerate(sums))
 
     def _angle(self, p):
         """The table entry and x = sqrt(tc) p at the samples."""
@@ -422,11 +448,20 @@ def native_quadrature(sol: ClosedFormSolution, order: int = 384):
     return x[idx] / stc, (w * jac)[idx]
 
 
-def gram_matrix(sol: ClosedFormSolution, n_max: int, order: int = 384) -> np.ndarray:
-    """G[m, n] = <psi_m | rho psi_n> for the normalized states."""
+def gram_matrix(sol: ClosedFormSolution, n_max: int, order: int = _NORM_ORDER) -> np.ndarray:
+    """G[m, n] = <psi_m | rho psi_n> for the normalized states.
+
+    One ladder sweep gives every state; on the norms' own rule the same
+    sweep fills the norms too.
+    """
     p, w = native_quadrature(sol, order)
     rho = sol.metric(p)
-    states = np.array([sol.psi(n, p) for n in range(n_max + 1)])
+    raw = sol.psi_raw_ladder(n_max, p)
+    if order == _NORM_ORDER:
+        sol._store_norms(raw, w, rho)
+    # top degree first: on another rule a miss there fills every lower degree
+    norms = [sol.norm(n) for n in range(n_max, -1, -1)][::-1]
+    states = raw / np.array(norms)[:, None]
     return np.einsum("mk,nk,k->mn", np.conj(states), states, w * rho)
 
 
@@ -449,10 +484,6 @@ class PotentialSpec:
     q_of_p: Callable[[np.ndarray], np.ndarray]
     chi: Callable[[np.ndarray], np.ndarray]
     ansatz_phase: float
-
-    @property
-    def q_domain(self):
-        return (self.q_lo, self.q_hi)
 
 
 def transformed_potential(model: ModelSpec, rep: Representation,

@@ -17,6 +17,10 @@ The bound-state ladders of the solvable models are built from two families:
 * Jacobi polynomials P_n^{(a,b)} with real a, b > -1, by the standard
   three-term recurrence, with the closed-form orthogonality normalization.
 
+Each recurrence is written once, as a generator of successive degrees: the
+per-degree evaluators keep its last row, and the ``*_ladder`` variants stack
+every degree 0..n from the same single sweep.
+
 Derivatives come from the ladder identities d/dz C_n^{(a)} = 2a C_{n-1}^{(a+1)}
 and d/dx P_n^{(a,b)} = (n+a+b+1)/2 * P_{n-1}^{(a+1,b+1)}; ``*_jet`` variants
 return value and derivatives up to a requested order for operator words.
@@ -40,11 +44,14 @@ __all__ = [
     "gauss_legendre_nodes",
     "integrate_adaptive",
     "gegenbauer",
+    "gegenbauer_ladder",
     "assoc_legendre",
+    "assoc_legendre_ladder",
     "assoc_legendre_deriv",
     "assoc_legendre_jet",
     "legendre_norm",
     "jacobi",
+    "jacobi_ladder",
     "jacobi_deriv",
     "jacobi_jet",
     "jacobi_norm",
@@ -121,19 +128,34 @@ def integrate_adaptive(f, order: int = 128, tol: float = 1e-11, max_order: int =
 # ---------------------------------------------------------------------------
 # Gegenbauer and associated Legendre
 
-def gegenbauer(n: int, a, z):
-    """C_n^{(a)}(z) by the three-term recurrence; polynomial in z and a."""
+def _last(rows):
+    for row in rows:
+        pass
+    return row
+
+
+def _gegenbauer_rows(n: int, a, z):
+    """Yield C_0^{(a)}(z), ..., C_n^{(a)}(z), one three-term step each."""
     z = np.asarray(z)
-    one = np.ones_like(z)
+    cm2 = np.ones_like(z)
+    yield cm2
     if n == 0:
-        return one
-    cm2 = one
+        return
     cm1 = 2 * a * z
-    if n == 1:
-        return cm1
+    yield cm1
     for k in range(2, n + 1):
         cm2, cm1 = cm1, (2 * (k + a - 1) * z * cm1 - (k + 2 * a - 2) * cm2) / k
-    return cm1
+        yield cm1
+
+
+def gegenbauer(n: int, a, z):
+    """C_n^{(a)}(z) by the three-term recurrence; polynomial in z and a."""
+    return _last(_gegenbauer_rows(n, a, z))
+
+
+def gegenbauer_ladder(n_max: int, a, z):
+    """Rows C_0^{(a)}(z), ..., C_{n_max}^{(a)}(z) from one recurrence sweep."""
+    return np.array(list(_gegenbauer_rows(n_max, a, z)))
 
 
 def _log_kn(n: int, lam):
@@ -153,18 +175,31 @@ def _check_real_domain(z):
     return z
 
 
-def assoc_legendre(spec: LegendreSpec, z):
-    """Ferrers P_{n - mu}^{mu}(z); complex z evaluates the analytic recurrence."""
+def _ferrers_parts(spec: LegendreSpec, z, degrees):
+    """(lam, z in the working dtype, (1-z^2)^(lam/2), k_n(lam) at the degrees)."""
     z = _check_real_domain(z)
     lam = -spec.mu
     if isinstance(lam, complex) and lam.imag == 0.0:
         lam = lam.real
-    kn = np.exp(_log_kn(spec.n, lam))
-    zz = np.asarray(z, dtype=complex if (np.iscomplexobj(z) or np.iscomplex(kn)) else float)
+    kn = np.exp(_log_kn(degrees, lam))
+    complex_kn = np.any(np.iscomplex(kn))
+    zz = np.asarray(z, dtype=complex if (np.iscomplexobj(z) or complex_kn) else float)
     env = (1 - zz ** 2 + 0j) ** (lam / 2.0) if np.iscomplexobj(zz) or isinstance(lam, complex) \
         else (1 - zz ** 2) ** (lam / 2.0)
-    out = kn * env * gegenbauer(spec.n, lam + 0.5, zz)
-    return out
+    return lam, zz, env, kn
+
+
+def assoc_legendre(spec: LegendreSpec, z):
+    """Ferrers P_{n - mu}^{mu}(z); complex z evaluates the analytic recurrence."""
+    lam, zz, env, kn = _ferrers_parts(spec, z, spec.n)
+    return kn * env * gegenbauer(spec.n, lam + 0.5, zz)
+
+
+def assoc_legendre_ladder(spec: LegendreSpec, z):
+    """Rows P_{k - mu}^{mu}(z) for k = 0..spec.n from one Gegenbauer sweep."""
+    lam, zz, env, kn = _ferrers_parts(spec, z, np.arange(spec.n + 1))
+    kn = kn.reshape((-1,) + (1,) * zz.ndim)
+    return kn * env * gegenbauer_ladder(spec.n, lam + 0.5, zz)
 
 
 def assoc_legendre_deriv(spec: LegendreSpec, z):
@@ -225,16 +260,15 @@ def legendre_norm_closed(spec: LegendreSpec) -> float:
 # ---------------------------------------------------------------------------
 # Jacobi
 
-def jacobi(spec: JacobiSpec, x):
-    """P_n^{(a,b)}(x) by the standard three-term recurrence."""
-    n, a, b = spec.n, spec.a, spec.b
+def _jacobi_rows(n: int, a, b, x):
+    """Yield P_0^{(a,b)}(x), ..., P_n^{(a,b)}(x), one three-term step each."""
     x = np.asarray(x)
     one = np.ones_like(x)
+    yield one
     if n == 0:
-        return one
+        return
     pm1 = (a + 1) + (a + b + 2) * (x - 1) / 2
-    if n == 1:
-        return pm1
+    yield pm1
     pm2 = one
     for k in range(2, n + 1):
         c1 = 2 * k * (k + a + b) * (2 * k + a + b - 2)
@@ -242,7 +276,17 @@ def jacobi(spec: JacobiSpec, x):
         c3 = (2 * k + a + b - 1) * (2 * k + a + b) * (2 * k + a + b - 2)
         c4 = 2 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
         pm2, pm1 = pm1, ((c2 + c3 * x) * pm1 - c4 * pm2) / c1
-    return pm1
+        yield pm1
+
+
+def jacobi(spec: JacobiSpec, x):
+    """P_n^{(a,b)}(x) by the standard three-term recurrence."""
+    return _last(_jacobi_rows(spec.n, spec.a, spec.b, x))
+
+
+def jacobi_ladder(spec: JacobiSpec, x):
+    """Rows P_k^{(a,b)}(x) for k = 0..spec.n from one recurrence sweep."""
+    return np.array(list(_jacobi_rows(spec.n, spec.a, spec.b, x)))
 
 
 def jacobi_deriv(spec: JacobiSpec, x):

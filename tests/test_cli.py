@@ -78,6 +78,23 @@ class TestSpectrumCommand:
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("wavefunction", "--model", "ho", "--tau", "0.01"),
+        ("expectation", "--tau", "0.001", "H"),
+    ])
+    def test_warnings_summarized_on_stderr(self, capsys, argv):
+        # numpy / scipy RuntimeWarnings become one count line, no raw lines
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "encountered in" not in err
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("numerical failure:")
+        assert lines[1].startswith("warnings: ")
+        assert lines[1].endswith(" RuntimeWarning")
+        assert int(lines[1].split()[1]) >= 1
         assert out == ""
 
 

@@ -10,6 +10,7 @@ from gup_spectra.algebra import (
     Representation,
     Swanson,
 )
+from gup_spectra import oracle
 from gup_spectra.errors import NonIntegrable, ParameterError, UnsupportedPair
 from gup_spectra.oracle import (
     EigenProblem,
@@ -181,3 +182,68 @@ class TestExpectations:
         params = DeformationParams(tau=0.25)
         for model in (HarmonicOscillator(), Swanson(0.1, 0.2), PoschlTeller(1.0, 0.5)):
             assert abs(expectation_unified(model, params, 1, "X")) < 1e-9
+
+
+WORDS = ("P", "P2", "X", "X2", "H")
+
+
+def _clear_unified_caches():
+    oracle._gauss_jacobi.cache_clear()
+    oracle._zspace.cache_clear()
+
+
+class TestUnifiedMemo:
+    """The unified engine reuses its quadrature rule and basis spaces."""
+
+    def test_word_order_does_not_matter(self):
+        params = DeformationParams(tau=0.3)
+        for model in (HarmonicOscillator(), Swanson(0.1, 0.2), PoschlTeller(1.0, 0.5)):
+            _clear_unified_caches()
+            forward = {(n, w): expectation_unified(model, params, n, w)
+                       for n in (0, 2) for w in WORDS}
+            _clear_unified_caches()
+            backward = {(n, w): expectation_unified(model, params, n, w)
+                        for n in (2, 0) for w in reversed(WORDS)}
+            again = {(n, w): expectation_unified(model, params, n, w)
+                     for n in (0, 2) for w in WORDS}
+            assert forward == backward == again
+
+    def test_models_at_one_tau_do_not_share_results(self):
+        params = DeformationParams(tau=0.3)
+        first, second = Swanson(0.1, 0.2), Swanson(0.4, 0.2)
+        _clear_unified_caches()
+        cold = expectation_unified(second, params, 1, "H")
+        _clear_unified_caches()
+        expectation_unified(first, params, 1, "H")
+        warm = expectation_unified(second, params, 1, "H")
+        assert warm == cold
+        for model in (first, second):
+            energy = complex(solve(model, R.PI1, params).energy(1))
+            assert abs(expectation_unified(model, params, 1, "H") - energy) < 1e-10
+
+    def test_rule_built_once_per_model(self, monkeypatch):
+        calls = []
+        real = oracle.roots_jacobi
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "roots_jacobi", counting)
+        _clear_unified_caches()
+        params = DeformationParams(tau=0.3)
+        for model in (HarmonicOscillator(), PoschlTeller(1.0, 0.5)):
+            calls.clear()
+            for n in (0, 1, 4):
+                for word in WORDS:
+                    expectation_unified(model, params, n, word)
+            assert len(calls) == 1
+
+    def test_cached_arrays_are_read_only(self):
+        params = DeformationParams(tau=0.3)
+        expectation_unified(HarmonicOscillator(), params, 0, "H")
+        zs = oracle._zspace(HarmonicOscillator(), params, 0, 4, 256)
+        with pytest.raises(ValueError):
+            zs.wq[0] = 0.0
+        with pytest.raises(ValueError):
+            zs.basis.d[0, 0] = 0.0

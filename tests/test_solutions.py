@@ -330,6 +330,44 @@ class TestOrthonormality:
             ratio = mapped / direct
             assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-8
 
+    @pytest.mark.parametrize("model,rep", SOLVABLE)
+    def test_gram_matches_per_degree_reference(self, model, rep):
+        params = DeformationParams(tau=0.25)
+        sol = solve(model, rep, params)
+        g = gram_matrix(sol, 60)
+        ref_sol = solve(model, rep, params)
+        p, w = native_quadrature(ref_sol)
+        rho = ref_sol.metric(p)
+        states = np.array([ref_sol.psi(n, p) for n in range(61)])
+        ref = np.einsum("mk,nk,k->mn", np.conj(states), states, w * rho)
+        assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("tau", [1e-2, 0.25, 5.0])
+    @pytest.mark.parametrize("model,rep", SOLVABLE[::3])
+    def test_state_ladder_rows_bit_identical(self, model, rep, tau):
+        sol = solve(model, rep, DeformationParams(tau=tau))
+        p, _ = native_quadrature(sol, order=97)
+        rows = sol.psi_raw_ladder(40, p)
+        for n in range(41):
+            assert rows[n].tobytes() == sol.psi_raw(n, p).tobytes(), n
+
+    @pytest.mark.parametrize("order", [384, 200])
+    def test_norms_after_gram_match_fresh_instance(self, order):
+        params = DeformationParams(tau=0.25)
+        for model, rep in SOLVABLE:
+            sol = solve(model, rep, params)
+            gram_matrix(sol, 30, order=order)
+            for n in (0, 7, 30, 31):
+                fresh = solve(model, rep, params)
+                assert sol.norm(n) == fresh.norm(n)
+            # the norm keeps its definition, and its arithmetic: the
+            # 384-point native rule, one degree at a time
+            p, w = native_quadrature(sol, order=384)
+            for n in (0, 12, 30):
+                raw = sol.psi_raw(n, p)
+                assert sol.norm(n) == math.sqrt(
+                    float(np.sum(w * np.abs(raw) ** 2 * sol.metric(p))))
+
     def test_hermiticity_under_metric(self):
         params = DeformationParams(tau=0.25)
         for model in (HarmonicOscillator(), Swanson(0.1, 0.2)):

@@ -6,19 +6,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_jacobi, gammaln, roots_jacobi
 
+from gup_spectra.algebra import DeformationParams, HarmonicOscillator, PoschlTeller, Swanson
 from gup_spectra.errors import DomainError, ParameterError, UnsupportedOrder
 from gup_spectra.jets import Jet
+from gup_spectra.solutions import jacobi_orders, legendre_order
 from gup_spectra.specfun import (
     JacobiSpec,
     LegendreSpec,
     assoc_legendre,
     assoc_legendre_deriv,
     assoc_legendre_jet,
+    assoc_legendre_ladder,
     gauss_legendre_nodes,
+    gegenbauer,
+    gegenbauer_ladder,
     integrate_adaptive,
     jacobi,
     jacobi_deriv,
     jacobi_jet,
+    jacobi_ladder,
     jacobi_norm,
     legendre_norm,
 )
@@ -211,6 +217,56 @@ class TestJacobi:
         jet = jacobi_jet(spec, x, 3)
         assert np.allclose(jet.value, jacobi(spec, x), atol=1e-13)
         assert np.allclose(jet.d[1], jacobi_deriv(spec, x), atol=1e-12)
+
+
+LADDER_TAUS = (1e-2, 0.25, 5.0)
+LADDER_NMAX = 100
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLadders:
+    """One recurrence sweep gives every degree exactly as the per-degree call."""
+
+    @pytest.mark.parametrize("tau", LADDER_TAUS)
+    @pytest.mark.parametrize("model", [HarmonicOscillator(), Swanson(0.1, 0.2)])
+    def test_legendre_rows_bit_identical(self, model, tau):
+        mu = legendre_order(model, DeformationParams(tau=tau))
+        z = np.linspace(-0.995, 0.995, 157)
+        rows = assoc_legendre_ladder(LegendreSpec(LADDER_NMAX, mu), z)
+        assert rows.shape == (LADDER_NMAX + 1, z.size)
+        for n in range(LADDER_NMAX + 1):
+            assert _same_bits(rows[n], assoc_legendre(LegendreSpec(n, mu), z)), n
+
+    @pytest.mark.parametrize("tau", LADDER_TAUS)
+    def test_jacobi_rows_bit_identical(self, tau):
+        a, b = jacobi_orders(PoschlTeller(1.0, 0.5), DeformationParams(tau=tau))
+        spec = JacobiSpec(LADDER_NMAX, a.real, b.real)
+        x = np.linspace(-0.995, 0.995, 157)
+        rows = jacobi_ladder(spec, x)
+        assert rows.shape == (LADDER_NMAX + 1, x.size)
+        for n in range(LADDER_NMAX + 1):
+            assert _same_bits(rows[n], jacobi(JacobiSpec(n, a.real, b.real), x)), n
+
+    def test_gegenbauer_and_complex_order_rows(self):
+        z = np.linspace(-0.9, 0.9, 31)
+        rows = gegenbauer_ladder(30, 2.7, z)
+        for n in range(31):
+            assert _same_bits(rows[n], gegenbauer(n, 2.7, z))
+        mu = -1.6 + 0.4j  # the broken-symmetry branch carries complex order
+        rows = assoc_legendre_ladder(LegendreSpec(12, mu), z)
+        for n in range(13):
+            assert _same_bits(rows[n], assoc_legendre(LegendreSpec(n, mu), z))
+
+    def test_scalar_argument_and_validation(self):
+        rows = jacobi_ladder(JacobiSpec(3, 0.5, 1.5), 0.2)
+        assert rows.shape == (4,)
+        assert rows[3] == jacobi(JacobiSpec(3, 0.5, 1.5), 0.2)
+        with pytest.raises(DomainError):
+            assoc_legendre_ladder(LegendreSpec(2, -1.5), 1.5)
 
 
 class TestJets:
