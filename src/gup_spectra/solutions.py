@@ -459,9 +459,9 @@ def gram_matrix(sol: ClosedFormSolution, n_max: int, order: int = _NORM_ORDER) -
     raw = sol.psi_raw_ladder(n_max, p)
     if order == _NORM_ORDER:
         sol._store_norms(raw, w, rho)
-    # top degree first: on another rule a miss there fills every lower degree
-    norms = [sol.norm(n) for n in range(n_max, -1, -1)][::-1]
-    states = raw / np.array(norms)[:, None]
+    sol.norm(n_max)  # a miss fills every degree <= n_max
+    norms = np.array([sol.norm(n) for n in range(n_max + 1)])
+    states = raw / norms[:, None]
     return np.einsum("mk,nk,k->mn", np.conj(states), states, w * rho)
 
 

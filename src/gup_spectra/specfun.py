@@ -44,7 +44,6 @@ __all__ = [
     "gauss_legendre_nodes",
     "integrate_adaptive",
     "gegenbauer",
-    "gegenbauer_ladder",
     "assoc_legendre",
     "assoc_legendre_ladder",
     "assoc_legendre_deriv",
@@ -153,11 +152,6 @@ def gegenbauer(n: int, a, z):
     return _last(_gegenbauer_rows(n, a, z))
 
 
-def gegenbauer_ladder(n_max: int, a, z):
-    """Rows C_0^{(a)}(z), ..., C_{n_max}^{(a)}(z) from one recurrence sweep."""
-    return np.array(list(_gegenbauer_rows(n_max, a, z)))
-
-
 def _log_kn(n: int, lam):
     if np.iscomplexobj(np.asarray(lam)) or isinstance(lam, complex):
         lg = loggamma
@@ -199,7 +193,7 @@ def assoc_legendre_ladder(spec: LegendreSpec, z):
     """Rows P_{k - mu}^{mu}(z) for k = 0..spec.n from one Gegenbauer sweep."""
     lam, zz, env, kn = _ferrers_parts(spec, z, np.arange(spec.n + 1))
     kn = kn.reshape((-1,) + (1,) * zz.ndim)
-    return kn * env * gegenbauer_ladder(spec.n, lam + 0.5, zz)
+    return kn * env * np.array(list(_gegenbauer_rows(spec.n, lam + 0.5, zz)))
 
 
 def assoc_legendre_deriv(spec: LegendreSpec, z):

@@ -78,9 +78,11 @@ class TestSpectrumCommand:
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert "numerical failure" in err
+        assert out == ""
 
     @pytest.mark.parametrize("argv", [
         ("wavefunction", "--model", "ho", "--tau", "0.01"),
+        ("wavefunction", "--model", "ho", "--tau", "0.01", "--format", "json"),
         ("expectation", "--tau", "0.001", "H"),
     ])
     def test_warnings_summarized_on_stderr(self, capsys, argv):
@@ -95,7 +97,6 @@ class TestSpectrumCommand:
         assert lines[1].startswith("warnings: ")
         assert lines[1].endswith(" RuntimeWarning")
         assert int(lines[1].split()[1]) >= 1
-        assert out == ""
 
 
 class TestJsonEnvelope:

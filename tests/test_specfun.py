@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_jacobi, gammaln, roots_jacobi
 
-from gup_spectra.algebra import DeformationParams, HarmonicOscillator, PoschlTeller, Swanson
 from gup_spectra.errors import DomainError, ParameterError, UnsupportedOrder
 from gup_spectra.jets import Jet
-from gup_spectra.solutions import jacobi_orders, legendre_order
 from gup_spectra.specfun import (
     JacobiSpec,
     LegendreSpec,
@@ -19,7 +17,6 @@ from gup_spectra.specfun import (
     assoc_legendre_ladder,
     gauss_legendre_nodes,
     gegenbauer,
-    gegenbauer_ladder,
     integrate_adaptive,
     jacobi,
     jacobi_deriv,
@@ -219,7 +216,12 @@ class TestJacobi:
         assert np.allclose(jet.d[1], jacobi_deriv(spec, x), atol=1e-12)
 
 
-LADDER_TAUS = (1e-2, 0.25, 5.0)
+# orders of the oscillator and Swanson(0.1, 0.2) Legendre states and of the
+# PT(1, 0.5) Jacobi states at tau = 1e-2, 0.25 and 5; Swanson's order is
+# complex with zero imaginary part
+LADDER_MUS = (-100.00125, -4.0311289, -0.5385165,
+              -73.260589 + 0j, -2.4255177 + 0j, -0.3434079 + 0j)
+LADDER_JACOBI_AB = ((10.012492, 70.712446), (2.0615528, 2.8722813), (0.6708204, 0.5196152))
 LADDER_NMAX = 100
 
 
@@ -231,31 +233,24 @@ def _same_bits(a, b):
 class TestLadders:
     """One recurrence sweep gives every degree exactly as the per-degree call."""
 
-    @pytest.mark.parametrize("tau", LADDER_TAUS)
-    @pytest.mark.parametrize("model", [HarmonicOscillator(), Swanson(0.1, 0.2)])
-    def test_legendre_rows_bit_identical(self, model, tau):
-        mu = legendre_order(model, DeformationParams(tau=tau))
+    @pytest.mark.parametrize("mu", LADDER_MUS)
+    def test_legendre_rows_bit_identical(self, mu):
         z = np.linspace(-0.995, 0.995, 157)
         rows = assoc_legendre_ladder(LegendreSpec(LADDER_NMAX, mu), z)
         assert rows.shape == (LADDER_NMAX + 1, z.size)
         for n in range(LADDER_NMAX + 1):
             assert _same_bits(rows[n], assoc_legendre(LegendreSpec(n, mu), z)), n
 
-    @pytest.mark.parametrize("tau", LADDER_TAUS)
-    def test_jacobi_rows_bit_identical(self, tau):
-        a, b = jacobi_orders(PoschlTeller(1.0, 0.5), DeformationParams(tau=tau))
-        spec = JacobiSpec(LADDER_NMAX, a.real, b.real)
+    @pytest.mark.parametrize("a, b", LADDER_JACOBI_AB)
+    def test_jacobi_rows_bit_identical(self, a, b):
         x = np.linspace(-0.995, 0.995, 157)
-        rows = jacobi_ladder(spec, x)
+        rows = jacobi_ladder(JacobiSpec(LADDER_NMAX, a, b), x)
         assert rows.shape == (LADDER_NMAX + 1, x.size)
         for n in range(LADDER_NMAX + 1):
-            assert _same_bits(rows[n], jacobi(JacobiSpec(n, a.real, b.real), x)), n
+            assert _same_bits(rows[n], jacobi(JacobiSpec(n, a, b), x)), n
 
-    def test_gegenbauer_and_complex_order_rows(self):
+    def test_complex_order_rows(self):
         z = np.linspace(-0.9, 0.9, 31)
-        rows = gegenbauer_ladder(30, 2.7, z)
-        for n in range(31):
-            assert _same_bits(rows[n], gegenbauer(n, 2.7, z))
         mu = -1.6 + 0.4j  # the broken-symmetry branch carries complex order
         rows = assoc_legendre_ladder(LegendreSpec(12, mu), z)
         for n in range(13):
