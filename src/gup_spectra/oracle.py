@@ -27,8 +27,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import roots_jacobi
 
 from .algebra import (
     DeformationParams,
@@ -38,7 +36,13 @@ from .algebra import (
     Representation,
     Swanson,
 )
-from .errors import ConvergenceFailure, NonIntegrable, ParameterError, UnsupportedPair
+from .errors import (
+    ConvergenceFailure,
+    NonFiniteResult,
+    NonIntegrable,
+    ParameterError,
+    UnsupportedPair,
+)
 from .jets import Jet
 from .operators import apply_P, apply_X, uniform_grid
 from .solutions import (
@@ -65,6 +69,21 @@ __all__ = [
 ]
 
 _V_CAP = 1e12
+
+
+# scipy takes about 0.3 s to import and only the FD oracle and the unified
+# engine call it, so these two import their routine on the first call.  They
+# stay module attributes: callers and instrumentation look them up here.
+def eigvalsh_tridiagonal(d, e, **kwargs):
+    """scipy.linalg.eigvalsh_tridiagonal, imported on first use."""
+    from scipy.linalg import eigvalsh_tridiagonal as impl
+    return impl(d, e, **kwargs)
+
+
+def roots_jacobi(n, alpha, beta):
+    """scipy.special.roots_jacobi, imported on first use."""
+    from scipy.special import roots_jacobi as impl
+    return impl(n, alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -413,7 +432,13 @@ def expectation_unified(model: ModelSpec, params: DeformationParams, n: int,
     for coeff, factors in terms:
         out = zs.apply_term(factors, zs.basis)
         acc += coeff * np.sum(zs.wq * zs.weight * np.conj(zs.basis.value) * out.value)
-    return complex(acc / zs.norm())
+    norm = zs.norm()
+    # A basis that under- or overflows leaves a norm of 0 or inf, and the
+    # quotient would be a bare ZeroDivisionError or a silent 0.  A NaN norm
+    # needs no check: it makes the value NaN, which callers already reject.
+    if norm == 0.0 or norm == math.inf:
+        raise NonFiniteResult(f"basis norm of level {n} is {norm!r}")
+    return complex(acc / norm)
 
 
 # ---------------------------------------------------------------------------

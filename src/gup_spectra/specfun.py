@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, loggamma
 
 from .errors import DomainError, ParameterError, UnsupportedOrder
 from .jets import Jet
@@ -152,12 +151,33 @@ def gegenbauer(n: int, a, z):
     return _last(_gegenbauer_rows(n, a, z))
 
 
+def _lgamma_scalar(x: float) -> float:
+    try:
+        return math.lgamma(x)
+    except (ValueError, OverflowError):
+        return math.inf
+
+
+def _lgamma(x):
+    """log|Gamma(x)| of a real scalar, or of an array element by element.
+
+    Like scipy's gammaln it reads +inf at the poles and past overflow; the
+    arrays here are the at most n_max + 1 degrees of one ladder.
+    """
+    if isinstance(x, np.ndarray) and x.ndim:
+        return np.array([_lgamma_scalar(v) for v in x.astype(float).tolist()])
+    return _lgamma_scalar(x)
+
+
 def _log_kn(n: int, lam):
+    """log k_n(lam); ``n`` may be an array of degrees."""
     if np.iscomplexobj(np.asarray(lam)) or isinstance(lam, complex):
-        lg = loggamma
+        # complex order (broken-symmetry regimes) is the only scipy user here,
+        # so the import waits for it instead of slowing every start-up
+        from scipy.special import loggamma as lg
     else:
-        lg = gammaln
-    return (gammaln(n + 1) - lam * math.log(2.0) - lg(lam + 1)
+        lg = _lgamma
+    return (_lgamma(n + 1) - lam * math.log(2.0) - lg(lam + 1)
             - (lg(2 * lam + 1 + n) - lg(2 * lam + 1)))
 
 
@@ -246,8 +266,8 @@ def legendre_norm_closed(spec: LegendreSpec) -> float:
     n = spec.n
     a = lam + 0.5
     log_hn = (math.log(math.pi) + (1 - 2 * a) * math.log(2.0)
-              + gammaln(n + 2 * a) - gammaln(n + 1) - math.log(n + a)
-              - 2 * gammaln(a))
+              + _lgamma(n + 2 * a) - _lgamma(n + 1) - math.log(n + a)
+              - 2 * _lgamma(a))
     return float(np.exp(2 * _log_kn(n, lam) + log_hn))
 
 
@@ -311,6 +331,6 @@ def jacobi_norm(spec: JacobiSpec) -> float:
           / ( n! (2n+a+b+1) Gamma(n+a+b+1) ).
     """
     n, a, b = spec.n, spec.a, spec.b
-    log_nn = ((a + b + 1) * math.log(2.0) + gammaln(n + a + 1) + gammaln(n + b + 1)
-              - gammaln(n + 1) - math.log(2 * n + a + b + 1) - gammaln(n + a + b + 1))
+    log_nn = ((a + b + 1) * math.log(2.0) + _lgamma(n + a + 1) + _lgamma(n + b + 1)
+              - _lgamma(n + 1) - math.log(2 * n + a + b + 1) - _lgamma(n + a + b + 1))
     return float(np.exp(log_nn))

@@ -222,6 +222,28 @@ class TestVerifyCommand:
         assert any("pi4p" in name and "violates" in name for name in names)
 
 
+def run_fresh(probe):
+    """Run ``probe`` in a new interpreter that imports gup_spectra from here."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gup_spectra.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+
+
+# runs each argv through cli.main with stdout discarded, then prints the exit
+# codes and the scipy modules loaded
+_MAIN_PROBE = """
+import contextlib, io, json, sys
+from gup_spectra.cli import main
+codes = []
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps([codes, loaded]))
+"""
+
+
 class TestStartup:
     def test_cli_import_skips_scipy_integrate(self):
         # scipy.integrate costs about 0.3 s of every process start
@@ -231,3 +253,25 @@ class TestStartup:
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         assert done.stdout.strip() == "False"
+
+    def test_import_loads_no_scipy(self):
+        # scipy.special and scipy.linalg cost about 0.3 s of every process start
+        probe = ("import sys, gup_spectra, gup_spectra.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert run_fresh(probe).stdout.strip() == "[]"
+
+    def test_closed_form_commands_run_without_scipy(self):
+        commands = [["spectrum"], ["wavefunction", "--model", "pt"], ["metric"],
+                    ["phase", "--check"], ["expectation", "--rep", "pi1"]]
+        done = run_fresh(_MAIN_PROBE.format(commands=commands))
+        codes, loaded = json.loads(done.stdout)
+        assert codes == [0] * len(commands)
+        assert loaded == []
+
+    def test_oracle_imports_scipy_quietly(self):
+        # the first scipy import happens inside main's warning capture
+        done = run_fresh(_MAIN_PROBE.format(commands=[["spectrum", "--oracle", "--check"]]))
+        codes, loaded = json.loads(done.stdout)
+        assert codes == [0]
+        assert "scipy.linalg" in loaded
+        assert "warnings:" not in done.stderr

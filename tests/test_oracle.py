@@ -11,7 +11,12 @@ from gup_spectra.algebra import (
     Swanson,
 )
 from gup_spectra import oracle
-from gup_spectra.errors import NonIntegrable, ParameterError, UnsupportedPair
+from gup_spectra.errors import (
+    NonFiniteResult,
+    NonIntegrable,
+    ParameterError,
+    UnsupportedPair,
+)
 from gup_spectra.oracle import (
     EigenProblem,
     expectation_direct,
@@ -138,6 +143,14 @@ class TestExpectations:
         for model in (HarmonicOscillator(), Swanson(0.1, 0.2)):
             for n in (0, 3):
                 assert abs(expectation_unified(model, params, n, "P")) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, 20])
+    @pytest.mark.parametrize("word", ["P", "P2", "X", "X2", "H"])
+    def test_underflowed_basis_norm_is_typed(self, n, word):
+        # lam is about 107 here, and the basis underflows to a norm of 0.0
+        model, params = Swanson(0.2526, 0.2116), DeformationParams(tau=5.65e-3)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteResult):
+            expectation_unified(model, params, n, word)
 
     def test_normalization_word(self):
         params = DeformationParams(tau=0.25)

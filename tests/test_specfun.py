@@ -25,7 +25,7 @@ from gup_spectra.specfun import (
     jacobi_norm,
     legendre_norm,
 )
-from gup_spectra.specfun import legendre_norm_closed
+from gup_spectra.specfun import _log_kn, legendre_norm_closed
 
 mp.mp.dps = 30
 
@@ -262,6 +262,97 @@ class TestLadders:
         assert rows[3] == jacobi(JacobiSpec(3, 0.5, 1.5), 0.2)
         with pytest.raises(DomainError):
             assoc_legendre_ladder(LegendreSpec(2, -1.5), 1.5)
+
+
+def _gammaln_log_kn(n, lam):
+    """log k_n(lam) = log n! - lam log 2 - log Gamma(lam+1) - log (2lam+1)_n."""
+    return (gammaln(n + 1) - lam * math.log(2.0) - gammaln(lam + 1)
+            - (gammaln(2 * lam + 1 + n) - gammaln(2 * lam + 1)))
+
+
+def _gammaln_log_kn_size(n, lam):
+    """Sum of the sizes of the terms of log k_n(lam), which bounds its rounding."""
+    return (gammaln(n + 1) + lam * math.log(2.0) + np.abs(gammaln(lam + 1))
+            + gammaln(2 * lam + 1 + n) + gammaln(2 * lam + 1))
+
+
+def _agree_after_exp(got, ref, size):
+    """got matches ref, the exp of a sum of log-gamma terms of total size ``size``.
+
+    Each term rounds at about 1e-16 of its own size, and exp turns that
+    absolute error in the exponent into a relative one, so two correct
+    log-gamma routines agree to a small multiple of 1e-16 * size, relative
+    to the largest value of the array.
+    """
+    got, ref = np.asarray(got), np.asarray(ref)
+    tol = 1e-14 * max(1.0, size) * np.max(np.abs(ref))
+    return bool(np.all(np.abs(got - ref) <= tol))
+
+
+class TestLogGammaParity:
+    """Real log-gamma from the math module matches scipy's gammaln."""
+
+    LAMS = (0.5, 4.0, 100.0, 1e3)
+    NMAX = 100
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_log_kn(self, lam):
+        n = np.arange(self.NMAX + 1)
+        ref = _gammaln_log_kn(n, lam)
+        assert np.all(np.abs(_log_kn(n, lam) - ref) <= 1e-13 * np.abs(ref))
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_legendre_ladder_rows(self, lam):
+        z = np.linspace(-0.99, 0.99, 41)
+        rows = assoc_legendre_ladder(LegendreSpec(self.NMAX, -lam), z)
+        for n in range(self.NMAX + 1):
+            ref = (math.exp(_gammaln_log_kn(n, lam)) * (1 - z ** 2) ** (lam / 2)
+                   * gegenbauer(n, lam + 0.5, z))
+            assert _agree_after_exp(rows[n], ref, _gammaln_log_kn_size(n, lam)), n
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_closed_norms(self, lam):
+        a = lam + 0.5
+        for n in range(self.NMAX + 1):
+            terms = (math.log(math.pi), (1 - 2 * a) * math.log(2.0),
+                     gammaln(n + 2 * a), -gammaln(n + 1), -math.log(n + a),
+                     -2 * gammaln(a), 2 * _gammaln_log_kn(n, lam))
+            size = sum(abs(t) for t in terms[:-1]) + 2 * _gammaln_log_kn_size(n, lam)
+            assert _agree_after_exp(legendre_norm_closed(LegendreSpec(n, -lam)),
+                                    math.exp(sum(terms)), size), n
+        b = 0.5
+        for n in range(self.NMAX + 1):
+            terms = ((lam + b + 1) * math.log(2.0), gammaln(n + lam + 1),
+                     gammaln(n + b + 1), -gammaln(n + 1),
+                     -math.log(2 * n + lam + b + 1), -gammaln(n + lam + b + 1))
+            size = sum(abs(t) for t in terms)
+            assert _agree_after_exp(jacobi_norm(JacobiSpec(n, lam, b)),
+                                    math.exp(sum(terms)), size), n
+
+    def test_poles_propagate_like_gammaln(self):
+        # a positive integer order mu puts Gamma(lam + 1) on a pole: NaN, not
+        # a math domain error
+        assert np.isnan(_log_kn(0, -1.0))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(_gammaln_log_kn(0, -1.0))
+
+    def test_complex_order_uses_loggamma(self, monkeypatch):
+        import scipy.special
+
+        calls = []
+        real = scipy.special.loggamma
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(scipy.special, "loggamma", counting)
+        lam = 1.6 - 0.4j
+        n = np.arange(13)
+        ref = (gammaln(n + 1) - lam * math.log(2.0) - real(lam + 1)
+               - (real(2 * lam + 1 + n) - real(2 * lam + 1)))
+        assert np.allclose(_log_kn(n, lam), ref, rtol=1e-14, atol=0)
+        assert calls
 
 
 class TestJets:
