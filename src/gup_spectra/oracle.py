@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -257,6 +257,8 @@ def parse_word(word) -> list[tuple[complex, list[tuple[str, int]]]]:
                     j += 1
                 while j < len(chunk) and chunk[j].isdigit():
                     j += 1
+                if chunk[i:j] == "-":
+                    raise ParameterError(f"sign without a power in word {word!r}")
                 power = int(chunk[i:j]) if j > i else 1
                 factors.append((sym, power))
                 i = j
@@ -319,6 +321,11 @@ def _zspace(model, params, n, order, quad_order):
     return zs
 
 
+def _frozen(jet: Jet) -> Jet:
+    jet.d.flags.writeable = False
+    return jet
+
+
 class _ZSpace:
     """Unified basis-variable machinery for one (model, params, n).
 
@@ -326,6 +333,14 @@ class _ZSpace:
     Gauss-Jacobi nodes, so the shipped operator words integrate exactly:
     (1-z^2)^(lam-1) for the Legendre family, (1-w)^(a-1) (1+w)^(b-1) for the
     Jacobi family.
+
+    Every word of the level shares the state-independent jets (the P powers
+    and the X-action coefficients), each built once on first use, and the
+    states derived from the basis, keyed by the single steps ("P", k),
+    ("X", 1) and ("H", 1) that built them: X feeds X2, XP and PX, and H's
+    terms pick up the P2, X2, ... states earlier words left.  The memos hold
+    the very jets a cold evaluation computes, so values do not depend on the
+    order in which words arrive.
     """
 
     def __init__(self, model, params, n, order=6, quad_order=256):
@@ -361,33 +376,54 @@ class _ZSpace:
         zj = Jet.variable(self.z, order)
         self.one_minus_z2 = 1.0 - zj * zj
         self.zjet = zj
+        self._p_jets = {}
+        self._states = {(): self.basis}
+
+    # state-independent jets, built on first use ---------------------------
+    @cached_property
+    def _z_over_root(self) -> Jet:
+        """z (1-z^2)^(-1/2), shared by P and the Legendre X action."""
+        return _frozen(self.zjet * self.one_minus_z2.power(-0.5))
+
+    @cached_property
+    def _ratio(self) -> Jet:
+        """p^2 on the Jacobi variable w: (1-w) / (tc (1+w))."""
+        return _frozen((1.0 - self.zjet) * (1.0 + self.zjet).reciprocal()
+                       * (1.0 / self.tc))
+
+    @cached_property
+    def _x_action(self) -> tuple[Jet, Jet, complex]:
+        """(w, c, k) with X psi = (w psi' + c psi) k."""
+        hbar = self.params.hbar
+        w = _frozen(self.one_minus_z2.power(0.5))
+        if self.family == "legendre":
+            return (w, _frozen(self._z_over_root * (-self.kappa)),
+                    1j * hbar * math.sqrt(self.tc))
+        lnu = ((1.0 - self.zjet).reciprocal() * (-(self.a + 0.5) / 2.0)
+               + (1.0 + self.zjet).reciprocal() * ((self.b + 0.5) / 2.0))
+        return w, _frozen(w * lnu), -2j * hbar * math.sqrt(self.tc)
 
     # multiplicative P and its powers --------------------------------------
     def p_jet(self, power):
-        if self.family == "legendre":
-            base = self.zjet * self.one_minus_z2.power(-0.5) * self.tc ** -0.5
-            return base.power(power) if power != 1 else base
-        # jacobi variable w: p = sqrt((1-w)/(tc (1+w)))
-        ratio = (1.0 - self.zjet) * (1.0 + self.zjet).reciprocal() * (1.0 / self.tc)
-        if power % 2 == 0:
-            out = ratio.power(power // 2)
-        else:
-            out = ratio.power(power / 2.0)
+        out = self._p_jets.get(power)
+        if out is None:
+            if self.family == "legendre":
+                base = self._z_over_root * self.tc ** -0.5
+                out = base.power(power) if power != 1 else base
+            elif power % 2 == 0:
+                # jacobi variable w: p = sqrt((1-w)/(tc (1+w)))
+                out = self._ratio.power(power // 2)
+            else:
+                out = self._ratio.power(power / 2.0)
+            out = self._p_jets[power] = _frozen(out)
         return out
 
     def apply_x(self, state: Jet) -> Jet:
-        hbar = self.params.hbar
-        if self.family == "legendre":
-            w = self.one_minus_z2.power(0.5)
-            scal = self.zjet * self.one_minus_z2.power(-0.5) * (-self.kappa)
-            return (w * state.derivative() + scal * state) * (1j * hbar * math.sqrt(self.tc))
-        w = self.one_minus_z2.power(0.5)
-        lnu = ((1.0 - self.zjet).reciprocal() * (-(self.a + 0.5) / 2.0)
-               + (1.0 + self.zjet).reciprocal() * ((self.b + 0.5) / 2.0))
-        return (w * state.derivative() + (w * lnu) * state) \
-            * (-2j * hbar * math.sqrt(self.tc))
+        w, c, k = self._x_action
+        return (w * state.derivative() + c * state) * k
 
-    def apply_term(self, factors, state: Jet) -> Jet:
+    def apply_term(self, factors, key=()) -> Jet:
+        """The term ``factors`` applied to the memoized state at ``key``."""
         for sym, power in reversed(factors):
             if sym == "P":
                 if power < 0 and self.family == "legendre":
@@ -398,26 +434,47 @@ class _ZSpace:
                         and self.a - abs(power) / 2.0 <= -1.0:
                     raise NonIntegrable(
                         "P^{-k} makes the endpoint weight non-integrable here")
-                state = self.p_jet(power) * state
+                key = self._step(key, "P", power)
             elif sym == "X":
                 for _ in range(power):
-                    state = self.apply_x(state)
+                    key = self._step(key, "X", 1)
             elif sym == "H":
-                terms, const = _hamiltonian_terms(self.model, self.params)
-                acc = None
-                for coeff, fs in terms:
-                    t = self.apply_term(fs, state)
-                    acc = t * coeff if acc is None else acc + t * coeff
-                if const:
-                    acc = acc + state * const
-                state = acc
+                key = self._step(key, "H", 1)
             else:
                 raise ParameterError(f"unknown symbol {sym!r}")
-        return state
+        return self._states[key]
 
+    def _step(self, key, sym, power):
+        """Key of the state one step past ``key``, computing it if new."""
+        new = key + ((sym, power),)
+        if new in self._states:
+            return new
+        state = self._states[key]
+        if sym == "P":
+            out = self.p_jet(power) * state
+        elif sym == "X":
+            out = self.apply_x(state)
+        else:
+            terms, const = _hamiltonian_terms(self.model, self.params)
+            out = None
+            for coeff, fs in terms:
+                t = self.apply_term(fs, key)
+                out = t * coeff if out is None else out + t * coeff
+            if const:
+                out = out + state * const
+        self._states[new] = _frozen(out)
+        return new
+
+    @cached_property
+    def bra(self) -> np.ndarray:
+        """Quadrature weights times the conjugate basis value."""
+        bra = self.wq * self.weight * np.conj(self.basis.value)
+        bra.flags.writeable = False
+        return bra
+
+    @cached_property
     def norm(self) -> float:
-        vals = self.basis.value
-        return float(np.sum(self.wq * self.weight * np.abs(vals) ** 2))
+        return float(np.sum(self.wq * self.weight * np.abs(self.basis.value) ** 2))
 
 
 def expectation_unified(model: ModelSpec, params: DeformationParams, n: int,
@@ -430,9 +487,8 @@ def expectation_unified(model: ModelSpec, params: DeformationParams, n: int,
     zs = _zspace(model, params, n, max(weight * 2, 4), quad_order)
     acc = 0.0 + 0.0j
     for coeff, factors in terms:
-        out = zs.apply_term(factors, zs.basis)
-        acc += coeff * np.sum(zs.wq * zs.weight * np.conj(zs.basis.value) * out.value)
-    norm = zs.norm()
+        acc += coeff * np.sum(zs.bra * zs.apply_term(factors).value)
+    norm = zs.norm
     # A basis that under- or overflows leaves a norm of 0 or inf, and the
     # quotient would be a bare ZeroDivisionError or a silent 0.  A NaN norm
     # needs no check: it makes the value NaN, which callers already reject.

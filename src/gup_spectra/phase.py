@@ -45,7 +45,8 @@ def discriminant(alpha: float, beta: float, tau: float,
 
 
 def _refine_root(alpha, tau, params, beta, tol=_BOUNDARY_TOL):
-    """Newton polish of D(beta) = 0 with a derivative in closed form."""
+    """Newton polish of D(beta) = 0 with a derivative in closed form; None
+    when |D| < tol is out of reach."""
     hw = params.hbar * params.omega
     for _ in range(60):
         d = discriminant(alpha, beta, tau, params)
@@ -57,9 +58,7 @@ def _refine_root(alpha, tau, params, beta, tol=_BOUNDARY_TOL):
             break
         beta -= d / slope
     d = discriminant(alpha, beta, tau, params)
-    if abs(d) >= tol:
-        raise NoRoot(f"could not polish boundary root at alpha={alpha}, tau={tau}")
-    return beta
+    return beta if abs(d) < tol else None
 
 
 def boundary_beta(alpha: float, tau: float,
@@ -68,7 +67,9 @@ def boundary_beta(alpha: float, tau: float,
 
     tau = 0 reduces to the hyperbola alpha * beta = hw^2 / 4.  For tau > 0
     the quadratic is solved with the cancellation-stable formulation and each
-    root is polished until |D| < 1e-9.
+    root is polished on its own until |D| < 1e-9.  A root that does not get
+    there is left out, and NoRoot is raised when no root with Omega > 0 is
+    left, so the list is never empty.
     """
     params = params or DeformationParams()
     hw = params.hbar * params.omega
@@ -90,13 +91,14 @@ def boundary_beta(alpha: float, tau: float,
         raise NoRoot(f"D > 0 for all beta at alpha={alpha}, tau={tau}")
     sq = math.sqrt(disc)
     qq = -0.5 * (b_q + math.copysign(sq, b_q))
-    roots = []
     cand = [qq / a_q]
     if qq != 0.0:
         cand.append(c_q / qq)
-    for r in cand:
-        if alpha + r + hw > 0:
-            roots.append(_refine_root(alpha, tau, params, r))
+    roots = [_refine_root(alpha, tau, params, r) for r in cand if alpha + r + hw > 0]
+    roots = [r for r in roots if r is not None]
+    if not roots:
+        raise NoRoot(f"no polished boundary root with Omega > 0 at alpha={alpha}, "
+                     f"tau={tau}")
     return sorted(set(round(r, 15) for r in roots))
 
 
@@ -150,8 +152,6 @@ def scan(query: PhaseQuery) -> list[PhaseCurve]:
             try:
                 roots = boundary_beta(float(a), float(tau), query.params)
             except NoRoot:
-                continue
-            if not roots:
                 continue
             beta = roots[0]
             if abs(discriminant(float(a), beta, float(tau), query.params)) >= _BOUNDARY_TOL:

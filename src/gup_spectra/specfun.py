@@ -329,8 +329,15 @@ def jacobi_norm(spec: JacobiSpec) -> float:
 
     N_n = 2^(a+b+1) Gamma(n+a+1) Gamma(n+b+1)
           / ( n! (2n+a+b+1) Gamma(n+a+b+1) ).
+
+    At n = 0 the last two factors merge into Gamma(a+b+2), giving the Beta
+    function form 2^(a+b+1) B(a+1, b+1), which stays finite at a+b+1 = 0.
     """
     n, a, b = spec.n, spec.a, spec.b
+    if n == 0:
+        tail = _lgamma(a + b + 2)
+    else:
+        tail = math.log(2 * n + a + b + 1) + _lgamma(n + a + b + 1)
     log_nn = ((a + b + 1) * math.log(2.0) + _lgamma(n + a + 1) + _lgamma(n + b + 1)
-              - _lgamma(n + 1) - math.log(2 * n + a + b + 1) - _lgamma(n + a + b + 1))
+              - _lgamma(n + 1) - tail)
     return float(np.exp(log_nn))

@@ -68,6 +68,18 @@ class TestSpectrumCommand:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_sign_without_power_is_one_message_line(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gup_spectra.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "gup_spectra.cli", "expectation",
+                               "--tau", "0.2", "--nmax", "0", "P-"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("numerical failure:")
+        assert len(done.stderr.splitlines()) == 1
+
     @pytest.mark.parametrize("argv", [
         ("wavefunction", "--model", "ho", "--tau", "0.01"),
         ("wavefunction", "--model", "ho", "--tau", "0.01", "--format", "json"),

@@ -124,6 +124,9 @@ class TestWordParsing:
     def test_rejects_garbage_and_long_words(self):
         with pytest.raises(ParameterError):
             parse_word("Q2")
+        for word in ("P-", "X-", "XP-+PX"):
+            with pytest.raises(ParameterError):
+                parse_word(word)
         with pytest.raises(ParameterError):
             expectation_unified(HarmonicOscillator(), DeformationParams(tau=0.2),
                                 0, "X2P2X")
@@ -260,3 +263,63 @@ class TestUnifiedMemo:
             zs.wq[0] = 0.0
         with pytest.raises(ValueError):
             zs.basis.d[0, 0] = 0.0
+        # the per-level memos: P powers, X-action coefficients, derived states
+        memoized = [zs.p_jet(1).d, zs.p_jet(2).d, zs.bra]
+        memoized += [jet.d for jet in zs._x_action[:2]]
+        memoized += [zs.apply_term(fs).d for fs in ([("P", 2)], [("X", 2)], [("H", 1)])]
+        for arr in memoized:
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.0
+
+    @pytest.mark.parametrize("model", [HarmonicOscillator(), Swanson(0.1, 0.2),
+                                       PoschlTeller(1.0, 0.5)])
+    def test_operator_jets_built_once_per_level(self, model, monkeypatch):
+        from gup_spectra.jets import Jet
+
+        params = DeformationParams(tau=0.3)
+        _clear_unified_caches()
+        oracle._zspace(model, params, 2, 4, 256)  # the basis, built first
+        calls = []
+        real = Jet.power
+
+        def counting(self, sigma):
+            calls.append(sigma)
+            return real(self, sigma)
+
+        x_calls = []
+        real_x = oracle._ZSpace.apply_x
+
+        def counting_x(self, state):
+            x_calls.append(state)
+            return real_x(self, state)
+
+        monkeypatch.setattr(Jet, "power", counting)
+        monkeypatch.setattr(oracle._ZSpace, "apply_x", counting_x)
+        for word in WORDS:
+            expectation_unified(model, params, 2, word)
+        # (1-z^2)^(-1/2) or the Jacobi p^2, the P powers and the X-action jets
+        assert 0 < len(calls) <= 7
+        # X psi, X X psi and, for Swanson, X P psi; H reuses all of them
+        assert len(x_calls) == (3 if isinstance(model, Swanson) else 2)
+        calls.clear()
+        x_calls.clear()
+        for word in WORDS:
+            expectation_unified(model, params, 2, word)
+        assert calls == [] and x_calls == []
+        zs = oracle._zspace(model, params, 2, 4, 256)
+        assert zs.p_jet(2) is zs.p_jet(2)
+
+    @pytest.mark.parametrize("model, words", [
+        (HarmonicOscillator(), ("P2", "X2", "XP+PX")),
+        (Swanson(0.1, 0.2), ("P2", "X2", "XP+PX")),
+        (PoschlTeller(1.0, 0.5), ("P2", "X2", "XP+PX", "P-2")),
+    ])
+    def test_hamiltonian_reuses_its_terms_exactly(self, model, words):
+        params = DeformationParams(tau=0.3)
+        for n in (0, 3):
+            _clear_unified_caches()
+            cold = expectation_unified(model, params, n, "H")
+            _clear_unified_caches()
+            for word in words:
+                expectation_unified(model, params, n, word)
+            assert expectation_unified(model, params, n, "H") == cold

@@ -102,6 +102,15 @@ class TestScan:
         assert len(curves) == 3
         assert all(len(c.points) > 200 for c in curves)
 
+    def test_small_tau_keeps_every_lower_root(self):
+        # the upper root is too large to polish to |D| < 1e-9 on much of this
+        # window; the lower root still is, so no alpha is dropped
+        query = PhaseQuery(params=DeformationParams(), alpha_lo=0.5,
+                           alpha_hi=16.0, alpha_steps=300, tau_list=(0.01,))
+        curve = scan(query)[0]
+        assert len(curve.points) == 300
+        assert all(abs(discriminant(a, b, 0.01)) < 1e-9 for a, b in curve.points)
+
     def test_query_validation(self):
         with pytest.raises(ParameterError):
             PhaseQuery(params=DeformationParams(), alpha_lo=2.0, alpha_hi=1.0,

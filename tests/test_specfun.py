@@ -189,6 +189,10 @@ class TestJacobi:
         # n = 0, a = 1, b = 2: integral of (1-x)(1+x)^2 over (-1, 1) is 4/3
         assert jacobi_norm(JacobiSpec(0, 1.0, 2.0)) == pytest.approx(4.0 / 3.0, rel=1e-14)
 
+    def test_norm_at_degree_zero_with_vanishing_a_plus_b_plus_one(self):
+        # Chebyshev T_0: integral of (1 - x^2)^(-1/2) over (-1, 1) is pi
+        assert jacobi_norm(JacobiSpec(0, -0.5, -0.5)) == pytest.approx(math.pi, abs=1e-14)
+
     def test_norm_against_quadrature_orthogonality(self):
         a, b = 2.0615528128088303, 2.8722813232690143
         x, w = roots_jacobi(80, a, b)
