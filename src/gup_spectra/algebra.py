@@ -13,26 +13,33 @@ on momentum-space wavefunctions:
 with tc = tau / (m * omega * hbar).  Pi4' satisfies the sign-flipped relation
 [X, P] = i*hbar*(1 - tc P^2) instead and is kept as a diagnostic.
 
-For each solvable model the momentum-space Schroedinger equation takes the
+Each model is declared once, as a class that holds its Hamiltonian as X/P
+words and its spectral data (family, orders, energies, admissible range,
+reality test, closed-form well); no other module switches on the model type.
+
+In every representation the momentum-space Schroedinger equation takes the
 second-order form
 
     -f(p) psi'' + g(p) psi' + h(p) psi = E psi,
 
-and ``coefficients`` returns the (f, g, h) triple together with the analytic
-derivatives needed by the potential transform.  For Pi4 the natural domain is
-the segment p = i*s with s real; the triple is returned in the real
-parametrization s, on which f is positive and the transform machinery applies
-unchanged.
+and ``coefficients`` derives the (f, g, h) triple, with the analytic
+derivatives needed by the potential transform, by composing the model's H
+words with the representation's entry of ``REALIZATIONS``.  For Pi4 the
+natural domain is the segment p = i*s with s real; the triple is returned in
+the real parametrization s, on which f is positive and the transform
+machinery applies unchanged.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Union
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     IntrinsicNoncommutativity,
@@ -46,6 +53,8 @@ __all__ = [
     "Domain",
     "MomentumAngle",
     "ANGLES",
+    "Realization",
+    "REALIZATIONS",
     "HarmonicOscillator",
     "Swanson",
     "PoschlTeller",
@@ -54,6 +63,8 @@ __all__ = [
     "p_domain",
     "angle_domain",
     "coefficients",
+    "discriminant",
+    "pt_model_reality",
 ]
 
 
@@ -180,31 +191,149 @@ def p_domain(rep: Representation, params: DeformationParams) -> Domain:
     return angle_domain(rep, params)
 
 
+# ---------------------------------------------------------------------------
+# model declarations
+
+def discriminant(alpha: float, beta: float, tau: float,
+                 params: DeformationParams | None = None) -> float:
+    """D >= 0 iff the Swanson spectrum is real at these parameters."""
+    params = params or DeformationParams()
+    hw = params.hbar * params.omega
+    omega_big = alpha + beta + hw
+    return 4.0 * (hw ** 2 - 4.0 * alpha * beta) \
+        + tau * omega_big * (tau * omega_big - 4.0 * hw)
+
+
+def pt_model_reality(alpha: float, beta: float, tau: float) -> bool:
+    """True iff the inverse-square model spectrum is real and bounded below."""
+    if tau <= 0:
+        raise ParameterError("the inverse-square model requires tau > 0")
+    return alpha > -tau / 4.0 and beta > -tau ** 2 / 4.0
+
+
+class _Model:
+    """What a model declares besides ``hamiltonian`` (its X/P words).
+
+    ``family`` is the ladder of its states: "legendre" with (base, eps) from
+    ``scales`` and the order from ``mu_minus``, or "jacobi" with (a+, b+) from
+    ``orders``.  A ``half_cell`` model lives on theta in (0, pi/2).  Also
+    declared: ``energy`` (E_n), ``admit`` (raises outside the solved regime),
+    ``reality`` (the reality test and its reason), ``well`` (amplitudes of the
+    closed-form transformed potential) and the representations with an
+    (f, g, h) table.
+    """
+
+    half_cell = False
+
+    def admit(self, params):
+        pass
+
+    def scales(self, params):
+        return params.hbar * params.omega, 0.0
+
+    def reality(self, params):
+        return True, "real discrete spectrum"
+
+    def coefficient_reps(self, params):
+        return (Representation.PI1, Representation.PI3, Representation.PI4)
+
+
 @dataclass(frozen=True)
-class HarmonicOscillator:
+class HarmonicOscillator(_Model):
     """H = P^2/(2m) + (m omega^2 / 2) X^2."""
 
-    kind: str = "harmonic_oscillator"
+    family = "legendre"
+
+    def hamiltonian(self, params):
+        m, om = params.mass, params.omega
+        return [(1.0 / (2 * m), [("P", 2)]),
+                (0.5 * m * om ** 2, [("X", 2)])], 0.0
+
+    def mu_minus(self, params):
+        return -math.sqrt(1.0 + params.tau ** 2 / 4.0) / params.tau
+
+    def energy(self, params):
+        tau, hw = params.tau, params.hbar * params.omega
+        root = math.sqrt(1.0 + tau ** 2 / 4.0)
+        return lambda n: hw * (0.5 + n) * root + tau * hw / 4.0 * (1 + 2 * n + 2 * n * n)
+
+    def well(self, params):
+        """A of A tan^2(sqrt(c) q); k of the (k q)^2 well at tau = 0."""
+        hw = params.hbar * params.omega
+        return 0.5 * hw if params.tau == 0.0 else hw / (2.0 * params.tau)
+
+    def coefficient_reps(self, params):
+        return tuple(REALIZATIONS)
 
 
 @dataclass(frozen=True)
-class Swanson:
+class Swanson(_Model):
     """Non-Hermitian oscillator hw(A+ A + 1/2) + alpha A A + beta A+ A+.
 
-    alpha and beta carry dimension of energy; the combination
-    Omega = alpha + beta + hbar*omega must be positive in the solved regime.
+    alpha and beta carry dimension of energy; the model is solved for
+    Omega = alpha + beta + hbar*omega > 0 only.
     """
 
     alpha: float
     beta: float
-    kind: str = "swanson"
+    family = "legendre"
 
     def omega_shift(self, params: DeformationParams) -> float:
         return self.alpha + self.beta + params.hbar * params.omega
 
+    def admit(self, params):
+        big = self.omega_shift(params)
+        if big <= 0:
+            raise ParameterError(
+                f"Swanson model solved only for alpha + beta + hbar*omega > 0, got {big}")
+
+    def hamiltonian(self, params):
+        hbar, m, om = params.hbar, params.mass, params.omega
+        big = self.omega_shift(params)
+        kin = (hbar * om * (1 - params.tau) - self.alpha - self.beta) / (2 * m * hbar * om)
+        mix = 1j * (self.alpha - self.beta) / (2 * hbar)
+        return [(kin, [("P", 2)]), (big * m * om / (2 * hbar), [("X", 2)]),
+                (mix, [("X", 1), ("P", 1)]), (mix, [("P", 1), ("X", 1)])], 0.0
+
+    def reality(self, params):
+        d = discriminant(self.alpha, self.beta, params.tau, params)
+        if d >= 0.0:
+            return True, f"discriminant {d:.6g} >= 0: symmetry unbroken, real spectrum"
+        return False, f"discriminant {d:.6g} < 0: broken phase, complex pairs"
+
+    def scales(self, params):
+        big, tau = self.omega_shift(params), params.tau
+        return big, (self.alpha - self.beta) / (2.0 * tau * big) if tau > 0 else 0.0
+
+    def mu_minus(self, params):
+        d = discriminant(self.alpha, self.beta, params.tau, params)
+        return -cmath.sqrt(complex(d)) / (2.0 * params.tau * self.omega_shift(params))
+
+    def energy(self, params):
+        tau, big = params.tau, self.omega_shift(params)
+        sqrt_d = cmath.sqrt(complex(discriminant(self.alpha, self.beta, tau, params)))
+        return lambda n: 0.25 * ((tau + 2 * n * tau + 2 * n * n * tau) * big
+                                 + (2 * n + 1) * sqrt_d)
+
+    def well(self, params):
+        """A of A tan^2(sqrt(c) q); k of the (k q)^2 well at tau = 0."""
+        tau, hw, al, be = params.tau, params.hbar * params.omega, self.alpha, self.beta
+        if tau > 0.0:
+            return (((1 - tau) * hw ** 2 - tau * hw * (al + be) - 4 * al * be)
+                    / (2.0 * tau * self.omega_shift(params)))
+        d = discriminant(al, be, tau, params)
+        if d < 0:
+            raise ParameterError("complex commutative spectrum; no real well")
+        return 0.5 * math.sqrt(d) / 2.0
+
+    def coefficient_reps(self, params):
+        # at tau = 0 Pi3 is Pi1 and has no table of its own
+        reps = super().coefficient_reps(params)
+        return reps if params.tau > 0 else tuple(r for r in reps if r is not Representation.PI3)
+
 
 @dataclass(frozen=True)
-class PoschlTeller:
+class PoschlTeller(_Model):
     """Intrinsically noncommutative model with a P^{-2} term.
 
     H = (beta/2m) P^2 + (hbar omega alpha / (2 tc)) P^{-2}
@@ -215,7 +344,41 @@ class PoschlTeller:
 
     alpha: float
     beta: float
-    kind: str = "poschl_teller"
+    family = "jacobi"
+    half_cell = True
+
+    def admit(self, params):
+        if params.tau == 0.0:
+            raise IntrinsicNoncommutativity(
+                "the inverse-square model has no commutative limit; tau must be > 0")
+
+    def hamiltonian(self, params):
+        hbar, m, om, tc = params.hbar, params.mass, params.omega, params.tau_check
+        const = 0.5 * hbar * om * self.alpha + self.beta / (2 * m * tc)
+        return [(self.beta / (2 * m), [("P", 2)]),
+                (0.5 * hbar * om * self.alpha / tc, [("P", -2)]),
+                (0.5 * m * om ** 2, [("X", 2)])], const
+
+    def reality(self, params):
+        if pt_model_reality(self.alpha, self.beta, params.tau):
+            return True, "alpha > -tau/4 and beta > -tau^2/4: real, bounded below"
+        return False, "reality condition violated: complex exponents"
+
+    def orders(self, params):
+        """(a+, b+); complex when reality is broken."""
+        tau = params.tau
+        return (0.5 * cmath.sqrt(complex(1.0 + 4.0 * self.alpha / tau)),
+                0.5 * cmath.sqrt(complex(1.0 + 4.0 * self.beta / tau ** 2)))
+
+    def energy(self, params):
+        tau, hw = params.tau, params.hbar * params.omega
+        a, b = self.orders(params)
+        return lambda n: hw * tau / 2.0 * (1 + 2 * n + a + b) ** 2
+
+    def well(self, params):
+        """(A, B) of the cell A csc^2(sqrt(c) q / 2) + B sec^2(sqrt(c) q / 2)."""
+        hw = params.hbar * params.omega
+        return 0.5 * hw * self.alpha, self.beta / (2 * params.mass * params.tau_check)
 
 
 ModelSpec = Union[HarmonicOscillator, Swanson, PoschlTeller]
@@ -223,6 +386,9 @@ ModelSpec = Union[HarmonicOscillator, Swanson, PoschlTeller]
 Scalar = Union[float, np.ndarray]
 CoeffFn = Callable[[Scalar], Scalar]
 
+
+# ---------------------------------------------------------------------------
+# (f, g, h) from the Hamiltonian words
 
 @dataclass(frozen=True)
 class FGHCoefficients:
@@ -243,192 +409,127 @@ class FGHCoefficients:
     domain: Domain
 
 
-def _swanson_omega(model: Swanson, params: DeformationParams) -> float:
-    big_omega = model.omega_shift(params)
-    if big_omega <= 0:
-        raise ParameterError(
-            f"Swanson model solved only for alpha + beta + hbar*omega > 0, got {big_omega}"
-        )
-    return big_omega
+@dataclass(frozen=True)
+class Realization:
+    """X = i hbar (a(y) d/dy + b(y)) and P = P(y) on the stored coordinate y.
+
+    a = v^(k/2) with v = 1 + s tc y^2, so a^2 = v^k is a polynomial in
+    w = y^2 and f and its derivatives stay finite at a wall where a
+    vanishes; b = beta a' with beta 0 or 1.  P and P' take (y, a, tc).
+    """
+
+    s: float
+    k: int
+    beta: float
+    P: Callable
+    dP: Callable
+
+    def parts(self, y, tc):
+        """a, a', P and P' at y."""
+        v = 1.0 + self.s * tc * y * y
+        a = v ** (0.5 * self.k)
+        return a, self.k * self.s * tc * y * a / v, self.P(y, a, tc), self.dP(y, a, tc)
 
 
-def _ho_coeffs(rep, params):
-    hbar, m, om, tau = params.hbar, params.mass, params.omega, params.tau
-    tc = params.tau_check
-    f0 = 0.5 * m * om ** 2 * hbar ** 2
-    g0 = tau * hbar * om
-
-    if rep is Representation.PI1:
-        return FGHCoefficients(
-            f=lambda p: f0 * (1 + tc * p ** 2) ** 2,
-            g=lambda p: -g0 * p * (1 + tc * p ** 2),
-            h=lambda p: p ** 2 / (2 * m),
-            df=lambda p: 4 * f0 * tc * p * (1 + tc * p ** 2),
-            ddf=lambda p: 4 * f0 * tc * (1 + 3 * tc * p ** 2),
-            dg=lambda p: -g0 * (1 + 3 * tc * p ** 2),
-            domain=p_domain(rep, params),
-        )
-    if rep is Representation.PI3:
-        stc = math.sqrt(tc) if tc > 0 else 0.0
-
-        def h3(p):
-            if tc == 0.0:
-                return p ** 2 / (2 * m)
-            return np.tan(stc * p) ** 2 / (2 * m * tc)
-
-        return FGHCoefficients(
-            f=lambda p: f0 * np.ones_like(np.asarray(p, dtype=float)),
-            g=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-            h=h3,
-            df=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-            ddf=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-            dg=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-            domain=p_domain(rep, params),
-        )
-    if rep is Representation.PI4:
-        # real parametrization p = i*s; f is positive on |s| < 1/sqrt(tc)
-        return FGHCoefficients(
-            f=lambda s: f0 * (1 - tc * s ** 2),
-            g=lambda s: 1.5 * g0 * s,
-            h=lambda s: s ** 2 / (2 * m * (1 - tc * s ** 2)) + 0.5 * g0,
-            df=lambda s: -2 * f0 * tc * s,
-            ddf=lambda s: -2 * f0 * tc * np.ones_like(np.asarray(s, dtype=float)),
-            dg=lambda s: 1.5 * g0 * np.ones_like(np.asarray(s, dtype=float)),
-            domain=p_domain(rep, params),
-        )
-    if rep is Representation.PI4_PRIME:
-        return FGHCoefficients(
-            f=lambda p: f0 * (1 + tc * p ** 2),
-            g=lambda p: -1.5 * g0 * p,
-            h=lambda p: p ** 2 / (2 * m * (1 + tc * p ** 2)) - 0.5 * g0,
-            df=lambda p: 2 * f0 * tc * p,
-            ddf=lambda p: 2 * f0 * tc * np.ones_like(np.asarray(p, dtype=float)),
-            dg=lambda p: -1.5 * g0 * np.ones_like(np.asarray(p, dtype=float)),
-            domain=p_domain(rep, params),
-        )
-    raise UnsupportedPair(f"harmonic oscillator not tabulated for {rep}")
+def _u_entry(s):
+    """a = u, b = u', P = y / u with u^2 = 1 + s tc y^2."""
+    return Realization(s, 1, 1.0, P=lambda y, a, tc: y / a, dP=lambda y, a, tc: a ** -3)
 
 
-def _swanson_coeffs(model, rep, params):
-    hbar, m, om, tau = params.hbar, params.mass, params.omega, params.tau
-    tc = params.tau_check
-    big = _swanson_omega(model, params)
-    al, be = model.alpha, model.beta
-    bmina = be - al
-    a0 = 0.5 * m * hbar * om * big
-
-    if rep is Representation.PI1:
-        c2 = (tau * (al - be + hbar * om) + al + be - hbar * om) / (2 * hbar * m * om)
-        return FGHCoefficients(
-            f=lambda p: a0 * (1 + tc * p ** 2) ** 2,
-            g=lambda p: (bmina - tau * big) * p * (1 + tc * p ** 2),
-            h=lambda p: 0.5 * bmina - c2 * p ** 2,
-            df=lambda p: 4 * a0 * tc * p * (1 + tc * p ** 2),
-            ddf=lambda p: 4 * a0 * tc * (1 + 3 * tc * p ** 2),
-            dg=lambda p: (bmina - tau * big) * (1 + 3 * tc * p ** 2),
-            domain=p_domain(rep, params),
-        )
-    if rep is Representation.PI3:
-        if tc == 0.0:
-            raise UnsupportedPair("Pi3 Swanson table needs tau > 0 (commutative limit is Pi1)")
-        stc = math.sqrt(tc)
-        return FGHCoefficients(
-            f=lambda p: a0 * np.ones_like(np.asarray(p, dtype=float)),
-            g=lambda p: bmina / stc * np.tan(stc * p),
-            h=lambda p: (0.5 * hbar * om
-                         + 0.5 * (bmina - hbar * om) / np.cos(stc * p) ** 2
-                         + (hbar * om - al - be) / (2 * tau) * np.tan(stc * p) ** 2),
-            df=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-            ddf=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-            dg=lambda p: bmina / np.cos(stc * p) ** 2,
-            domain=p_domain(rep, params),
-        )
-    if rep is Representation.PI4:
-        kk = al + be - hbar * om + tau * (2 * bmina + hbar * om) + tau ** 2 * big
-        return FGHCoefficients(
-            f=lambda s: a0 * (1 - tc * s ** 2),
-            g=lambda s: (bmina + 1.5 * tau * big) * s,
-            h=lambda s: ((bmina + tau * big) - s ** 2 / (m * hbar * om) * kk)
-                        / (2 * (1 - tc * s ** 2)),
-            df=lambda s: -2 * a0 * tc * s,
-            ddf=lambda s: -2 * a0 * tc * np.ones_like(np.asarray(s, dtype=float)),
-            dg=lambda s: (bmina + 1.5 * tau * big) * np.ones_like(np.asarray(s, dtype=float)),
-            domain=p_domain(rep, params),
-        )
-    raise UnsupportedPair(f"Swanson model not tabulated for {rep}")
+# Pi2 shares the Pi1 problem by similarity.  Pi4 stores the segment p = i s,
+# where X = i x u is i hbar (u d/ds + u') and P = -i p/u is s/u.
+REALIZATIONS = {
+    Representation.PI1: Realization(1.0, 2, 0.0, P=lambda y, a, tc: y,
+                                    dP=lambda y, a, tc: 1.0 + 0.0 * y),
+    Representation.PI3: Realization(
+        0.0, 0, 0.0,
+        P=lambda y, a, tc: np.tan(math.sqrt(tc) * y) / math.sqrt(tc) if tc > 0.0 else y,
+        dP=lambda y, a, tc: 1.0 / np.cos(math.sqrt(tc) * y) ** 2),
+    Representation.PI4: _u_entry(-1.0),
+    Representation.PI4_PRIME: _u_entry(1.0),
+}
 
 
-def _poschl_teller_coeffs(model, rep, params):
-    hbar, m, om, tau = params.hbar, params.mass, params.omega, params.tau
-    tc = params.tau_check
-    if tau == 0.0:
-        raise IntrinsicNoncommutativity(
-            "the inverse-square model has no commutative limit; tau must be > 0"
-        )
-    al, be = model.alpha, model.beta
-    f0 = 0.5 * m * om ** 2 * hbar ** 2
-    g0 = tau * hbar * om
-    stc = math.sqrt(tc)
-    half_cell = angle_domain(rep, params, half_cell=True)
-
-    if rep is Representation.PI1:
-        return FGHCoefficients(
-            f=lambda p: f0 * (1 + tc * p ** 2) ** 2,
-            g=lambda p: -g0 * p * (1 + tc * p ** 2),
-            h=lambda p: (1 + tc * p ** 2) * (al * m * hbar * om + be * p ** 2)
-                        / (2 * m * tc * p ** 2),
-            df=lambda p: 4 * f0 * tc * p * (1 + tc * p ** 2),
-            ddf=lambda p: 4 * f0 * tc * (1 + 3 * tc * p ** 2),
-            dg=lambda p: -g0 * (1 + 3 * tc * p ** 2),
-            domain=half_cell,
-        )
-    if rep is Representation.PI3:
-        return FGHCoefficients(
-            f=lambda p: f0 * np.ones_like(np.asarray(p, dtype=float)),
-            g=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-            h=lambda p: (0.5 * hbar * om * al / np.sin(stc * p) ** 2
-                         + be / (2 * m * tc) / np.cos(stc * p) ** 2),
-            df=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-            ddf=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-            dg=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-            domain=half_cell,
-        )
-    if rep is Representation.PI4:
-        return FGHCoefficients(
-            f=lambda s: f0 * (1 - tc * s ** 2),
-            g=lambda s: 1.5 * g0 * s,
-            h=lambda s: (be / (2 * m) * s ** 2 / (1 - tc * s ** 2)
-                         + 0.5 * hbar * om * al * (1 - tc * s ** 2) / (tc * s ** 2)
-                         + 0.5 * g0 + 0.5 * hbar * om * al + be / (2 * m * tc)),
-            df=lambda s: -2 * f0 * tc * s,
-            ddf=lambda s: -2 * f0 * tc * np.ones_like(np.asarray(s, dtype=float)),
-            dg=lambda s: 1.5 * g0 * np.ones_like(np.asarray(s, dtype=float)),
-            domain=half_cell,
-        )
-    raise UnsupportedPair(f"inverse-square model not tabulated for {rep}")
+def _horner(c, w):
+    """sum c[i] w^i for a list of floats c, shaped like w."""
+    if len(c) == 1:
+        return c[0] + 0.0 * w
+    out = c[-1] * w + c[-2]
+    for ci in c[-3::-1]:
+        out = out * w + ci
+    return out
 
 
 def coefficients(model: ModelSpec, rep: Representation,
                  params: DeformationParams) -> FGHCoefficients:
-    """Closed-form (f, g, h) triple for a (model, representation) pair.
+    """(f, g, h) of a (model, representation) pair, derived from the model's H.
 
-    Implemented pairs: each model for Pi1, Pi3 and Pi4 (Pi4 in the real
-    segment parametrization), plus Pi4' for the harmonic oscillator.  Pi2 is
-    related to Pi1 by the similarity map u = (1 + tc p^2)^(1/2) and shares
-    its transformed potential; request Pi1 instead.
+    With X = i hbar (a d/dy + b) and P = P(y) from ``REALIZATIONS``, the words
+    P^k, X^2, XP and PX of H give
+
+        f = hbar^2 c_X2 a^2,
+        g = -hbar^2 c_X2 (a a' + 2ab) + i hbar (c_XP + c_PX) a P,
+        h = sum c_k P^k - hbar^2 c_X2 (a b' + b^2)
+            + i hbar [c_XP (a P' + b P) + c_PX b P] + const,
+
+    as closed-form numpy callables built once per call.  Every model has a
+    table on Pi1, Pi3 and Pi4 (Pi4 in the real segment parametrization), the
+    oscillator also on Pi4'.  Pi2 is related to Pi1 by the similarity map
+    u = (1 + tc p^2)^(1/2) and shares its transformed potential; request Pi1
+    instead.
     """
     if rep is Representation.PI2:
         raise UnsupportedPair(
-            "Pi2 is handled by similarity with Pi1 (same potential and spectrum)"
-        )
-    if isinstance(model, HarmonicOscillator):
-        return _ho_coeffs(rep, params)
-    if isinstance(model, Swanson):
-        if rep is Representation.PI4_PRIME:
-            raise UnsupportedPair("no coefficient table for Swanson with Pi4'")
-        return _swanson_coeffs(model, rep, params)
-    if isinstance(model, PoschlTeller):
-        if rep is Representation.PI4_PRIME:
-            raise UnsupportedPair("no coefficient table for the inverse-square model with Pi4'")
-        return _poschl_teller_coeffs(model, rep, params)
-    raise UnsupportedPair(f"unknown model {model!r}")
+            "Pi2 is handled by similarity with Pi1 (same potential and spectrum)")
+    if rep not in model.coefficient_reps(params):
+        raise UnsupportedPair(f"no coefficient table for {type(model).__name__} with {rep}")
+    model.admit(params)
+    entry, tc, hbar = REALIZATIONS[rep], params.tau_check, params.hbar
+    terms, const = model.hamiltonian(params)
+    words = {tuple(word): c for c, word in terms}
+    powers = {w[0][1]: words.pop(w) for w in list(words) if len(w) == 1 and w[0][0] == "P"}
+    x2 = hbar ** 2 * words.pop((("X", 2),), 0.0)
+    xp = 1j * hbar * words.pop((("X", 1), ("P", 1)), 0.0)
+    px = 1j * hbar * words.pop((("P", 1), ("X", 1)), 0.0)
+    if words or xp.imag or px.imag:
+        raise UnsupportedPair("H must be a real sum of P^k, X^2, XP and PX words")
+    xp, mixed = xp.real, xp.real + px.real
+
+    # f = F(w) with w = y^2, so f' = 2y F'(w) and f'' = 2F'(w) + 4w F''(w);
+    # a a' + 2ab = (1/2 + beta) (a^2)' and a b' + b^2 = beta (a^2)''/2
+    F = x2 * npoly.polypow([1.0, entry.s * tc], entry.k)
+    F1 = npoly.polyder(F)
+    F2 = npoly.polyadd(2.0 * F1, 4.0 * npoly.polymulx(npoly.polyder(F, 2))).tolist()
+    F, F1 = F.tolist(), F1.tolist()
+
+    def g(y):
+        out = -(1.0 + 2.0 * entry.beta) * y * _horner(F1, y * y)
+        if mixed:
+            a, _, p, _ = entry.parts(y, tc)
+            out = out + mixed * a * p
+        return out
+
+    def dg(y):
+        out = -(0.5 + entry.beta) * _horner(F2, y * y)
+        if mixed:
+            a, da, p, dp = entry.parts(y, tc)
+            out = out + mixed * (da * p + a * dp)
+        return out
+
+    def h(y):
+        a, da, p, dp = entry.parts(y, tc)
+        out = -0.5 * entry.beta * _horner(F2, y * y) + const
+        for k, c in powers.items():
+            out = out + c * p ** k
+        if xp:
+            out = out + xp * a * dp
+        if entry.beta and mixed:
+            out = out + mixed * da * p
+        return out
+
+    domain = (angle_domain(rep, params, half_cell=True) if model.half_cell
+              else p_domain(rep, params))
+    return FGHCoefficients(
+        f=lambda y: _horner(F, y * y), g=g, h=h,
+        df=lambda y: 2.0 * y * _horner(F1, y * y), ddf=lambda y: _horner(F2, y * y),
+        dg=dg, domain=domain)

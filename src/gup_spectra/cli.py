@@ -411,7 +411,7 @@ def _suite_invariance(config):
             dev_h = abs(h_val - e_n)
             checks.append((f"energy-expectation[{type(model).__name__}/n={n}]",
                            dev_h < 1e-8, dev_h, 1e-8))
-            if not isinstance(model, PoschlTeller):
+            if not model.half_cell:  # <P> = 0 on a parity-symmetric domain
                 p_val = abs(expectation_unified(model, params, n, "P"))
                 checks.append((f"momentum-expectation[{type(model).__name__}/n={n}]",
                                p_val < 1e-10, p_val, 1e-10))

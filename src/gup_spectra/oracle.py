@@ -28,14 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (
-    DeformationParams,
-    HarmonicOscillator,
-    ModelSpec,
-    PoschlTeller,
-    Representation,
-    Swanson,
-)
+from .algebra import DeformationParams, ModelSpec, Representation
 from .errors import (
     ConvergenceFailure,
     NonFiniteResult,
@@ -48,11 +41,8 @@ from .operators import apply_P, apply_X, uniform_grid
 from .solutions import (
     ClosedFormSolution,
     classify_physical,
-    jacobi_orders,
-    legendre_order,
     solve,
     transformed_potential,
-    x_conjugation_coefficient,
 )
 from .specfun import JacobiSpec, LegendreSpec, assoc_legendre_jet, jacobi_jet
 
@@ -234,8 +224,8 @@ def parse_word(word) -> list[tuple[complex, list[tuple[str, int]]]]:
     """Parse an operator word into [(coefficient, [(symbol, power), ...]), ...].
 
     Accepts strings like "X", "P2", "XP+PX", "P-2", "H", or an already
-    structured list of (symbol, power) factors.  Terms are summed; factors in
-    a term compose right-to-left.
+    structured list of (symbol, power) factors, where ("H", k) applies H
+    k times.  Terms are summed; factors in a term compose right-to-left.
     """
     if isinstance(word, str):
         text = word.replace(" ", "")
@@ -271,26 +261,11 @@ def _word_weight(terms) -> int:
     return max(sum(abs(k) for _, k in factors) for _, factors in terms)
 
 
-def _hamiltonian_terms(model: ModelSpec, params: DeformationParams):
-    hbar, m, om = params.hbar, params.mass, params.omega
-    if isinstance(model, HarmonicOscillator):
-        return [(1.0 / (2 * m), [("P", 2)]),
-                (0.5 * m * om ** 2, [("X", 2)])], 0.0
-    if isinstance(model, Swanson):
-        big = model.omega_shift(params)
-        kin = (hbar * om * (1 - params.tau) - model.alpha - model.beta) / (2 * m * hbar * om)
-        mix = 1j * (model.alpha - model.beta) / (2 * hbar)
-        return [(kin, [("P", 2)]),
-                (big * m * om / (2 * hbar), [("X", 2)]),
-                (mix, [("X", 1), ("P", 1)]),
-                (mix, [("P", 1), ("X", 1)])], 0.0
-    if isinstance(model, PoschlTeller):
-        tc = params.tau_check
-        const = 0.5 * hbar * om * model.alpha + model.beta / (2 * m * tc)
-        return [(model.beta / (2 * m), [("P", 2)]),
-                (0.5 * hbar * om * model.alpha / tc, [("P", -2)]),
-                (0.5 * m * om ** 2, [("X", 2)])], const
-    raise UnsupportedPair(f"unknown model {model!r}")
+def _h_power(power: int) -> int:
+    """Times H is applied for the factor ("H", power); H^0 is the identity."""
+    if power < 0:
+        raise ParameterError(f"H has no inverse here, got power {power}")
+    return power
 
 
 # ---------------------------------------------------------------------------
@@ -351,25 +326,25 @@ class _ZSpace:
         if self.tc <= 0:
             raise ParameterError("the unified integral needs tau > 0")
         self.order = order
-        if isinstance(model, PoschlTeller):
-            a, b = jacobi_orders(model, params)
-            cls = classify_physical(model, Representation.PI1, params)
-            if not cls.physical:
+        self.family = model.family
+        model.admit(params)
+        if self.family == "jacobi":
+            a, b = model.orders(params)
+            if not model.reality(params)[0]:
                 raise ParameterError("complex exponents; unified integral not real here")
-            self.family = "jacobi"
             self.a, self.b = a.real, b.real
             self.z, self.wq = _gauss_jacobi(quad_order, self.a - 1.0, self.b - 1.0)
             self.basis = jacobi_jet(JacobiSpec(n, self.a, self.b), self.z, order)
             # remainder after folding (1-w)^(a-1) (1+w)^(b-1) into the nodes
             self.weight = (1.0 - self.z) * (1.0 + self.z)
         else:
-            mu = legendre_order(model, params)
+            mu = model.mu_minus(params)
             if abs(complex(mu).imag) > 0:
                 raise ParameterError("broken regime: unified integral not real here")
-            self.family = "legendre"
             self.mu = complex(mu).real
             lam = -self.mu
-            self.kappa = x_conjugation_coefficient(model, params)
+            # X acts as i hbar sqrt(tc) [(1-z^2)^(1/2) d/dz - kappa z (1-z^2)^(-1/2)]
+            self.kappa = 2.0 * model.scales(params)[1] + 0.5
             self.z, self.wq = _gauss_jacobi(quad_order, lam - 1.0, lam - 1.0)
             self.basis = assoc_legendre_jet(LegendreSpec(n, self.mu), self.z, order)
             self.weight = (1.0 - self.z ** 2) ** (1.0 - lam)
@@ -439,7 +414,8 @@ class _ZSpace:
                 for _ in range(power):
                     key = self._step(key, "X", 1)
             elif sym == "H":
-                key = self._step(key, "H", 1)
+                for _ in range(_h_power(power)):
+                    key = self._step(key, "H", 1)
             else:
                 raise ParameterError(f"unknown symbol {sym!r}")
         return self._states[key]
@@ -455,7 +431,7 @@ class _ZSpace:
         elif sym == "X":
             out = self.apply_x(state)
         else:
-            terms, const = _hamiltonian_terms(self.model, self.params)
+            terms, const = self.model.hamiltonian(self.params)
             out = None
             for coeff, fs in terms:
                 t = self.apply_term(fs, key)
@@ -552,9 +528,9 @@ def _apply_word_direct(sol, terms, psi, grid):
                 for _ in range(power):
                     cur = apply_X(rep, params, cur, grid)
             elif sym == "H":
-                hterms, const = _hamiltonian_terms(sol.model, params)
-                inner = _apply_word_direct(sol, [(c, f) for c, f in hterms], cur, grid)
-                cur = inner + const * cur
+                hterms, const = sol.model.hamiltonian(params)
+                for _ in range(_h_power(power)):
+                    cur = _apply_word_direct(sol, hterms, cur, grid) + const * cur
             else:
                 raise ParameterError(f"unknown symbol {sym!r}")
         acc = acc + coeff * cur

@@ -9,7 +9,8 @@ is nonnegative; D = 0 is the exceptional-point locus.  ``boundary_beta``
 solves D = 0 for beta at fixed alpha (a quadratic for tau > 0, linear at
 tau = 0), and ``scan`` traces the boundary curves over an alpha window for a
 list of tau values.  For the inverse-square model reality holds on the open
-quadrant alpha > -tau/4, beta > -tau^2/4.
+quadrant alpha > -tau/4, beta > -tau^2/4.  Both tests are declared with the
+models in ``algebra``; this module re-exports them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DeformationParams
+from .algebra import DeformationParams, discriminant, pt_model_reality
 from .errors import NoRoot, ParameterError
 
 __all__ = [
@@ -32,16 +33,6 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-9
-
-
-def discriminant(alpha: float, beta: float, tau: float,
-                 params: DeformationParams | None = None) -> float:
-    """D >= 0 iff the Swanson spectrum is real at these parameters."""
-    params = params or DeformationParams()
-    hw = params.hbar * params.omega
-    omega_big = alpha + beta + hw
-    return 4.0 * (hw ** 2 - 4.0 * alpha * beta) \
-        + tau * omega_big * (tau * omega_big - 4.0 * hw)
 
 
 def _refine_root(alpha, tau, params, beta, tol=_BOUNDARY_TOL):
@@ -100,13 +91,6 @@ def boundary_beta(alpha: float, tau: float,
         raise NoRoot(f"no polished boundary root with Omega > 0 at alpha={alpha}, "
                      f"tau={tau}")
     return sorted(set(round(r, 15) for r in roots))
-
-
-def pt_model_reality(alpha: float, beta: float, tau: float) -> bool:
-    """True iff the inverse-square model spectrum is real and bounded below."""
-    if tau <= 0:
-        raise ParameterError("the inverse-square model requires tau > 0")
-    return alpha > -tau / 4.0 and beta > -tau ** 2 / 4.0
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ its formal energy family is unbounded from below.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -41,11 +40,8 @@ from .algebra import (
     ANGLES,
     DeformationParams,
     Domain,
-    HarmonicOscillator,
     ModelSpec,
-    PoschlTeller,
     Representation,
-    Swanson,
     angle_domain,
     coefficients,
     p_domain,
@@ -53,7 +49,6 @@ from .algebra import (
 from .errors import (
     BranchAmbiguity,
     DomainError,
-    IntrinsicNoncommutativity,
     ParameterError,
     UnsupportedPair,
 )
@@ -63,7 +58,6 @@ from .liouville import (
     legendre_ansatz,
     to_potential,
 )
-from .phase import discriminant
 from .specfun import (
     JacobiSpec,
     LegendreSpec,
@@ -94,12 +88,12 @@ class _Family:
     """How one special-function ladder sits on the momentum angle.
 
     The basis variable is y(sin theta, cos theta) for theta in (-pi/2, pi/2),
-    or in (0, pi/2) on a half cell; ``theta_of`` and ``dtheta_dy`` invert it
-    for quadrature.  The metric is scale * sqrt(tc) * dtheta/dx times a power
-    of cos(theta), and ``sign`` is the constant it discards off the segment.
+    or in (0, pi/2) for a half-cell model; ``theta_of`` and ``dtheta_dy``
+    invert it for quadrature.  The metric is scale * sqrt(tc) * dtheta/dx
+    times a power of cos(theta), and ``sign`` is the constant it discards off
+    the segment.
     """
 
-    half_cell: bool
     y: Callable
     theta_of: Callable
     dtheta_dy: Callable
@@ -109,65 +103,15 @@ class _Family:
 
 _FAMILIES = {
     # z = sin(theta), weight 1 in z
-    "legendre": _Family(False, lambda s, c: s, np.arcsin,
+    "legendre": _Family(lambda s, c: s, np.arcsin,
                         lambda z: 1.0 / np.sqrt(1.0 - z * z), 1.0, 1.0),
     # w = cos(2 theta), weight (1-w)^a (1+w)^b in w
-    "jacobi": _Family(True, lambda s, c: c * c - s * s, lambda w: 0.5 * np.arccos(w),
+    "jacobi": _Family(lambda s, c: c * c - s * s, lambda w: 0.5 * np.arccos(w),
                       lambda w: 0.5 / np.sqrt(1.0 - w * w), 2.0, -1.0),
 }
 
 
 _NORM_ORDER = 384   # native Gauss-Legendre rule of the state norms
-
-
-# ---------------------------------------------------------------------------
-# model-level spectral data
-
-def legendre_order(model: ModelSpec, params: DeformationParams) -> complex:
-    """mu_- for the associated-Legendre family (negative real part branch)."""
-    tau = params.tau
-    if tau == 0.0:
-        raise ParameterError("mu_- diverges in the commutative limit; need tau > 0")
-    if isinstance(model, HarmonicOscillator):
-        return -math.sqrt(1.0 + tau ** 2 / 4.0) / tau
-    if isinstance(model, Swanson):
-        big = model.omega_shift(params)
-        d = discriminant(model.alpha, model.beta, params.tau, params)
-        return -cmath.sqrt(complex(d)) / (2.0 * tau * big)
-    raise UnsupportedPair(f"{model!r} is not in the associated-Legendre family")
-
-
-def jacobi_orders(model: PoschlTeller, params: DeformationParams) -> tuple[complex, complex]:
-    """(a+, b+) for the Jacobi family; complex when reality is broken."""
-    tau = params.tau
-    if tau == 0.0:
-        raise IntrinsicNoncommutativity("the inverse-square model requires tau > 0")
-    a = 0.5 * cmath.sqrt(complex(1.0 + 4.0 * model.alpha / tau))
-    b = 0.5 * cmath.sqrt(complex(1.0 + 4.0 * model.beta / tau ** 2))
-    return a, b
-
-
-def x_conjugation_coefficient(model: ModelSpec, params: DeformationParams) -> float:
-    """Scalar term of the position operator conjugated into the Legendre basis.
-
-    In the unified z-variable X acts as
-    i hbar sqrt(tc) [ (1-z^2)^(1/2) d/dz - kappa z (1-z^2)^(-1/2) ],
-    with kappa = 1/2 for the oscillator and (alpha-beta)/(tau Omega) + 1/2
-    for the Swanson model (a single expression for Pi1..Pi4).
-    """
-    return 2.0 * _legendre_scales(model, params)[1] + 0.5
-
-
-def _legendre_scales(model: ModelSpec, params: DeformationParams) -> tuple[float, float]:
-    """(base, eps): the frequency scale (hbar omega for the oscillator, Omega
-    for Swanson) and the XP asymmetry eps = (alpha - beta) / (2 tau Omega)."""
-    if isinstance(model, HarmonicOscillator):
-        return params.hbar * params.omega, 0.0
-    if isinstance(model, Swanson):
-        big = model.omega_shift(params)
-        tau = params.tau
-        return big, (model.alpha - model.beta) / (2.0 * tau * big) if tau > 0 else 0.0
-    raise UnsupportedPair(f"{model!r} is not in the associated-Legendre family")
 
 
 # ---------------------------------------------------------------------------
@@ -184,30 +128,12 @@ class Classification:
 def classify_physical(model: ModelSpec, rep: Representation,
                       params: DeformationParams) -> Classification:
     """Reality/boundedness tags for the spectrum of (model, rep, params)."""
+    model.admit(params)
     if rep is Representation.PI4_PRIME:
         return Classification(False, True, False,
                               "sign-flipped variant: formal energy family unbounded below")
-    if isinstance(model, HarmonicOscillator):
-        return Classification(True, False, False, "real discrete spectrum")
-    if isinstance(model, Swanson):
-        d = discriminant(model.alpha, model.beta, params.tau, params)
-        if d >= 0.0:
-            return Classification(True, False, False,
-                                  f"discriminant {d:.6g} >= 0: symmetry unbroken, real spectrum")
-        return Classification(False, False, True,
-                              f"discriminant {d:.6g} < 0: broken phase, complex pairs")
-    if isinstance(model, PoschlTeller):
-        tau = params.tau
-        if tau == 0.0:
-            raise IntrinsicNoncommutativity("the inverse-square model requires tau > 0")
-        ok_a = model.alpha > -tau / 4.0
-        ok_b = model.beta > -tau ** 2 / 4.0
-        if ok_a and ok_b:
-            return Classification(True, False, False,
-                                  "alpha > -tau/4 and beta > -tau^2/4: real, bounded below")
-        return Classification(False, False, True,
-                              "reality condition violated: complex exponents")
-    raise UnsupportedPair(f"unknown model {model!r}")
+    real, detail = model.reality(params)
+    return Classification(real, False, not real, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -352,63 +278,45 @@ def solve(model: ModelSpec, rep: Representation, params: DeformationParams,
     if rep is Representation.PI4_PRIME:
         return _solve_pi4_prime(model, rep, params)
     tau = params.tau
-    hw = params.hbar * params.omega
-    energy = _energy(model, params)
-    if isinstance(model, PoschlTeller):
-        family = "jacobi"
-        a_c, b_c = jacobi_orders(model, params)
-        c = 2.0 * tau * hw
+    base, eps = model.scales(params)
+    if model.family == "jacobi":
+        a_c, b_c = model.orders(params)
+        c = 2.0 * tau * base
         parameters = {"a_plus": a_c, "b_plus": b_c, "a_minus": -a_c, "b_minus": -b_c,
                       "c": c}
         # complex exponents keep their energies but have no normalizable states
         powers = (a_c.real + 0.5, b_c.real + 0.5, 0.0) if cls.physical else None
     else:
-        family = "legendre"
-        base, eps = _legendre_scales(model, params)
         c = tau * base / 2.0
         # the commutative limit keeps its energies; mu_- diverges there
         parameters, powers = {"commutative_limit": True}, None
         if tau > 0.0:
-            mu_minus = legendre_order(model, params)
+            mu_minus = model.mu_minus(params)
             mu = mu_minus if branch == "minus" else -mu_minus
             if abs(complex(mu).imag) < 1e-300:
                 mu = complex(mu).real
             parameters = {"mu_minus": mu, "mu_plus": -mu_minus, "c": c,
                           "lambda": -mu, "epsilon": eps}
             powers = (0.0, 2.0 * eps + 0.5, -4.0 * eps)
-    fam = _FAMILIES[family]
+    fam = _FAMILIES[model.family]
     # the paper-form metric on the segment carries the factor -i; written as
     # -(1j * sign) so the printed constant keeps its signed zero, (-0-1j)
     const = (1.0 if powers is None else -(1j * fam.sign) if ANGLES[rep].segment
              else fam.sign)
     return ClosedFormSolution(
-        model=model, rep=rep, params=params, family=family, c=c,
+        model=model, rep=rep, params=params, family=model.family, c=c,
         parameters=parameters, physical=cls.physical, metric_constant=const,
-        domain=angle_domain(rep, params, half_cell=fam.half_cell),
-        _energy=energy, _powers=powers)
-
-
-def _energy(model, params):
-    """E_n in closed form; the same in every representation of the model."""
-    tau = params.tau
-    hw = params.hbar * params.omega
-    if isinstance(model, HarmonicOscillator):
-        root = math.sqrt(1.0 + tau ** 2 / 4.0)
-        return lambda n: hw * (0.5 + n) * root + tau * hw / 4.0 * (1 + 2 * n + 2 * n * n)
-    if isinstance(model, Swanson):
-        big = model.omega_shift(params)
-        sqrt_d = cmath.sqrt(complex(discriminant(model.alpha, model.beta, tau, params)))
-        return lambda n: 0.25 * ((tau + 2 * n * tau + 2 * n * n * tau) * big
-                                 + (2 * n + 1) * sqrt_d)
-    a, b = jacobi_orders(model, params)
-    return lambda n: hw * tau / 2.0 * (1 + 2 * n + a + b) ** 2
+        domain=angle_domain(rep, params, half_cell=model.half_cell),
+        _energy=model.energy(params), _powers=powers)
 
 
 def _solve_pi4_prime(model, rep, params):
     tau = params.tau
     hw = params.hbar * params.omega
-    # only the oscillator has a published (unbounded) energy family
-    c = tau * hw / 2.0 if isinstance(model, HarmonicOscillator) and tau > 0 else 0.0
+    # only the oscillator has a published (unbounded) energy family, the one
+    # of its Pi4' equation
+    has_family = tau > 0 and rep in model.coefficient_reps(params)
+    c = tau * hw / 2.0 if has_family else 0.0
 
     def energy(n):
         if not c:
@@ -495,53 +403,41 @@ def transformed_potential(model: ModelSpec, rep: Representation,
     """
     if rep is Representation.PI2:
         rep = Representation.PI1
+    model.admit(params)
     tau = params.tau
     hbar, m, om = params.hbar, params.mass, params.omega
-    hw = hbar * om
-    if isinstance(model, PoschlTeller):
-        if tau == 0.0:
-            raise ParameterError("the inverse-square model requires tau > 0")
-        base, eps = hw, 0.0
-        c = 2.0 * tau * hw
-        rc2 = math.sqrt(tau * hw / 2.0)  # = sqrt(c)/2
-        al, be, tc = model.alpha, model.beta, params.tau_check
+    base, eps = model.scales(params)
+    if tau == 0.0:
+        # commutative limit: harmonic well in the stretched coordinate, on a
+        # box wide enough that low levels are unaffected by truncation
+        k = model.well(params)
+        edge = 9.0 / math.sqrt(k)
+        lin = math.sqrt(2.0 / (m * hbar * om * base))
+
+        def V0(q):
+            return (k * np.asarray(q)) ** 2
+
+        def q_of_p0(p):
+            return lin * np.asarray(p)
+
+        def chi0(p):
+            return np.zeros_like(np.asarray(p, dtype=float))
+
+        return PotentialSpec(V=V0, q_lo=-edge, q_hi=edge, c=0.0,
+                             family="legendre", q_of_p=q_of_p0, chi=chi0,
+                             ansatz_phase=0.0)
+    if model.family == "jacobi":
+        csc2, sec2 = model.well(params)
+        c = 2.0 * tau * base
+        rc2 = math.sqrt(tau * base / 2.0)  # = sqrt(c)/2
 
         def V(q):
             s = rc2 * np.asarray(q)
-            return 0.5 * hw * al / np.sin(s) ** 2 + be / (2 * m * tc) / np.cos(s) ** 2
+            return csc2 / np.sin(s) ** 2 + sec2 / np.cos(s) ** 2
 
-        family, q_lo, q_hi = "jacobi", 0.0, math.pi / math.sqrt(2.0 * tau * hw)
-        phase = math.pi / 2.0
+        family, q_lo, q_hi, phase = "jacobi", 0.0, math.pi / math.sqrt(c), math.pi / 2.0
     else:
-        base, eps = _legendre_scales(model, params)
-        if tau == 0.0:
-            # commutative limit: harmonic well in the stretched coordinate, on a
-            # box wide enough that low levels are unaffected by truncation
-            k = 0.5 * hw
-            if isinstance(model, Swanson):
-                d = discriminant(model.alpha, model.beta, params.tau, params)
-                if d < 0:
-                    raise ParameterError("complex commutative spectrum; no real well")
-                k = 0.5 * math.sqrt(d) / 2.0
-            edge = 9.0 / math.sqrt(k)
-            lin = math.sqrt(2.0 / (m * hbar * om * base))
-
-            def V0(q):
-                return (k * np.asarray(q)) ** 2
-
-            def q_of_p0(p):
-                return lin * np.asarray(p)
-
-            def chi0(p):
-                return np.zeros_like(np.asarray(p, dtype=float))
-
-            return PotentialSpec(V=V0, q_lo=-edge, q_hi=edge, c=0.0,
-                                 family="legendre", q_of_p=q_of_p0, chi=chi0,
-                                 ansatz_phase=0.0)
-        amp = hw / (2.0 * tau)
-        if isinstance(model, Swanson):
-            amp = ((1 - tau) * hw ** 2 - tau * hw * (model.alpha + model.beta)
-                   - 4 * model.alpha * model.beta) / (2.0 * tau * base)
+        amp = model.well(params)
         c = tau * base / 2.0
         rc = math.sqrt(c)
         edge = math.pi / (2.0 * rc)
@@ -571,7 +467,7 @@ def default_p0(model: ModelSpec, rep: Representation,
                params: DeformationParams) -> float:
     """Anchor point for the generic transform: 0 on symmetric domains, the
     q-midpoint image p(theta = pi/4) on half cells."""
-    if not isinstance(model, PoschlTeller):
+    if not model.half_cell:
         return 0.0
     if rep not in ANGLES:
         raise UnsupportedPair(f"no anchor for {rep}")

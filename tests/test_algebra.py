@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coefficient_tables import reference_coefficients
 from gup_spectra.algebra import (
+    REALIZATIONS,
     DeformationParams,
     HarmonicOscillator,
     PoschlTeller,
@@ -15,6 +17,7 @@ from gup_spectra.algebra import (
 )
 from gup_spectra.errors import (
     DomainMismatch,
+    GupSpectraError,
     IntrinsicNoncommutativity,
     ParameterError,
     UnsupportedPair,
@@ -135,6 +138,90 @@ class TestCoefficientTable:
         span = hi - lo
         xs = np.linspace(lo + 1e-3 * span, hi - 1e-3 * span, 101)
         assert np.all(fgh.f(xs) > 0)
+
+
+FIXTURE_PAIRS = [
+    (model, rep)
+    for model in (HarmonicOscillator(), Swanson(0.1, 0.2), Swanson(0.3, 0.05),
+                  PoschlTeller(1.0, 0.5))
+    for rep in (R.PI1, R.PI3, R.PI4)
+] + [(HarmonicOscillator(), R.PI4_PRIME)]
+FIXTURE_TAUS = (1e-4, 1e-2, 0.25, 1.0, 5.0, 50.0)
+FIXTURE_UNITS = ((1.0, 1.0, 1.0), (0.7, 2.3, 1.9))  # (hbar, mass, omega)
+
+
+def _interior(dom, tc, count=39):
+    """``count`` points strictly inside the domain; 3/sqrt(tc) stands in for
+    an infinite end."""
+    half = 3.0 / math.sqrt(tc)
+    lo = dom.lo if math.isfinite(dom.lo) else -half
+    hi = dom.hi if math.isfinite(dom.hi) else half
+    return np.linspace(lo, hi, count + 2)[1:-1]
+
+
+class TestDerivedCoefficients:
+    """(f, g, h) derived from H against the hand-written tables of
+    ``coefficient_tables``."""
+
+    @pytest.mark.parametrize("model,rep", FIXTURE_PAIRS)
+    def test_matches_hand_tables(self, model, rep):
+        for tau in FIXTURE_TAUS:
+            for hbar, mass, omega in FIXTURE_UNITS:
+                params = DeformationParams(hbar=hbar, mass=mass, omega=omega, tau=tau)
+                derived = coefficients(model, rep, params)
+                ref = reference_coefficients(model, rep, params)
+                assert derived.domain == ref.domain
+                ys = _interior(ref.domain, params.tau_check)
+                for name in ("f", "df", "ddf", "g", "dg", "h"):
+                    want = np.asarray(getattr(ref, name)(ys), dtype=float)
+                    got = np.asarray(getattr(derived, name)(ys), dtype=float)
+                    dev = np.max(np.abs(got - want))
+                    assert dev <= 1e-13 * np.max(np.abs(want)), (name, tau, hbar)
+                # the transform reads f, df and ddf at a finite wall
+                for end in (ref.domain.lo, ref.domain.hi):
+                    if not math.isfinite(end):
+                        continue
+                    for name in ("f", "df", "ddf"):
+                        if math.isfinite(float(getattr(ref, name)(end))):
+                            assert math.isfinite(float(getattr(derived, name)(end))), name
+
+    @pytest.mark.parametrize("rep", list(R))
+    @pytest.mark.parametrize("model", [HarmonicOscillator(), Swanson(0.1, 0.2),
+                                       Swanson(0.0, 0.0), PoschlTeller(1.0, 0.5)])
+    def test_commutative_limit_like_hand_tables(self, model, rep):
+        params = DeformationParams(tau=0.0)
+        ys = np.linspace(-2.0, 2.0, 9)
+        outcomes = []
+        for build in (reference_coefficients, coefficients):
+            try:
+                fgh = build(model, rep, params)
+                outcomes.append([np.asarray(fn(ys), dtype=float)
+                                 for fn in (fgh.f, fgh.g, fgh.h)])
+            except GupSpectraError as exc:
+                outcomes.append(type(exc))
+        want, got = outcomes
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert not isinstance(got, type)
+            for a, b in zip(want, got):
+                assert np.allclose(a, b, rtol=1e-14, atol=0.0)
+
+
+class TestRealizations:
+    @pytest.mark.parametrize("tau", [1e-4, 0.25, 50.0])
+    @pytest.mark.parametrize("rep", list(REALIZATIONS))
+    def test_entry_satisfies_the_algebra(self, rep, tau):
+        """[X, P] = i hbar a P' equals i hbar (1 + tc P^2); Pi4' flips the sign."""
+        params = DeformationParams(tau=tau)
+        tc = params.tau_check
+        entry = REALIZATIONS[rep]
+        ys = _interior(p_domain(rep, params), tc)
+        sign = -1.0 if rep is R.PI4_PRIME else 1.0
+        a, _, p, dp = entry.parts(ys, tc)
+        lhs = a * dp
+        rhs = 1.0 + sign * tc * p ** 2
+        assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) <= 1e-13
 
 
 def _gauss(sigma):

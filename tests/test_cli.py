@@ -68,6 +68,12 @@ class TestSpectrumCommand:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_swanson_outside_solved_regime_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--model", "swanson", "--alpha", "-3",
+                                 "--beta", "0", "--tau", "0.1", "--nmax", "3")
+        assert code == 3 and out == ""
+        assert "alpha + beta + hbar*omega > 0" in err
+
     def test_sign_without_power_is_one_message_line(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(gup_spectra.__file__)))
         env = dict(os.environ, PYTHONPATH=src)

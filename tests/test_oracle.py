@@ -200,6 +200,29 @@ class TestExpectations:
             assert abs(expectation_unified(model, params, 1, "X")) < 1e-9
 
 
+class TestHamiltonianPowers:
+    @pytest.mark.parametrize("model", [HarmonicOscillator(), Swanson(0.1, 0.2),
+                                       PoschlTeller(1.0, 0.5)])
+    def test_power_applies_h_that_many_times(self, model):
+        params = DeformationParams(tau=0.2)
+        e0 = float(solve(model, R.PI1, params).energy(0))
+        squared = expectation_unified(model, params, 0, [("H", 2)])
+        _clear_unified_caches()
+        assert squared == expectation_unified(model, params, 0, [("H", 1), ("H", 1)])
+        assert abs(squared - e0 ** 2) <= 1e-12 * e0 ** 2
+        direct = expectation_direct(model, R.PI3, params, 0, [("H", 2)])
+        assert abs(direct - squared) <= 1e-9 * abs(squared)
+        assert expectation_unified(model, params, 0, [("H", 0)]) == pytest.approx(1.0, abs=1e-12)
+        assert expectation_direct(model, R.PI3, params, 0, [("H", 0)]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_negative_power_rejected(self):
+        model, params = HarmonicOscillator(), DeformationParams(tau=0.2)
+        with pytest.raises(ParameterError):
+            expectation_unified(model, params, 0, [("H", -1)])
+        with pytest.raises(ParameterError):
+            expectation_direct(model, R.PI3, params, 0, [("H", -1)])
+
+
 WORDS = ("P", "P2", "X", "X2", "H")
 
 

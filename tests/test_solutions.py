@@ -10,6 +10,7 @@ from gup_spectra.algebra import (
     PoschlTeller,
     Representation,
     Swanson,
+    coefficients,
 )
 from gup_spectra.errors import (
     DomainError,
@@ -18,7 +19,7 @@ from gup_spectra.errors import (
     UnsupportedOrder,
     UnsupportedPair,
 )
-from gup_spectra.oracle import matrix_element_direct
+from gup_spectra.oracle import expectation_unified, matrix_element_direct
 from gup_spectra.solutions import (
     classify_physical,
     gram_matrix,
@@ -121,6 +122,15 @@ class TestClassification:
         bad_b = classify_physical(PoschlTeller(0.5, -tau ** 2 / 4 - eps), R.PI1,
                                   DeformationParams(tau=tau))
         assert ok_b.physical and not bad_b.physical
+
+    @pytest.mark.parametrize("call", [
+        classify_physical, solve, coefficients, transformed_potential, metric_generic,
+        lambda model, rep, params: expectation_unified(model, params, 0, "H"),
+    ])
+    def test_swanson_outside_solved_regime_rejected(self, call):
+        # Omega = alpha + beta + hbar omega = -2
+        with pytest.raises(ParameterError, match="alpha \\+ beta"):
+            call(Swanson(-3.0, 0.0), R.PI1, DeformationParams(tau=0.1))
 
     def test_broken_swanson_energies_complex(self):
         sol = solve(Swanson(2.0, 0.1), R.PI1, DeformationParams(tau=0.5))
