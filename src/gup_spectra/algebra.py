@@ -39,7 +39,6 @@ from enum import Enum
 from typing import Callable, Union
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     IntrinsicNoncommutativity,
@@ -218,12 +217,17 @@ class _Model:
     ``scales`` and the order from ``mu_minus``, or "jacobi" with (a+, b+) from
     ``orders``.  A ``half_cell`` model lives on theta in (0, pi/2).  Also
     declared: ``energy`` (E_n), ``admit`` (raises outside the solved regime),
-    ``reality`` (the reality test and its reason), ``well`` (amplitudes of the
-    closed-form transformed potential) and the representations with an
-    (f, g, h) table.
+    ``reality`` (the reality test and its reason), ``well`` (the closed-form
+    transformed potential at tau > 0: A of A tan^2 for the Legendre family,
+    (A, B) of A csc^2 + B sec^2 for the Jacobi family), the representations
+    with an (f, g, h) table, at tau > 0 and at tau = 0, and whether a formal
+    Pi4' energy family is published.
     """
 
     half_cell = False
+    coefficient_reps = (Representation.PI1, Representation.PI3, Representation.PI4)
+    commutative_coefficient_reps = coefficient_reps
+    pi4_prime_family = False
 
     def admit(self, params):
         pass
@@ -234,15 +238,15 @@ class _Model:
     def reality(self, params):
         return True, "real discrete spectrum"
 
-    def coefficient_reps(self, params):
-        return (Representation.PI1, Representation.PI3, Representation.PI4)
-
 
 @dataclass(frozen=True)
 class HarmonicOscillator(_Model):
     """H = P^2/(2m) + (m omega^2 / 2) X^2."""
 
     family = "legendre"
+    coefficient_reps = _Model.coefficient_reps + (Representation.PI4_PRIME,)
+    commutative_coefficient_reps = coefficient_reps
+    pi4_prime_family = True
 
     def hamiltonian(self, params):
         m, om = params.mass, params.omega
@@ -258,12 +262,8 @@ class HarmonicOscillator(_Model):
         return lambda n: hw * (0.5 + n) * root + tau * hw / 4.0 * (1 + 2 * n + 2 * n * n)
 
     def well(self, params):
-        """A of A tan^2(sqrt(c) q); k of the (k q)^2 well at tau = 0."""
-        hw = params.hbar * params.omega
-        return 0.5 * hw if params.tau == 0.0 else hw / (2.0 * params.tau)
-
-    def coefficient_reps(self, params):
-        return tuple(REALIZATIONS)
+        """A of the well A tan^2(sqrt(c) q)."""
+        return params.hbar * params.omega / (2.0 * params.tau)
 
 
 @dataclass(frozen=True)
@@ -277,6 +277,8 @@ class Swanson(_Model):
     alpha: float
     beta: float
     family = "legendre"
+    # at tau = 0 Pi3 is Pi1 and has no table of its own
+    commutative_coefficient_reps = (Representation.PI1, Representation.PI4)
 
     def omega_shift(self, params: DeformationParams) -> float:
         return self.alpha + self.beta + params.hbar * params.omega
@@ -316,20 +318,10 @@ class Swanson(_Model):
                                  + (2 * n + 1) * sqrt_d)
 
     def well(self, params):
-        """A of A tan^2(sqrt(c) q); k of the (k q)^2 well at tau = 0."""
+        """A of the well A tan^2(sqrt(c) q)."""
         tau, hw, al, be = params.tau, params.hbar * params.omega, self.alpha, self.beta
-        if tau > 0.0:
-            return (((1 - tau) * hw ** 2 - tau * hw * (al + be) - 4 * al * be)
-                    / (2.0 * tau * self.omega_shift(params)))
-        d = discriminant(al, be, tau, params)
-        if d < 0:
-            raise ParameterError("complex commutative spectrum; no real well")
-        return 0.5 * math.sqrt(d) / 2.0
-
-    def coefficient_reps(self, params):
-        # at tau = 0 Pi3 is Pi1 and has no table of its own
-        reps = super().coefficient_reps(params)
-        return reps if params.tau > 0 else tuple(r for r in reps if r is not Representation.PI3)
+        return (((1 - tau) * hw ** 2 - tau * hw * (al + be) - 4 * al * be)
+                / (2.0 * tau * self.omega_shift(params)))
 
 
 @dataclass(frozen=True)
@@ -413,38 +405,43 @@ class FGHCoefficients:
 class Realization:
     """X = i hbar (a(y) d/dy + b(y)) and P = P(y) on the stored coordinate y.
 
-    a = v^(k/2) with v = 1 + s tc y^2, so a^2 = v^k is a polynomial in
-    w = y^2 and f and its derivatives stay finite at a wall where a
-    vanishes; b = beta a' with beta 0 or 1.  P and P' take (y, a, tc).
+    a^2 = (1 + s tc y^2)^k is also kept as a polynomial in w = y^2, so f and
+    its derivatives stay finite at a wall where a vanishes; b = beta a' with
+    beta 0 or 1.  ``fields`` gives a, a', P and P' at (y, tc).
     """
 
     s: float
     k: int
     beta: float
-    P: Callable
-    dP: Callable
+    fields: Callable
 
-    def parts(self, y, tc):
-        """a, a', P and P' at y."""
-        v = 1.0 + self.s * tc * y * y
-        a = v ** (0.5 * self.k)
-        return a, self.k * self.s * tc * y * a / v, self.P(y, a, tc), self.dP(y, a, tc)
+
+def _pi1_fields(y, tc):
+    return 1.0 + tc * y * y, 2.0 * tc * y, y, 1.0
+
+
+def _pi3_fields(y, tc):
+    if tc == 0.0:
+        return 1.0, 0.0, y, 1.0
+    rt = math.sqrt(tc)
+    return 1.0, 0.0, np.tan(rt * y) / rt, 1.0 / np.cos(rt * y) ** 2
 
 
 def _u_entry(s):
-    """a = u, b = u', P = y / u with u^2 = 1 + s tc y^2."""
-    return Realization(s, 1, 1.0, P=lambda y, a, tc: y / a, dP=lambda y, a, tc: a ** -3)
+    """a = u, b = u', P = y / u with u^2 = v = 1 + s tc y^2."""
+    def fields(y, tc):
+        v = 1.0 + s * tc * y * y
+        u = np.sqrt(v)
+        return u, s * tc * y / u, y / u, 1.0 / (u * v)
+
+    return Realization(s, 1, 1.0, fields)
 
 
 # Pi2 shares the Pi1 problem by similarity.  Pi4 stores the segment p = i s,
 # where X = i x u is i hbar (u d/ds + u') and P = -i p/u is s/u.
 REALIZATIONS = {
-    Representation.PI1: Realization(1.0, 2, 0.0, P=lambda y, a, tc: y,
-                                    dP=lambda y, a, tc: 1.0 + 0.0 * y),
-    Representation.PI3: Realization(
-        0.0, 0, 0.0,
-        P=lambda y, a, tc: np.tan(math.sqrt(tc) * y) / math.sqrt(tc) if tc > 0.0 else y,
-        dP=lambda y, a, tc: 1.0 / np.cos(math.sqrt(tc) * y) ** 2),
+    Representation.PI1: Realization(1.0, 2, 0.0, _pi1_fields),
+    Representation.PI3: Realization(0.0, 0, 0.0, _pi3_fields),
     Representation.PI4: _u_entry(-1.0),
     Representation.PI4_PRIME: _u_entry(1.0),
 }
@@ -472,64 +469,72 @@ def coefficients(model: ModelSpec, rep: Representation,
         h = sum c_k P^k - hbar^2 c_X2 (a b' + b^2)
             + i hbar [c_XP (a P' + b P) + c_PX b P] + const,
 
-    as closed-form numpy callables built once per call.  Every model has a
-    table on Pi1, Pi3 and Pi4 (Pi4 in the real segment parametrization), the
-    oscillator also on Pi4'.  Pi2 is related to Pi1 by the similarity map
+    as closed-form numpy callables built once per call; terms whose
+    coefficient vanishes are not evaluated.  Every model has a table on Pi1,
+    Pi3 and Pi4 (Pi4 in the real segment parametrization), the oscillator
+    also on Pi4'.  Pi2 is related to Pi1 by the similarity map
     u = (1 + tc p^2)^(1/2) and shares its transformed potential; request Pi1
     instead.
     """
     if rep is Representation.PI2:
         raise UnsupportedPair(
             "Pi2 is handled by similarity with Pi1 (same potential and spectrum)")
-    if rep not in model.coefficient_reps(params):
+    if rep not in model.coefficient_reps:
         raise UnsupportedPair(f"no coefficient table for {type(model).__name__} with {rep}")
     model.admit(params)
-    entry, tc, hbar = REALIZATIONS[rep], params.tau_check, params.hbar
+    tc = params.tau_check
+    if tc == 0.0 and rep not in model.commutative_coefficient_reps:
+        raise UnsupportedPair(f"{rep} coincides with Pi1 at tau = 0; request Pi1")
+    entry, hbar = REALIZATIONS[rep], params.hbar
     terms, const = model.hamiltonian(params)
     words = {tuple(word): c for c, word in terms}
-    powers = {w[0][1]: words.pop(w) for w in list(words) if len(w) == 1 and w[0][0] == "P"}
+    powers = [(w[0][1], words.pop(w)) for w in list(words) if len(w) == 1 and w[0][0] == "P"]
     x2 = hbar ** 2 * words.pop((("X", 2),), 0.0)
     xp = 1j * hbar * words.pop((("X", 1), ("P", 1)), 0.0)
     px = 1j * hbar * words.pop((("P", 1), ("X", 1)), 0.0)
     if words or xp.imag or px.imag:
         raise UnsupportedPair("H must be a real sum of P^k, X^2, XP and PX words")
     xp, mixed = xp.real, xp.real + px.real
+    fields, beta = entry.fields, entry.beta
 
     # f = F(w) with w = y^2, so f' = 2y F'(w) and f'' = 2F'(w) + 4w F''(w);
-    # a a' + 2ab = (1/2 + beta) (a^2)' and a b' + b^2 = beta (a^2)''/2
-    F = x2 * npoly.polypow([1.0, entry.s * tc], entry.k)
-    F1 = npoly.polyder(F)
-    F2 = npoly.polyadd(2.0 * F1, 4.0 * npoly.polymulx(npoly.polyder(F, 2))).tolist()
-    F, F1 = F.tolist(), F1.tolist()
+    # a a' + 2ab = (1/2 + beta) (a^2)' and a b' + b^2 = beta (a^2)''/2.
+    # Coefficient lists run from w^0 up.
+    F = [x2 * math.comb(entry.k, j) * (entry.s * tc) ** j for j in range(entry.k + 1)]
+    F1 = [(i + 1) * c for i, c in enumerate(F[1:])] or [0.0]
+    F2 = [2 * (i + 1) * (2 * i + 1) * c for i, c in enumerate(F[1:])] or [0.0]
+    G = [-(1.0 + 2.0 * beta) * c for c in F1]
+    DG = [-(0.5 + beta) * c for c in F2]
+    H = [const - 0.5 * F2[0]] + [-0.5 * c for c in F2[1:]] if beta else [const]
+    DF = [2.0 * c for c in F1]
 
     def g(y):
-        out = -(1.0 + 2.0 * entry.beta) * y * _horner(F1, y * y)
+        out = y * _horner(G, y * y)
         if mixed:
-            a, _, p, _ = entry.parts(y, tc)
+            a, _, p, _ = fields(y, tc)
             out = out + mixed * a * p
         return out
 
     def dg(y):
-        out = -(0.5 + entry.beta) * _horner(F2, y * y)
+        out = _horner(DG, y * y)
         if mixed:
-            a, da, p, dp = entry.parts(y, tc)
+            a, da, p, dp = fields(y, tc)
             out = out + mixed * (da * p + a * dp)
         return out
 
     def h(y):
-        a, da, p, dp = entry.parts(y, tc)
-        out = -0.5 * entry.beta * _horner(F2, y * y) + const
-        for k, c in powers.items():
+        a, da, p, dp = fields(y, tc)
+        out = _horner(H, y * y)
+        for k, c in powers:
             out = out + c * p ** k
         if xp:
             out = out + xp * a * dp
-        if entry.beta and mixed:
+        if beta and mixed:
             out = out + mixed * da * p
         return out
 
     domain = (angle_domain(rep, params, half_cell=True) if model.half_cell
               else p_domain(rep, params))
     return FGHCoefficients(
-        f=lambda y: _horner(F, y * y), g=g, h=h,
-        df=lambda y: 2.0 * y * _horner(F1, y * y), ddf=lambda y: _horner(F2, y * y),
-        dg=dg, domain=domain)
+        f=lambda y: _horner(F, y * y), g=g, h=h, df=lambda y: y * _horner(DF, y * y),
+        ddf=lambda y: _horner(F2, y * y), dg=dg, domain=domain)

@@ -128,10 +128,10 @@ class Classification:
 def classify_physical(model: ModelSpec, rep: Representation,
                       params: DeformationParams) -> Classification:
     """Reality/boundedness tags for the spectrum of (model, rep, params)."""
-    model.admit(params)
     if rep is Representation.PI4_PRIME:
         return Classification(False, True, False,
                               "sign-flipped variant: formal energy family unbounded below")
+    model.admit(params)
     real, detail = model.reality(params)
     return Classification(real, False, not real, detail)
 
@@ -313,10 +313,8 @@ def solve(model: ModelSpec, rep: Representation, params: DeformationParams,
 def _solve_pi4_prime(model, rep, params):
     tau = params.tau
     hw = params.hbar * params.omega
-    # only the oscillator has a published (unbounded) energy family, the one
-    # of its Pi4' equation
-    has_family = tau > 0 and rep in model.coefficient_reps(params)
-    c = tau * hw / 2.0 if has_family else 0.0
+    # only the oscillator has a published (unbounded) energy family
+    c = tau * hw / 2.0 if model.pi4_prime_family and tau > 0 else 0.0
 
     def energy(n):
         if not c:
@@ -403,14 +401,20 @@ def transformed_potential(model: ModelSpec, rep: Representation,
     """
     if rep is Representation.PI2:
         rep = Representation.PI1
-    model.admit(params)
     tau = params.tau
+    if tau == 0.0 and model.family == "jacobi":
+        raise ParameterError("the Jacobi family has no commutative limit; tau must be > 0")
+    model.admit(params)
     hbar, m, om = params.hbar, params.mass, params.omega
     base, eps = model.scales(params)
     if tau == 0.0:
-        # commutative limit: harmonic well in the stretched coordinate, on a
-        # box wide enough that low levels are unaffected by truncation
-        k = model.well(params)
+        # commutative limit: harmonic well (k q)^2 with k = E_0, in the
+        # stretched coordinate, on a box wide enough that low levels are
+        # unaffected by truncation
+        k = complex(model.energy(params)(0))
+        if k.imag:
+            raise ParameterError("complex commutative spectrum; no real well")
+        k = k.real
         edge = 9.0 / math.sqrt(k)
         lin = math.sqrt(2.0 / (m * hbar * om * base))
 

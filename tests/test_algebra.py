@@ -187,7 +187,8 @@ class TestDerivedCoefficients:
 
     @pytest.mark.parametrize("rep", list(R))
     @pytest.mark.parametrize("model", [HarmonicOscillator(), Swanson(0.1, 0.2),
-                                       Swanson(0.0, 0.0), PoschlTeller(1.0, 0.5)])
+                                       Swanson(0.0, 0.0), Swanson(-3.0, 0.0),
+                                       PoschlTeller(1.0, 0.5)])
     def test_commutative_limit_like_hand_tables(self, model, rep):
         params = DeformationParams(tau=0.0)
         ys = np.linspace(-2.0, 2.0, 9)
@@ -218,10 +219,27 @@ class TestRealizations:
         entry = REALIZATIONS[rep]
         ys = _interior(p_domain(rep, params), tc)
         sign = -1.0 if rep is R.PI4_PRIME else 1.0
-        a, _, p, dp = entry.parts(ys, tc)
+        a, _, p, dp = entry.fields(ys, tc)
         lhs = a * dp
         rhs = 1.0 + sign * tc * p ** 2
         assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) <= 1e-13
+
+    @pytest.mark.parametrize("rep", list(REALIZATIONS))
+    def test_entry_is_consistent(self, rep):
+        """a^2 = (1 + s tc y^2)^k, which f is built from; a' and P' are the
+        slopes of a and P."""
+        params = DeformationParams(tau=0.25)
+        tc = params.tau_check
+        entry = REALIZATIONS[rep]
+        ys = _interior(p_domain(rep, params), tc)
+        a, da, p, dp = (np.broadcast_to(x, ys.shape) for x in entry.fields(ys, tc))
+        assert np.allclose(a ** 2, (1.0 + entry.s * tc * ys ** 2) ** entry.k,
+                           rtol=1e-14, atol=0.0)
+        step = 1e-5
+        up, down = entry.fields(ys + step, tc), entry.fields(ys - step, tc)
+        for i, slope in ((0, da), (2, dp)):
+            stencil = (up[i] - down[i]) / (2 * step)
+            assert np.allclose(slope, stencil, rtol=1e-8, atol=1e-9)
 
 
 def _gauss(sigma):

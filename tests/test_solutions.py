@@ -132,6 +132,30 @@ class TestClassification:
         with pytest.raises(ParameterError, match="alpha \\+ beta"):
             call(Swanson(-3.0, 0.0), R.PI1, DeformationParams(tau=0.1))
 
+    @pytest.mark.parametrize("model,params", [
+        (PoschlTeller(1.0, 0.5), DeformationParams(tau=0.0)),
+        (Swanson(-3.0, 0.0), DeformationParams(tau=0.1)),
+    ])
+    def test_pi4_prime_record_before_admissibility(self, model, params):
+        # the sign-flipped variant is flagged for every model, admissible or not
+        cls = classify_physical(model, R.PI4_PRIME, params)
+        assert (cls.physical, cls.unbounded_below) == (False, True)
+        sol = solve(model, R.PI4_PRIME, params)
+        assert sol.family == "unbounded" and not sol.physical
+        with pytest.raises(UnsupportedPair):
+            sol.energy(0)
+
+    def test_inverse_square_without_deformation_errors(self):
+        params = DeformationParams(tau=0.0)
+        model = PoschlTeller(1.0, 0.5)
+        with pytest.raises(IntrinsicNoncommutativity):
+            classify_physical(model, R.PI1, params)
+        with pytest.raises(IntrinsicNoncommutativity):
+            solve(model, R.PI1, params)
+        # the closed-form potential has no commutative limit to fall back on
+        with pytest.raises(ParameterError):
+            transformed_potential(model, R.PI1, params)
+
     def test_broken_swanson_energies_complex(self):
         sol = solve(Swanson(2.0, 0.1), R.PI1, DeformationParams(tau=0.5))
         assert not sol.physical
