@@ -261,10 +261,11 @@ def _word_weight(terms) -> int:
     return max(sum(abs(k) for _, k in factors) for _, factors in terms)
 
 
-def _h_power(power: int) -> int:
-    """Times H is applied for the factor ("H", power); H^0 is the identity."""
+def _repeats(sym: str, power: int) -> int:
+    """Times X or H is applied for the factor (sym, power); a power of 0 is
+    the identity.  Neither operator has an inverse in these engines."""
     if power < 0:
-        raise ParameterError(f"H has no inverse here, got power {power}")
+        raise ParameterError(f"{sym} has no inverse here, got power {power}")
     return power
 
 
@@ -411,10 +412,10 @@ class _ZSpace:
                         "P^{-k} makes the endpoint weight non-integrable here")
                 key = self._step(key, "P", power)
             elif sym == "X":
-                for _ in range(power):
+                for _ in range(_repeats(sym, power)):
                     key = self._step(key, "X", 1)
             elif sym == "H":
-                for _ in range(_h_power(power)):
+                for _ in range(_repeats(sym, power)):
                     key = self._step(key, "H", 1)
             else:
                 raise ParameterError(f"unknown symbol {sym!r}")
@@ -525,11 +526,11 @@ def _apply_word_direct(sol, terms, psi, grid):
                     pmul = apply_P(rep, params, np.ones_like(cur), grid)
                     cur = cur * pmul ** power
             elif sym == "X":
-                for _ in range(power):
+                for _ in range(_repeats(sym, power)):
                     cur = apply_X(rep, params, cur, grid)
             elif sym == "H":
                 hterms, const = sol.model.hamiltonian(params)
-                for _ in range(_h_power(power)):
+                for _ in range(_repeats(sym, power)):
                     cur = _apply_word_direct(sol, hterms, cur, grid) + const * cur
             else:
                 raise ParameterError(f"unknown symbol {sym!r}")

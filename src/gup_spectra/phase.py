@@ -5,17 +5,23 @@ For the Swanson model the spectrum is real exactly when the discriminant
     D(alpha, beta, tau) = 4 (hw^2 - 4 alpha beta) + tau Omega (tau Omega - 4 hw),
     Omega = alpha + beta + hw,
 
-is nonnegative; D = 0 is the exceptional-point locus.  ``boundary_beta``
-solves D = 0 for beta at fixed alpha (a quadratic for tau > 0, linear at
-tau = 0), and ``scan`` traces the boundary curves over an alpha window for a
-list of tau values.  For the inverse-square model reality holds on the open
+is nonnegative; D = 0 is the exceptional-point locus.  One kernel solves
+D = 0 for beta over a whole array of alpha at fixed tau (a quadratic for
+tau > 0, linear at tau = 0) and Newton-polishes every root at once, each
+element leaving the iteration when it converges.  ``scan`` calls it once per
+tau to trace the boundary curves over an alpha window; ``boundary_beta`` is
+its one-alpha case.  For the inverse-square model reality holds on the open
 quadrant alpha > -tau/4, beta > -tau^2/4.  Both tests are declared with the
 models in ``algebra``; this module re-exports them.
+
+The kernel repeats the scalar arithmetic operation for operation, so every
+root is the float the per-alpha loop computed.  The two squares in the
+quadratic stay Python's ``**`` (libm ``pow``), which can differ from numpy's
+square in the last bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,64 +39,99 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-9
+_NEWTON_STEPS = 60
 
 
-def _refine_root(alpha, tau, params, beta, tol=_BOUNDARY_TOL):
-    """Newton polish of D(beta) = 0 with a derivative in closed form; None
-    when |D| < tol is out of reach."""
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x ** 2 per element with Python's float power, as the scalar loop took it."""
+    return np.array([v ** 2 for v in x.tolist()])
+
+
+def _polish(alpha, beta, tau, params):
+    """Newton polish of D(beta) = 0 per element, with the derivative in closed
+    form; NaN where |D| < 1e-9 is out of reach or the slope vanishes."""
     hw = params.hbar * params.omega
-    for _ in range(60):
+    out = np.full(beta.shape, np.nan)
+    live = np.arange(beta.size)
+    for step in range(_NEWTON_STEPS + 1):
         d = discriminant(alpha, beta, tau, params)
-        if abs(d) < tol:
-            return beta
-        omega_big = alpha + beta + hw
-        slope = -16.0 * alpha + 2.0 * tau ** 2 * omega_big - 4.0 * tau * hw
-        if slope == 0.0:
+        done = np.abs(d) < _BOUNDARY_TOL
+        out[live[done]] = beta[done]
+        if step == _NEWTON_STEPS:
             break
-        beta -= d / slope
-    d = discriminant(alpha, beta, tau, params)
-    return beta if abs(d) < tol else None
+        slope = -16.0 * alpha + 2.0 * tau ** 2 * (alpha + beta + hw) - 4.0 * tau * hw
+        go = ~done & (slope != 0.0)
+        if not go.any():
+            break
+        live, alpha, beta, d, slope = live[go], alpha[go], beta[go], d[go], slope[go]
+        beta = beta - d / slope
+    return out
+
+
+def _boundary_roots(alpha: np.ndarray, tau: float, params: DeformationParams):
+    """Roots beta of D(alpha, beta, tau) = 0 for every alpha at once.
+
+    Returns (roots, real).  ``roots`` has shape (2, len(alpha)): the
+    candidates q / tau^2 and c / q of the cancellation-stable quadratic
+    formula, each kept where Omega > 0 and the polish converges and NaN
+    elsewhere (tau = 0 has the one hyperbola root alpha * beta = hw^2 / 4,
+    unpolished).  ``real`` is False where D = 0 has no real root in beta.
+    """
+    hw = params.hbar * params.omega
+    roots = np.full((2, alpha.size), np.nan)
+    if tau == 0.0:
+        real = alpha != 0.0
+        at = np.flatnonzero(real)
+        beta = hw ** 2 / (4.0 * alpha[at])
+        omega_pos = alpha[at] + beta + hw > 0
+        roots[0, at[omega_pos]] = beta[omega_pos]
+        return roots, real
+    s = alpha + hw
+    a_q = tau ** 2
+    b_q = 2.0 * tau ** 2 * s - 4.0 * tau * hw - 16.0 * alpha
+    c_q = _squares(tau * s - 2.0 * hw)
+    disc = _squares(b_q) - 4.0 * a_q * c_q
+    real = ~(disc < 0)
+    at = np.flatnonzero(real)
+    b_q, c_q = b_q[at], c_q[at]
+    qq = -0.5 * (b_q + np.copysign(np.sqrt(disc[at]), b_q))
+    cand = np.full((2, at.size), np.nan)
+    cand[0] = qq / a_q
+    nonzero = qq != 0.0
+    cand[1, nonzero] = c_q[nonzero] / qq[nonzero]
+    alphas = np.broadcast_to(alpha[at], cand.shape)
+    omega_pos = alphas + cand + hw > 0
+    rows, cols = np.nonzero(omega_pos)
+    roots[rows, at[cols]] = _polish(alphas[omega_pos], cand[omega_pos], tau, params)
+    return roots, real
 
 
 def boundary_beta(alpha: float, tau: float,
                   params: DeformationParams | None = None) -> list[float]:
     """Real beta roots of D(alpha, beta, tau) = 0 with Omega > 0, ascending.
 
+    The one-alpha case of the kernel ``scan`` runs over a whole window.
     tau = 0 reduces to the hyperbola alpha * beta = hw^2 / 4.  For tau > 0
     the quadratic is solved with the cancellation-stable formulation and each
-    root is polished on its own until |D| < 1e-9.  A root that does not get
-    there is left out, and NoRoot is raised when no root with Omega > 0 is
-    left, so the list is never empty.
+    root is Newton-polished until |D| < 1e-9, then rounded to 15 decimals.
+    A root that does not get there is left out, and NoRoot is raised when
+    no root with Omega > 0 is left, so the list is never empty.
     """
     params = params or DeformationParams()
-    hw = params.hbar * params.omega
     if tau < 0:
         raise ParameterError("tau must be >= 0")
+    roots, real = _boundary_roots(np.array([alpha], dtype=float), float(tau), params)
+    if not real[0]:
+        raise NoRoot("no finite boundary at alpha = 0, tau = 0" if tau == 0.0
+                     else f"D > 0 for all beta at alpha={alpha}, tau={tau}")
+    kept = roots[~np.isnan(roots)].tolist()
+    if not kept:
+        raise NoRoot("boundary root violates Omega > 0" if tau == 0.0
+                     else f"no polished boundary root with Omega > 0 at "
+                          f"alpha={alpha}, tau={tau}")
     if tau == 0.0:
-        if alpha == 0.0:
-            raise NoRoot("no finite boundary at alpha = 0, tau = 0")
-        beta = hw ** 2 / (4.0 * alpha)
-        if alpha + beta + hw <= 0:
-            raise NoRoot("boundary root violates Omega > 0")
-        return [beta]
-    s = alpha + hw
-    a_q = tau ** 2
-    b_q = 2.0 * tau ** 2 * s - 4.0 * tau * hw - 16.0 * alpha
-    c_q = (tau * s - 2.0 * hw) ** 2
-    disc = b_q ** 2 - 4.0 * a_q * c_q
-    if disc < 0:
-        raise NoRoot(f"D > 0 for all beta at alpha={alpha}, tau={tau}")
-    sq = math.sqrt(disc)
-    qq = -0.5 * (b_q + math.copysign(sq, b_q))
-    cand = [qq / a_q]
-    if qq != 0.0:
-        cand.append(c_q / qq)
-    roots = [_refine_root(alpha, tau, params, r) for r in cand if alpha + r + hw > 0]
-    roots = [r for r in roots if r is not None]
-    if not roots:
-        raise NoRoot(f"no polished boundary root with Omega > 0 at alpha={alpha}, "
-                     f"tau={tau}")
-    return sorted(set(round(r, 15) for r in roots))
+        return kept
+    return sorted(set(round(r, 15) for r in kept))
 
 
 @dataclass(frozen=True)
@@ -127,23 +168,32 @@ class PhaseCurve:
 
 
 def scan(query: PhaseQuery) -> list[PhaseCurve]:
-    """Boundary curves over the alpha window, lower-beta branch per tau."""
+    """Boundary curves over the alpha window, lower-beta branch per tau.
+
+    One kernel call per tau finds and polishes the roots of every alpha; an
+    alpha without a root is left out.  Each emitted point is re-verified, and
+    NoRoot is raised at the first one with |D| >= 1e-9.
+    """
     curves = []
     alphas = np.linspace(query.alpha_lo, query.alpha_hi, query.alpha_steps)
     for tau in query.tau_list:
         curve = PhaseCurve(tau=tau)
-        for a in alphas:
-            try:
-                roots = boundary_beta(float(a), float(tau), query.params)
-            except NoRoot:
-                continue
-            beta = roots[0]
-            if abs(discriminant(float(a), beta, float(tau), query.params)) >= _BOUNDARY_TOL:
-                raise NoRoot(f"emitted point failed re-verification at alpha={a}")
-            curve.points.append((float(a), float(beta)))
+        roots, _ = _boundary_roots(alphas, float(tau), query.params)
+        # the lower root; on a tie the first candidate, as boundary_beta's
+        # sorted set keeps it
+        lower = np.where(np.isnan(roots[0]) | (roots[1] < roots[0]), roots[1], roots[0])
+        kept = ~np.isnan(lower)
+        alpha, beta = alphas[kept], lower[kept]
+        if tau != 0.0:
+            # round is monotone: the rounded lower root is the lowest rounded root
+            beta = np.array([round(b, 15) for b in beta.tolist()])
+        bad = np.abs(discriminant(alpha, beta, float(tau), query.params)) >= _BOUNDARY_TOL
+        if bad.any():
+            raise NoRoot(f"emitted point failed re-verification at "
+                         f"alpha={float(alpha[bad.argmax()])}")
+        curve.points = list(zip(alpha.tolist(), beta.tolist()))
         if curve.points:
-            betas = [b for _, b in curve.points]
-            curve.monotone = bool(np.all(np.diff(betas) <= 1e-12)
-                                  or np.all(np.diff(betas) >= -1e-12))
+            curve.monotone = bool(np.all(np.diff(beta) <= 1e-12)
+                                  or np.all(np.diff(beta) >= -1e-12))
         curves.append(curve)
     return curves

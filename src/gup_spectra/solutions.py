@@ -12,7 +12,7 @@ transform, to one of two special-function ladders:
 Both ladders live on the momentum angle theta = arctan(sqrt(tc) P), which
 ``algebra.ANGLES`` gives in closed form for every representation: the basis
 variable is z = sin(theta) or w = cos(2 theta), and the prefactor, metric,
-domain, quadrature, q(p) and chi(p) are powers and images of theta assembled
+domain, quadrature and q(p) are powers and images of theta assembled
 once per family.  Adding a representation is one entry in that table.
 
 The metric that restores orthonormality is diagonal in momentum space,
@@ -368,7 +368,7 @@ def gram_matrix(sol: ClosedFormSolution, n_max: int, order: int = _NORM_ORDER) -
     sol.norm(n_max)  # a miss fills every degree <= n_max
     norms = np.array([sol.norm(n) for n in range(n_max + 1)])
     states = raw / norms[:, None]
-    return np.einsum("mk,nk,k->mn", np.conj(states), states, w * rho)
+    return (np.conj(states) * (w * rho)) @ states.T
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +385,14 @@ class PotentialSpec:
     V: Callable[[np.ndarray], np.ndarray]
     q_lo: float
     q_hi: float
-    c: float
-    family: str
     q_of_p: Callable[[np.ndarray], np.ndarray]
-    chi: Callable[[np.ndarray], np.ndarray]
-    ansatz_phase: float
 
 
 def transformed_potential(model: ModelSpec, rep: Representation,
                           params: DeformationParams) -> PotentialSpec:
     """Closed-form potential data for the pair (Pi2 shares the Pi1 problem).
 
-    q is proportional to the momentum angle, q = sqrt(2 / (tau base)) theta,
-    and the gauge is chi = (2 eps + e) ln cos(theta).
+    q is proportional to the momentum angle, q = sqrt(2 / (tau base)) theta.
     """
     if rep is Representation.PI2:
         rep = Representation.PI1
@@ -406,7 +401,7 @@ def transformed_potential(model: ModelSpec, rep: Representation,
         raise ParameterError("the Jacobi family has no commutative limit; tau must be > 0")
     model.admit(params)
     hbar, m, om = params.hbar, params.mass, params.omega
-    base, eps = model.scales(params)
+    base = model.scales(params)[0]
     if tau == 0.0:
         # commutative limit: harmonic well (k q)^2 with k = E_0, in the
         # stretched coordinate, on a box wide enough that low levels are
@@ -424,12 +419,7 @@ def transformed_potential(model: ModelSpec, rep: Representation,
         def q_of_p0(p):
             return lin * np.asarray(p)
 
-        def chi0(p):
-            return np.zeros_like(np.asarray(p, dtype=float))
-
-        return PotentialSpec(V=V0, q_lo=-edge, q_hi=edge, c=0.0,
-                             family="legendre", q_of_p=q_of_p0, chi=chi0,
-                             ansatz_phase=0.0)
+        return PotentialSpec(V=V0, q_lo=-edge, q_hi=edge, q_of_p=q_of_p0)
     if model.family == "jacobi":
         csc2, sec2 = model.well(params)
         c = 2.0 * tau * base
@@ -439,7 +429,7 @@ def transformed_potential(model: ModelSpec, rep: Representation,
             s = rc2 * np.asarray(q)
             return csc2 / np.sin(s) ** 2 + sec2 / np.cos(s) ** 2
 
-        family, q_lo, q_hi, phase = "jacobi", 0.0, math.pi / math.sqrt(c), math.pi / 2.0
+        q_lo, q_hi = 0.0, math.pi / math.sqrt(c)
     else:
         amp = model.well(params)
         c = tau * base / 2.0
@@ -449,28 +439,25 @@ def transformed_potential(model: ModelSpec, rep: Representation,
         def V(q):
             return amp * np.tan(rc * np.asarray(q)) ** 2
 
-        family, q_lo, q_hi, phase = "legendre", -edge, edge, 0.0
+        q_lo, q_hi = -edge, edge
     if rep not in ANGLES:
         raise UnsupportedPair(f"no transformed potential for {rep}")
     angle = ANGLES[rep]
     stc = math.sqrt(params.tau_check)
     scale = math.sqrt(2.0 / (tau * base))
-    gauge = 2.0 * eps + angle.e
 
     def q_of_p(p):
         return scale * angle.theta(stc * np.asarray(p))
 
-    def chi(p):
-        return gauge * np.log(angle.cos(stc * np.asarray(p)))
-
-    return PotentialSpec(V=V, q_lo=q_lo, q_hi=q_hi, c=c, family=family,
-                         q_of_p=q_of_p, chi=chi, ansatz_phase=phase)
+    return PotentialSpec(V=V, q_lo=q_lo, q_hi=q_hi, q_of_p=q_of_p)
 
 
 def default_p0(model: ModelSpec, rep: Representation,
                params: DeformationParams) -> float:
     """Anchor point for the generic transform: 0 on symmetric domains, the
-    q-midpoint image p(theta = pi/4) on half cells."""
+    q-midpoint image p(theta = pi/4) on half cells.  Raises where the model is
+    not solved, as ``solve`` does."""
+    model.admit(params)
     if not model.half_cell:
         return 0.0
     if rep not in ANGLES:

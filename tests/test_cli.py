@@ -74,6 +74,13 @@ class TestSpectrumCommand:
         assert code == 3 and out == ""
         assert "alpha + beta + hbar*omega > 0" in err
 
+    @pytest.mark.parametrize("rep", [(), ("--rep", "pi1")])
+    def test_negative_position_power_exit_code(self, capsys, rep):
+        code, out, err = run_cli(capsys, "expectation", "--model", "ho", "--tau", "0.2",
+                                 "--nmax", "0", *rep, "X-1")
+        assert code == 3 and out == ""
+        assert "X has no inverse" in err
+
     def test_sign_without_power_is_one_message_line(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(gup_spectra.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
@@ -185,6 +192,16 @@ class TestPhaseCommand:
         code, _, _ = run_cli(capsys, "phase", "--taus", "0,0.5", "--alpha-lo", "1",
                              "--alpha-hi", "16", "--alpha-steps", "16", "--check")
         assert code == 0
+
+    def test_readme_example_matches_snapshot(self, capsys):
+        # tests/data/phase_readme.csv is this command's output before the
+        # phase scan was vectorized; the CSV must not change by one byte
+        code, out, _ = run_cli(capsys, "phase", "--taus", "0,0.25,0.5", "--alpha-lo",
+                               "0.5", "--alpha-hi", "16", "--alpha-steps", "300", "--check")
+        assert code == 0
+        with open(os.path.join(os.path.dirname(__file__), "data", "phase_readme.csv"),
+                  "rb") as fh:
+            assert out.encode() == fh.read()
 
 
 class TestConfigPrecedence:

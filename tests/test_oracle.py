@@ -222,6 +222,20 @@ class TestHamiltonianPowers:
         with pytest.raises(ParameterError):
             expectation_direct(model, R.PI3, params, 0, [("H", -1)])
 
+    @pytest.mark.parametrize("word", [[("X", -1)], "X-2", "PX-1"])
+    def test_negative_position_power_rejected(self, word):
+        # X has no inverse either; "X-1" was the identity before
+        model, params = HarmonicOscillator(), DeformationParams(tau=0.2)
+        with pytest.raises(ParameterError, match="X has no inverse"):
+            expectation_unified(model, params, 0, word)
+        with pytest.raises(ParameterError, match="X has no inverse"):
+            expectation_direct(model, R.PI3, params, 0, word)
+
+    def test_zeroth_position_power_is_identity(self):
+        model, params = HarmonicOscillator(), DeformationParams(tau=0.2)
+        assert expectation_unified(model, params, 0, "X0") == pytest.approx(1.0, abs=1e-12)
+        assert expectation_direct(model, R.PI3, params, 0, "X0") == pytest.approx(1.0, abs=1e-9)
+
 
 WORDS = ("P", "P2", "X", "X2", "H")
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,3 +121,138 @@ class TestScan:
         with pytest.raises(ParameterError):
             PhaseQuery(params=DeformationParams(), alpha_lo=0.0, alpha_hi=1.0,
                        alpha_steps=10, tau_list=(-0.2,))
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-alpha scalar loop the vectorized kernel replaced
+
+def _reference_refine(alpha, tau, params, beta, tol=1e-9):
+    hw = params.hbar * params.omega
+    for _ in range(60):
+        d = discriminant(alpha, beta, tau, params)
+        if abs(d) < tol:
+            return beta
+        omega_big = alpha + beta + hw
+        slope = -16.0 * alpha + 2.0 * tau ** 2 * omega_big - 4.0 * tau * hw
+        if slope == 0.0:
+            break
+        beta -= d / slope
+    d = discriminant(alpha, beta, tau, params)
+    return beta if abs(d) < tol else None
+
+
+def _reference_boundary(alpha, tau, params):
+    hw = params.hbar * params.omega
+    if tau == 0.0:
+        if alpha == 0.0:
+            raise NoRoot("no finite boundary at alpha = 0, tau = 0")
+        beta = hw ** 2 / (4.0 * alpha)
+        if alpha + beta + hw <= 0:
+            raise NoRoot("boundary root violates Omega > 0")
+        return [beta]
+    s = alpha + hw
+    a_q = tau ** 2
+    b_q = 2.0 * tau ** 2 * s - 4.0 * tau * hw - 16.0 * alpha
+    c_q = (tau * s - 2.0 * hw) ** 2
+    disc = b_q ** 2 - 4.0 * a_q * c_q
+    if disc < 0:
+        raise NoRoot(f"D > 0 for all beta at alpha={alpha}, tau={tau}")
+    sq = math.sqrt(disc)
+    qq = -0.5 * (b_q + math.copysign(sq, b_q))
+    cand = [qq / a_q]
+    if qq != 0.0:
+        cand.append(c_q / qq)
+    roots = [_reference_refine(alpha, tau, params, r) for r in cand if alpha + r + hw > 0]
+    roots = [r for r in roots if r is not None]
+    if not roots:
+        raise NoRoot(f"no polished boundary root with Omega > 0 at alpha={alpha}, "
+                     f"tau={tau}")
+    return sorted(set(round(r, 15) for r in roots))
+
+
+def _reference_scan(query):
+    curves = []
+    alphas = np.linspace(query.alpha_lo, query.alpha_hi, query.alpha_steps)
+    for tau in query.tau_list:
+        points = []
+        for a in alphas:
+            try:
+                beta = _reference_boundary(float(a), float(tau), query.params)[0]
+            except NoRoot:
+                continue
+            if abs(discriminant(float(a), beta, float(tau), query.params)) >= 1e-9:
+                raise NoRoot(f"emitted point failed re-verification at alpha={a}")
+            points.append((float(a), float(beta)))
+        monotone = True
+        if points:
+            betas = [b for _, b in points]
+            monotone = bool(np.all(np.diff(betas) <= 1e-12)
+                            or np.all(np.diff(betas) >= -1e-12))
+        curves.append((tau, points, monotone))
+    return curves
+
+
+def _outcome(run, *args):
+    """Result, or the NoRoot message, with every float as its exact repr."""
+    try:
+        return repr(run(*args))
+    except NoRoot as exc:
+        return f"NoRoot: {exc}"
+
+
+def _scan_tuples(query):
+    return [(c.tau, c.points, c.monotone) for c in scan(query)]
+
+
+def _random_queries(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lo = float(rng.uniform(-20.0, 20.0) * 10.0 ** rng.uniform(-2.0, 1.0))
+        hi = lo + float(10.0 ** rng.uniform(-3.0, 2.5))
+        taus = [0.0, float(rng.uniform(0.0, 1.0)), float(10.0 ** rng.uniform(-4.0, 1.7))]
+        taus = tuple(taus[i] for i in sorted(rng.choice(3, int(rng.integers(1, 4)),
+                                                        replace=False)))
+        units = ((1.0, 1.0) if rng.random() < 0.4
+                 else tuple(float(v) for v in 10.0 ** rng.uniform(-1.0, 2.2, 2)))
+        yield PhaseQuery(params=DeformationParams(hbar=units[0], omega=units[1]),
+                         alpha_lo=lo, alpha_hi=hi,
+                         alpha_steps=int(rng.integers(2, 200)), tau_list=taus)
+
+
+class TestVectorizedScanMatchesScalarLoop:
+    """Points, kept alphas, monotone flags and NoRoot equal the per-alpha
+    loop bit for bit, and no masked element raises a RuntimeWarning."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_windows(self, seed):
+        raised = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for query in _random_queries(seed, 40):
+                got = _outcome(_scan_tuples, query)
+                assert got == _outcome(_reference_scan, query)
+                raised += got.startswith("NoRoot")
+        assert raised < 40
+
+    def test_hyperbola_reverification_failure(self):
+        # at tau = 0 the unpolished root misses |D| < 1e-9 once hw^2 is large
+        query = PhaseQuery(params=DeformationParams(hbar=1e4), alpha_lo=-3.0,
+                           alpha_hi=5.0, alpha_steps=50, tau_list=(0.5, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(_scan_tuples, query)
+        assert got.startswith("NoRoot: emitted point failed re-verification")
+        assert got == _outcome(_reference_scan, query)
+
+    def test_boundary_beta_single_alpha(self):
+        rng = np.random.default_rng(11)
+        params = DeformationParams(hbar=0.7, omega=2.0)
+        cases = [(0.0, 0.0), (-1.0, 0.0), (-3.0, 0.0), (2.0, 0.5), (0.0, 0.3),
+                 (-0.5, 2.0), (15.0, 0.5)]
+        cases += [(float(a), float(t)) for a, t in
+                  zip(rng.uniform(-10.0, 20.0, 60), rng.uniform(0.0, 3.0, 60))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha, tau in cases:
+                assert (_outcome(boundary_beta, alpha, tau, params)
+                        == _outcome(_reference_boundary, alpha, tau, params))

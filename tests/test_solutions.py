@@ -22,6 +22,7 @@ from gup_spectra.errors import (
 from gup_spectra.oracle import expectation_unified, matrix_element_direct
 from gup_spectra.solutions import (
     classify_physical,
+    default_p0,
     gram_matrix,
     metric_generic,
     native_quadrature,
@@ -125,7 +126,7 @@ class TestClassification:
 
     @pytest.mark.parametrize("call", [
         classify_physical, solve, coefficients, transformed_potential, metric_generic,
-        lambda model, rep, params: expectation_unified(model, params, 0, "H"),
+        default_p0, lambda model, rep, params: expectation_unified(model, params, 0, "H"),
     ])
     def test_swanson_outside_solved_regime_rejected(self, call):
         # Omega = alpha + beta + hbar omega = -2
@@ -155,6 +156,9 @@ class TestClassification:
         # the closed-form potential has no commutative limit to fall back on
         with pytest.raises(ParameterError):
             transformed_potential(model, R.PI1, params)
+        # nor has the generic transform an anchor there
+        with pytest.raises(IntrinsicNoncommutativity):
+            default_p0(model, R.PI1, params)
 
     def test_broken_swanson_energies_complex(self):
         sol = solve(Swanson(2.0, 0.1), R.PI1, DeformationParams(tau=0.5))

@@ -386,3 +386,96 @@ class TestJets:
         f = zj * zj * zj
         fp = f.derivative()
         assert np.allclose(fp.value, 3 * z * z, atol=1e-14)
+
+    @pytest.mark.parametrize("order", range(9))
+    def test_product_matches_leibniz_loop_bitwise(self, order):
+        rng = np.random.default_rng(order)
+        for sa, sb in _ROW_SHAPES:
+            for ca, cb in ((False, False), (True, True), (False, True), (True, False)):
+                a = _random_rows(rng, order, sa, ca)
+                b = _random_rows(rng, order + 1, sb, cb)  # orders may differ
+                got = (Jet(a) * Jet(b)).d
+                ref = _leibniz_product(a, b)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("order", range(9))
+    def test_power_matches_recurrence_loop_bitwise(self, order):
+        rng = np.random.default_rng(100 + order)
+        for shape, cplx in ((s, c) for s, _ in _ROW_SHAPES for c in (False, True)):
+            u = _random_rows(rng, order, shape, cplx)
+            u[0] = 3.0 + np.abs(u[0])
+            for sigma in (0.5, -0.5, -1.0, 1.7, 2, 3, -2):
+                got = Jet(u).power(sigma).d
+                ref = _leibniz_power(u, sigma)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_one_point_and_scalar_rows_bitwise(self):
+        # numpy sums a single column pairwise from eight terms on; the rows
+        # here have up to 15 terms.  Scalar rows are real: numpy scalars
+        # multiply complex numbers in other code than arrays do.
+        rng = np.random.default_rng(7)
+        for order in range(9):
+            for shape, cplx in (((1,), False), ((1,), True), ((), False), ((1, 1), True)):
+                a = _random_rows(rng, order, shape, cplx)
+                b = _random_rows(rng, order, shape, cplx)
+                got = (Jet(a) * Jet(b)).d
+                assert got.tobytes() == _leibniz_product(a, b).tobytes()
+                a[0] = 2.0 + np.abs(a[0])
+                assert Jet(a).power(-0.5).d.tobytes() == _leibniz_power(a, -0.5).tobytes()
+
+    def test_signed_zeros_bitwise(self):
+        # rows of zeros make terms of -0.0; the loop starts each sum at +0.0
+        z = np.linspace(-0.9, 0.9, 6)
+        for order in range(9):
+            zj = Jet.variable(z, order)
+            neg = Jet.constant(-2.0, z, order)
+            for a, b in ((neg, neg), (neg, zj), (zj * -1.0, zj * -1.0)):
+                assert (a * b).d.tobytes() == _leibniz_product(a.d, b.d).tobytes()
+            u = (1.0 - zj * zj).d
+            assert Jet(u).power(-0.5).d.tobytes() == _leibniz_power(u, -0.5).tobytes()
+
+    def test_order_beyond_binomial_table_rejected(self):
+        zj = Jet.variable(np.array([0.1, 0.2]), 33)
+        with pytest.raises(ValueError):
+            zj * zj
+        with pytest.raises(ValueError):
+            (1.0 + zj).power(0.5)
+
+
+# rows shapes of the two factors, broadcast against each other
+_ROW_SHAPES = (((6,), (6,)), ((3, 1), (4,)), ((5,), ()), ((2, 3), (1, 3)), ((1,), (4,)))
+
+
+def _random_rows(rng, order, shape, cplx):
+    shape = (order + 1,) + shape
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    if cplx:
+        rows = rows + 1j * rng.standard_normal(rows.shape)
+    return rows
+
+
+def _leibniz_product(a, b):
+    """Reference: the scalar Leibniz double loop, each sum from 0.0."""
+    k = min(a.shape[0], b.shape[0]) - 1
+    rows = np.empty((k + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
+                    dtype=np.result_type(a.dtype, b.dtype))
+    for n in range(k + 1):
+        acc = 0.0
+        for j in range(n + 1):
+            acc = acc + math.comb(n, j) * a[j] * b[n - j]
+        rows[n] = acc
+    return rows
+
+
+def _leibniz_power(u, sigma):
+    """Reference: the scalar loop of the recurrence u w' = sigma u' w."""
+    rows = np.empty_like(u, dtype=np.result_type(u.dtype, type(sigma), float))
+    rows[0] = u[0].astype(rows.dtype) ** sigma
+    for n in range(u.shape[0] - 1):
+        acc = 0.0
+        for j in range(n + 1):
+            acc = acc + math.comb(n, j) * (sigma * u[j + 1] * rows[n - j])
+        for j in range(1, n + 1):
+            acc = acc - math.comb(n, j) * u[j] * rows[n + 1 - j]
+        rows[n + 1] = acc / u[0]
+    return rows
