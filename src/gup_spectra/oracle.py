@@ -2,12 +2,23 @@
 
 The eigensolver discretizes -phi'' + V phi = E phi on a half-step-offset
 uniform grid and extracts the lowest eigenvalues of the symmetric tridiagonal
-matrix by LAPACK Sturm-sequence bisection.  Singular endpoints are handled by
-measuring the inverse-square wall coefficient gamma = lim d^2 V directly from
-the potential, eliminating the first interior row with the local power-law
-ratio (exponent s = (1 + sqrt(1+4 gamma))/2), and extrapolating over grids
-N, 2N, 4N with the wall-derived error exponents.  Everything is computed from
-V alone, keeping the check independent of the closed forms it validates.
+matrix T.  Singular endpoints are handled by measuring the inverse-square wall
+coefficient gamma = lim d^2 V directly from the potential, eliminating the
+first interior row with the local power-law ratio (exponent
+s = (1 + sqrt(1+4 gamma))/2), and extrapolating over grids N, 2N, 4N with the
+wall-derived error exponents.
+
+Only the base grid N is bisected (LAPACK stebz, Sturm sequences).  Every grid
+then polishes its seeds by shifted inverse iteration (one dgttrf per seed,
+then dgttrs solves): the base grid its own bisected values, grids 2N and 4N
+the values of the grid below, which are already right to about h^2.  A grid
+keeps the polished values only under a certificate: disjoint residual
+intervals, a Sturm count (stebz, range "V") with exactly the expected number
+of eigenvalues below them, and Kato-Temple bounds min(|r|, |r|^2 / gap) of at
+most eps * ||T||_1, the tolerance bisection stops at (Parlett, The Symmetric
+Eigenvalue Problem, SIAM 1998).  A grid whose values do not certify is
+bisected instead.  Everything is computed from V alone, never seeded from the
+closed forms, keeping the check independent of what it validates.
 
 Expectation values come in two independent flavors:
 
@@ -59,6 +70,10 @@ __all__ = [
 ]
 
 _V_CAP = 1e12
+_EPS = float(np.finfo(float).eps)
+# Inverse-iteration solves per seed: a bisected seed certifies after one or
+# two, a seed from the grid below after two or three.
+_POLISH_STEPS = 6
 
 
 # scipy takes about 0.3 s to import and only the FD oracle and the unified
@@ -82,6 +97,8 @@ class EigenProblem:
 
     ``singular_endpoints`` enables the wall-coefficient measurement; with it
     off, both ends are treated as plain regular Dirichlet walls.
+    ``grid_size`` is the base grid N: it is bisected, and N, 2N and 4N are
+    polished and certified (see ``fd_eigenvalues``).
     """
 
     V: Callable[[np.ndarray], np.ndarray]
@@ -109,6 +126,9 @@ class SpectrumResult:
     extrapolated: bool = True
     error_estimates: np.ndarray | None = None
     wall_exponents: tuple[float, float] = (math.inf, math.inf)
+    # per grid: True where the polished values certified, False where the
+    # grid fell back to bisection
+    certified: tuple[bool, ...] = ()
 
 
 def _wall_gamma(V, q_wall, side, scale):
@@ -128,7 +148,8 @@ def _wall_exponent(gamma):
     return 0.5 * (1.0 + math.sqrt(disc))
 
 
-def _fd_once(V, lo, hi, n, count, s_lo, s_hi):
+def _fd_matrix(V, lo, hi, n, s_lo, s_hi):
+    """Diagonal and off-diagonal of the interior FD matrix on grid n."""
     h = (hi - lo) / n
     x = lo + (np.arange(n) + 0.5) * h
     v = np.clip(np.asarray(V(x), dtype=float), -_V_CAP, _V_CAP)
@@ -136,9 +157,85 @@ def _fd_once(V, lo, hi, n, count, s_lo, s_hi):
     e = np.full(n - 1, -1.0 / h ** 2)
     d[1] -= (1.0 / 3.0) ** s_lo / h ** 2
     d[n - 2] -= (1.0 / 3.0) ** s_hi / h ** 2
-    return eigvalsh_tridiagonal(d[1:n - 1], e[1:n - 2], select="i",
-                                select_range=(0, count - 1),
+    return d[1:n - 1], e[1:n - 2]
+
+
+def _bisect(d, e, count):
+    """Lowest ``count`` eigenvalues by Sturm bisection to stebz's default
+    tolerance eps * ||T||_1."""
+    return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
                                 lapack_driver="stebz")
+
+
+def _gaps(values, radii):
+    """Distance from each value to the nearest edge of its neighbours'
+    intervals [value - radius, value + radius]; inf where there is none."""
+    gap = np.full(values.shape, np.inf)
+    gap[1:] = values[1:] - (values[:-1] + radii[:-1])
+    gap[:-1] = np.minimum(gap[:-1], (values[1:] - radii[1:]) - values[:-1])
+    return gap
+
+
+def _polish(d, e, seeds):
+    """Certified inverse-iteration refinement of ``seeds``, or None.
+
+    ``seeds`` approximate the lowest len(seeds) eigenvalues of the symmetric
+    tridiagonal T = (d, e) in ascending order; the last is a guard that only
+    bounds the one below it.  Each seed sigma factors T - sigma I once and
+    iterates solves from a fixed-seed random vector; the Rayleigh quotient
+    of the iterate y of v is sigma + (y . v) / (y . y), with the residual r
+    of the normalised iterate taken explicitly.  A seed stops once its
+    Kato-Temple bound min(|r|, |r|^2 / gap), with gap half the distance to
+    the neighbouring seeds, is below eps * ||T||_1.
+
+    The values are returned only when they certify: the intervals
+    value +- |r| are disjoint, a Sturm count puts exactly len(seeds)
+    eigenvalues at or below the guard's interval, so each interval holds its
+    own eigenvalue, and every Kato-Temple bound below the guard, now with
+    the gaps to the neighbouring intervals, is at most eps * ||T||_1, the
+    tolerance bisection stops at.
+    """
+    from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
+
+    row = np.abs(d)
+    row[:-1] += np.abs(e)
+    row[1:] += np.abs(e)
+    norm1 = float(row.max())
+    tol = _EPS * norm1
+    start = np.random.default_rng(1).uniform(-1.0, 1.0, d.size)
+    half_gap = (0.5 * _gaps(seeds, np.zeros_like(seeds))).tolist()
+    values = np.empty_like(seeds)
+    resid = np.empty_like(seeds)
+    for i, sigma in enumerate(seeds.tolist()):
+        *lu, info = dgttrf(e, d - sigma, e)
+        if info != 0:
+            return None
+        v = start
+        for _ in range(_POLISH_STEPS):
+            y = dgttrs(*lu, v)[0]
+            yy = float(y @ y)
+            lam = sigma + float(y @ v) / yy
+            v = y / math.sqrt(yy)
+            tv = d * v
+            tv[:-1] += e * v[1:]
+            tv[1:] += e * v[:-1]
+            r = float(np.linalg.norm(tv - lam * v))
+            if r <= tol or r * r <= tol * half_gap[i]:
+                break
+        values[i], resid[i] = lam, r
+    if not np.all(values[:-1] + resid[:-1] < values[1:] - resid[1:]):
+        return None
+    # range "V" (1) from below the spectrum; a tolerance wider than the
+    # spectrum stops stebz once it has counted, before any bisection
+    m, *_, info = dstebz(d, e, 1, -2.0 * norm1, values[-1] + resid[-1], 0, 0,
+                         4.0 * norm1, "E")
+    if info != 0 or m != values.size:
+        return None
+    gap = _gaps(values, resid)[:-1]
+    kept = resid[:-1]
+    if not np.all((kept <= tol) | (kept * kept <= tol * gap)):
+        return None
+    return values
 
 
 def _error_exponents(s_lo, s_hi):
@@ -153,7 +250,18 @@ def _error_exponents(s_lo, s_hi):
 
 
 def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
-    """Lowest ``count`` eigenvalues with grid-tripling extrapolation."""
+    """Lowest ``count`` eigenvalues with grid-tripling extrapolation.
+
+    The base grid bisects count + 1 eigenvalues; the extra one is a guard
+    whose residual interval bounds the gap above the top requested level.
+    Each grid then refines its seeds by certified inverse iteration
+    (``_polish``), seeded by the base grid's bisection or the grid below.
+    A grid that fails the certificate falls back to bisection: the base
+    grid keeps its bisected values, a refined grid bisects afresh.
+    ``SpectrumResult.certified`` records which grids certified.  The raw
+    values then go through Richardson extrapolation with the wall-derived
+    exponents, and ConvergenceFailure is raised where the grids disagree.
+    """
     if count < 1:
         raise ParameterError("count must be positive")
     if count > problem.grid_size // 8:
@@ -166,7 +274,18 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
     else:
         s_lo = s_hi = 1.0
     grids = (problem.grid_size, 2 * problem.grid_size, 4 * problem.grid_size)
-    raw = [_fd_once(V, lo, hi, n, count, s_lo, s_hi) for n in grids]
+    seeds, raw, certified = None, [], []
+    for n in grids:
+        d, e = _fd_matrix(V, lo, hi, n, s_lo, s_hi)
+        base = seeds is None
+        if base:
+            seeds = _bisect(d, e, count + 1)
+        values = _polish(d, e, seeds)
+        certified.append(values is not None)
+        if values is None:
+            values = seeds if base else _bisect(d, e, count + 1)
+        seeds = values
+        raw.append(values[:count])
     p1, p2 = _error_exponents(s_lo, s_hi)
     r1 = 2.0 ** p1
     a1 = (r1 * raw[1] - raw[0]) / (r1 - 1.0)
@@ -183,7 +302,7 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
             f"{err[bad]} on levels {np.nonzero(bad)[0]}")
     return SpectrumResult(eigenvalues=best, grid_sizes=grids, raw=raw,
                           extrapolated=True, error_estimates=err,
-                          wall_exponents=(s_lo, s_hi))
+                          wall_exponents=(s_lo, s_hi), certified=tuple(certified))
 
 
 @dataclass

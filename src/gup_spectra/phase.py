@@ -22,6 +22,8 @@ square in the last bit.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,19 +42,48 @@ __all__ = [
 
 _BOUNDARY_TOL = 1e-9
 _NEWTON_STEPS = 60
+# longest cycle of Newton iterates detected; the boundary roots past the
+# reach of |D| < 1e-9 cycle with periods 2 to 4
+_CYCLE = 4
+# outside [_TAU_MIN, _TAU_MAX], tau^2 (the leading coefficient in beta)
+# underflows or overflows
+_TAU_MIN = math.sqrt(sys.float_info.min)
+_TAU_MAX = math.sqrt(sys.float_info.max)
+
+
+def _check_tau(tau):
+    if not tau >= 0:
+        raise ParameterError("tau must be >= 0")
+    if 0.0 < tau < _TAU_MIN:
+        raise ParameterError(f"tau = {tau!r} is too small: tau^2 underflows; "
+                             "use tau = 0 for the undeformed boundary")
+    if tau > _TAU_MAX:
+        raise ParameterError(f"tau = {tau!r} is too large: tau^2 overflows")
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
-    """x ** 2 per element with Python's float power, as the scalar loop took it."""
-    return np.array([v ** 2 for v in x.tolist()])
+    """x ** 2 per element with Python's float power, as the scalar loop took it.
+
+    Python's power raises OverflowError where numpy's would return inf; a
+    quadratic that far out has no representable boundary."""
+    try:
+        return np.array([v ** 2 for v in x.tolist()])
+    except OverflowError:
+        raise ParameterError("the boundary quadratic overflows double precision "
+                             "at this tau and alpha window") from None
 
 
 def _polish(alpha, beta, tau, params):
     """Newton polish of D(beta) = 0 per element, with the derivative in closed
-    form; NaN where |D| < 1e-9 is out of reach or the slope vanishes."""
+    form; NaN where |D| < 1e-9 is out of reach or the slope vanishes.
+
+    The iteration is deterministic, so an element whose beta comes back to
+    one of its last _CYCLE values repeats that cycle for good without
+    converging; it leaves at once as NaN."""
     hw = params.hbar * params.omega
     out = np.full(beta.shape, np.nan)
     live = np.arange(beta.size)
+    seen = np.full((_CYCLE, beta.size), np.nan)
     for step in range(_NEWTON_STEPS + 1):
         d = discriminant(alpha, beta, tau, params)
         done = np.abs(d) < _BOUNDARY_TOL
@@ -60,10 +91,11 @@ def _polish(alpha, beta, tau, params):
         if step == _NEWTON_STEPS:
             break
         slope = -16.0 * alpha + 2.0 * tau ** 2 * (alpha + beta + hw) - 4.0 * tau * hw
-        go = ~done & (slope != 0.0)
+        go = ~done & (slope != 0.0) & ~(seen == beta).any(axis=0)
         if not go.any():
             break
         live, alpha, beta, d, slope = live[go], alpha[go], beta[go], d[go], slope[go]
+        seen = np.vstack((seen[1:, go], beta))
         beta = beta - d / slope
     return out
 
@@ -96,7 +128,10 @@ def _boundary_roots(alpha: np.ndarray, tau: float, params: DeformationParams):
     b_q, c_q = b_q[at], c_q[at]
     qq = -0.5 * (b_q + np.copysign(np.sqrt(disc[at]), b_q))
     cand = np.full((2, at.size), np.nan)
-    cand[0] = qq / a_q
+    with np.errstate(over="ignore"):
+        cand[0] = qq / a_q
+    # a root past the double range is no root
+    cand[0, np.isinf(cand[0])] = np.nan
     nonzero = qq != 0.0
     cand[1, nonzero] = c_q[nonzero] / qq[nonzero]
     alphas = np.broadcast_to(alpha[at], cand.shape)
@@ -118,8 +153,7 @@ def boundary_beta(alpha: float, tau: float,
     no root with Omega > 0 is left, so the list is never empty.
     """
     params = params or DeformationParams()
-    if tau < 0:
-        raise ParameterError("tau must be >= 0")
+    _check_tau(tau)
     roots, real = _boundary_roots(np.array([alpha], dtype=float), float(tau), params)
     if not real[0]:
         raise NoRoot("no finite boundary at alpha = 0, tau = 0" if tau == 0.0
@@ -147,8 +181,8 @@ class PhaseQuery:
             raise ParameterError("need alpha_lo < alpha_hi")
         if self.alpha_steps < 2:
             raise ParameterError("need at least 2 alpha samples")
-        if any(t < 0 for t in self.tau_list):
-            raise ParameterError("tau values must be >= 0")
+        for tau in self.tau_list:
+            _check_tau(tau)
 
 
 @dataclass

@@ -193,6 +193,15 @@ class TestPhaseCommand:
                              "--alpha-hi", "16", "--alpha-steps", "16", "--check")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ("--taus", "0.5", "--alpha-lo", "1", "--alpha-hi", "1e160", "--alpha-steps", "5"),
+        ("--taus", "1e-163", "--alpha-steps", "5"),
+    ])
+    def test_unrepresentable_query_exit_code(self, capsys, argv):
+        code, out, err = run_cli(capsys, "phase", *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure:") and "warnings" not in err
+
     def test_readme_example_matches_snapshot(self, capsys):
         # tests/data/phase_readme.csv is this command's output before the
         # phase scan was vectorized; the CSV must not change by one byte

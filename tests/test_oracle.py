@@ -110,6 +110,92 @@ class TestVerifySpectrum:
             verify_spectrum(Swanson(2.0, 0.1), R.PI1, DeformationParams(tau=0.5))
 
 
+def _problem(case):
+    """EigenProblem for a named case: the box or (model, rep, tau)."""
+    if case == "box":
+        return EigenProblem(V=lambda q: np.zeros_like(q), q_lo=0.0, q_hi=math.pi)
+    model, rep, tau = case
+    pot = transformed_potential(model, rep, DeformationParams(tau=tau))
+    return EigenProblem(V=pot.V, q_lo=pot.q_lo, q_hi=pot.q_hi)
+
+
+def _grid_matrices(problem, res):
+    s_lo, s_hi = res.wall_exponents
+    return [oracle._fd_matrix(problem.V, problem.q_lo, problem.q_hi, n, s_lo, s_hi)
+            for n in res.grid_sizes]
+
+
+POLISH_CASES = [
+    "box",
+    (HarmonicOscillator(), R.PI1, 0.25),
+    (HarmonicOscillator(), R.PI1, 1e-3),
+    (Swanson(0.1, 0.2), R.PI4, 0.01),
+    (PoschlTeller(1.0, 0.5), R.PI1, 1.0),
+]
+
+
+class TestPolishedEigensolver:
+    """Bisection on the base grid, certified inverse iteration on every grid."""
+
+    @pytest.mark.parametrize("case", POLISH_CASES)
+    def test_raw_values_match_tight_bisection(self, case):
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        count = 6
+        problem = _problem(case)
+        res = fd_eigenvalues(problem, count)
+        assert res.certified == (True, True, True)
+        for raw, (d, e) in zip(res.raw, _grid_matrices(problem, res)):
+            tight = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
+                                         lapack_driver="stebz", tol=1e-300)
+            norm1 = np.max(np.abs(d) + 2.0 * np.abs(e[0]))
+            assert np.max(np.abs(raw - tight)) <= np.finfo(float).eps * norm1
+
+    def test_bisects_the_base_grid_only(self, monkeypatch):
+        rows = []
+        real = oracle.eigvalsh_tridiagonal
+
+        def counting(d, e, **kwargs):
+            rows.append(len(d))
+            return real(d, e, **kwargs)
+
+        monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", counting)
+        res = fd_eigenvalues(_problem(POLISH_CASES[1]), 4)
+        assert res.certified == (True, True, True)
+        assert rows == [2046]
+
+    def test_duplicate_seeds_do_not_certify(self):
+        problem = _problem(POLISH_CASES[1])
+        res = fd_eigenvalues(problem, 3)
+        d, e = _grid_matrices(problem, res)[0]
+        seeds = oracle._bisect(d, e, 4)
+        assert oracle._polish(d, e, seeds) is not None
+        assert oracle._polish(d, e, seeds[[0, 0, 1, 2]]) is None
+
+    def test_fallback_returns_the_bisection_values(self, monkeypatch):
+        real = oracle._polish
+
+        # duplicated seeds fail the certificate on every grid
+        def duplicated(d, e, seeds):
+            return real(d, e, np.repeat(seeds, 2)[:seeds.size])
+
+        count = 4
+        problem = _problem(POLISH_CASES[3])
+        monkeypatch.setattr(oracle, "_polish", duplicated)
+        res = fd_eigenvalues(problem, count)
+        assert res.certified == (False, False, False)
+        for raw, (d, e) in zip(res.raw, _grid_matrices(problem, res)):
+            bisected = oracle._bisect(d, e, count + 1)[:count]
+            assert raw.tobytes() == bisected.tobytes()
+
+    def test_reruns_are_bit_identical(self):
+        problem = _problem(POLISH_CASES[4])
+        first = fd_eigenvalues(problem, 6)
+        second = fd_eigenvalues(problem, 6)
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+        assert [r.tobytes() for r in first.raw] == [r.tobytes() for r in second.raw]
+
+
 class TestWordParsing:
     def test_strings(self):
         assert parse_word("X2") == [(1.0, [("X", 2)])]

@@ -67,6 +67,72 @@ class TestBoundary:
             assert abs(discriminant(alpha, beta, tau)) < 1e-9
 
 
+class TestTauRange:
+    """tau must keep tau^2 a normal double: smaller or larger values, NaN
+    and inf are refused with ParameterError instead of warnings."""
+
+    @pytest.mark.parametrize("tau", [1e-163, 1e-160, 1e-155, math.nan, math.inf, 1e200])
+    def test_unrepresentable_tau_refused(self, tau):
+        with pytest.raises(ParameterError):
+            PhaseQuery(params=DeformationParams(), alpha_lo=0.5, alpha_hi=16.0,
+                       alpha_steps=5, tau_list=(0.25, tau))
+        with pytest.raises(ParameterError):
+            boundary_beta(2.0, tau)
+
+    def test_smallest_normal_tau_scans_quietly(self):
+        # the upper root q / tau^2 overflows here; only the lower one is kept
+        query = PhaseQuery(params=DeformationParams(), alpha_lo=0.5, alpha_hi=16.0,
+                           alpha_steps=5, tau_list=(1.5e-154,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (curve,) = scan(query)
+        assert len(curve.points) == 5
+        assert curve.points[-1] == (16.0, 0.015625)
+
+
+def _count_newton_steps(monkeypatch):
+    """Record the beta array of every discriminant evaluation in phase."""
+    from gup_spectra import phase
+
+    steps = []
+    real = phase.discriminant
+
+    def counting(alpha, beta, tau, params):
+        steps.append(np.array(beta, dtype=float, copy=True))
+        return real(alpha, beta, tau, params)
+
+    monkeypatch.setattr(phase, "discriminant", counting)
+    return steps
+
+
+class TestNewtonCycle:
+    """Roots past the reach of |D| < 1e-9 cycle; they leave the Newton loop
+    as soon as an iterate repeats, with the same (dropped) outcome."""
+
+    def test_two_cycle_leaves_early(self, monkeypatch):
+        # an upper root near 1e10 where |D| < 1e-9 is below D's round-off:
+        # beta alternates between two floats and can never converge
+        from gup_spectra import phase
+
+        steps = _count_newton_steps(monkeypatch)
+        params = DeformationParams(hbar=0.547085329217715, omega=0.1467128532956946)
+        out = phase._polish(np.array([30.573692021871985]),
+                            np.array([10514589723.736269]), 0.00021569386787482784,
+                            params)
+        assert np.isnan(out[0])
+        assert len(steps) < 10
+        assert steps[-1][0] == steps[-3][0]
+
+    def test_longer_cycles_leave_early(self, monkeypatch):
+        # at tau = 0.01 on the README window 106 upper roots never polish,
+        # cycling with periods 2, 3 and 4
+        steps = _count_newton_steps(monkeypatch)
+        (curve,) = scan(PhaseQuery(params=DeformationParams(), alpha_lo=0.5,
+                                   alpha_hi=16.0, alpha_steps=300, tau_list=(0.01,)))
+        assert len(curve.points) == 300
+        assert len(steps) < 15
+
+
 class TestRealityWindow:
     def test_inverse_square_model(self):
         assert pt_model_reality(1.0, 0.5, 0.25)
