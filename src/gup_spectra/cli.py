@@ -47,22 +47,6 @@ from .solutions import (
 
 SCHEMA = "gup-spectra/1"
 
-_DEFAULTS = {
-    "model": "ho",
-    "rep": "pi1",
-    "hbar": 1.0,
-    "mass": 1.0,
-    "omega": 1.0,
-    "tau": 0.1,
-    "alpha": 0.1,
-    "beta": 0.2,
-    "nmax": 5,
-    "grid": 2048,
-    "tol": 1e-5,
-    "format": "csv",
-    "out": "",
-}
-
 _MODELS = {
     "ho": "ho", "harmonic-oscillator": "ho", "harmonic_oscillator": "ho",
     "swanson": "swanson",
@@ -135,6 +119,10 @@ class RunConfig:
 
     def as_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+# the config-file keys and their defaults, in declaration order
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _read_config_file(path) -> dict:

@@ -56,6 +56,7 @@ from .solutions import (
     transformed_potential,
 )
 from .specfun import JacobiSpec, LegendreSpec, assoc_legendre_jet, jacobi_jet
+from .specfun import gauss_jacobi as roots_jacobi
 
 __all__ = [
     "EigenProblem",
@@ -76,19 +77,14 @@ _EPS = float(np.finfo(float).eps)
 _POLISH_STEPS = 6
 
 
-# scipy takes about 0.3 s to import and only the FD oracle and the unified
-# engine call it, so these two import their routine on the first call.  They
-# stay module attributes: callers and instrumentation look them up here.
+# scipy takes about 0.3 s to import and only the FD oracle calls it, so the
+# oracle imports its routines on first use.  This one stays a module
+# attribute, as does the numpy Gauss-Jacobi rule ``roots_jacobi`` imported
+# above: callers and instrumentation look both up here.
 def eigvalsh_tridiagonal(d, e, **kwargs):
     """scipy.linalg.eigvalsh_tridiagonal, imported on first use."""
     from scipy.linalg import eigvalsh_tridiagonal as impl
     return impl(d, e, **kwargs)
-
-
-def roots_jacobi(n, alpha, beta):
-    """scipy.special.roots_jacobi, imported on first use."""
-    from scipy.special import roots_jacobi as impl
-    return impl(n, alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -399,7 +395,8 @@ def _gauss_jacobi(quad_order, alpha, beta):
     """Read-only Gauss-Jacobi rule for the weight (1-z)^alpha (1+z)^beta.
 
     It depends only on the model's exponents, so every level and word of one
-    (model, params) shares it.
+    (model, params) shares it.  Its weights sum to 1, not to the weight's
+    mass, which overflows at small tau; the engine only forms acc / norm.
     """
     rule = roots_jacobi(quad_order, alpha, beta)
     for arr in rule:

@@ -141,6 +141,16 @@ def _boundary_roots(alpha: np.ndarray, tau: float, params: DeformationParams):
     return roots, real
 
 
+def _emitted(alpha, beta, tau, params):
+    """Polished roots as emitted: rounded to 15 decimals, or left unrounded
+    where the rounded root fails |D| < 1e-9.  At small tau |dD/dbeta| is
+    about 16 |alpha|, so from alpha ~ 1e7 on a rounding of 5e-16 alone can
+    move D by 1e-7."""
+    rounded = np.array([round(b, 15) for b in beta.tolist()])
+    ok = np.abs(discriminant(alpha, rounded, tau, params)) < _BOUNDARY_TOL
+    return np.where(ok, rounded, beta)
+
+
 def boundary_beta(alpha: float, tau: float,
                   params: DeformationParams | None = None) -> list[float]:
     """Real beta roots of D(alpha, beta, tau) = 0 with Omega > 0, ascending.
@@ -148,9 +158,10 @@ def boundary_beta(alpha: float, tau: float,
     The one-alpha case of the kernel ``scan`` runs over a whole window.
     tau = 0 reduces to the hyperbola alpha * beta = hw^2 / 4.  For tau > 0
     the quadratic is solved with the cancellation-stable formulation and each
-    root is Newton-polished until |D| < 1e-9, then rounded to 15 decimals.
-    A root that does not get there is left out, and NoRoot is raised when
-    no root with Omega > 0 is left, so the list is never empty.
+    root is Newton-polished until |D| < 1e-9, then rounded to 15 decimals
+    unless the rounded root fails |D| < 1e-9.  A root that does not polish
+    is left out, and NoRoot is raised when no root with Omega > 0 is left,
+    so the list is never empty.
     """
     params = params or DeformationParams()
     _check_tau(tau)
@@ -158,14 +169,14 @@ def boundary_beta(alpha: float, tau: float,
     if not real[0]:
         raise NoRoot("no finite boundary at alpha = 0, tau = 0" if tau == 0.0
                      else f"D > 0 for all beta at alpha={alpha}, tau={tau}")
-    kept = roots[~np.isnan(roots)].tolist()
-    if not kept:
+    kept = roots[~np.isnan(roots)]
+    if not kept.size:
         raise NoRoot("boundary root violates Omega > 0" if tau == 0.0
                      else f"no polished boundary root with Omega > 0 at "
                           f"alpha={alpha}, tau={tau}")
     if tau == 0.0:
-        return kept
-    return sorted(set(round(r, 15) for r in kept))
+        return kept.tolist()
+    return sorted(set(_emitted(float(alpha), kept, float(tau), params).tolist()))
 
 
 @dataclass(frozen=True)
@@ -219,8 +230,10 @@ def scan(query: PhaseQuery) -> list[PhaseCurve]:
         kept = ~np.isnan(lower)
         alpha, beta = alphas[kept], lower[kept]
         if tau != 0.0:
-            # round is monotone: the rounded lower root is the lowest rounded root
-            beta = np.array([round(b, 15) for b in beta.tolist()])
+            # every emitted root is within 5e-16 of its polished root, so
+            # unless the two roots are closer than 1e-15 the emitted lower
+            # root is the lowest one boundary_beta emits
+            beta = _emitted(alpha, beta, float(tau), query.params)
         bad = np.abs(discriminant(alpha, beta, float(tau), query.params)) >= _BOUNDARY_TOL
         if bad.any():
             raise NoRoot(f"emitted point failed re-verification at "

@@ -41,6 +41,7 @@ __all__ = [
     "LegendreSpec",
     "JacobiSpec",
     "gauss_legendre_nodes",
+    "gauss_jacobi",
     "integrate_adaptive",
     "gegenbauer",
     "assoc_legendre",
@@ -106,6 +107,104 @@ def gauss_legendre_nodes(count: int):
     if count < 1:
         raise ParameterError("node count must be positive")
     return _leggauss_cached(int(count))
+
+
+def _jacobi_chain(m: int, a: float, b: float):
+    """Chain sequence of the weight (1-t)^a t^b on (0, 1), degrees 0..m-1.
+
+    Returns (odd, even), the z_{2k+1} and z_{2k} of (Chihara, An
+    Introduction to Orthogonal Polynomials, 1978), with s = a + b:
+
+        z_{2k}   = k (k+a) / ((2k+s)(2k+s+1)),              k >= 1, z_0 = 0,
+        z_{2k+1} = (k+b+1)(k+s+1) / ((2k+s+1)(2k+s+2)),     k >= 0.
+
+    The Jacobi matrix in t is L L^T, with L lower bidiagonal: sqrt(z_{2k+1})
+    on the diagonal and sqrt(z_{2k}) below it.  So its diagonal is
+    z_{2k} + z_{2k+1} and its off-diagonal sqrt(z_{2k-1} z_{2k}).  Every z is
+    positive, so an entry near t = 0 keeps its relative precision, which the
+    same entry formed on u = 2t - 1 would cancel away.  z_1 takes its limit
+    form (b+1)/(s+2), finite at a + b = -1.
+    """
+    k = np.arange(1.0, m)
+    s = a + b
+    odd = np.empty(m)
+    odd[0] = (b + 1.0) / (s + 2.0)
+    odd[1:] = (k + b + 1.0) * (k + s + 1.0) / ((2.0 * k + s + 1.0) * (2.0 * k + s + 2.0))
+    even = np.zeros(m)
+    even[1:] = k * (k + a) / ((2.0 * k + s) * (2.0 * k + s + 1.0))
+    return odd, even
+
+
+def _christoffel_weights(t, odd, even):
+    """Unit-mass Gauss weights 1 / sum_k p_k(t)^2 at the nodes t (Christoffel).
+
+    p_k are the orthonormal polynomials of the chain's recurrence, p_0 = 1.
+    Near the ends of a rule concentrated by large exponents the sum can pass
+    the double range: those weights lie below 1e-308 of the mass and come
+    out as 0.
+    """
+    diag = (odd + even).tolist()
+    off = np.sqrt(odd[:-1] * even[1:]).tolist()
+    prev = np.zeros_like(t)
+    cur = np.ones_like(t)
+    total = np.ones_like(t)
+    below = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d, above in zip(diag, off):
+            prev, cur = cur, ((t - d) * cur - below * prev) * (1.0 / above)
+            total += cur * cur
+            below = above
+    # an overflowed sum is inf, or NaN once inf - inf followed
+    return np.where(np.isnan(total), 0.0, 1.0 / total)
+
+
+def gauss_jacobi(m: int, alpha: float, beta: float):
+    """Gauss-Jacobi rule for (1-x)^alpha (1+x)^beta on (-1, 1), in numpy.
+
+    Called like ``scipy.special.roots_jacobi``, with ascending nodes, but
+    the weights sum to 1, not to the mass 2^(alpha+beta+1) B(alpha+1,
+    beta+1), which overflows for large exponents.  Golub-Welsch (Math.
+    Comp. 23 (1969) 221): the nodes are the eigenvalues of the dense Jacobi
+    matrix (only the lower triangle, which ``eigvalsh`` reads, is filled) in
+    t = (1 -+ x)/2, measured from the end with the smaller exponent, where
+    the nodes crowd and the chain keeps its relative precision.
+
+    For alpha == beta and even m the weight in x^2 = t is (1-t)^alpha
+    t^(-1/2) on (0, 1), and the rule is +-sqrt(t) of that weight's
+    m/2-point rule, with half its weights.  Those sqrt(t) are the singular
+    values of the chain's bidiagonal factor, which LAPACK computes to high
+    relative accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11 (1990)
+    873).  The square roots of eigenvalues accurate to eps would be off by
+    about 2e-12 relative at the nodes nearest x = 0, where the weights are
+    largest.
+    """
+    if m < 1 or m != int(m):
+        raise ParameterError(f"node count must be a positive integer, got {m}")
+    if not (alpha > -1.0 and beta > -1.0):
+        raise ParameterError(
+            f"Jacobi exponents must exceed -1, got alpha={alpha}, beta={beta}")
+    m = int(m)
+    if alpha == beta and m % 2 == 0:
+        half = m // 2
+        odd, even = _jacobi_chain(half, alpha, -0.5)
+        # L^T: LAPACK's reduction to bidiagonal form leaves an upper
+        # bidiagonal matrix exactly as it is
+        upper = np.zeros((half, half))
+        upper.flat[::half + 1] = np.sqrt(odd)
+        upper.flat[1::half + 1] = np.sqrt(even[1:])
+        r = np.linalg.svd(upper, compute_uv=False)[::-1]
+        w = 0.5 * _christoffel_weights(r * r, odd, even)
+        return np.concatenate((-r[::-1], r)), np.concatenate((w[::-1], w))
+    flip = alpha < beta
+    odd, even = _jacobi_chain(m, *((beta, alpha) if flip else (alpha, beta)))
+    mat = np.zeros((m, m))
+    mat.flat[::m + 1] = odd + even
+    mat.flat[m::m + 1] = np.sqrt(odd[:-1] * even[1:])
+    t = np.linalg.eigvalsh(mat)
+    w = _christoffel_weights(t, odd, even)
+    if flip:
+        return 1.0 - 2.0 * t[::-1], w[::-1]
+    return 2.0 * t - 1.0, w
 
 
 def integrate_adaptive(f, order: int = 128, tol: float = 1e-11, max_order: int = 4096):

@@ -108,10 +108,9 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize("argv", [
         ("wavefunction", "--model", "ho", "--tau", "0.01"),
         ("wavefunction", "--model", "ho", "--tau", "0.01", "--format", "json"),
-        ("expectation", "--tau", "0.001", "H"),
     ])
     def test_warnings_summarized_on_stderr(self, capsys, argv):
-        # numpy / scipy RuntimeWarnings become one count line, no raw lines
+        # numpy RuntimeWarnings become one count line, no raw lines
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
@@ -122,6 +121,14 @@ class TestSpectrumCommand:
         assert lines[1].startswith("warnings: ")
         assert lines[1].endswith(" RuntimeWarning")
         assert int(lines[1].split()[1]) >= 1
+
+    def test_low_tau_expectation_is_one_typed_line(self, capsys):
+        # the Gauss-Jacobi rule stays finite at lam ~ 1e3, so the basis
+        # underflow is the one failure, raised before any warning
+        code, out, err = run_cli(capsys, "expectation", "--tau", "0.001", "H")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == ["numerical failure: basis norm of level 0 is 0.0"]
 
 
 class TestJsonEnvelope:
@@ -201,6 +208,16 @@ class TestPhaseCommand:
         code, out, err = run_cli(capsys, "phase", *argv)
         assert code == 3 and out == ""
         assert err.startswith("numerical failure:") and "warnings" not in err
+
+    def test_large_alpha_roots_reverify(self, capsys):
+        # dD/dbeta ~ 16 alpha, so at alpha ~ 1e7 rounding a root to 15
+        # decimals alone breaks |D| < 1e-9; such roots are emitted unrounded
+        code, out, err = run_cli(capsys, "phase", "--taus", "1e-6", "--alpha-lo", "1",
+                                 "--alpha-hi", "1e8", "--alpha-steps", "5")
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert len(rows) == 5
+        assert np.all(np.isfinite(np.array(rows, dtype=float)))
 
     def test_readme_example_matches_snapshot(self, capsys):
         # tests/data/phase_readme.csv is this command's output before the
@@ -305,11 +322,15 @@ class TestStartup:
         assert run_fresh(probe).stdout.strip() == "[]"
 
     def test_closed_form_commands_run_without_scipy(self):
+        # the unified engine's Gauss-Jacobi rule is numpy too; the last
+        # command fails on an underflowing basis (exit 3)
         commands = [["spectrum"], ["wavefunction", "--model", "pt"], ["metric"],
-                    ["phase", "--check"], ["expectation", "--rep", "pi1"]]
+                    ["phase", "--check"], ["expectation", "--rep", "pi1"],
+                    ["expectation"], ["verify", "all"],
+                    ["expectation", "--tau", "0.001", "H"]]
         done = run_fresh(_MAIN_PROBE.format(commands=commands))
         codes, loaded = json.loads(done.stdout)
-        assert codes == [0] * len(commands)
+        assert codes == [0] * (len(commands) - 1) + [3]
         assert loaded == []
 
     def test_oracle_imports_scipy_quietly(self):

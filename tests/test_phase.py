@@ -42,6 +42,14 @@ class TestBoundary:
             for beta in boundary_beta(alpha, 0.5):
                 assert abs(discriminant(alpha, beta, 0.5)) < 1e-9
 
+    def test_large_alpha_roots_kept_unrounded(self):
+        # rounding to 15 decimals would move D by about 16 alpha * 5e-16
+        alpha = 25000000.75
+        (beta,) = boundary_beta(alpha, 1e-6)
+        assert beta != round(beta, 15)
+        assert abs(discriminant(alpha, beta, 1e-6)) < 1e-9
+        assert abs(discriminant(alpha, round(beta, 15), 1e-6)) >= 1e-9
+
     def test_sign_flip_across_boundary(self):
         for alpha, tau in ((2.0, 0.5), (5.0, 0.3), (2.0, 0.0)):
             roots = boundary_beta(alpha, tau)

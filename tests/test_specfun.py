@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +16,7 @@ from gup_spectra.specfun import (
     assoc_legendre_deriv,
     assoc_legendre_jet,
     assoc_legendre_ladder,
+    gauss_jacobi,
     gauss_legendre_nodes,
     gegenbauer,
     integrate_adaptive,
@@ -25,7 +27,12 @@ from gup_spectra.specfun import (
     jacobi_norm,
     legendre_norm,
 )
-from gup_spectra.specfun import _log_kn, legendre_norm_closed
+from gup_spectra.specfun import (
+    _christoffel_weights,
+    _jacobi_chain,
+    _log_kn,
+    legendre_norm_closed,
+)
 
 mp.mp.dps = 30
 
@@ -61,6 +68,101 @@ class TestGaussLegendre:
     def test_bad_count(self):
         with pytest.raises(ParameterError):
             gauss_legendre_nodes(0)
+
+
+# (alpha, beta) of the rules under test: the symmetric (halved) rule, the
+# Legendre-family exponents lam - 1, a + b = 0 and a + b = -1 (where the
+# first recurrence coefficients take their limit forms), and Jacobi-family
+# exponents
+_JACOBI_EXPONENTS = [(0.3, 0.3), (-0.46, -0.46), (2.3, 2.3), (99.0, 99.0),
+                     (-0.5, 0.5), (0.25, -0.25), (-0.3, -0.7), (-0.5, -0.5),
+                     (0.5, 2.9), (3.0, 0.2), (-0.9, 5.0), (99.0, 999.0)]
+
+
+def _mp_rule(m, a, b):
+    nodes, weights = mp.gauss_quadrature(m, "jacobi", a, b)
+    mass = mp.fsum(weights)
+    return (np.array([float(x) for x in nodes]),
+            np.array([float(w / mass) for w in weights]))
+
+
+def _full_size_rule(m, a, b):
+    """The m-point rule without the halving of the symmetric case."""
+    odd, even = _jacobi_chain(m, a, b)
+    mat = np.diag(odd + even) + np.diag(np.sqrt(odd[:-1] * even[1:]), -1)
+    t = np.linalg.eigvalsh(mat)
+    return 2.0 * t - 1.0, _christoffel_weights(t, odd, even)
+
+
+class TestGaussJacobi:
+    """The numpy Golub-Welsch rule, unit mass."""
+
+    @pytest.mark.parametrize("a, b", _JACOBI_EXPONENTS)
+    def test_matches_mpmath(self, a, b):
+        for m in (1, 2, 3, 8, 21, 40):
+            x, w = gauss_jacobi(m, a, b)
+            ref_x, ref_w = _mp_rule(m, a, b)
+            assert np.all(np.diff(x) > 0)
+            assert np.max(np.abs(x - ref_x)) < 2e-15
+            assert np.max(np.abs(w - ref_w) / ref_w) < 1e-12
+
+    @pytest.mark.parametrize("a, b", _JACOBI_EXPONENTS)
+    def test_nodes_match_scipy(self, a, b):
+        with np.errstate(all="ignore"):
+            ref_x, ref_w = roots_jacobi(256, a, b)
+        x, w = gauss_jacobi(256, a, b)
+        finite = np.isfinite(ref_x) & np.isfinite(ref_w)
+        assert finite.sum() > 0
+        assert np.max(np.abs(x - ref_x)[finite]) < 1e-14
+
+    # at (99, 999) the Jacobi norms overflow
+    @pytest.mark.parametrize("a, b", _JACOBI_EXPONENTS[:-1])
+    def test_exact_for_orthonormal_gram_matrix(self, a, b):
+        # products of the orthonormal Jacobi polynomials up to degree 128
+        # have degree 256 <= 2 * 256 - 1, so the rule integrates them exactly
+        x, w = gauss_jacobi(256, a, b)
+        mass = jacobi_norm(JacobiSpec(0, a, b))
+        ladder = jacobi_ladder(JacobiSpec(128, a, b), x)
+        scale = [math.sqrt(mass / jacobi_norm(JacobiSpec(k, a, b))) for k in range(129)]
+        basis = ladder * np.array(scale)[:, None]
+        gram = (basis * w) @ basis.T
+        assert np.max(np.abs(gram - np.eye(129))) < 1e-12
+
+    @pytest.mark.parametrize("lam", [1e3, 1e4])
+    def test_finite_where_scipy_is_not(self, lam):
+        with np.errstate(all="ignore"):
+            assert not np.all(np.isfinite(roots_jacobi(256, lam - 1.0, lam - 1.0)[1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, w = gauss_jacobi(256, lam - 1.0, lam - 1.0)
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(w)) and np.all(w > 0)
+        assert abs(w.sum() - 1.0) < 1e-14
+        # second moment of (1-x^2)^(lam-1): 1 / (2 lam + 1)
+        assert np.sum(w * x * x) == pytest.approx(1.0 / (2.0 * lam + 1.0), rel=1e-13)
+
+    def test_weights_past_the_double_range_are_zero(self):
+        # Jacobi-family exponents at tau ~ 1e-4: the outer weights lie below
+        # 1e-308 of the mass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, w = gauss_jacobi(256, 99.0, 7070.0)
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(w)) and np.all(w >= 0)
+        assert (w == 0).any()
+        assert abs(w.sum() - 1.0) < 1e-14
+        # mean of (1-x)^a (1+x)^b: (b - a) / (a + b + 2)
+        assert np.sum(w * x) == pytest.approx((7070.0 - 99.0) / 7171.0, rel=1e-14)
+
+    @pytest.mark.parametrize("lam", [0.54, 1.0, 3.3, 10.0, 100.0, 1e3, 1e4])
+    def test_halved_rule_equals_full_size_rule(self, lam):
+        x, w = gauss_jacobi(256, lam - 1.0, lam - 1.0)
+        full_x, full_w = _full_size_rule(256, lam - 1.0, lam - 1.0)
+        assert np.max(np.abs(x - full_x)) < 1e-13
+        assert np.max(np.abs(w - full_w)) < 1e-13
+
+    def test_bad_arguments(self):
+        for args in ((0, 0.5, 0.5), (2.5, 0.5, 0.5), (4, -1.0, 0.5), (4, 0.5, -1.5)):
+            with pytest.raises(ParameterError):
+                gauss_jacobi(*args)
 
 
 class TestAssociatedLegendre:
