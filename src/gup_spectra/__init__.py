@@ -86,12 +86,8 @@ from .specfun import (
     JacobiSpec,
     LegendreSpec,
     assoc_legendre,
-    assoc_legendre_deriv,
     gauss_legendre_nodes,
-    integrate_adaptive,
     jacobi,
-    jacobi_deriv,
-    jacobi_norm,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -55,7 +55,7 @@ from .solutions import (
     solve,
     transformed_potential,
 )
-from .specfun import JacobiSpec, LegendreSpec, assoc_legendre_jet, jacobi_jet
+from .specfun import JacobiSpec, jacobi_jet
 from .specfun import gauss_jacobi as roots_jacobi
 
 __all__ = [
@@ -445,29 +445,32 @@ class _ZSpace:
         self.order = order
         self.family = model.family
         model.admit(params)
+        # the weight's exponents: (a+, b+), or (lam, lam) in the Legendre family
         if self.family == "jacobi":
             a, b = model.orders(params)
             if not model.reality(params)[0]:
                 raise ParameterError("complex exponents; unified integral not real here")
             self.a, self.b = a.real, b.real
-            self.z, self.wq = _gauss_jacobi(quad_order, self.a - 1.0, self.b - 1.0)
-            self.basis = jacobi_jet(JacobiSpec(n, self.a, self.b), self.z, order)
-            # remainder after folding (1-w)^(a-1) (1+w)^(b-1) into the nodes
-            self.weight = (1.0 - self.z) * (1.0 + self.z)
         else:
             mu = model.mu_minus(params)
             if abs(complex(mu).imag) > 0:
                 raise ParameterError("broken regime: unified integral not real here")
-            self.mu = complex(mu).real
-            lam = -self.mu
+            self.a = self.b = -complex(mu).real
             # X acts as i hbar sqrt(tc) [(1-z^2)^(1/2) d/dz - kappa z (1-z^2)^(-1/2)]
             self.kappa = 2.0 * model.scales(params)[1] + 0.5
-            self.z, self.wq = _gauss_jacobi(quad_order, lam - 1.0, lam - 1.0)
-            self.basis = assoc_legendre_jet(LegendreSpec(n, self.mu), self.z, order)
-            self.weight = (1.0 - self.z ** 2) ** (1.0 - lam)
+        self.z, self.wq = _gauss_jacobi(quad_order, self.a - 1.0, self.b - 1.0)
         zj = Jet.variable(self.z, order)
         self.one_minus_z2 = 1.0 - zj * zj
         self.zjet = zj
+        self.basis = jacobi_jet(JacobiSpec(n, self.a, self.b), self.z, order)
+        if self.family == "jacobi":
+            # remainder after folding (1-w)^(a-1) (1+w)^(b-1) into the nodes
+            self.weight = (1.0 - self.z) * (1.0 + self.z)
+        else:
+            # (1-z^2)^(lam/2) P_n^(lam, lam) is the Ferrers function without
+            # its constant k_n, which leaves the double range at small tau
+            self.basis = self.one_minus_z2.power(self.a / 2.0) * self.basis
+            self.weight = (1.0 - self.z ** 2) ** (1.0 - self.a)
         self._p_jets = {}
         self._states = {(): self.basis}
 
@@ -614,18 +617,19 @@ def _decay_span(sol, start, tol):
     """Half-width where the normalized P^2-weighted density is negligible.
 
     The words at hand raise the decay exponent by at most p^2, so the
-    pointwise check on psi^2 rho (1 + p^2) bounds the quadrature tail.
+    pointwise check on psi^2 rho (1 + p^2) bounds the quadrature tail.  The
+    probe is the first of the spans start * 1.3^k, k < 80, below ``tol``,
+    all evaluated at once; if none is, the next span.
     """
-    norm0 = sol.norm(0)
-    span = start
+    spans = [start]
     for _ in range(80):
-        probe = np.array([span])
-        tail = float((np.abs(sol.psi_raw(0, probe) / norm0) ** 2 * sol.metric(probe)
-                      * (1.0 + probe ** 2))[0])
-        if tail < tol:
-            return span
-        span *= 1.3
-    return span
+        spans.append(spans[-1] * 1.3)
+    probe = np.array(spans[:-1])
+    # far spans may under- or overflow; they only need to compare with tol
+    with np.errstate(all="ignore"):
+        tail = np.abs(sol.psi(0, probe)) ** 2 * sol.metric(probe) * (1.0 + probe ** 2)
+    below = np.flatnonzero(tail < tol)
+    return spans[below[0]] if below.size else spans[-1]
 
 
 def _apply_word_direct(sol, terms, psi, grid):

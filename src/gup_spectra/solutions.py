@@ -1,4 +1,4 @@
-"""Closed-form bound states: energies, wavefunctions, metrics, normalizations.
+"""Closed-form bound states: energies, wavefunctions, metrics, Gram matrices.
 
 Every solvable (model, representation) pair reduces, after the potential
 transform, to one of two special-function ladders:
@@ -11,9 +11,22 @@ transform, to one of two special-function ladders:
 
 Both ladders live on the momentum angle theta = arctan(sqrt(tc) P), which
 ``algebra.ANGLES`` gives in closed form for every representation: the basis
-variable is z = sin(theta) or w = cos(2 theta), and the prefactor, metric,
+variable is y = z = sin(theta) or y = w = cos(2 theta), and the metric,
 domain, quadrature and q(p) are powers and images of theta assembled
 once per family.  Adding a representation is one entry in that table.
+
+Both families share one normalization, in closed form.  The states are
+orthogonal for one Jacobi-type weight in y, (1-z^2)^lam or
+(1-w)^a+ (1+w)^b+, so
+
+    psi_n(p) = e(p) phat_n((1 + y) / 2),   e^2 rho = weight(y) |dy/dp| / mass,
+
+with phat_n the orthonormal ladder of ``specfun.orthonormal_ladder`` and
+mass = 2^(a+b+1) B(a+1, b+1).  The envelope e is one sum of logarithms and
+one exp, so it stays finite wherever the state itself is representable.
+The native quadrature is that weight's Gauss-Jacobi rule pulled back to p,
+on which a Gram matrix is exact.  States exist only where the spectrum is
+real: a complex order or exponent has no normalizable real weight.
 
 The metric that restores orthonormality is diagonal in momentum space,
 rho(p) = varrho(w) e^{-2 Re chi} |v|^{-2} dw/dp; metrics are normalized here
@@ -31,7 +44,7 @@ its formal energy family is unbounded from below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -58,15 +71,7 @@ from .liouville import (
     legendre_ansatz,
     to_potential,
 )
-from .specfun import (
-    JacobiSpec,
-    LegendreSpec,
-    assoc_legendre,
-    assoc_legendre_ladder,
-    gauss_legendre_nodes,
-    jacobi,
-    jacobi_ladder,
-)
+from .specfun import gauss_jacobi, log_jacobi_mass, orthonormal_ladder
 
 __all__ = [
     "ClosedFormSolution",
@@ -88,30 +93,35 @@ class _Family:
     """How one special-function ladder sits on the momentum angle.
 
     The basis variable is y(sin theta, cos theta) for theta in (-pi/2, pi/2),
-    or in (0, pi/2) for a half-cell model; ``theta_of`` and ``dtheta_dy``
-    invert it for quadrature.  The metric is scale * sqrt(tc) * dtheta/dx
-    times a power of cos(theta), and ``sign`` is the constant it discards off
-    the segment.
+    or in (0, pi/2) for a half-cell model, and ``theta_of`` inverts it for
+    quadrature.  ``log_weight`` is log (1-y)^a (1+y)^b and ``log_dy`` is
+    log |dy/dtheta|, both from (sin theta, cos theta) so that neither loses
+    precision near a wall.  The metric is scale * sqrt(tc) * dtheta/dx
+    times a power of cos(theta), and ``sign`` is the constant it discards
+    off the segment.
     """
 
     y: Callable
     theta_of: Callable
-    dtheta_dy: Callable
+    log_weight: Callable
+    log_dy: Callable
     scale: float
     sign: float
 
 
+_LOG2 = math.log(2.0)
+
 _FAMILIES = {
-    # z = sin(theta), weight 1 in z
+    # z = sin(theta), weight (1-z^2)^lam = cos^(2 lam), dz/dtheta = cos
     "legendre": _Family(lambda s, c: s, np.arcsin,
-                        lambda z: 1.0 / np.sqrt(1.0 - z * z), 1.0, 1.0),
-    # w = cos(2 theta), weight (1-w)^a (1+w)^b in w
+                        lambda s, c, a, b: (a + b) * np.log(c),
+                        lambda s, c: np.log(c), 1.0, 1.0),
+    # w = cos(2 theta), 1 - w = 2 sin^2, 1 + w = 2 cos^2, |dw/dtheta| = 4 sin cos
     "jacobi": _Family(lambda s, c: c * c - s * s, lambda w: 0.5 * np.arccos(w),
-                      lambda w: 0.5 / np.sqrt(1.0 - w * w), 2.0, -1.0),
+                      lambda s, c, a, b: ((a + b) * _LOG2
+                                          + 2.0 * (a * np.log(s) + b * np.log(c))),
+                      lambda s, c: 2.0 * _LOG2 + np.log(s) + np.log(c), 2.0, -1.0),
 }
-
-
-_NORM_ORDER = 384   # native Gauss-Legendre rule of the state norms
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +161,9 @@ class ClosedFormSolution:
     metric_constant: complex          # factor discarded when normalizing rho
     domain: Domain
     _energy: Callable[[int], complex]
-    # powers of (sin theta, cos theta) in the prefactor, of cos theta in the metric
-    _powers: tuple[float, float, float] | None = None
-    _norms: dict = field(default_factory=dict)
+    # exponents (a, b) of the weight (1-y)^a (1+y)^b; None where no states exist
+    _weight: tuple[float, float] | None = None
+    _metric_power: float = 0.0        # power of cos theta in the Pi1 metric
 
     # -- spectral data ------------------------------------------------------
 
@@ -168,88 +178,62 @@ class ClosedFormSolution:
     def energies(self, n_max: int) -> np.ndarray:
         return np.array([self.energy(n) for n in range(n_max + 1)])
 
-    # -- basis functions ----------------------------------------------------
-
-    def basis(self, n: int, z):
-        evaluate = assoc_legendre if self.family == "legendre" else jacobi
-        return evaluate(self._spec(n), z)
+    # -- states -------------------------------------------------------------
 
     def z_of_p(self, p):
         self._require_states()
         angle, x = self._angle(p)
         return _FAMILIES[self.family].y(angle.sin(x), angle.cos(x))
 
-    def psi_raw(self, n: int, p):
-        """Unnormalized wavefunction samples."""
-        prefactor, y = self._prefactor(p)
-        return prefactor * self.basis(n, y)
-
-    def psi_raw_ladder(self, n_max: int, p):
-        """Rows psi_raw(0, p), ..., psi_raw(n_max, p) from one recurrence sweep."""
-        prefactor, y = self._prefactor(p)
-        ladder = assoc_legendre_ladder if self.family == "legendre" else jacobi_ladder
-        return prefactor * ladder(self._spec(n_max), y)
-
-    def norm(self, n: int) -> float:
-        """Constant c_n with <psi_n | rho psi_n> = 1 for psi_n = psi_raw / c_n.
-
-        The integral runs on the native rule of order _NORM_ORDER; a miss
-        fills every degree up to n from one ladder sweep.
-        """
-        self._require_states()
-        if n not in self._norms:
-            pq, wq = native_quadrature(self, order=_NORM_ORDER)
-            self._store_norms(self.psi_raw_ladder(n, pq), wq, self.metric(pq))
-        return self._norms[n]
+    def psi_ladder(self, n_max: int, p):
+        """Rows psi_0(p), ..., psi_{n_max}(p) from one orthonormal recurrence sweep."""
+        log_env, t = self._envelope(p)
+        return np.exp(log_env) * orthonormal_ladder(n_max, *self._weight, t)
 
     def psi(self, n: int, p):
         """Metric-orthonormal wavefunction samples."""
-        return self.psi_raw(n, p) / self.norm(n)
+        return self.psi_ladder(n, p)[n]
 
     def metric(self, p):
         """Normalized positive metric density on the stored parametrization."""
         self._require_states()
         angle, x = self._angle(p)
         scale = _FAMILIES[self.family].scale * math.sqrt(self.params.tau_check)
-        power = self._powers[2] - 2 * angle.e
+        power = self._metric_power - 2 * angle.e
         if power:  # cos^0 = 1: constant-metric cases skip evaluating cos
             scale = scale * angle.cos(x) ** power
         return scale * angle.dtheta(x)
 
     # -- helpers -------------------------------------------------------------
 
-    def _spec(self, n):
-        if self.family == "legendre":
-            return LegendreSpec(n, self.parameters["mu_minus"])
-        if self.family == "jacobi":
-            return JacobiSpec(n, self.parameters["a_plus"].real,
-                              self.parameters["b_plus"].real)
-        raise UnsupportedPair("no bound-state basis for this pair")
+    def _envelope(self, p):
+        """log e(p) of psi_n = e phat_n(t), and t = (1 + y) / 2, at the samples.
 
-    def _prefactor(self, p):
-        """sin^a cos^(b+e) of the momentum angle, and the basis variable."""
+        e^2 rho = weight(y) |dy/dp| / mass.  rho and |dy/dp| share the factor
+        sqrt(tc) dtheta/dx, which cancels, so e is a power of sin and cos of
+        theta and a constant, summed as logarithms.
+        """
         self._require_states()
         p = np.asarray(p, dtype=float)
         self._check_samples(p)
         angle, x = self._angle(p)
         s, c = angle.sin(x), angle.cos(x)
-        sin_pow, cos_pow, _ = self._powers
-        return s ** sin_pow * c ** (cos_pow + angle.e), _FAMILIES[self.family].y(s, c)
-
-    def _store_norms(self, raw, wq, rho):
-        """Record c_k for rows psi_raw(k) sampled on the norm rule (wq, rho)."""
-        sums = np.sum(wq * np.abs(raw) ** 2 * rho, axis=-1)
-        self._norms.update((k, math.sqrt(float(np.real(v)))) for k, v in enumerate(sums))
+        fam = _FAMILIES[self.family]
+        a, b = self._weight
+        log_env = 0.5 * (fam.log_dy(s, c) + fam.log_weight(s, c, a, b)
+                         - (self._metric_power - 2 * angle.e) * np.log(c)
+                         - math.log(fam.scale) - log_jacobi_mass(a, b))
+        return log_env, 0.5 * (1.0 + fam.y(s, c))
 
     def _angle(self, p):
         """The table entry and x = sqrt(tc) p at the samples."""
         return ANGLES[self.rep], math.sqrt(self.params.tau_check) * np.asarray(p, dtype=float)
 
     def _require_states(self):
-        if self._powers is None:
+        if self._weight is None:
             raise ParameterError(
                 "bound-state evaluators unavailable for this pair "
-                "(unphysical variant or commutative limit)")
+                "(unphysical variant, broken symmetry or commutative limit)")
 
     def _check_samples(self, p):
         d = self.domain
@@ -262,52 +246,52 @@ class ClosedFormSolution:
 # ---------------------------------------------------------------------------
 # solve()
 
-def solve(model: ModelSpec, rep: Representation, params: DeformationParams,
-          branch: str = "minus") -> ClosedFormSolution:
+def solve(model: ModelSpec, rep: Representation,
+          params: DeformationParams) -> ClosedFormSolution:
     """Closed-form solution for the pair, or a flagged unphysical record.
 
-    ``branch`` selects the Legendre order branch; anything but the default
-    "minus" produces non-normalizable states and exists for negative tests.
-
-    States and metric come from the angle table: the prefactor is
-    sin^a cos^(b+e) of theta and the metric scale * sqrt(tc) * cos^(m-2e)
-    dtheta/dx, for the family's powers (a, b, m); the domain is the
-    preimage of the family's angle range.
+    States and metric come from the angle table: the states are orthogonal
+    for the weight (1-y)^a (1+y)^b, with (a, b) = (lam, lam) or (a+, b+),
+    the metric is scale * sqrt(tc) * cos^(m-2e) dtheta/dx for the family's
+    power m, and the domain is the preimage of the family's angle range.
     """
     cls = classify_physical(model, rep, params)
     if rep is Representation.PI4_PRIME:
         return _solve_pi4_prime(model, rep, params)
     tau = params.tau
     base, eps = model.scales(params)
+    # complex orders or exponents (broken symmetry) keep their energies but
+    # have no normalizable states
+    weight, power = None, 0.0
     if model.family == "jacobi":
         a_c, b_c = model.orders(params)
         c = 2.0 * tau * base
         parameters = {"a_plus": a_c, "b_plus": b_c, "a_minus": -a_c, "b_minus": -b_c,
                       "c": c}
-        # complex exponents keep their energies but have no normalizable states
-        powers = (a_c.real + 0.5, b_c.real + 0.5, 0.0) if cls.physical else None
+        if cls.physical:
+            weight = (a_c.real, b_c.real)
     else:
         c = tau * base / 2.0
         # the commutative limit keeps its energies; mu_- diverges there
-        parameters, powers = {"commutative_limit": True}, None
+        parameters = {"commutative_limit": True}
         if tau > 0.0:
-            mu_minus = model.mu_minus(params)
-            mu = mu_minus if branch == "minus" else -mu_minus
+            mu = model.mu_minus(params)
             if abs(complex(mu).imag) < 1e-300:
                 mu = complex(mu).real
-            parameters = {"mu_minus": mu, "mu_plus": -mu_minus, "c": c,
+            parameters = {"mu_minus": mu, "mu_plus": -mu, "c": c,
                           "lambda": -mu, "epsilon": eps}
-            powers = (0.0, 2.0 * eps + 0.5, -4.0 * eps)
+            if cls.physical:
+                weight, power = (-mu, -mu), -4.0 * eps
     fam = _FAMILIES[model.family]
     # the paper-form metric on the segment carries the factor -i; written as
     # -(1j * sign) so the printed constant keeps its signed zero, (-0-1j)
-    const = (1.0 if powers is None else -(1j * fam.sign) if ANGLES[rep].segment
+    const = (1.0 if weight is None else -(1j * fam.sign) if ANGLES[rep].segment
              else fam.sign)
     return ClosedFormSolution(
         model=model, rep=rep, params=params, family=model.family, c=c,
         parameters=parameters, physical=cls.physical, metric_constant=const,
         domain=angle_domain(rep, params, half_cell=model.half_cell),
-        _energy=model.energy(params), _powers=powers)
+        _energy=model.energy(params), _weight=weight, _metric_power=power)
 
 
 def _solve_pi4_prime(model, rep, params):
@@ -332,43 +316,40 @@ def _solve_pi4_prime(model, rep, params):
 # ---------------------------------------------------------------------------
 # native quadrature, Gram matrices
 
-def native_quadrature(sol: ClosedFormSolution, order: int = 384):
+def native_quadrature(sol: ClosedFormSolution, order: int):
     """Quadrature nodes/weights for integrals over the solution's domain.
 
-    Finite domains map Gauss-Legendre nodes affinely; infinite ones take them
-    in the basis variable and pull them back to p through the momentum angle.
+    The Gauss-Jacobi rule of the states' weight (1-y)^a (1+y)^b in the basis
+    variable, pulled back to p through the momentum angle: each weight is
+    the rule's unit-mass weight times mass / weight(y) |dp/dy|, summed as
+    logarithms.  So psi_m psi_n rho integrates as phat_m phat_n on the
+    rule, exactly once order > (m + n) / 2.
     """
     sol._require_states()
-    y, w = gauss_legendre_nodes(order)
-    dom = sol.domain
-    if dom.finite:
-        mid = 0.5 * (dom.lo + dom.hi)
-        half = 0.5 * (dom.hi - dom.lo)
-        return mid + half * y, w * half
+    a, b = sol._weight
+    y, w = gauss_jacobi(order, a, b)
     fam = _FAMILIES[sol.family]
     angle = ANGLES[sol.rep]
     stc = math.sqrt(sol.params.tau_check)
     x = angle.x_of(fam.theta_of(y))
-    jac = fam.dtheta_dy(y) / (stc * angle.dtheta(x))
+    s, c = angle.sin(x), angle.cos(x)
+    # unit-mass weights past the double range are 0, and stay 0
+    with np.errstate(divide="ignore"):
+        log_w = (np.log(w) + log_jacobi_mass(a, b) - fam.log_weight(s, c, a, b)
+                 - fam.log_dy(s, c))
     idx = np.argsort(x)
-    return x[idx] / stc, (w * jac)[idx]
+    return x[idx] / stc, (np.exp(log_w) / (stc * angle.dtheta(x)))[idx]
 
 
-def gram_matrix(sol: ClosedFormSolution, n_max: int, order: int = _NORM_ORDER) -> np.ndarray:
-    """G[m, n] = <psi_m | rho psi_n> for the normalized states.
+def gram_matrix(sol: ClosedFormSolution, n_max: int) -> np.ndarray:
+    """G[m, n] = <psi_m | rho psi_n> for the orthonormal states.
 
-    One ladder sweep gives every state; on the norms' own rule the same
-    sweep fills the norms too.
+    One ladder sweep gives every state, on the native rule of n_max + 2
+    nodes, which integrates every entry exactly.
     """
-    p, w = native_quadrature(sol, order)
-    rho = sol.metric(p)
-    raw = sol.psi_raw_ladder(n_max, p)
-    if order == _NORM_ORDER:
-        sol._store_norms(raw, w, rho)
-    sol.norm(n_max)  # a miss fills every degree <= n_max
-    norms = np.array([sol.norm(n) for n in range(n_max + 1)])
-    states = raw / norms[:, None]
-    return (np.conj(states) * (w * rho)) @ states.T
+    p, w = native_quadrature(sol, n_max + 2)
+    states = sol.psi_ladder(n_max, p)
+    return (states * (w * sol.metric(p))) @ states.T
 
 
 # ---------------------------------------------------------------------------

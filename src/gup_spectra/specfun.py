@@ -1,10 +1,25 @@
-"""Special-function kernel: quadrature, associated Legendre, Jacobi.
+"""Special-function kernel: Gauss-Jacobi rules, orthonormal Jacobi ladders,
+associated Legendre functions and Jacobi polynomials.
 
-The bound-state ladders of the solvable models are built from two families:
+Every solvable pair's states come from one Jacobi-type weight
+(1-y)^a (1+y)^b on (-1, 1): (1-z^2)^lam in z for the oscillator and
+Swanson, (1-w)^a+ (1+w)^b+ in w for the inverse-square model.  One chain
+sequence of that weight (Chihara) drives both
 
-* Ferrers (real-branch) associated Legendre functions of negative real order,
-  P_{n+lam}^{-lam}(z) with n a nonnegative integer and lam > 0 real.  These
-  are evaluated through the Gegenbauer connection
+* ``gauss_jacobi``, the Golub-Welsch rule of unit total mass, and
+* ``orthonormal_ladder``, the polynomials phat_0, ..., phat_n orthonormal
+  for the unit-mass weight (DLMF 18.3, 18.9), from the same recurrence the
+  rule's Christoffel weights sum.
+
+So the one normalization constant left is the weight's mass
+2^(a+b+1) B(a+1, b+1), which ``log_jacobi_mass`` gives in log space from
+``math.lgamma``: it leaves the double range for exponents in the thousands.
+
+Two classical families stay for the operator jets and the public API:
+
+* Ferrers (real-branch) associated Legendre functions of negative real
+  order, P_{n+lam}^{-lam}(z) with n a nonnegative integer and lam > 0 real,
+  evaluated through the Gegenbauer connection
 
       P_{n+lam}^{-lam}(z) = k_n(lam) (1-z^2)^(lam/2) C_n^{(lam+1/2)}(z),
       k_n(lam) = n! / (2^lam Gamma(lam+1) (2lam+1)_n),
@@ -12,18 +27,12 @@ The bound-state ladders of the solvable models are built from two families:
   which pins the standard hypergeometric normalization (checked against the
   closed form P_nu^{-nu}(z) = (1-z^2)^(nu/2) / (2^nu Gamma(nu+1))).  The
   recurrences are polynomial in z, so complex arguments and complex order
-  (broken-symmetry regimes) evaluate through the same code path.
+  (broken-symmetry regimes) evaluate through the same code path.  k_n
+  leaves the double range at small tau, so no solver path uses it.
 
 * Jacobi polynomials P_n^{(a,b)} with real a, b > -1, by the standard
-  three-term recurrence, with the closed-form orthogonality normalization.
-
-Each recurrence is written once, as a generator of successive degrees: the
-per-degree evaluators keep its last row, and the ``*_ladder`` variants stack
-every degree 0..n from the same single sweep.
-
-Derivatives come from the ladder identities d/dz C_n^{(a)} = 2a C_{n-1}^{(a+1)}
-and d/dx P_n^{(a,b)} = (n+a+b+1)/2 * P_{n-1}^{(a+1,b+1)}; ``*_jet`` variants
-return value and derivatives up to a requested order for operator words.
+  three-term recurrence.  ``jacobi_jet`` returns value and derivatives up to
+  a requested order from d/dx P_n^{(a,b)} = (n+a+b+1)/2 P_{n-1}^{(a+1,b+1)}.
 """
 
 from __future__ import annotations
@@ -42,18 +51,12 @@ __all__ = [
     "JacobiSpec",
     "gauss_legendre_nodes",
     "gauss_jacobi",
-    "integrate_adaptive",
+    "orthonormal_ladder",
+    "log_jacobi_mass",
     "gegenbauer",
     "assoc_legendre",
-    "assoc_legendre_ladder",
-    "assoc_legendre_deriv",
-    "assoc_legendre_jet",
-    "legendre_norm",
     "jacobi",
-    "jacobi_ladder",
-    "jacobi_deriv",
     "jacobi_jet",
-    "jacobi_norm",
 ]
 
 
@@ -135,25 +138,37 @@ def _jacobi_chain(m: int, a: float, b: float):
     return odd, even
 
 
-def _christoffel_weights(t, odd, even):
-    """Unit-mass Gauss weights 1 / sum_k p_k(t)^2 at the nodes t (Christoffel).
+def _orthonormal_rows(t, odd, even):
+    """Yield p_0(t), ..., p_{m-1}(t) for a chain of length m.
 
-    p_k are the orthonormal polynomials of the chain's recurrence, p_0 = 1.
-    Near the ends of a rule concentrated by large exponents the sum can pass
-    the double range: those weights lie below 1e-308 of the mass and come
-    out as 0.
+    p_k are the orthonormal polynomials of the chain's unit-mass weight,
+    p_0 = 1, by the three-term recurrence of the Jacobi matrix L L^T.  Its
+    off-diagonal is positive, so every p_k has a positive leading
+    coefficient.
     """
     diag = (odd + even).tolist()
     off = np.sqrt(odd[:-1] * even[1:]).tolist()
     prev = np.zeros_like(t)
     cur = np.ones_like(t)
-    total = np.ones_like(t)
+    yield cur
     below = 0.0
+    for d, above in zip(diag, off):
+        prev, cur = cur, ((t - d) * cur - below * prev) * (1.0 / above)
+        yield cur
+        below = above
+
+
+def _christoffel_weights(t, odd, even):
+    """Unit-mass Gauss weights 1 / sum_k p_k(t)^2 at the nodes t (Christoffel).
+
+    Near the ends of a rule concentrated by large exponents the sum can pass
+    the double range: those weights lie below 1e-308 of the mass and come
+    out as 0.
+    """
+    total = np.zeros_like(t)
     with np.errstate(over="ignore", invalid="ignore"):
-        for d, above in zip(diag, off):
-            prev, cur = cur, ((t - d) * cur - below * prev) * (1.0 / above)
-            total += cur * cur
-            below = above
+        for row in _orthonormal_rows(t, odd, even):
+            total += row * row
     # an overflowed sum is inf, or NaN once inf - inf followed
     return np.where(np.isnan(total), 0.0, 1.0 / total)
 
@@ -207,70 +222,56 @@ def gauss_jacobi(m: int, alpha: float, beta: float):
     return 2.0 * t - 1.0, w
 
 
-def integrate_adaptive(f, order: int = 128, tol: float = 1e-11, max_order: int = 4096):
-    """Integrate f over (-1, 1), doubling the rule until two results agree."""
-    x, w = gauss_legendre_nodes(order)
-    prev = np.sum(w * f(x))
-    order *= 2
-    while order <= max_order:
-        x, w = gauss_legendre_nodes(order)
-        cur = np.sum(w * f(x))
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-        order *= 2
-    return prev
+def orthonormal_ladder(n: int, a: float, b: float, t):
+    """Rows phat_0(t), ..., phat_n(t) from one recurrence sweep.
+
+    phat_k are orthonormal for the unit-mass weight (1-t)^a t^b / B(a+1, b+1)
+    on (0, 1), that is, for (1-y)^a (1+y)^b / mass in y = 2t - 1 (DLMF 18.3),
+    and have positive leading coefficients.  Taking t rather than y keeps
+    the recurrence coefficients at their relative precision near t = 0.
+    """
+    if n < 0 or n != int(n):
+        raise ParameterError(f"degree must be a nonnegative integer, got {n}")
+    t = np.asarray(t, dtype=float)
+    return np.array(list(_orthonormal_rows(t, *_jacobi_chain(int(n) + 1, a, b))))
 
 
-# ---------------------------------------------------------------------------
-# Gegenbauer and associated Legendre
-
-def _last(rows):
-    for row in rows:
-        pass
-    return row
-
-
-def _gegenbauer_rows(n: int, a, z):
-    """Yield C_0^{(a)}(z), ..., C_n^{(a)}(z), one three-term step each."""
-    z = np.asarray(z)
-    cm2 = np.ones_like(z)
-    yield cm2
-    if n == 0:
-        return
-    cm1 = 2 * a * z
-    yield cm1
-    for k in range(2, n + 1):
-        cm2, cm1 = cm1, (2 * (k + a - 1) * z * cm1 - (k + 2 * a - 2) * cm2) / k
-        yield cm1
-
-
-def gegenbauer(n: int, a, z):
-    """C_n^{(a)}(z) by the three-term recurrence; polynomial in z and a."""
-    return _last(_gegenbauer_rows(n, a, z))
-
-
-def _lgamma_scalar(x: float) -> float:
+def _lgamma(x: float) -> float:
+    """log|Gamma(x)|; like scipy's gammaln, +inf at the poles and past overflow."""
     try:
         return math.lgamma(x)
     except (ValueError, OverflowError):
         return math.inf
 
 
-def _lgamma(x):
-    """log|Gamma(x)| of a real scalar, or of an array element by element.
+def log_jacobi_mass(a: float, b: float) -> float:
+    """log of the mass 2^(a+b+1) B(a+1, b+1) of (1-y)^a (1+y)^b on (-1, 1).
 
-    Like scipy's gammaln it reads +inf at the poles and past overflow; the
-    arrays here are the at most n_max + 1 degrees of one ladder.
+    The log-gamma terms grow like a log a, so at exponents of 1e4 the
+    result carries an absolute error of about 1e-11.
     """
-    if isinstance(x, np.ndarray) and x.ndim:
-        return np.array([_lgamma_scalar(v) for v in x.astype(float).tolist()])
-    return _lgamma_scalar(x)
+    return ((a + b + 1.0) * math.log(2.0) + _lgamma(a + 1.0) + _lgamma(b + 1.0)
+            - _lgamma(a + b + 2.0))
+
+
+# ---------------------------------------------------------------------------
+# Gegenbauer and associated Legendre
+
+def gegenbauer(n: int, a, z):
+    """C_n^{(a)}(z) by the three-term recurrence; polynomial in z and a."""
+    z = np.asarray(z)
+    cm1 = np.ones_like(z)
+    if n == 0:
+        return cm1
+    cm2, cm1 = cm1, 2 * a * z
+    for k in range(2, n + 1):
+        cm2, cm1 = cm1, (2 * (k + a - 1) * z * cm1 - (k + 2 * a - 2) * cm2) / k
+    return cm1
 
 
 def _log_kn(n: int, lam):
-    """log k_n(lam); ``n`` may be an array of degrees."""
-    if np.iscomplexobj(np.asarray(lam)) or isinstance(lam, complex):
+    """log k_n(lam) of the Ferrers normalization."""
+    if np.iscomplexobj(lam):
         # complex order (broken-symmetry regimes) is the only scipy user here,
         # so the import waits for it instead of slowing every start-up
         from scipy.special import loggamma as lg
@@ -288,125 +289,38 @@ def _check_real_domain(z):
     return z
 
 
-def _ferrers_parts(spec: LegendreSpec, z, degrees):
-    """(lam, z in the working dtype, (1-z^2)^(lam/2), k_n(lam) at the degrees)."""
+def assoc_legendre(spec: LegendreSpec, z):
+    """Ferrers P_{n - mu}^{mu}(z); complex z evaluates the analytic recurrence."""
     z = _check_real_domain(z)
     lam = -spec.mu
     if isinstance(lam, complex) and lam.imag == 0.0:
         lam = lam.real
-    kn = np.exp(_log_kn(degrees, lam))
+    kn = np.exp(_log_kn(spec.n, lam))
     complex_kn = np.any(np.iscomplex(kn))
     zz = np.asarray(z, dtype=complex if (np.iscomplexobj(z) or complex_kn) else float)
     env = (1 - zz ** 2 + 0j) ** (lam / 2.0) if np.iscomplexobj(zz) or isinstance(lam, complex) \
         else (1 - zz ** 2) ** (lam / 2.0)
-    return lam, zz, env, kn
-
-
-def assoc_legendre(spec: LegendreSpec, z):
-    """Ferrers P_{n - mu}^{mu}(z); complex z evaluates the analytic recurrence."""
-    lam, zz, env, kn = _ferrers_parts(spec, z, spec.n)
     return kn * env * gegenbauer(spec.n, lam + 0.5, zz)
-
-
-def assoc_legendre_ladder(spec: LegendreSpec, z):
-    """Rows P_{k - mu}^{mu}(z) for k = 0..spec.n from one Gegenbauer sweep."""
-    lam, zz, env, kn = _ferrers_parts(spec, z, np.arange(spec.n + 1))
-    kn = kn.reshape((-1,) + (1,) * zz.ndim)
-    return kn * env * np.array(list(_gegenbauer_rows(spec.n, lam + 0.5, zz)))
-
-
-def assoc_legendre_deriv(spec: LegendreSpec, z):
-    """d/dz of the Ferrers function, from the Gegenbauer ladder."""
-    return assoc_legendre_jet(spec, z, 1).d[1]
-
-
-def assoc_legendre_jet(spec: LegendreSpec, z, order: int) -> Jet:
-    """Jet of P_{n-mu}^{mu} at z up to the requested derivative order."""
-    z = _check_real_domain(z)
-    lam = -spec.mu
-    if isinstance(lam, complex) and lam.imag == 0.0:
-        lam = lam.real
-    complex_path = np.iscomplexobj(np.asarray(z)) or isinstance(lam, complex)
-    zz = np.asarray(z, dtype=complex if complex_path else float)
-    zj = Jet.variable(zz, order)
-    env = (1.0 - zj * zj).power(lam / 2.0)
-    kn = np.exp(_log_kn(spec.n, lam))
-
-    # jet of C_n^{(a)}: d^k C_n^{(a)} = 2^k (a)_k C_{n-k}^{(a+k)}
-    a = lam + 0.5
-    rows = []
-    fac = 1.0
-    for k in range(order + 1):
-        if k > 0:
-            fac = fac * 2 * (a + k - 1)
-        if spec.n - k < 0:
-            rows.append(np.zeros_like(zz))
-        else:
-            rows.append(fac * gegenbauer(spec.n - k, a + k, zz))
-    cj = Jet.from_rows(np.asarray(rows))
-    return (env * cj) * kn
-
-
-def legendre_norm(spec: LegendreSpec, tol: float = 1e-11) -> float:
-    """Weight-1 norm integral of |P_{n-mu}^{mu}|^2 over (-1, 1), by quadrature."""
-    def f(z):
-        v = assoc_legendre(spec, z)
-        return np.abs(v) ** 2
-
-    return float(np.real(integrate_adaptive(f, tol=tol)))
-
-
-def legendre_norm_closed(spec: LegendreSpec) -> float:
-    """Closed form of the weight-1 norm via the Gegenbauer orthogonality.
-
-    Used as an independent cross-check of ``legendre_norm``.
-    """
-    lam = float(np.real(-spec.mu))
-    n = spec.n
-    a = lam + 0.5
-    log_hn = (math.log(math.pi) + (1 - 2 * a) * math.log(2.0)
-              + _lgamma(n + 2 * a) - _lgamma(n + 1) - math.log(n + a)
-              - 2 * _lgamma(a))
-    return float(np.exp(2 * _log_kn(n, lam) + log_hn))
 
 
 # ---------------------------------------------------------------------------
 # Jacobi
 
-def _jacobi_rows(n: int, a, b, x):
-    """Yield P_0^{(a,b)}(x), ..., P_n^{(a,b)}(x), one three-term step each."""
+def jacobi(spec: JacobiSpec, x):
+    """P_n^{(a,b)}(x) by the standard three-term recurrence."""
+    n, a, b = spec.n, spec.a, spec.b
     x = np.asarray(x)
-    one = np.ones_like(x)
-    yield one
+    pm1 = np.ones_like(x)
     if n == 0:
-        return
-    pm1 = (a + 1) + (a + b + 2) * (x - 1) / 2
-    yield pm1
-    pm2 = one
+        return pm1
+    pm2, pm1 = pm1, (a + 1) + (a + b + 2) * (x - 1) / 2
     for k in range(2, n + 1):
         c1 = 2 * k * (k + a + b) * (2 * k + a + b - 2)
         c2 = (2 * k + a + b - 1) * (a ** 2 - b ** 2)
         c3 = (2 * k + a + b - 1) * (2 * k + a + b) * (2 * k + a + b - 2)
         c4 = 2 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
         pm2, pm1 = pm1, ((c2 + c3 * x) * pm1 - c4 * pm2) / c1
-        yield pm1
-
-
-def jacobi(spec: JacobiSpec, x):
-    """P_n^{(a,b)}(x) by the standard three-term recurrence."""
-    return _last(_jacobi_rows(spec.n, spec.a, spec.b, x))
-
-
-def jacobi_ladder(spec: JacobiSpec, x):
-    """Rows P_k^{(a,b)}(x) for k = 0..spec.n from one recurrence sweep."""
-    return np.array(list(_jacobi_rows(spec.n, spec.a, spec.b, x)))
-
-
-def jacobi_deriv(spec: JacobiSpec, x):
-    if spec.n == 0:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    inner = JacobiSpec(spec.n - 1, spec.a + 1, spec.b + 1)
-    return 0.5 * (spec.n + spec.a + spec.b + 1) * jacobi(inner, x)
+    return pm1
 
 
 def jacobi_jet(spec: JacobiSpec, x, order: int) -> Jet:
@@ -421,22 +335,3 @@ def jacobi_jet(spec: JacobiSpec, x, order: int) -> Jet:
         else:
             rows.append(fac * jacobi(JacobiSpec(n - k, a + k, b + k), x))
     return Jet.from_rows(np.asarray(rows))
-
-
-def jacobi_norm(spec: JacobiSpec) -> float:
-    """Orthogonality normalization: integral of (1-x)^a (1+x)^b P_n^2 over (-1,1).
-
-    N_n = 2^(a+b+1) Gamma(n+a+1) Gamma(n+b+1)
-          / ( n! (2n+a+b+1) Gamma(n+a+b+1) ).
-
-    At n = 0 the last two factors merge into Gamma(a+b+2), giving the Beta
-    function form 2^(a+b+1) B(a+1, b+1), which stays finite at a+b+1 = 0.
-    """
-    n, a, b = spec.n, spec.a, spec.b
-    if n == 0:
-        tail = _lgamma(a + b + 2)
-    else:
-        tail = math.log(2 * n + a + b + 1) + _lgamma(n + a + b + 1)
-    log_nn = ((a + b + 1) * math.log(2.0) + _lgamma(n + a + 1) + _lgamma(n + b + 1)
-              - _lgamma(n + 1) - tail)
-    return float(np.exp(log_nn))

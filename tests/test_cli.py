@@ -23,6 +23,11 @@ def parse_csv(text):
     return header, rows
 
 
+# Swanson's cos(theta)^(-4 eps) metric with eps ~ 1e3 overflows on Pi3
+OVERFLOWING_METRIC = ("metric", "--model", "swanson", "--alpha", "9.36", "--beta",
+                      "0.0265", "--rep", "pi3", "--tau", "1.55e-4")
+
+
 class TestSpectrumCommand:
     def test_reference_row(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--model", "ho",
@@ -93,11 +98,8 @@ class TestSpectrumCommand:
         assert done.stderr.startswith("numerical failure:")
         assert len(done.stderr.splitlines()) == 1
 
-    @pytest.mark.parametrize("argv", [
-        ("wavefunction", "--model", "ho", "--tau", "0.01"),
-        ("wavefunction", "--model", "ho", "--tau", "0.01", "--format", "json"),
-        ("expectation", "--tau", "0.001", "H"),
-    ])
+    @pytest.mark.parametrize("argv", [OVERFLOWING_METRIC,
+                                      OVERFLOWING_METRIC + ("--format", "json")])
     def test_nonfinite_output_exit_code(self, capsys, argv):
         # inf/NaN cells are a numerical failure, not a printed result
         code, out, err = run_cli(capsys, *argv)
@@ -105,10 +107,8 @@ class TestSpectrumCommand:
         assert "numerical failure" in err
         assert out == ""
 
-    @pytest.mark.parametrize("argv", [
-        ("wavefunction", "--model", "ho", "--tau", "0.01"),
-        ("wavefunction", "--model", "ho", "--tau", "0.01", "--format", "json"),
-    ])
+    @pytest.mark.parametrize("argv", [OVERFLOWING_METRIC,
+                                      OVERFLOWING_METRIC + ("--format", "json")])
     def test_warnings_summarized_on_stderr(self, capsys, argv):
         # numpy RuntimeWarnings become one count line, no raw lines
         code, out, err = run_cli(capsys, *argv)
@@ -122,13 +122,37 @@ class TestSpectrumCommand:
         assert lines[1].endswith(" RuntimeWarning")
         assert int(lines[1].split()[1]) >= 1
 
-    def test_low_tau_expectation_is_one_typed_line(self, capsys):
-        # the Gauss-Jacobi rule stays finite at lam ~ 1e3, so the basis
-        # underflow is the one failure, raised before any warning
-        code, out, err = run_cli(capsys, "expectation", "--tau", "0.001", "H")
+    def test_nonfinite_metric_typed_line(self, capsys):
+        code, out, err = run_cli(capsys, *OVERFLOWING_METRIC)
         assert code == 3
         assert out == ""
-        assert err.splitlines() == ["numerical failure: basis norm of level 0 is 0.0"]
+        assert err.splitlines()[0] == "numerical failure: metric produced inf or NaN values"
+
+    @pytest.mark.parametrize("argv", [
+        ("wavefunction", "--model", "ho", "--tau", "0.01"),
+        ("wavefunction", "--model", "ho", "--tau", "0.01", "--format", "json"),
+        ("expectation", "--tau", "0.001", "H"),
+    ])
+    def test_low_tau_output_is_finite(self, capsys, argv):
+        # the Ferrers constant k_n leaves the double range here; the states
+        # do without it
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        if "json" in argv:
+            rows = json.loads(out)["rows"]
+            values = [v for row in rows for v in row.values() if not isinstance(v, str)]
+        else:
+            _, rows = parse_csv(out)
+            values = [float(v) for row in rows for v in row if v != "H"]
+        assert values and np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("command", ["wavefunction", "metric"])
+    def test_broken_swanson_states_exit_code(self, capsys, command):
+        # a complex order has no normalizable real states
+        code, out, err = run_cli(capsys, command, "--model", "swanson", "--alpha", "2",
+                                 "--beta", "0.1", "--tau", "0.5")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure:")
 
 
 class TestJsonEnvelope:
@@ -322,15 +346,15 @@ class TestStartup:
         assert run_fresh(probe).stdout.strip() == "[]"
 
     def test_closed_form_commands_run_without_scipy(self):
-        # the unified engine's Gauss-Jacobi rule is numpy too; the last
-        # command fails on an underflowing basis (exit 3)
+        # the unified engine's Gauss-Jacobi rule is numpy too, and so is the
+        # normalization at lam ~ 1e2 and 1e3 of the last two commands
         commands = [["spectrum"], ["wavefunction", "--model", "pt"], ["metric"],
                     ["phase", "--check"], ["expectation", "--rep", "pi1"],
                     ["expectation"], ["verify", "all"],
-                    ["expectation", "--tau", "0.001", "H"]]
+                    ["wavefunction", "--tau", "0.01"], ["expectation", "--tau", "0.001", "H"]]
         done = run_fresh(_MAIN_PROBE.format(commands=commands))
         codes, loaded = json.loads(done.stdout)
-        assert codes == [0] * (len(commands) - 1) + [3]
+        assert codes == [0] * len(commands)
         assert loaded == []
 
     def test_oracle_imports_scipy_quietly(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from gup_spectra.algebra import (
 )
 from gup_spectra import oracle
 from gup_spectra.errors import (
-    NonFiniteResult,
     NonIntegrable,
     ParameterError,
     UnsupportedPair,
@@ -235,11 +235,42 @@ class TestExpectations:
 
     @pytest.mark.parametrize("n", [0, 20])
     @pytest.mark.parametrize("word", ["P", "P2", "X", "X2", "H"])
-    def test_underflowed_basis_norm_is_typed(self, n, word):
-        # lam is about 107 here, and the basis underflows to a norm of 0.0
+    def test_small_tau_basis_is_finite(self, n, word):
+        # lam is about 107 here, where the Ferrers constant k_n underflows;
+        # the engine's scale-free basis does without it
         model, params = Swanson(0.2526, 0.2116), DeformationParams(tau=5.65e-3)
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteResult):
-            expectation_unified(model, params, n, word)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            val = expectation_unified(model, params, n, word)
+        assert np.isfinite(val)
+        if word == "H":
+            energy = solve(model, R.PI1, params).energy(n)
+            assert abs(val - energy) <= 1e-12 * abs(energy)
+
+    @pytest.mark.parametrize("tau", [1e-4, 1e-3, 1e-2, 0.1, 1.0, 5.0, 50.0])
+    @pytest.mark.parametrize("model", [HarmonicOscillator(), Swanson(0.1, 0.2),
+                                       Swanson(0.3, 0.05), PoschlTeller(1.0, 0.5)])
+    def test_hamiltonian_word_over_the_tau_range(self, model, tau):
+        params = DeformationParams(tau=tau)
+        sol = solve(model, R.PI1, params)
+        for n in (0, 5, 20, 100):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                val = expectation_unified(model, params, n, "H")
+            energy = sol.energy(n)
+            assert abs(val - energy) <= 1e-12 * abs(energy), n
+
+    def test_high_level_converges_in_the_rule_order(self):
+        # n = 100 at lam = 71.3, where a Ferrers-normalized basis overflows
+        # in the jets
+        model, params = Swanson(0.3, 0.05), DeformationParams(tau=0.01)
+        p2 = [expectation_unified(model, params, 100, "P2", quad_order=q)
+              for q in (256, 384, 512)]
+        assert max(abs(v - p2[0]) for v in p2) <= 1e-12 * abs(p2[0])
+        assert p2[0].real == pytest.approx(140.9504413316527, rel=1e-12)
+        energy = solve(model, R.PI1, params).energy(100)
+        h = expectation_unified(model, params, 100, "H")
+        assert abs(h - energy) <= 1e-12 * energy
 
     def test_normalization_word(self):
         params = DeformationParams(tau=0.25)

@@ -16,7 +16,6 @@ from gup_spectra.errors import (
     DomainError,
     IntrinsicNoncommutativity,
     ParameterError,
-    UnsupportedOrder,
     UnsupportedPair,
 )
 from gup_spectra.oracle import expectation_unified, matrix_element_direct
@@ -29,8 +28,10 @@ from gup_spectra.solutions import (
     solve,
     transformed_potential,
 )
+from references import integrate_adaptive
 
 R = Representation
+GRID_TAUS = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 5.0, 50.0)
 SOLVABLE = [
     (HarmonicOscillator(), rep) for rep in (R.PI1, R.PI2, R.PI3, R.PI4)
 ] + [
@@ -224,11 +225,12 @@ class TestWavefunctions:
         with pytest.raises(ParameterError):
             sol.psi(0, np.array([0.0]))
 
-    def test_wrong_branch_rejected(self):
-        sol = solve(HarmonicOscillator(), R.PI1, DeformationParams(tau=0.2),
-                    branch="plus")
-        with pytest.raises(UnsupportedOrder):
-            sol.psi(0, np.array([0.5]))
+    def test_broken_swanson_states_unavailable(self):
+        # a complex order has no real weight to normalize against
+        sol = solve(Swanson(2.0, 0.1), R.PI3, DeformationParams(tau=0.5))
+        for evaluate in (sol.psi, lambda n, p: sol.metric(p)):
+            with pytest.raises(ParameterError):
+                evaluate(0, np.array([0.1]))
 
     def test_segment_states_real_parametrization(self):
         params = DeformationParams(tau=0.25)
@@ -316,24 +318,31 @@ class TestMetrics:
         q = transformed_potential(model, rep, params).q_of_p(p)
         assert np.max(np.abs(q / theta / (q[0] / theta[0]) - 1.0)) < 1e-12
 
-        # weight 1 in z (Legendre), (1-w)^a (1+w)^b in w (Jacobi): the metric
-        # times the squared prefactor is that weight times |dz/dp|
+        # (1-z^2)^lam in z (Legendre), (1-w)^a (1+w)^b in w (Jacobi): the
+        # metric times the squared ground state is that weight times |dz/dp|
+        # over the weight's mass, the ground state's row phat_0 being 1.  At
+        # small tau psi_0 itself leaves the double range, so the relation is
+        # checked on its logarithm.
         z = sol.z_of_p(p)
         dtheta = stc * dbig_p / (1.0 + tc * big_p ** 2)
         if sol.family == "legendre":
-            weight, dz = np.ones_like(z), dtheta * np.cos(theta)
+            a = b = -sol.parameters["mu_minus"]
+            dz = dtheta * np.cos(theta)
         else:
             a, b = sol.parameters["a_plus"].real, sol.parameters["b_plus"].real
-            weight, dz = (1.0 - z) ** a * (1.0 + z) ** b, 2.0 * np.sin(2.0 * theta) * dtheta
-        basis = sol.basis(0, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            prefactor = np.abs(sol.psi_raw(0, p) / basis)
-        # at tau = 1e-3 the Legendre normalization k_n underflows to 0 and the
-        # steep Jacobi prefactor leaves the float range toward the far wall
-        usable = (np.abs(basis) > 1e-290) & (prefactor > 1e-140)
-        assert usable.sum() >= (40 if tau >= 0.25 else 0 if sol.family == "legendre" else 10)
-        ratio = sol.metric(p[usable]) * prefactor[usable] ** 2 / (weight * dz)[usable]
-        assert np.all(np.abs(ratio / ratio[:1] - 1.0) < 1e-9)
+            dz = 2.0 * np.sin(2.0 * theta) * dtheta
+        log_weight = a * np.log1p(-z) + b * np.log1p(z)
+        log_mass = ((a + b + 1) * math.log(2.0) + math.lgamma(a + 1) + math.lgamma(b + 1)
+                    - math.lgamma(a + b + 2))
+        log_psi0 = sol._envelope(p)[0]
+        log_ratio = np.log(sol.metric(p)) + 2.0 * log_psi0 - log_weight - np.log(dz)
+        usable = np.isfinite(log_ratio)
+        assert usable.sum() == 40
+        assert np.all(np.abs(log_ratio + log_mass) < 1e-9 * max(1.0, abs(log_mass)))
+        if tau >= 0.25:
+            psi0 = sol.psi(0, p)
+            assert np.allclose(sol.metric(p) * psi0 ** 2 / (np.exp(log_weight) * dz),
+                               math.exp(-log_mass), rtol=1e-9, atol=0.0)
 
 
 def _assembly_spread(model, rep, params):
@@ -374,7 +383,7 @@ class TestOrthonormality:
         sol = solve(model, rep, params)
         g = gram_matrix(sol, 60)
         ref_sol = solve(model, rep, params)
-        p, w = native_quadrature(ref_sol)
+        p, w = native_quadrature(ref_sol, 384)
         rho = ref_sol.metric(p)
         states = np.array([ref_sol.psi(n, p) for n in range(61)])
         ref = np.einsum("mk,nk,k->mn", np.conj(states), states, w * rho)
@@ -385,26 +394,42 @@ class TestOrthonormality:
     def test_state_ladder_rows_bit_identical(self, model, rep, tau):
         sol = solve(model, rep, DeformationParams(tau=tau))
         p, _ = native_quadrature(sol, order=97)
-        rows = sol.psi_raw_ladder(40, p)
+        rows = sol.psi_ladder(40, p)
         for n in range(41):
-            assert rows[n].tobytes() == sol.psi_raw(n, p).tobytes(), n
+            assert rows[n].tobytes() == sol.psi(n, p).tobytes(), n
 
-    @pytest.mark.parametrize("order", [384, 200])
-    def test_norms_after_gram_match_fresh_instance(self, order):
-        params = DeformationParams(tau=0.25)
-        for model, rep in SOLVABLE:
-            sol = solve(model, rep, params)
-            gram_matrix(sol, 30, order=order)
-            for n in (0, 7, 30, 31):
-                fresh = solve(model, rep, params)
-                assert sol.norm(n) == fresh.norm(n)
-            # the norm keeps its definition, and its arithmetic: the
-            # 384-point native rule, one degree at a time
-            p, w = native_quadrature(sol, order=384)
-            for n in (0, 12, 30):
-                raw = sol.psi_raw(n, p)
-                assert sol.norm(n) == math.sqrt(
-                    float(np.sum(w * np.abs(raw) ** 2 * sol.metric(p))))
+    @pytest.mark.parametrize("model,rep", SOLVABLE)
+    def test_gram_entries_against_adaptive_quadrature_in_p(self, model, rep):
+        # an independent rule in p, not the Gauss-Jacobi rule the states are
+        # exact on: a rational map of (-1, 1) onto the domain
+        sol = solve(model, rep, DeformationParams(tau=0.25))
+        dom, scale = sol.domain, 1.0 / math.sqrt(sol.params.tau_check)
+        if dom.finite:
+            def p_of(u):
+                half = 0.5 * (dom.hi - dom.lo)
+                return dom.lo + half * (1.0 + u), np.full_like(u, half)
+        elif math.isfinite(dom.lo):
+            def p_of(u):
+                return dom.lo + scale * (1.0 + u) / (1.0 - u), 2.0 * scale / (1.0 - u) ** 2
+        else:
+            def p_of(u):
+                return scale * u / (1.0 - u * u), scale * (1.0 + u * u) / (1.0 - u * u) ** 2
+        gram = gram_matrix(sol, 4)
+        for m, n in ((0, 0), (1, 1), (4, 4), (0, 2), (1, 3), (2, 3)):
+            def integrand(u):
+                p, dp = p_of(u)
+                return sol.psi(m, p) * sol.psi(n, p) * sol.metric(p) * dp
+            ref = integrate_adaptive(integrand)
+            assert abs(ref - (m == n)) < 1e-9, (m, n)
+            assert abs(gram[m, n] - ref) < 1e-9, (m, n)
+
+    @pytest.mark.parametrize("tau", GRID_TAUS)
+    @pytest.mark.parametrize("model,rep", SOLVABLE)
+    def test_gram_identity_over_the_tau_range(self, model, rep, tau):
+        sol = solve(model, rep, DeformationParams(tau=tau))
+        for n_max in (4, 40, 100):
+            dev = np.max(np.abs(gram_matrix(sol, n_max) - np.eye(n_max + 1)))
+            assert dev <= 1e-10, n_max
 
     def test_hermiticity_under_metric(self):
         params = DeformationParams(tau=0.25)

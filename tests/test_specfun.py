@@ -13,26 +13,16 @@ from gup_spectra.specfun import (
     JacobiSpec,
     LegendreSpec,
     assoc_legendre,
-    assoc_legendre_deriv,
-    assoc_legendre_jet,
-    assoc_legendre_ladder,
     gauss_jacobi,
     gauss_legendre_nodes,
     gegenbauer,
-    integrate_adaptive,
     jacobi,
-    jacobi_deriv,
     jacobi_jet,
-    jacobi_ladder,
-    jacobi_norm,
-    legendre_norm,
+    log_jacobi_mass,
+    orthonormal_ladder,
 )
-from gup_spectra.specfun import (
-    _christoffel_weights,
-    _jacobi_chain,
-    _log_kn,
-    legendre_norm_closed,
-)
+from gup_spectra.specfun import _christoffel_weights, _jacobi_chain, _log_kn
+from references import integrate_adaptive, jacobi_norm
 
 mp.mp.dps = 30
 
@@ -122,7 +112,7 @@ class TestGaussJacobi:
         # have degree 256 <= 2 * 256 - 1, so the rule integrates them exactly
         x, w = gauss_jacobi(256, a, b)
         mass = jacobi_norm(JacobiSpec(0, a, b))
-        ladder = jacobi_ladder(JacobiSpec(128, a, b), x)
+        ladder = np.array([jacobi(JacobiSpec(k, a, b), x) for k in range(129)])
         scale = [math.sqrt(mass / jacobi_norm(JacobiSpec(k, a, b))) for k in range(129)]
         basis = ladder * np.array(scale)[:, None]
         gram = (basis * w) @ basis.T
@@ -218,8 +208,8 @@ class TestAssociatedLegendre:
         for lam in (1.118, 2.43, 8.0):
             for n in range(4):
                 spec = LegendreSpec(n, -lam)
-                assert legendre_norm(spec) == pytest.approx(
-                    legendre_norm_closed(spec), rel=1e-10)
+                norm = integrate_adaptive(lambda z: assoc_legendre(spec, z) ** 2)
+                assert norm == pytest.approx(_ferrers_norm(n, lam), rel=1e-10)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -229,24 +219,21 @@ class TestAssociatedLegendre:
         with pytest.raises(UnsupportedOrder):
             LegendreSpec(1, 1.5)
 
-    def test_derivative_matches_finite_differences(self):
+    def test_scale_free_jet_is_ferrers_up_to_its_constant(self):
+        # the unified engine's Legendre basis: (1-z^2)^(lam/2) P_n^(lam, lam)
         h = 1e-5
-        for lam, n in ((1.7, 1), (3.2, 4)):
+        for lam, n in ((1.7, 1), (3.2, 4), (2.2, 3)):
             spec = LegendreSpec(n, -lam)
-            for z in (-0.6, 0.05, 0.71):
-                stencil = (assoc_legendre(spec, z - 2 * h)
-                           - 8 * assoc_legendre(spec, z - h)
-                           + 8 * assoc_legendre(spec, z + h)
-                           - assoc_legendre(spec, z + 2 * h)) / (12 * h)
-                exact = assoc_legendre_deriv(spec, z)
-                assert abs(exact - stencil) < 1e-7 * max(1.0, abs(exact))
-
-    def test_jet_consistency(self):
-        spec = LegendreSpec(3, -2.2)
-        z = np.array([-0.4, 0.1, 0.65])
-        jet = assoc_legendre_jet(spec, z, 2)
-        assert np.allclose(jet.value, assoc_legendre(spec, z), atol=1e-14)
-        assert np.allclose(jet.d[1], assoc_legendre_deriv(spec, z), atol=1e-12)
+            z = np.array([-0.6, 0.05, 0.71])
+            zj = Jet.variable(z, 2)
+            jet = (1.0 - zj * zj).power(lam / 2.0) * jacobi_jet(JacobiSpec(n, lam, lam), z, 2)
+            ratio = assoc_legendre(spec, z) / jet.value
+            assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-13
+            stencil = (assoc_legendre(spec, z - 2 * h) - 8 * assoc_legendre(spec, z - h)
+                       + 8 * assoc_legendre(spec, z + h)
+                       - assoc_legendre(spec, z + 2 * h)) / (12 * h)
+            exact = ratio[0] * jet.d[1]
+            assert np.all(np.abs(exact - stencil) < 1e-7 * np.maximum(1.0, np.abs(exact)))
 
 
 class TestJacobi:
@@ -306,68 +293,83 @@ class TestJacobi:
                 assert val == pytest.approx(target, rel=1e-10, abs=1e-10)
 
     def test_derivative(self):
-        assert jacobi_deriv(JacobiSpec(0, 0.5, 1.5), 0.2) == 0.0
+        assert jacobi_jet(JacobiSpec(0, 0.5, 1.5), 0.2, 1).d[1] == 0.0
         h = 1e-5
         spec = JacobiSpec(3, 0.5, 1.5)
         x = 0.2
         stencil = (jacobi(spec, x - 2 * h) - 8 * jacobi(spec, x - h)
                    + 8 * jacobi(spec, x + h) - jacobi(spec, x + 2 * h)) / (12 * h)
-        assert jacobi_deriv(spec, x) == pytest.approx(stencil, rel=1e-7)
+        assert jacobi_jet(spec, x, 1).d[1] == pytest.approx(stencil, rel=1e-7)
 
     def test_jet_consistency(self):
         spec = JacobiSpec(4, 1.2, 0.3)
         x = np.array([-0.5, 0.0, 0.8])
         jet = jacobi_jet(spec, x, 3)
         assert np.allclose(jet.value, jacobi(spec, x), atol=1e-13)
-        assert np.allclose(jet.d[1], jacobi_deriv(spec, x), atol=1e-12)
+        # d/dx P_n^(a,b) = (n+a+b+1)/2 P_{n-1}^(a+1,b+1)
+        ladder = 0.5 * (4 + 1.2 + 0.3 + 1) * jacobi(JacobiSpec(3, 2.2, 1.3), x)
+        assert np.allclose(jet.d[1], ladder, atol=1e-12)
 
 
-# orders of the oscillator and Swanson(0.1, 0.2) Legendre states and of the
-# PT(1, 0.5) Jacobi states at tau = 1e-2, 0.25 and 5; Swanson's order is
-# complex with zero imaginary part
-LADDER_MUS = (-100.00125, -4.0311289, -0.5385165,
-              -73.260589 + 0j, -2.4255177 + 0j, -0.3434079 + 0j)
-LADDER_JACOBI_AB = ((10.012492, 70.712446), (2.0615528, 2.8722813), (0.6708204, 0.5196152))
-LADDER_NMAX = 100
+def _ferrers_norm(n, lam):
+    """Closed form of the weight-1 norm of P_{n+lam}^{-lam} on (-1, 1), from
+    the Gegenbauer orthogonality and k_n."""
+    a = lam + 0.5
+    log_hn = (math.log(math.pi) + (1 - 2 * a) * math.log(2.0) + gammaln(n + 2 * a)
+              - gammaln(n + 1) - math.log(n + a) - 2 * gammaln(a))
+    return math.exp(2 * _gammaln_log_kn(n, lam) + log_hn)
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+# weight exponents (a, b) of the solvable families: the oscillator and
+# Swanson (lam, lam) and the inverse-square (a+, b+), at tau from 1e-4 to 50,
+# plus the limit a + b = -1 of the chain
+ORTHONORMAL_AB = ((0.5004, 0.5004), (4.0311289, 4.0311289), (1e4, 1e4),
+                  (0.6708204, 0.5196152), (2.0615528, 2.8722813),
+                  (100.0, 7070.0), (-0.5, -0.5))
 
 
-class TestLadders:
-    """One recurrence sweep gives every degree exactly as the per-degree call."""
+class TestOrthonormalLadder:
+    """The chain recurrence the Gauss-Jacobi weights sum gives the states."""
 
-    @pytest.mark.parametrize("mu", LADDER_MUS)
-    def test_legendre_rows_bit_identical(self, mu):
-        z = np.linspace(-0.995, 0.995, 157)
-        rows = assoc_legendre_ladder(LegendreSpec(LADDER_NMAX, mu), z)
-        assert rows.shape == (LADDER_NMAX + 1, z.size)
-        for n in range(LADDER_NMAX + 1):
-            assert _same_bits(rows[n], assoc_legendre(LegendreSpec(n, mu), z)), n
+    # at (1e4, 1e4) and (100, 7070) the classical norms overflow
+    @pytest.mark.parametrize("a, b", [ab for ab in ORTHONORMAL_AB if max(ab) < 1e2])
+    def test_matches_normalized_jacobi_polynomials(self, a, b):
+        # phat_n = P_n^(a,b) (mass / h_n)^(1/2), with a positive leading term
+        y = np.linspace(-0.99, 0.99, 157)
+        rows = orthonormal_ladder(40, a, b, (1.0 + y) / 2.0)
+        mass = jacobi_norm(JacobiSpec(0, a, b))
+        for n in range(41):
+            scale = math.sqrt(mass / jacobi_norm(JacobiSpec(n, a, b)))
+            ref = jacobi(JacobiSpec(n, a, b), y) * scale
+            assert np.max(np.abs(rows[n] - ref)) <= 1e-12 * np.max(np.abs(ref)), n
 
-    @pytest.mark.parametrize("a, b", LADDER_JACOBI_AB)
-    def test_jacobi_rows_bit_identical(self, a, b):
-        x = np.linspace(-0.995, 0.995, 157)
-        rows = jacobi_ladder(JacobiSpec(LADDER_NMAX, a, b), x)
-        assert rows.shape == (LADDER_NMAX + 1, x.size)
-        for n in range(LADDER_NMAX + 1):
-            assert _same_bits(rows[n], jacobi(JacobiSpec(n, a, b), x)), n
+    @pytest.mark.parametrize("a, b", ORTHONORMAL_AB)
+    def test_orthonormal_on_the_gauss_rule(self, a, b):
+        # degree 2 * 100 <= 2 * 102 - 1, so the rule integrates exactly; at
+        # (1e4, 1e4) and (100, 7070) the classical norms overflow
+        y, w = gauss_jacobi(102, a, b)
+        rows = orthonormal_ladder(100, a, b, (1.0 + y) / 2.0)
+        assert np.all(np.isfinite(rows))
+        gram = (rows * w) @ rows.T
+        assert np.max(np.abs(gram - np.eye(101))) < 1e-12
 
-    def test_complex_order_rows(self):
-        z = np.linspace(-0.9, 0.9, 31)
-        mu = -1.6 + 0.4j  # the broken-symmetry branch carries complex order
-        rows = assoc_legendre_ladder(LegendreSpec(12, mu), z)
-        for n in range(13):
-            assert _same_bits(rows[n], assoc_legendre(LegendreSpec(n, mu), z))
+    def test_christoffel_weights_sum_the_same_rows(self):
+        a, b = 2.0615528, 2.8722813
+        y, w = gauss_jacobi(21, a, b)
+        rows = orthonormal_ladder(20, a, b, (1.0 + y) / 2.0)
+        assert np.max(np.abs(1.0 / np.sum(rows ** 2, axis=0) - w) / w) < 1e-13
+
+    def test_rows_independent_of_ladder_length(self):
+        t = np.linspace(0.01, 0.99, 31)
+        full = orthonormal_ladder(30, 3.3, 0.7, t)
+        for n in (0, 1, 7, 30):
+            assert full[n].tobytes() == orthonormal_ladder(n, 3.3, 0.7, t)[n].tobytes()
 
     def test_scalar_argument_and_validation(self):
-        rows = jacobi_ladder(JacobiSpec(3, 0.5, 1.5), 0.2)
-        assert rows.shape == (4,)
-        assert rows[3] == jacobi(JacobiSpec(3, 0.5, 1.5), 0.2)
-        with pytest.raises(DomainError):
-            assoc_legendre_ladder(LegendreSpec(2, -1.5), 1.5)
+        rows = orthonormal_ladder(3, 0.5, 1.5, 0.2)
+        assert rows.shape == (4,) and rows[0] == 1.0
+        with pytest.raises(ParameterError):
+            orthonormal_ladder(-1, 0.5, 1.5, 0.2)
 
 
 def _gammaln_log_kn(n, lam):
@@ -403,37 +405,26 @@ class TestLogGammaParity:
 
     @pytest.mark.parametrize("lam", LAMS)
     def test_log_kn(self, lam):
-        n = np.arange(self.NMAX + 1)
-        ref = _gammaln_log_kn(n, lam)
-        assert np.all(np.abs(_log_kn(n, lam) - ref) <= 1e-13 * np.abs(ref))
+        for n in range(self.NMAX + 1):
+            ref = _gammaln_log_kn(n, lam)
+            assert abs(_log_kn(n, lam) - ref) <= 1e-13 * abs(ref), n
 
     @pytest.mark.parametrize("lam", LAMS)
-    def test_legendre_ladder_rows(self, lam):
+    def test_ferrers_values(self, lam):
         z = np.linspace(-0.99, 0.99, 41)
-        rows = assoc_legendre_ladder(LegendreSpec(self.NMAX, -lam), z)
         for n in range(self.NMAX + 1):
             ref = (math.exp(_gammaln_log_kn(n, lam)) * (1 - z ** 2) ** (lam / 2)
                    * gegenbauer(n, lam + 0.5, z))
-            assert _agree_after_exp(rows[n], ref, _gammaln_log_kn_size(n, lam)), n
+            got = assoc_legendre(LegendreSpec(n, -lam), z)
+            assert _agree_after_exp(got, ref, _gammaln_log_kn_size(n, lam)), n
 
-    @pytest.mark.parametrize("lam", LAMS)
-    def test_closed_norms(self, lam):
-        a = lam + 0.5
-        for n in range(self.NMAX + 1):
-            terms = (math.log(math.pi), (1 - 2 * a) * math.log(2.0),
-                     gammaln(n + 2 * a), -gammaln(n + 1), -math.log(n + a),
-                     -2 * gammaln(a), 2 * _gammaln_log_kn(n, lam))
-            size = sum(abs(t) for t in terms[:-1]) + 2 * _gammaln_log_kn_size(n, lam)
-            assert _agree_after_exp(legendre_norm_closed(LegendreSpec(n, -lam)),
-                                    math.exp(sum(terms)), size), n
-        b = 0.5
-        for n in range(self.NMAX + 1):
-            terms = ((lam + b + 1) * math.log(2.0), gammaln(n + lam + 1),
-                     gammaln(n + b + 1), -gammaln(n + 1),
-                     -math.log(2 * n + lam + b + 1), -gammaln(n + lam + b + 1))
+    @pytest.mark.parametrize("lam", LAMS + (1e4,))
+    def test_log_mass(self, lam):
+        for a, b in ((lam, lam), (lam, 0.5), (0.5, lam)):
+            terms = ((a + b + 1) * math.log(2.0), gammaln(a + 1), gammaln(b + 1),
+                     -gammaln(a + b + 2))
             size = sum(abs(t) for t in terms)
-            assert _agree_after_exp(jacobi_norm(JacobiSpec(n, lam, b)),
-                                    math.exp(sum(terms)), size), n
+            assert abs(log_jacobi_mass(a, b) - sum(terms)) <= 1e-15 * size
 
     def test_poles_propagate_like_gammaln(self):
         # a positive integer order mu puts Gamma(lam + 1) on a pole: NaN, not
@@ -454,10 +445,10 @@ class TestLogGammaParity:
 
         monkeypatch.setattr(scipy.special, "loggamma", counting)
         lam = 1.6 - 0.4j
-        n = np.arange(13)
-        ref = (gammaln(n + 1) - lam * math.log(2.0) - real(lam + 1)
-               - (real(2 * lam + 1 + n) - real(2 * lam + 1)))
-        assert np.allclose(_log_kn(n, lam), ref, rtol=1e-14, atol=0)
+        for n in range(13):
+            ref = (gammaln(n + 1) - lam * math.log(2.0) - real(lam + 1)
+                   - (real(2 * lam + 1 + n) - real(2 * lam + 1)))
+            assert np.allclose(_log_kn(n, lam), ref, rtol=1e-14, atol=0)
         assert calls
 
 
