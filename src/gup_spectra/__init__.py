@@ -37,8 +37,6 @@ from .errors import (
 from .liouville import (
     FactorizationAnsatz,
     TransformResult,
-    jacobi_ansatz,
-    legendre_ansatz,
     master_residual,
     to_potential,
     v_from_Qw,
@@ -48,8 +46,6 @@ from .operators import (
     apply_X,
     commutator_residual,
     default_grid,
-    pt_conjugate,
-    pt_signs,
     uniform_grid,
 )
 from .oracle import (

@@ -189,6 +189,11 @@ def _emit(command, config, header, rows, args, extra=None):
         lines = [",".join(header)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
+    _write(config, text)
+
+
+def _write(config, text):
+    """Write ``text`` to ``--out`` when given, else to stdout."""
     if config.out:
         with open(config.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -293,10 +298,9 @@ def cmd_expectation(args) -> int:
 def cmd_phase(args) -> int:
     config = build_config(args)
     params = config.params()
-    taus = tuple(float(t) for t in (args.taus.split(",") if args.taus else ["0.0"]))
     query = PhaseQuery(params=params, alpha_lo=args.alpha_lo,
                        alpha_hi=args.alpha_hi, alpha_steps=args.alpha_steps,
-                       tau_list=taus)
+                       tau_list=args.taus)
     curves = scan(query)
     rows = []
     for curve in curves:
@@ -450,12 +454,7 @@ def cmd_verify(args) -> int:
         ]
         all_ok = all_ok and all(ok for _, ok, _, _ in checks)
     report["passed"] = all_ok
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(config, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0 if all_ok else 2
 
 
@@ -472,6 +471,15 @@ def _add_common(p):
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
+
+
+def _tau_list(text):
+    """--taus: comma-separated numbers, at least one."""
+    try:
+        return tuple(float(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def build_parser():
@@ -504,7 +512,7 @@ def build_parser():
 
     p = sub.add_parser("phase", help="broken/unbroken boundary curves")
     _add_common(p)
-    p.add_argument("--taus", default="0,0.25,0.5")
+    p.add_argument("--taus", type=_tau_list, default="0,0.25,0.5")
     p.add_argument("--alpha-lo", dest="alpha_lo", type=float, default=0.5)
     p.add_argument("--alpha-hi", dest="alpha_hi", type=float, default=16.0)
     p.add_argument("--alpha-steps", dest="alpha_steps", type=int, default=300)

@@ -73,16 +73,11 @@ class Jet:
         return cls(rows)
 
     @classmethod
-    def constant(cls, c, like, order=None):
+    def constant(cls, c, like, order):
         like = np.asarray(like)
-        k = order if order is not None else 0
-        rows = np.zeros((k + 1,) + like.shape, dtype=np.result_type(like.dtype, type(c)))
+        rows = np.zeros((order + 1,) + like.shape, dtype=np.result_type(like.dtype, type(c)))
         rows[0] = c
         return cls(rows)
-
-    @classmethod
-    def from_rows(cls, rows):
-        return cls(np.asarray(rows))
 
     def _coerce(self, other):
         if isinstance(other, Jet):

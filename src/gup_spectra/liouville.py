@@ -38,8 +38,6 @@ from .specfun import gauss_legendre_nodes
 __all__ = [
     "TransformResult",
     "FactorizationAnsatz",
-    "legendre_ansatz",
-    "jacobi_ansatz",
     "to_potential",
     "master_residual",
     "v_from_Qw",
@@ -62,7 +60,6 @@ class TransformResult:
     V: Callable[[np.ndarray], np.ndarray]
     q_lo: float
     q_hi: float
-    p0: float
 
 
 def to_potential(fgh: FGHCoefficients, p0: float) -> TransformResult:
@@ -116,7 +113,7 @@ def to_potential(fgh: FGHCoefficients, p0: float) -> TransformResult:
         return V_of_p(p_of_q(q))
 
     return TransformResult(chi=chi, q_of_p=q_of_p, p_of_q=p_of_q, V=V,
-                           q_lo=float(lower.q[-1]), q_hi=float(upper.q[-1]), p0=p0)
+                           q_lo=float(lower.q[-1]), q_hi=float(upper.q[-1]))
 
 
 def _by_side(x, x0, lower, upper, method):
@@ -265,19 +262,20 @@ class _Half:
 class FactorizationAnsatz:
     """Special-function factorization phi = v(q) F(w(q)).
 
-    ``family`` is "associated_legendre" (Q = 2w/(w^2-1)) or "jacobi".
-    w(q) = sin(sqrt(c) q + phase), so (w')^2/(1-w^2) = c identically.
+    F solves (1-w^2) F'' + (b - a - (2+a+b) w) F' + [nu (nu+1+a+b) - mu^2/(1-w^2)] F = 0,
+    that is Q = (b - a - (2+a+b) w)/(1-w^2) and
+    R = nu (nu+1+a+b)/(1-w^2) - mu^2/(1-w^2)^2.  a = b = 0 is the associated
+    Legendre equation of degree nu and order mu; mu = 0, nu = n the Jacobi
+    equation of P_n^(a, b).  w(q) = sin(sqrt(c) q + phase), so
+    (w')^2/(1-w^2) = c identically.
     """
 
-    family: str
     c: float
     phase: float = 0.0
     nu: complex = 0.0
     mu: complex = 0.0
-    n: int = 0
     a: float = 0.0
     b: float = 0.0
-    w_ref: float = 0.0  # lower integration limit for int Q dw
 
     def w(self, q):
         return np.sin(np.sqrt(self.c) * np.asarray(q) + self.phase)
@@ -293,43 +291,22 @@ class FactorizationAnsatz:
         return -self.c * self.dw(q)
 
     def Q(self, w):
-        if self.family == "associated_legendre":
-            return 2 * w / (w ** 2 - 1)
         a, b = self.a, self.b
         return (b - a - (2 + a + b) * w) / (1 - w ** 2)
 
     def dQ(self, w):
-        if self.family == "associated_legendre":
-            return -2 * (w ** 2 + 1) / (w ** 2 - 1) ** 2
         a, b = self.a, self.b
         return -((2 + a + b) - 2 * (b - a) * w + (2 + a + b) * w ** 2) / (1 - w ** 2) ** 2
 
     def intQ(self, w):
-        """An antiderivative of Q in w, valid on each interval that avoids w = +-1."""
-        if self.family == "associated_legendre":
-            return np.log(np.abs(w ** 2 - 1))
+        """The antiderivative of Q in w that vanishes at w = 0, valid on each
+        interval that avoids w = +-1."""
         return (1 + self.a) * np.log(np.abs(1 - w)) + (1 + self.b) * np.log(np.abs(1 + w))
 
     def R(self, w):
-        if self.family == "associated_legendre":
-            nu, mu = self.nu, self.mu
-            return nu * (nu + 1) / (1 - w ** 2) - mu ** 2 / (1 - w ** 2) ** 2
-        return self.n * (self.n + 1 + self.a + self.b) / (1 - w ** 2)
-
-    def c_residual(self, q_grid) -> float:
-        w = self.w(q_grid)
-        wp = self.dw(q_grid)
-        return float(np.max(np.abs(wp ** 2 / (1 - w ** 2) - self.c)))
-
-
-def legendre_ansatz(c: float, nu, mu, phase: float = 0.0) -> FactorizationAnsatz:
-    return FactorizationAnsatz(family="associated_legendre", c=c, phase=phase,
-                               nu=nu, mu=mu)
-
-
-def jacobi_ansatz(c: float, n: int, a: float, b: float,
-                  phase: float = 0.0) -> FactorizationAnsatz:
-    return FactorizationAnsatz(family="jacobi", c=c, phase=phase, n=n, a=a, b=b)
+        nu, mu = self.nu, self.mu
+        return (nu * (nu + 1 + self.a + self.b) / (1 - w ** 2)
+                - mu ** 2 / (1 - w ** 2) ** 2)
 
 
 def master_residual(ansatz: FactorizationAnsatz, transform: TransformResult,
@@ -347,7 +324,7 @@ def master_residual(ansatz: FactorizationAnsatz, transform: TransformResult,
 
 
 def v_from_Qw(ansatz: FactorizationAnsatz) -> Callable[[np.ndarray], np.ndarray]:
-    """v(q) = (w')^(-1/2) exp(1/2 int_{w_ref}^{w(q)} Q), from the closed-form
+    """v(q) = (w')^(-1/2) exp(1/2 int_0^{w(q)} Q), from the closed-form
     antiderivative ``ansatz.intQ``.
 
     The returned callable raises ``BranchAmbiguity`` when 1 - w^2 changes sign
@@ -359,7 +336,7 @@ def v_from_Qw(ansatz: FactorizationAnsatz) -> Callable[[np.ndarray], np.ndarray]
         if np.any((1 - w ** 2) <= 0):
             raise BranchAmbiguity("1 - w^2 must keep one sign on the domain")
         wp = ansatz.dw(q).astype(complex)
-        integral = np.real(ansatz.intQ(w) - ansatz.intQ(ansatz.w_ref))
+        integral = np.real(ansatz.intQ(w))
         return wp ** (-0.5) * np.exp(0.5 * integral)
 
     return v

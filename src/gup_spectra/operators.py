@@ -23,8 +23,6 @@ __all__ = [
     "apply_X",
     "apply_P",
     "commutator_residual",
-    "pt_conjugate",
-    "pt_signs",
 ]
 
 _FD_ORDER = 8
@@ -35,15 +33,15 @@ def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n, endpoint=False)
 
 
-def default_grid(rep: Representation, params: DeformationParams, n: int = 2048,
-                 span: float | None = None) -> np.ndarray:
-    """A sensible sampling grid for operator tests on the given representation."""
+def default_grid(rep: Representation, params: DeformationParams,
+                 n: int = 2048) -> np.ndarray:
+    """A sensible sampling grid for operator tests on the given representation:
+    the inner 76% of a finite domain, else [-12, 12)."""
     dom = p_domain(rep, params)
     if dom.finite:
         margin = 0.12 * (dom.hi - dom.lo)
         return uniform_grid(dom.lo + margin, dom.hi - margin, n)
-    half = span if span is not None else 12.0
-    return uniform_grid(-half, half, n)
+    return uniform_grid(-12.0, 12.0, n)
 
 
 def spectral_derivative(values: np.ndarray, dx: float) -> np.ndarray:
@@ -171,21 +169,3 @@ def commutator_residual(rep: Representation, params: DeformationParams,
     den = np.linalg.norm(psi)
     return float(num / den)
 
-
-def pt_conjugate(psi: np.ndarray) -> np.ndarray:
-    """Momentum-space action of the PT involution (x -> -x, p -> p, i -> -i).
-
-    On momentum-space samples this is pointwise complex conjugation.
-    """
-    return np.conj(psi)
-
-
-def pt_signs(rep: Representation) -> tuple[int, int]:
-    """(sign_X, sign_P) under PT conjugation: Theta A Theta = sign * A.
-
-    Pi1..Pi3 and Pi4' inherit the canonical PT pattern X -> -X, P -> P;
-    Pi4 realizes the anti-PT pattern X -> X, P -> -P.
-    """
-    if rep is Representation.PI4:
-        return (+1, -1)
-    return (-1, +1)

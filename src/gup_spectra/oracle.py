@@ -91,24 +91,20 @@ def eigvalsh_tridiagonal(d, e, **kwargs):
 class EigenProblem:
     """Dirichlet problem -phi'' + V phi = E phi on (q_lo, q_hi).
 
-    ``singular_endpoints`` enables the wall-coefficient measurement; with it
-    off, both ends are treated as plain regular Dirichlet walls.
-    ``grid_size`` is the base grid N: it is bisected, and N, 2N and 4N are
-    polished and certified (see ``fd_eigenvalues``).
+    Both walls are Dirichlet walls whose inverse-square coefficient is
+    measured from V (zero at a regular wall).  ``grid_size`` is the base
+    grid N: it is bisected, and N, 2N and 4N are polished and certified (see
+    ``fd_eigenvalues``).
     """
 
     V: Callable[[np.ndarray], np.ndarray]
     q_lo: float
     q_hi: float
     grid_size: int = 2048
-    boundary: str = "dirichlet"
-    singular_endpoints: bool = True
 
     def __post_init__(self):
         if self.grid_size < 64:
             raise ParameterError("grid_size must be at least 64")
-        if self.boundary != "dirichlet":
-            raise ParameterError("only Dirichlet boundaries are supported")
         if not (math.isfinite(self.q_lo) and math.isfinite(self.q_hi)
                 and self.q_lo < self.q_hi):
             raise ParameterError("q domain must be a finite nonempty interval")
@@ -119,7 +115,6 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     grid_sizes: tuple[int, ...]
     raw: list = field(default_factory=list)
-    extrapolated: bool = True
     error_estimates: np.ndarray | None = None
     wall_exponents: tuple[float, float] = (math.inf, math.inf)
     # per grid: True where the polished values certified, False where the
@@ -264,11 +259,8 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
         raise ParameterError("count must not exceed grid_size / 8")
     lo, hi, V = problem.q_lo, problem.q_hi, problem.V
     scale = hi - lo
-    if problem.singular_endpoints:
-        s_lo = _wall_exponent(_wall_gamma(V, lo, -1, scale))
-        s_hi = _wall_exponent(_wall_gamma(V, hi, +1, scale))
-    else:
-        s_lo = s_hi = 1.0
+    s_lo = _wall_exponent(_wall_gamma(V, lo, -1, scale))
+    s_hi = _wall_exponent(_wall_gamma(V, hi, +1, scale))
     grids = (problem.grid_size, 2 * problem.grid_size, 4 * problem.grid_size)
     seeds, raw, certified = None, [], []
     for n in grids:
@@ -297,7 +289,7 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
             "grid refinement did not converge: error estimates "
             f"{err[bad]} on levels {np.nonzero(bad)[0]}")
     return SpectrumResult(eigenvalues=best, grid_sizes=grids, raw=raw,
-                          extrapolated=True, error_estimates=err,
+                          error_estimates=err,
                           wall_exponents=(s_lo, s_hi), certified=tuple(certified))
 
 
@@ -597,38 +589,38 @@ def expectation_unified(model: ModelSpec, params: DeformationParams, n: int,
 # direct engine (native momentum grid + numerical operator actions)
 
 _DIRECT_REPS = (Representation.PI1, Representation.PI2, Representation.PI3)
+_DECAY_TOL = 1e-10  # psi^2 rho (1 + p^2) at the edge of an unbounded grid
 
 
-def _direct_grid(sol: ClosedFormSolution, n_points, span_tol=1e-10):
+def _direct_grid(sol: ClosedFormSolution, n_points):
     dom = sol.domain
     if math.isfinite(dom.lo):
         hi = dom.hi
         if not math.isfinite(hi):
-            hi = _decay_span(sol, start=8.0 / math.sqrt(sol.params.tau_check),
-                             tol=span_tol)
+            hi = _decay_span(sol)
         h = (hi - dom.lo) / n_points
         return dom.lo + (np.arange(n_points) + 0.5) * h, h
-    half = _decay_span(sol, start=8.0 / math.sqrt(sol.params.tau_check), tol=span_tol)
+    half = _decay_span(sol)
     grid = uniform_grid(-half, half, n_points)
     return grid, grid[1] - grid[0]
 
 
-def _decay_span(sol, start, tol):
+def _decay_span(sol):
     """Half-width where the normalized P^2-weighted density is negligible.
 
     The words at hand raise the decay exponent by at most p^2, so the
     pointwise check on psi^2 rho (1 + p^2) bounds the quadrature tail.  The
-    probe is the first of the spans start * 1.3^k, k < 80, below ``tol``,
-    all evaluated at once; if none is, the next span.
+    probe is the first of the spans 8 / sqrt(tc) * 1.3^k, k < 80, below
+    ``_DECAY_TOL``, all evaluated at once; if none is, the next span.
     """
-    spans = [start]
+    spans = [8.0 / math.sqrt(sol.params.tau_check)]
     for _ in range(80):
         spans.append(spans[-1] * 1.3)
     probe = np.array(spans[:-1])
-    # far spans may under- or overflow; they only need to compare with tol
+    # far spans may under- or overflow; they only need to compare with _DECAY_TOL
     with np.errstate(all="ignore"):
         tail = np.abs(sol.psi(0, probe)) ** 2 * sol.metric(probe) * (1.0 + probe ** 2)
-    below = np.flatnonzero(tail < tol)
+    below = np.flatnonzero(tail < _DECAY_TOL)
     return spans[below[0]] if below.size else spans[-1]
 
 

@@ -65,12 +65,7 @@ from .errors import (
     ParameterError,
     UnsupportedPair,
 )
-from .liouville import (
-    FactorizationAnsatz,
-    jacobi_ansatz,
-    legendre_ansatz,
-    to_potential,
-)
+from .liouville import FactorizationAnsatz, to_potential
 from .specfun import gauss_jacobi, log_jacobi_mass, orthonormal_ladder
 
 __all__ = [
@@ -179,11 +174,6 @@ class ClosedFormSolution:
         return np.array([self.energy(n) for n in range(n_max + 1)])
 
     # -- states -------------------------------------------------------------
-
-    def z_of_p(self, p):
-        self._require_states()
-        angle, x = self._angle(p)
-        return _FAMILIES[self.family].y(angle.sin(x), angle.cos(x))
 
     def psi_ladder(self, n_max: int, p):
         """Rows psi_0(p), ..., psi_{n_max}(p) from one orthonormal recurrence sweep."""
@@ -366,7 +356,6 @@ class PotentialSpec:
     V: Callable[[np.ndarray], np.ndarray]
     q_lo: float
     q_hi: float
-    q_of_p: Callable[[np.ndarray], np.ndarray]
 
 
 def transformed_potential(model: ModelSpec, rep: Representation,
@@ -381,7 +370,6 @@ def transformed_potential(model: ModelSpec, rep: Representation,
     if tau == 0.0 and model.family == "jacobi":
         raise ParameterError("the Jacobi family has no commutative limit; tau must be > 0")
     model.admit(params)
-    hbar, m, om = params.hbar, params.mass, params.omega
     base = model.scales(params)[0]
     if tau == 0.0:
         # commutative limit: harmonic well (k q)^2 with k = E_0, in the
@@ -392,15 +380,11 @@ def transformed_potential(model: ModelSpec, rep: Representation,
             raise ParameterError("complex commutative spectrum; no real well")
         k = k.real
         edge = 9.0 / math.sqrt(k)
-        lin = math.sqrt(2.0 / (m * hbar * om * base))
 
         def V0(q):
             return (k * np.asarray(q)) ** 2
 
-        def q_of_p0(p):
-            return lin * np.asarray(p)
-
-        return PotentialSpec(V=V0, q_lo=-edge, q_hi=edge, q_of_p=q_of_p0)
+        return PotentialSpec(V=V0, q_lo=-edge, q_hi=edge)
     if model.family == "jacobi":
         csc2, sec2 = model.well(params)
         c = 2.0 * tau * base
@@ -423,14 +407,7 @@ def transformed_potential(model: ModelSpec, rep: Representation,
         q_lo, q_hi = -edge, edge
     if rep not in ANGLES:
         raise UnsupportedPair(f"no transformed potential for {rep}")
-    angle = ANGLES[rep]
-    stc = math.sqrt(params.tau_check)
-    scale = math.sqrt(2.0 / (tau * base))
-
-    def q_of_p(p):
-        return scale * angle.theta(stc * np.asarray(p))
-
-    return PotentialSpec(V=V, q_lo=q_lo, q_hi=q_hi, q_of_p=q_of_p)
+    return PotentialSpec(V=V, q_lo=q_lo, q_hi=q_hi)
 
 
 def default_p0(model: ModelSpec, rep: Representation,
@@ -455,12 +432,13 @@ def ansatz_for(sol: ClosedFormSolution, n: int,
     the generic transform anchored at ``default_p0`` (half cells recentered).
     """
     if sol.family == "legendre":
-        return legendre_ansatz(sol.c, nu=n - sol.parameters["mu_minus"],
-                               mu=sol.parameters["mu_minus"], phase=0.0)
+        mu = sol.parameters["mu_minus"]
+        return FactorizationAnsatz(sol.c, nu=n - mu, mu=mu)
     if sol.family == "jacobi":
         phase = math.pi / 2.0 if coordinates == "model" else math.pi
-        return jacobi_ansatz(sol.c, n=n, a=sol.parameters["a_plus"].real,
-                             b=sol.parameters["b_plus"].real, phase=phase)
+        return FactorizationAnsatz(sol.c, phase=phase, nu=n,
+                                   a=sol.parameters["a_plus"].real,
+                                   b=sol.parameters["b_plus"].real)
     raise UnsupportedPair("no factorization ansatz for this pair")
 
 
@@ -483,10 +461,6 @@ def metric_generic(model: ModelSpec, rep: Representation,
     p0 = default_p0(model, shared, params)
     tr = to_potential(fgh, p0)
     ansatz = ansatz_for(sol, 0, coordinates="centered")
-    a = b = 0.0
-    if sol.family == "jacobi":
-        a = sol.parameters["a_plus"].real
-        b = sol.parameters["b_plus"].real
     angle = ANGLES[rep]
     similarity = 2.0 * (ANGLES[shared].e - angle.e)
     stc = math.sqrt(params.tau_check)
@@ -497,7 +471,7 @@ def metric_generic(model: ModelSpec, rep: Representation,
         if np.any((1 - w ** 2) <= 0):
             raise BranchAmbiguity("1 - w^2 must keep one sign on the domain")
         # ln varrho - 2 Re chi + ln |v|^-2 + ln |dw/dp|
-        return (a * np.log1p(-w) + b * np.log1p(w) - 2.0 * np.real(tr.chi(p))
+        return (ansatz.a * np.log1p(-w) + ansatz.b * np.log1p(w) - 2.0 * np.real(tr.chi(p))
                 + 2.0 * np.log(np.abs(ansatz.dw(q))) - np.real(ansatz.intQ(w))
                 - 0.5 * np.log(np.asarray(fgh.f(p), dtype=float))
                 + similarity * np.log(angle.cos(stc * p)))

@@ -12,8 +12,8 @@ sequence of that weight (Chihara) drives both
   rule's Christoffel weights sum.
 
 So the one normalization constant left is the weight's mass
-2^(a+b+1) B(a+1, b+1), which ``log_jacobi_mass`` gives in log space from
-``math.lgamma``: it leaves the double range for exponents in the thousands.
+2^(a+b+1) B(a+1, b+1), which ``log_jacobi_mass`` gives in log space by
+Stirling's formula: it leaves the double range for exponents in the thousands.
 
 Two classical families stay for the operator jets and the public API:
 
@@ -76,10 +76,6 @@ class LegendreSpec:
                 "positive non-integer order is outside the implemented branch"
             )
 
-    @property
-    def degree(self) -> complex:
-        return self.n - self.mu
-
 
 @dataclass(frozen=True)
 class JacobiSpec:
@@ -100,16 +96,11 @@ class JacobiSpec:
 # quadrature
 
 @lru_cache(maxsize=64)
-def _leggauss_cached(count: int):
-    x, w = np.polynomial.legendre.leggauss(count)
-    return x, w
-
-
 def gauss_legendre_nodes(count: int):
-    """Gauss-Legendre nodes and weights on (-1, 1)."""
+    """Gauss-Legendre nodes and weights on (-1, 1), computed once per count."""
     if count < 1:
         raise ParameterError("node count must be positive")
-    return _leggauss_cached(int(count))
+    return np.polynomial.legendre.leggauss(count)
 
 
 def _jacobi_chain(m: int, a: float, b: float):
@@ -244,14 +235,43 @@ def _lgamma(x: float) -> float:
         return math.inf
 
 
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# B_2k / (2k (2k-1)), k = 1..7, of Stirling's series; from x = 12 on the
+# next term is below 5e-18
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0, 1.0 / 156.0)
+
+
+def _stirling_remainder(x: float) -> float:
+    """d(x) = log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2 (DLMF 5.11.1)."""
+    if x < 12.0:
+        return _lgamma(x) - (x - 0.5) * math.log(x) + x - _HALF_LOG_2PI
+    return sum(c * x ** (1 - 2 * k) for k, c in enumerate(_STIRLING, 1))
+
+
 def log_jacobi_mass(a: float, b: float) -> float:
     """log of the mass 2^(a+b+1) B(a+1, b+1) of (1-y)^a (1+y)^b on (-1, 1).
 
-    The log-gamma terms grow like a log a, so at exponents of 1e4 the
-    result carries an absolute error of about 1e-11.
+    With p = a + 1, q = b + 1 and s = p + q it is, by Stirling's formula,
+    (p - 1/2) log(2p/s) + (q - 1/2) log(2q/s) - log(s)/2 + log(2 pi)/2
+    + d(p) + d(q) - d(s), free of the log-gamma terms of size s log s that
+    cancel in the plain sum (3e-11 at exponents of 1e4).  For |t| < 1/2,
+    t = (p - q)/s, the logs are (s - 1)/2 log(1 - t^2) + s t atanh(t), exact
+    as t -> 0.  Below 12 in both p and q the plain sum is as accurate, and
+    is kept, as it is where no mass exists (a or b <= -1).
     """
-    return ((a + b + 1.0) * math.log(2.0) + _lgamma(a + 1.0) + _lgamma(b + 1.0)
-            - _lgamma(a + b + 2.0))
+    p, q = a + 1.0, b + 1.0
+    if max(p, q) < 12.0 or min(p, q) <= 0.0:
+        return ((a + b + 1.0) * math.log(2.0) + _lgamma(p) + _lgamma(q)
+                - _lgamma(a + b + 2.0))
+    s = p + q
+    t = (p - q) / s
+    if abs(t) < 0.5:
+        logs = 0.5 * (s - 1.0) * math.log1p(-t * t) + s * t * math.atanh(t)
+    else:
+        logs = (p - 0.5) * math.log(2.0 * p / s) + (q - 0.5) * math.log(2.0 * q / s)
+    return (logs - 0.5 * math.log(s) + _HALF_LOG_2PI + _stirling_remainder(p)
+            + _stirling_remainder(q) - _stirling_remainder(s))
 
 
 # ---------------------------------------------------------------------------
@@ -334,4 +354,4 @@ def jacobi_jet(spec: JacobiSpec, x, order: int) -> Jet:
             rows.append(np.zeros_like(np.asarray(x, dtype=float)))
         else:
             rows.append(fac * jacobi(JacobiSpec(n - k, a + k, b + k), x))
-    return Jet.from_rows(np.asarray(rows))
+    return Jet(np.asarray(rows))

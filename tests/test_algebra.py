@@ -27,8 +27,6 @@ from gup_spectra.operators import (
     apply_X,
     commutator_residual,
     default_grid,
-    pt_conjugate,
-    pt_signs,
     uniform_grid,
 )
 
@@ -337,18 +335,16 @@ class TestPTAction:
         grid = default_grid(rep, params, 2048)
         psi = (1.0 + 0.5j) * np.exp(-0.8 * grid ** 2) \
             + 0.3j * grid * np.exp(-1.1 * grid ** 2)
-        sx, sp = pt_signs(rep)
-        lhs_x = pt_conjugate(apply_X(rep, params, pt_conjugate(psi), grid))
+        # PT (x -> -x, p -> p, i -> -i) acts on momentum samples as complex
+        # conjugation; Theta A Theta = sign A.  Pi1..Pi3 realize the canonical
+        # pattern X -> -X, P -> P, Pi4 the anti-PT pattern X -> X, P -> -P.
+        sx, sp = (+1, -1) if rep is R.PI4 else (-1, +1)
+        lhs_x = np.conj(apply_X(rep, params, np.conj(psi), grid))
         rhs_x = sx * apply_X(rep, params, psi, grid)
         assert np.max(np.abs(lhs_x - rhs_x)) < 1e-8 * np.max(np.abs(rhs_x))
-        lhs_p = pt_conjugate(apply_P(rep, params, pt_conjugate(psi), grid))
+        lhs_p = np.conj(apply_P(rep, params, np.conj(psi), grid))
         rhs_p = sp * apply_P(rep, params, psi, grid)
         assert np.max(np.abs(lhs_p - rhs_p)) < 1e-12 * np.max(np.abs(rhs_p))
-
-    def test_sign_table(self):
-        assert pt_signs(R.PI1) == (-1, +1)
-        assert pt_signs(R.PI3) == (-1, +1)
-        assert pt_signs(R.PI4) == (+1, -1)
 
 
 class TestSimilarity:

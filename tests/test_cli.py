@@ -243,6 +243,12 @@ class TestPhaseCommand:
         assert len(rows) == 5
         assert np.all(np.isfinite(np.array(rows, dtype=float)))
 
+    @pytest.mark.parametrize("taus", ["abc", ""])
+    def test_malformed_tau_list_is_a_usage_error(self, capsys, taus):
+        code, out, err = run_cli(capsys, "phase", "--taus", taus)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
     def test_readme_example_matches_snapshot(self, capsys):
         # tests/data/phase_readme.csv is this command's output before the
         # phase scan was vectorized; the CSV must not change by one byte
@@ -292,6 +298,16 @@ class TestConfigPrecedence:
 
 
 class TestVerifyCommand:
+    def test_output_file_matches_stdout(self, capsys, tmp_path):
+        out_path = tmp_path / "verify.json"
+        code, out, _ = run_cli(capsys, "verify", "commutators", "--out", str(out_path))
+        assert code == 0 and out == ""
+        _, expect, _ = run_cli(capsys, "verify", "commutators")
+        # the report echoes the configuration, --out included
+        report = json.loads(expect)
+        report["config"]["out"] = str(out_path)
+        assert out_path.read_text() == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
     def test_master_residual_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "master-residual")
         assert code == 0

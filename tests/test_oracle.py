@@ -37,7 +37,6 @@ class TestEigensolver:
         res = fd_eigenvalues(prob, 4)
         exact = np.arange(1, 5) ** 2
         assert np.max(np.abs(res.eigenvalues - exact) / exact) < 1e-6
-        assert res.extrapolated
         assert np.all(res.error_estimates > 0)
 
     def test_scaled_oscillator_on_a_box(self):

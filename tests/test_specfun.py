@@ -452,6 +452,19 @@ class TestLogGammaParity:
         assert calls
 
 
+class TestLogJacobiMass:
+    # exponents of the small-tau ladders (a = b = lam ~ 1/tau, or a+ ~ 100 and
+    # b+ ~ 7071 at tau = 1e-4), where log-gamma terms of size s log s cancel
+    @pytest.mark.parametrize("a,b", [(1e4, 1e4), (5000, 5000), (2e4, 200), (100, 7071),
+                                     (0.54, 1e4), (-0.9, 3e4), (0.54, 0.54)])
+    def test_against_mpmath(self, a, b):
+        with mp.workdps(40):
+            ref = ((a + b + 1) * mp.log(2) + mp.loggamma(a + 1) + mp.loggamma(b + 1)
+                   - mp.loggamma(mp.mpf(a) + b + 2))
+            err = abs(mp.mpf(log_jacobi_mass(a, b)) - ref)
+        assert err <= 2e-15 * max(1.0, abs(float(ref)))
+
+
 class TestJets:
     def test_product_and_power_rules(self):
         z = np.linspace(-0.7, 0.7, 11)
