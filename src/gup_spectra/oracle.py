@@ -8,17 +8,19 @@ first interior row with the local power-law ratio (exponent
 s = (1 + sqrt(1+4 gamma))/2), and extrapolating over grids N, 2N, 4N with the
 wall-derived error exponents.
 
-Only the base grid N is bisected (LAPACK stebz, Sturm sequences).  Every grid
-then polishes its seeds by shifted inverse iteration (one dgttrf per seed,
-then dgttrs solves): the base grid its own bisected values, grids 2N and 4N
-the values of the grid below, which are already right to about h^2.  A grid
-keeps the polished values only under a certificate: disjoint residual
-intervals, a Sturm count (stebz, range "V") with exactly the expected number
-of eigenvalues below them, and Kato-Temple bounds min(|r|, |r|^2 / gap) of at
-most eps * ||T||_1, the tolerance bisection stops at (Parlett, The Symmetric
-Eigenvalue Problem, SIAM 1998).  A grid whose values do not certify is
-bisected instead.  Everything is computed from V alone, never seeded from the
-closed forms, keeping the check independent of what it validates.
+Only the base grid N is bisected (LAPACK stebz, Sturm sequences), and only
+to seeds: to an absolute tolerance of 1e-10 * ||T||_1.  Every grid then
+polishes its seeds by shifted inverse iteration (one dgttrf per seed, then
+dgttrs solves): the base grid its bisected seeds, grids 2N and 4N the values
+of the grid below, which are already right to about h^2.  A grid keeps the
+polished values only under a certificate: disjoint residual intervals, a
+Sturm count (stebz, range "V") with exactly the expected number of
+eigenvalues below them, and Kato-Temple bounds min(|r|, |r|^2 / gap) of at
+most eps * ||T||_1, the tolerance stebz's own bisection stops at (Parlett,
+The Symmetric Eigenvalue Problem, SIAM 1998).  A grid whose values do not
+certify is bisected afresh to that tolerance.  Everything is computed from V
+alone, never seeded from the closed forms, keeping the check independent of
+what it validates.
 
 Expectation values come in two independent flavors:
 
@@ -28,6 +30,9 @@ Expectation values come in two independent flavors:
 * ``expectation_direct``: brute quadrature of psi* rho (F psi) on the
   representation's native momentum grid using the numerical operator actions
   (Pi1..Pi3; the segment representation is covered by the unified form).
+  Like the unified engine it evaluates a level once: the grid, psi_n, rho
+  and the states the words build from psi_n are shared by every word asked
+  of that level.
 """
 
 from __future__ import annotations
@@ -72,9 +77,12 @@ __all__ = [
 
 _V_CAP = 1e12
 _EPS = float(np.finfo(float).eps)
-# Inverse-iteration solves per seed: a bisected seed certifies after one or
-# two, a seed from the grid below after two or three.
+# Inverse-iteration solves per seed: a seed bisected to _SEED_TOL, like one
+# from the grid below, certifies after two, at most four.
 _POLISH_STEPS = 6
+# The base grid's seeds are bisected to this absolute tolerance, in units of
+# ||T||_1: inverse iteration takes them the rest of the way to eps * ||T||_1.
+_SEED_TOL = 1e-10
 
 
 # scipy takes about 0.3 s to import and only the FD oracle calls it, so the
@@ -151,11 +159,19 @@ def _fd_matrix(V, lo, hi, n, s_lo, s_hi):
     return d[1:n - 1], e[1:n - 2]
 
 
-def _bisect(d, e, count):
-    """Lowest ``count`` eigenvalues by Sturm bisection to stebz's default
-    tolerance eps * ||T||_1."""
+def _bisect(d, e, count, tol=0.0):
+    """Lowest ``count`` eigenvalues by Sturm bisection to the absolute
+    tolerance ``tol``; 0 is stebz's default, eps * ||T||_1."""
     return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
-                                lapack_driver="stebz")
+                                lapack_driver="stebz", tol=tol)
+
+
+def _norm1(d, e):
+    """||T||_1 of the symmetric tridiagonal T = (d, e)."""
+    row = np.abs(d)
+    row[:-1] += np.abs(e)
+    row[1:] += np.abs(e)
+    return float(row.max())
 
 
 def _gaps(values, radii):
@@ -188,10 +204,7 @@ def _polish(d, e, seeds):
     """
     from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
-    row = np.abs(d)
-    row[:-1] += np.abs(e)
-    row[1:] += np.abs(e)
-    norm1 = float(row.max())
+    norm1 = _norm1(d, e)
     tol = _EPS * norm1
     start = np.random.default_rng(1).uniform(-1.0, 1.0, d.size)
     half_gap = (0.5 * _gaps(seeds, np.zeros_like(seeds))).tolist()
@@ -243,15 +256,15 @@ def _error_exponents(s_lo, s_hi):
 def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
     """Lowest ``count`` eigenvalues with grid-tripling extrapolation.
 
-    The base grid bisects count + 1 eigenvalues; the extra one is a guard
-    whose residual interval bounds the gap above the top requested level.
-    Each grid then refines its seeds by certified inverse iteration
-    (``_polish``), seeded by the base grid's bisection or the grid below.
-    A grid that fails the certificate falls back to bisection: the base
-    grid keeps its bisected values, a refined grid bisects afresh.
-    ``SpectrumResult.certified`` records which grids certified.  The raw
-    values then go through Richardson extrapolation with the wall-derived
-    exponents, and ConvergenceFailure is raised where the grids disagree.
+    The base grid bisects count + 1 seeds to ``_SEED_TOL`` * ||T||_1; the
+    extra one is a guard whose residual interval bounds the gap above the
+    top requested level.  Each grid then refines its seeds by certified
+    inverse iteration (``_polish``), seeded by the base grid's bisection or
+    the grid below.  A grid that fails the certificate is bisected afresh
+    to stebz's default tolerance, eps * ||T||_1.  ``SpectrumResult.certified``
+    records which grids certified.  The raw values then go through
+    Richardson extrapolation with the wall-derived exponents, and
+    ConvergenceFailure is raised where the grids disagree.
     """
     if count < 1:
         raise ParameterError("count must be positive")
@@ -265,13 +278,12 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
     seeds, raw, certified = None, [], []
     for n in grids:
         d, e = _fd_matrix(V, lo, hi, n, s_lo, s_hi)
-        base = seeds is None
-        if base:
-            seeds = _bisect(d, e, count + 1)
+        if seeds is None:
+            seeds = _bisect(d, e, count + 1, _SEED_TOL * _norm1(d, e))
         values = _polish(d, e, seeds)
         certified.append(values is not None)
         if values is None:
-            values = seeds if base else _bisect(d, e, count + 1)
+            values = _bisect(d, e, count + 1)
         seeds = values
         raw.append(values[:count])
     p1, p2 = _error_exponents(s_lo, s_hi)
@@ -376,6 +388,49 @@ def _repeats(sym: str, power: int) -> int:
     return power
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _frozen(jet: Jet) -> Jet:
+    _read_only(jet.d)
+    return jet
+
+
+class _StateMemo:
+    """States derived from a level's basis state, shared between words.
+
+    A state is keyed by the single steps ("P", k), ("X", 1) and ("H", 1)
+    that built it from the basis state at (): X feeds X2, XP and PX, and H's
+    terms pick up the P2, X2, ... states earlier words left.  The memo holds
+    the very states a cold evaluation computes, so values do not depend on
+    the order in which words arrive.  An engine supplies ``_states`` and
+    ``_derive``, the read-only state one step past a key.
+    """
+
+    _states: dict
+
+    def apply_term(self, factors, key=()):
+        """The term ``factors`` applied to the memoized state at ``key``."""
+        for sym, power in reversed(factors):
+            if sym == "P":
+                key = self._step(key, "P", power)
+            elif sym in ("X", "H"):
+                for _ in range(_repeats(sym, power)):
+                    key = self._step(key, sym, 1)
+            else:
+                raise ParameterError(f"unknown symbol {sym!r}")
+        return self._states[key]
+
+    def _step(self, key, sym, power):
+        """Key of the state one step past ``key``, computing it if new."""
+        new = key + ((sym, power),)
+        if new not in self._states:
+            self._states[new] = self._derive(key, sym, power)
+        return new
+
+
 # ---------------------------------------------------------------------------
 # unified engine (z-space, analytic derivatives via jets)
 
@@ -390,10 +445,7 @@ def _gauss_jacobi(quad_order, alpha, beta):
     (model, params) shares it.  Its weights sum to 1, not to the weight's
     mass, which overflows at small tau; the engine only forms acc / norm.
     """
-    rule = roots_jacobi(quad_order, alpha, beta)
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
+    return tuple(_read_only(arr) for arr in roots_jacobi(quad_order, alpha, beta))
 
 
 @lru_cache(maxsize=4)
@@ -401,16 +453,11 @@ def _zspace(model, params, n, order, quad_order):
     """The basis space of one level, shared read-only between words."""
     zs = _ZSpace(model, params, n, order, quad_order)
     for arr in (zs.weight, zs.basis.d, zs.zjet.d, zs.one_minus_z2.d):
-        arr.flags.writeable = False
+        _read_only(arr)
     return zs
 
 
-def _frozen(jet: Jet) -> Jet:
-    jet.d.flags.writeable = False
-    return jet
-
-
-class _ZSpace:
+class _ZSpace(_StateMemo):
     """Unified basis-variable machinery for one (model, params, n).
 
     Quadrature folds the algebraic endpoint weight of the basis into
@@ -420,11 +467,7 @@ class _ZSpace:
 
     Every word of the level shares the state-independent jets (the P powers
     and the X-action coefficients), each built once on first use, and the
-    states derived from the basis, keyed by the single steps ("P", k),
-    ("X", 1) and ("H", 1) that built them: X feeds X2, XP and PX, and H's
-    terms pick up the P2, X2, ... states earlier words left.  The memos hold
-    the very jets a cold evaluation computes, so values do not depend on the
-    order in which words arrive.
+    states derived from the basis (``_StateMemo``).
     """
 
     def __init__(self, model, params, n, order=6, quad_order=256):
@@ -509,56 +552,33 @@ class _ZSpace:
         w, c, k = self._x_action
         return (w * state.derivative() + c * state) * k
 
-    def apply_term(self, factors, key=()) -> Jet:
-        """The term ``factors`` applied to the memoized state at ``key``."""
-        for sym, power in reversed(factors):
-            if sym == "P":
-                if power < 0 and self.family == "legendre":
-                    raise NonIntegrable(
-                        "negative momentum powers are only integrable for the "
-                        "inverse-square model")
-                if power < 0 and self.family == "jacobi" \
-                        and self.a - abs(power) / 2.0 <= -1.0:
-                    raise NonIntegrable(
-                        "P^{-k} makes the endpoint weight non-integrable here")
-                key = self._step(key, "P", power)
-            elif sym == "X":
-                for _ in range(_repeats(sym, power)):
-                    key = self._step(key, "X", 1)
-            elif sym == "H":
-                for _ in range(_repeats(sym, power)):
-                    key = self._step(key, "H", 1)
-            else:
-                raise ParameterError(f"unknown symbol {sym!r}")
-        return self._states[key]
-
-    def _step(self, key, sym, power):
-        """Key of the state one step past ``key``, computing it if new."""
-        new = key + ((sym, power),)
-        if new in self._states:
-            return new
+    def _derive(self, key, sym, power) -> Jet:
         state = self._states[key]
         if sym == "P":
-            out = self.p_jet(power) * state
-        elif sym == "X":
-            out = self.apply_x(state)
-        else:
-            terms, const = self.model.hamiltonian(self.params)
-            out = None
-            for coeff, fs in terms:
-                t = self.apply_term(fs, key)
-                out = t * coeff if out is None else out + t * coeff
-            if const:
-                out = out + state * const
-        self._states[new] = _frozen(out)
-        return new
+            if power < 0 and self.family == "legendre":
+                raise NonIntegrable(
+                    "negative momentum powers are only integrable for the "
+                    "inverse-square model")
+            if power < 0 and self.family == "jacobi" \
+                    and self.a - abs(power) / 2.0 <= -1.0:
+                raise NonIntegrable(
+                    "P^{-k} makes the endpoint weight non-integrable here")
+            return _frozen(self.p_jet(power) * state)
+        if sym == "X":
+            return _frozen(self.apply_x(state))
+        terms, const = self.model.hamiltonian(self.params)
+        out = None
+        for coeff, fs in terms:
+            t = self.apply_term(fs, key)
+            out = t * coeff if out is None else out + t * coeff
+        if const:
+            out = out + state * const
+        return _frozen(out)
 
     @cached_property
     def bra(self) -> np.ndarray:
         """Quadrature weights times the conjugate basis value."""
-        bra = self.wq * self.weight * np.conj(self.basis.value)
-        bra.flags.writeable = False
-        return bra
+        return _read_only(self.wq * self.weight * np.conj(self.basis.value))
 
     @cached_property
     def norm(self) -> float:
@@ -624,48 +644,71 @@ def _decay_span(sol):
     return spans[below[0]] if below.size else spans[-1]
 
 
-def _apply_word_direct(sol, terms, psi, grid):
-    rep, params = sol.rep, sol.params
-    acc = np.zeros_like(np.asarray(psi, dtype=complex))
-    for coeff, factors in terms:
-        cur = np.asarray(psi, dtype=complex)
-        for sym, power in reversed(factors):
-            if sym == "P":
-                if power >= 0:
-                    for _ in range(power):
-                        cur = apply_P(rep, params, cur, grid)
-                else:
-                    pmul = apply_P(rep, params, np.ones_like(cur), grid)
-                    cur = cur * pmul ** power
-            elif sym == "X":
-                for _ in range(_repeats(sym, power)):
-                    cur = apply_X(rep, params, cur, grid)
-            elif sym == "H":
-                hterms, const = sol.model.hamiltonian(params)
-                for _ in range(_repeats(sym, power)):
-                    cur = _apply_word_direct(sol, hterms, cur, grid) + const * cur
-            else:
-                raise ParameterError(f"unknown symbol {sym!r}")
-        acc = acc + coeff * cur
-    return acc
+# A request asks Pi1..Pi3 for one level word after word, so one level per
+# representation holds all the reuse there is, and nothing outlives the
+# request.
+@lru_cache(maxsize=len(_DIRECT_REPS))
+def _direct_level(model, rep, params, n, grid_size):
+    """The native grid of one level, shared read-only between words."""
+    return _DirectLevel(solve(model, rep, params), n, grid_size)
+
+
+class _DirectLevel(_StateMemo):
+    """Grid, ket, metric and derived states (``_StateMemo``) of one
+    (model, rep, params, n, grid_size).  A word sums its terms onto a zero
+    array in order and H adds its constant last, the sums a cold evaluation
+    makes."""
+
+    def __init__(self, sol, n, grid_size):
+        self.sol = sol
+        grid, self.h = _direct_grid(sol, grid_size)
+        self.grid = _read_only(grid)
+        # a copy of the ladder's row n, so the cache does not hold rows 0..n-1
+        self.ket = _read_only(sol.psi(n, grid).copy())
+        self.rho = _read_only(sol.metric(grid))
+        self._states = {(): _read_only(np.asarray(self.ket, dtype=complex))}
+
+    def apply(self, terms, key=()) -> np.ndarray:
+        """The word ``terms`` applied to the memoized state at ``key``."""
+        acc = np.zeros_like(self._states[key])
+        for coeff, factors in terms:
+            acc = acc + coeff * self.apply_term(factors, key)
+        return acc
+
+    def _derive(self, key, sym, power) -> np.ndarray:
+        rep, params = self.sol.rep, self.sol.params
+        cur = self._states[key]
+        if sym == "P" and power >= 0:
+            for _ in range(power):
+                cur = apply_P(rep, params, cur, self.grid)
+        elif sym == "P":
+            pmul = apply_P(rep, params, np.ones_like(cur), self.grid)
+            cur = cur * pmul ** power
+        elif sym == "X":
+            cur = apply_X(rep, params, cur, self.grid)
+        else:
+            hterms, const = self.sol.model.hamiltonian(params)
+            cur = self.apply(hterms, key) + const * cur
+        return _read_only(cur)
 
 
 def matrix_element_direct(model: ModelSpec, rep: Representation,
                           params: DeformationParams, m: int, n: int, word,
                           grid_size: int = 8192) -> complex:
-    """<psi_m| rho F psi_n> by native-grid quadrature with operator actions."""
+    """<psi_m| rho F psi_n> by native-grid quadrature with operator actions.
+
+    The level n (grid, psi_n, rho and the states F builds from psi_n) is
+    shared with the other words asked of it, so each X or P step is taken
+    once per level; psi_m is evaluated per call.
+    """
     if rep not in _DIRECT_REPS:
         raise UnsupportedPair(
             "direct quadrature runs on Pi1..Pi3; the segment representation "
             "is covered by the unified integral")
-    sol = solve(model, rep, params)
-    terms = parse_word(word)
-    grid, h = _direct_grid(sol, grid_size)
-    ket = sol.psi(n, grid)
-    bra = ket if m == n else sol.psi(m, grid)
-    out = _apply_word_direct(sol, terms, ket, grid)
-    rho = sol.metric(grid)
-    return complex(np.sum(np.conj(bra) * rho * out) * h)
+    level = _direct_level(model, rep, params, n, grid_size)
+    out = level.apply(parse_word(word))
+    bra = level.ket if m == n else level.sol.psi(m, level.grid)
+    return complex(np.sum(np.conj(bra) * level.rho * out) * level.h)
 
 
 def expectation_direct(model: ModelSpec, rep: Representation,

@@ -243,10 +243,17 @@ _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0
 
 
 def _stirling_remainder(x: float) -> float:
-    """d(x) = log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2 (DLMF 5.11.1)."""
-    if x < 12.0:
-        return _lgamma(x) - (x - 0.5) * math.log(x) + x - _HALF_LOG_2PI
-    return sum(c * x ** (1 - 2 * k) for k, c in enumerate(_STIRLING, 1))
+    """d(x) = log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2 (DLMF 5.11.1).
+
+    Below 12 it shifts x upward: Gamma(x + 1) = x Gamma(x) gives
+    d(x) = d(x + 1) + (x + 1/2) log(1 + 1/x) - 1, each step a small positive
+    term, where log Gamma(x) minus the main term would cancel from about 28.
+    """
+    acc = 0.0
+    while x < 12.0:
+        acc += (x + 0.5) * math.log1p(1.0 / x) - 1.0
+        x += 1.0
+    return acc + sum(c * x ** (1 - 2 * k) for k, c in enumerate(_STIRLING, 1))
 
 
 def log_jacobi_mass(a: float, b: float) -> float:
@@ -257,11 +264,11 @@ def log_jacobi_mass(a: float, b: float) -> float:
     + d(p) + d(q) - d(s), free of the log-gamma terms of size s log s that
     cancel in the plain sum (3e-11 at exponents of 1e4).  For |t| < 1/2,
     t = (p - q)/s, the logs are (s - 1)/2 log(1 - t^2) + s t atanh(t), exact
-    as t -> 0.  Below 12 in both p and q the plain sum is as accurate, and
-    is kept, as it is where no mass exists (a or b <= -1).
+    as t -> 0.  The plain sum is kept only where no mass exists (a or
+    b <= -1).
     """
     p, q = a + 1.0, b + 1.0
-    if max(p, q) < 12.0 or min(p, q) <= 0.0:
+    if min(p, q) <= 0.0:
         return ((a + b + 1.0) * math.log(2.0) + _lgamma(p) + _lgamma(q)
                 - _lgamma(a + b + 2.0))
     s = p + q

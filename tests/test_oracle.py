@@ -151,17 +151,25 @@ class TestPolishedEigensolver:
             assert np.max(np.abs(raw - tight)) <= np.finfo(float).eps * norm1
 
     def test_bisects_the_base_grid_only(self, monkeypatch):
-        rows = []
+        rows, tols = [], []
         real = oracle.eigvalsh_tridiagonal
 
         def counting(d, e, **kwargs):
             rows.append(len(d))
+            tols.append(kwargs["tol"])
             return real(d, e, **kwargs)
 
         monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", counting)
-        res = fd_eigenvalues(_problem(POLISH_CASES[1]), 4)
+        problem = _problem(POLISH_CASES[1])
+        res = fd_eigenvalues(problem, 4)
         assert res.certified == (True, True, True)
         assert rows == [2046]
+        # the seeds are loose: inverse iteration, not bisection, reaches
+        # eps * ||T||_1 on the base grid too
+        d, e = _grid_matrices(problem, res)[0]
+        norm1 = np.max(np.abs(d) + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]))
+        assert tols == [oracle._SEED_TOL * norm1]
+        assert oracle._SEED_TOL == 1e-10
 
     def test_duplicate_seeds_do_not_certify(self):
         problem = _problem(POLISH_CASES[1])
@@ -476,3 +484,89 @@ class TestUnifiedMemo:
             for word in words:
                 expectation_unified(model, params, n, word)
             assert expectation_unified(model, params, n, "H") == cold
+
+
+DIRECT_WORDS = {HarmonicOscillator(): WORDS + ("XP+PX",),
+                Swanson(0.1, 0.2): WORDS + ("XP+PX",),
+                PoschlTeller(1.0, 0.5): WORDS + ("XP+PX", "P-2")}
+
+
+class TestDirectMemo:
+    """The direct engine evaluates each level once and shares it between words."""
+
+    @pytest.mark.parametrize("model", list(DIRECT_WORDS))
+    def test_word_order_does_not_matter(self, model):
+        params = DeformationParams(tau=0.3)
+        words = DIRECT_WORDS[model]
+        cells = [(n, rep) for n in (0, 3) for rep in (R.PI1, R.PI2, R.PI3)]
+        cold = {}
+        for n, rep in cells:
+            for w in words:
+                oracle._direct_level.cache_clear()
+                cold[n, rep, w] = expectation_direct(model, rep, params, n, w)
+        oracle._direct_level.cache_clear()
+        forward = {(n, rep, w): expectation_direct(model, rep, params, n, w)
+                   for n, rep in cells for w in words}
+        oracle._direct_level.cache_clear()
+        backward = {(n, rep, w): expectation_direct(model, rep, params, n, w)
+                    for n, rep in reversed(cells) for w in reversed(words)}
+        assert cold == forward == backward
+
+    def test_models_at_one_tau_do_not_share_levels(self):
+        params = DeformationParams(tau=0.3)
+        first, second = Swanson(0.1, 0.2), Swanson(0.4, 0.2)
+        oracle._direct_level.cache_clear()
+        cold = expectation_direct(second, R.PI3, params, 1, "H")
+        oracle._direct_level.cache_clear()
+        expectation_direct(first, R.PI3, params, 1, "H")
+        warm = expectation_direct(second, R.PI3, params, 1, "H")
+        assert warm == cold
+        for model in (first, second):
+            energy = complex(solve(model, R.PI3, params).energy(1))
+            got = expectation_direct(model, R.PI3, params, 1, "H")
+            assert abs(got - energy) < 1e-8 * abs(energy)
+
+    def test_cached_arrays_are_read_only(self):
+        params = DeformationParams(tau=0.3)
+        model = PoschlTeller(1.0, 0.5)
+        for word in DIRECT_WORDS[model]:
+            expectation_direct(model, R.PI2, params, 1, word)
+        level = oracle._direct_level(model, R.PI2, params, 1, 8192)
+        arrays = [level.grid, level.ket, level.rho, *level._states.values()]
+        assert len(arrays) > 8
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.0
+
+    @pytest.mark.parametrize("model", list(DIRECT_WORDS))
+    def test_position_applied_once_per_step(self, model, monkeypatch):
+        calls = []
+        real = oracle.apply_X
+
+        def counting(rep, params, psi, grid):
+            calls.append(rep)
+            return real(rep, params, psi, grid)
+
+        monkeypatch.setattr(oracle, "apply_X", counting)
+        oracle._direct_level.cache_clear()
+        params = DeformationParams(tau=0.3)
+        for word in WORDS:
+            for rep in (R.PI1, R.PI2, R.PI3):
+                expectation_direct(model, rep, params, 2, word)
+        # X psi, X X psi and, for Swanson, X P psi, per representation; H
+        # reuses all of them
+        assert len(calls) == 3 * (3 if isinstance(model, Swanson) else 2)
+        calls.clear()
+        for word in WORDS:
+            for rep in (R.PI1, R.PI2, R.PI3):
+                expectation_direct(model, rep, params, 2, word)
+        assert calls == []
+
+    def test_holds_one_request_of_levels(self):
+        params = DeformationParams(tau=0.3)
+        oracle._direct_level.cache_clear()
+        assert oracle._direct_level.cache_info().maxsize == len(oracle._DIRECT_REPS) == 3
+        for n in range(4):
+            for rep in (R.PI1, R.PI2, R.PI3):
+                expectation_direct(HarmonicOscillator(), rep, params, n, "X2")
+                assert oracle._direct_level.cache_info().currsize <= 3

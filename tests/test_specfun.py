@@ -464,6 +464,25 @@ class TestLogJacobiMass:
             err = abs(mp.mpf(log_jacobi_mass(a, b)) - ref)
         assert err <= 2e-15 * max(1.0, abs(float(ref)))
 
+    def test_seeded_sweep(self):
+        # exponents of tau ~ 0.03..1, where the Stirling remainder of p, q or
+        # p + q is shifted up from below 12; a third of the pairs straddle it
+        rng = np.random.default_rng(2026)
+        pairs = np.concatenate([rng.uniform(-0.9, 30.0, (140, 2)),
+                                np.column_stack([rng.uniform(7.0, 11.0, 70),
+                                                 rng.uniform(11.0, 15.0, 70)])])
+        worst = 0.0
+        with mp.workdps(40):
+            for a, b in pairs.tolist():
+                # from the exact float exponents: a + 1 rounded moves log
+                # Gamma(a + 1) by up to 5e-15
+                a1, b1 = mp.mpf(a) + 1, mp.mpf(b) + 1
+                ref = ((a1 + b1 - 1) * mp.log(2) + mp.loggamma(a1) + mp.loggamma(b1)
+                       - mp.loggamma(a1 + b1))
+                err = abs(mp.mpf(log_jacobi_mass(a, b)) - ref)
+                worst = max(worst, float(err) / max(1.0, abs(float(ref))))
+        assert worst <= 2e-15
+
 
 class TestJets:
     def test_product_and_power_rules(self):
