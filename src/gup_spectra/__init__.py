@@ -54,7 +54,6 @@ from .oracle import (
     expectation_direct,
     expectation_unified,
     fd_eigenvalues,
-    matrix_element_direct,
     parse_word,
     verify_spectrum,
 )

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Union
@@ -65,6 +66,10 @@ __all__ = [
     "discriminant",
     "pt_model_reality",
 ]
+
+
+# below this tau, tau^2 is not a normal double
+_TAU_MIN = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -122,9 +127,9 @@ class Domain:
     def finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
-    def contains(self, values, margin: float = 0.0) -> bool:
+    def contains(self, values) -> bool:
         v = np.asarray(values, dtype=float)
-        return bool(np.all(v > self.lo + margin) and np.all(v < self.hi - margin))
+        return bool(np.all(v > self.lo) and np.all(v < self.hi))
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,6 @@ class MomentumAngle:
     the u^(-1) similarity factor of Pi2, e = -1 the segment factor of Pi4.
     """
 
-    theta: Callable
     sin: Callable
     cos: Callable
     dtheta: Callable   # d theta / dx
@@ -150,7 +154,6 @@ class MomentumAngle:
 
 
 _TAN_ANGLE = MomentumAngle(
-    theta=np.arctan,
     sin=lambda x: x / np.sqrt(1.0 + x * x),
     cos=lambda x: 1.0 / np.sqrt(1.0 + x * x),
     dtheta=lambda x: 1.0 / (1.0 + x * x),
@@ -160,10 +163,10 @@ ANGLES = {
     Representation.PI1: _TAN_ANGLE,
     Representation.PI2: replace(_TAN_ANGLE, e=1),
     Representation.PI3: MomentumAngle(
-        theta=lambda x: x, sin=np.sin, cos=np.cos, dtheta=np.ones_like,
+        sin=np.sin, cos=np.cos, dtheta=np.ones_like,
         x_of=lambda t: t, wall=math.pi / 2.0, e=0),
     Representation.PI4: MomentumAngle(
-        theta=np.arcsin, sin=lambda x: x, cos=lambda x: np.sqrt(1.0 - x * x),
+        sin=lambda x: x, cos=lambda x: np.sqrt(1.0 - x * x),
         dtheta=lambda x: 1.0 / np.sqrt(1.0 - x * x),
         x_of=np.sin, wall=1.0, e=-1, segment=True),
 }
@@ -217,7 +220,7 @@ class _Model:
     ``scales`` and the order from ``mu_minus``, or "jacobi" with (a+, b+) from
     ``orders``.  A ``half_cell`` model lives on theta in (0, pi/2).  Also
     declared: ``energy`` (E_n), ``admit`` (raises outside the solved regime),
-    ``reality`` (the reality test and its reason), ``well`` (the closed-form
+    ``reality`` (whether the spectrum is real), ``well`` (the closed-form
     transformed potential at tau > 0: A of A tan^2 for the Legendre family,
     (A, B) of A csc^2 + B sec^2 for the Jacobi family), the representations
     with an (f, g, h) table, at tau > 0 and at tau = 0, and whether a formal
@@ -236,7 +239,7 @@ class _Model:
         return params.hbar * params.omega, 0.0
 
     def reality(self, params):
-        return True, "real discrete spectrum"
+        return True
 
 
 @dataclass(frozen=True)
@@ -298,10 +301,7 @@ class Swanson(_Model):
                 (mix, [("X", 1), ("P", 1)]), (mix, [("P", 1), ("X", 1)])], 0.0
 
     def reality(self, params):
-        d = discriminant(self.alpha, self.beta, params.tau, params)
-        if d >= 0.0:
-            return True, f"discriminant {d:.6g} >= 0: symmetry unbroken, real spectrum"
-        return False, f"discriminant {d:.6g} < 0: broken phase, complex pairs"
+        return discriminant(self.alpha, self.beta, params.tau, params) >= 0.0
 
     def scales(self, params):
         big, tau = self.omega_shift(params), params.tau
@@ -343,6 +343,9 @@ class PoschlTeller(_Model):
         if params.tau == 0.0:
             raise IntrinsicNoncommutativity(
                 "the inverse-square model has no commutative limit; tau must be > 0")
+        if params.tau < _TAU_MIN:
+            raise ParameterError(f"tau = {params.tau!r} is too small for the "
+                                 "inverse-square model: tau^2 underflows")
 
     def hamiltonian(self, params):
         hbar, m, om, tc = params.hbar, params.mass, params.omega, params.tau_check
@@ -352,9 +355,7 @@ class PoschlTeller(_Model):
                 (0.5 * m * om ** 2, [("X", 2)])], const
 
     def reality(self, params):
-        if pt_model_reality(self.alpha, self.beta, params.tau):
-            return True, "alpha > -tau/4 and beta > -tau^2/4: real, bounded below"
-        return False, "reality condition violated: complex exponents"
+        return pt_model_reality(self.alpha, self.beta, params.tau)
 
     def orders(self, params):
         """(a+, b+); complex when reality is broken."""

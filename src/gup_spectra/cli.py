@@ -121,14 +121,14 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-# the config-file keys and their defaults, in declaration order
+# the run keys (options and config-file keys) and their defaults, in
+# declaration order; each key's value has the type of its default
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_CHOICES = {"model": sorted(_MODELS), "rep": sorted(_REPS), "format": ("csv", "json")}
 
 
 def _read_config_file(path) -> dict:
     data = {}
-    casts = {"model": str, "rep": str, "format": str, "out": str,
-             "nmax": int, "grid": int}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.split("#", 1)[0].strip()
@@ -141,7 +141,7 @@ def _read_config_file(path) -> dict:
             value = value.strip()
             if key not in _DEFAULTS:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            data[key] = casts.get(key, float)(value)
+            data[key] = type(_DEFAULTS[key])(value)
     return data
 
 
@@ -462,14 +462,9 @@ def cmd_verify(args) -> int:
 # argument wiring
 
 def _add_common(p):
-    p.add_argument("--model", choices=sorted(_MODELS), default=None)
-    p.add_argument("--rep", choices=sorted(_REPS), default=None)
-    for name in ("tau", "alpha", "beta", "hbar", "mass", "omega", "tol"):
-        p.add_argument(f"--{name}", type=float, default=None)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--out", default=None)
+    for key, default in _DEFAULTS.items():
+        p.add_argument(f"--{key}", type=type(default), choices=_CHOICES.get(key),
+                       default=None)
     p.add_argument("--config", default=None)
 
 

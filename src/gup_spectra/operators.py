@@ -25,8 +25,6 @@ __all__ = [
     "commutator_residual",
 ]
 
-_FD_ORDER = 8
-
 
 def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
     """Endpoint-exclusive uniform grid compatible with periodic FFT derivatives."""
@@ -50,12 +48,12 @@ def spectral_derivative(values: np.ndarray, dx: float) -> np.ndarray:
     return np.fft.ifft(k * np.fft.fft(values))
 
 
-def _stencil(offsets, order=1):
-    """Finite-difference weights for the given integer offsets (unit spacing)."""
+def _stencil(offsets):
+    """First-derivative weights for the given integer offsets (unit spacing)."""
     m = len(offsets)
     a = np.vander(np.asarray(offsets, dtype=float), m, increasing=True).T
     rhs = np.zeros(m)
-    rhs[order] = math.factorial(order)
+    rhs[1] = 1.0
     return np.linalg.solve(a, rhs)
 
 

@@ -71,7 +71,6 @@ __all__ = [
     "VerifyReport",
     "expectation_unified",
     "expectation_direct",
-    "matrix_element_direct",
     "parse_word",
 ]
 
@@ -434,24 +433,29 @@ class _StateMemo:
 # ---------------------------------------------------------------------------
 # unified engine (z-space, analytic derivatives via jets)
 
+# Nodes of the unified engine's rule; <P2> at level 100 changes by at most
+# 1e-12 relative from 256 to 384 or 512 nodes.
+_QUAD_ORDER = 256
+
+
 # Callers sweep levels and words of one (model, params) at a time, and do not
 # come back to a configuration once they move on, so a few entries hold all
 # the reuse there is.
 @lru_cache(maxsize=4)
-def _gauss_jacobi(quad_order, alpha, beta):
+def _gauss_jacobi(alpha, beta):
     """Read-only Gauss-Jacobi rule for the weight (1-z)^alpha (1+z)^beta.
 
     It depends only on the model's exponents, so every level and word of one
     (model, params) shares it.  Its weights sum to 1, not to the weight's
     mass, which overflows at small tau; the engine only forms acc / norm.
     """
-    return tuple(_read_only(arr) for arr in roots_jacobi(quad_order, alpha, beta))
+    return tuple(_read_only(arr) for arr in roots_jacobi(_QUAD_ORDER, alpha, beta))
 
 
 @lru_cache(maxsize=4)
-def _zspace(model, params, n, order, quad_order):
+def _zspace(model, params, n, order):
     """The basis space of one level, shared read-only between words."""
-    zs = _ZSpace(model, params, n, order, quad_order)
+    zs = _ZSpace(model, params, n, order)
     for arr in (zs.weight, zs.basis.d, zs.zjet.d, zs.one_minus_z2.d):
         _read_only(arr)
     return zs
@@ -467,33 +471,26 @@ class _ZSpace(_StateMemo):
 
     Every word of the level shares the state-independent jets (the P powers
     and the X-action coefficients), each built once on first use, and the
-    states derived from the basis (``_StateMemo``).
+    states derived from the basis (``_StateMemo``).  The weight's exponents,
+    (a+, b+) or (lam, lam) in the Legendre family, are those of the Pi1
+    states of ``solve``.
     """
 
-    def __init__(self, model, params, n, order=6, quad_order=256):
+    def __init__(self, model, params, n, order):
         self.model = model
         self.params = params
-        self.n = n
         self.tc = params.tau_check
         if self.tc <= 0:
             raise ParameterError("the unified integral needs tau > 0")
-        self.order = order
-        self.family = model.family
-        model.admit(params)
-        # the weight's exponents: (a+, b+), or (lam, lam) in the Legendre family
-        if self.family == "jacobi":
-            a, b = model.orders(params)
-            if not model.reality(params)[0]:
-                raise ParameterError("complex exponents; unified integral not real here")
-            self.a, self.b = a.real, b.real
-        else:
-            mu = model.mu_minus(params)
-            if abs(complex(mu).imag) > 0:
-                raise ParameterError("broken regime: unified integral not real here")
-            self.a = self.b = -complex(mu).real
+        sol = solve(model, Representation.PI1, params)
+        if sol.weight is None:
+            raise ParameterError("complex spectrum: unified integral not real here")
+        self.family = sol.family
+        self.a, self.b = sol.weight
+        if self.family == "legendre":
             # X acts as i hbar sqrt(tc) [(1-z^2)^(1/2) d/dz - kappa z (1-z^2)^(-1/2)]
-            self.kappa = 2.0 * model.scales(params)[1] + 0.5
-        self.z, self.wq = _gauss_jacobi(quad_order, self.a - 1.0, self.b - 1.0)
+            self.kappa = 2.0 * sol.parameters["epsilon"] + 0.5
+        self.z, self.wq = _gauss_jacobi(self.a - 1.0, self.b - 1.0)
         zj = Jet.variable(self.z, order)
         self.one_minus_z2 = 1.0 - zj * zj
         self.zjet = zj
@@ -586,13 +583,13 @@ class _ZSpace(_StateMemo):
 
 
 def expectation_unified(model: ModelSpec, params: DeformationParams, n: int,
-                        word, quad_order: int = 256) -> complex:
+                        word) -> complex:
     """<psi_n| F |psi_n>_rho via the representation-independent basis integral."""
     terms = parse_word(word)
     weight = _word_weight(terms)
     if weight > 4:
         raise ParameterError("operator words longer than 4 factors are not supported")
-    zs = _zspace(model, params, n, max(weight * 2, 4), quad_order)
+    zs = _zspace(model, params, n, max(weight * 2, 4))
     acc = 0.0 + 0.0j
     for coeff, factors in terms:
         acc += coeff * np.sum(zs.bra * zs.apply_term(factors).value)
@@ -682,6 +679,11 @@ class _DirectLevel(_StateMemo):
             for _ in range(power):
                 cur = apply_P(rep, params, cur, self.grid)
         elif sym == "P":
+            # P vanishes only at p = 0: off a half cell's wall, P^{-k} has a
+            # pole inside the domain, which no grid integrates
+            if self.sol.domain.contains(0.0):
+                raise NonIntegrable(
+                    f"P^{power} has a pole at p = 0, inside the {rep.value} domain")
             pmul = apply_P(rep, params, np.ones_like(cur), self.grid)
             cur = cur * pmul ** power
         elif sym == "X":
@@ -692,14 +694,14 @@ class _DirectLevel(_StateMemo):
         return _read_only(cur)
 
 
-def matrix_element_direct(model: ModelSpec, rep: Representation,
-                          params: DeformationParams, m: int, n: int, word,
-                          grid_size: int = 8192) -> complex:
-    """<psi_m| rho F psi_n> by native-grid quadrature with operator actions.
+def expectation_direct(model: ModelSpec, rep: Representation,
+                       params: DeformationParams, n: int, word,
+                       grid_size: int = 8192) -> complex:
+    """<psi_n| F |psi_n>_rho by native-grid quadrature with operator actions.
 
     The level n (grid, psi_n, rho and the states F builds from psi_n) is
     shared with the other words asked of it, so each X or P step is taken
-    once per level; psi_m is evaluated per call.
+    once per level.
     """
     if rep not in _DIRECT_REPS:
         raise UnsupportedPair(
@@ -707,12 +709,4 @@ def matrix_element_direct(model: ModelSpec, rep: Representation,
             "is covered by the unified integral")
     level = _direct_level(model, rep, params, n, grid_size)
     out = level.apply(parse_word(word))
-    bra = level.ket if m == n else level.sol.psi(m, level.grid)
-    return complex(np.sum(np.conj(bra) * level.rho * out) * level.h)
-
-
-def expectation_direct(model: ModelSpec, rep: Representation,
-                       params: DeformationParams, n: int, word,
-                       grid_size: int = 8192) -> complex:
-    """<psi_n| F |psi_n>_rho on the representation's native momentum grid."""
-    return matrix_element_direct(model, rep, params, n, n, word, grid_size)
+    return complex(np.sum(np.conj(level.ket) * level.rho * out) * level.h)

@@ -16,8 +16,9 @@ models in ``algebra``; this module re-exports them.
 
 The kernel repeats the scalar arithmetic operation for operation, so every
 root is the float the per-alpha loop computed.  The two squares in the
-quadratic stay Python's ``**`` (libm ``pow``), which can differ from numpy's
-square in the last bit.
+quadratic stay libm's ``pow`` (``np.float_power``): numpy's square is
+correctly rounded and ``pow`` not always, so the two can differ in the last
+bit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DeformationParams, discriminant, pt_model_reality
+from .algebra import _TAU_MIN, DeformationParams, discriminant, pt_model_reality
 from .errors import NoRoot, ParameterError
 
 __all__ = [
@@ -47,7 +48,6 @@ _NEWTON_STEPS = 60
 _CYCLE = 4
 # outside [_TAU_MIN, _TAU_MAX], tau^2 (the leading coefficient in beta)
 # underflows or overflows
-_TAU_MIN = math.sqrt(sys.float_info.min)
 _TAU_MAX = math.sqrt(sys.float_info.max)
 
 
@@ -62,13 +62,12 @@ def _check_tau(tau):
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
-    """x ** 2 per element with Python's float power, as the scalar loop took it.
-
-    Python's power raises OverflowError where numpy's would return inf; a
-    quadratic that far out has no representable boundary."""
+    """x ** 2 per element by libm ``pow``, as the scalar loop's ``**`` took
+    it; a quadratic whose squares overflow has no representable boundary."""
     try:
-        return np.array([v ** 2 for v in x.tolist()])
-    except OverflowError:
+        with np.errstate(over="raise"):
+            return np.float_power(x, 2.0)
+    except FloatingPointError:
         raise ParameterError("the boundary quadratic overflows double precision "
                              "at this tau and alpha window") from None
 
@@ -206,9 +205,6 @@ class PhaseCurve:
 
     tau: float
     points: list[tuple[float, float]] = field(default_factory=list)
-    region_above: str = "broken"
-    region_below: str = "unbroken"
-    branch: str = "lower"
     monotone: bool = True
 
 

@@ -125,20 +125,21 @@ _FAMILIES = {
 @dataclass(frozen=True)
 class Classification:
     physical: bool
-    unbounded_below: bool
     complex_spectrum: bool
-    detail: str
 
 
 def classify_physical(model: ModelSpec, rep: Representation,
                       params: DeformationParams) -> Classification:
-    """Reality/boundedness tags for the spectrum of (model, rep, params)."""
+    """Reality/boundedness tags for the spectrum of (model, rep, params).
+
+    The sign-flipped variant Pi4' is unphysical for every model: its formal
+    energy family is unbounded below.
+    """
     if rep is Representation.PI4_PRIME:
-        return Classification(False, True, False,
-                              "sign-flipped variant: formal energy family unbounded below")
+        return Classification(False, False)
     model.admit(params)
-    real, detail = model.reality(params)
-    return Classification(real, False, not real, detail)
+    real = model.reality(params)
+    return Classification(real, not real)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ class ClosedFormSolution:
     domain: Domain
     _energy: Callable[[int], complex]
     # exponents (a, b) of the weight (1-y)^a (1+y)^b; None where no states exist
-    _weight: tuple[float, float] | None = None
+    weight: tuple[float, float] | None = None
     _metric_power: float = 0.0        # power of cos theta in the Pi1 metric
 
     # -- spectral data ------------------------------------------------------
@@ -178,7 +179,7 @@ class ClosedFormSolution:
     def psi_ladder(self, n_max: int, p):
         """Rows psi_0(p), ..., psi_{n_max}(p) from one orthonormal recurrence sweep."""
         log_env, t = self._envelope(p)
-        return np.exp(log_env) * orthonormal_ladder(n_max, *self._weight, t)
+        return np.exp(log_env) * orthonormal_ladder(n_max, *self.weight, t)
 
     def psi(self, n: int, p):
         """Metric-orthonormal wavefunction samples."""
@@ -209,7 +210,7 @@ class ClosedFormSolution:
         angle, x = self._angle(p)
         s, c = angle.sin(x), angle.cos(x)
         fam = _FAMILIES[self.family]
-        a, b = self._weight
+        a, b = self.weight
         log_env = 0.5 * (fam.log_dy(s, c) + fam.log_weight(s, c, a, b)
                          - (self._metric_power - 2 * angle.e) * np.log(c)
                          - math.log(fam.scale) - log_jacobi_mass(a, b))
@@ -220,7 +221,7 @@ class ClosedFormSolution:
         return ANGLES[self.rep], math.sqrt(self.params.tau_check) * np.asarray(p, dtype=float)
 
     def _require_states(self):
-        if self._weight is None:
+        if self.weight is None:
             raise ParameterError(
                 "bound-state evaluators unavailable for this pair "
                 "(unphysical variant, broken symmetry or commutative limit)")
@@ -281,7 +282,7 @@ def solve(model: ModelSpec, rep: Representation,
         model=model, rep=rep, params=params, family=model.family, c=c,
         parameters=parameters, physical=cls.physical, metric_constant=const,
         domain=angle_domain(rep, params, half_cell=model.half_cell),
-        _energy=model.energy(params), _weight=weight, _metric_power=power)
+        _energy=model.energy(params), weight=weight, _metric_power=power)
 
 
 def _solve_pi4_prime(model, rep, params):
@@ -316,7 +317,7 @@ def native_quadrature(sol: ClosedFormSolution, order: int):
     rule, exactly once order > (m + n) / 2.
     """
     sol._require_states()
-    a, b = sol._weight
+    a, b = sol.weight
     y, w = gauss_jacobi(order, a, b)
     fam = _FAMILIES[sol.family]
     angle = ANGLES[sol.rep]

@@ -118,9 +118,16 @@ def _jacobi_chain(m: int, a: float, b: float):
     positive, so an entry near t = 0 keeps its relative precision, which the
     same entry formed on u = 2t - 1 would cancel away.  z_1 takes its limit
     form (b+1)/(s+2), finite at a + b = -1.
+
+    Past s ~ 1.3e154 the denominators overflow and the off-diagonal, there
+    from m = 2 on, underflows to 0, where no recurrence runs: ParameterError.
     """
-    k = np.arange(1.0, m)
     s = a + b
+    top = 2.0 * m + s
+    if m > 1 and top * top == math.inf:
+        raise ParameterError(f"Jacobi exponents a={a:.6g}, b={b:.6g} leave the "
+                             "double range of the recurrence; tau is too small")
+    k = np.arange(1.0, m)
     odd = np.empty(m)
     odd[0] = (b + 1.0) / (s + 2.0)
     odd[1:] = (k + b + 1.0) * (k + s + 1.0) / ((2.0 * k + s + 1.0) * (2.0 * k + s + 2.0))

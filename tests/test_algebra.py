@@ -207,6 +207,56 @@ class TestDerivedCoefficients:
                 assert np.allclose(a, b, rtol=1e-14, atol=0.0)
 
 
+def _apply_term(rep, params, factors, psi, grid):
+    """A term of H applied right to left by the operator actions; P^k with
+    k < 0 divides by P's multiplier."""
+    for sym, power in reversed(factors):
+        if sym == "X":
+            for _ in range(power):
+                psi = apply_X(rep, params, psi, grid)
+        elif power >= 0:
+            for _ in range(power):
+                psi = apply_P(rep, params, psi, grid)
+        else:
+            psi = psi * apply_P(rep, params, np.ones_like(psi), grid) ** power
+    return psi
+
+
+class TestCoefficientsMatchOperators:
+    """The two encodings of the representation table, ``REALIZATIONS`` (via
+    ``coefficients``) and ``apply_X``/``apply_P``, give the same H."""
+
+    @pytest.mark.parametrize("model,rep", [
+        (model, rep) for model in (HarmonicOscillator(), Swanson(0.1, 0.2),
+                                   PoschlTeller(1.0, 0.5))
+        for rep in (R.PI1, R.PI3)
+    ] + [(HarmonicOscillator(), R.PI4_PRIME)])
+    def test_h_words_give_the_table(self, model, rep):
+        params = DeformationParams(tau=0.3)
+        fgh = coefficients(model, rep, params)
+        # a Gaussian inside the domain, 3/sqrt(tc) standing in for an
+        # infinite end; order-8 differences act on it, as it does not decay
+        # to the grid ends
+        half = 3.0 / math.sqrt(params.tau_check)
+        lo, hi = max(fgh.domain.lo, -half), min(fgh.domain.hi, half)
+        lo, hi = lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)
+        grid = np.linspace(lo, hi, 4096)
+        mid, sigma = 0.5 * (lo + hi), (hi - lo) / 6.0
+        x = (grid - mid) / sigma
+        psi = np.exp(-0.5 * x * x)
+        d1 = -x / sigma * psi
+        d2 = (x * x - 1.0) / sigma ** 2 * psi
+        want = -fgh.f(grid) * d2 + fgh.g(grid) * d1 + fgh.h(grid) * psi
+        terms, const = model.hamiltonian(params)
+        got = const * psi
+        for coeff, factors in terms:
+            got = got + coeff * _apply_term(rep, params, factors, psi, grid)
+        # the one-sided stencils near the grid ends are less accurate
+        inner = slice(grid.size // 8, -grid.size // 8)
+        dev = np.max(np.abs(got - want)[inner]) / np.max(np.abs(want)[inner])
+        assert dev <= 1e-8
+
+
 class TestRealizations:
     @pytest.mark.parametrize("tau", [1e-4, 0.25, 50.0])
     @pytest.mark.parametrize("rep", list(REALIZATIONS))

@@ -146,6 +146,19 @@ class TestSpectrumCommand:
             values = [float(v) for row in rows for v in row if v != "H"]
         assert values and np.all(np.isfinite(values))
 
+    @pytest.mark.parametrize("argv", [
+        ("expectation", "--nmax", "0", "--tau", "1e-160", "H"),
+        ("verify", "orthonormality", "--tau", "1e-200"),
+        ("wavefunction", "--model", "pt", "--tau", "1e-200", "--alpha", "1",
+         "--beta", "0.5"),
+    ])
+    def test_tau_below_the_double_range_is_one_typed_line(self, capsys, argv):
+        # the Jacobi chain's denominators overflow, or tau^2 underflows
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure:")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("command", ["wavefunction", "metric"])
     def test_broken_swanson_states_exit_code(self, capsys, command):
         # a complex order has no normalizable real states

@@ -267,12 +267,19 @@ class TestExpectations:
             energy = sol.energy(n)
             assert abs(val - energy) <= 1e-12 * abs(energy), n
 
-    def test_high_level_converges_in_the_rule_order(self):
+    def test_high_level_converges_in_the_rule_order(self, monkeypatch):
         # n = 100 at lam = 71.3, where a Ferrers-normalized basis overflows
         # in the jets
         model, params = Swanson(0.3, 0.05), DeformationParams(tau=0.01)
-        p2 = [expectation_unified(model, params, 100, "P2", quad_order=q)
-              for q in (256, 384, 512)]
+        p2 = []
+        try:
+            for q in (256, 384, 512):
+                monkeypatch.setattr(oracle, "_QUAD_ORDER", q)
+                _clear_unified_caches()
+                p2.append(expectation_unified(model, params, 100, "P2"))
+        finally:
+            monkeypatch.undo()
+            _clear_unified_caches()
         assert max(abs(v - p2[0]) for v in p2) <= 1e-12 * abs(p2[0])
         assert p2[0].real == pytest.approx(140.9504413316527, rel=1e-12)
         energy = solve(model, R.PI1, params).energy(100)
@@ -312,6 +319,10 @@ class TestExpectations:
         assert abs(u - d) < 1e-8
         with pytest.raises(NonIntegrable):
             expectation_unified(HarmonicOscillator(), params, 0, "P-2")
+        # p = 0 lies inside every oscillator domain: a pole, not a grid value
+        for rep in (R.PI1, R.PI2, R.PI3):
+            with pytest.raises(NonIntegrable):
+                expectation_direct(HarmonicOscillator(), rep, params, 0, "P-2")
 
     def test_segment_representation_delegated(self):
         params = DeformationParams(tau=0.25)
@@ -419,7 +430,7 @@ class TestUnifiedMemo:
     def test_cached_arrays_are_read_only(self):
         params = DeformationParams(tau=0.3)
         expectation_unified(HarmonicOscillator(), params, 0, "H")
-        zs = oracle._zspace(HarmonicOscillator(), params, 0, 4, 256)
+        zs = oracle._zspace(HarmonicOscillator(), params, 0, 4)
         with pytest.raises(ValueError):
             zs.wq[0] = 0.0
         with pytest.raises(ValueError):
@@ -439,7 +450,7 @@ class TestUnifiedMemo:
 
         params = DeformationParams(tau=0.3)
         _clear_unified_caches()
-        oracle._zspace(model, params, 2, 4, 256)  # the basis, built first
+        oracle._zspace(model, params, 2, 4)  # the basis, built first
         calls = []
         real = Jet.power
 
@@ -467,7 +478,7 @@ class TestUnifiedMemo:
         for word in WORDS:
             expectation_unified(model, params, 2, word)
         assert calls == [] and x_calls == []
-        zs = oracle._zspace(model, params, 2, 4, 256)
+        zs = oracle._zspace(model, params, 2, 4)
         assert zs.p_jet(2) is zs.p_jet(2)
 
     @pytest.mark.parametrize("model, words", [

@@ -158,7 +158,6 @@ class TestScan:
         pts = dict(curve.points)
         # broken at (2, 0.1): boundary below 0.1; unbroken at (15, 0.1): above
         assert pts[2.0] < 0.1 < pts[15.0]
-        assert curve.region_above == "broken"
 
     def test_undeformed_curve_monotone(self):
         query = PhaseQuery(params=DeformationParams(), alpha_lo=0.5,

@@ -370,6 +370,13 @@ class TestOrthonormalLadder:
         assert rows.shape == (4,) and rows[0] == 1.0
         with pytest.raises(ParameterError):
             orthonormal_ladder(-1, 0.5, 1.5, 0.2)
+        # past a + b ~ 1.3e154 the chain's off-diagonal underflows; row 0
+        # needs none
+        assert orthonormal_ladder(0, 1e200, 1e200, 0.2)[0] == 1.0
+        with pytest.raises(ParameterError, match="double range"):
+            orthonormal_ladder(1, 1e200, 1e200, 0.2)
+        with pytest.raises(ParameterError, match="double range"):
+            gauss_jacobi(4, 1e200, 1e200)
 
 
 def _gammaln_log_kn(n, lam):
