@@ -1,12 +1,14 @@
 """Independent numerical checks: FD eigensolver and expectation engines.
 
-The eigensolver discretizes -phi'' + V phi = E phi on a half-step-offset
-uniform grid and extracts the lowest eigenvalues of the symmetric tridiagonal
-matrix T.  Singular endpoints are handled by measuring the inverse-square wall
-coefficient gamma = lim d^2 V directly from the potential, eliminating the
-first interior row with the local power-law ratio (exponent
-s = (1 + sqrt(1+4 gamma))/2), and extrapolating over grids N, 2N, 4N with the
-wall-derived error exponents.
+The eigensolver takes the wall exponents s (phi ~ distance^s, with
+s = (1 + sqrt(1 + 4 gamma))/2) from the inverse-square coefficient gamma
+= lim d^2 V that it measures from the potential, factors them out of phi
+(phi = g u), and discretizes the equation for u by the integro-interpolation
+method on uniform cells (Samarskii, The Theory of Difference Schemes, 2001;
+Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).  The lowest
+eigenvalues of the symmetric tridiagonal matrix T converge at second order
+at every wall, so grids N, 2N and 4N are extrapolated with the exponents 2
+and 4.
 
 Only the base grid N is bisected (LAPACK stebz, Sturm sequences), and only
 to seeds: to an absolute tolerance of 1e-10 * ||T||_1.  Every grid then
@@ -62,7 +64,7 @@ from .solutions import (
     solve,
     transformed_potential,
 )
-from .specfun import JacobiSpec, jacobi_jet, log_jacobi_mass
+from .specfun import JacobiSpec, gauss_legendre_nodes, jacobi_jet, log_jacobi_mass
 from .specfun import gauss_jacobi as roots_jacobi
 
 __all__ = [
@@ -76,7 +78,17 @@ __all__ = [
     "parse_word",
 ]
 
-_V_CAP = 1e12
+# Gauss nodes per interior cell and flux span, and of each wall cell's
+# Gauss-Jacobi rule (``_fd_matrix``)
+_CELL_NODES = 3
+# Largest wall exponent the FD gauge takes out of phi (``_fd_matrix``)
+_GAUGE_CAP = 2.0
+# The base grid puts at least this many cells across (q_hi - q_lo) /
+# sqrt(s_lo + s_hi), the width of the ground state of a well whose walls
+# have the exponents s_lo and s_hi
+_WIDTH_CELLS = 12.0
+# W is capped at this many (n / (q_hi - q_lo))^2 (``_fd_matrix``)
+_BARRIER_CAP = 1e4
 _EPS = float(np.finfo(float).eps)
 # Inverse-iteration solves per seed: a seed bisected to _SEED_TOL, like one
 # from the grid below, certifies after two, at most four.
@@ -101,15 +113,18 @@ class EigenProblem:
     """Dirichlet problem -phi'' + V phi = E phi on (q_lo, q_hi).
 
     Both walls are Dirichlet walls whose inverse-square coefficient is
-    measured from V (zero at a regular wall).  ``grid_size`` is the base
-    grid N: it is bisected, and N, 2N and 4N are polished and certified (see
-    ``fd_eigenvalues``).
+    measured from V (zero at a regular wall).  ``grid_size`` is the least
+    base grid N, in cells over the whole interval: the base grid is N, or N
+    doubled until a narrow well (large wall exponents) has enough cells
+    across it.  The base grid is bisected, and it and its two doublings are
+    polished and certified (see ``fd_eigenvalues``).  At most
+    ``grid_size // 8`` levels can be asked for.
     """
 
     V: Callable[[np.ndarray], np.ndarray]
     q_lo: float
     q_hi: float
-    grid_size: int = 2048
+    grid_size: int = 512
 
     def __post_init__(self):
         if self.grid_size < 64:
@@ -149,15 +164,69 @@ def _wall_exponent(gamma):
 
 
 def _fd_matrix(V, lo, hi, n, s_lo, s_hi):
-    """Diagonal and off-diagonal of the interior FD matrix on grid n."""
-    h = (hi - lo) / n
-    x = lo + (np.arange(n) + 0.5) * h
-    v = np.clip(np.asarray(V(x), dtype=float), -_V_CAP, _V_CAP)
-    d = 2.0 / h ** 2 + v
-    e = np.full(n - 1, -1.0 / h ** 2)
-    d[1] -= (1.0 / 3.0) ** s_lo / h ** 2
-    d[n - 2] -= (1.0 / 3.0) ** s_hi / h ** 2
-    return d[1:n - 1], e[1:n - 2]
+    """Diagonal and off-diagonal of the factored FD matrix T on grid n.
+
+    phi = g u with g = x^a y^b exp(-(a x^2 + b y^2) / 2), where x and y are
+    the distances from q_lo and q_hi in units of hi - lo, and a, b are the
+    wall exponents s_lo, s_hi capped at ``_GAUGE_CAP``.  The problem becomes
+    -(g^2 u')' + g^2 W u = E g^2 u with W = V - g''/g; the Gaussian factor
+    cancels the 1/x and 1/y terms that x^a y^b alone leaves in g''/g, so W
+    is bounded at a wall with s <= ``_GAUGE_CAP`` and u is smooth there.  A
+    wall with a larger s keeps the rest of its inverse-square barrier in W,
+    and u vanishes there like x^(s - a).
+
+    Integrating over the n cells of width h (Samarskii's integro-interpolation
+    method) gives A u = E M u: M_i and R_i are the cell integrals of g^2 and
+    g^2 W, and the flux between cell centres i and i + 1 is
+    (u_{i+1} - u_i) / B_i, with B_i the integral of g^-2 between them (the
+    harmonic mean).  The flux vanishes at both walls.  Interior cells and
+    flux spans take ``_CELL_NODES`` Gauss-Legendre nodes, and the wall cells
+    Gauss-Jacobi rules of weight t^(2a) and t^(2b) in t = distance / h.
+    T = M^(-1/2) A M^(-1/2) is symmetric tridiagonal.
+    """
+    a, b = min(s_lo, _GAUGE_CAP), min(s_hi, _GAUGE_CAP)
+    span = hi - lo
+    x, w = gauss_legendre_nodes(_CELL_NODES)
+    # node positions and cell weights in units of h, one row per node
+    cell = np.arange(n) + 0.5 * (1.0 + x)[:, None]
+    weight = np.repeat(0.5 * w[:, None], n, axis=1)
+    for col, s in ((0, a), (-1, b)):
+        t, weight[:, col] = _wall_rule(s)
+        cell[:, col] = t if col == 0 else n - t
+
+    def log_gauge2(at):
+        xl, yh = at / n, (n - at) / n
+        return (2.0 * a * np.log(xl) + 2.0 * b * np.log(yh)
+                - (a * xl * xl + b * yh * yh))
+
+    xl, yh = cell / n, (n - cell) / n
+    q = np.where(xl <= yh, lo + xl * span, hi - yh * span)
+    W = np.asarray(V(q), dtype=float) - (
+        a * (a - 1.0) / (xl * xl) + b * (b - 1.0) / (yh * yh)
+        - (a + b) * (2.0 * (a + b) + 1.0) + (b * yh - a * xl) ** 2) / span ** 2
+    # no eigenfunction of the grid reaches past a barrier of 1e4 / h^2; the
+    # cap keeps ||T||_1, and with it the seed and certificate tolerances,
+    # near the scale of the flux terms
+    W = np.minimum(W, _BARRIER_CAP * (n / span) ** 2)
+    mass = weight * np.exp(log_gauge2(cell))
+    m = mass.sum(axis=0)
+    d = (mass * W).sum(axis=0) / m
+    between = np.arange(1, n) + 0.5 * x[:, None]
+    flux = (n / span) ** 2 / ((0.5 * w) @ np.exp(-log_gauge2(between)))
+    d[:-1] += flux / m[:-1]
+    d[1:] += flux / m[1:]
+    return d, -flux / np.sqrt(m[:-1] * m[1:])
+
+
+@lru_cache(maxsize=2)
+def _wall_rule(s):
+    """Nodes t in (0, 1) and weights w of a wall cell's rule: sum_k w_k f(t_k)
+    integrates f over (0, 1), exactly where f is t^(2s) times a polynomial
+    of degree below 2 ``_CELL_NODES``.  The three grids of an FD solve share
+    the rules of its two walls."""
+    xj, wj = roots_jacobi(_CELL_NODES, 0.0, 2.0 * s)
+    t = 0.5 * (1.0 + xj)
+    return _read_only(t), _read_only(wj / ((2.0 * s + 1.0) * t ** (2.0 * s)))
 
 
 def _bisect(d, e, count, tol=0.0):
@@ -243,20 +312,12 @@ def _polish(d, e, seeds):
     return values
 
 
-def _error_exponents(s_lo, s_hi):
-    ps = {2.0, 4.0}
-    for s in (s_lo, s_hi):
-        p = 2.0 * s - 1.0
-        if p < 2.0 and abs(s - round(s)) > 1e-6:
-            ps.add(round(p, 12))
-            ps.add(round(2.0 * p, 12))
-    ordered = sorted(ps)
-    return ordered[0], ordered[1]
-
-
 def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
-    """Lowest ``count`` eigenvalues with grid-tripling extrapolation.
+    """Lowest ``count`` eigenvalues, extrapolated over three grids.
 
+    The base grid N is ``problem.grid_size``, doubled until it puts
+    ``_WIDTH_CELLS`` cells across (q_hi - q_lo) / sqrt(s_lo + s_hi); the
+    grids are N, 2N and 4N cells of the factored scheme (``_fd_matrix``).
     The base grid bisects count + 1 seeds to ``_SEED_TOL`` * ||T||_1; the
     extra one is a guard whose residual interval bounds the gap above the
     top requested level.  Each grid then refines its seeds by certified
@@ -264,7 +325,7 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
     the grid below.  A grid that fails the certificate is bisected afresh
     to stebz's default tolerance, eps * ||T||_1.  ``SpectrumResult.certified``
     records which grids certified.  The raw values then go through
-    Richardson extrapolation with the wall-derived exponents, and
+    Richardson extrapolation with the exponents 2 and 4, and
     ConvergenceFailure is raised where the grids disagree.
     """
     if count < 1:
@@ -275,7 +336,10 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
     scale = hi - lo
     s_lo = _wall_exponent(_wall_gamma(V, lo, -1, scale))
     s_hi = _wall_exponent(_wall_gamma(V, hi, +1, scale))
-    grids = (problem.grid_size, 2 * problem.grid_size, 4 * problem.grid_size)
+    base = problem.grid_size
+    while base < _WIDTH_CELLS * math.sqrt(s_lo + s_hi):
+        base *= 2
+    grids = (base, 2 * base, 4 * base)
     seeds, raw, certified = None, [], []
     for n in grids:
         d, e = _fd_matrix(V, lo, hi, n, s_lo, s_hi)
@@ -287,12 +351,9 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
             values = _bisect(d, e, count + 1)
         seeds = values
         raw.append(values[:count])
-    p1, p2 = _error_exponents(s_lo, s_hi)
-    r1 = 2.0 ** p1
-    a1 = (r1 * raw[1] - raw[0]) / (r1 - 1.0)
-    a2 = (r1 * raw[2] - raw[1]) / (r1 - 1.0)
-    r2 = 2.0 ** p2
-    best = (r2 * a2 - a1) / (r2 - 1.0)
+    a1 = (4.0 * raw[1] - raw[0]) / 3.0
+    a2 = (4.0 * raw[2] - raw[1]) / 3.0
+    best = (16.0 * a2 - a1) / 15.0
     err = np.abs(a2 - a1) + np.abs(best - a2) + 1e-15 * np.abs(best)
     scale_e = np.maximum(np.abs(best), 1.0)
     rough = np.abs(raw[1] - raw[2])
@@ -319,7 +380,7 @@ class VerifyReport:
 
 def verify_spectrum(model: ModelSpec, rep: Representation,
                     params: DeformationParams, count: int = 6,
-                    grid_size: int = 2048, tolerance: float = 1e-5) -> VerifyReport:
+                    grid_size: int = 512, tolerance: float = 1e-5) -> VerifyReport:
     """Compare closed-form energies against the FD oracle on the transformed well."""
     cls = classify_physical(model, rep, params)
     if cls.complex_spectrum:

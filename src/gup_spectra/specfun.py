@@ -358,7 +358,7 @@ def jacobi(spec: JacobiSpec, x):
     pm1 = np.ones_like(x)
     if n == 0:
         return pm1
-    pm2, pm1 = pm1, (a + 1) + (a + b + 2) * (x - 1) / 2
+    pm2, pm1 = pm1, ((a - b) + (a + b + 2) * x) / 2
     for k in range(2, n + 1):
         c1 = 2 * k * (k + a + b) * (2 * k + a + b - 2)
         c2 = (2 * k + a + b - 1) * (a ** 2 - b ** 2)

@@ -154,6 +154,15 @@ class TestSpectrumCommand:
             values = [float(v) for row in rows for v in row if v != "H"]
         assert values and np.all(np.isfinite(values))
 
+    def test_tiny_tau_energies(self, capsys):
+        # the basis at level 1 is P_1 on nodes with |z| ~ 1e-20, where the
+        # Jacobi recurrence's first step once cancelled to 0
+        code, out, err = run_cli(capsys, "expectation", "--nmax", "3", "--tau", "1e-40", "H")
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert [float(row[2]) for row in rows] == pytest.approx([0.5, 1.5, 2.5, 3.5],
+                                                                rel=1e-12)
+
     @pytest.mark.parametrize("argv", [
         ("expectation", "--nmax", "0", "--tau", "1e-160", "H"),
         ("verify", "orthonormality", "--tau", "1e-200"),

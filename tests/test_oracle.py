@@ -81,6 +81,70 @@ class TestEigensolver:
             assert np.min(order) > 1.9
 
 
+# the exact Poschl-Teller cell V = a(a-1)/sin^2 q + b(b-1)/cos^2 q on
+# (0, pi/2), E_n = (2n + a + b)^2; a = 0.566 is a wall near the -1/4 collapse
+POSCHL_TELLER_CELLS = [(0.566, 0.566), (0.566, 1.7), (0.75, 3.0), (1.5, 2.3)]
+
+# Swanson (alpha, beta, tau, rep) requests whose lowest six levels the FD
+# oracle once missed by 1.2e-5 to 2.7e-4
+FACTORED_REQUESTS = [
+    (0.0649192447101177, 0.10509346510543284, 2.1061254796270354, R.PI3),
+    (1.3161573006617135, 0.09917173602356155, 0.22435625851047453, R.PI4),
+    (0.11933243400958196, 1.8077671426403399, 1.4404601068974607, R.PI1),
+    (0.23695224136741283, 0.13212732419786585, 0.8848807892228193, R.PI3),
+    (0.6634483531520138, 0.4438949412839199, 2.0930426651436376, R.PI1),
+    (7.8239456564623415, 0.3869535469755078, 1.047045032791305, R.PI4),
+    (0.07427076786271984, 0.05855509840821544, 1.2336376857059363, R.PI4),
+    (2.948921787798207, 0.030128161134710285, 0.19945781397122359, R.PI4),
+    (0.9404492116101096, 0.08013026081202415, 1.6531286455936471, R.PI4),
+    (0.09149156796486536, 0.024355608465873892, 2.305874980052581, R.PI4),
+]
+
+
+class TestFactoredScheme:
+    @pytest.mark.parametrize("a, b", POSCHL_TELLER_CELLS)
+    def test_second_order_at_every_wall(self, a, b):
+        def V(q):
+            return a * (a - 1.0) / np.sin(q) ** 2 + b * (b - 1.0) / np.cos(q) ** 2
+
+        res = fd_eigenvalues(EigenProblem(V=V, q_lo=0.0, q_hi=math.pi / 2,
+                                          grid_size=512), 6)
+        assert res.grid_sizes == (512, 1024, 2048)
+        exact = (2.0 * np.arange(6) + a + b) ** 2
+        d1 = np.abs(res.raw[0] - res.raw[1])
+        d2 = np.abs(res.raw[1] - res.raw[2])
+        order = np.log2(d1 / d2)
+        # the gauge is close to a ground state of this shape, which can then
+        # be exact to 1e-8 on every grid, where no order shows
+        exact_already = np.all([np.abs(raw - exact) <= 1e-8 * exact
+                                for raw in res.raw], axis=0)
+        assert not np.any(exact_already[1:])
+        assert np.all(exact_already | (order > 1.9)), order
+        assert np.max(np.abs(res.eigenvalues - exact) / exact) < 1e-9
+
+    @pytest.mark.parametrize("alpha, beta, tau, rep", FACTORED_REQUESTS)
+    def test_attractive_walls_within_tolerance(self, alpha, beta, tau, rep):
+        report = verify_spectrum(Swanson(alpha, beta), rep, DeformationParams(tau=tau))
+        assert report.passed, report.rel_errors
+
+    @pytest.mark.parametrize("model, rep, tau", [
+        (HarmonicOscillator(), R.PI1, 1.1e-4),
+        (PoschlTeller(0.6591373966298112, 3.672527912123938), R.PI3,
+         1.246283002717211e-4),
+    ])
+    def test_narrow_well_raises_the_base_grid(self, model, rep, tau):
+        # wall exponents of 9e3 and 9e3, or 73 and 1.5e4: the ground state
+        # is about L / 135 wide, and the barrier reaches 1e11 in the wall
+        # cells, where it would set the certificate's tolerance
+        params = DeformationParams(tau=tau)
+        pot = transformed_potential(model, rep, params)
+        res = fd_eigenvalues(EigenProblem(V=pot.V, q_lo=pot.q_lo, q_hi=pot.q_hi), 6)
+        assert res.grid_sizes == (2048, 4096, 8192)
+        assert res.certified == (True, True, True)
+        closed = np.real(solve(model, rep, params).energies(5))
+        assert np.max(np.abs(res.eigenvalues - closed) / closed) < 1e-6
+
+
 class TestVerifySpectrum:
     @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0])
     def test_oscillator(self, tau):
@@ -168,7 +232,7 @@ class TestPolishedEigensolver:
         problem = _problem(POLISH_CASES[1])
         res = fd_eigenvalues(problem, 4)
         assert res.certified == (True, True, True)
-        assert rows == [2046]
+        assert rows == [512]
         # the seeds are loose: inverse iteration, not bisection, reaches
         # eps * ||T||_1 on the base grid too
         d, e = _grid_matrices(problem, res)[0]

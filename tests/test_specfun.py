@@ -243,6 +243,14 @@ class TestJacobi:
     def test_degree_one_legendre(self):
         assert jacobi(JacobiSpec(1, 0.0, 0.0), 0.3) == pytest.approx(0.3, abs=1e-15)
 
+    @pytest.mark.parametrize("a", [1e4, 1e20])
+    def test_degree_one_keeps_its_precision_near_zero(self, a):
+        # P_1^(a,a)(x) = (a + 1) x; the form (a + 1) + (a + b + 2)(x - 1)/2
+        # loses eps / |x| of it to cancellation, all of it at |x| = 1e-20
+        x = np.array([1e-20, -3e-9, 0.25])
+        assert np.allclose(jacobi(JacobiSpec(1, a, a), x), (a + 1.0) * x,
+                           rtol=1e-15, atol=0.0)
+
     def test_degree_two_explicit_expansion(self):
         # P_2 = C(a+2,2) v^2 + C(a+2,1) C(b+2,1) u v + C(b+2,2) u^2,
         # u = (x-1)/2, v = (x+1)/2
