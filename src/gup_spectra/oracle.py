@@ -83,10 +83,12 @@ __all__ = [
 _CELL_NODES = 3
 # Largest wall exponent the FD gauge takes out of phi (``_fd_matrix``)
 _GAUGE_CAP = 2.0
-# The base grid puts at least this many cells across (q_hi - q_lo) /
-# sqrt(s_lo + s_hi), the width of the ground state of a well whose walls
-# have the exponents s_lo and s_hi
-_WIDTH_CELLS = 12.0
+# The base grid puts at least this many cells across
+# (q_hi - q_lo) / sqrt((s_lo + s_hi)(2 count - 1)).  The ground state of a
+# well whose walls have the exponents s_lo and s_hi is about
+# (q_hi - q_lo) / sqrt(s_lo + s_hi) wide, and the top level's wavelength at
+# the centre is that width over sqrt(2 count - 1), up to a constant.
+_WIDTH_CELLS = 3.6
 # W is capped at this many (n / (q_hi - q_lo))^2 (``_fd_matrix``)
 _BARRIER_CAP = 1e4
 _EPS = float(np.finfo(float).eps)
@@ -316,8 +318,9 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
     """Lowest ``count`` eigenvalues, extrapolated over three grids.
 
     The base grid N is ``problem.grid_size``, doubled until it puts
-    ``_WIDTH_CELLS`` cells across (q_hi - q_lo) / sqrt(s_lo + s_hi); the
-    grids are N, 2N and 4N cells of the factored scheme (``_fd_matrix``).
+    ``_WIDTH_CELLS`` cells across (q_hi - q_lo) / sqrt((s_lo + s_hi)
+    (2 count - 1)), which only narrow wells (small tau) ask for; the grids
+    are N, 2N and 4N cells of the factored scheme (``_fd_matrix``).
     The base grid bisects count + 1 seeds to ``_SEED_TOL`` * ||T||_1; the
     extra one is a guard whose residual interval bounds the gap above the
     top requested level.  Each grid then refines its seeds by certified
@@ -337,7 +340,7 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
     s_lo = _wall_exponent(_wall_gamma(V, lo, -1, scale))
     s_hi = _wall_exponent(_wall_gamma(V, hi, +1, scale))
     base = problem.grid_size
-    while base < _WIDTH_CELLS * math.sqrt(s_lo + s_hi):
+    while base < _WIDTH_CELLS * math.sqrt((s_lo + s_hi) * (2 * count - 1)):
         base *= 2
     grids = (base, 2 * base, 4 * base)
     seeds, raw, certified = None, [], []
