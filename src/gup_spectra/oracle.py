@@ -89,6 +89,9 @@ _GAUGE_CAP = 2.0
 # (q_hi - q_lo) / sqrt(s_lo + s_hi) wide, and the top level's wavelength at
 # the centre is that width over sqrt(2 count - 1), up to a constant.
 _WIDTH_CELLS = 3.6
+# The base grid doubles no further than this many cells, or ``grid_size``
+# where that is larger; a well that needs more raises ConvergenceFailure.
+_MAX_BASE = 16384
 # W is capped at this many (n / (q_hi - q_lo))^2 (``_fd_matrix``)
 _BARRIER_CAP = 1e4
 _EPS = float(np.finfo(float).eps)
@@ -118,9 +121,10 @@ class EigenProblem:
     measured from V (zero at a regular wall).  ``grid_size`` is the least
     base grid N, in cells over the whole interval: the base grid is N, or N
     doubled until a narrow well (large wall exponents) has enough cells
-    across it.  The base grid is bisected, and it and its two doublings are
-    polished and certified (see ``fd_eigenvalues``).  At most
-    ``grid_size // 8`` levels can be asked for.
+    across it, up to ``_MAX_BASE`` cells.  The base grid is bisected, and it
+    and its two doublings are polished and certified (see
+    ``fd_eigenvalues``).  At most ``grid_size // 8`` levels can be asked
+    for.
     """
 
     V: Callable[[np.ndarray], np.ndarray]
@@ -158,6 +162,8 @@ def _wall_gamma(V, q_wall, side, scale):
 
 
 def _wall_exponent(gamma):
+    if not math.isfinite(gamma):
+        raise ConvergenceFailure(f"wall coefficient {gamma} is not finite")
     disc = 1.0 + 4.0 * gamma
     if disc < 0:
         raise ConvergenceFailure(
@@ -220,15 +226,13 @@ def _fd_matrix(V, lo, hi, n, s_lo, s_hi):
     return d, -flux / np.sqrt(m[:-1] * m[1:])
 
 
-@lru_cache(maxsize=2)
 def _wall_rule(s):
     """Nodes t in (0, 1) and weights w of a wall cell's rule: sum_k w_k f(t_k)
     integrates f over (0, 1), exactly where f is t^(2s) times a polynomial
-    of degree below 2 ``_CELL_NODES``.  The three grids of an FD solve share
-    the rules of its two walls."""
+    of degree below 2 ``_CELL_NODES``."""
     xj, wj = roots_jacobi(_CELL_NODES, 0.0, 2.0 * s)
     t = 0.5 * (1.0 + xj)
-    return _read_only(t), _read_only(wj / ((2.0 * s + 1.0) * t ** (2.0 * s)))
+    return t, wj / ((2.0 * s + 1.0) * t ** (2.0 * s))
 
 
 def _bisect(d, e, count, tol=0.0):
@@ -320,7 +324,9 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
     The base grid N is ``problem.grid_size``, doubled until it puts
     ``_WIDTH_CELLS`` cells across (q_hi - q_lo) / sqrt((s_lo + s_hi)
     (2 count - 1)), which only narrow wells (small tau) ask for; the grids
-    are N, 2N and 4N cells of the factored scheme (``_fd_matrix``).
+    are N, 2N and 4N cells of the factored scheme (``_fd_matrix``).  A well
+    that would need N above ``_MAX_BASE`` (or above ``grid_size``, where
+    that is larger) raises ConvergenceFailure.
     The base grid bisects count + 1 seeds to ``_SEED_TOL`` * ||T||_1; the
     extra one is a guard whose residual interval bounds the gap above the
     top requested level.  Each grid then refines its seeds by certified
@@ -339,9 +345,15 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
     scale = hi - lo
     s_lo = _wall_exponent(_wall_gamma(V, lo, -1, scale))
     s_hi = _wall_exponent(_wall_gamma(V, hi, +1, scale))
+    need = _WIDTH_CELLS * math.sqrt((s_lo + s_hi) * (2 * count - 1))
     base = problem.grid_size
-    while base < _WIDTH_CELLS * math.sqrt((s_lo + s_hi) * (2 * count - 1)):
+    limit = max(base, _MAX_BASE)
+    while base < need and 2 * base <= limit:
         base *= 2
+    if base < need:
+        raise ConvergenceFailure(
+            f"the well is too narrow: {count} levels need a base grid of "
+            f"{need:.3g} cells, above the limit of {limit}")
     grids = (base, 2 * base, 4 * base)
     seeds, raw, certified = None, [], []
     for n in grids:

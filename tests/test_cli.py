@@ -176,6 +176,13 @@ class TestSpectrumCommand:
         assert err.startswith("numerical failure:")
         assert len(err.splitlines()) == 1
 
+    def test_oracle_on_a_too_narrow_well_exit_code(self, capsys):
+        # the base grid this well asks for is capped, not allocated
+        code, out, err = run_cli(capsys, "spectrum", "--tau", "1e-12", "--oracle")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: the well is too narrow")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("command", ["wavefunction", "metric"])
     def test_broken_swanson_states_exit_code(self, capsys, command):
         # a complex order has no normalizable real states

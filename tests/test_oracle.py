@@ -13,6 +13,7 @@ from gup_spectra.algebra import (
 )
 from gup_spectra import oracle
 from gup_spectra.errors import (
+    ConvergenceFailure,
     NonIntegrable,
     ParameterError,
     UnsupportedPair,
@@ -68,6 +69,22 @@ class TestEigensolver:
             EigenProblem(V=lambda q: q, q_lo=0.0, q_hi=1.0, grid_size=32)
         with pytest.raises(ParameterError):
             EigenProblem(V=lambda q: q, q_lo=0.0, q_hi=math.inf)
+
+    def test_too_narrow_or_non_finite_walls_build_no_matrix(self, monkeypatch):
+        # at tau = 1e-12 the rule asks for a base grid of 1.7e7 cells; an
+        # overflowing V leaves no wall exponent to size the grid by
+        def no_matrix(*args):
+            raise AssertionError("no grid may be built")
+
+        monkeypatch.setattr(oracle, "_fd_matrix", no_matrix)
+        pot = transformed_potential(HarmonicOscillator(), R.PI1,
+                                    DeformationParams(tau=1e-12))
+        problem = EigenProblem(V=pot.V, q_lo=pot.q_lo, q_hi=pot.q_hi)
+        with pytest.raises(ConvergenceFailure, match="too narrow"):
+            fd_eigenvalues(problem, 6)
+        problem = EigenProblem(V=lambda q: np.full_like(q, np.inf), q_lo=0.0, q_hi=1.0)
+        with pytest.raises(ConvergenceFailure, match="not finite"):
+            fd_eigenvalues(problem, 6)
 
     def test_observed_convergence_order(self):
         # raw (pre-extrapolation) sequences refine at second order
