@@ -215,26 +215,22 @@ def cmd_spectrum(args) -> int:
     rep = config.representation()
     params = config.params()
     sol = solve(model, rep, params)
-    use_oracle = bool(args.oracle or args.check)
     header = ["n", "energy_re", "energy_im"]
-    oracle_vals = None
-    if use_oracle:
+    report = None
+    if args.oracle or args.check:
         report = verify_spectrum(model, rep, params, count=config.nmax + 1,
                                  grid_size=config.grid, tolerance=config.tol)
-        oracle_vals = report
         header += ["energy_oracle", "rel_err"]
     rows = []
-    breach = False
-    for n in range(config.nmax + 1):
-        e = complex(sol.energy(n))
+    for n, e in enumerate(sol.energies(config.nmax)):
+        e = complex(e)
         row = [n, e.real, e.imag]
-        if oracle_vals is not None:
-            row += [oracle_vals.numeric[n], oracle_vals.rel_errors[n]]
-            breach = breach or oracle_vals.rel_errors[n] > config.tol
+        if report is not None:
+            row += [report.numeric[n], report.rel_errors[n]]
         rows.append(row)
     extra = {"physical": sol.physical}
     _emit("spectrum", config, header, rows, args, extra=extra)
-    if args.check and breach:
+    if args.check and not report.passed:
         return 2
     return 0
 

@@ -25,10 +25,6 @@ class DomainError(GupSpectraError, ValueError):
     """Function argument outside the evaluation domain."""
 
 
-class UnsupportedOrder(GupSpectraError):
-    """Associated Legendre order not covered by the implemented branch."""
-
-
 class SingularCoefficient(GupSpectraError):
     """Leading ODE coefficient vanishes in the interior of the domain."""
 

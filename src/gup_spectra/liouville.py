@@ -20,7 +20,8 @@ whose pointwise residual is the structural check for every shipped solution.
 
 ``to_potential`` tabulates q and chi once, as cumulative Gauss-Legendre panel
 sums over the whole domain, and answers each later query with batched numpy
-calls; ``v_from_Qw`` uses the closed-form antiderivative of Q.
+calls.  ``solutions.metric_generic`` takes log |v|^-2 from the closed-form
+antiderivative ``FactorizationAnsatz.intQ``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import FGHCoefficients
-from .errors import BranchAmbiguity, NonMonotoneMap, SingularCoefficient
+from .errors import NonMonotoneMap, SingularCoefficient
 from .specfun import gauss_legendre_nodes
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "FactorizationAnsatz",
     "to_potential",
     "master_residual",
-    "v_from_Qw",
 ]
 
 _ORDER = 20          # Gauss-Legendre nodes per panel
@@ -322,21 +322,3 @@ def master_residual(ansatz: FactorizationAnsatz, transform: TransformResult,
     lhs = E - transform.V(q)
     return float(np.max(np.abs(rhs - lhs)))
 
-
-def v_from_Qw(ansatz: FactorizationAnsatz) -> Callable[[np.ndarray], np.ndarray]:
-    """v(q) = (w')^(-1/2) exp(1/2 int_0^{w(q)} Q), from the closed-form
-    antiderivative ``ansatz.intQ``.
-
-    The returned callable raises ``BranchAmbiguity`` when 1 - w^2 changes sign
-    over the evaluation points.
-    """
-    def v(q):
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        w = ansatz.w(q)
-        if np.any((1 - w ** 2) <= 0):
-            raise BranchAmbiguity("1 - w^2 must keep one sign on the domain")
-        wp = ansatz.dw(q).astype(complex)
-        integral = np.real(ansatz.intQ(w))
-        return wp ** (-0.5) * np.exp(0.5 * integral)
-
-    return v

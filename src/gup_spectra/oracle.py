@@ -406,7 +406,7 @@ def verify_spectrum(model: ModelSpec, rep: Representation,
     pot = transformed_potential(model, rep, params)
     problem = EigenProblem(V=pot.V, q_lo=pot.q_lo, q_hi=pot.q_hi, grid_size=grid_size)
     res = fd_eigenvalues(problem, count)
-    closed = np.array([float(np.real(sol.energy(n))) for n in range(count)])
+    closed = np.real(sol.energies(count - 1))
     rel = np.abs(res.eigenvalues - closed) / np.maximum(np.abs(closed), 1e-300)
     return VerifyReport(model=model, rep=rep, closed=closed,
                         numeric=res.eigenvalues, rel_errors=rel,

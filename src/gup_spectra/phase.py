@@ -9,8 +9,8 @@ is nonnegative; D = 0 is the exceptional-point locus.  One kernel solves
 D = 0 for beta over a whole array of alpha at fixed tau (a quadratic for
 tau > 0, linear at tau = 0) and Newton-polishes every root at once, each
 element leaving the iteration when it converges.  ``scan`` calls it once per
-tau to trace the boundary curves over an alpha window; ``boundary_beta`` is
-its one-alpha case.  For the inverse-square model reality holds on the open
+tau to trace the boundary curves over an alpha window, and is its one
+caller.  For the inverse-square model reality holds on the open
 quadrant alpha > -tau/4, beta > -tau^2/4.  Both tests are declared with the
 models in ``algebra``; this module re-exports them.
 
@@ -36,7 +36,6 @@ __all__ = [
     "PhaseQuery",
     "PhaseCurve",
     "discriminant",
-    "boundary_beta",
     "pt_model_reality",
     "scan",
 ]
@@ -150,34 +149,6 @@ def _emitted(alpha, beta, tau, params):
     return np.where(ok, rounded, beta)
 
 
-def boundary_beta(alpha: float, tau: float,
-                  params: DeformationParams | None = None) -> list[float]:
-    """Real beta roots of D(alpha, beta, tau) = 0 with Omega > 0, ascending.
-
-    The one-alpha case of the kernel ``scan`` runs over a whole window.
-    tau = 0 reduces to the hyperbola alpha * beta = hw^2 / 4.  For tau > 0
-    the quadratic is solved with the cancellation-stable formulation and each
-    root is Newton-polished until |D| < 1e-9, then rounded to 15 decimals
-    unless the rounded root fails |D| < 1e-9.  A root that does not polish
-    is left out, and NoRoot is raised when no root with Omega > 0 is left,
-    so the list is never empty.
-    """
-    params = params or DeformationParams()
-    _check_tau(tau)
-    roots, real = _boundary_roots(np.array([alpha], dtype=float), float(tau), params)
-    if not real[0]:
-        raise NoRoot("no finite boundary at alpha = 0, tau = 0" if tau == 0.0
-                     else f"D > 0 for all beta at alpha={alpha}, tau={tau}")
-    kept = roots[~np.isnan(roots)]
-    if not kept.size:
-        raise NoRoot("boundary root violates Omega > 0" if tau == 0.0
-                     else f"no polished boundary root with Omega > 0 at "
-                          f"alpha={alpha}, tau={tau}")
-    if tau == 0.0:
-        return kept.tolist()
-    return sorted(set(_emitted(float(alpha), kept, float(tau), params).tolist()))
-
-
 @dataclass(frozen=True)
 class PhaseQuery:
     params: DeformationParams
@@ -220,15 +191,15 @@ def scan(query: PhaseQuery) -> list[PhaseCurve]:
     for tau in query.tau_list:
         curve = PhaseCurve(tau=tau)
         roots, _ = _boundary_roots(alphas, float(tau), query.params)
-        # the lower root; on a tie the first candidate, as boundary_beta's
-        # sorted set keeps it
+        # the lower root; on a tie the first candidate, as the per-alpha
+        # loop's sorted set keeps it
         lower = np.where(np.isnan(roots[0]) | (roots[1] < roots[0]), roots[1], roots[0])
         kept = ~np.isnan(lower)
         alpha, beta = alphas[kept], lower[kept]
         if tau != 0.0:
             # every emitted root is within 5e-16 of its polished root, so
             # unless the two roots are closer than 1e-15 the emitted lower
-            # root is the lowest one boundary_beta emits
+            # root is the lowest one the per-alpha loop emits
             beta = _emitted(alpha, beta, float(tau), query.params)
         bad = np.abs(discriminant(alpha, beta, float(tau), query.params)) >= _BOUNDARY_TOL
         if bad.any():

@@ -1,5 +1,5 @@
-"""Special-function kernel: Gauss-Jacobi rules, orthonormal Jacobi ladders,
-associated Legendre functions and Jacobi polynomials.
+"""Special-function kernel: Gauss-Jacobi rules, orthonormal Jacobi ladders
+and Jacobi polynomials.
 
 Every solvable pair's states come from one Jacobi-type weight
 (1-y)^a (1+y)^b on (-1, 1): (1-z^2)^lam in z for the oscillator and
@@ -15,24 +15,10 @@ So the one normalization constant left is the weight's mass
 2^(a+b+1) B(a+1, b+1), which ``log_jacobi_mass`` gives in log space by
 Stirling's formula: it leaves the double range for exponents in the thousands.
 
-Two classical families stay for the operator jets and the public API:
-
-* Ferrers (real-branch) associated Legendre functions of negative real
-  order, P_{n+lam}^{-lam}(z) with n a nonnegative integer and lam > 0 real,
-  evaluated through the Gegenbauer connection
-
-      P_{n+lam}^{-lam}(z) = k_n(lam) (1-z^2)^(lam/2) C_n^{(lam+1/2)}(z),
-      k_n(lam) = n! / (2^lam Gamma(lam+1) (2lam+1)_n),
-
-  which pins the standard hypergeometric normalization (checked against the
-  closed form P_nu^{-nu}(z) = (1-z^2)^(nu/2) / (2^nu Gamma(nu+1))).  The
-  recurrences are polynomial in z, so complex arguments and complex order
-  (broken-symmetry regimes) evaluate through the same code path.  k_n
-  leaves the double range at small tau, so no solver path uses it.
-
-* Jacobi polynomials P_n^{(a,b)} with real a, b > -1, by the standard
-  three-term recurrence.  ``jacobi_jet`` returns value and derivatives up to
-  a requested order from d/dx P_n^{(a,b)} = (n+a+b+1)/2 P_{n-1}^{(a+1,b+1)}.
+The unified expectation engine's basis jets use the classical Jacobi
+polynomials P_n^{(a,b)} with real a, b > -1, by the standard three-term
+recurrence.  ``jacobi_jet`` returns value and derivatives up to a requested
+order from d/dx P_n^{(a,b)} = (n+a+b+1)/2 P_{n-1}^{(a+1,b+1)}.
 """
 
 from __future__ import annotations
@@ -43,38 +29,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, UnsupportedOrder
+from .errors import ParameterError
 from .jets import Jet
 
 __all__ = [
-    "LegendreSpec",
     "JacobiSpec",
     "gauss_legendre_nodes",
     "gauss_jacobi",
     "orthonormal_ladder",
     "log_jacobi_mass",
-    "gegenbauer",
-    "assoc_legendre",
     "jacobi",
     "jacobi_jet",
 ]
-
-
-@dataclass(frozen=True)
-class LegendreSpec:
-    """P_{n - mu}^{mu}: band index n >= 0, real (or complex) order mu <= 0."""
-
-    n: int
-    mu: complex
-
-    def __post_init__(self):
-        if self.n < 0 or self.n != int(self.n):
-            raise ParameterError(f"band index must be a nonnegative integer, got {self.n}")
-        mu = complex(self.mu)
-        if mu.imag == 0.0 and mu.real > 0 and abs(mu.real - round(mu.real)) > 1e-12:
-            raise UnsupportedOrder(
-                "positive non-integer order is outside the implemented branch"
-            )
 
 
 @dataclass(frozen=True)
@@ -245,14 +211,6 @@ def orthonormal_ladder(n: int, a: float, b: float, t):
     return np.array(list(_orthonormal_rows(t, *_jacobi_chain(int(n) + 1, a, b))))
 
 
-def _lgamma(x: float) -> float:
-    """log|Gamma(x)|; like scipy's gammaln, +inf at the poles and past overflow."""
-    try:
-        return math.lgamma(x)
-    except (ValueError, OverflowError):
-        return math.inf
-
-
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # B_2k / (2k (2k-1)), k = 1..7, of Stirling's series; from x = 12 on the
 # next term is below 5e-18
@@ -282,13 +240,12 @@ def log_jacobi_mass(a: float, b: float) -> float:
     + d(p) + d(q) - d(s), free of the log-gamma terms of size s log s that
     cancel in the plain sum (3e-11 at exponents of 1e4).  For |t| < 1/2,
     t = (p - q)/s, the logs are (s - 1)/2 log(1 - t^2) + s t atanh(t), exact
-    as t -> 0.  The plain sum is kept only where no mass exists (a or
-    b <= -1).
+    as t -> 0.  Where no mass exists (a or b <= -1) it raises
+    ParameterError, as ``gauss_jacobi`` does.
     """
     p, q = a + 1.0, b + 1.0
     if min(p, q) <= 0.0:
-        return ((a + b + 1.0) * math.log(2.0) + _lgamma(p) + _lgamma(q)
-                - _lgamma(a + b + 2.0))
+        raise ParameterError(f"Jacobi exponents must exceed -1, got a={a}, b={b}")
     s = p + q
     t = (p - q) / s
     if abs(t) < 0.5:
@@ -297,55 +254,6 @@ def log_jacobi_mass(a: float, b: float) -> float:
         logs = (p - 0.5) * math.log(2.0 * p / s) + (q - 0.5) * math.log(2.0 * q / s)
     return (logs - 0.5 * math.log(s) + _HALF_LOG_2PI + _stirling_remainder(p)
             + _stirling_remainder(q) - _stirling_remainder(s))
-
-
-# ---------------------------------------------------------------------------
-# Gegenbauer and associated Legendre
-
-def gegenbauer(n: int, a, z):
-    """C_n^{(a)}(z) by the three-term recurrence; polynomial in z and a."""
-    z = np.asarray(z)
-    cm1 = np.ones_like(z)
-    if n == 0:
-        return cm1
-    cm2, cm1 = cm1, 2 * a * z
-    for k in range(2, n + 1):
-        cm2, cm1 = cm1, (2 * (k + a - 1) * z * cm1 - (k + 2 * a - 2) * cm2) / k
-    return cm1
-
-
-def _log_kn(n: int, lam):
-    """log k_n(lam) of the Ferrers normalization."""
-    if np.iscomplexobj(lam):
-        # complex order (broken-symmetry regimes) is the only scipy user here,
-        # so the import waits for it instead of slowing every start-up
-        from scipy.special import loggamma as lg
-    else:
-        lg = _lgamma
-    return (_lgamma(n + 1) - lam * math.log(2.0) - lg(lam + 1)
-            - (lg(2 * lam + 1 + n) - lg(2 * lam + 1)))
-
-
-def _check_real_domain(z):
-    z = np.asarray(z)
-    if not np.iscomplexobj(z):
-        if np.any(np.abs(z) > 1.0 + 1e-14):
-            raise DomainError("argument must satisfy |z| <= 1 on the real branch")
-    return z
-
-
-def assoc_legendre(spec: LegendreSpec, z):
-    """Ferrers P_{n - mu}^{mu}(z); complex z evaluates the analytic recurrence."""
-    z = _check_real_domain(z)
-    lam = -spec.mu
-    if isinstance(lam, complex) and lam.imag == 0.0:
-        lam = lam.real
-    kn = np.exp(_log_kn(spec.n, lam))
-    complex_kn = np.any(np.iscomplex(kn))
-    zz = np.asarray(z, dtype=complex if (np.iscomplexobj(z) or complex_kn) else float)
-    env = (1 - zz ** 2 + 0j) ** (lam / 2.0) if np.iscomplexobj(zz) or isinstance(lam, complex) \
-        else (1 - zz ** 2) ** (lam / 2.0)
-    return kn * env * gegenbauer(spec.n, lam + 0.5, zz)
 
 
 # ---------------------------------------------------------------------------

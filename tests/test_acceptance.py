@@ -24,7 +24,7 @@ from gup_spectra.oracle import (
     expectation_unified,
     verify_spectrum,
 )
-from gup_spectra.phase import PhaseQuery, boundary_beta, discriminant, scan
+from gup_spectra.phase import PhaseQuery, discriminant, scan
 from gup_spectra.solutions import (
     ansatz_for,
     classify_physical,
@@ -228,16 +228,15 @@ class TestAcceptance:
                 f"{worst_margin:+.2e} (saturated at n=0, slack 1e-9)")
 
     def test_c10_phase_scan(self):
-        worst = 0.0
-        for alpha in np.linspace(0.5, 16.0, 300):
-            beta = boundary_beta(float(alpha), 0.0)[0]
-            worst = max(worst, abs(alpha * beta - 0.25))
         start = time.perf_counter()
         query = PhaseQuery(params=DeformationParams(), alpha_lo=0.5,
                            alpha_hi=16.0, alpha_steps=300,
                            tau_list=(0.0, 0.25, 0.5))
         curves = scan(query)
         elapsed = time.perf_counter() - start
+        undeformed = curves[0].points
+        assert len(undeformed) == 300
+        worst = max(abs(alpha * beta - 0.25) for alpha, beta in undeformed)
         worst_d = 0.0
         for curve in curves:
             for a, b in curve.points:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -58,6 +59,15 @@ class TestSpectrumCommand:
         header, rows = parse_csv(out)
         assert header[-2:] == ["energy_oracle", "rel_err"]
         assert all(float(r[-1]) < 1e-5 for r in rows)
+
+    def test_check_breach_exit_code(self, capsys):
+        # the FD relative errors here are about 6e-12 to 3e-10, above --tol
+        code, out, _ = run_cli(capsys, "spectrum", "--model", "ho", "--tau", "0.2",
+                               "--oracle", "--check", "--tol", "1e-13")
+        assert code == 2
+        _, rows = parse_csv(out)
+        assert len(rows) == 6
+        assert all(float(r[-1]) > 1e-13 for r in rows)
 
     def test_byte_identical_reruns(self, capsys):
         args = ("spectrum", "--model", "swanson", "--alpha", "0.1", "--beta", "0.2",
@@ -426,3 +436,16 @@ class TestStartup:
         assert codes == [0]
         assert "scipy.linalg" in loaded
         assert "warnings:" not in done.stderr
+
+
+class TestReadmeQuickStart:
+    def test_python_block_runs_and_holds_its_stated_values(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            (block,) = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+        scope = {}
+        exec(block, scope)
+        assert "# 0.5524937810560445" in block
+        assert scope["sol"].energy(0) == 0.5524937810560445
+        gram = scope["gram_matrix"](scope["sol"], 4)
+        assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-13

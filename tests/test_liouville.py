@@ -14,15 +14,10 @@ from gup_spectra.algebra import (
     Swanson,
     coefficients,
 )
-from gup_spectra.errors import BranchAmbiguity, NonMonotoneMap, SingularCoefficient
-from gup_spectra.liouville import (
-    FactorizationAnsatz,
-    master_residual,
-    to_potential,
-    v_from_Qw,
-)
+from gup_spectra.errors import NonMonotoneMap, SingularCoefficient
+from gup_spectra.liouville import FactorizationAnsatz, master_residual, to_potential
 from gup_spectra.solutions import ansatz_for, default_p0, solve, transformed_potential
-from gup_spectra.specfun import JacobiSpec, LegendreSpec, assoc_legendre, jacobi
+from gup_spectra.specfun import JacobiSpec, jacobi
 from references import integrate_adaptive
 
 R = Representation
@@ -201,64 +196,14 @@ class TestGaugeFactor:
         expect = half * integrate_adaptive(lambda x: an.Q(mid + half * x))
         assert an.intQ(w2) - an.intQ(w1) == pytest.approx(expect, abs=1e-11)
 
-    def test_legendre_family_collapses_to_cosine_root(self):
-        an = FactorizationAnsatz(0.25, nu=3.0, mu=-1.2)
-        v = v_from_Qw(an)
-        qs = np.linspace(-2.5, 2.5, 41)
-        expect = np.sqrt(np.cos(0.5 * qs))
-        ratio = v(qs) / expect
-        assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-9
-
-    def test_identity_map_trivial_gauge(self):
-        class IdentityAnsatz(FactorizationAnsatz):
-            def w(self, q):
-                return np.asarray(q, dtype=float)
-
-            def dw(self, q):
-                return np.ones_like(np.asarray(q, dtype=float))
-
-            def Q(self, w):
-                return 0.0 * np.asarray(w)
-
-            def intQ(self, w):
-                return 0.0 * np.asarray(w)
-
-        an = IdentityAnsatz(c=1.0)
-        v = v_from_Qw(an)
-        qs = np.linspace(-0.8, 0.8, 9)
-        assert np.max(np.abs(v(qs) - 1.0)) < 1e-12
-
-    def test_jacobi_family_matches_state_prefactor(self):
-        # after the half-angle conversion the gauge factor carries
-        # sin^(a+1/2) cos^(b+1/2) up to a constant
-        a, b = 1.3, 2.1
-        c = 0.6
-        an = FactorizationAnsatz(c, phase=math.pi / 2, nu=0, a=a, b=b)
-        v = v_from_Qw(an)
-        qs = np.linspace(0.3, 0.9 * math.pi / math.sqrt(c), 31)
-        half = 0.5 * math.sqrt(c) * qs
-        expect = np.sin(half) ** (a + 0.5) * np.cos(half) ** (b + 0.5)
-        ratio = np.abs(v(qs)) / expect
-        assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-8
-
-    def test_branch_guard(self):
-        class IdentityAnsatz(FactorizationAnsatz):
-            def w(self, q):
-                return np.asarray(q, dtype=float)
-
-            def dw(self, q):
-                return np.ones_like(np.asarray(q, dtype=float))
-
-        an = IdentityAnsatz(c=1.0, nu=2.0, mu=-1.0)
-        v = v_from_Qw(an)
-        with pytest.raises(BranchAmbiguity):
-            v(np.linspace(-3.0, 3.0, 21))  # 1 - w^2 changes sign inside
-
 
 def _classical_basis(sol, n, w):
-    """The Ferrers function or Jacobi polynomial the closed-form state carries."""
+    """The classical function the closed-form state carries, up to a constant:
+    (1-w^2)^(lam/2) P_n^(lam, lam)(w), the Ferrers P_{n+lam}^{-lam} without
+    its k_n(lam), or the Jacobi polynomial P_n^(a+, b+)."""
     if sol.family == "legendre":
-        return assoc_legendre(LegendreSpec(n, sol.parameters["mu_minus"]), w)
+        lam = -sol.parameters["mu_minus"]
+        return (1 - w ** 2) ** (lam / 2) * jacobi(JacobiSpec(n, lam, lam), w)
     return jacobi(JacobiSpec(n, sol.parameters["a_plus"].real,
                              sol.parameters["b_plus"].real), w)
 
@@ -286,9 +231,11 @@ class TestGenericAssembly:
         ps = np.linspace(lo + 0.08 * span, hi - 0.08 * span, 50)
         for n in (0, 3):
             an = ansatz_for(sol, n, coordinates="centered")
-            v = v_from_Qw(an)
             qs = tr.q_of_p(ps)
-            assembled = np.exp(tr.chi(ps)) * v(qs) * _classical_basis(sol, n, an.w(qs))
+            w = an.w(qs)
+            # the gauge factor v = (w')^(-1/2) exp(intQ(w) / 2)
+            v = an.dw(qs).astype(complex) ** (-0.5) * np.exp(0.5 * np.real(an.intQ(w)))
+            assembled = np.exp(tr.chi(ps)) * v * _classical_basis(sol, n, w)
             closed = sol.psi(n, ps)
             ratio = assembled / closed
             ratio = ratio / ratio[len(ratio) // 2]

@@ -5,15 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gup_spectra import phase
 from gup_spectra.algebra import DeformationParams
 from gup_spectra.errors import NoRoot, ParameterError
-from gup_spectra.phase import (
-    PhaseQuery,
-    boundary_beta,
-    discriminant,
-    pt_model_reality,
-    scan,
-)
+from gup_spectra.phase import PhaseQuery, discriminant, pt_model_reality, scan
 
 
 class TestDiscriminant:
@@ -27,51 +22,73 @@ class TestDiscriminant:
         assert discriminant(15.0, 0.1, 0.0) < 0
 
 
+def _lower_root(alpha, tau):
+    """The lower boundary root at one alpha, as ``scan`` emits it."""
+    (curve,) = scan(PhaseQuery(params=DeformationParams(), alpha_lo=alpha,
+                               alpha_hi=alpha + 1.0, alpha_steps=2, tau_list=(tau,)))
+    return dict(curve.points)[alpha]
+
+
+def _emitted_roots(alpha, tau):
+    """Both polished boundary roots at one alpha, rounded as the kernel emits them."""
+    params = DeformationParams()
+    roots, _ = phase._boundary_roots(np.array([alpha]), tau, params)
+    kept = roots[~np.isnan(roots)]
+    return phase._emitted(alpha, kept, tau, params) if tau else kept
+
+
 class TestBoundary:
     def test_undeformed_hyperbola(self):
-        assert boundary_beta(2.0, 0.0) == [pytest.approx(0.125, abs=1e-15)]
-        assert boundary_beta(1.0, 0.0) == [pytest.approx(0.25, abs=1e-15)]
+        (curve,) = scan(PhaseQuery(params=DeformationParams(), alpha_lo=1.0,
+                                   alpha_hi=2.0, alpha_steps=2, tau_list=(0.0,)))
+        assert curve.points == [(1.0, pytest.approx(0.25, abs=1e-15)),
+                                (2.0, pytest.approx(0.125, abs=1e-15))]
 
     def test_undeformed_curve_across_window(self):
-        for alpha in np.linspace(0.5, 16.0, 300):
-            roots = boundary_beta(float(alpha), 0.0)
-            assert abs(roots[0] * alpha - 0.25) < 1e-10
+        (curve,) = scan(PhaseQuery(params=DeformationParams(), alpha_lo=0.5,
+                                   alpha_hi=16.0, alpha_steps=300, tau_list=(0.0,)))
+        assert len(curve.points) == 300
+        for alpha, beta in curve.points:
+            assert abs(beta * alpha - 0.25) < 1e-10
 
     def test_deformed_roots_verified(self):
         for alpha in (0.7, 2.0, 6.0, 15.0):
-            for beta in boundary_beta(alpha, 0.5):
+            roots = _emitted_roots(alpha, 0.5)
+            assert roots.size
+            for beta in roots:
                 assert abs(discriminant(alpha, beta, 0.5)) < 1e-9
 
     def test_large_alpha_roots_kept_unrounded(self):
         # rounding to 15 decimals would move D by about 16 alpha * 5e-16
         alpha = 25000000.75
-        (beta,) = boundary_beta(alpha, 1e-6)
+        beta = _lower_root(alpha, 1e-6)
         assert beta != round(beta, 15)
         assert abs(discriminant(alpha, beta, 1e-6)) < 1e-9
         assert abs(discriminant(alpha, round(beta, 15), 1e-6)) >= 1e-9
 
     def test_sign_flip_across_boundary(self):
         for alpha, tau in ((2.0, 0.5), (5.0, 0.3), (2.0, 0.0)):
-            roots = boundary_beta(alpha, tau)
-            beta = roots[0]
+            beta = _lower_root(alpha, tau)
             lo = discriminant(alpha, beta - 1e-5, tau)
             hi = discriminant(alpha, beta + 1e-5, tau)
             assert lo * hi < 0
 
     def test_no_root_cases(self):
-        with pytest.raises(NoRoot):
-            boundary_beta(0.0, 0.0)
+        # alpha = 0 has no finite boundary at tau = 0, and alpha = -1 only a
+        # root with Omega < 0: scan leaves both out
+        roots, real = phase._boundary_roots(np.array([-1.0, 0.0]), 0.0, DeformationParams())
+        assert list(real) == [True, False] and np.isnan(roots).all()
+        (curve,) = scan(PhaseQuery(params=DeformationParams(), alpha_lo=-1.0,
+                                   alpha_hi=1.0, alpha_steps=3, tau_list=(0.0,)))
+        assert [alpha for alpha, _ in curve.points] == [1.0]
         with pytest.raises(ParameterError):
-            boundary_beta(1.0, -0.1)
+            PhaseQuery(params=DeformationParams(), alpha_lo=1.0, alpha_hi=2.0,
+                       alpha_steps=2, tau_list=(-0.1,))
 
     @settings(max_examples=100, deadline=None)
     @given(alpha=st.floats(0.3, 16.0), tau=st.floats(0.05, 1.0))
     def test_roots_always_reverify(self, alpha, tau):
-        try:
-            roots = boundary_beta(alpha, tau)
-        except NoRoot:
-            return
-        for beta in roots:
+        for beta in _emitted_roots(alpha, tau):
             assert abs(discriminant(alpha, beta, tau)) < 1e-9
 
 
@@ -84,8 +101,6 @@ class TestTauRange:
         with pytest.raises(ParameterError):
             PhaseQuery(params=DeformationParams(), alpha_lo=0.5, alpha_hi=16.0,
                        alpha_steps=5, tau_list=(0.25, tau))
-        with pytest.raises(ParameterError):
-            boundary_beta(2.0, tau)
 
     def test_smallest_normal_tau_scans_quietly(self):
         # the upper root q / tau^2 overflows here; only the lower one is kept
@@ -100,8 +115,6 @@ class TestTauRange:
 
 def _count_newton_steps(monkeypatch):
     """Record the beta array of every discriminant evaluation in phase."""
-    from gup_spectra import phase
-
     steps = []
     real = phase.discriminant
 
@@ -120,8 +133,6 @@ class TestNewtonCycle:
     def test_two_cycle_leaves_early(self, monkeypatch):
         # an upper root near 1e10 where |D| < 1e-9 is below D's round-off:
         # beta alternates between two floats and can never converge
-        from gup_spectra import phase
-
         steps = _count_newton_steps(monkeypatch)
         params = DeformationParams(hbar=0.547085329217715, omega=0.1467128532956946)
         out = phase._polish(np.array([30.573692021871985]),
@@ -316,16 +327,3 @@ class TestVectorizedScanMatchesScalarLoop:
             got = _outcome(_scan_tuples, query)
         assert got.startswith("NoRoot: emitted point failed re-verification")
         assert got == _outcome(_reference_scan, query)
-
-    def test_boundary_beta_single_alpha(self):
-        rng = np.random.default_rng(11)
-        params = DeformationParams(hbar=0.7, omega=2.0)
-        cases = [(0.0, 0.0), (-1.0, 0.0), (-3.0, 0.0), (2.0, 0.5), (0.0, 0.3),
-                 (-0.5, 2.0), (15.0, 0.5)]
-        cases += [(float(a), float(t)) for a, t in
-                  zip(rng.uniform(-10.0, 20.0, 60), rng.uniform(0.0, 3.0, 60))]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for alpha, tau in cases:
-                assert (_outcome(boundary_beta, alpha, tau, params)
-                        == _outcome(_reference_boundary, alpha, tau, params))

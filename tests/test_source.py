@@ -1,4 +1,5 @@
-"""Nothing in src/gup_spectra exists only for callers outside it.
+"""Nothing in src/gup_spectra exists only for callers outside it, and scipy
+stays where it is paid for.
 
 Three checks, each with its named exemptions:
 
@@ -12,6 +13,10 @@ Three checks, each with its named exemptions:
   by its class name.
 * every dataclass field is read somewhere in src, as an ``Attribute`` in a
   load context.
+
+A fourth has none: the only scipy imports in src are ``scipy.linalg``
+imports inside functions of ``oracle.py``, so importing the package and
+every command but the FD oracle run on numpy alone.
 """
 
 import ast
@@ -21,16 +26,11 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gup_spectra"
 
 ENTRY_POINTS = {
     "_Parser.error": "argparse calls it on a malformed command line",
-    "boundary_beta": "public one-alpha case of the phase kernel",
-    "ClosedFormSolution.energies": "public: the closed-form ladder E_0..E_n",
-    "metric_generic": "public: the metric assembled from the generic transform",
-    "assoc_legendre": "public Ferrers function, kept with its normalization",
-    "v_from_Qw": "public: the gauge factor v(q) of a factorization ansatz",
+    "metric_generic": "bench only: crosscheck's metric_ratio check",
 }
 
 PUBLIC_KNOBS = {
     "main.argv": "the console script passes none; embedding callers pass argv",
-    "boundary_beta.params": "public entry point: hbar and omega of the boundary",
 }
 
 RESULT_FIELDS = {
@@ -40,7 +40,6 @@ RESULT_FIELDS = {
     "SpectrumResult.wall_exponents": "FD provenance, to be reported with the result",
     "SpectrumResult.certified": "FD provenance, to be reported with the result",
     "VerifyReport.closed": "the closed-form side of the comparison",
-    "VerifyReport.passed": "the verdict at the report's tolerance",
     "VerifyReport.tolerance": "the tolerance the verdict used",
     "PhaseCurve.monotone": "the scan's in-window consistency check",
 }
@@ -142,6 +141,22 @@ def unread_fields(paths):
     return sorted(out)
 
 
+def scipy_imports(paths):
+    """(file name, module, inside a function) of every scipy import."""
+    out = []
+    for path in paths:
+        for node, stack in _nodes([path]):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            inside = any(isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in stack)
+            out += [(path.name, m, inside) for m in modules if m.split(".")[0] == "scipy"]
+    return out
+
+
 def _sources():
     return sorted(SRC.glob("*.py"))
 
@@ -159,6 +174,13 @@ def test_every_defaulted_parameter_is_passed_from_src():
 def test_every_dataclass_field_is_read_in_src():
     found = unread_fields(_sources())
     assert found == sorted(RESULT_FIELDS), set(found) ^ set(RESULT_FIELDS)
+
+
+def test_scipy_is_imported_only_by_the_fd_oracle_on_first_use():
+    found = scipy_imports(_sources())
+    assert found
+    assert all(name == "oracle.py" and (module + ".").startswith("scipy.linalg.")
+               and inside for name, module, inside in found), found
 
 
 def test_detects_an_unreached_function(tmp_path):
@@ -187,3 +209,12 @@ def test_detects_an_unread_field(tmp_path):
                    "class Plain:\n    z: int = 0\n\n\n"
                    "p = Point(1.0)\np.y = 2.0\nprint(p.x, Tagged().tag)\n")
     assert unread_fields([mod]) == ["Point.y"]
+
+
+def test_detects_scipy_imports(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import scipy.special\nimport numpy as np\n\n\n"
+                   "def f():\n    from scipy.linalg import eigh\n    from . import g\n"
+                   "    return eigh\n")
+    assert scipy_imports([mod]) == [("mod.py", "scipy.special", False),
+                                    ("mod.py", "scipy.linalg", True)]

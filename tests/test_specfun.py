@@ -7,21 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_jacobi, gammaln, roots_jacobi
 
-from gup_spectra.errors import DomainError, ParameterError, UnsupportedOrder
+from gup_spectra.errors import ParameterError
 from gup_spectra.jets import Jet
 from gup_spectra.specfun import (
     JacobiSpec,
-    LegendreSpec,
-    assoc_legendre,
     gauss_jacobi,
     gauss_legendre_nodes,
-    gegenbauer,
     jacobi,
     jacobi_jet,
     log_jacobi_mass,
     orthonormal_ladder,
 )
-from gup_spectra.specfun import _christoffel_weights, _jacobi_chain, _log_kn
+from gup_spectra.specfun import _christoffel_weights, _jacobi_chain
 from references import integrate_adaptive, jacobi_norm
 
 mp.mp.dps = 30
@@ -156,84 +153,20 @@ class TestGaussJacobi:
 
 
 class TestAssociatedLegendre:
-    def test_lowest_band_closed_form(self):
-        # P_nu^{-nu}(z) = (1-z^2)^(nu/2) / (2^nu Gamma(nu+1)); nu=2, z=0
-        spec = LegendreSpec(0, -2.0)
-        assert abs(assoc_legendre(spec, 0.0) - 0.125) < 1e-15
-        for z in (-0.7, 0.2, 0.9):
-            exact = (1 - z * z) / (4 * math.gamma(3.0))
-            assert abs(assoc_legendre(spec, z) - exact) < 1e-15
-
-    def test_classical_legendre_value(self):
-        assert abs(assoc_legendre(LegendreSpec(2, 0.0), 0.5) - (-0.125)) < 1e-14
-
-    def test_boundary_zero_for_negative_order(self):
-        val = assoc_legendre(LegendreSpec(1, -2.5), 1.0)
-        assert val == pytest.approx(0.0, abs=1e-300)
-
-    @pytest.mark.parametrize("n,lam,z", [
-        (0, 2.0, 0.3), (1, 2.5, -0.4), (3, 1.118, 0.7),
-        (4, 10.0125, 0.2), (2, 0.441, 0.9), (5, 3.3, -0.85),
-    ])
-    def test_against_mpmath(self, n, lam, z):
-        mine = complex(assoc_legendre(LegendreSpec(n, -lam), z))
-        ref = complex(mp.legenp(n + lam, -lam, z, type=2))
-        assert abs(mine - ref) <= 1e-13 * max(abs(ref), 1e-30)
-
-    def test_complex_argument_against_mpmath(self):
-        spec = LegendreSpec(2, -1.6)
-        z = 0.3 - 0.2j
-        mine = complex(assoc_legendre(spec, z))
-        ref = complex(mp.legenp(2 + 1.6, -1.6, z, type=2))
-        assert abs(mine - ref) <= 1e-12 * abs(ref)
-
-    def test_boundary_vanishing_invariant(self):
-        for lam in (1.5, 3.0, 10.0):
-            for n in range(3):
-                spec = LegendreSpec(n, -lam)
-                interior = np.max(np.abs(assoc_legendre(spec, np.linspace(-0.99, 0.99, 301))))
-                for z in (1 - 1e-6, -(1 - 1e-6)):
-                    assert abs(assoc_legendre(spec, z)) < 1e-3 * interior
-
-    def test_weight_one_orthogonality(self):
-        for lam in (1.5, 4.0, 10.0):
-            for n in range(5):
-                for m in range(n + 1, 5):
-                    def f(z):
-                        return (assoc_legendre(LegendreSpec(n, -lam), z)
-                                * assoc_legendre(LegendreSpec(m, -lam), z))
-                    assert abs(integrate_adaptive(f)) < 1e-9
-
-    def test_norm_quadrature_matches_closed_form(self):
-        for lam in (1.118, 2.43, 8.0):
-            for n in range(4):
-                spec = LegendreSpec(n, -lam)
-                norm = integrate_adaptive(lambda z: assoc_legendre(spec, z) ** 2)
-                assert norm == pytest.approx(_ferrers_norm(n, lam), rel=1e-10)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            assoc_legendre(LegendreSpec(1, -1.5), 1.2)
-
-    def test_unsupported_positive_order(self):
-        with pytest.raises(UnsupportedOrder):
-            LegendreSpec(1, 1.5)
-
     def test_scale_free_jet_is_ferrers_up_to_its_constant(self):
         # the unified engine's Legendre basis: (1-z^2)^(lam/2) P_n^(lam, lam)
-        h = 1e-5
         for lam, n in ((1.7, 1), (3.2, 4), (2.2, 3)):
-            spec = LegendreSpec(n, -lam)
+            def ferrers(x):
+                return mp.legenp(n + lam, -lam, x, type=2)
+
             z = np.array([-0.6, 0.05, 0.71])
             zj = Jet.variable(z, 2)
             jet = (1.0 - zj * zj).power(lam / 2.0) * jacobi_jet(JacobiSpec(n, lam, lam), z, 2)
-            ratio = assoc_legendre(spec, z) / jet.value
+            ratio = np.array([float(ferrers(x)) for x in z]) / jet.value
             assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-13
-            stencil = (assoc_legendre(spec, z - 2 * h) - 8 * assoc_legendre(spec, z - h)
-                       + 8 * assoc_legendre(spec, z + h)
-                       - assoc_legendre(spec, z + 2 * h)) / (12 * h)
+            slope = np.array([float(mp.diff(ferrers, x)) for x in z])
             exact = ratio[0] * jet.d[1]
-            assert np.all(np.abs(exact - stencil) < 1e-7 * np.maximum(1.0, np.abs(exact)))
+            assert np.all(np.abs(exact - slope) < 1e-7 * np.maximum(1.0, np.abs(exact)))
 
 
 class TestJacobi:
@@ -319,15 +252,6 @@ class TestJacobi:
         assert np.allclose(jet.d[1], ladder, atol=1e-12)
 
 
-def _ferrers_norm(n, lam):
-    """Closed form of the weight-1 norm of P_{n+lam}^{-lam} on (-1, 1), from
-    the Gegenbauer orthogonality and k_n."""
-    a = lam + 0.5
-    log_hn = (math.log(math.pi) + (1 - 2 * a) * math.log(2.0) + gammaln(n + 2 * a)
-              - gammaln(n + 1) - math.log(n + a) - 2 * gammaln(a))
-    return math.exp(2 * _gammaln_log_kn(n, lam) + log_hn)
-
-
 # weight exponents (a, b) of the solvable families: the oscillator and
 # Swanson (lam, lam) and the inverse-square (a+, b+), at tau from 1e-4 to 50,
 # plus the limit a + b = -1 of the chain
@@ -387,51 +311,10 @@ class TestOrthonormalLadder:
             gauss_jacobi(4, 1e200, 1e200)
 
 
-def _gammaln_log_kn(n, lam):
-    """log k_n(lam) = log n! - lam log 2 - log Gamma(lam+1) - log (2lam+1)_n."""
-    return (gammaln(n + 1) - lam * math.log(2.0) - gammaln(lam + 1)
-            - (gammaln(2 * lam + 1 + n) - gammaln(2 * lam + 1)))
-
-
-def _gammaln_log_kn_size(n, lam):
-    """Sum of the sizes of the terms of log k_n(lam), which bounds its rounding."""
-    return (gammaln(n + 1) + lam * math.log(2.0) + np.abs(gammaln(lam + 1))
-            + gammaln(2 * lam + 1 + n) + gammaln(2 * lam + 1))
-
-
-def _agree_after_exp(got, ref, size):
-    """got matches ref, the exp of a sum of log-gamma terms of total size ``size``.
-
-    Each term rounds at about 1e-16 of its own size, and exp turns that
-    absolute error in the exponent into a relative one, so two correct
-    log-gamma routines agree to a small multiple of 1e-16 * size, relative
-    to the largest value of the array.
-    """
-    got, ref = np.asarray(got), np.asarray(ref)
-    tol = 1e-14 * max(1.0, size) * np.max(np.abs(ref))
-    return bool(np.all(np.abs(got - ref) <= tol))
-
-
 class TestLogGammaParity:
-    """Real log-gamma from the math module matches scipy's gammaln."""
+    """log_jacobi_mass matches the plain sum of scipy's gammaln."""
 
     LAMS = (0.5, 4.0, 100.0, 1e3)
-    NMAX = 100
-
-    @pytest.mark.parametrize("lam", LAMS)
-    def test_log_kn(self, lam):
-        for n in range(self.NMAX + 1):
-            ref = _gammaln_log_kn(n, lam)
-            assert abs(_log_kn(n, lam) - ref) <= 1e-13 * abs(ref), n
-
-    @pytest.mark.parametrize("lam", LAMS)
-    def test_ferrers_values(self, lam):
-        z = np.linspace(-0.99, 0.99, 41)
-        for n in range(self.NMAX + 1):
-            ref = (math.exp(_gammaln_log_kn(n, lam)) * (1 - z ** 2) ** (lam / 2)
-                   * gegenbauer(n, lam + 0.5, z))
-            got = assoc_legendre(LegendreSpec(n, -lam), z)
-            assert _agree_after_exp(got, ref, _gammaln_log_kn_size(n, lam)), n
 
     @pytest.mark.parametrize("lam", LAMS + (1e4,))
     def test_log_mass(self, lam):
@@ -440,31 +323,6 @@ class TestLogGammaParity:
                      -gammaln(a + b + 2))
             size = sum(abs(t) for t in terms)
             assert abs(log_jacobi_mass(a, b) - sum(terms)) <= 1e-15 * size
-
-    def test_poles_propagate_like_gammaln(self):
-        # a positive integer order mu puts Gamma(lam + 1) on a pole: NaN, not
-        # a math domain error
-        assert np.isnan(_log_kn(0, -1.0))
-        with np.errstate(invalid="ignore"):
-            assert np.isnan(_gammaln_log_kn(0, -1.0))
-
-    def test_complex_order_uses_loggamma(self, monkeypatch):
-        import scipy.special
-
-        calls = []
-        real = scipy.special.loggamma
-
-        def counting(x):
-            calls.append(x)
-            return real(x)
-
-        monkeypatch.setattr(scipy.special, "loggamma", counting)
-        lam = 1.6 - 0.4j
-        for n in range(13):
-            ref = (gammaln(n + 1) - lam * math.log(2.0) - real(lam + 1)
-                   - (real(2 * lam + 1 + n) - real(2 * lam + 1)))
-            assert np.allclose(_log_kn(n, lam), ref, rtol=1e-14, atol=0)
-        assert calls
 
 
 class TestLogJacobiMass:
@@ -497,6 +355,11 @@ class TestLogJacobiMass:
                 err = abs(mp.mpf(log_jacobi_mass(a, b)) - ref)
                 worst = max(worst, float(err) / max(1.0, abs(float(ref))))
         assert worst <= 2e-15
+
+    def test_no_mass_is_refused(self):
+        # an exponent <= -1 makes the weight non-integrable, as gauss_jacobi refuses
+        with pytest.raises(ParameterError):
+            log_jacobi_mass(-1.0, 0.5)
 
 
 class TestJets:
