@@ -29,4 +29,10 @@ from .solutions import (
     solve,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ClosedFormSolution", "DeformationParams", "GupSpectraError", "HarmonicOscillator",
+    "PhaseQuery", "PoschlTeller", "Representation", "Swanson", "classify_physical",
+    "coefficients", "expectation_direct", "expectation_unified", "gram_matrix",
+    "master_residual", "metric_generic", "scan", "solve", "to_potential",
+    "verify_spectrum",
+]

@@ -449,3 +449,22 @@ class TestReadmeQuickStart:
         assert scope["sol"].energy(0) == 0.5524937810560445
         gram = scope["gram_matrix"](scope["sol"], 4)
         assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-13
+
+    def test_package_namespace_is_what_the_bench_and_readme_call(self):
+        # __all__ is the names bench/ calls as gs.* plus the one base class
+        # a library caller catches; from-import binds no submodule
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        called = set()
+        for name in os.listdir(os.path.join(root, "bench")):
+            if name.endswith(".py"):
+                with open(os.path.join(root, "bench", name), encoding="utf-8") as fh:
+                    called |= set(re.findall(r"\bgs\.([A-Za-z_]\w*)", fh.read()))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+            (block,) = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+        (imported,) = re.findall(r"from gup_spectra import \((.*?)\)", block, re.S)
+        readme = {name.strip() for name in imported.split(",") if name.strip()}
+        assert readme and readme <= called
+        assert sorted(gup_spectra.__all__) == sorted(called | {"GupSpectraError"})
+        scope = {}
+        exec("from gup_spectra import *", scope)
+        assert set(scope) - {"__builtins__"} == set(gup_spectra.__all__)

@@ -180,6 +180,12 @@ class TestMasterIdentity:
             assert np.max(np.abs(an.dw(qs) ** 2 / (1 - w ** 2) - an.c)) < 1e-9
 
 
+def _gauge(an, qs):
+    """The gauge factor v = (w')^(-1/2) exp(intQ(w) / 2) of the factorization."""
+    w = an.w(qs)
+    return an.dw(qs).astype(complex) ** (-0.5) * np.exp(0.5 * np.real(an.intQ(w)))
+
+
 class TestGaugeFactor:
     @pytest.mark.parametrize("an", [
         FactorizationAnsatz(0.4, nu=2.5, mu=-1.5),
@@ -195,6 +201,25 @@ class TestGaugeFactor:
         mid, half = 0.5 * (w1 + w2), 0.5 * (w2 - w1)
         expect = half * integrate_adaptive(lambda x: an.Q(mid + half * x))
         assert an.intQ(w2) - an.intQ(w1) == pytest.approx(expect, abs=1e-11)
+
+    def test_legendre_family_collapses_to_cosine_root(self):
+        an = FactorizationAnsatz(0.25, nu=3.0, mu=-1.2)
+        qs = np.linspace(-2.5, 2.5, 41)
+        expect = np.sqrt(np.cos(0.5 * qs))
+        ratio = _gauge(an, qs) / expect
+        assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-9
+
+    def test_jacobi_family_matches_state_prefactor(self):
+        # after the half-angle conversion the gauge factor carries
+        # sin^(a+1/2) cos^(b+1/2) up to a constant
+        a, b = 1.3, 2.1
+        c = 0.6
+        an = FactorizationAnsatz(c, phase=math.pi / 2, nu=0, a=a, b=b)
+        qs = np.linspace(0.3, 0.9 * math.pi / math.sqrt(c), 31)
+        half = 0.5 * math.sqrt(c) * qs
+        expect = np.sin(half) ** (a + 0.5) * np.cos(half) ** (b + 0.5)
+        ratio = np.abs(_gauge(an, qs)) / expect
+        assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-8
 
 
 def _classical_basis(sol, n, w):
@@ -232,10 +257,8 @@ class TestGenericAssembly:
         for n in (0, 3):
             an = ansatz_for(sol, n, coordinates="centered")
             qs = tr.q_of_p(ps)
-            w = an.w(qs)
-            # the gauge factor v = (w')^(-1/2) exp(intQ(w) / 2)
-            v = an.dw(qs).astype(complex) ** (-0.5) * np.exp(0.5 * np.real(an.intQ(w)))
-            assembled = np.exp(tr.chi(ps)) * v * _classical_basis(sol, n, w)
+            assembled = (np.exp(tr.chi(ps)) * _gauge(an, qs)
+                         * _classical_basis(sol, n, an.w(qs)))
             closed = sol.psi(n, ps)
             ratio = assembled / closed
             ratio = ratio / ratio[len(ratio) // 2]

@@ -303,6 +303,29 @@ def _random_queries(seed, count):
                          alpha_steps=int(rng.integers(2, 200)), tau_list=taus)
 
 
+def _kernel_one_alpha(alpha, tau, params):
+    """Both roots of the kernel at one alpha, ascending and as emitted, or
+    which of the two no-root cases holds."""
+    roots, real = phase._boundary_roots(np.array([alpha]), tau, params)
+    kept = roots[~np.isnan(roots)]
+    if not real[0]:
+        return "no real root"
+    if not kept.size:
+        return "no root with Omega > 0"
+    if tau:
+        kept = phase._emitted(alpha, kept, tau, params)
+    return sorted(set(kept.tolist()))
+
+
+def _reference_one_alpha(alpha, tau, params):
+    try:
+        return _reference_boundary(alpha, tau, params)
+    except NoRoot as exc:
+        if str(exc).startswith(("D > 0", "no finite boundary")):
+            return "no real root"
+        return "no root with Omega > 0"
+
+
 class TestVectorizedScanMatchesScalarLoop:
     """Points, kept alphas, monotone flags and NoRoot equal the per-alpha
     loop bit for bit, and no masked element raises a RuntimeWarning."""
@@ -327,3 +350,20 @@ class TestVectorizedScanMatchesScalarLoop:
             got = _outcome(_scan_tuples, query)
         assert got.startswith("NoRoot: emitted point failed re-verification")
         assert got == _outcome(_reference_scan, query)
+
+    def test_kernel_single_alpha(self):
+        # both roots, not only the lower one scan keeps
+        rng = np.random.default_rng(11)
+        params = DeformationParams(hbar=0.7, omega=2.0)
+        cases = [(0.0, 0.0), (-1.0, 0.0), (-3.0, 0.0), (2.0, 0.5), (0.0, 0.3),
+                 (-0.5, 2.0), (15.0, 0.5)]
+        cases += [(float(a), float(t)) for a, t in
+                  zip(rng.uniform(-10.0, 20.0, 60), rng.uniform(0.0, 3.0, 60))]
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha, tau in cases:
+                got = _kernel_one_alpha(alpha, tau, params)
+                assert got == _reference_one_alpha(alpha, tau, params), (alpha, tau)
+                outcomes.add(len(got) if isinstance(got, list) else got)
+        assert outcomes == {"no real root", "no root with Omega > 0", 1, 2}

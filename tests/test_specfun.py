@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import eval_jacobi, gammaln, roots_jacobi
+from scipy.special import eval_gegenbauer, eval_jacobi, gammaln, roots_jacobi
 
 from gup_spectra.errors import ParameterError
 from gup_spectra.jets import Jet
@@ -152,7 +152,91 @@ class TestGaussJacobi:
                 gauss_jacobi(*args)
 
 
+def _log_ferrers_constant(n, lam):
+    """log of n! / (2^lam Gamma(n+lam+1)).
+
+    The Ferrers function P_{n+lam}^{-lam} is k_n(lam) (1-z^2)^(lam/2)
+    C_n^(lam+1/2)(z), k_n = n! / (2^lam Gamma(lam+1) (2lam+1)_n), and
+    C_n^(lam+1/2) = (2lam+1)_n / (lam+1)_n P_n^(lam, lam), so the constant
+    in front of the engine's Legendre basis is this one.
+    """
+    return gammaln(n + 1) - lam * math.log(2.0) - gammaln(n + lam + 1)
+
+
+def _ferrers(n, lam, z):
+    """P_{n+lam}^{-lam}(z) from the engine's Legendre basis
+    (1-z^2)^(lam/2) P_n^(lam, lam)(z)."""
+    z = np.asarray(z)
+    return (math.exp(_log_ferrers_constant(n, lam)) * (1 - z * z) ** (lam / 2)
+            * jacobi(JacobiSpec(n, lam, lam), z))
+
+
+def _ferrers_norm(n, lam):
+    """Closed form of the weight-1 norm of P_{n+lam}^{-lam} on (-1, 1), from
+    the Gegenbauer orthogonality and k_n."""
+    a = lam + 0.5
+    log_hn = (math.log(math.pi) + (1 - 2 * a) * math.log(2.0) + gammaln(n + 2 * a)
+              - gammaln(n + 1) - math.log(n + a) - 2 * gammaln(a))
+    log_kn = (gammaln(n + 1) - lam * math.log(2.0) - gammaln(lam + 1)
+              - (gammaln(2 * lam + 1 + n) - gammaln(2 * lam + 1)))
+    return math.exp(2 * log_kn + log_hn)
+
+
 class TestAssociatedLegendre:
+    """The oscillator and Swanson states carry the Ferrers function
+    P_{n+lam}^{-lam}; the engine builds it, up to its constant, as
+    (1-z^2)^(lam/2) P_n^(lam, lam)(z) through ``jacobi``."""
+
+    def test_lowest_band_closed_form(self):
+        # P_nu^{-nu}(z) = (1-z^2)^(nu/2) / (2^nu Gamma(nu+1)); nu=2, z=0
+        assert abs(_ferrers(0, 2.0, 0.0) - 0.125) < 1e-15
+        for z in (-0.7, 0.2, 0.9):
+            exact = (1 - z * z) / (4 * math.gamma(3.0))
+            assert abs(_ferrers(0, 2.0, z) - exact) < 1e-15
+
+    def test_classical_legendre_value(self):
+        assert abs(jacobi(JacobiSpec(2, 0.0, 0.0), 0.5) - (-0.125)) < 1e-14
+
+    def test_boundary_zero_for_negative_order(self):
+        val = _ferrers(1, 2.5, 1.0)
+        assert val == pytest.approx(0.0, abs=1e-300)
+
+    @pytest.mark.parametrize("n,lam,z", [
+        (0, 2.0, 0.3), (1, 2.5, -0.4), (3, 1.118, 0.7),
+        (4, 10.0125, 0.2), (2, 0.441, 0.9), (5, 3.3, -0.85),
+    ])
+    def test_against_mpmath(self, n, lam, z):
+        mine = complex(_ferrers(n, lam, z))
+        ref = complex(mp.legenp(n + lam, -lam, z, type=2))
+        assert abs(mine - ref) <= 1e-13 * max(abs(ref), 1e-30)
+
+    def test_complex_argument_against_mpmath(self):
+        z = 0.3 - 0.2j
+        mine = complex(_ferrers(2, 1.6, z))
+        ref = complex(mp.legenp(2 + 1.6, -1.6, z, type=2))
+        assert abs(mine - ref) <= 1e-12 * abs(ref)
+
+    def test_boundary_vanishing_invariant(self):
+        for lam in (1.5, 3.0, 10.0):
+            for n in range(3):
+                interior = np.max(np.abs(_ferrers(n, lam, np.linspace(-0.99, 0.99, 301))))
+                for z in (1 - 1e-6, -(1 - 1e-6)):
+                    assert abs(_ferrers(n, lam, z)) < 1e-3 * interior
+
+    def test_weight_one_orthogonality(self):
+        for lam in (1.5, 4.0, 10.0):
+            for n in range(5):
+                for m in range(n + 1, 5):
+                    def f(z):
+                        return _ferrers(n, lam, z) * _ferrers(m, lam, z)
+                    assert abs(integrate_adaptive(f)) < 1e-9
+
+    def test_norm_quadrature_matches_closed_form(self):
+        for lam in (1.118, 2.43, 8.0):
+            for n in range(4):
+                norm = integrate_adaptive(lambda z: _ferrers(n, lam, z) ** 2)
+                assert norm == pytest.approx(_ferrers_norm(n, lam), rel=1e-10)
+
     def test_scale_free_jet_is_ferrers_up_to_its_constant(self):
         # the unified engine's Legendre basis: (1-z^2)^(lam/2) P_n^(lam, lam)
         for lam, n in ((1.7, 1), (3.2, 4), (2.2, 3)):
@@ -311,10 +395,52 @@ class TestOrthonormalLadder:
             gauss_jacobi(4, 1e200, 1e200)
 
 
+def _agree_after_exp(got, ref, size):
+    """got matches ref, the exp of a sum of log-gamma terms of total size ``size``.
+
+    Each term rounds at about 1e-16 of its own size, and exp turns that
+    absolute error in the exponent into a relative one, so two correct
+    routines agree to a small multiple of 1e-16 * size, relative to the
+    largest value of the array.
+    """
+    got, ref = np.asarray(got), np.asarray(ref)
+    tol = 1e-14 * max(1.0, size) * np.max(np.abs(ref))
+    return bool(np.all(np.abs(got - ref) <= tol))
+
+
 class TestLogGammaParity:
-    """log_jacobi_mass matches the plain sum of scipy's gammaln."""
+    """log_jacobi_mass, the ladder's normalization and the Legendre basis
+    match the plain sums of log-gamma terms."""
 
     LAMS = (0.5, 4.0, 100.0, 1e3)
+    NMAX = 100
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_ladder_endpoint_log_norm(self, lam):
+        # |phat_n(+-1)| = P_n(1) (mass / h_n)^(1/2), P_n(1) = (lam+1)_n / n!
+        rows = orthonormal_ladder(self.NMAX, lam, lam, np.array([0.0, 1.0]))
+        a = mp.mpf(lam)
+        log_mass = (2 * a + 1) * mp.log(2) + 2 * mp.loggamma(a + 1) - mp.loggamma(2 * a + 2)
+        for n in range(self.NMAX + 1):
+            log_p1 = mp.loggamma(n + a + 1) - mp.loggamma(a + 1) - mp.loggamma(n + 1)
+            log_hn = ((2 * a + 1) * mp.log(2) + 2 * mp.loggamma(n + a + 1) - mp.loggamma(n + 1)
+                      - mp.log(2 * n + 2 * a + 1) - mp.loggamma(n + 2 * a + 1))
+            ref = float(log_p1 + (log_mass - log_hn) / 2)
+            assert rows[n, 1] > 0 and (rows[n, 0] > 0) == (n % 2 == 0), n
+            for value in rows[n]:
+                assert abs(math.log(abs(value)) - ref) <= 1e-13 * max(1.0, abs(ref)), n
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_ferrers_values(self, lam):
+        # the Legendre basis P_n^(lam, lam) against scipy's Gegenbauer
+        # C_n^(lam+1/2) times (lam+1)_n / (2lam+1)_n
+        z = np.linspace(-0.99, 0.99, 41)
+        for n in range(self.NMAX + 1):
+            terms = (gammaln(n + lam + 1), -gammaln(lam + 1),
+                     -gammaln(n + 2 * lam + 1), gammaln(2 * lam + 1))
+            ref = math.exp(sum(terms)) * eval_gegenbauer(n, lam + 0.5, z)
+            got = jacobi(JacobiSpec(n, lam, lam), z)
+            assert _agree_after_exp(got, ref, sum(abs(t) for t in terms)), n
 
     @pytest.mark.parametrize("lam", LAMS + (1e4,))
     def test_log_mass(self, lam):
