@@ -1,9 +1,13 @@
 """Momentum-space operator actions for the five representations.
 
-X acts through the canonical x = i*hbar*d/dp, realized numerically by
-trigonometric (FFT) differentiation when the samples decay at the grid ends
-and by order-8 central differences otherwise (finite intervals keep the
-one-sided stencils near the edges).  P acts multiplicatively everywhere.
+X acts through the canonical x = i*hbar*d/dp on samples p_k = phi(t_k) of a
+map from a variable t sampled uniformly: d/dp = phi'(t)^(-1) d/dt.  The
+caller passes each sample's width dp_k = phi'(t_k) h (h the t spacing), which
+is also its quadrature weight, and fixes the method of d/dt: trigonometric
+(FFT) differentiation where the mapped samples decay at both ends of t, and
+order-8 differences otherwise (one-sided stencils near the ends).  A uniform
+grid is the identity map (``identity_map``).  P acts multiplicatively
+everywhere.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ __all__ = [
     "default_grid",
     "spectral_derivative",
     "fd_derivative",
+    "identity_map",
     "apply_X",
     "apply_P",
     "commutator_residual",
@@ -42,9 +47,9 @@ def default_grid(rep: Representation, params: DeformationParams,
     return uniform_grid(-12.0, 12.0, n)
 
 
-def spectral_derivative(values: np.ndarray, dx: float) -> np.ndarray:
-    n = len(values)
-    k = 2j * np.pi * np.fft.fftfreq(n, d=dx)
+def spectral_derivative(values: np.ndarray) -> np.ndarray:
+    """Trigonometric first derivative in the sample index (unit spacing)."""
+    k = 2j * np.pi * np.fft.fftfreq(len(values))
     return np.fft.ifft(k * np.fft.fft(values))
 
 
@@ -58,31 +63,36 @@ def _stencil(offsets):
 
 
 _CENTRAL8 = _stencil(range(-4, 5))
-_EDGE8 = [_stencil(range(-i, 9 - i)) for i in range(4)]
+_EDGE8 = np.array([_stencil(range(-i, 9 - i)) for i in range(4)])
 
 
-def fd_derivative(values: np.ndarray, dx: float) -> np.ndarray:
-    """Order-8 first derivative; shifted stencils within 4 points of the ends."""
+def fd_derivative(values: np.ndarray) -> np.ndarray:
+    """Order-8 first derivative in the sample index (unit spacing); shifted
+    stencils within 4 samples of the ends."""
     v = np.asarray(values)
     n = len(v)
     if n < 9:
         raise ValueError("need at least 9 samples for the order-8 stencil")
     out = np.empty_like(v, dtype=complex)
-    core = np.convolve(v, _CENTRAL8[::-1], mode="valid")
-    out[4:n - 4] = core
-    for i in range(4):
-        out[i] = np.dot(_EDGE8[i], v[:9])
-        out[n - 1 - i] = -np.dot(_EDGE8[i], v[n - 9:][::-1])
-    return out / dx
+    out[4:n - 4] = np.convolve(v, _CENTRAL8[::-1], mode="valid")
+    out[:4] = _EDGE8 @ v[:9]
+    out[n - 4:] = -(_EDGE8 @ v[n - 9:][::-1])[::-1]
+    return out
 
 
-def _derivative(values, grid):
-    dx = grid[1] - grid[0]
+def _derivative(values, dp, periodic):
+    """d/dp of samples whose widths are ``dp``: d/dk in the sample index k,
+    by FFT when ``periodic`` and by order-8 differences otherwise, over dp."""
     v = np.asarray(values, dtype=complex)
-    edge = max(abs(v[0]), abs(v[-1]))
-    if edge <= 1e-13 * max(np.max(np.abs(v)), 1e-300):
-        return spectral_derivative(v, dx)
-    return fd_derivative(v, dx)
+    return (spectral_derivative(v) if periodic else fd_derivative(v)) / dp
+
+
+def identity_map(grid: np.ndarray, psi: np.ndarray) -> tuple[float, bool]:
+    """(dp, periodic) of a uniform grid, the identity map t = p, for ``psi``:
+    FFT where psi decays at both grid ends, order-8 differences otherwise."""
+    v = np.abs(np.asarray(psi))
+    periodic = bool(max(v[0], v[-1]) <= 1e-13 * max(np.max(v), 1e-300))
+    return float(grid[1] - grid[0]), periodic
 
 
 def _check_grid(rep, params, grid):
@@ -121,11 +131,13 @@ def apply_P(rep: Representation, params: DeformationParams,
 
 
 def apply_X(rep: Representation, params: DeformationParams,
-            psi: np.ndarray, grid: np.ndarray) -> np.ndarray:
+            psi: np.ndarray, grid: np.ndarray, dp, periodic: bool) -> np.ndarray:
     """X psi on the sample grid, in the operator order fixed by the algebra.
 
-    Pi4 multiplies by u = (1 + tc p^2)^(1/2) first and differentiates after;
-    the reversed order fails the commutation relation.
+    ``dp`` is each sample's width phi'(t_k) h on the map that placed the
+    samples, and ``periodic`` selects FFT over order-8 differences in t
+    (module docstring).  Pi4 multiplies by u = (1 + tc p^2)^(1/2) first and
+    differentiates after; the reversed order fails the commutation relation.
     """
     _check_grid(rep, params, grid)
     hbar = params.hbar
@@ -133,17 +145,21 @@ def apply_X(rep: Representation, params: DeformationParams,
     p = np.asarray(grid, dtype=float)
     psi = np.asarray(psi, dtype=complex)
     u2 = 1 + tc * p ** 2
+
+    def d(values):
+        return _derivative(values, dp, periodic)
+
     if rep is Representation.PI1:
-        return u2 * (1j * hbar) * _derivative(psi, grid)
+        return u2 * (1j * hbar) * d(psi)
     if rep is Representation.PI2:
         u = np.sqrt(u2)
-        return u * (1j * hbar) * _derivative(u * psi, grid)
+        return u * (1j * hbar) * d(u * psi)
     if rep is Representation.PI3:
-        return 1j * hbar * _derivative(psi, grid)
+        return 1j * hbar * d(psi)
     if rep is Representation.PI4:
-        return -hbar * _derivative(np.sqrt(u2) * psi, grid)
+        return -hbar * d(np.sqrt(u2) * psi)
     if rep is Representation.PI4_PRIME:
-        return 1j * hbar * _derivative(np.sqrt(u2) * psi, grid)
+        return 1j * hbar * d(np.sqrt(u2) * psi)
     raise DomainMismatch(f"unknown representation {rep}")
 
 
@@ -154,12 +170,14 @@ def commutator_residual(rep: Representation, params: DeformationParams,
 
     The reference sign defaults to +1 for Pi1..Pi4 and to -1 for Pi4', which
     realizes the sign-flipped relation.  Passing the opposite sign measures
-    the size of the violation instead.
+    the size of the violation instead.  The grid is uniform: the identity
+    map, with the derivative method ``identity_map`` picks for psi.
     """
     if reference_sign is None:
         reference_sign = -1 if rep is Representation.PI4_PRIME else +1
-    xp = apply_X(rep, params, apply_P(rep, params, psi, grid), grid)
-    px = apply_P(rep, params, apply_X(rep, params, psi, grid), grid)
+    ident = identity_map(grid, psi)
+    xp = apply_X(rep, params, apply_P(rep, params, psi, grid), grid, *ident)
+    px = apply_P(rep, params, apply_X(rep, params, psi, grid, *ident), grid)
     p2 = apply_P(rep, params, apply_P(rep, params, psi, grid), grid)
     ref = 1j * params.hbar * (np.asarray(psi, dtype=complex)
                               + reference_sign * params.tau_check * p2)

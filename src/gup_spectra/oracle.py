@@ -32,11 +32,13 @@ Expectation values come in two independent flavors:
   term of a word goes to the Gauss-Jacobi rule that is exact for its
   endpoint exponents and degree, and a divergent term is NonIntegrable.
 * ``expectation_direct``: brute quadrature of psi* rho (F psi) on the
-  representation's native momentum grid using the numerical operator actions
+  representation's momentum domain using the numerical operator actions
   (Pi1..Pi3; the segment representation is covered by the unified form).
-  Like the unified engine it evaluates a level once: the grid, psi_n, rho
-  and the states the words build from psi_n are shared by every word asked
-  of that level.
+  The samples are uniform in a variable t that a double-exponential map
+  takes to the domain, sized from the (f, g, h) coefficients; X takes
+  order-8 differences in t.  Like the unified engine it evaluates a level
+  once: the grid, psi_n, rho and the states the words build from psi_n are
+  shared by every word asked of that level.
 """
 
 from __future__ import annotations
@@ -48,7 +50,13 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import DeformationParams, ModelSpec, Representation
+from .algebra import (
+    DeformationParams,
+    FGHCoefficients,
+    ModelSpec,
+    Representation,
+    coefficients,
+)
 from .errors import (
     ConvergenceFailure,
     NonFiniteResult,
@@ -57,7 +65,7 @@ from .errors import (
     UnsupportedPair,
 )
 from .jets import Jet
-from .operators import apply_P, apply_X, uniform_grid
+from .operators import apply_P, apply_X
 from .solutions import (
     ClosedFormSolution,
     classify_physical,
@@ -95,6 +103,7 @@ _MAX_BASE = 16384
 # W is capped at this many (n / (q_hi - q_lo))^2 (``_fd_matrix``)
 _BARRIER_CAP = 1e4
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # Inverse-iteration solves per seed: a seed bisected to _SEED_TOL, like one
 # from the grid below, certifies after two, at most four.
 _POLISH_STEPS = 6
@@ -171,12 +180,13 @@ def _wall_exponent(gamma):
     return 0.5 * (1.0 + math.sqrt(disc))
 
 
-def _fd_matrix(V, lo, hi, n, s_lo, s_hi):
+def _fd_matrix(V, lo, hi, n, walls):
     """Diagonal and off-diagonal of the factored FD matrix T on grid n.
 
     phi = g u with g = x^a y^b exp(-(a x^2 + b y^2) / 2), where x and y are
-    the distances from q_lo and q_hi in units of hi - lo, and a, b are the
-    wall exponents s_lo, s_hi capped at ``_GAUGE_CAP``.  The problem becomes
+    the distances from q_lo and q_hi in units of hi - lo, and ``walls``
+    holds a and b, the wall exponents capped at ``_GAUGE_CAP``, with the
+    rules of their wall cells (``_walls``).  The problem becomes
     -(g^2 u')' + g^2 W u = E g^2 u with W = V - g''/g; the Gaussian factor
     cancels the 1/x and 1/y terms that x^a y^b alone leaves in g''/g, so W
     is bounded at a wall with s <= ``_GAUGE_CAP`` and u is smooth there.  A
@@ -192,15 +202,14 @@ def _fd_matrix(V, lo, hi, n, s_lo, s_hi):
     Gauss-Jacobi rules of weight t^(2a) and t^(2b) in t = distance / h.
     T = M^(-1/2) A M^(-1/2) is symmetric tridiagonal.
     """
-    a, b = min(s_lo, _GAUGE_CAP), min(s_hi, _GAUGE_CAP)
+    (a, t_lo, w_lo), (b, t_hi, w_hi) = walls
     span = hi - lo
     x, w = gauss_legendre_nodes(_CELL_NODES)
     # node positions and cell weights in units of h, one row per node
     cell = np.arange(n) + 0.5 * (1.0 + x)[:, None]
     weight = np.repeat(0.5 * w[:, None], n, axis=1)
-    for col, s in ((0, a), (-1, b)):
-        t, weight[:, col] = _wall_rule(s)
-        cell[:, col] = t if col == 0 else n - t
+    cell[:, 0], weight[:, 0] = t_lo, w_lo
+    cell[:, -1], weight[:, -1] = n - t_hi, w_hi
 
     def log_gauge2(at):
         xl, yh = at / n, (n - at) / n
@@ -224,6 +233,15 @@ def _fd_matrix(V, lo, hi, n, s_lo, s_hi):
     d[:-1] += flux / m[:-1]
     d[1:] += flux / m[1:]
     return d, -flux / np.sqrt(m[:-1] * m[1:])
+
+
+def _walls(s_lo, s_hi):
+    """(a, t, w) of each wall: its exponent capped at ``_GAUGE_CAP`` and the
+    rule of its cell (``_wall_rule``), one rule for both walls where the
+    capped exponents are equal.  Every grid of a problem shares them."""
+    a, b = min(s_lo, _GAUGE_CAP), min(s_hi, _GAUGE_CAP)
+    lo = (a, *_wall_rule(a))
+    return lo, lo if b == a else (b, *_wall_rule(b))
 
 
 def _wall_rule(s):
@@ -355,9 +373,10 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
             f"the well is too narrow: {count} levels need a base grid of "
             f"{need:.3g} cells, above the limit of {limit}")
     grids = (base, 2 * base, 4 * base)
+    walls = _walls(s_lo, s_hi)
     seeds, raw, certified = None, [], []
     for n in grids:
-        d, e = _fd_matrix(V, lo, hi, n, s_lo, s_hi)
+        d, e = _fd_matrix(V, lo, hi, n, walls)
         if seeds is None:
             seeds = _bisect(d, e, count + 1, _SEED_TOL * _norm1(d, e))
         values = _polish(d, e, seeds)
@@ -748,42 +767,109 @@ def expectation_unified(model: ModelSpec, params: DeformationParams, n: int,
 
 
 # ---------------------------------------------------------------------------
-# direct engine (native momentum grid + numerical operator actions)
+# direct engine (mapped momentum grid + numerical operator actions)
 
 _DIRECT_REPS = (Representation.PI1, Representation.PI2, Representation.PI3)
-_DECAY_TOL = 1e-10  # psi^2 rho (1 + p^2) at the edge of an unbounded grid
+# |u| of the maps (``_direct_grid``): tanh(17) = 1 - 3.4e-15 keeps a cell's
+# outermost samples representable inside its walls, and e^40 = 2.4e17
+# reaches past the power-law tails of a line's states
+_CELL_REACH = 17.0
+_LINE_REACH = 40.0
 
 
-def _direct_grid(sol: ClosedFormSolution, n_points):
-    dom = sol.domain
-    if math.isfinite(dom.lo):
-        hi = dom.hi
-        if not math.isfinite(hi):
-            hi = _decay_span(sol)
-        h = (hi - dom.lo) / n_points
-        return dom.lo + (np.arange(n_points) + 0.5) * h, h
-    half = _decay_span(sol)
-    grid = uniform_grid(-half, half, n_points)
-    return grid, grid[1] - grid[0]
+def _direct_grid(fgh: FGHCoefficients, n_points):
+    """(p, dp): ``n_points`` samples of the domain of ``fgh`` and their widths.
 
+    The samples are the images p_k = phi(t_k) of midpoints t_k uniform in t
+    under a double-exponential map (Takahasi & Mori, Publ. RIMS 9 (1974)
+    721), with u = u0 + a sinh t (``_map``):
 
-def _decay_span(sol):
-    """Half-width where the normalized P^2-weighted density is negligible.
+    * the line (-inf, inf): p = L sinh u;
+    * the half line (0, inf): p = L exp u;
+    * a cell (lo, hi): p = lo + (hi - lo) / (1 + exp(-2u)), tanh u rescaled.
 
-    The words at hand raise the decay exponent by at most p^2, so the
-    pointwise check on psi^2 rho (1 + p^2) bounds the quadrature tail.  The
-    probe is the first of the spans 8 / sqrt(tc) * 1.3^k, k < 80, below
-    ``_DECAY_TOL``, all evaluated at once; if none is, the next span.
+    A state that vanishes like a power of the distance at a wall, or decays
+    like a power of p toward infinity, is smooth in t and decays
+    double-exponentially at both ends of the t-range, so the sum over the
+    widths dp_k = phi'(t_k) h converges geometrically in the count (Boyd,
+    Chebyshev and Fourier Spectral Methods, 2001, ch. 16-17).  d/dt takes
+    order-8 differences on every map: their error stays where it is made,
+    while an FFT's round-off, eps times the largest sample, reaches every
+    sample, and for Swanson with alpha + beta > 1 psi_n or psi_n rho grows
+    toward both ends.
     """
-    spans = [8.0 / math.sqrt(sol.params.tau_check)]
-    for _ in range(80):
-        spans.append(spans[-1] * 1.3)
-    probe = np.array(spans[:-1])
-    # far spans may under- or overflow; they only need to compare with _DECAY_TOL
-    with np.errstate(all="ignore"):
-        tail = np.abs(sol.psi(0, probe)) ** 2 * sol.metric(probe) * (1.0 + probe ** 2)
-    below = np.flatnonzero(tail < _DECAY_TOL)
-    return spans[below[0]] if below.size else spans[-1]
+    phi, u0, a, reach = _map(fgh)
+    t0, t1 = math.asinh((-reach - u0) / a), math.asinh((reach - u0) / a)
+    h = (t1 - t0) / n_points
+    t = t0 + (np.arange(n_points) + 0.5) * h
+    p, dpdu = phi(u0 + a * np.sinh(t))
+    return p, dpdu * (a * h) * np.cosh(t)
+
+
+def _map(fgh: FGHCoefficients):
+    """(phi, u0, a, reach) of ``_direct_grid``, from the coefficients alone:
+    phi(u) gives p and dp/du, and |u| stops at ``reach``.
+
+    f turns from f(0) to its growth at about p_f = 2 (f(0) / f''(0))^(1/2),
+    1/sqrt(tc) on Pi1 (f is constant on Pi3).  On a symmetric domain the
+    state is centred at p = 0 and, to leading order, Gaussian of width
+    w = (4 f^2 / (g'^2 + 2 f h''))^(1/4) there; with L = min(w, p_f), the
+    line takes u0 = 0 and a = 1, the cell (-W, W) u0 = 0 and
+    a = min(1, 3 pi L / (2 W)).  On a half domain the state goes like p^k0
+    at the wall p = 0, and like p^-k1 toward infinity or d^k1 at the
+    distance d from the far wall, each k from the indicial equation of
+    -f psi'' + g psi' + h psi = 0 there.  The two power laws balance at
+    L = p_f (k0 / k1)^(1/2) on the half line (a = 1), and on the half cell
+    (a = 1/2) at u0 = log(k0 / k1) / 4, where the two wall distances have
+    the ratio (k0 / k1)^(1/2).
+    """
+    dom = fgh.domain
+    f0, ddf0 = float(fgh.f(0.0)), float(fgh.ddf(0.0))
+    p_f = 2.0 * math.sqrt(f0 / ddf0) if ddf0 > 0.0 else math.inf
+    if dom.lo < 0.0:
+        d = 1e-3 * min(p_f, dom.hi)
+        h2 = float(fgh.h(d) + fgh.h(-d) - 2.0 * fgh.h(0.0)) / (d * d)
+        curv = float(fgh.dg(0.0)) ** 2 + 2.0 * f0 * h2
+        L = min((4.0 * f0 * f0 / curv) ** 0.25 if curv > 0.0 else math.inf, p_f)
+        if math.isinf(dom.hi):
+            return (lambda u: (L * np.sinh(u), L * np.cosh(u))), 0.0, 1.0, _LINE_REACH
+        return _cell(dom), 0.0, min(1.0, 1.5 * math.pi * L / dom.hi), _CELL_REACH
+    d = 1e-6 * min(p_f, dom.hi)
+    k0 = _wall_power(f0, d * d * float(fgh.h(d)))
+    if math.isinf(dom.hi):
+        # f ~ F p^4, g ~ G p^3 and h ~ H p^2 toward infinity, where p^-k
+        # solves the indicial equation F k (k + 1) + G k = H
+        big = 1e6 * p_f
+        F = float(fgh.f(big)) / big ** 4
+        G = float(fgh.g(big)) / big ** 3
+        H = float(fgh.h(big)) / big ** 2
+        k1 = (math.sqrt((F + G) ** 2 + 4.0 * F * H) - (F + G)) / (2.0 * F)
+        L = p_f * math.sqrt(k0 / k1)
+
+        def phi(u):
+            p = L * np.exp(u)
+            return p, p
+
+        return phi, 0.0, 1.0, _LINE_REACH
+    d = 1e-6 * dom.hi
+    k1 = _wall_power(float(fgh.f(dom.hi)), d * d * float(fgh.h(dom.hi - d)))
+    return _cell(dom), 0.25 * math.log(k0 / k1), 0.5, _CELL_REACH
+
+
+def _cell(dom):
+    """phi(u) of the cell map, exact in the distance to the lower wall."""
+    lo, span = dom.lo, dom.hi - dom.lo
+
+    def phi(u):
+        c = np.cosh(u)
+        return lo + span / (1.0 + np.exp(-2.0 * u)), (0.5 * span) / (c * c)
+
+    return phi
+
+
+def _wall_power(f_wall, h_wall):
+    """k of psi ~ d^k at a wall where f -> f_wall, g d -> 0 and h d^2 -> h_wall."""
+    return 0.5 + math.sqrt(0.25 + h_wall / f_wall)
 
 
 # A request asks Pi1..Pi3 for one level word after word, so one level per
@@ -792,23 +878,48 @@ def _decay_span(sol):
 @lru_cache(maxsize=len(_DIRECT_REPS))
 def _direct_level(model, rep, params, n, grid_size):
     """The native grid of one level, shared read-only between words."""
-    return _DirectLevel(solve(model, rep, params), n, grid_size)
+    # Pi2 shares the Pi1 domain and (f, g, h) table by similarity
+    shared = Representation.PI1 if rep is Representation.PI2 else rep
+    return _DirectLevel(solve(model, rep, params), n,
+                        _direct_grid(coefficients(model, shared, params), grid_size))
 
 
 class _DirectLevel(_StateMemo):
     """Grid, ket, metric and derived states (``_StateMemo``) of one
     (model, rep, params, n, grid_size).  A word sums its terms onto a zero
     array in order and H adds its constant last, the sums a cold evaluation
-    makes."""
+    makes.
 
-    def __init__(self, sol, n, grid_size):
+    The t-range ends at the outermost samples whose norm weight
+    |psi_n|^2 rho dp is finite and reaches eps^2 of the largest finite one.
+    Beyond them the level keeps no sample: they add nothing a double can
+    hold, and there psi_n or rho can leave the double range while the
+    density vanishes (Swanson at small tau), or grow so far that X^2 psi_n
+    would.  Between them psi_n, rho and the weight must be finite and rho
+    a normal double (a subnormal rho has lost its digits); otherwise the
+    level raises ``NonFiniteResult``.
+    """
+
+    def __init__(self, sol, n, samples):
         self.sol = sol
-        grid, self.h = _direct_grid(sol, grid_size)
-        self.grid = _read_only(grid)
+        grid, dp = samples
         # a copy of the ladder's row n, so the cache does not hold rows 0..n-1
-        self.ket = _read_only(sol.psi(n, grid).copy())
-        self.rho = _read_only(sol.metric(grid))
-        self._states = {(): _read_only(np.asarray(self.ket, dtype=complex))}
+        ket = sol.psi(n, grid).copy()
+        rho = sol.metric(grid)
+        weight = np.abs(ket) ** 2 * rho * dp
+        finite = np.isfinite(weight)
+        top = np.max(weight, where=finite, initial=0.0)
+        keep = np.flatnonzero(finite & (weight >= _EPS ** 2 * top))
+        keep = slice(keep[0], keep[-1] + 1) if keep.size else slice(0, 0)
+        grid, dp, ket, rho = grid[keep], dp[keep], ket[keep], rho[keep]
+        if not (grid.size and np.all(finite[keep]) and np.all(rho >= _TINY)):
+            raise NonFiniteResult(
+                f"psi_{n} or rho on {sol.rep.value} leaves the normal double "
+                "range where the density is not negligible")
+        self.grid, self.dp = _read_only(grid), _read_only(dp)
+        self.ket, self.rho = _read_only(ket), _read_only(rho)
+        self.bra = _read_only(np.conj(ket) * rho * dp)
+        self._states = {(): _read_only(np.asarray(ket, dtype=complex))}
 
     def apply(self, terms, key=()) -> np.ndarray:
         """The word ``terms`` applied to the memoized state at ``key``."""
@@ -832,7 +943,7 @@ class _DirectLevel(_StateMemo):
             pmul = apply_P(rep, params, np.ones_like(cur), self.grid)
             cur = cur * pmul ** power
         elif sym == "X":
-            cur = apply_X(rep, params, cur, self.grid)
+            cur = apply_X(rep, params, cur, self.grid, self.dp, False)
         else:
             hterms, const = self.sol.model.hamiltonian(params)
             cur = self.apply(hterms, key) + const * cur
@@ -841,17 +952,33 @@ class _DirectLevel(_StateMemo):
 
 def expectation_direct(model: ModelSpec, rep: Representation,
                        params: DeformationParams, n: int, word,
-                       grid_size: int = 8192) -> complex:
-    """<psi_n| F |psi_n>_rho by native-grid quadrature with operator actions.
+                       grid_size: int = 2048) -> complex:
+    """<psi_n| F |psi_n>_rho by quadrature on a mapped grid with operator actions.
 
-    The level n (grid, psi_n, rho and the states F builds from psi_n) is
-    shared with the other words asked of it, so each X or P step is taken
-    once per level.
+    ``grid_size`` counts samples t_k uniform in a variable t, which a
+    double-exponential map takes to the representation's momentum domain
+    (``_direct_grid``): sinh-sinh on the line of Pi1 and Pi2, exp-sinh on
+    the half line of the inverse-square model there, and tanh-sinh on the
+    Pi3 cells.  The quadrature weights are the samples' widths phi'(t_k) h,
+    and X differentiates as phi'(t)^(-1) d/dt by order-8 differences in t,
+    for every map.  Samples whose norm weight is below eps^2 of the largest
+    are dropped at the ends of the t-range (``_DirectLevel``), so a level
+    holds at most ``grid_size`` samples.  The level n (grid, psi_n, rho and
+    the states F builds from psi_n) is shared with the other words asked of
+    it, so each X or P step is taken once per level.  Where psi_n or rho
+    leaves the double range inside the density, or the value is not finite,
+    ``NonFiniteResult`` is raised.
     """
     if rep not in _DIRECT_REPS:
         raise UnsupportedPair(
             "direct quadrature runs on Pi1..Pi3; the segment representation "
             "is covered by the unified integral")
+    if params.tau_check <= 0:
+        raise ParameterError("the direct engine needs tau > 0")
     level = _direct_level(model, rep, params, n, grid_size)
     out = level.apply(parse_word(word))
-    return complex(np.sum(np.conj(level.ket) * level.rho * out) * level.h)
+    value = complex(np.sum(level.bra * out))
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise NonFiniteResult(
+            f"direct {rep.value} value of {word!r} at level {n} is {value!r}")
+    return value

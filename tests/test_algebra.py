@@ -27,6 +27,7 @@ from gup_spectra.operators import (
     apply_X,
     commutator_residual,
     default_grid,
+    identity_map,
     uniform_grid,
 )
 
@@ -213,7 +214,7 @@ def _apply_term(rep, params, factors, psi, grid):
     for sym, power in reversed(factors):
         if sym == "X":
             for _ in range(power):
-                psi = apply_X(rep, params, psi, grid)
+                psi = apply_X(rep, params, psi, grid, *identity_map(grid, psi))
         elif power >= 0:
             for _ in range(power):
                 psi = apply_P(rep, params, psi, grid)
@@ -314,7 +315,7 @@ class TestOperatorActions:
         params = DeformationParams(tau=0.0)
         grid = uniform_grid(-12, 12, 2048)
         psi = _gauss(0.8)(grid)
-        got = apply_X(R.PI1, params, psi, grid)
+        got = apply_X(R.PI1, params, psi, grid, *identity_map(grid, psi))
         exact = 1j * (-2 * 0.8 * grid) * psi
         assert np.max(np.abs(got - exact)) < 1e-10
 
@@ -322,7 +323,7 @@ class TestOperatorActions:
         params = DeformationParams(tau=0.4)
         grid = default_grid(R.PI3, params, 2048)
         psi = _gauss(1.0)(grid)
-        got = apply_X(R.PI3, params, psi, grid)
+        got = apply_X(R.PI3, params, psi, grid, *identity_map(grid, psi))
         exact = 1j * (-2.0 * grid) * psi
         assert np.max(np.abs(got - exact)) < 1e-8
 
@@ -331,7 +332,7 @@ class TestOperatorActions:
         tc = params.tau_check
         grid = uniform_grid(-12, 12, 4096)
         psi = _gauss(0.6)(grid)
-        got = apply_X(R.PI4, params, psi, grid)
+        got = apply_X(R.PI4, params, psi, grid, *identity_map(grid, psi))
         u = np.sqrt(1 + tc * grid ** 2)
         du = tc * grid / u
         exact = -(du * psi + u * (-2 * 0.6 * grid) * psi)
@@ -389,8 +390,8 @@ class TestPTAction:
         # conjugation; Theta A Theta = sign A.  Pi1..Pi3 realize the canonical
         # pattern X -> -X, P -> P, Pi4 the anti-PT pattern X -> X, P -> -P.
         sx, sp = (+1, -1) if rep is R.PI4 else (-1, +1)
-        lhs_x = np.conj(apply_X(rep, params, np.conj(psi), grid))
-        rhs_x = sx * apply_X(rep, params, psi, grid)
+        lhs_x = np.conj(apply_X(rep, params, np.conj(psi), grid, *identity_map(grid, psi)))
+        rhs_x = sx * apply_X(rep, params, psi, grid, *identity_map(grid, psi))
         assert np.max(np.abs(lhs_x - rhs_x)) < 1e-8 * np.max(np.abs(rhs_x))
         lhs_p = np.conj(apply_P(rep, params, np.conj(psi), grid))
         rhs_p = sp * apply_P(rep, params, psi, grid)
@@ -404,8 +405,8 @@ class TestSimilarity:
         grid = uniform_grid(-12, 12, 4096)
         psi = _gauss(0.9)(grid).astype(complex)
         s = (1 + tc * grid ** 2) ** -0.5
-        lhs = apply_X(R.PI2, params, psi, grid)
-        rhs = s * apply_X(R.PI1, params, psi / s, grid)
+        lhs = apply_X(R.PI2, params, psi, grid, *identity_map(grid, psi))
+        rhs = s * apply_X(R.PI1, params, psi / s, grid, *identity_map(grid, psi / s))
         mask = np.abs(grid) < 8
         scale = np.max(np.abs(rhs))
         assert np.max(np.abs((lhs - rhs)[mask])) < 1e-8 * scale

@@ -14,6 +14,7 @@ from gup_spectra.algebra import (
 from gup_spectra import oracle
 from gup_spectra.errors import (
     ConvergenceFailure,
+    NonFiniteResult,
     NonIntegrable,
     ParameterError,
     UnsupportedPair,
@@ -205,8 +206,8 @@ def _problem(case):
 
 
 def _grid_matrices(problem, res):
-    s_lo, s_hi = res.wall_exponents
-    return [oracle._fd_matrix(problem.V, problem.q_lo, problem.q_hi, n, s_lo, s_hi)
+    walls = oracle._walls(*res.wall_exponents)
+    return [oracle._fd_matrix(problem.V, problem.q_lo, problem.q_hi, n, walls)
             for n in res.grid_sizes]
 
 
@@ -280,6 +281,21 @@ class TestPolishedEigensolver:
         for raw, (d, e) in zip(res.raw, _grid_matrices(problem, res)):
             bisected = oracle._bisect(d, e, count + 1)[:count]
             assert raw.tobytes() == bisected.tobytes()
+
+    @pytest.mark.parametrize("case, rules", [(POLISH_CASES[1], 1), (POLISH_CASES[4], 2)])
+    def test_wall_rules_built_once_per_call(self, case, rules, monkeypatch):
+        # the capped exponents are equal at the oscillator's two walls, and
+        # differ at the Poschl-Teller cell's; every grid shares the rules
+        calls = []
+        real = oracle._wall_rule
+
+        def counting(s):
+            calls.append(s)
+            return real(s)
+
+        monkeypatch.setattr(oracle, "_wall_rule", counting)
+        fd_eigenvalues(_problem(case), 4)
+        assert len(calls) == rules
 
     def test_reruns_are_bit_identical(self):
         problem = _problem(POLISH_CASES[4])
@@ -769,8 +785,9 @@ class TestDirectMemo:
         model = PoschlTeller(1.0, 0.5)
         for word in DIRECT_WORDS[model]:
             expectation_direct(model, R.PI2, params, 1, word)
-        level = oracle._direct_level(model, R.PI2, params, 1, 8192)
-        arrays = [level.grid, level.ket, level.rho, *level._states.values()]
+        level = oracle._direct_level(model, R.PI2, params, 1, 2048)
+        arrays = [level.grid, level.dp, level.ket, level.rho, level.bra,
+                  *level._states.values()]
         assert len(arrays) > 8
         for arr in arrays:
             with pytest.raises(ValueError):
@@ -781,9 +798,9 @@ class TestDirectMemo:
         calls = []
         real = oracle.apply_X
 
-        def counting(rep, params, psi, grid):
+        def counting(rep, *args):
             calls.append(rep)
-            return real(rep, params, psi, grid)
+            return real(rep, *args)
 
         monkeypatch.setattr(oracle, "apply_X", counting)
         oracle._direct_level.cache_clear()
@@ -808,3 +825,93 @@ class TestDirectMemo:
             for rep in (R.PI1, R.PI2, R.PI3):
                 expectation_direct(HarmonicOscillator(), rep, params, n, "X2")
                 assert oracle._direct_level.cache_info().currsize <= 3
+
+
+# (model, rep) cells of the mapped-grid accuracy grid
+MAPPED_CELLS = [(model, rep) for model in (HarmonicOscillator(), Swanson(0.1, 0.2),
+                                            PoschlTeller(1.0, 0.5))
+                for rep in (R.PI1, R.PI2, R.PI3)]
+
+
+def _dev(direct, unified):
+    return abs(direct - unified) / max(1.0, abs(unified))
+
+
+class TestMappedGrid:
+    """The direct engine on its double-exponential maps, at the default count."""
+
+    @pytest.mark.parametrize("model, rep", MAPPED_CELLS)
+    def test_small_tau_against_unified(self, model, rep):
+        # worst 1.2e-9 (PT on Pi1 at tau = 1e-4); the acceptance bound is 1e-6
+        for tau in (1e-4, 1e-3, 1e-2):
+            params = DeformationParams(tau=tau)
+            for n in range(4):
+                for word in ("P2", "X2", "H"):
+                    ref = expectation_unified(model, params, n, word)
+                    got = expectation_direct(model, rep, params, n, word)
+                    assert _dev(got, ref) <= 1e-8, (tau, n, word)
+
+    @pytest.mark.parametrize("tau", [5.0, 50.0])
+    def test_oscillator_cell_at_large_tau(self, tau):
+        # the uniform 8192-point grid was off by 2.1e-6 and 4.1e-8 here
+        params = DeformationParams(tau=tau)
+        for n in (0, 1):
+            for word in ("X2", "H"):
+                ref = expectation_unified(HarmonicOscillator(), params, n, word)
+                got = expectation_direct(HarmonicOscillator(), R.PI3, params, n, word)
+                assert abs(got - ref) <= 1e-8 * abs(ref), (n, word)
+
+    @pytest.mark.parametrize("model, rep, tau, n", [
+        (Swanson(1.1716, 0.0527), R.PI3, 0.0831, 1),
+        (HarmonicOscillator(), R.PI1, 5.0, 3)])
+    def test_value_is_smooth_in_tau(self, model, rep, tau, n):
+        # the derivative method is fixed by the map, so the next double of
+        # tau cannot switch it (the sample-based FFT/FD choice moved <X2>
+        # of the Swanson case by 6e-6)
+        here = expectation_direct(model, rep, DeformationParams(tau=tau), n, "X2")
+        step = math.nextafter(tau, math.inf)
+        there = expectation_direct(model, rep, DeformationParams(tau=step), n, "X2")
+        assert abs(there - here) <= 1e-10 * abs(here)
+
+    @pytest.mark.parametrize("model, tau, reps", [
+        (Swanson(0.0237, 9.02), 1.02e-4, (R.PI1, R.PI2, R.PI3)),
+        (Swanson(0.153, 0.0762), 4.69e-4, (R.PI3,))])
+    def test_agrees_or_raises_where_the_density_leaves_the_doubles(self, model, tau, reps):
+        # the uniform grid returned NaN on each of these
+        params = DeformationParams(tau=tau)
+        for word in ("X2", "H"):
+            ref = expectation_unified(model, params, 1, word)
+            for rep in reps:
+                try:
+                    got = expectation_direct(model, rep, params, 1, word)
+                except NonFiniteResult:
+                    continue
+                assert _dev(got, ref) <= 1e-6, (rep, word)
+
+    @pytest.mark.parametrize("model, rep", MAPPED_CELLS)
+    def test_samples_and_widths(self, model, rep):
+        # samples strictly increasing inside the domain, positive widths
+        # that integrate the norm, at most grid_size samples
+        params = DeformationParams(tau=0.3)
+        expectation_direct(model, rep, params, 2, [])
+        level = oracle._direct_level(model, rep, params, 2, 2048)
+        assert 0 < level.grid.size <= 2048
+        assert np.all(np.diff(level.grid) > 0) and np.all(level.dp > 0)
+        assert level.sol.domain.contains(level.grid)
+        assert abs(np.sum(level.bra * level.ket) - 1.0) < 1e-12
+
+    def test_derivative_is_never_spectral(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the direct engine takes order-8 differences in t")
+
+        from gup_spectra import operators
+        monkeypatch.setattr(operators, "spectral_derivative", refuse)
+        oracle._direct_level.cache_clear()
+        params = DeformationParams(tau=0.3)
+        for model, rep in MAPPED_CELLS:
+            expectation_direct(model, rep, params, 1, "H")
+        oracle._direct_level.cache_clear()
+
+    def test_needs_a_deformation(self):
+        with pytest.raises(ParameterError):
+            expectation_direct(HarmonicOscillator(), R.PI1, DeformationParams(tau=0.0), 0, "X2")

@@ -439,7 +439,7 @@ class TestOrthonormality:
             level = oracle._direct_level(model, R.PI1, params, n, 16384)
             bra = level.sol.psi(m, level.grid)
             out = level.apply(parse_word("H"))
-            return np.sum(np.conj(bra) * level.rho * out) * level.h
+            return np.sum(np.conj(bra) * level.rho * level.dp * out)
 
         for model in (HarmonicOscillator(), Swanson(0.1, 0.2)):
             for m, n in ((0, 1), (1, 3), (2, 2)):
