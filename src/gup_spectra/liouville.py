@@ -18,16 +18,20 @@ the master identity
 
 whose pointwise residual is the structural check for every shipped solution.
 
-``to_potential`` tabulates q and chi once, as cumulative Gauss-Legendre panel
-sums over the whole domain, and answers each later query with batched numpy
-calls.  ``solutions.metric_generic`` takes log |v|^-2 from the closed-form
-antiderivative ``FactorizationAnsatz.intQ``.
+``to_potential`` tabulates q and chi once, as per-panel Chebyshev series
+over the whole domain (Boyd, *Chebyshev and Fourier Spectral Methods*, 2001),
+and answers each later query from that table: one panel lookup and one series
+evaluation, with no further coefficient evaluation.  ``p_of_q`` inverts the
+table by barycentric interpolation (Berrut & Trefethen, SIAM Review 46 (2004)
+501) and one Newton step.  ``solutions.metric_generic`` takes log |v|^-2 from
+the closed-form antiderivative ``FactorizationAnsatz.intQ``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -46,8 +50,6 @@ __all__ = [
 _ORDER = 20          # Gauss-Legendre nodes per panel
 _DEPTH = 16          # panels halve this many times toward each domain end
 _TAYLOR = 1e-6       # f from Taylor data this close to a finite end (fraction of span)
-_NEWTON_STEPS = 60
-_S_TOL = 1e-14       # Newton stops once the step in s is this small
 
 
 @dataclass
@@ -68,7 +70,11 @@ def to_potential(fgh: FGHCoefficients, p0: float) -> TransformResult:
     chi(p0) = 0 and q(p0) = 0 fix the integration constants.  Raises
     ``SingularCoefficient`` when f is not strictly positive on the interior
     and ``NonMonotoneMap`` when the coordinate integral fails to converge.
-    ``p_of_q`` maps q outside (q_lo, q_hi) to the nearest domain end.
+    ``p_of_q`` maps q at or beyond q_lo or q_hi to the nearest domain end: a
+    finite end exactly, an infinite one to p0 +- L tan(pi/2), about 1.6e16 L
+    for the length scale L of that side.  After this returns, ``chi``,
+    ``q_of_p`` and ``p_of_q`` read the table only; ``V`` evaluates the
+    coefficients at the points ``p_of_q`` gives.
     """
     dom = fgh.domain
     lo, hi = dom.lo, dom.hi
@@ -90,169 +96,224 @@ def to_potential(fgh: FGHCoefficients, p0: float) -> TransformResult:
     f_p0 = float(fgh.f(p0))
     ddf_p0 = float(fgh.ddf(p0))
     scale = 2.0 * math.sqrt(f_p0 / ddf_p0) if ddf_p0 > 0.0 else 1.0
-    lower = _Half(fgh, p0, lo, scale, f_p0)
-    upper = _Half(fgh, p0, hi, scale, f_p0)
+    table = _Table(fgh, p0, scale, f_p0)
 
-    def chi(p):
-        return _by_side(p, p0, lower, upper, _Half.chi_of_p)
-
-    def q_of_p(p):
-        return _by_side(p, p0, lower, upper, _Half.q_of_p)
-
-    def p_of_q(q):
-        return _by_side(q, 0.0, lower, upper, _Half.p_of_q)
-
-    def V_of_p(p):
+    def V(q):
+        p = table.p_of_q(q)
         f = fgh.f(p)
         df = fgh.df(p)
         g = fgh.g(p)
         return ((4 * g ** 2 + 3 * df ** 2 + 8 * g * df) / (16 * f)
                 - fgh.ddf(p) / 4.0 - fgh.dg(p) / 2.0 + fgh.h(p))
 
-    def V(q):
-        return V_of_p(p_of_q(q))
-
-    return TransformResult(chi=chi, q_of_p=q_of_p, p_of_q=p_of_q, V=V,
-                           q_lo=float(lower.q[-1]), q_hi=float(upper.q[-1]))
+    return TransformResult(chi=table.chi, q_of_p=table.q_of_p, p_of_q=table.p_of_q,
+                           V=V, q_lo=table.q_lo, q_hi=table.q_hi)
 
 
-def _by_side(x, x0, lower, upper, method):
-    """Evaluate ``method`` on the half that holds each point (x < x0: lower)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.full_like(x, np.nan)
-    for half, side in ((lower, x < x0), (upper, x >= x0)):
-        if np.any(side):
-            out[side] = method(half, x[side])
-    return out
+class _Panels:
+    """The panel layout in s that every table shares, with its constant
+    matrices; built on the first transform, not at import."""
+
+    def __init__(self):
+        edges = np.concatenate([[0.0, 0.25], 1.0 - 0.5 ** np.arange(1, _DEPTH + 1), [1.0]])
+        n = len(edges) - 1
+        width = np.diff(edges)
+        x, self.w = gauss_legendre_nodes(_ORDER)
+        s = (edges[:-1] + 0.5 * width)[:, None] + 0.5 * width[:, None] * x
+        knots = np.concatenate([[-1.0], x, [1.0]])
+        self.edges = edges
+        # rows stack the panels of the lower side, then those of the upper
+        self.row_lo = np.tile(edges[:-1], 2)
+        self.row_width = np.tile(width, 2)
+        # node values -> Chebyshev coefficients in x of their interpolant, and
+        # of its antiderivative from x = -1, whose value at x = 1 is the
+        # Gauss-Legendre sum of the values
+        self.values = np.linalg.inv(np.polynomial.chebyshev.chebvander(x, _ORDER - 1))
+        self.integral = np.polynomial.chebyshev.chebint(self.values, lbnd=-1.0)
+        # T_0 .. T_20 and s at each row's knots: its edges and nodes
+        self.knot_basis = _basis(knots, _ORDER + 1)
+        self.knot_s = self.row_lo[:, None] + 0.5 * self.row_width[:, None] * (knots + 1.0)
+        # p(s) and dp/ds factors at the nodes, toward a finite or an infinite end
+        self.wall_r2, self.wall_dr2 = (1.0 - s) ** 2, 2.0 * (1.0 - s)
+        self.tan = np.tan(0.5 * np.pi * s)
+        self.dtan = 0.5 * np.pi / np.cos(0.5 * np.pi * s) ** 2
+        # the row of each q interval from q_lo to q_hi; q_hi itself falls in
+        # the last one
+        self.rising = np.concatenate(
+            [np.arange(n - 1, -1, -1), np.arange(n, 2 * n), [2 * n - 1]])
 
 
-class _Half:
-    """The domain on one side of the anchor p0, mapped onto s in [0, 1].
+@lru_cache(maxsize=None)
+def _panels() -> _Panels:
+    return _Panels()
 
-    s = 0 is p0 and s = 1 the domain end.  The map keeps f^(-1/2) dp/ds
-    regular at s = 1: a finite end at distance D is graded as
-    p = end - sign D (1 - s)^2, which cancels a linear zero of f, and an
-    infinite end is mapped by p = p0 + sign L tan(pi s / 2), which cancels
-    growth of f like p^4.  chi' dp/ds still grows like 1/(1 - s), so the
-    panels halve toward s = 1.  q and chi are tabulated at the panel edges as
-    cumulative Gauss-Legendre panel sums; a query adds one Gauss-Legendre
-    integral from the edge below it.
+
+def _basis(x, count):
+    """T_0 .. T_(count-1) at each x, one row per point."""
+    theta = np.arccos(np.minimum(np.maximum(x, -1.0), 1.0))
+    return np.cos(theta[:, None] * np.arange(count))
+
+
+class _Table:
+    """q(p) and chi(p) on both sides of the anchor p0, as one stack of panels.
+
+    Each side of p0 is mapped onto s in [0, 1]: s = 0 is p0 and s = 1 the
+    domain end.  The map keeps f^(-1/2) dp/ds regular at s = 1: a finite end
+    at distance D is graded as p = end - sign D (1 - s)^2, which cancels a
+    linear zero of f, and an infinite end is mapped by
+    p = p0 + sign L tan(pi s / 2), which cancels growth of f like p^4.
+    chi' dp/ds still grows like 1/(1 - s), so the panels halve toward s = 1.
+
+    Both sides share the panel edges in s; row side * panels + k holds panel
+    k of the lower (side 0) or upper (side 1) side.  The constructor
+    evaluates q' and chi' once, at 20 Gauss-Legendre nodes per panel, and an
+    integration matrix turns these values into the Chebyshev series of q(s)
+    and chi(s) on each panel, offset by the cumulative panel sums at its
+    left edge.  A query is one panel lookup and one series evaluation, for
+    all points at once.  The inverse table of ``p_of_q`` holds the series' q
+    at each panel's edges and nodes with their barycentric weights; it is
+    built on the first inversion, and one Newton step on the series of q(s)
+    polishes each interpolated s.
     """
 
-    def __init__(self, fgh: FGHCoefficients, p0: float, end: float,
-                 scale: float, f_p0: float):
-        self.fgh = fgh
+    def __init__(self, fgh: FGHCoefficients, p0: float, scale: float, f_p0: float):
+        grid = _panels()
+        self.grid = grid
+        self.panels = len(grid.edges) - 1
+        ends = np.array([fgh.domain.lo, fgh.domain.hi])
         self.p0 = p0
-        self.end = end
-        self.sign = 1.0 if end > p0 else -1.0
-        self.finite = math.isfinite(end)
-        if self.finite:
-            self.span = abs(end - p0)
-            # near the wall f comes from its Taylor data, which keeps the
-            # distance to the wall exact; a root of f there evaluates to
-            # round-off, which would shift q toward the wall by about its
-            # square root
-            f_end = float(fgh.f(end))
-            self.f_end = f_end if f_end > 1e-12 * f_p0 else 0.0
-            self.df_end = float(fgh.df(end))
-            self.ddf_end = float(fgh.ddf(end))
-        else:
-            self.span = scale
-        self.edges = np.concatenate(
-            [[0.0, 0.25], 1.0 - 0.5 ** np.arange(1, _DEPTH + 1), [1.0]])
-        a, b = self.edges[:-1], self.edges[1:]
-        dq = self._integral(self._dq, a, b)
-        self.q = np.concatenate([[0.0], np.cumsum(dq)])
-        self.chi = np.concatenate([[0.0], np.cumsum(self._integral(self._dchi, a, b))])
-        steps = self.sign * dq
-        if not np.all(np.isfinite(self.q)) or np.any(steps <= 0.0):
-            raise NonMonotoneMap("q(p) table is not strictly increasing")
-        # a convergent end halves the panel sums with the panel width; a
-        # divergent one keeps (log) or grows them
-        if steps[-2] > 0.75 * steps[-3]:
-            raise NonMonotoneMap("f^(-1/2) is not integrable toward the domain end")
+        self.sign = np.array([-1.0, 1.0])
+        self.finite = np.isfinite(ends)
+        # an infinite end takes p0 as a stand-in in the finite-end formulas,
+        # whose results np.where discards there
+        self.end = np.where(self.finite, ends, p0)
+        self.span = np.where(self.finite, np.abs(self.end - p0), scale)
 
-    def p(self, s):
-        if self.finite:
-            return self.end - self.sign * self.span * (1.0 - s) ** 2
-        return self.p0 + self.sign * self.span * np.tan(0.5 * np.pi * s)
+        half = 0.5 * grid.row_width[:self.panels]
+        side = np.arange(2)[:, None, None]
+        sign, span = self.sign[side], self.span[side]
+        finite = self.finite[side]
+        p = np.where(finite, self.end[side] - sign * span * grid.wall_r2,
+                     p0 + sign * span * grid.tan)
+        dpds = sign * span * np.where(finite, grid.wall_dr2, grid.dtan)
+        # near the wall f comes from its Taylor data, which keeps the
+        # distance to the wall exact; a root of f there evaluates to
+        # round-off, which would shift q toward the wall by about its
+        # square root
+        wall = np.zeros((3, 2, 1, 1))
+        for i in np.flatnonzero(self.finite):
+            f_end = float(fgh.f(ends[i]))
+            wall[:, i, 0, 0] = (f_end if f_end > 1e-12 * f_p0 else 0.0,
+                                fgh.df(ends[i]), fgh.ddf(ends[i]))
+        d = span * grid.wall_r2
+        taylor = wall[0] - sign * wall[1] * d + 0.5 * wall[2] * d * d
+        f = np.where(finite & (d < _TAYLOR * span), taylor, fgh.f(p))
+        dq = dpds / np.sqrt(f)
+        dchi = (fgh.df(p) + 2.0 * fgh.g(p)) / (4.0 * f) * dpds
 
-    def s_of(self, p):
-        if self.finite:
-            rel = np.clip(self.sign * (self.end - p) / self.span, 0.0, 1.0)
-            return 1.0 - np.sqrt(rel)
-        return np.arctan(np.maximum(self.sign * (p - self.p0), 0.0) / self.span) / (0.5 * np.pi)
+        steps = half * (dq @ grid.w)
+        self.q_edges = np.concatenate([np.zeros((2, 1)), np.cumsum(steps, axis=1)], axis=1)
+        chi_edges = np.concatenate(
+            [np.zeros((2, 1)), np.cumsum(half * (dchi @ grid.w), axis=1)], axis=1)
+        for i in range(2):
+            rising = self.sign[i] * steps[i]
+            if not np.all(np.isfinite(self.q_edges[i])) or np.any(rising <= 0.0):
+                raise NonMonotoneMap("q(p) table is not strictly increasing")
+            # a convergent end halves the panel sums with the panel width; a
+            # divergent one keeps (log) or grows them
+            if rising[-2] > 0.75 * rising[-3]:
+                raise NonMonotoneMap("f^(-1/2) is not integrable toward the domain end")
+        self.q_lo = float(self.q_edges[0, -1])
+        self.q_hi = float(self.q_edges[1, -1])
+        self._dq = dq
+        self._q_series = self._stack(dq, half, self.q_edges)
+        self._chi_series = self._stack(dchi, half, chi_edges)
+        self._inverse = None
 
-    def _map(self, s):
-        """p(s), dp/ds and f(p(s))."""
-        if self.finite:
-            r = 1.0 - s
-            d = self.span * r * r
-            p = self.end - self.sign * d
-            dpds = 2.0 * self.sign * self.span * r
-            taylor = self.f_end - self.sign * self.df_end * d + 0.5 * self.ddf_end * d * d
-            f = np.where(d < _TAYLOR * self.span, taylor, self.fgh.f(p))
-        else:
-            t = 0.5 * np.pi * s
-            p = self.p0 + self.sign * self.span * np.tan(t)
-            dpds = 0.5 * np.pi * self.sign * self.span / np.cos(t) ** 2
-            f = self.fgh.f(p)
-        return p, dpds, f
+    def _stack(self, nodes, half, edges):
+        """Per-row Chebyshev coefficients in x of the cumulative integral."""
+        coef = np.tile(half, 2)[:, None] * (nodes.reshape(-1, _ORDER) @ self.grid.integral.T)
+        coef[:, 0] += edges[:, :-1].ravel()
+        return coef
 
-    def _dq(self, s):
-        _, dpds, f = self._map(s)
-        return dpds / np.sqrt(f)
+    def _p(self, s, side):
+        sign, span = self.sign[side], self.span[side]
+        return np.where(self.finite[side], self.end[side] - sign * span * (1.0 - s) ** 2,
+                        self.p0 + sign * span * np.tan(0.5 * np.pi * s))
 
-    def _dchi(self, s):
-        p, dpds, f = self._map(s)
-        return (self.fgh.df(p) + 2.0 * self.fgh.g(p)) / (4.0 * f) * dpds
+    def _x(self, s, row):
+        """The panel coordinate x in [-1, 1] of s in row ``row``."""
+        return 2.0 * (s - self.grid.row_lo[row]) / self.grid.row_width[row] - 1.0
+
+    def _locate(self, p):
+        """Row and panel coordinate of each p (p < p0: the lower side)."""
+        p = np.atleast_1d(np.asarray(p, dtype=float))
+        side = (p >= self.p0).astype(np.intp)
+        sign, span = self.sign[side], self.span[side]
+        to_end = 1.0 - np.sqrt(np.minimum(np.maximum(sign * (self.end[side] - p) / span, 0.0), 1.0))
+        to_inf = np.arctan(np.maximum(sign * (p - self.p0), 0.0) / span) / (0.5 * np.pi)
+        s = np.where(self.finite[side], to_end, to_inf)
+        k = np.minimum(np.searchsorted(self.grid.edges, s, side="right") - 1, self.panels - 1)
+        row = side * self.panels + k
+        return row, self._x(s, row)
 
     @staticmethod
-    def _integral(integrand, a, b):
-        """Gauss-Legendre integrals of ``integrand`` over each [a, b], batched."""
-        x, w = gauss_legendre_nodes(_ORDER)
-        half = 0.5 * (b - a)
-        nodes = (0.5 * (a + b))[..., None] + half[..., None] * x
-        return half * (integrand(nodes) @ w)
-
-    def _cell(self, s):
-        return np.clip(np.searchsorted(self.edges, s, side="right") - 1,
-                       0, len(self.edges) - 2)
-
-    def _at(self, table, integrand, s):
-        k = self._cell(s)
-        return table[k] + self._integral(integrand, self.edges[k], s)
+    def _sum(coef, row, x):
+        return np.einsum("ij,ij->i", _basis(x, coef.shape[1]), coef[row])
 
     def q_of_p(self, p):
-        return self._at(self.q, self._dq, self.s_of(p))
+        return self._sum(self._q_series, *self._locate(p))
 
-    def chi_of_p(self, p):
-        return self._at(self.chi, self._dchi, self.s_of(p))
+    def chi(self, p):
+        return self._sum(self._chi_series, *self._locate(p))
+
+    def _build_inverse(self):
+        """The q edges in increasing order, and per row the q of the edges
+        and nodes, the barycentric weights of s(q) there and the series of
+        q'(s)."""
+        grid = self.grid
+        edges = np.concatenate([self.q_edges[0, ::-1], self.q_edges[1, 1:]])
+        q = self._q_series @ grid.knot_basis.T
+        q[:, 0] = self.q_edges[:, :-1].ravel()
+        q[:, -1] = self.q_edges[:, 1:].ravel()
+        # barycentric weights, up to a factor per row; q scaled to [0, 1] per
+        # row keeps their products in range
+        u = (q - q[:, :1]) / (q[:, -1:] - q[:, :1])
+        diff = u.T[:, :, None] - u
+        knots = np.arange(u.shape[1])
+        diff[knots, :, knots] = 1.0
+        weights = 1.0 / np.multiply.reduce(diff, axis=0)
+        slope = self._dq.reshape(-1, _ORDER) @ grid.values.T
+        return edges, q, weights, slope
 
     def p_of_q(self, q):
-        """Bracketed Newton iteration on q(s), batched over all targets."""
-        u = self.sign * q  # increases along s
-        table = self.sign * self.q
-        k = np.clip(np.searchsorted(table, u, side="right") - 1, 0, len(table) - 2)
-        a, b = self.edges[k], self.edges[k + 1]
-        frac = np.clip((u - table[k]) / (table[k + 1] - table[k]), 0.0, 1.0)
-        s = a + (b - a) * frac
-        todo = np.arange(s.size)
-        for _ in range(_NEWTON_STEPS):
-            st, kt, at, bt = s[todo], k[todo], a[todo], b[todo]
-            q_st = self.q[kt] + self._integral(self._dq, self.edges[kt], st)
-            resid = self.sign * q_st - u[todo]
-            at = np.where(resid < 0.0, st, at)
-            bt = np.where(resid > 0.0, st, bt)
-            slope = self.sign * self._dq(st)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                nxt = st - resid / slope
-            nxt = np.where((nxt >= at) & (nxt <= bt), nxt, 0.5 * (at + bt))
-            s[todo], a[todo], b[todo] = nxt, at, bt
-            todo = todo[np.abs(nxt - st) > _S_TOL]
-            if todo.size == 0:
-                break
-        return self.p(s)
+        """Barycentric s(q) on the panel that holds q, one Newton step on the
+        series of q(s), then p(s); q at or beyond an end gives that end."""
+        if self._inverse is None:
+            self._inverse = self._build_inverse()
+        edges, q_knots, weights, slope = self._inverse
+        grid = self.grid
+        q = np.atleast_1d(np.asarray(q, dtype=float))
+        qc = np.minimum(np.maximum(q, self.q_lo), self.q_hi)
+        row = grid.rising[np.searchsorted(edges, qc, side="right") - 1]
+        d = qc[:, None] - q_knots[row]
+        s_knots = grid.knot_s[row]
+        # a q on a knot takes that knot's s
+        hit = d == 0.0
+        d[hit] = 1.0
+        terms = np.where(hit, 0.0, weights[row]) / d
+        s = np.einsum("ij,ij->i", terms, s_knots) / terms.sum(axis=1)
+        at_knot = hit.any(axis=1)
+        s[at_knot] = s_knots[at_knot, hit[at_knot].argmax(axis=1)]
+
+        basis = _basis(self._x(s, row), _ORDER + 1)
+        resid = np.einsum("ij,ij->i", basis, self._q_series[row]) - qc
+        rate = np.einsum("ij,ij->i", basis[:, :_ORDER], slope[row])
+        lo = grid.row_lo[row]
+        s = np.minimum(np.maximum(s - resid / np.where(rate != 0.0, rate, np.inf), lo),
+                       lo + grid.row_width[row])
+        s[(q <= self.q_lo) | (q >= self.q_hi)] = 1.0
+        return self._p(s, row // self.panels)
 
 
 # ---------------------------------------------------------------------------
