@@ -252,6 +252,8 @@ def _display_grid(sol, config):
 
 def cmd_wavefunction(args) -> int:
     config = build_config(args)
+    if args.n < 0:
+        raise UsageError("n must be >= 0")
     sol = solve(config.model_spec(), config.representation(), config.params())
     grid = _display_grid(sol, config)
     psi = sol.psi(args.n, grid)

@@ -903,8 +903,7 @@ class _DirectLevel(_StateMemo):
     def __init__(self, sol, n, samples):
         self.sol = sol
         grid, dp = samples
-        # a copy of the ladder's row n, so the cache does not hold rows 0..n-1
-        ket = sol.psi(n, grid).copy()
+        ket = sol.psi(n, grid)
         rho = sol.metric(grid)
         weight = np.abs(ket) ** 2 * rho * dp
         finite = np.isfinite(weight)

@@ -21,7 +21,7 @@ orthogonal for one Jacobi-type weight in y, (1-z^2)^lam or
 
     psi_n(p) = e(p) phat_n((1 + y) / 2),   e^2 rho = weight(y) |dy/dp| / mass,
 
-with phat_n the orthonormal ladder of ``specfun.orthonormal_ladder`` and
+with phat_n the orthonormal ladder of ``specfun.orthonormal_rows`` and
 mass = 2^(a+b+1) B(a+1, b+1).  The envelope e is one sum of logarithms and
 one exp, so it stays finite wherever the state itself is representable.
 The native quadrature is that weight's Gauss-Jacobi rule pulled back to p,
@@ -45,7 +45,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -66,7 +68,7 @@ from .errors import (
     UnsupportedPair,
 )
 from .liouville import FactorizationAnsatz, to_potential
-from .specfun import gauss_jacobi, log_jacobi_mass, orthonormal_ladder
+from .specfun import gauss_jacobi, log_jacobi_mass, orthonormal_ladder, orthonormal_rows
 
 __all__ = [
     "ClosedFormSolution",
@@ -145,14 +147,16 @@ def classify_physical(model: ModelSpec, rep: Representation,
 # ---------------------------------------------------------------------------
 # closed-form solution container
 
-@dataclass
+# frozen, its parameters read-only: ``solve`` hands the same solution to
+# every caller of a configuration
+@dataclass(frozen=True)
 class ClosedFormSolution:
     model: ModelSpec
     rep: Representation
     params: DeformationParams
     family: str                       # "legendre" | "jacobi" | "unbounded"
     c: float
-    parameters: dict
+    parameters: Mapping
     physical: bool
     metric_constant: complex          # factor discarded when normalizing rho
     domain: Domain
@@ -177,13 +181,19 @@ class ClosedFormSolution:
     # -- states -------------------------------------------------------------
 
     def psi_ladder(self, n_max: int, p):
-        """Rows psi_0(p), ..., psi_{n_max}(p) from one orthonormal recurrence sweep."""
+        """Rows psi_0(p), ..., psi_{n_max}(p): every row of one recurrence
+        sweep, each times the envelope."""
         log_env, t = self._envelope(p)
         return np.exp(log_env) * orthonormal_ladder(n_max, *self.weight, t)
 
     def psi(self, n: int, p):
-        """Metric-orthonormal wavefunction samples."""
-        return self.psi_ladder(n, p)[n]
+        """Metric-orthonormal psi_n(p), row n of ``psi_ladder`` bit for bit:
+        one sweep to row n, holding two rows at a time, and only that row
+        times the envelope."""
+        log_env, t = self._envelope(p)
+        for row in orthonormal_rows(n, *self.weight, t):
+            pass
+        return np.exp(log_env) * row
 
     def metric(self, p):
         """Normalized positive metric density on the stored parametrization."""
@@ -237,6 +247,10 @@ class ClosedFormSolution:
 # ---------------------------------------------------------------------------
 # solve()
 
+# A request asks for its configuration's solution once per state, rule,
+# level and check, and then moves on, so a few configurations hold all the
+# reuse there is.
+@lru_cache(maxsize=8)
 def solve(model: ModelSpec, rep: Representation,
           params: DeformationParams) -> ClosedFormSolution:
     """Closed-form solution for the pair, or a flagged unphysical record.
@@ -280,7 +294,8 @@ def solve(model: ModelSpec, rep: Representation,
              else fam.sign)
     return ClosedFormSolution(
         model=model, rep=rep, params=params, family=model.family, c=c,
-        parameters=parameters, physical=cls.physical, metric_constant=const,
+        parameters=MappingProxyType(parameters), physical=cls.physical,
+        metric_constant=const,
         domain=angle_domain(rep, params, half_cell=model.half_cell),
         _energy=model.energy(params), weight=weight, _metric_power=power)
 
@@ -300,7 +315,8 @@ def _solve_pi4_prime(model, rep, params):
 
     return ClosedFormSolution(
         model=model, rep=rep, params=params, family="unbounded", c=c,
-        parameters={"c": c} if c else {}, physical=False, metric_constant=1.0,
+        parameters=MappingProxyType({"c": c} if c else {}), physical=False,
+        metric_constant=1.0,
         domain=p_domain(rep, params), _energy=energy)
 
 

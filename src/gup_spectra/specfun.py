@@ -7,9 +7,10 @@ Swanson, (1-w)^a+ (1+w)^b+ in w for the inverse-square model.  One chain
 sequence of that weight (Chihara) drives both
 
 * ``gauss_jacobi``, the Golub-Welsch rule of unit total mass, and
-* ``orthonormal_ladder``, the polynomials phat_0, ..., phat_n orthonormal
-  for the unit-mass weight (DLMF 18.3, 18.9), from the same recurrence the
-  rule's Christoffel weights sum.
+* ``orthonormal_rows``, the polynomials phat_0, ..., phat_n orthonormal
+  for the unit-mass weight (DLMF 18.3, 18.9), row by row from the same
+  recurrence the rule's Christoffel weights sum; ``orthonormal_ladder``
+  keeps every row of that sweep.
 
 So the one normalization constant left is the weight's mass
 2^(a+b+1) B(a+1, b+1), which ``log_jacobi_mass`` gives in log space by
@@ -36,6 +37,7 @@ __all__ = [
     "JacobiSpec",
     "gauss_legendre_nodes",
     "gauss_jacobi",
+    "orthonormal_rows",
     "orthonormal_ladder",
     "log_jacobi_mass",
     "jacobi",
@@ -109,12 +111,16 @@ def _jacobi_chain(m: int, a: float, b: float):
 
 
 def _orthonormal_rows(t, odd, even):
-    """Yield p_0(t), ..., p_{m-1}(t) for a chain of length m.
+    """Yield p_0(t), ..., p_{m-1}(t) for a chain of length m, in one sweep.
 
     p_k are the orthonormal polynomials of the chain's unit-mass weight,
     p_0 = 1, by the three-term recurrence of the Jacobi matrix L L^T.  Its
     off-diagonal is positive, so every p_k has a positive leading
-    coefficient.
+    coefficient.  Each row is a fresh array, formed in place from the two
+    before it by the operations of ((t - d_k) p_k - e_{k-1} p_{k-1}) *
+    (1 / e_k) in that order, d and e the matrix's diagonal and
+    off-diagonal; the sweep holds those two rows and one work row, so a
+    caller that keeps only the last row holds no others.
     """
     diag = (odd + even).tolist()
     off = np.sqrt(odd[:-1] * even[1:]).tolist()
@@ -122,8 +128,14 @@ def _orthonormal_rows(t, odd, even):
     cur = np.ones_like(t)
     yield cur
     below = 0.0
+    term = np.empty_like(t)
     for d, above in zip(diag, off):
-        prev, cur = cur, ((t - d) * cur - below * prev) * (1.0 / above)
+        row = np.subtract(t, d)
+        row *= cur
+        np.multiply(below, prev, out=term)
+        row -= term
+        row *= 1.0 / above
+        prev, cur = cur, row
         yield cur
         below = above
 
@@ -197,18 +209,24 @@ def gauss_jacobi(m: int, alpha: float, beta: float):
     return 2.0 * t - 1.0, w
 
 
-def orthonormal_ladder(n: int, a: float, b: float, t):
-    """Rows phat_0(t), ..., phat_n(t) from one recurrence sweep.
+def orthonormal_rows(n: int, a: float, b: float, t):
+    """The sweep phat_0(t), ..., phat_n(t), one row at a time.
 
     phat_k are orthonormal for the unit-mass weight (1-t)^a t^b / B(a+1, b+1)
     on (0, 1), that is, for (1-y)^a (1+y)^b / mass in y = 2t - 1 (DLMF 18.3),
     and have positive leading coefficients.  Taking t rather than y keeps
     the recurrence coefficients at their relative precision near t = 0.
+    The degree is checked here, before the first row is drawn.
     """
     if n < 0 or n != int(n):
         raise ParameterError(f"degree must be a nonnegative integer, got {n}")
-    t = np.asarray(t, dtype=float)
-    return np.array(list(_orthonormal_rows(t, *_jacobi_chain(int(n) + 1, a, b))))
+    return _orthonormal_rows(np.asarray(t, dtype=float), *_jacobi_chain(int(n) + 1, a, b))
+
+
+def orthonormal_ladder(n: int, a: float, b: float, t):
+    """Every row of the sweep ``orthonormal_rows``, kept: phat_0(t), ...,
+    phat_n(t) as an (n + 1) x len(t) array."""
+    return np.array(list(orthonormal_rows(n, a, b, t)))
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -232,6 +250,9 @@ def _stirling_remainder(x: float) -> float:
     return acc + sum(c * x ** (1 - 2 * k) for k, c in enumerate(_STIRLING, 1))
 
 
+# A configuration asks for its weight's mass once per state, rule and level;
+# a few configurations hold all the reuse there is.
+@lru_cache(maxsize=8)
 def log_jacobi_mass(a: float, b: float) -> float:
     """log of the mass 2^(a+b+1) B(a+1, b+1) of (1-y)^a (1+y)^b on (-1, 1).
 

@@ -256,6 +256,13 @@ class TestWavefunctionCommand:
         assert header == ["p", "psi_re", "psi_im", "metric"]
         assert all(float(r[3]) > 0 for r in rows)
 
+    @pytest.mark.parametrize("argv", [("wavefunction", "--n", "-1"),
+                                      ("spectrum", "--nmax", "-1")])
+    def test_negative_level_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
 
 class TestPhaseCommand:
     def test_undeformed_reference_point(self, capsys):

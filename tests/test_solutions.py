@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from gup_spectra.errors import (
     ParameterError,
     UnsupportedPair,
 )
-from gup_spectra import oracle
+from gup_spectra import oracle, solutions, specfun
 from gup_spectra.oracle import expectation_unified, parse_word
 from gup_spectra.solutions import (
     classify_physical,
@@ -389,14 +390,60 @@ class TestOrthonormality:
         ref = np.einsum("mk,nk,k->mn", np.conj(states), states, w * rho)
         assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("tau", [1e-2, 0.25, 5.0])
+    @pytest.mark.parametrize("tau", [1e-4, 1e-2, 0.25, 5.0])
     @pytest.mark.parametrize("model,rep", SOLVABLE[::3])
     def test_state_ladder_rows_bit_identical(self, model, rep, tau):
         sol = solve(model, rep, DeformationParams(tau=tau))
         p, _ = native_quadrature(sol, order=97)
-        rows = sol.psi_ladder(40, p)
-        for n in range(41):
+        rows = sol.psi_ladder(100, p)
+        for n in range(101):
             assert rows[n].tobytes() == sol.psi(n, p).tobytes(), n
+
+    # the envelope overflows where the XP term is strong (inf), and at
+    # tau 1e-6 the ladder itself does, and inf - inf follows (NaN)
+    @pytest.mark.parametrize("model,tau,bad", [(Swanson(0.05, 2.9), 1e-4, np.isinf),
+                                               (PoschlTeller(1.0, 0.5), 1e-6, np.isnan)])
+    def test_state_ladder_rows_bit_identical_past_the_double_range(self, model, tau, bad):
+        sol = solve(model, R.PI1, DeformationParams(tau=tau))
+        u = np.linspace(-1.0, 1.0, 401)[1:-1]
+        scale = 1.0 / math.sqrt(sol.params.tau_check)
+        if model.half_cell:
+            p = scale * (1.0 + u) / (1.0 - u)
+        else:
+            p = scale * u / (1.0 - u * u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = sol.psi_ladder(100, p)
+            assert np.any(bad(rows))
+            for n in range(101):
+                assert rows[n].tobytes() == sol.psi(n, p).tobytes(), n
+
+    def test_state_sweeps_to_its_row_only(self, monkeypatch):
+        # psi_n draws rows 0..n of the sweep and keeps none of them as a ladder
+        drawn, ladders = [], []
+
+        def counting_rows(*args):
+            for row in rows(*args):
+                drawn.append(1)
+                yield row
+
+        def counting_ladder(*args):
+            ladders.append(1)
+            return ladder(*args)
+
+        rows, ladder = specfun._orthonormal_rows, specfun.orthonormal_ladder
+        monkeypatch.setattr(specfun, "_orthonormal_rows", counting_rows)
+        monkeypatch.setattr(specfun, "orthonormal_ladder", counting_ladder)
+        monkeypatch.setattr(solutions, "orthonormal_ladder", counting_ladder)
+        sol = solve(HarmonicOscillator(), R.PI1, DeformationParams(tau=0.1))
+        psi = sol.psi(50, np.linspace(-20.0, 20.0, 2048))
+        assert len(drawn) == 51 and not ladders
+        assert psi.shape == (2048,) and np.all(np.isfinite(psi))
+
+    @pytest.mark.parametrize("n", [-1, 1.5])
+    def test_state_degree_must_be_a_nonnegative_integer(self, n):
+        sol = solve(HarmonicOscillator(), R.PI1, DeformationParams(tau=0.1))
+        with pytest.raises(ParameterError):
+            sol.psi(n, np.array([0.1, 0.2]))
 
     @pytest.mark.parametrize("model,rep", SOLVABLE)
     def test_gram_entries_against_adaptive_quadrature_in_p(self, model, rep):
@@ -447,6 +494,27 @@ class TestOrthonormality:
                 rhs = element(model, n, m)
                 assert abs(lhs - np.conj(rhs)) < 1e-8
         oracle._direct_level.cache_clear()
+
+
+class TestSolutionCache:
+    def test_equal_configurations_share_one_solution(self):
+        first = solve(Swanson(0.1, 0.2), R.PI3, DeformationParams(tau=0.25))
+        again = solve(Swanson(0.1, 0.2), R.PI3, DeformationParams(tau=0.25))
+        assert again is first
+        assert solve(Swanson(0.1, 0.2), R.PI4, DeformationParams(tau=0.25)) is not first
+
+    def test_shared_solution_is_frozen(self):
+        sol = solve(HarmonicOscillator(), R.PI1, DeformationParams(tau=0.25))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.weight = (1.0, 1.0)
+        with pytest.raises(TypeError):
+            sol.parameters["c"] = 1.0
+
+    def test_caches_hold_less_than_a_crosscheck_block(self):
+        # a cache holding a whole 9-request block would let a second traced
+        # pass skip work the first one counted
+        for cached in (solve, specfun.log_jacobi_mass):
+            assert cached.cache_parameters()["maxsize"] <= 8
 
 
 class TestPotentials:

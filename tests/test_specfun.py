@@ -17,6 +17,7 @@ from gup_spectra.specfun import (
     jacobi_jet,
     log_jacobi_mass,
     orthonormal_ladder,
+    orthonormal_rows,
 )
 from gup_spectra.specfun import _christoffel_weights, _jacobi_chain
 from references import integrate_adaptive, jacobi_norm
@@ -381,6 +382,28 @@ class TestOrthonormalLadder:
         for n in (0, 1, 7, 30):
             assert full[n].tobytes() == orthonormal_ladder(n, 3.3, 0.7, t)[n].tobytes()
 
+    @pytest.mark.parametrize("a, b, n, finite", [(3.3, 0.7, 30, True), (1e4, 1e4, 100, True),
+                                                 (2e4, 0.5, 200, False)])
+    def test_in_place_rows_bit_identical_to_the_plain_recurrence(self, a, b, n, finite):
+        # the recurrence written out of place; at (2e4, 0.5) degree 200 the
+        # rows leave the double range near t = 0, so inf and NaN entries
+        # must match too
+        odd, even = _jacobi_chain(n + 1, a, b)
+        diag, off = odd + even, np.sqrt(odd[:-1] * even[1:])
+        t = np.concatenate([np.linspace(0.0, 1.0, 301), np.geomspace(1e-300, 1e-3, 50)])
+        prev, cur, below = np.zeros_like(t), np.ones_like(t), 0.0
+        ref = [cur]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for d, above in zip(diag.tolist(), off.tolist()):
+                prev, cur = cur, ((t - d) * cur - below * prev) * (1.0 / above)
+                ref.append(cur)
+                below = above
+            rows = orthonormal_ladder(n, a, b, t)
+            last = list(orthonormal_rows(n, a, b, t))[-1]
+        assert rows.tobytes() == np.array(ref).tobytes()
+        assert last.tobytes() == ref[-1].tobytes()
+        assert np.all(np.isfinite(rows)) == finite
+
     def test_scalar_argument_and_validation(self):
         rows = orthonormal_ladder(3, 0.5, 1.5, 0.2)
         assert rows.shape == (4,) and rows[0] == 1.0
@@ -481,6 +504,14 @@ class TestLogJacobiMass:
                 err = abs(mp.mpf(log_jacobi_mass(a, b)) - ref)
                 worst = max(worst, float(err) / max(1.0, abs(float(ref))))
         assert worst <= 2e-15
+
+    def test_cache_returns_the_computed_value(self):
+        exps = np.concatenate([[-0.99, -0.5, 0.0, -0.0, 0.5, 1e4],
+                               np.geomspace(1e-2, 1e4, 40) - 0.99])
+        for a in exps.tolist():
+            for b in exps[::3].tolist():
+                got, ref = log_jacobi_mass(a, b), log_jacobi_mass.__wrapped__(a, b)
+                assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (a, b)
 
     def test_no_mass_is_refused(self):
         # an exponent <= -1 makes the weight non-integrable, as gauss_jacobi refuses
