@@ -335,21 +335,19 @@ def _suite_commutators(config):
     params = config.params()
     checks = []
     sigmas = (0.5, 1.0, 2.0)
-    grids = {}
     for rep in (Representation.PI1, Representation.PI2, Representation.PI3,
                 Representation.PI4):
-        grid = default_grid(rep, params, 2048)
+        grid, dp = default_grid(rep, params)
         psis = [np.exp(-s * grid ** 2) for s in sigmas]
         psis += [grid * np.exp(-s * grid ** 2) for s in sigmas[:2]]
-        worst = max(commutator_residual(rep, params, psi, grid) for psi in psis)
+        worst = max(commutator_residual(rep, params, psi, grid, dp) for psi in psis)
         checks.append((f"commutator[{rep.value}]", worst < 1e-7, worst, 1e-7))
-        grids[rep] = grid
     p05 = DeformationParams(tau=0.5)
-    grid = default_grid(Representation.PI4_PRIME, p05, 2048)
+    grid, dp = default_grid(Representation.PI4_PRIME, p05)
     psi = np.exp(-grid ** 2)
-    ok = commutator_residual(Representation.PI4_PRIME, p05, psi, grid,
+    ok = commutator_residual(Representation.PI4_PRIME, p05, psi, grid, dp,
                              reference_sign=-1)
-    bad = commutator_residual(Representation.PI4_PRIME, p05, psi, grid,
+    bad = commutator_residual(Representation.PI4_PRIME, p05, psi, grid, dp,
                               reference_sign=+1)
     checks.append(("commutator[pi4p] flipped-sign relation", ok < 1e-7, ok, 1e-7))
     checks.append(("commutator[pi4p] violates unflipped relation", bad > 0.1, bad, 0.1))

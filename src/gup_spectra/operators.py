@@ -1,12 +1,10 @@
 """Momentum-space operator actions for the five representations.
 
-X acts through the canonical x = i*hbar*d/dp on samples p_k = phi(t_k) of a
-map from a variable t sampled uniformly: d/dp = phi'(t)^(-1) d/dt.  The
-caller passes each sample's width dp_k = phi'(t_k) h (h the t spacing), which
-is also its quadrature weight, and fixes the method of d/dt: trigonometric
-(FFT) differentiation where the mapped samples decay at both ends of t, and
-order-8 differences otherwise (one-sided stencils near the ends).  A uniform
-grid is the identity map (``identity_map``).  P acts multiplicatively
+Every grid is ``mapped_grid``'s: samples p_k = phi(t_k) of a map from a
+variable t sampled uniformly, with widths dp_k = phi'(t_k) h (h the t
+spacing), which are also the quadrature weights.  X acts through the
+canonical x = i*hbar*d/dp = i*hbar*phi'(t)^(-1) d/dt, with d/dt by order-8
+differences (one-sided stencils near the ends).  P acts multiplicatively
 everywhere.
 """
 
@@ -20,37 +18,51 @@ from .algebra import DeformationParams, Representation, p_domain
 from .errors import DomainMismatch
 
 __all__ = [
-    "uniform_grid",
+    "line_map",
+    "mapped_grid",
     "default_grid",
-    "spectral_derivative",
     "fd_derivative",
-    "identity_map",
     "apply_X",
     "apply_P",
     "commutator_residual",
 ]
 
+# |u| of a line's map: e^40 = 2.4e17 reaches past the power-law tails of a
+# line's states
+LINE_REACH = 40.0
 
-def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """Endpoint-exclusive uniform grid compatible with periodic FFT derivatives."""
-    return np.linspace(lo, hi, n, endpoint=False)
+
+def line_map(L: float):
+    """phi(u) of the sinh map p = L sinh u: (p, dp/du)."""
+    return lambda u: (L * np.sinh(u), L * np.cosh(u))
 
 
-def default_grid(rep: Representation, params: DeformationParams,
-                 n: int = 2048) -> np.ndarray:
-    """A sensible sampling grid for operator tests on the given representation:
-    the inner 76% of a finite domain, else [-12, 12)."""
+def mapped_grid(phi, u0: float, a: float, reach: float, n: int):
+    """(p, dp): ``n`` samples p_k = phi(u_k) and their widths.
+
+    The u_k = u0 + a sinh t_k come from midpoints t_k uniform in t, and |u|
+    stops at ``reach``; phi(u) gives p and dp/du.  With phi itself a sinh,
+    exp or tanh of u, this is a double-exponential map (Takahasi & Mori,
+    Publ. RIMS 9 (1974) 721): a state that vanishes like a power of the
+    distance at a wall, or decays like a power of p toward infinity, is
+    smooth in t and decays double-exponentially at both ends of the t-range,
+    so the sum over the widths dp_k = phi'(t_k) h converges geometrically in
+    the count (Boyd, Chebyshev and Fourier Spectral Methods, 2001,
+    ch. 16-17).
+    """
+    t0, t1 = math.asinh((-reach - u0) / a), math.asinh((reach - u0) / a)
+    h = (t1 - t0) / n
+    t = t0 + (np.arange(n) + 0.5) * h
+    p, dpdu = phi(u0 + a * np.sinh(t))
+    return p, dpdu * (a * h) * np.cosh(t)
+
+
+def default_grid(rep: Representation, params: DeformationParams):
+    """(p, dp) for operator tests on the given representation: 2048 samples
+    of the sinh-sinh map, over the inner 76% of a finite domain."""
     dom = p_domain(rep, params)
-    if dom.finite:
-        margin = 0.12 * (dom.hi - dom.lo)
-        return uniform_grid(dom.lo + margin, dom.hi - margin, n)
-    return uniform_grid(-12.0, 12.0, n)
-
-
-def spectral_derivative(values: np.ndarray) -> np.ndarray:
-    """Trigonometric first derivative in the sample index (unit spacing)."""
-    k = 2j * np.pi * np.fft.fftfreq(len(values))
-    return np.fft.ifft(k * np.fft.fft(values))
+    reach = math.asinh(0.76 * dom.hi) if dom.finite else LINE_REACH
+    return mapped_grid(line_map(1.0), 0.0, 1.0, reach, 2048)
 
 
 def _stencil(offsets):
@@ -78,21 +90,6 @@ def fd_derivative(values: np.ndarray) -> np.ndarray:
     out[:4] = _EDGE8 @ v[:9]
     out[n - 4:] = -(_EDGE8 @ v[n - 9:][::-1])[::-1]
     return out
-
-
-def _derivative(values, dp, periodic):
-    """d/dp of samples whose widths are ``dp``: d/dk in the sample index k,
-    by FFT when ``periodic`` and by order-8 differences otherwise, over dp."""
-    v = np.asarray(values, dtype=complex)
-    return (spectral_derivative(v) if periodic else fd_derivative(v)) / dp
-
-
-def identity_map(grid: np.ndarray, psi: np.ndarray) -> tuple[float, bool]:
-    """(dp, periodic) of a uniform grid, the identity map t = p, for ``psi``:
-    FFT where psi decays at both grid ends, order-8 differences otherwise."""
-    v = np.abs(np.asarray(psi))
-    periodic = bool(max(v[0], v[-1]) <= 1e-13 * max(np.max(v), 1e-300))
-    return float(grid[1] - grid[0]), periodic
 
 
 def _check_grid(rep, params, grid):
@@ -131,13 +128,13 @@ def apply_P(rep: Representation, params: DeformationParams,
 
 
 def apply_X(rep: Representation, params: DeformationParams,
-            psi: np.ndarray, grid: np.ndarray, dp, periodic: bool) -> np.ndarray:
+            psi: np.ndarray, grid: np.ndarray, dp) -> np.ndarray:
     """X psi on the sample grid, in the operator order fixed by the algebra.
 
     ``dp`` is each sample's width phi'(t_k) h on the map that placed the
-    samples, and ``periodic`` selects FFT over order-8 differences in t
-    (module docstring).  Pi4 multiplies by u = (1 + tc p^2)^(1/2) first and
-    differentiates after; the reversed order fails the commutation relation.
+    samples (module docstring).  Pi4 multiplies by u = (1 + tc p^2)^(1/2)
+    first and differentiates after; the reversed order fails the commutation
+    relation.
     """
     _check_grid(rep, params, grid)
     hbar = params.hbar
@@ -147,7 +144,7 @@ def apply_X(rep: Representation, params: DeformationParams,
     u2 = 1 + tc * p ** 2
 
     def d(values):
-        return _derivative(values, dp, periodic)
+        return fd_derivative(np.asarray(values, dtype=complex)) / dp
 
     if rep is Representation.PI1:
         return u2 * (1j * hbar) * d(psi)
@@ -164,24 +161,22 @@ def apply_X(rep: Representation, params: DeformationParams,
 
 
 def commutator_residual(rep: Representation, params: DeformationParams,
-                        psi: np.ndarray, grid: np.ndarray,
+                        psi: np.ndarray, grid: np.ndarray, dp,
                         reference_sign: int | None = None) -> float:
-    """Relative L2 residual of (XP - PX) psi against i*hbar*(1 +/- tc P^2) psi.
+    """Relative L2 residual of (XP - PX) psi against i*hbar*(1 +/- tc P^2) psi,
+    both norms weighted by the sample widths ``dp``.
 
     The reference sign defaults to +1 for Pi1..Pi4 and to -1 for Pi4', which
     realizes the sign-flipped relation.  Passing the opposite sign measures
-    the size of the violation instead.  The grid is uniform: the identity
-    map, with the derivative method ``identity_map`` picks for psi.
+    the size of the violation instead.
     """
     if reference_sign is None:
         reference_sign = -1 if rep is Representation.PI4_PRIME else +1
-    ident = identity_map(grid, psi)
-    xp = apply_X(rep, params, apply_P(rep, params, psi, grid), grid, *ident)
-    px = apply_P(rep, params, apply_X(rep, params, psi, grid, *ident), grid)
+    xp = apply_X(rep, params, apply_P(rep, params, psi, grid), grid, dp)
+    px = apply_P(rep, params, apply_X(rep, params, psi, grid, dp), grid)
     p2 = apply_P(rep, params, apply_P(rep, params, psi, grid), grid)
     ref = 1j * params.hbar * (np.asarray(psi, dtype=complex)
                               + reference_sign * params.tau_check * p2)
-    num = np.linalg.norm(xp - px - ref)
-    den = np.linalg.norm(psi)
+    num = np.sqrt(np.sum(np.abs(xp - px - ref) ** 2 * dp))
+    den = np.sqrt(np.sum(np.abs(psi) ** 2 * dp))
     return float(num / den)
-

@@ -65,7 +65,7 @@ from .errors import (
     UnsupportedPair,
 )
 from .jets import Jet
-from .operators import apply_P, apply_X
+from .operators import LINE_REACH, apply_P, apply_X, line_map, mapped_grid
 from .solutions import (
     ClosedFormSolution,
     classify_physical,
@@ -770,45 +770,24 @@ def expectation_unified(model: ModelSpec, params: DeformationParams, n: int,
 # direct engine (mapped momentum grid + numerical operator actions)
 
 _DIRECT_REPS = (Representation.PI1, Representation.PI2, Representation.PI3)
-# |u| of the maps (``_direct_grid``): tanh(17) = 1 - 3.4e-15 keeps a cell's
-# outermost samples representable inside its walls, and e^40 = 2.4e17
-# reaches past the power-law tails of a line's states
+# |u| of a cell's map: tanh(17) = 1 - 3.4e-15 keeps its outermost samples
+# representable inside its walls
 _CELL_REACH = 17.0
-_LINE_REACH = 40.0
-
-
-def _direct_grid(fgh: FGHCoefficients, n_points):
-    """(p, dp): ``n_points`` samples of the domain of ``fgh`` and their widths.
-
-    The samples are the images p_k = phi(t_k) of midpoints t_k uniform in t
-    under a double-exponential map (Takahasi & Mori, Publ. RIMS 9 (1974)
-    721), with u = u0 + a sinh t (``_map``):
-
-    * the line (-inf, inf): p = L sinh u;
-    * the half line (0, inf): p = L exp u;
-    * a cell (lo, hi): p = lo + (hi - lo) / (1 + exp(-2u)), tanh u rescaled.
-
-    A state that vanishes like a power of the distance at a wall, or decays
-    like a power of p toward infinity, is smooth in t and decays
-    double-exponentially at both ends of the t-range, so the sum over the
-    widths dp_k = phi'(t_k) h converges geometrically in the count (Boyd,
-    Chebyshev and Fourier Spectral Methods, 2001, ch. 16-17).  d/dt takes
-    order-8 differences on every map: their error stays where it is made,
-    while an FFT's round-off, eps times the largest sample, reaches every
-    sample, and for Swanson with alpha + beta > 1 psi_n or psi_n rho grows
-    toward both ends.
-    """
-    phi, u0, a, reach = _map(fgh)
-    t0, t1 = math.asinh((-reach - u0) / a), math.asinh((reach - u0) / a)
-    h = (t1 - t0) / n_points
-    t = t0 + (np.arange(n_points) + 0.5) * h
-    p, dpdu = phi(u0 + a * np.sinh(t))
-    return p, dpdu * (a * h) * np.cosh(t)
 
 
 def _map(fgh: FGHCoefficients):
-    """(phi, u0, a, reach) of ``_direct_grid``, from the coefficients alone:
-    phi(u) gives p and dp/du, and |u| stops at ``reach``.
+    """(phi, u0, a, reach) of ``mapped_grid`` on the domain of ``fgh``, from
+    the coefficients alone: phi(u) gives p and dp/du, and |u| stops at
+    ``reach``.  With u = u0 + a sinh t, phi makes a double-exponential map:
+
+    * the line (-inf, inf): p = L sinh u (``line_map``);
+    * the half line (0, inf): p = L exp u;
+    * a cell (lo, hi): p = lo + (hi - lo) / (1 + exp(-2u)), tanh u rescaled.
+
+    d/dt takes order-8 differences on every map: their error stays where it
+    is made, while a trigonometric derivative's round-off, eps times the
+    largest sample, reaches every sample, and for Swanson with
+    alpha + beta > 1 psi_n or psi_n rho grows toward both ends.
 
     f turns from f(0) to its growth at about p_f = 2 (f(0) / f''(0))^(1/2),
     1/sqrt(tc) on Pi1 (f is constant on Pi3).  On a symmetric domain the
@@ -832,7 +811,7 @@ def _map(fgh: FGHCoefficients):
         curv = float(fgh.dg(0.0)) ** 2 + 2.0 * f0 * h2
         L = min((4.0 * f0 * f0 / curv) ** 0.25 if curv > 0.0 else math.inf, p_f)
         if math.isinf(dom.hi):
-            return (lambda u: (L * np.sinh(u), L * np.cosh(u))), 0.0, 1.0, _LINE_REACH
+            return line_map(L), 0.0, 1.0, LINE_REACH
         return _cell(dom), 0.0, min(1.0, 1.5 * math.pi * L / dom.hi), _CELL_REACH
     d = 1e-6 * min(p_f, dom.hi)
     k0 = _wall_power(f0, d * d * float(fgh.h(d)))
@@ -850,7 +829,7 @@ def _map(fgh: FGHCoefficients):
             p = L * np.exp(u)
             return p, p
 
-        return phi, 0.0, 1.0, _LINE_REACH
+        return phi, 0.0, 1.0, LINE_REACH
     d = 1e-6 * dom.hi
     k1 = _wall_power(float(fgh.f(dom.hi)), d * d * float(fgh.h(dom.hi - d)))
     return _cell(dom), 0.25 * math.log(k0 / k1), 0.5, _CELL_REACH
@@ -881,7 +860,7 @@ def _direct_level(model, rep, params, n, grid_size):
     # Pi2 shares the Pi1 domain and (f, g, h) table by similarity
     shared = Representation.PI1 if rep is Representation.PI2 else rep
     return _DirectLevel(solve(model, rep, params), n,
-                        _direct_grid(coefficients(model, shared, params), grid_size))
+                        mapped_grid(*_map(coefficients(model, shared, params)), grid_size))
 
 
 class _DirectLevel(_StateMemo):
@@ -897,7 +876,9 @@ class _DirectLevel(_StateMemo):
     density vanishes (Swanson at small tau), or grow so far that X^2 psi_n
     would.  Between them psi_n, rho and the weight must be finite and rho
     a normal double (a subnormal rho has lost its digits); otherwise the
-    level raises ``NonFiniteResult``.
+    level raises ``NonFiniteResult``.  A level that keeps fewer than the 9
+    samples of X's order-8 stencil raises ``ConvergenceFailure``: the grid
+    is too coarse for the state.
     """
 
     def __init__(self, sol, n, samples):
@@ -915,6 +896,10 @@ class _DirectLevel(_StateMemo):
             raise NonFiniteResult(
                 f"psi_{n} or rho on {sol.rep.value} leaves the normal double "
                 "range where the density is not negligible")
+        if grid.size < 9:
+            raise ConvergenceFailure(
+                f"psi_{n} on {sol.rep.value} keeps {grid.size} of {weight.size} "
+                "samples, fewer than the 9 of the order-8 stencil")
         self.grid, self.dp = _read_only(grid), _read_only(dp)
         self.ket, self.rho = _read_only(ket), _read_only(rho)
         self.bra = _read_only(np.conj(ket) * rho * dp)
@@ -942,7 +927,7 @@ class _DirectLevel(_StateMemo):
             pmul = apply_P(rep, params, np.ones_like(cur), self.grid)
             cur = cur * pmul ** power
         elif sym == "X":
-            cur = apply_X(rep, params, cur, self.grid, self.dp, False)
+            cur = apply_X(rep, params, cur, self.grid, self.dp)
         else:
             hterms, const = self.sol.model.hamiltonian(params)
             cur = self.apply(hterms, key) + const * cur
@@ -956,7 +941,7 @@ def expectation_direct(model: ModelSpec, rep: Representation,
 
     ``grid_size`` counts samples t_k uniform in a variable t, which a
     double-exponential map takes to the representation's momentum domain
-    (``_direct_grid``): sinh-sinh on the line of Pi1 and Pi2, exp-sinh on
+    (``_map``): sinh-sinh on the line of Pi1 and Pi2, exp-sinh on
     the half line of the inverse-square model there, and tanh-sinh on the
     Pi3 cells.  The quadrature weights are the samples' widths phi'(t_k) h,
     and X differentiates as phi'(t)^(-1) d/dt by order-8 differences in t,

@@ -104,16 +104,16 @@ class TestAcceptance:
         params = DeformationParams(tau=0.3)
         worst = 0.0
         for rep in (R.PI1, R.PI2, R.PI3, R.PI4):
-            grid = default_grid(rep, params, 2048)
+            grid, dp = default_grid(rep, params)
             suite = [np.exp(-s * grid ** 2) for s in (0.5, 1.0, 2.0)]
             suite += [grid * np.exp(-s * grid ** 2) for s in (0.5, 1.0)]
             for psi in suite:
-                worst = max(worst, commutator_residual(rep, params, psi, grid))
+                worst = max(worst, commutator_residual(rep, params, psi, grid, dp))
         p05 = DeformationParams(tau=0.5)
-        grid = default_grid(R.PI4_PRIME, p05, 2048)
+        grid, dp = default_grid(R.PI4_PRIME, p05)
         psi = np.exp(-grid ** 2)
-        flipped = commutator_residual(R.PI4_PRIME, p05, psi, grid)
-        violation = commutator_residual(R.PI4_PRIME, p05, psi, grid,
+        flipped = commutator_residual(R.PI4_PRIME, p05, psi, grid, dp)
+        violation = commutator_residual(R.PI4_PRIME, p05, psi, grid, dp,
                                         reference_sign=+1)
         _report("criterion-05", worst < 1e-7 and flipped < 1e-7 and violation > 0.1,
                 f"deformed relation residual {worst:.2e} (tol 1e-7) on 5 test "

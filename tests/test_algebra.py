@@ -23,12 +23,13 @@ from gup_spectra.errors import (
     UnsupportedPair,
 )
 from gup_spectra.operators import (
+    LINE_REACH,
     apply_P,
     apply_X,
     commutator_residual,
     default_grid,
-    identity_map,
-    uniform_grid,
+    line_map,
+    mapped_grid,
 )
 
 R = Representation
@@ -208,13 +209,13 @@ class TestDerivedCoefficients:
                 assert np.allclose(a, b, rtol=1e-14, atol=0.0)
 
 
-def _apply_term(rep, params, factors, psi, grid):
+def _apply_term(rep, params, factors, psi, grid, dp):
     """A term of H applied right to left by the operator actions; P^k with
     k < 0 divides by P's multiplier."""
     for sym, power in reversed(factors):
         if sym == "X":
             for _ in range(power):
-                psi = apply_X(rep, params, psi, grid, *identity_map(grid, psi))
+                psi = apply_X(rep, params, psi, grid, dp)
         elif power >= 0:
             for _ in range(power):
                 psi = apply_P(rep, params, psi, grid)
@@ -236,8 +237,7 @@ class TestCoefficientsMatchOperators:
         params = DeformationParams(tau=0.3)
         fgh = coefficients(model, rep, params)
         # a Gaussian inside the domain, 3/sqrt(tc) standing in for an
-        # infinite end; order-8 differences act on it, as it does not decay
-        # to the grid ends
+        # infinite end, on a uniform grid: the identity map
         half = 3.0 / math.sqrt(params.tau_check)
         lo, hi = max(fgh.domain.lo, -half), min(fgh.domain.hi, half)
         lo, hi = lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)
@@ -251,7 +251,8 @@ class TestCoefficientsMatchOperators:
         terms, const = model.hamiltonian(params)
         got = const * psi
         for coeff, factors in terms:
-            got = got + coeff * _apply_term(rep, params, factors, psi, grid)
+            got = got + coeff * _apply_term(rep, params, factors, psi, grid,
+                                            grid[1] - grid[0])
         # the one-sided stencils near the grid ends are less accurate
         inner = slice(grid.size // 8, -grid.size // 8)
         dev = np.max(np.abs(got - want)[inner]) / np.max(np.abs(want)[inner])
@@ -313,26 +314,26 @@ class TestOperatorActions:
 
     def test_position_commutative_limit(self):
         params = DeformationParams(tau=0.0)
-        grid = uniform_grid(-12, 12, 2048)
+        grid, dp = default_grid(R.PI1, params)
         psi = _gauss(0.8)(grid)
-        got = apply_X(R.PI1, params, psi, grid, *identity_map(grid, psi))
+        got = apply_X(R.PI1, params, psi, grid, dp)
         exact = 1j * (-2 * 0.8 * grid) * psi
         assert np.max(np.abs(got - exact)) < 1e-10
 
     def test_position_pi3_is_plain_derivative(self):
         params = DeformationParams(tau=0.4)
-        grid = default_grid(R.PI3, params, 2048)
+        grid, dp = default_grid(R.PI3, params)
         psi = _gauss(1.0)(grid)
-        got = apply_X(R.PI3, params, psi, grid, *identity_map(grid, psi))
+        got = apply_X(R.PI3, params, psi, grid, dp)
         exact = 1j * (-2.0 * grid) * psi
         assert np.max(np.abs(got - exact)) < 1e-8
 
     def test_segment_position_product_rule(self):
         params = DeformationParams(tau=0.2)
         tc = params.tau_check
-        grid = uniform_grid(-12, 12, 4096)
+        grid, dp = mapped_grid(line_map(1.0), 0.0, 1.0, LINE_REACH, 4096)
         psi = _gauss(0.6)(grid)
-        got = apply_X(R.PI4, params, psi, grid, *identity_map(grid, psi))
+        got = apply_X(R.PI4, params, psi, grid, dp)
         u = np.sqrt(1 + tc * grid ** 2)
         du = tc * grid / u
         exact = -(du * psi + u * (-2 * 0.6 * grid) * psi)
@@ -341,7 +342,7 @@ class TestOperatorActions:
 
     def test_grid_domain_check(self):
         params = DeformationParams(tau=1.0)
-        grid = uniform_grid(-3, 3, 512)  # exceeds pi/2
+        grid = np.linspace(-3, 3, 512)  # exceeds pi/2
         with pytest.raises(DomainMismatch):
             apply_P(R.PI3, params, np.ones(512), grid)
 
@@ -349,24 +350,24 @@ class TestOperatorActions:
 class TestCommutators:
     def test_canonical_pair(self):
         params = DeformationParams(tau=0.0)
-        grid = uniform_grid(-12, 12, 2048)
-        assert commutator_residual(R.PI1, params, _gauss(1.0)(grid), grid) < 1e-10
+        grid, dp = default_grid(R.PI1, params)
+        assert commutator_residual(R.PI1, params, _gauss(1.0)(grid), grid, dp) < 1e-10
 
     @pytest.mark.parametrize("rep", [R.PI1, R.PI2, R.PI3, R.PI4])
     def test_deformed_relation_all_reps(self, rep):
         params = DeformationParams(tau=0.3)
-        grid = default_grid(rep, params, 2048)
+        grid, dp = default_grid(rep, params)
         suite = [np.exp(-s * grid ** 2) for s in (0.5, 1.0, 2.0)]
         suite += [grid * np.exp(-s * grid ** 2) for s in (0.5, 1.0)]
         for psi in suite:
-            assert commutator_residual(rep, params, psi, grid) < 1e-7
+            assert commutator_residual(rep, params, psi, grid, dp) < 1e-7
 
     def test_primed_variant_sign_flip(self):
         params = DeformationParams(tau=0.3)
-        grid = default_grid(R.PI4_PRIME, params, 2048)
+        grid, dp = default_grid(R.PI4_PRIME, params)
         psi = _gauss(1.0)(grid)
-        assert commutator_residual(R.PI4_PRIME, params, psi, grid) < 1e-8
-        assert commutator_residual(R.PI4_PRIME, params, psi, grid,
+        assert commutator_residual(R.PI4_PRIME, params, psi, grid, dp) < 1e-8
+        assert commutator_residual(R.PI4_PRIME, params, psi, grid, dp,
                                    reference_sign=+1) > 0.05
 
     @settings(max_examples=15, deadline=None)
@@ -374,24 +375,24 @@ class TestCommutators:
     def test_residual_property(self, sigma, tau):
         params = DeformationParams(tau=tau)
         for rep in (R.PI1, R.PI4):
-            grid = default_grid(rep, params, 2048)
+            grid, dp = default_grid(rep, params)
             psi = np.exp(-sigma * grid ** 2)
-            assert commutator_residual(rep, params, psi, grid) < 1e-7
+            assert commutator_residual(rep, params, psi, grid, dp) < 1e-7
 
 
 class TestPTAction:
     @pytest.mark.parametrize("rep", [R.PI1, R.PI2, R.PI3, R.PI4])
     def test_conjugation_signs(self, rep):
         params = DeformationParams(tau=0.3)
-        grid = default_grid(rep, params, 2048)
+        grid, dp = default_grid(rep, params)
         psi = (1.0 + 0.5j) * np.exp(-0.8 * grid ** 2) \
             + 0.3j * grid * np.exp(-1.1 * grid ** 2)
         # PT (x -> -x, p -> p, i -> -i) acts on momentum samples as complex
         # conjugation; Theta A Theta = sign A.  Pi1..Pi3 realize the canonical
         # pattern X -> -X, P -> P, Pi4 the anti-PT pattern X -> X, P -> -P.
         sx, sp = (+1, -1) if rep is R.PI4 else (-1, +1)
-        lhs_x = np.conj(apply_X(rep, params, np.conj(psi), grid, *identity_map(grid, psi)))
-        rhs_x = sx * apply_X(rep, params, psi, grid, *identity_map(grid, psi))
+        lhs_x = np.conj(apply_X(rep, params, np.conj(psi), grid, dp))
+        rhs_x = sx * apply_X(rep, params, psi, grid, dp)
         assert np.max(np.abs(lhs_x - rhs_x)) < 1e-8 * np.max(np.abs(rhs_x))
         lhs_p = np.conj(apply_P(rep, params, np.conj(psi), grid))
         rhs_p = sp * apply_P(rep, params, psi, grid)
@@ -402,11 +403,11 @@ class TestSimilarity:
     def test_pi2_is_conjugated_pi1(self):
         params = DeformationParams(tau=0.3)
         tc = params.tau_check
-        grid = uniform_grid(-12, 12, 4096)
+        grid, dp = default_grid(R.PI1, params)
         psi = _gauss(0.9)(grid).astype(complex)
         s = (1 + tc * grid ** 2) ** -0.5
-        lhs = apply_X(R.PI2, params, psi, grid, *identity_map(grid, psi))
-        rhs = s * apply_X(R.PI1, params, psi / s, grid, *identity_map(grid, psi / s))
+        lhs = apply_X(R.PI2, params, psi, grid, dp)
+        rhs = s * apply_X(R.PI1, params, psi / s, grid, dp)
         mask = np.abs(grid) < 8
         scale = np.max(np.abs(rhs))
         assert np.max(np.abs((lhs - rhs)[mask])) < 1e-8 * scale

@@ -193,6 +193,16 @@ class TestSpectrumCommand:
         assert err.startswith("numerical failure: the well is too narrow")
         assert len(err.splitlines()) == 1
 
+    def test_direct_level_too_thin_for_the_stencil_exit_code(self, capsys):
+        # the level keeps 4 of 64 samples, fewer than X's order-8 stencil
+        code, out, err = run_cli(capsys, "expectation", "--model", "swanson", "--alpha",
+                                 "9.36", "--beta", "0.0265", "--tau", "1e-4", "--rep",
+                                 "pi3", "--nmax", "0", "--grid", "64", "X2")
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith("numerical failure: psi_0 on pi3 keeps 4 of 64")
+        assert all(line.startswith("warnings: ") for line in lines[1:])
+
     @pytest.mark.parametrize("command", ["wavefunction", "metric"])
     def test_broken_swanson_states_exit_code(self, capsys, command):
         # a complex order has no normalizable real states
@@ -378,11 +388,14 @@ class TestVerifyCommand:
         assert payload["passed"] is True
         assert all(c["passed"] for c in payload["suites"]["master-residual"])
 
-    def test_commutators_suite(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "commutators")
+    @pytest.mark.parametrize("tau", ["1e-4", "1e-2", "0.25", "1", "5", "50"])
+    def test_commutators_suite(self, capsys, tau):
+        code, out, _ = run_cli(capsys, "verify", "commutators", "--tau", tau)
         assert code == 0
         payload = json.loads(out)
-        names = [c["name"] for c in payload["suites"]["commutators"]]
+        checks = payload["suites"]["commutators"]
+        assert all(c["passed"] for c in checks), checks
+        names = [c["name"] for c in checks]
         assert any("pi4p" in name and "violates" in name for name in names)
 
 

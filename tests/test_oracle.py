@@ -865,9 +865,8 @@ class TestMappedGrid:
         (Swanson(1.1716, 0.0527), R.PI3, 0.0831, 1),
         (HarmonicOscillator(), R.PI1, 5.0, 3)])
     def test_value_is_smooth_in_tau(self, model, rep, tau, n):
-        # the derivative method is fixed by the map, so the next double of
-        # tau cannot switch it (the sample-based FFT/FD choice moved <X2>
-        # of the Swanson case by 6e-6)
+        # X takes order-8 differences on every map, so the next double of
+        # tau cannot change how the derivative is taken
         here = expectation_direct(model, rep, DeformationParams(tau=tau), n, "X2")
         step = math.nextafter(tau, math.inf)
         there = expectation_direct(model, rep, DeformationParams(tau=step), n, "X2")
@@ -899,18 +898,6 @@ class TestMappedGrid:
         assert np.all(np.diff(level.grid) > 0) and np.all(level.dp > 0)
         assert level.sol.domain.contains(level.grid)
         assert abs(np.sum(level.bra * level.ket) - 1.0) < 1e-12
-
-    def test_derivative_is_never_spectral(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the direct engine takes order-8 differences in t")
-
-        from gup_spectra import operators
-        monkeypatch.setattr(operators, "spectral_derivative", refuse)
-        oracle._direct_level.cache_clear()
-        params = DeformationParams(tau=0.3)
-        for model, rep in MAPPED_CELLS:
-            expectation_direct(model, rep, params, 1, "H")
-        oracle._direct_level.cache_clear()
 
     def test_needs_a_deformation(self):
         with pytest.raises(ParameterError):

@@ -14,9 +14,11 @@ Three checks, each with its named exemptions:
 * every dataclass field is read somewhere in src, as an ``Attribute`` in a
   load context.
 
-A fourth has none: the only scipy imports in src are ``scipy.linalg``
+Two more have none: the only scipy imports in src are ``scipy.linalg``
 imports inside functions of ``oracle.py``, so importing the package and
-every command but the FD oracle run on numpy alone.
+every command but the FD oracle run on numpy alone; and no file in src
+mentions ``fft``, since X differentiates by order-8 differences on every
+grid.
 """
 
 import ast
@@ -181,6 +183,12 @@ def test_scipy_is_imported_only_by_the_fd_oracle_on_first_use():
     assert found
     assert all(name == "oracle.py" and (module + ".").startswith("scipy.linalg.")
                and inside for name, module, inside in found), found
+
+
+def test_no_fft_in_src():
+    found = [path.name for path in _sources()
+             if "fft" in path.read_text(encoding="utf-8").lower()]
+    assert found == []
 
 
 def test_detects_an_unreached_function(tmp_path):
