@@ -226,9 +226,18 @@ def cmd_spectrum(args) -> int:
         e = complex(e)
         row = [n, e.real, e.imag]
         if report is not None:
-            row += [report.numeric[n], report.rel_errors[n]]
+            row += [report.spectrum.eigenvalues[n], report.rel_errors[n]]
         rows.append(row)
     extra = {"physical": sol.physical}
+    if report is not None:
+        fd = report.spectrum
+        extra["oracle"] = {
+            "grid_sizes": list(fd.grid_sizes),
+            "certified": list(fd.certified),
+            "error_estimates": fd.error_estimates.tolist(),
+            "wall_exponents": list(fd.wall_exponents),
+            "raw": [values.tolist() for values in fd.raw],
+        }
     _emit("spectrum", config, header, rows, args, extra=extra)
     if args.check and not report.passed:
         return 2

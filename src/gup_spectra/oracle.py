@@ -13,16 +13,18 @@ and 4.
 Only the base grid N is bisected (LAPACK stebz, Sturm sequences), and only
 to seeds: to an absolute tolerance of 1e-10 * ||T||_1.  Every grid then
 polishes its seeds by shifted inverse iteration (one dgttrf per seed, then
-dgttrs solves): the base grid its bisected seeds, grids 2N and 4N the values
-of the grid below, which are already right to about h^2.  A grid keeps the
-polished values only under a certificate: disjoint residual intervals, a
-Sturm count (stebz, range "V") with exactly the expected number of
-eigenvalues below them, and Kato-Temple bounds min(|r|, |r|^2 / gap) of at
-most eps * ||T||_1, the tolerance stebz's own bisection stops at (Parlett,
-The Symmetric Eigenvalue Problem, SIAM 1998).  A grid whose values do not
-certify is bisected afresh to that tolerance.  Everything is computed from V
-alone, never seeded from the closed forms, keeping the check independent of
-what it validates.
+dgttrs solves, each seed stopped on the residual its last solve implies):
+the base grid its bisected seeds, grid 2N the values of grid N, and grid 4N
+the Richardson prediction lambda_2N - (lambda_N - lambda_2N) / 4 from grids
+N and 2N.  A grid keeps the polished values only under a certificate built
+from their explicit residuals, all formed in one pass: disjoint residual
+intervals, a Sturm count (stebz, range "V") with exactly the expected
+number of eigenvalues below them, and Kato-Temple bounds
+min(|r|, |r|^2 / gap) of at most eps * ||T||_1, the tolerance stebz's own
+bisection stops at (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).
+A grid whose values do not certify is bisected afresh to that tolerance.
+Everything is computed from V alone, never seeded from the closed forms,
+keeping the check independent of what it validates.
 
 Expectation values come in two independent flavors:
 
@@ -97,15 +99,19 @@ _GAUGE_CAP = 2.0
 # (q_hi - q_lo) / sqrt(s_lo + s_hi) wide, and the top level's wavelength at
 # the centre is that width over sqrt(2 count - 1), up to a constant.
 _WIDTH_CELLS = 3.6
+# The base grid puts at least this many cells under each requested level.
+_LEVEL_CELLS = 8
 # The base grid doubles no further than this many cells, or ``grid_size``
-# where that is larger; a well that needs more raises ConvergenceFailure.
+# where that is larger; a well that needs more raises ConvergenceFailure,
+# and a level count that does raises ParameterError.
 _MAX_BASE = 16384
 # W is capped at this many (n / (q_hi - q_lo))^2 (``_fd_matrix``)
 _BARRIER_CAP = 1e4
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# Inverse-iteration solves per seed: a seed bisected to _SEED_TOL, like one
-# from the grid below, certifies after two, at most four.
+# Inverse-iteration solves per seed: a seed bisected to _SEED_TOL, or
+# predicted by Richardson on grid 4N, stops after one or two; one from the
+# grid below after two to four, rarely more.
 _POLISH_STEPS = 6
 # The base grid's seeds are bisected to this absolute tolerance, in units of
 # ||T||_1: inverse iteration takes them the rest of the way to eps * ||T||_1.
@@ -129,17 +135,17 @@ class EigenProblem:
     Both walls are Dirichlet walls whose inverse-square coefficient is
     measured from V (zero at a regular wall).  ``grid_size`` is the least
     base grid N, in cells over the whole interval: the base grid is N, or N
-    doubled until a narrow well (large wall exponents) has enough cells
-    across it, up to ``_MAX_BASE`` cells.  The base grid is bisected, and it
-    and its two doublings are polished and certified (see
-    ``fd_eigenvalues``).  At most ``grid_size // 8`` levels can be asked
-    for.
+    doubled until there are ``_LEVEL_CELLS`` cells per requested level and a
+    narrow well (large wall exponents) has enough cells across it, up to
+    ``_MAX_BASE`` cells (or ``grid_size``, where that is larger).  The base
+    grid is bisected, and it and its two doublings are polished and
+    certified (see ``fd_eigenvalues``).
     """
 
     V: Callable[[np.ndarray], np.ndarray]
     q_lo: float
     q_hi: float
-    grid_size: int = 512
+    grid_size: int = 128
 
     def __post_init__(self):
         if self.grid_size < 64:
@@ -283,27 +289,32 @@ def _polish(d, e, seeds):
     ``seeds`` approximate the lowest len(seeds) eigenvalues of the symmetric
     tridiagonal T = (d, e) in ascending order; the last is a guard that only
     bounds the one below it.  Each seed sigma factors T - sigma I once and
-    iterates solves from a fixed-seed random vector; the Rayleigh quotient
-    of the iterate y of v is sigma + (y . v) / (y . y), with the residual r
-    of the normalised iterate taken explicitly.  A seed stops once its
-    Kato-Temple bound min(|r|, |r|^2 / gap), with gap half the distance to
-    the neighbouring seeds, is below eps * ||T||_1.
+    iterates solves (T - sigma I) y = v from a fixed-seed random vector.
+    The Rayleigh quotient of y is sigma + (y . v) / (y . y), and the residual
+    of y / |y| that the solve implies is
+    sqrt((v . v - (y . v)^2 / (y . y)) / (y . y)).  A seed stops once that
+    residual's Kato-Temple bound min(|r|, |r|^2 / gap), with gap half the
+    distance to the neighbouring seeds, is below eps * ||T||_1.
 
-    The values are returned only when they certify: the intervals
-    value +- |r| are disjoint, a Sturm count puts exactly len(seeds)
-    eigenvalues at or below the guard's interval, so each interval holds its
-    own eigenvalue, and every Kato-Temple bound below the guard, now with
-    the gaps to the neighbouring intervals, is at most eps * ||T||_1, the
-    tolerance bisection stops at.
+    The implied residual leaves out the solve's round-off, so the
+    certificate takes the explicit residuals r = |T v - value v| of the
+    final iterates, formed for all seeds in one pass.  The values are
+    returned only when they certify: the intervals value +- |r| are
+    disjoint, a Sturm count puts exactly len(seeds) eigenvalues at or below
+    the guard's interval, so each interval holds its own eigenvalue, and
+    every Kato-Temple bound below the guard, now with the gaps to the
+    neighbouring intervals, is at most eps * ||T||_1, the tolerance
+    bisection stops at.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
     norm1 = _norm1(d, e)
     tol = _EPS * norm1
     start = np.random.default_rng(1).uniform(-1.0, 1.0, d.size)
-    half_gap = (0.5 * _gaps(seeds, np.zeros_like(seeds))).tolist()
+    # r^2 <= tol * max(tol, half gap) is the stop on the Kato-Temple bound
+    stop = (tol * np.maximum(tol, 0.5 * _gaps(seeds, np.zeros_like(seeds)))).tolist()
     values = np.empty_like(seeds)
-    resid = np.empty_like(seeds)
+    vectors = np.empty((seeds.size, d.size))
     for i, sigma in enumerate(seeds.tolist()):
         *lu, info = dgttrf(e, d - sigma, e)
         if info != 0:
@@ -312,15 +323,18 @@ def _polish(d, e, seeds):
         for _ in range(_POLISH_STEPS):
             y = dgttrs(*lu, v)[0]
             yy = float(y @ y)
-            lam = sigma + float(y @ v) / yy
+            yv = float(y @ v)
+            r2 = (float(v @ v) - yv * yv / yy) / yy
             v = y / math.sqrt(yy)
-            tv = d * v
-            tv[:-1] += e * v[1:]
-            tv[1:] += e * v[:-1]
-            r = float(np.linalg.norm(tv - lam * v))
-            if r <= tol or r * r <= tol * half_gap[i]:
+            if r2 <= stop[i]:
                 break
-        values[i], resid[i] = lam, r
+        values[i] = sigma + yv / yy
+        vectors[i] = v
+    tv = d * vectors
+    tv[:, :-1] += e * vectors[:, 1:]
+    tv[:, 1:] += e * vectors[:, :-1]
+    tv -= values[:, None] * vectors
+    resid = np.sqrt(np.einsum("ij,ij->i", tv, tv))
     if not np.all(values[:-1] + resid[:-1] < values[1:] - resid[1:]):
         return None
     # range "V" (1) from below the spectrum; a tolerance wider than the
@@ -340,32 +354,39 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
     """Lowest ``count`` eigenvalues, extrapolated over three grids.
 
     The base grid N is ``problem.grid_size``, doubled until it puts
+    ``_LEVEL_CELLS`` cells under each of the ``count`` levels and
     ``_WIDTH_CELLS`` cells across (q_hi - q_lo) / sqrt((s_lo + s_hi)
     (2 count - 1)), which only narrow wells (small tau) ask for; the grids
-    are N, 2N and 4N cells of the factored scheme (``_fd_matrix``).  A well
-    that would need N above ``_MAX_BASE`` (or above ``grid_size``, where
-    that is larger) raises ConvergenceFailure.
+    are N, 2N and 4N cells of the factored scheme (``_fd_matrix``).  N stops
+    at ``_MAX_BASE`` (or at ``grid_size``, where that is larger): more
+    levels than that many cells hold raise ParameterError, and a well too
+    narrow for it raises ConvergenceFailure, both before any grid is built.
     The base grid bisects count + 1 seeds to ``_SEED_TOL`` * ||T||_1; the
     extra one is a guard whose residual interval bounds the gap above the
     top requested level.  Each grid then refines its seeds by certified
-    inverse iteration (``_polish``), seeded by the base grid's bisection or
-    the grid below.  A grid that fails the certificate is bisected afresh
-    to stebz's default tolerance, eps * ||T||_1.  ``SpectrumResult.certified``
-    records which grids certified.  The raw values then go through
-    Richardson extrapolation with the exponents 2 and 4, and
-    ConvergenceFailure is raised where the grids disagree.
+    inverse iteration (``_polish``): grid 2N is seeded by the values of
+    grid N, and grid 4N by their Richardson prediction
+    lambda_2N - (lambda_N - lambda_2N) / 4.  A grid that fails the
+    certificate is bisected afresh to stebz's default tolerance,
+    eps * ||T||_1.  ``SpectrumResult.certified`` records which grids
+    certified.  The raw values then go through Richardson extrapolation
+    with the exponents 2 and 4, and ConvergenceFailure is raised where the
+    grids disagree.
     """
     if count < 1:
         raise ParameterError("count must be positive")
-    if count > problem.grid_size // 8:
-        raise ParameterError("count must not exceed grid_size / 8")
+    base = problem.grid_size
+    limit = max(base, _MAX_BASE)
+    if _LEVEL_CELLS * count > limit:
+        raise ParameterError(
+            f"{count} levels need a base grid of {_LEVEL_CELLS * count} cells, "
+            f"above the limit of {limit}")
     lo, hi, V = problem.q_lo, problem.q_hi, problem.V
     scale = hi - lo
     s_lo = _wall_exponent(_wall_gamma(V, lo, -1, scale))
     s_hi = _wall_exponent(_wall_gamma(V, hi, +1, scale))
-    need = _WIDTH_CELLS * math.sqrt((s_lo + s_hi) * (2 * count - 1))
-    base = problem.grid_size
-    limit = max(base, _MAX_BASE)
+    need = max(_LEVEL_CELLS * count,
+               _WIDTH_CELLS * math.sqrt((s_lo + s_hi) * (2 * count - 1)))
     while base < need and 2 * base <= limit:
         base *= 2
     if base < need:
@@ -374,17 +395,21 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
             f"{need:.3g} cells, above the limit of {limit}")
     grids = (base, 2 * base, 4 * base)
     walls = _walls(s_lo, s_hi)
-    seeds, raw, certified = None, [], []
+    levels, certified = [], []
     for n in grids:
         d, e = _fd_matrix(V, lo, hi, n, walls)
-        if seeds is None:
+        if not levels:
             seeds = _bisect(d, e, count + 1, _SEED_TOL * _norm1(d, e))
+        elif len(levels) == 1:
+            seeds = levels[0]
+        else:
+            seeds = levels[1] - (levels[0] - levels[1]) / 4.0
         values = _polish(d, e, seeds)
         certified.append(values is not None)
         if values is None:
             values = _bisect(d, e, count + 1)
-        seeds = values
-        raw.append(values[:count])
+        levels.append(values)
+    raw = [values[:count] for values in levels]
     a1 = (4.0 * raw[1] - raw[0]) / 3.0
     a2 = (4.0 * raw[2] - raw[1]) / 3.0
     best = (16.0 * a2 - a1) / 15.0
@@ -406,7 +431,8 @@ class VerifyReport:
     model: ModelSpec
     rep: Representation
     closed: np.ndarray
-    numeric: np.ndarray
+    # the FD oracle's result: its eigenvalues and their provenance
+    spectrum: SpectrumResult
     rel_errors: np.ndarray
     passed: bool
     tolerance: float
@@ -414,7 +440,7 @@ class VerifyReport:
 
 def verify_spectrum(model: ModelSpec, rep: Representation,
                     params: DeformationParams, count: int = 6,
-                    grid_size: int = 512, tolerance: float = 1e-5) -> VerifyReport:
+                    grid_size: int = 128, tolerance: float = 1e-5) -> VerifyReport:
     """Compare closed-form energies against the FD oracle on the transformed well."""
     cls = classify_physical(model, rep, params)
     if cls.complex_spectrum:
@@ -428,7 +454,7 @@ def verify_spectrum(model: ModelSpec, rep: Representation,
     closed = np.real(sol.energies(count - 1))
     rel = np.abs(res.eigenvalues - closed) / np.maximum(np.abs(closed), 1e-300)
     return VerifyReport(model=model, rep=rep, closed=closed,
-                        numeric=res.eigenvalues, rel_errors=rel,
+                        spectrum=res, rel_errors=rel,
                         passed=bool(np.all(rel < tolerance)), tolerance=tolerance)
 
 

@@ -60,6 +60,18 @@ class TestSpectrumCommand:
         assert header[-2:] == ["energy_oracle", "rel_err"]
         assert all(float(r[-1]) < 1e-5 for r in rows)
 
+    def test_level_count_sizes_the_oracle_grid(self, capsys):
+        # 21 levels ask for 8 cells each: the least base grid 64 doubles to 256
+        args = ("spectrum", "--model", "ho", "--tau", "0.25", "--nmax", "20",
+                "--oracle", "--check", "--grid", "64")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 21
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["oracle"]["grid_sizes"] == [256, 512, 1024]
+
     def test_check_breach_exit_code(self, capsys):
         # the FD relative errors here are about 6e-12 to 3e-10, above --tol
         code, out, _ = run_cli(capsys, "spectrum", "--model", "ho", "--tau", "0.2",
@@ -222,6 +234,33 @@ class TestJsonEnvelope:
         assert payload["config"]["tau"] == 0.2
         assert len(payload["rows"]) == 2
         assert payload["rows"][0]["energy_re"] == pytest.approx(0.5524937810560445)
+        # only the oracle's runs carry its provenance
+        assert "oracle" not in payload
+
+    def test_oracle_provenance(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--model", "ho", "--tau", "0.25",
+                               "--nmax", "3", "--oracle", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["schema"] == "gup-spectra/1"
+        oracle = payload["oracle"]
+        assert sorted(oracle) == ["certified", "error_estimates", "grid_sizes",
+                                  "raw", "wall_exponents"]
+        # the CLI's --grid 2048 is the least base grid
+        assert oracle["grid_sizes"] == [2048, 4096, 8192]
+        assert oracle["certified"] == [True, True, True]
+        assert len(oracle["raw"]) == 3 and all(len(raw) == 4 for raw in oracle["raw"])
+        assert len(oracle["error_estimates"]) == 4
+        assert len(oracle["wall_exponents"]) == 2
+        for row, err in zip(payload["rows"], oracle["error_estimates"]):
+            assert abs(row["energy_oracle"] - row["energy_re"]) <= 1e-5 * row["energy_re"]
+            assert 0.0 < err < 1e-5 * row["energy_re"]
+        # CSV carries no provenance
+        code, out, _ = run_cli(capsys, "spectrum", "--model", "ho", "--tau", "0.25",
+                               "--nmax", "3", "--oracle")
+        header, rows = parse_csv(out)
+        assert header == ["n", "energy_re", "energy_im", "energy_oracle", "rel_err"]
+        assert len(rows) == 4
 
     def test_every_command_supports_json(self, capsys):
         cases = [

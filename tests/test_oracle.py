@@ -62,14 +62,43 @@ class TestEigensolver:
         assert np.max(np.abs(res.eigenvalues - closed) / closed) < 1e-5
 
     def test_preconditions(self):
-        prob = EigenProblem(V=lambda q: np.zeros_like(q), q_lo=0.0, q_hi=1.0,
-                            grid_size=256)
+        prob = EigenProblem(V=lambda q: np.zeros_like(q), q_lo=0.0, q_hi=1.0)
         with pytest.raises(ParameterError):
-            fd_eigenvalues(prob, 64)
+            fd_eigenvalues(prob, 0)
         with pytest.raises(ParameterError):
             EigenProblem(V=lambda q: q, q_lo=0.0, q_hi=1.0, grid_size=32)
         with pytest.raises(ParameterError):
             EigenProblem(V=lambda q: q, q_lo=0.0, q_hi=math.inf)
+
+    @pytest.mark.parametrize("count, base", [(6, 128), (20, 256), (64, 512)])
+    def test_level_count_sizes_the_base_grid(self, count, base):
+        # 8 cells per level from the default least base grid; the box's
+        # regular walls ask the narrow-well rule for fewer
+        prob = EigenProblem(V=lambda q: np.zeros_like(q), q_lo=0.0, q_hi=math.pi)
+        assert prob.grid_size == 128
+        res = fd_eigenvalues(prob, count)
+        assert res.grid_sizes == (base, 2 * base, 4 * base)
+        exact = np.arange(1, count + 1) ** 2
+        assert np.max(np.abs(res.eigenvalues - exact) / exact) < 1e-6
+
+    def test_more_levels_than_the_largest_base_grid_holds(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def no_matrix(*args):
+            raise Built
+
+        monkeypatch.setattr(oracle, "_fd_matrix", no_matrix)
+        count = oracle._MAX_BASE // 8 + 1
+        with pytest.raises(ParameterError, match="levels need a base grid"):
+            fd_eigenvalues(EigenProblem(V=lambda q: np.zeros_like(q), q_lo=0.0,
+                                        q_hi=1.0, grid_size=256), count)
+        # a least base grid above _MAX_BASE is the limit: the count
+        # grid_size // 8 is still accepted, and the grid gets built
+        with pytest.raises(Built):
+            fd_eigenvalues(EigenProblem(V=lambda q: np.zeros_like(q), q_lo=0.0,
+                                        q_hi=1.0, grid_size=2 * oracle._MAX_BASE),
+                           oracle._MAX_BASE // 4)
 
     def test_too_narrow_or_non_finite_walls_build_no_matrix(self, monkeypatch):
         # at tau = 1e-12 the rule asks for a base grid of 1.7e7 cells; an
@@ -223,14 +252,19 @@ POLISH_CASES = [
 class TestPolishedEigensolver:
     """Bisection on the base grid, certified inverse iteration on every grid."""
 
+    @pytest.mark.parametrize("count", [6, 64])
     @pytest.mark.parametrize("case", POLISH_CASES)
-    def test_raw_values_match_tight_bisection(self, case):
+    def test_raw_values_match_tight_bisection(self, case, count):
+        # at the default least base grid; grid 4N polishes the Richardson
+        # prediction from grids N and 2N.  With 64 levels grid 2N falls
+        # back to bisection (its seeds, the values of grid N, are too far
+        # off), and the other two still certify.
         from scipy.linalg import eigvalsh_tridiagonal
 
-        count = 6
         problem = _problem(case)
+        assert problem.grid_size == 128
         res = fd_eigenvalues(problem, count)
-        assert res.certified == (True, True, True)
+        assert res.certified == ((True, True, True) if count == 6 else (True, False, True))
         for raw, (d, e) in zip(res.raw, _grid_matrices(problem, res)):
             tight = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
                                          lapack_driver="stebz", tol=1e-300)
@@ -250,7 +284,7 @@ class TestPolishedEigensolver:
         problem = _problem(POLISH_CASES[1])
         res = fd_eigenvalues(problem, 4)
         assert res.certified == (True, True, True)
-        assert rows == [512]
+        assert rows == [128]
         # the seeds are loose: inverse iteration, not bisection, reaches
         # eps * ||T||_1 on the base grid too
         d, e = _grid_matrices(problem, res)[0]

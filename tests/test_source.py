@@ -36,11 +36,6 @@ PUBLIC_KNOBS = {
 }
 
 RESULT_FIELDS = {
-    "SpectrumResult.grid_sizes": "FD provenance, to be reported with the result",
-    "SpectrumResult.raw": "FD provenance, to be reported with the result",
-    "SpectrumResult.error_estimates": "FD provenance, to be reported with the result",
-    "SpectrumResult.wall_exponents": "FD provenance, to be reported with the result",
-    "SpectrumResult.certified": "FD provenance, to be reported with the result",
     "VerifyReport.closed": "the closed-form side of the comparison",
     "VerifyReport.tolerance": "the tolerance the verdict used",
     "PhaseCurve.monotone": "the scan's in-window consistency check",
