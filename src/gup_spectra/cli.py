@@ -27,10 +27,11 @@ from .algebra import (
     PoschlTeller,
     Representation,
     Swanson,
+    coefficients,
 )
 from .errors import GupSpectraError, NonFiniteResult
 from .operators import commutator_residual, default_grid
-from .liouville import master_residual
+from .liouville import master_residual, to_potential
 from .oracle import (
     expectation_direct,
     expectation_unified,
@@ -40,9 +41,9 @@ from .phase import PhaseQuery, discriminant, scan
 from .solutions import (
     ansatz_for,
     classify_physical,
+    default_p0,
     gram_matrix,
     solve,
-    transformed_potential,
 )
 
 SCHEMA = "gup-spectra/1"
@@ -219,7 +220,7 @@ def cmd_spectrum(args) -> int:
     report = None
     if args.oracle or args.check:
         report = verify_spectrum(model, rep, params, count=config.nmax + 1,
-                                 grid_size=config.grid, tolerance=config.tol)
+                                 tolerance=config.tol)
         header += ["energy_oracle", "rel_err"]
     rows = []
     for n, e in enumerate(sol.energies(config.nmax)):
@@ -428,13 +429,16 @@ def _suite_master_residual(config):
             if not cls.physical:
                 continue
             sol = solve(model, rep, params)
-            pot = transformed_potential(model, rep, params)
-            span = pot.q_hi - pot.q_lo
-            qs = np.linspace(pot.q_lo + 0.05 * span, pot.q_hi - 0.05 * span, 101)
+            # the transform of the Hamiltonian's own (f, g, h), in the
+            # coordinates ``ansatz_for`` calls centered
+            tr = to_potential(coefficients(model, rep, params),
+                              default_p0(model, rep, params))
+            span = tr.q_hi - tr.q_lo
+            qs = np.linspace(tr.q_lo + 0.05 * span, tr.q_hi - 0.05 * span, 101)
             worst = 0.0
             for n in range(6):
-                ansatz = ansatz_for(sol, n, coordinates="model")
-                res = master_residual(ansatz, pot, float(np.real(sol.energy(n))), qs)
+                ansatz = ansatz_for(sol, n, coordinates="centered")
+                res = master_residual(ansatz, tr, float(np.real(sol.energy(n))), qs)
                 worst = max(worst, res)
             checks.append((f"master[{type(model).__name__}/{rep.value}]",
                            worst < 1e-8, worst, 1e-8))

@@ -74,7 +74,7 @@ def to_potential(fgh: FGHCoefficients, p0: float) -> TransformResult:
     finite end exactly, an infinite one to p0 +- L tan(pi/2), about 1.6e16 L
     for the length scale L of that side.  After this returns, ``chi``,
     ``q_of_p`` and ``p_of_q`` read the table only; ``V`` evaluates the
-    coefficients at the points ``p_of_q`` gives.
+    coefficients at the points ``p_of_q`` gives, in the shape of its input.
     """
     dom = fgh.domain
     lo, hi = dom.lo, dom.hi
@@ -99,12 +99,13 @@ def to_potential(fgh: FGHCoefficients, p0: float) -> TransformResult:
     table = _Table(fgh, p0, scale, f_p0)
 
     def V(q):
-        p = table.p_of_q(q)
+        shape = np.shape(q)
+        p = table.p_of_q(np.ravel(q))
         f = fgh.f(p)
         df = fgh.df(p)
         g = fgh.g(p)
         return ((4 * g ** 2 + 3 * df ** 2 + 8 * g * df) / (16 * f)
-                - fgh.ddf(p) / 4.0 - fgh.dg(p) / 2.0 + fgh.h(p))
+                - fgh.ddf(p) / 4.0 - fgh.dg(p) / 2.0 + fgh.h(p)).reshape(shape)
 
     return TransformResult(chi=table.chi, q_of_p=table.q_of_p, p_of_q=table.p_of_q,
                            V=V, q_lo=table.q_lo, q_hi=table.q_hi)

@@ -46,9 +46,8 @@ Expectation values come in two independent flavors:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -67,9 +66,10 @@ from .errors import (
     UnsupportedPair,
 )
 from .jets import Jet
+from .liouville import TransformResult
 from .operators import LINE_REACH, apply_P, apply_X, line_map, mapped_grid
 from .solutions import (
-    ClosedFormSolution,
+    PotentialSpec,
     classify_physical,
     solve,
     transformed_potential,
@@ -78,7 +78,6 @@ from .specfun import JacobiSpec, gauss_legendre_nodes, jacobi_jet, log_jacobi_ma
 from .specfun import gauss_jacobi as roots_jacobi
 
 __all__ = [
-    "EigenProblem",
     "SpectrumResult",
     "fd_eigenvalues",
     "verify_spectrum",
@@ -101,9 +100,12 @@ _GAUGE_CAP = 2.0
 _WIDTH_CELLS = 3.6
 # The base grid puts at least this many cells under each requested level.
 _LEVEL_CELLS = 8
-# The base grid doubles no further than this many cells, or ``grid_size``
-# where that is larger; a well that needs more raises ConvergenceFailure,
-# and a level count that does raises ParameterError.
+# The base grid starts at this many cells and doubles until the two rules
+# above hold, which only narrow wells (small tau) and many levels ask for,
+# to no more than ``_MAX_BASE`` cells: a well that needs more raises
+# ConvergenceFailure, and a level count that does raises ParameterError,
+# both before any grid is built.
+_LEAST_BASE = 128
 _MAX_BASE = 16384
 # W is capped at this many (n / (q_hi - q_lo))^2 (``_fd_matrix``)
 _BARRIER_CAP = 1e4
@@ -128,43 +130,17 @@ def eigvalsh_tridiagonal(d, e, **kwargs):
     return impl(d, e, **kwargs)
 
 
-@dataclass(frozen=True)
-class EigenProblem:
-    """Dirichlet problem -phi'' + V phi = E phi on (q_lo, q_hi).
-
-    Both walls are Dirichlet walls whose inverse-square coefficient is
-    measured from V (zero at a regular wall).  ``grid_size`` is the least
-    base grid N, in cells over the whole interval: the base grid is N, or N
-    doubled until there are ``_LEVEL_CELLS`` cells per requested level and a
-    narrow well (large wall exponents) has enough cells across it, up to
-    ``_MAX_BASE`` cells (or ``grid_size``, where that is larger).  The base
-    grid is bisected, and it and its two doublings are polished and
-    certified (see ``fd_eigenvalues``).
-    """
-
-    V: Callable[[np.ndarray], np.ndarray]
-    q_lo: float
-    q_hi: float
-    grid_size: int = 128
-
-    def __post_init__(self):
-        if self.grid_size < 64:
-            raise ParameterError("grid_size must be at least 64")
-        if not (math.isfinite(self.q_lo) and math.isfinite(self.q_hi)
-                and self.q_lo < self.q_hi):
-            raise ParameterError("q domain must be a finite nonempty interval")
-
-
 @dataclass
 class SpectrumResult:
     eigenvalues: np.ndarray
     grid_sizes: tuple[int, ...]
-    raw: list = field(default_factory=list)
-    error_estimates: np.ndarray | None = None
-    wall_exponents: tuple[float, float] = (math.inf, math.inf)
+    # each grid's values, before extrapolation
+    raw: list[np.ndarray]
+    error_estimates: np.ndarray
+    wall_exponents: tuple[float, float]
     # per grid: True where the polished values certified, False where the
     # grid fell back to bisection
-    certified: tuple[bool, ...] = ()
+    certified: tuple[bool, ...]
 
 
 def _wall_gamma(V, q_wall, side, scale):
@@ -350,17 +326,16 @@ def _polish(d, e, seeds):
     return values
 
 
-def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
-    """Lowest ``count`` eigenvalues, extrapolated over three grids.
+def fd_eigenvalues(well: PotentialSpec | TransformResult, count: int) -> SpectrumResult:
+    """Lowest ``count`` eigenvalues of -phi'' + V phi = E phi on the well,
+    extrapolated over three grids.
 
-    The base grid N is ``problem.grid_size``, doubled until it puts
-    ``_LEVEL_CELLS`` cells under each of the ``count`` levels and
-    ``_WIDTH_CELLS`` cells across (q_hi - q_lo) / sqrt((s_lo + s_hi)
-    (2 count - 1)), which only narrow wells (small tau) ask for; the grids
-    are N, 2N and 4N cells of the factored scheme (``_fd_matrix``).  N stops
-    at ``_MAX_BASE`` (or at ``grid_size``, where that is larger): more
-    levels than that many cells hold raise ParameterError, and a well too
-    narrow for it raises ConvergenceFailure, both before any grid is built.
+    ``well`` gives V and the finite ends q_lo < q_hi: the closed-form
+    ``solutions.PotentialSpec`` or the generic ``liouville.TransformResult``.
+    Both ends are Dirichlet walls, their inverse-square coefficients
+    measured from V (zero at a regular wall).  The grids are N, 2N and 4N
+    cells of the factored scheme (``_fd_matrix``), N sized from the level
+    count and the wall exponents as ``_LEAST_BASE`` says.
     The base grid bisects count + 1 seeds to ``_SEED_TOL`` * ||T||_1; the
     extra one is a guard whose residual interval bounds the gap above the
     top requested level.  Each grid then refines its seeds by certified
@@ -371,35 +346,40 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
     eps * ||T||_1.  ``SpectrumResult.certified`` records which grids
     certified.  The raw values then go through Richardson extrapolation
     with the exponents 2 and 4, and ConvergenceFailure is raised where the
-    grids disagree.
+    grids disagree.  Each error estimate adds to the Richardson terms the
+    three grids' tolerances eps * ||T||_1, weighted as the extrapolation
+    weights their values.
     """
+    lo, hi, V = well.q_lo, well.q_hi, well.V
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ParameterError("q domain must be a finite nonempty interval")
     if count < 1:
         raise ParameterError("count must be positive")
-    base = problem.grid_size
-    limit = max(base, _MAX_BASE)
-    if _LEVEL_CELLS * count > limit:
+    if _LEVEL_CELLS * count > _MAX_BASE:
         raise ParameterError(
             f"{count} levels need a base grid of {_LEVEL_CELLS * count} cells, "
-            f"above the limit of {limit}")
-    lo, hi, V = problem.q_lo, problem.q_hi, problem.V
+            f"above the limit of {_MAX_BASE}")
     scale = hi - lo
     s_lo = _wall_exponent(_wall_gamma(V, lo, -1, scale))
     s_hi = _wall_exponent(_wall_gamma(V, hi, +1, scale))
     need = max(_LEVEL_CELLS * count,
                _WIDTH_CELLS * math.sqrt((s_lo + s_hi) * (2 * count - 1)))
-    while base < need and 2 * base <= limit:
+    base = _LEAST_BASE
+    while base < need and 2 * base <= _MAX_BASE:
         base *= 2
     if base < need:
         raise ConvergenceFailure(
             f"the well is too narrow: {count} levels need a base grid of "
-            f"{need:.3g} cells, above the limit of {limit}")
+            f"{need:.3g} cells, above the limit of {_MAX_BASE}")
     grids = (base, 2 * base, 4 * base)
     walls = _walls(s_lo, s_hi)
-    levels, certified = [], []
+    levels, certified, tols = [], [], []
     for n in grids:
         d, e = _fd_matrix(V, lo, hi, n, walls)
+        norm1 = _norm1(d, e)
+        tols.append(_EPS * norm1)
         if not levels:
-            seeds = _bisect(d, e, count + 1, _SEED_TOL * _norm1(d, e))
+            seeds = _bisect(d, e, count + 1, _SEED_TOL * norm1)
         elif len(levels) == 1:
             seeds = levels[0]
         else:
@@ -413,7 +393,10 @@ def fd_eigenvalues(problem: EigenProblem, count: int) -> SpectrumResult:
     a1 = (4.0 * raw[1] - raw[0]) / 3.0
     a2 = (4.0 * raw[2] - raw[1]) / 3.0
     best = (16.0 * a2 - a1) / 15.0
-    err = np.abs(a2 - a1) + np.abs(best - a2) + 1e-15 * np.abs(best)
+    # best = (64 raw[2] - 20 raw[1] + raw[0]) / 45, and each raw value is
+    # within its grid's tolerance of that grid's eigenvalue
+    err = (np.abs(a2 - a1) + np.abs(best - a2) + 1e-15 * np.abs(best)
+           + (64.0 * tols[2] + 20.0 * tols[1] + tols[0]) / 45.0)
     scale_e = np.maximum(np.abs(best), 1.0)
     rough = np.abs(raw[1] - raw[2])
     bad = (rough > 1e3 * np.finfo(float).eps * scale_e) & (err > 0.05 * scale_e)
@@ -440,7 +423,7 @@ class VerifyReport:
 
 def verify_spectrum(model: ModelSpec, rep: Representation,
                     params: DeformationParams, count: int = 6,
-                    grid_size: int = 128, tolerance: float = 1e-5) -> VerifyReport:
+                    tolerance: float = 1e-5) -> VerifyReport:
     """Compare closed-form energies against the FD oracle on the transformed well."""
     cls = classify_physical(model, rep, params)
     if cls.complex_spectrum:
@@ -448,9 +431,7 @@ def verify_spectrum(model: ModelSpec, rep: Representation,
     if not cls.physical:
         raise ParameterError("unbounded family; nothing for the oracle to match")
     sol = solve(model, rep, params)
-    pot = transformed_potential(model, rep, params)
-    problem = EigenProblem(V=pot.V, q_lo=pot.q_lo, q_hi=pot.q_hi, grid_size=grid_size)
-    res = fd_eigenvalues(problem, count)
+    res = fd_eigenvalues(transformed_potential(model, rep, params), count)
     closed = np.real(sol.energies(count - 1))
     rel = np.abs(res.eigenvalues - closed) / np.maximum(np.abs(closed), 1e-300)
     return VerifyReport(model=model, rep=rep, closed=closed,

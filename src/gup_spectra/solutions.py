@@ -198,6 +198,7 @@ class ClosedFormSolution:
     def metric(self, p):
         """Normalized positive metric density on the stored parametrization."""
         self._require_states()
+        self._check_samples(p)
         angle, x = self._angle(p)
         scale = _FAMILIES[self.family].scale * math.sqrt(self.params.tau_check)
         power = self._metric_power - 2 * angle.e
@@ -237,8 +238,9 @@ class ClosedFormSolution:
                 "(unphysical variant, broken symmetry or commutative limit)")
 
     def _check_samples(self, p):
+        """DomainError unless every sample lies inside the domain; NaN does not."""
         d = self.domain
-        if np.any(p <= d.lo) or np.any(p >= d.hi):
+        if not d.contains(p):
             raise DomainError(
                 f"samples must lie inside ({d.lo:.6g}, {d.hi:.6g}) "
                 f"for {self.rep.value}")

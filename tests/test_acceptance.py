@@ -49,7 +49,7 @@ class TestAcceptance:
         for tau in (0.1, 0.5, 1.0):
             report = verify_spectrum(HarmonicOscillator(), R.PI1,
                                      DeformationParams(tau=tau), count=6,
-                                     grid_size=2048, tolerance=1e-5)
+                                     tolerance=1e-5)
             worst = max(worst, float(np.max(report.rel_errors)))
         elapsed = time.perf_counter() - start
         _report("criterion-01", worst < 1e-5 and elapsed < 10.0,

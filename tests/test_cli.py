@@ -61,7 +61,8 @@ class TestSpectrumCommand:
         assert all(float(r[-1]) < 1e-5 for r in rows)
 
     def test_level_count_sizes_the_oracle_grid(self, capsys):
-        # 21 levels ask for 8 cells each: the least base grid 64 doubles to 256
+        # 21 levels ask for 8 cells each: the least base grid 128 doubles to
+        # 256, whatever --grid says
         args = ("spectrum", "--model", "ho", "--tau", "0.25", "--nmax", "20",
                 "--oracle", "--check", "--grid", "64")
         code, out, _ = run_cli(capsys, *args)
@@ -71,6 +72,18 @@ class TestSpectrumCommand:
         code, out, _ = run_cli(capsys, *args, "--format", "json")
         assert code == 0
         assert json.loads(out)["oracle"]["grid_sizes"] == [256, 512, 1024]
+
+    def test_oracle_ignores_the_sample_count(self, capsys):
+        # --grid counts display and direct-engine samples; the oracle sizes
+        # its own grids
+        args = ("spectrum", "--model", "swanson", "--tau", "0.5", "--rep", "pi3",
+                "--nmax", "4", "--oracle")
+        outputs = []
+        for grid in ((), ("--grid", "64"), ("--grid", "8192")):
+            code, out, _ = run_cli(capsys, *args, *grid)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_check_breach_exit_code(self, capsys):
         # the FD relative errors here are about 6e-12 to 3e-10, above --tol
@@ -246,14 +259,14 @@ class TestJsonEnvelope:
         oracle = payload["oracle"]
         assert sorted(oracle) == ["certified", "error_estimates", "grid_sizes",
                                   "raw", "wall_exponents"]
-        # the CLI's --grid 2048 is the least base grid
-        assert oracle["grid_sizes"] == [2048, 4096, 8192]
+        assert oracle["grid_sizes"] == [128, 256, 512]
         assert oracle["certified"] == [True, True, True]
         assert len(oracle["raw"]) == 3 and all(len(raw) == 4 for raw in oracle["raw"])
         assert len(oracle["error_estimates"]) == 4
         assert len(oracle["wall_exponents"]) == 2
         for row, err in zip(payload["rows"], oracle["error_estimates"]):
-            assert abs(row["energy_oracle"] - row["energy_re"]) <= 1e-5 * row["energy_re"]
+            # the estimate bounds the true error
+            assert abs(row["energy_oracle"] - row["energy_re"]) <= err
             assert 0.0 < err < 1e-5 * row["energy_re"]
         # CSV carries no provenance
         code, out, _ = run_cli(capsys, "spectrum", "--model", "ho", "--tau", "0.25",
@@ -420,12 +433,27 @@ class TestVerifyCommand:
         report["config"]["out"] = str(out_path)
         assert out_path.read_text() == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
-    def test_master_residual_suite(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "master-residual")
+    @pytest.mark.parametrize("tau", ["1e-4", "1e-3", "1e-2", "0.1", "0.25", "1", "5",
+                                     "50"])
+    def test_master_residual_suite(self, capsys, monkeypatch, tau):
+        # every checked well is the transform of the Hamiltonian's (f, g, h)
+        from gup_spectra import cli
+
+        calls = []
+        real = cli.to_potential
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "to_potential", counted)
+        code, out, _ = run_cli(capsys, "verify", "master-residual", "--tau", tau)
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] is True
-        assert all(c["passed"] for c in payload["suites"]["master-residual"])
+        checks = payload["suites"]["master-residual"]
+        assert all(c["passed"] for c in checks), checks
+        assert len(calls) == len(checks) == 9
 
     @pytest.mark.parametrize("tau", ["1e-4", "1e-2", "0.25", "1", "5", "50"])
     def test_commutators_suite(self, capsys, tau):

@@ -204,6 +204,20 @@ class TestTransform:
             to_potential(flip, 0.0)
 
 
+class TestPotentialShape:
+    def test_keeps_the_input_shape(self):
+        # the FD oracle evaluates V on (nodes, cells) arrays
+        params = DeformationParams(tau=0.5)
+        model, rep = Swanson(0.1, 0.2), Representation.PI3
+        tr = to_potential(coefficients(model, rep, params), default_p0(model, rep, params))
+        span = tr.q_hi - tr.q_lo
+        qs = np.linspace(tr.q_lo + 0.1 * span, tr.q_hi - 0.1 * span, 12)
+        flat = tr.V(qs)
+        assert tr.V(qs.reshape(3, 4)).shape == (3, 4)
+        assert np.array_equal(tr.V(qs.reshape(3, 4)).ravel(), flat)
+        assert tr.V(qs[5]).shape == ()
+
+
 class TestTableMemo:
     """After to_potential returns, queries read its table; only V evaluates
     the coefficients, and only at the points p_of_q returns."""

@@ -10,6 +10,7 @@ from gup_spectra.algebra import (
     PoschlTeller,
     Representation,
     Swanson,
+    coefficients,
 )
 from gup_spectra import oracle
 from gup_spectra.errors import (
@@ -20,14 +21,19 @@ from gup_spectra.errors import (
     UnsupportedPair,
 )
 from gup_spectra.oracle import (
-    EigenProblem,
     expectation_direct,
     expectation_unified,
     fd_eigenvalues,
     parse_word,
     verify_spectrum,
 )
-from gup_spectra.solutions import solve, transformed_potential
+from gup_spectra.liouville import to_potential
+from gup_spectra.solutions import (
+    PotentialSpec,
+    default_p0,
+    solve,
+    transformed_potential,
+)
 
 R = Representation
 
@@ -37,45 +43,86 @@ GRID_MODELS = [HarmonicOscillator(), Swanson(0.1, 0.2), Swanson(2.0, 0.1),
 GRID_TAUS = (1e-4, 1e-3, 1e-2, 0.1, 0.25, 1.0, 5.0, 50.0)
 
 
+def _raw_on_grids(well, base, count):
+    """Lowest ``count`` eigenvalues of the factored scheme on grids base,
+    2 base and 4 base, bisected to eps * ||T||_1, with the wall exponents
+    the oracle measures from V."""
+    lo, hi, V = well.q_lo, well.q_hi, well.V
+    exponents = [oracle._wall_exponent(oracle._wall_gamma(V, wall, side, hi - lo))
+                 for wall, side in ((lo, -1), (hi, +1))]
+    walls = oracle._walls(*exponents)
+    return [oracle._bisect(*oracle._fd_matrix(V, lo, hi, n, walls), count)
+            for n in (base, 2 * base, 4 * base)]
+
+
+# Pi1 problems of the sweep over HO, Swanson (0.1, 0.2), (0.5, 0.3), (2, 0.1)
+# and PT (1, 0.5), (0.566, 1.7), (3, 2) at tau = geomspace(1e-4, 50, 13)[k]
+# where the Richardson terms alone missed the true error, by up to 129x:
+# level 0 near 1e-12 relative, where the eigensolver tolerance dominates
+ESTIMATE_CASES = [
+    (PoschlTeller(1.0, 0.5), 9, 6),
+    (PoschlTeller(3.0, 2.0), 12, 6),
+    (Swanson(0.5, 0.3), 11, 6),
+    (Swanson(2.0, 0.1), 12, 20),
+]
+
+
 class TestEigensolver:
     def test_particle_in_a_box(self):
-        prob = EigenProblem(V=lambda q: np.zeros_like(q), q_lo=0.0, q_hi=math.pi,
-                            grid_size=2048)
+        prob = PotentialSpec(V=lambda q: np.zeros_like(q), q_lo=0.0, q_hi=math.pi)
         res = fd_eigenvalues(prob, 4)
         exact = np.arange(1, 5) ** 2
         assert np.max(np.abs(res.eigenvalues - exact) / exact) < 1e-6
         assert np.all(res.error_estimates > 0)
 
     def test_scaled_oscillator_on_a_box(self):
-        prob = EigenProblem(V=lambda q: q * q / 4.0 - 0.5, q_lo=-20.0, q_hi=20.0,
-                            grid_size=2048)
+        prob = PotentialSpec(V=lambda q: q * q / 4.0 - 0.5, q_lo=-20.0, q_hi=20.0)
         res = fd_eigenvalues(prob, 5)
         assert np.max(np.abs(res.eigenvalues - np.arange(5))) < 1e-5
 
     def test_deformed_oscillator_well(self):
         params = DeformationParams(tau=0.5)
-        pot = transformed_potential(HarmonicOscillator(), R.PI1, params)
-        prob = EigenProblem(V=pot.V, q_lo=pot.q_lo, q_hi=pot.q_hi, grid_size=2048)
-        res = fd_eigenvalues(prob, 4)
+        res = fd_eigenvalues(transformed_potential(HarmonicOscillator(), R.PI1, params), 4)
         sol = solve(HarmonicOscillator(), R.PI1, params)
         closed = np.real(sol.energies(3))
         assert np.max(np.abs(res.eigenvalues - closed) / closed) < 1e-5
 
+    @pytest.mark.parametrize("model, rep, tau", [
+        (HarmonicOscillator(), R.PI1, 0.25),
+        (Swanson(0.1, 0.2), R.PI3, 1.0),
+        (PoschlTeller(1.0, 0.5), R.PI4, 0.5),
+    ])
+    def test_generic_transform_well(self, model, rep, tau):
+        # the Liouville transform of the Hamiltonian's (f, g, h), not the
+        # closed-form well
+        params = DeformationParams(tau=tau)
+        well = to_potential(coefficients(model, rep, params),
+                            default_p0(model, rep, params))
+        res = fd_eigenvalues(well, 6)
+        closed = np.real(solve(model, rep, params).energies(5))
+        assert np.max(np.abs(res.eigenvalues - closed) / closed) < 1e-7
+
+    @pytest.mark.parametrize("model, k, count", ESTIMATE_CASES)
+    def test_error_estimates_bound_the_true_error(self, model, k, count):
+        params = DeformationParams(tau=float(np.geomspace(1e-4, 50.0, 13)[k]))
+        res = fd_eigenvalues(transformed_potential(model, R.PI1, params), count)
+        closed = np.real(solve(model, R.PI1, params).energies(count - 1))
+        assert np.all(np.abs(res.eigenvalues - closed) <= res.error_estimates)
+
     def test_preconditions(self):
-        prob = EigenProblem(V=lambda q: np.zeros_like(q), q_lo=0.0, q_hi=1.0)
+        prob = PotentialSpec(V=lambda q: np.zeros_like(q), q_lo=0.0, q_hi=1.0)
         with pytest.raises(ParameterError):
             fd_eigenvalues(prob, 0)
-        with pytest.raises(ParameterError):
-            EigenProblem(V=lambda q: q, q_lo=0.0, q_hi=1.0, grid_size=32)
-        with pytest.raises(ParameterError):
-            EigenProblem(V=lambda q: q, q_lo=0.0, q_hi=math.inf)
+        for lo, hi in ((0.0, math.inf), (1.0, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ParameterError, match="finite nonempty"):
+                fd_eigenvalues(PotentialSpec(V=lambda q: q, q_lo=lo, q_hi=hi), 4)
 
     @pytest.mark.parametrize("count, base", [(6, 128), (20, 256), (64, 512)])
     def test_level_count_sizes_the_base_grid(self, count, base):
-        # 8 cells per level from the default least base grid; the box's
-        # regular walls ask the narrow-well rule for fewer
-        prob = EigenProblem(V=lambda q: np.zeros_like(q), q_lo=0.0, q_hi=math.pi)
-        assert prob.grid_size == 128
+        # 8 cells per level from the least base grid; the box's regular
+        # walls ask the narrow-well rule for fewer
+        assert oracle._LEAST_BASE == 128
+        prob = PotentialSpec(V=lambda q: np.zeros_like(q), q_lo=0.0, q_hi=math.pi)
         res = fd_eigenvalues(prob, count)
         assert res.grid_sizes == (base, 2 * base, 4 * base)
         exact = np.arange(1, count + 1) ** 2
@@ -89,16 +136,12 @@ class TestEigensolver:
             raise Built
 
         monkeypatch.setattr(oracle, "_fd_matrix", no_matrix)
-        count = oracle._MAX_BASE // 8 + 1
+        box = PotentialSpec(V=lambda q: np.zeros_like(q), q_lo=0.0, q_hi=1.0)
         with pytest.raises(ParameterError, match="levels need a base grid"):
-            fd_eigenvalues(EigenProblem(V=lambda q: np.zeros_like(q), q_lo=0.0,
-                                        q_hi=1.0, grid_size=256), count)
-        # a least base grid above _MAX_BASE is the limit: the count
-        # grid_size // 8 is still accepted, and the grid gets built
+            fd_eigenvalues(box, oracle._MAX_BASE // 8 + 1)
+        # the most levels _MAX_BASE cells hold get their grid built
         with pytest.raises(Built):
-            fd_eigenvalues(EigenProblem(V=lambda q: np.zeros_like(q), q_lo=0.0,
-                                        q_hi=1.0, grid_size=2 * oracle._MAX_BASE),
-                           oracle._MAX_BASE // 4)
+            fd_eigenvalues(box, oracle._MAX_BASE // 8)
 
     def test_too_narrow_or_non_finite_walls_build_no_matrix(self, monkeypatch):
         # at tau = 1e-12 the rule asks for a base grid of 1.7e7 cells; an
@@ -109,10 +152,9 @@ class TestEigensolver:
         monkeypatch.setattr(oracle, "_fd_matrix", no_matrix)
         pot = transformed_potential(HarmonicOscillator(), R.PI1,
                                     DeformationParams(tau=1e-12))
-        problem = EigenProblem(V=pot.V, q_lo=pot.q_lo, q_hi=pot.q_hi)
         with pytest.raises(ConvergenceFailure, match="too narrow"):
-            fd_eigenvalues(problem, 6)
-        problem = EigenProblem(V=lambda q: np.full_like(q, np.inf), q_lo=0.0, q_hi=1.0)
+            fd_eigenvalues(pot, 6)
+        problem = PotentialSpec(V=lambda q: np.full_like(q, np.inf), q_lo=0.0, q_hi=1.0)
         with pytest.raises(ConvergenceFailure, match="not finite"):
             fd_eigenvalues(problem, 6)
 
@@ -120,10 +162,9 @@ class TestEigensolver:
         # raw (pre-extrapolation) sequences refine at second order
         for model, tau in ((HarmonicOscillator(), 0.5), (PoschlTeller(1.0, 0.5), 0.25)):
             pot = transformed_potential(model, R.PI1, DeformationParams(tau=tau))
-            prob = EigenProblem(V=pot.V, q_lo=pot.q_lo, q_hi=pot.q_hi, grid_size=1024)
-            res = fd_eigenvalues(prob, 4)
-            d1 = np.abs(res.raw[0] - res.raw[1])
-            d2 = np.abs(res.raw[1] - res.raw[2])
+            raw = _raw_on_grids(pot, 1024, 4)
+            d1 = np.abs(raw[0] - raw[1])
+            d2 = np.abs(raw[1] - raw[2])
             order = np.log2(d1 / d2)
             assert np.min(order) > 1.9
 
@@ -154,20 +195,22 @@ class TestFactoredScheme:
         def V(q):
             return a * (a - 1.0) / np.sin(q) ** 2 + b * (b - 1.0) / np.cos(q) ** 2
 
-        res = fd_eigenvalues(EigenProblem(V=V, q_lo=0.0, q_hi=math.pi / 2,
-                                          grid_size=512), 6)
-        assert res.grid_sizes == (512, 1024, 2048)
+        # on grids 512, 1024 and 2048; the oracle's own 128-cell base grid
+        # reads 3.3e-9 against the exact levels
+        raw = _raw_on_grids(PotentialSpec(V=V, q_lo=0.0, q_hi=math.pi / 2), 512, 6)
         exact = (2.0 * np.arange(6) + a + b) ** 2
-        d1 = np.abs(res.raw[0] - res.raw[1])
-        d2 = np.abs(res.raw[1] - res.raw[2])
+        d1 = np.abs(raw[0] - raw[1])
+        d2 = np.abs(raw[1] - raw[2])
         order = np.log2(d1 / d2)
         # the gauge is close to a ground state of this shape, which can then
         # be exact to 1e-8 on every grid, where no order shows
-        exact_already = np.all([np.abs(raw - exact) <= 1e-8 * exact
-                                for raw in res.raw], axis=0)
+        exact_already = np.all([np.abs(values - exact) <= 1e-8 * exact
+                                for values in raw], axis=0)
         assert not np.any(exact_already[1:])
         assert np.all(exact_already | (order > 1.9)), order
-        assert np.max(np.abs(res.eigenvalues - exact) / exact) < 1e-9
+        # Richardson with the exponents 2 and 4, as the oracle extrapolates
+        best = (64.0 * raw[2] - 20.0 * raw[1] + raw[0]) / 45.0
+        assert np.max(np.abs(best - exact) / exact) < 1e-9
 
     @pytest.mark.parametrize("alpha, beta, tau, rep", FACTORED_REQUESTS)
     def test_attractive_walls_within_tolerance(self, alpha, beta, tau, rep):
@@ -185,7 +228,7 @@ class TestFactoredScheme:
         # cells, where it would set the certificate's tolerance
         params = DeformationParams(tau=tau)
         pot = transformed_potential(model, rep, params)
-        res = fd_eigenvalues(EigenProblem(V=pot.V, q_lo=pot.q_lo, q_hi=pot.q_hi), 6)
+        res = fd_eigenvalues(pot, 6)
         assert res.grid_sizes == (2048, 4096, 8192)
         assert res.certified == (True, True, True)
         closed = np.real(solve(model, rep, params).energies(5))
@@ -226,12 +269,11 @@ class TestVerifySpectrum:
 
 
 def _problem(case):
-    """EigenProblem for a named case: the box or (model, rep, tau)."""
+    """The well of a named case: the box or (model, rep, tau)."""
     if case == "box":
-        return EigenProblem(V=lambda q: np.zeros_like(q), q_lo=0.0, q_hi=math.pi)
+        return PotentialSpec(V=lambda q: np.zeros_like(q), q_lo=0.0, q_hi=math.pi)
     model, rep, tau = case
-    pot = transformed_potential(model, rep, DeformationParams(tau=tau))
-    return EigenProblem(V=pot.V, q_lo=pot.q_lo, q_hi=pot.q_hi)
+    return transformed_potential(model, rep, DeformationParams(tau=tau))
 
 
 def _grid_matrices(problem, res):
@@ -255,14 +297,13 @@ class TestPolishedEigensolver:
     @pytest.mark.parametrize("count", [6, 64])
     @pytest.mark.parametrize("case", POLISH_CASES)
     def test_raw_values_match_tight_bisection(self, case, count):
-        # at the default least base grid; grid 4N polishes the Richardson
+        # at the least base grid; grid 4N polishes the Richardson
         # prediction from grids N and 2N.  With 64 levels grid 2N falls
         # back to bisection (its seeds, the values of grid N, are too far
         # off), and the other two still certify.
         from scipy.linalg import eigvalsh_tridiagonal
 
         problem = _problem(case)
-        assert problem.grid_size == 128
         res = fd_eigenvalues(problem, count)
         assert res.certified == ((True, True, True) if count == 6 else (True, False, True))
         for raw, (d, e) in zip(res.raw, _grid_matrices(problem, res)):

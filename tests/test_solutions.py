@@ -245,6 +245,17 @@ class TestWavefunctions:
             sol.psi(0, np.array([1.1 * edge]))
 
 
+    @pytest.mark.parametrize("sample", [3.0, math.nan])
+    def test_samples_outside_the_domain_raise(self, sample):
+        # p = 3 lies outside the Pi3 domain at tau 0.5, and NaN lies nowhere
+        sol = solve(Swanson(0.1, 0.2), R.PI3, DeformationParams(tau=0.5))
+        p = np.array([0.1, sample])
+        for evaluate in (lambda: sol.psi(0, p), lambda: sol.psi_ladder(2, p),
+                         lambda: sol.metric(p)):
+            with pytest.raises(DomainError):
+                evaluate()
+
+
 class TestMetrics:
     @pytest.mark.parametrize("model,rep", SOLVABLE)
     def test_positive_on_interior(self, model, rep):
