@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke test of the installed gup-spectra console script, after
-# `pip install -e '.[test]'`.  Leaves direct.csv and unified.csv in the
-# working directory.
+# `pip install -e '.[test]'`.  Leaves direct.csv, unified.csv and
+# stderr.txt in the working directory.
 set -eo pipefail
 
 gup-spectra --version
@@ -10,14 +10,22 @@ gup-spectra verify all > /dev/null
 # suite at both ends of the tau range
 gup-spectra verify commutators --tau 1e-4 > /dev/null
 gup-spectra verify commutators --tau 50 > /dev/null
+# exits_with CODE CMD...: CMD exits CODE with one message and no traceback
+exits_with() {
+    local want=$1 status=0
+    shift
+    "$@" 2> stderr.txt || status=$?
+    cat stderr.txt >&2
+    test "$status" -eq "$want" && ! grep -q Traceback stderr.txt
+}
 # a divergent moment (lam = 0.54 at tau 5) is a typed failure, exit 3
-status=0
-gup-spectra expectation --model ho --tau 5 --nmax 0 P4 || status=$?
-test "$status" -eq 3
+exits_with 3 gup-spectra expectation --model ho --tau 5 --nmax 0 P4
 # a negative level index is a malformed flag, exit 1
-status=0
-gup-spectra wavefunction --n -1 || status=$?
-test "$status" -eq 1
+exits_with 1 gup-spectra wavefunction --n -1
+# a config file that cannot be read is a usage error, exit 1
+exits_with 1 gup-spectra spectrum --config /nonexistent
+# a string word spells a power of H
+gup-spectra expectation --tau 0.25 --nmax 2 H2 > /dev/null
 # an attractive wall with s = 0.566, near the -1/4 collapse
 gup-spectra spectrum --model swanson --alpha 0.0649192447101177 --beta 0.10509346510543284 --tau 2.1061254796270354 --rep pi3 --nmax 5 --oracle --check --tol 1e-5 > /dev/null
 # 21 levels double the oracle's least base grid 128 to 256 cells, 8 per

@@ -11,7 +11,12 @@ on momentum-space wavefunctions:
     Pi4': X = x u,                             P = p / u
 
 with tc = tau / (m * omega * hbar).  Pi4' satisfies the sign-flipped relation
-[X, P] = i*hbar*(1 - tc P^2) instead and is kept as a diagnostic.
+[X, P] = i*hbar*(1 - tc P^2) instead and is kept as a diagnostic.  Each pair
+is written once, in ``REALIZATIONS``, as X = i*hbar*(a d/dy + b) and P = P(y)
+on a stored real coordinate y: p, or s on the Pi4 segment p = i*s, where
+X = i*hbar*(u d/ds + u') and P = s/u with u = (1 - tc s^2)^(1/2).  The
+operator actions, ``coefficients`` and everything derived from them read
+that table.
 
 Each model is declared once, as a class that holds its Hamiltonian as X/P
 words and its spectral data (family, orders, energies, admissible range,
@@ -408,7 +413,8 @@ class Realization:
 
     a^2 = (1 + s tc y^2)^k is also kept as a polynomial in w = y^2, so f and
     its derivatives stay finite at a wall where a vanishes; b = beta a' with
-    beta 0 or 1.  ``fields`` gives a, a', P and P' at (y, tc).
+    beta 0, 1/2 (Pi2) or 1, and the (f, g, h) formulas of ``coefficients``
+    need beta 0 or 1.  ``fields`` gives a, a', P and P' at (y, tc).
     """
 
     s: float
@@ -438,10 +444,11 @@ def _u_entry(s):
     return Realization(s, 1, 1.0, fields)
 
 
-# Pi2 shares the Pi1 problem by similarity.  Pi4 stores the segment p = i s,
-# where X = i x u is i hbar (u d/ds + u') and P = -i p/u is s/u.
+# Pi2's X = u x u is i hbar (u^2 d/dp + u u').  Pi4 stores the segment
+# p = i s, where X = i x u is i hbar (u d/ds + u') and P = -i p/u is s/u.
 REALIZATIONS = {
     Representation.PI1: Realization(1.0, 2, 0.0, _pi1_fields),
+    Representation.PI2: Realization(1.0, 2, 0.5, _pi1_fields),
     Representation.PI3: Realization(0.0, 0, 0.0, _pi3_fields),
     Representation.PI4: _u_entry(-1.0),
     Representation.PI4_PRIME: _u_entry(1.0),

@@ -129,25 +129,31 @@ _CHOICES = {"model": sorted(_MODELS), "rep": sorted(_REPS), "format": ("csv", "j
 
 
 def _read_config_file(path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read --config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"--config {path} is not UTF-8 text") from None
     data = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, _, value = text.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _DEFAULTS:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            cast = type(_DEFAULTS[key])
-            try:
-                data[key] = cast(value)
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: invalid {cast.__name__} value "
-                                 f"{value!r} for {key}") from None
+    for lineno, line in enumerate(lines, 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, _, value = text.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _DEFAULTS:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        cast = type(_DEFAULTS[key])
+        try:
+            data[key] = cast(value)
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: invalid {cast.__name__} value "
+                             f"{value!r} for {key}") from None
     return data
 
 
@@ -201,8 +207,11 @@ def _emit(command, config, header, rows, args, extra=None):
 def _write(config, text):
     """Write ``text`` to ``--out`` when given, else to stdout."""
     if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {config.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

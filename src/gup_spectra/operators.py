@@ -1,11 +1,12 @@
 """Momentum-space operator actions for the five representations.
 
-Every grid is ``mapped_grid``'s: samples p_k = phi(t_k) of a map from a
-variable t sampled uniformly, with widths dp_k = phi'(t_k) h (h the t
-spacing), which are also the quadrature weights.  X acts through the
-canonical x = i*hbar*d/dp = i*hbar*phi'(t)^(-1) d/dt, with d/dt by order-8
-differences (one-sided stencils near the ends).  P acts multiplicatively
-everywhere.
+X and P act as the representation's entry of ``algebra.REALIZATIONS`` says:
+X = i*hbar*(a(y) d/dy + b(y)) and P = P(y) on the stored coordinate y, which
+is p, or s on the Pi4 segment p = i*s.  Every grid is ``mapped_grid``'s:
+samples y_k = phi(t_k) of a map from a variable t sampled uniformly, with
+widths dp_k = phi'(t_k) h (h the t spacing), which are also the quadrature
+weights.  d/dy is phi'(t)^(-1) d/dt, with d/dt by order-8 differences
+(one-sided stencils near the ends).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from .algebra import DeformationParams, Representation, p_domain
+from .algebra import REALIZATIONS, DeformationParams, Representation, p_domain
 from .errors import DomainMismatch
 
 __all__ = [
@@ -94,10 +95,6 @@ def fd_derivative(values: np.ndarray) -> np.ndarray:
 
 def _check_grid(rep, params, grid):
     dom = p_domain(rep, params)
-    if rep is Representation.PI4:
-        # operator expressions are real-analytic; actions are exercised on
-        # the real line regardless of the segment domain
-        return
     if dom.finite and not dom.contains(grid):
         raise DomainMismatch(
             f"grid [{grid.min():.6g}, {grid.max():.6g}] leaves the {rep.value} "
@@ -107,57 +104,30 @@ def _check_grid(rep, params, grid):
 
 def apply_P(rep: Representation, params: DeformationParams,
             psi: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """P psi on the sample grid; multiplicative in every representation."""
+    """P psi = P(y) psi on the sample grid, P(y) from ``REALIZATIONS``."""
     _check_grid(rep, params, grid)
-    tc = params.tau_check
-    p = np.asarray(grid, dtype=float)
-    psi = np.asarray(psi, dtype=complex)
-    if rep in (Representation.PI1, Representation.PI2):
-        return p * psi
-    if rep is Representation.PI3:
-        if tc == 0.0:
-            return p * psi
-        stc = math.sqrt(tc)
-        return np.tan(stc * p) / stc * psi
-    u = np.sqrt(1 + tc * p ** 2)
-    if rep is Representation.PI4:
-        return -1j * p / u * psi
-    if rep is Representation.PI4_PRIME:
-        return p / u * psi
-    raise DomainMismatch(f"unknown representation {rep}")
+    _, _, p, _ = REALIZATIONS[rep].fields(np.asarray(grid, dtype=float),
+                                          params.tau_check)
+    return p * np.asarray(psi, dtype=complex)
 
 
 def apply_X(rep: Representation, params: DeformationParams,
             psi: np.ndarray, grid: np.ndarray, dp) -> np.ndarray:
-    """X psi on the sample grid, in the operator order fixed by the algebra.
+    """X psi = i hbar (a psi' + b psi) on the sample grid, with a and
+    b = beta a' from ``REALIZATIONS``.
 
     ``dp`` is each sample's width phi'(t_k) h on the map that placed the
-    samples (module docstring).  Pi4 multiplies by u = (1 + tc p^2)^(1/2)
-    first and differentiates after; the reversed order fails the commutation
-    relation.
+    samples (module docstring).
     """
     _check_grid(rep, params, grid)
-    hbar = params.hbar
-    tc = params.tau_check
-    p = np.asarray(grid, dtype=float)
+    entry = REALIZATIONS[rep]
+    ihbar = 1j * params.hbar
     psi = np.asarray(psi, dtype=complex)
-    u2 = 1 + tc * p ** 2
-
-    def d(values):
-        return fd_derivative(np.asarray(values, dtype=complex)) / dp
-
-    if rep is Representation.PI1:
-        return u2 * (1j * hbar) * d(psi)
-    if rep is Representation.PI2:
-        u = np.sqrt(u2)
-        return u * (1j * hbar) * d(u * psi)
-    if rep is Representation.PI3:
-        return 1j * hbar * d(psi)
-    if rep is Representation.PI4:
-        return -hbar * d(np.sqrt(u2) * psi)
-    if rep is Representation.PI4_PRIME:
-        return 1j * hbar * d(np.sqrt(u2) * psi)
-    raise DomainMismatch(f"unknown representation {rep}")
+    a, da, _, _ = entry.fields(np.asarray(grid, dtype=float), params.tau_check)
+    out = a * ihbar * (fd_derivative(psi) / dp)
+    if entry.beta:
+        out = out + entry.beta * da * ihbar * psi
+    return out
 
 
 def commutator_residual(rep: Representation, params: DeformationParams,

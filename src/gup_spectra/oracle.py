@@ -445,14 +445,13 @@ def verify_spectrum(model: ModelSpec, rep: Representation,
 def parse_word(word) -> list[tuple[complex, list[tuple[str, int]]]]:
     """Parse an operator word into [(coefficient, [(symbol, power), ...]), ...].
 
-    Accepts strings like "X", "P2", "XP+PX", "P-2", "H", or an already
-    structured list of (symbol, power) factors, where ("H", k) applies H
-    k times.  Terms are summed; factors in a term compose right-to-left.
+    Accepts strings like "X", "P2", "XP+PX", "P-2", "H", "H2", or an
+    already structured list of (symbol, power) factors, where ("H", k)
+    applies H k times.  Terms are summed; factors in a term compose
+    right-to-left.
     """
     if isinstance(word, str):
         text = word.replace(" ", "")
-        if text.upper() == "H":
-            return [(1.0, [("H", 1)])]
         terms = []
         for chunk in text.split("+"):
             if not chunk:
@@ -461,7 +460,7 @@ def parse_word(word) -> list[tuple[complex, list[tuple[str, int]]]]:
             i = 0
             while i < len(chunk):
                 sym = chunk[i].upper()
-                if sym not in ("X", "P"):
+                if sym not in ("X", "P", "H"):
                     raise ParameterError(f"unknown symbol {chunk[i]!r} in word {word!r}")
                 i += 1
                 j = i

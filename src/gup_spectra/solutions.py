@@ -156,7 +156,7 @@ class ClosedFormSolution:
     params: DeformationParams
     family: str                       # "legendre" | "jacobi" | "unbounded"
     c: float
-    parameters: Mapping
+    parameters: Mapping               # a_plus, b_plus or mu_minus, epsilon
     physical: bool
     metric_constant: complex          # factor discarded when normalizing rho
     domain: Domain
@@ -273,20 +273,18 @@ def solve(model: ModelSpec, rep: Representation,
     if model.family == "jacobi":
         a_c, b_c = model.orders(params)
         c = 2.0 * tau * base
-        parameters = {"a_plus": a_c, "b_plus": b_c, "a_minus": -a_c, "b_minus": -b_c,
-                      "c": c}
+        parameters = {"a_plus": a_c, "b_plus": b_c}
         if cls.physical:
             weight = (a_c.real, b_c.real)
     else:
         c = tau * base / 2.0
         # the commutative limit keeps its energies; mu_- diverges there
-        parameters = {"commutative_limit": True}
+        parameters = {}
         if tau > 0.0:
             mu = model.mu_minus(params)
             if abs(complex(mu).imag) < 1e-300:
                 mu = complex(mu).real
-            parameters = {"mu_minus": mu, "mu_plus": -mu, "c": c,
-                          "lambda": -mu, "epsilon": eps}
+            parameters = {"mu_minus": mu, "epsilon": eps}
             if cls.physical:
                 weight, power = (-mu, -mu), -4.0 * eps
     fam = _FAMILIES[model.family]
@@ -317,7 +315,7 @@ def _solve_pi4_prime(model, rep, params):
 
     return ClosedFormSolution(
         model=model, rep=rep, params=params, family="unbounded", c=c,
-        parameters=MappingProxyType({"c": c} if c else {}), physical=False,
+        parameters=MappingProxyType({}), physical=False,
         metric_constant=1.0,
         domain=p_domain(rep, params), _energy=energy)
 

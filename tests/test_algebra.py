@@ -23,7 +23,6 @@ from gup_spectra.errors import (
     UnsupportedPair,
 )
 from gup_spectra.operators import (
-    LINE_REACH,
     apply_P,
     apply_X,
     commutator_residual,
@@ -225,13 +224,14 @@ def _apply_term(rep, params, factors, psi, grid, dp):
 
 
 class TestCoefficientsMatchOperators:
-    """The two encodings of the representation table, ``REALIZATIONS`` (via
-    ``coefficients``) and ``apply_X``/``apply_P``, give the same H."""
+    """The closed-form (f, g, h) of ``coefficients`` and the model's H words
+    applied by ``apply_X``/``apply_P`` give the same H psi: the formulas and
+    the finite differences read one table, ``REALIZATIONS``."""
 
     @pytest.mark.parametrize("model,rep", [
         (model, rep) for model in (HarmonicOscillator(), Swanson(0.1, 0.2),
                                    PoschlTeller(1.0, 0.5))
-        for rep in (R.PI1, R.PI3)
+        for rep in (R.PI1, R.PI3, R.PI4)
     ] + [(HarmonicOscillator(), R.PI4_PRIME)])
     def test_h_words_give_the_table(self, model, rep):
         params = DeformationParams(tau=0.3)
@@ -308,9 +308,11 @@ class TestOperatorActions:
         # primed variant at p = 1: 1/sqrt(2)
         p4p = apply_P(R.PI4_PRIME, params, psi, grid)
         assert p4p[2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-        # segment variant is -i p / u
-        p4 = apply_P(R.PI4, params, psi, grid)
-        assert p4[2] == pytest.approx(-1j / math.sqrt(2), abs=1e-15)
+        # segment variant is s / u with u = (1 - tc s^2)^(1/2): 1 at
+        # s = 1/sqrt(2), inside the segment (-1, 1)
+        s = np.array([1 / math.sqrt(2)])
+        p4 = apply_P(R.PI4, params, np.ones(1, dtype=complex), s)
+        assert p4[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_position_commutative_limit(self):
         params = DeformationParams(tau=0.0)
@@ -329,15 +331,17 @@ class TestOperatorActions:
         assert np.max(np.abs(got - exact)) < 1e-8
 
     def test_segment_position_product_rule(self):
+        # X = i hbar (u d/ds + u') on the segment |s| < 1/sqrt(tc) = 2.24
         params = DeformationParams(tau=0.2)
         tc = params.tau_check
-        grid, dp = mapped_grid(line_map(1.0), 0.0, 1.0, LINE_REACH, 4096)
+        reach = math.asinh(0.9 * p_domain(R.PI4, params).hi)
+        grid, dp = mapped_grid(line_map(1.0), 0.0, 1.0, reach, 4096)
         psi = _gauss(0.6)(grid)
         got = apply_X(R.PI4, params, psi, grid, dp)
-        u = np.sqrt(1 + tc * grid ** 2)
-        du = tc * grid / u
-        exact = -(du * psi + u * (-2 * 0.6 * grid) * psi)
-        idx = np.searchsorted(grid, [-1.7, -0.4, 0.0, 0.9, 2.3])
+        u = np.sqrt(1 - tc * grid ** 2)
+        du = -tc * grid / u
+        exact = 1j * (du * psi + u * (-2 * 0.6 * grid) * psi)
+        idx = np.searchsorted(grid, [-1.7, -0.4, 0.0, 0.9, 1.9])
         assert np.max(np.abs(got[idx] - exact[idx])) < 1e-9
 
     def test_grid_domain_check(self):
@@ -388,13 +392,22 @@ class TestPTAction:
         psi = (1.0 + 0.5j) * np.exp(-0.8 * grid ** 2) \
             + 0.3j * grid * np.exp(-1.1 * grid ** 2)
         # PT (x -> -x, p -> p, i -> -i) acts on momentum samples as complex
-        # conjugation; Theta A Theta = sign A.  Pi1..Pi3 realize the canonical
-        # pattern X -> -X, P -> P, Pi4 the anti-PT pattern X -> X, P -> -P.
-        sx, sp = (+1, -1) if rep is R.PI4 else (-1, +1)
-        lhs_x = np.conj(apply_X(rep, params, np.conj(psi), grid, dp))
+        # conjugation; on the Pi4 segment p = i s it also takes s to -s,
+        # which reverses the samples of the symmetric grid.  Theta A Theta =
+        # sign A: Pi1..Pi3 realize the canonical pattern X -> -X, P -> P,
+        # Pi4 the anti-PT pattern X -> X, P -> -P.
+        if rep is R.PI4:
+            assert np.allclose(grid[::-1], -grid, rtol=0.0, atol=1e-13)
+            sx, sp = +1, -1
+
+            def theta(v):
+                return np.conj(v[::-1])
+        else:
+            sx, sp, theta = -1, +1, np.conj
+        lhs_x = theta(apply_X(rep, params, theta(psi), grid, dp))
         rhs_x = sx * apply_X(rep, params, psi, grid, dp)
         assert np.max(np.abs(lhs_x - rhs_x)) < 1e-8 * np.max(np.abs(rhs_x))
-        lhs_p = np.conj(apply_P(rep, params, np.conj(psi), grid))
+        lhs_p = theta(apply_P(rep, params, theta(psi), grid))
         rhs_p = sp * apply_P(rep, params, psi, grid)
         assert np.max(np.abs(lhs_p - rhs_p)) < 1e-12 * np.max(np.abs(rhs_p))
 

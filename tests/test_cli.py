@@ -121,6 +121,39 @@ class TestSpectrumCommand:
         assert code == 3 and out == ""
         assert "X has no inverse" in err
 
+    @pytest.mark.parametrize("rep", [(), ("--rep", "pi1")])
+    def test_negative_h_power_exit_code(self, capsys, rep):
+        code, out, err = run_cli(capsys, "expectation", "--tau", "0.25", "--nmax", "2",
+                                 *rep, "H-1")
+        assert code == 3 and out == ""
+        assert "H has no inverse" in err
+
+    def test_word_spells_powers_of_h(self, capsys):
+        # <H2> = E_n^2 from the unified engine, and the direct one agrees
+        level = ("--tau", "0.25", "--nmax", "2")
+        code, out, _ = run_cli(capsys, "spectrum", *level)
+        assert code == 0
+        energies = [float(row[1]) for row in parse_csv(out)[1]]
+        code, out, _ = run_cli(capsys, "expectation", *level, "H2")
+        assert code == 0
+        rows = parse_csv(out)[1]
+        assert [row[1] for row in rows] == ["H2"] * 3
+        unified = [float(row[2]) for row in rows]
+        assert unified == pytest.approx([e * e for e in energies], rel=1e-12, abs=0.0)
+        code, out, _ = run_cli(capsys, "expectation", *level, "--rep", "pi3", "H2")
+        assert code == 0
+        direct = [float(row[2]) for row in parse_csv(out)[1]]
+        assert direct == pytest.approx(unified, rel=1e-8, abs=0.0)
+
+    def test_h_word_matches_snapshot(self, capsys):
+        # tests/data/expectation_h.csv is this command's output from before
+        # H took a power; the CSV must not change by one byte
+        code, out, _ = run_cli(capsys, "expectation", "--tau", "0.25", "--nmax", "2", "H")
+        assert code == 0
+        with open(os.path.join(os.path.dirname(__file__), "data", "expectation_h.csv"),
+                  "rb") as fh:
+            assert out.encode() == fh.read()
+
     def test_divergent_moment_exit_code(self, capsys):
         # lam = 0.54 at tau = 5, and <P4> integrates (1-z^2)^(lam - 2)
         code, out, err = run_cli(capsys, "expectation", "--model", "ho", "--tau", "5",
@@ -407,6 +440,22 @@ class TestConfigPrecedence:
         assert err.startswith("usage error:") and ":2: invalid " in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--config", "{tmp}/missing.cfg"),
+        ("spectrum", "--config", "{tmp}"),
+        ("spectrum", "--config", "{tmp}/latin1.cfg"),
+        ("spectrum", "--out", "{tmp}/missing/spec.csv"),
+        ("spectrum", "--out", "{tmp}"),
+        ("verify", "commutators", "--out", "{tmp}"),
+    ])
+    def test_unusable_file_is_one_usage_line(self, capsys, tmp_path, argv):
+        (tmp_path / "latin1.cfg").write_bytes("model=ho # é\n".encode("latin-1"))
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and str(tmp_path) in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_invalid_values_rejected(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--tol", "-1")
         assert code == 1
@@ -464,6 +513,21 @@ class TestVerifyCommand:
         assert all(c["passed"] for c in checks), checks
         names = [c["name"] for c in checks]
         assert any("pi4p" in name and "violates" in name for name in names)
+
+    def test_commutators_read_the_realization_table(self, capsys, monkeypatch):
+        # the sign-flipped entry of Pi4' in Pi4's place must fail Pi4's check:
+        # the suite applies the table every other evaluator derives from.
+        # a or P must change; b = beta a' commutes with P and passes any
+        # commutator check
+        from gup_spectra.algebra import REALIZATIONS, Representation, _u_entry
+
+        monkeypatch.setitem(REALIZATIONS, Representation.PI4, _u_entry(1.0))
+        code, out, _ = run_cli(capsys, "verify", "commutators", "--tau", "0.25")
+        assert code == 2
+        checks = {c["name"]: c for c in json.loads(out)["suites"]["commutators"]}
+        assert not checks["commutator[pi4]"]["passed"]
+        assert checks["commutator[pi4]"]["value"] > 0.1
+        assert checks["commutator[pi1]"]["passed"]
 
 
 def run_fresh(probe):

@@ -387,6 +387,8 @@ class TestWordParsing:
                                        (1.0, [("P", 1), ("X", 1)])]
         assert parse_word("P-2") == [(1.0, [("P", -2)])]
         assert parse_word("H") == [(1.0, [("H", 1)])]
+        assert parse_word("H2") == [(1.0, [("H", 2)])]
+        assert parse_word("XH+h") == [(1.0, [("X", 1), ("H", 1)]), (1.0, [("H", 1)])]
 
     def test_structured(self):
         assert parse_word([("x", 1), ("p", 2)]) == [(1.0, [("X", 1), ("P", 2)])]
@@ -394,7 +396,7 @@ class TestWordParsing:
     def test_rejects_garbage_and_long_words(self):
         with pytest.raises(ParameterError):
             parse_word("Q2")
-        for word in ("P-", "X-", "XP-+PX"):
+        for word in ("P-", "X-", "XP-+PX", "H-"):
             with pytest.raises(ParameterError):
                 parse_word(word)
         with pytest.raises(ParameterError):

@@ -519,7 +519,7 @@ class TestSolutionCache:
         with pytest.raises(dataclasses.FrozenInstanceError):
             sol.weight = (1.0, 1.0)
         with pytest.raises(TypeError):
-            sol.parameters["c"] = 1.0
+            sol.parameters["mu_minus"] = 1.0
 
     def test_caches_hold_less_than_a_crosscheck_block(self):
         # a cache holding a whole 9-request block would let a second traced
