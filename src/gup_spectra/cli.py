@@ -90,8 +90,8 @@ class RunConfig:
     out: str = ""
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise UsageError("tolerances must be positive")
+        if not 0 < self.tol < math.inf:
+            raise UsageError("tolerances must be positive and finite")
         if self.nmax < 0:
             raise UsageError("nmax must be >= 0")
         if self.grid < 64:
@@ -320,6 +320,10 @@ def cmd_expectation(args) -> int:
 def cmd_phase(args) -> int:
     config = build_config(args)
     params = config.params()
+    if args.alpha_steps < 2:
+        raise UsageError("--alpha-steps must be >= 2")
+    if not -math.inf < args.alpha_lo < args.alpha_hi < math.inf:
+        raise UsageError("need finite --alpha-lo below --alpha-hi")
     query = PhaseQuery(params=params, alpha_lo=args.alpha_lo,
                        alpha_hi=args.alpha_hi, alpha_steps=args.alpha_steps,
                        tau_list=args.taus)

@@ -382,6 +382,17 @@ class TestPhaseCommand:
         assert code == 3 and out == ""
         assert err.startswith("numerical failure:") and "warnings" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--alpha-steps", "1"),
+        ("--alpha-lo", "5", "--alpha-hi", "1"),
+        ("--alpha-lo", "nan"),
+        ("--alpha-hi", "inf"),
+    ])
+    def test_malformed_alpha_window_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "phase", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
     def test_large_alpha_roots_reverify(self, capsys):
         # dD/dbeta ~ 16 alpha, so at alpha ~ 1e7 rounding a root to 15
         # decimals alone breaks |D| < 1e-9; such roots are emitted unrounded
@@ -456,9 +467,12 @@ class TestConfigPrecedence:
         assert err.startswith("usage error:") and str(tmp_path) in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
-    def test_invalid_values_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "spectrum", "--tol", "-1")
-        assert code == 1
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_invalid_values_rejected(self, capsys, tol):
+        # a NaN tolerance failed every --check, and an infinite one passed any
+        code, out, err = run_cli(capsys, "spectrum", "--oracle", "--check", "--tol", tol)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and len(err.splitlines()) == 1
 
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "spec.csv"

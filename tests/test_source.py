@@ -14,11 +14,13 @@ Three checks, each with its named exemptions:
 * every dataclass field is read somewhere in src, as an ``Attribute`` in a
   load context.
 
-Two more have none: the only scipy imports in src are ``scipy.linalg``
-imports inside functions of ``oracle.py``, so importing the package and
-every command but the FD oracle run on numpy alone; and no file in src
-mentions ``fft``, since X differentiates by order-8 differences on every
-grid.
+Three more have none: the only scipy imports in src are ``scipy.linalg``
+imports inside functions of ``fd.py``, so importing the package and every
+command but the FD oracle run on numpy alone; ``fd.py`` takes nothing from
+the package but ``errors`` and two quadrature rules of ``specfun``, so the
+FD eigensolver cannot be seeded from the closed forms it checks; and no
+file in src mentions ``fft``, since X differentiates by order-8 differences
+on every grid.
 """
 
 import ast
@@ -154,6 +156,30 @@ def scipy_imports(paths):
     return out
 
 
+def imports(path):
+    """(module, name) of every import in the file, at any depth: a relative
+    module keeps its leading dots, and ``import m`` gives (m, "")."""
+    out = []
+    for node, _ in _nodes([path]):
+        if isinstance(node, ast.Import):
+            out += [(alias.name, "") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            out += [(module, alias.name) for alias in node.names]
+    return sorted(out)
+
+
+# numpy, the standard library, scipy.linalg inside its functions, and of the
+# package only the error types and two quadrature rules
+FD_IMPORTS = sorted([
+    ("__future__", "annotations"), ("math", ""), ("dataclasses", "dataclass"),
+    ("numpy", ""), (".errors", "ConvergenceFailure"), (".errors", "ParameterError"),
+    (".specfun", "gauss_jacobi"), (".specfun", "gauss_legendre_nodes"),
+    ("scipy.linalg", "eigvalsh_tridiagonal"), ("scipy.linalg.lapack", "dgttrf"),
+    ("scipy.linalg.lapack", "dgttrs"), ("scipy.linalg.lapack", "dstebz"),
+])
+
+
 def _sources():
     return sorted(SRC.glob("*.py"))
 
@@ -176,8 +202,12 @@ def test_every_dataclass_field_is_read_in_src():
 def test_scipy_is_imported_only_by_the_fd_oracle_on_first_use():
     found = scipy_imports(_sources())
     assert found
-    assert all(name == "oracle.py" and (module + ".").startswith("scipy.linalg.")
+    assert all(name == "fd.py" and (module + ".").startswith("scipy.linalg.")
                and inside for name, module, inside in found), found
+
+
+def test_fd_cannot_see_the_closed_forms():
+    assert imports(SRC / "fd.py") == FD_IMPORTS
 
 
 def test_no_fft_in_src():
@@ -221,3 +251,14 @@ def test_detects_scipy_imports(tmp_path):
                    "    return eigh\n")
     assert scipy_imports([mod]) == [("mod.py", "scipy.special", False),
                                     ("mod.py", "scipy.linalg", True)]
+
+
+def test_detects_a_closed_form_import_in_fd(tmp_path):
+    text = (SRC / "fd.py").read_text(encoding="utf-8")
+    mod = tmp_path / "fd.py"
+    mod.write_text(text.replace("import numpy as np\n",
+                                "import numpy as np\n\nfrom .solutions import solve\n", 1))
+    assert imports(mod) == sorted(FD_IMPORTS + [(".solutions", "solve")])
+    mod.write_text("import gup_spectra.solutions as s\n\n\n"
+                   "def f():\n    from .. import x\n    from . import oracle\n")
+    assert imports(mod) == [(".", "oracle"), ("..", "x"), ("gup_spectra.solutions", "")]
