@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke test of the installed gup-spectra console script, after
-# `pip install -e '.[test]'`.  Leaves direct.csv, unified.csv and
-# stderr.txt in the working directory.
+# `pip install -e .` (numpy alone) or `pip install -e '.[test]'`.  Leaves
+# direct.csv, unified.csv and stderr.txt in the working directory.
 set -eo pipefail
 
 gup-spectra --version
@@ -24,6 +24,8 @@ exits_with 3 gup-spectra expectation --model ho --tau 5 --nmax 0 P4
 exits_with 1 gup-spectra wavefunction --n -1
 # a config file that cannot be read is a usage error, exit 1
 exits_with 1 gup-spectra spectrum --config /nonexistent
+# so is a physical flag that is not finite
+exits_with 1 gup-spectra spectrum --tau nan
 # a string word spells a power of H
 gup-spectra expectation --tau 0.25 --nmax 2 H2 > /dev/null
 # an attractive wall with s = 0.566, near the -1/4 collapse

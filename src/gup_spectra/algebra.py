@@ -414,42 +414,56 @@ class Realization:
     a^2 = (1 + s tc y^2)^k is also kept as a polynomial in w = y^2, so f and
     its derivatives stay finite at a wall where a vanishes; b = beta a' with
     beta 0, 1/2 (Pi2) or 1, and the (f, g, h) formulas of ``coefficients``
-    need beta 0 or 1.  ``fields`` gives a, a', P and P' at (y, tc).
+    need beta 0 or 1.  ``x_fields`` gives a and a', ``p_fields`` P and P',
+    at (y, tc).
     """
 
     s: float
     k: int
     beta: float
-    fields: Callable
+    x_fields: Callable
+    p_fields: Callable
 
 
-def _pi1_fields(y, tc):
-    return 1.0 + tc * y * y, 2.0 * tc * y, y, 1.0
+def _pi1_x(y, tc):
+    return 1.0 + tc * y * y, 2.0 * tc * y
 
 
-def _pi3_fields(y, tc):
+def _pi1_p(y, tc):
+    return y, 1.0
+
+
+def _pi3_x(y, tc):
+    return 1.0, 0.0
+
+
+def _pi3_p(y, tc):
     if tc == 0.0:
-        return 1.0, 0.0, y, 1.0
+        return y, 1.0
     rt = math.sqrt(tc)
-    return 1.0, 0.0, np.tan(rt * y) / rt, 1.0 / np.cos(rt * y) ** 2
+    return np.tan(rt * y) / rt, 1.0 / np.cos(rt * y) ** 2
 
 
 def _u_entry(s):
     """a = u, b = u', P = y / u with u^2 = v = 1 + s tc y^2."""
-    def fields(y, tc):
+    def x_fields(y, tc):
+        u = np.sqrt(1.0 + s * tc * y * y)
+        return u, s * tc * y / u
+
+    def p_fields(y, tc):
         v = 1.0 + s * tc * y * y
         u = np.sqrt(v)
-        return u, s * tc * y / u, y / u, 1.0 / (u * v)
+        return y / u, 1.0 / (u * v)
 
-    return Realization(s, 1, 1.0, fields)
+    return Realization(s, 1, 1.0, x_fields, p_fields)
 
 
 # Pi2's X = u x u is i hbar (u^2 d/dp + u u').  Pi4 stores the segment
 # p = i s, where X = i x u is i hbar (u d/ds + u') and P = -i p/u is s/u.
 REALIZATIONS = {
-    Representation.PI1: Realization(1.0, 2, 0.0, _pi1_fields),
-    Representation.PI2: Realization(1.0, 2, 0.5, _pi1_fields),
-    Representation.PI3: Realization(0.0, 0, 0.0, _pi3_fields),
+    Representation.PI1: Realization(1.0, 2, 0.0, _pi1_x, _pi1_p),
+    Representation.PI2: Realization(1.0, 2, 0.5, _pi1_x, _pi1_p),
+    Representation.PI3: Realization(0.0, 0, 0.0, _pi3_x, _pi3_p),
     Representation.PI4: _u_entry(-1.0),
     Representation.PI4_PRIME: _u_entry(1.0),
 }
@@ -503,7 +517,7 @@ def coefficients(model: ModelSpec, rep: Representation,
     if words or xp.imag or px.imag:
         raise UnsupportedPair("H must be a real sum of P^k, X^2, XP and PX words")
     xp, mixed = xp.real, xp.real + px.real
-    fields, beta = entry.fields, entry.beta
+    x_fields, p_fields, beta = entry.x_fields, entry.p_fields, entry.beta
 
     # f = F(w) with w = y^2, so f' = 2y F'(w) and f'' = 2F'(w) + 4w F''(w);
     # a a' + 2ab = (1/2 + beta) (a^2)' and a b' + b^2 = beta (a^2)''/2.
@@ -519,19 +533,22 @@ def coefficients(model: ModelSpec, rep: Representation,
     def g(y):
         out = y * _horner(G, y * y)
         if mixed:
-            a, _, p, _ = fields(y, tc)
+            a, _ = x_fields(y, tc)
+            p, _ = p_fields(y, tc)
             out = out + mixed * a * p
         return out
 
     def dg(y):
         out = _horner(DG, y * y)
         if mixed:
-            a, da, p, dp = fields(y, tc)
+            a, da = x_fields(y, tc)
+            p, dp = p_fields(y, tc)
             out = out + mixed * (da * p + a * dp)
         return out
 
     def h(y):
-        a, da, p, dp = fields(y, tc)
+        a, da = x_fields(y, tc)
+        p, dp = p_fields(y, tc)
         out = _horner(H, y * y)
         for k, c in powers:
             out = out + c * p ** k

@@ -90,6 +90,14 @@ class RunConfig:
     out: str = ""
 
     def __post_init__(self):
+        for name in ("tau", "hbar", "mass", "omega", "alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise UsageError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.tau < 0:
+            raise UsageError(f"tau must be >= 0, got {self.tau!r}")
+        for name in ("hbar", "mass", "omega"):
+            if getattr(self, name) <= 0:
+                raise UsageError(f"{name} must be positive, got {getattr(self, name)!r}")
         if not 0 < self.tol < math.inf:
             raise UsageError("tolerances must be positive and finite")
         if self.nmax < 0:

@@ -11,19 +11,29 @@ eigenvalues of the symmetric tridiagonal matrix T converge at second order
 at every wall, so grids N, 2N and 4N are extrapolated with the exponents 2
 and 4.
 
-Only the base grid N is bisected (LAPACK stebz, Sturm sequences), and only
-to seeds: to an absolute tolerance of 1e-10 * ||T||_1.  Every grid then
-polishes its seeds by shifted inverse iteration (one dgttrf per seed, then
-dgttrs solves, each seed stopped on the residual its last solve implies):
-the base grid its bisected seeds, grid 2N the values of grid N, and grid 4N
-the Richardson prediction lambda_2N - (lambda_N - lambda_2N) / 4 from grids
-N and 2N.  A grid keeps the polished values only under a certificate built
-from their explicit residuals, all formed in one pass: disjoint residual
-intervals, a Sturm count (stebz, range "V") with exactly the expected
-number of eigenvalues below them, and Kato-Temple bounds
-min(|r|, |r|^2 / gap) of at most eps * ||T||_1, the tolerance stebz's own
-bisection stops at (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).
-A grid whose values do not certify is bisected afresh to that tolerance.
+Everything runs on numpy.  Each grid polishes count + 1 seeds by shifted
+inverse iteration, all seeds at once: one odd-even reduction of T - sigma I
+over the vector of shifts (Buzbee, Golub and Nielson, SIAM J. Numer. Anal.
+7, 1970) factors every shift and carries the first solve, and each further
+solve reuses its multipliers.  Every grid starts from the vectors of the
+grid below, interpolated to its cells, and takes its seeds from the grids
+below: the Richardson prediction lambda_2 + (lambda_2 - lambda_1) / 4 of
+the two grids below it, or the Rayleigh quotients of the carried vectors
+where there is one.  Below the base grid N, grids N/4 and N/2 are solved by
+a dense eigensolver while N/2 has at most 128 cells; above that, grid N/2
+is iterated from multisection seeds that the reduction's negative-pivot
+counts place.  A grid keeps the polished values only under a certificate
+built from their explicit residuals, all formed in one pass: disjoint
+residual intervals, a Sturm count with exactly the expected number of
+eigenvalues below them, and Kato-Temple bounds min(|r|, |r|^2 / gap) of at
+most eps * ||T||_1 (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).
+The count is the natural-order Sturm recurrence that LAPACK's bisection
+runs (Barth, Martin and Wilkinson, Numer. Math. 9, 1967), which is
+backward stable; it stops in the forbidden cells beyond the last turning
+point, where the cell masses show that no later row can count.  The
+reduction's counts only place seeds.  A grid whose
+values do not certify is polished again from multisection seeds, and if
+that fails too, bisected with the Sturm count to eps * ||T||_1.
 Everything is computed from V alone, never seeded from the closed forms,
 keeping the check independent of what it validates: this module takes
 nothing from the package but ``errors`` and two quadrature rules of
@@ -34,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -65,22 +76,34 @@ _MAX_BASE = 16384
 # W is capped at this many (n / (q_hi - q_lo))^2 (``_fd_matrix``)
 _BARRIER_CAP = 1e4
 _EPS = float(np.finfo(float).eps)
-# Inverse-iteration solves per seed: a seed bisected to _SEED_TOL, or
-# predicted by Richardson on grid 4N, stops after one or two; one from the
-# grid below after two to four, rarely more.
+# LAPACK's safe minimum, which sets the Sturm count's least pivot
+_TINY = float(np.finfo(float).tiny)
+# Inverse-iteration solves per seed: a seed predicted from the grids below
+# and started from their vectors stops after one or two, a multisection
+# seed from a random start after three to five.  The first _FIXED_SOLVES
+# keep the seed's shift, the rest move it to the Rayleigh quotient.
 _POLISH_STEPS = 6
-# The base grid's seeds are bisected to this absolute tolerance, in units of
-# ||T||_1: inverse iteration takes them the rest of the way to eps * ||T||_1.
-_SEED_TOL = 1e-10
-
-
-# scipy takes about 0.3 s to import and only the FD oracle calls it, so the
-# oracle imports its routines on first use.  This one stays a module
-# attribute, where callers and instrumentation look it up.
-def eigvalsh_tridiagonal(d, e, **kwargs):
-    """scipy.linalg.eigvalsh_tridiagonal, imported on first use."""
-    from scipy.linalg import eigvalsh_tridiagonal as impl
-    return impl(d, e, **kwargs)
+_FIXED_SOLVES = 3
+# Solves on the grid below the base when it is iterated from multisection
+# seeds (``_below``): enough for vectors whose Rayleigh quotients seed the
+# base grid well within their gaps.
+_SEED_STEPS = 2
+# A solving ``_Reduction`` stops at this many rows and inverts them densely.
+_TAIL = 8
+# Grids below the base of at most this many cells are solved densely for
+# seeds (``_below``).
+_DENSE_MAX = 128
+# Multisection (``_multisect``): the first pass counts at _FIRST_SHIFTS
+# shifts above the lower Gershgorin bound, their distances from it
+# geometrically spaced from _GEOM_FLOOR of the Gershgorin width to all of
+# it; each later pass puts _BRACKET_SHIFTS equally spaced shifts into every
+# bracket that is still wider than _SEED_WIDTH of the distance between its
+# neighbours' midpoints, for at most _MULTISECTIONS passes.
+_FIRST_SHIFTS = 32
+_GEOM_FLOOR = 1e-12
+_BRACKET_SHIFTS = 8
+_SEED_WIDTH = 0.1
+_MULTISECTIONS = 10
 
 
 @dataclass
@@ -135,7 +158,8 @@ def _fd_matrix(V, lo, hi, n, walls):
     harmonic mean).  The flux vanishes at both walls.  Interior cells and
     flux spans take ``_CELL_NODES`` Gauss-Legendre nodes, and the wall cells
     Gauss-Jacobi rules of weight t^(2a) and t^(2b) in t = distance / h.
-    T = M^(-1/2) A M^(-1/2) is symmetric tridiagonal.
+    T = M^(-1/2) A M^(-1/2) is symmetric tridiagonal; it is returned as
+    (d, e) with the masses M_i, which ``_sturm`` takes as weights.
     """
     (a, t_lo, w_lo), (b, t_hi, w_hi) = walls
     span = hi - lo
@@ -167,7 +191,7 @@ def _fd_matrix(V, lo, hi, n, walls):
     flux = (n / span) ** 2 / ((0.5 * w) @ np.exp(-log_gauge2(between)))
     d[:-1] += flux / m[:-1]
     d[1:] += flux / m[1:]
-    return d, -flux / np.sqrt(m[:-1] * m[1:])
+    return d, -flux / np.sqrt(m[:-1] * m[1:]), m
 
 
 def _walls(s_lo, s_hi):
@@ -188,19 +212,29 @@ def _wall_rule(s):
     return t, wj / ((2.0 * s + 1.0) * t ** (2.0 * s))
 
 
-def _bisect(d, e, count, tol=0.0):
-    """Lowest ``count`` eigenvalues by Sturm bisection to the absolute
-    tolerance ``tol``; 0 is stebz's default, eps * ||T||_1."""
-    return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
-                                lapack_driver="stebz", tol=tol)
-
-
 def _norm1(d, e):
     """||T||_1 of the symmetric tridiagonal T = (d, e)."""
     row = np.abs(d)
     row[:-1] += np.abs(e)
     row[1:] += np.abs(e)
     return float(row.max())
+
+
+def _gershgorin(d, e):
+    """Lower and upper Gershgorin bounds of the spectrum of T = (d, e)."""
+    radius = np.zeros_like(d)
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
+    return float((d - radius).min()), float((d + radius).max())
+
+
+def _apply(d, e, vectors, shifts):
+    """(T - sigma I) v for each row v of ``vectors`` and its shift sigma,
+    T = (d, e)."""
+    out = (d - shifts[:, None]) * vectors
+    out[:, :-1] += e * vectors[:, 1:]
+    out[:, 1:] += e * vectors[:, :-1]
+    return out
 
 
 def _gaps(values, radii):
@@ -212,71 +246,399 @@ def _gaps(values, radii):
     return gap
 
 
-def _polish(d, e, seeds):
-    """Certified inverse-iteration refinement of ``seeds``, or None.
+def _sturm(d, e, masses=None):
+    """The Sturm count of T = (d, e): x -> the number of eigenvalues below x.
+
+    It runs the natural-order recurrence q_j = (d_j - e_{j-1}^2 / q_{j-1}) - x
+    and counts q_j < pivmin, with every |q_j| < pivmin replaced by -pivmin,
+    as LAPACK's dstebz counts: off-diagonals with e^2 <= |d_j d_{j+1}| eps^2
+    + tiny split the matrix, and pivmin is tiny * max(1, max e^2) over the
+    rest.  The count is exact for a matrix within a few ulps of T.
+
+    With positive weights w (``masses`` m, w = sqrt(m)) the recurrence
+    stops where it can count no more: on the trailing rows where
+    d_j - x >= |e_{j-1}| w_{j-1} / w_j + |e_j| w_{j+1} / w_j, by more than
+    a step's round-off and pivmin, a q_{j-1} >= |e_{j-1}| w_j / w_{j-1}
+    gives q_j >= |e_j| w_{j+1} / w_j > 0, so once q clears that bound in
+    them none of the rest is counted.  For the FD matrix these are the
+    rows where the cell's potential exceeds x, the classically forbidden
+    cells beyond the last turning point.
+    """
+    e2 = e * e
+    e2[np.abs(d[1:] * d[:-1]) * _EPS ** 2 + _TINY > e2] = 0.0
+    pivmin = _TINY * max(1.0, float(e2.max(initial=0.0)))
+    diag, off = d.tolist(), e2.tolist()
+    off.insert(0, 0.0)
+    if masses is None:
+        bound = entry = None
+    else:
+        ratio = np.sqrt(masses[1:] / masses[:-1])
+        entry = np.abs(e) * ratio
+        bound = np.zeros_like(d)
+        bound[1:] += np.abs(e) / ratio
+        bound[:-1] += entry
+        bound += 8.0 * _EPS * (np.abs(d) + bound) + pivmin
+        entry = entry.tolist()
+
+    def below(x):
+        if bound is None:
+            tail = len(diag)
+        else:
+            weak = np.flatnonzero(~(d - x > bound + 8.0 * _EPS * abs(x)))
+            tail = weak[-1] + 1 if weak.size else 0
+        count, q, rows = 0, 1.0, zip(diag, off)
+        for dj, ej in islice(rows, tail):
+            q = dj - ej / q - x
+            if q < pivmin:
+                count += 1
+                if q > -pivmin:
+                    q = -pivmin
+        # into the dominant rows, until q_j clears |e_j| w_{j+1} / w_j
+        j = tail - 1
+        while 0 <= j < len(diag) - 1 and q < entry[j]:
+            dj, ej = next(rows)
+            q = dj - ej / q - x
+            if q < pivmin:
+                count += 1
+                if q > -pivmin:
+                    q = -pivmin
+            j += 1
+        return count
+
+    return below
+
+
+def _bisect(d, e, count):
+    """Lowest ``count`` eigenvalues by bisection with the Sturm count
+    (``_sturm``) to the absolute tolerance eps * ||T||_1.  Each count also
+    narrows the brackets of the levels above the one it bisects."""
+    below = _sturm(d, e)
+    tol = _EPS * _norm1(d, e)
+    lo, hi = _gershgorin(d, e)
+    lower, upper = [lo] * count, [hi] * count
+    values = np.empty(count)
+    for k in range(count):
+        a, b = lower[k], upper[k]
+        mid = 0.5 * (a + b)
+        while b - a > tol and a < mid < b:
+            m = below(mid)
+            if m > k:
+                b = mid
+                for j in range(k + 1, min(m, count)):
+                    upper[j] = min(upper[j], mid)
+            else:
+                a = mid
+            for j in range(max(m, k + 1), count):
+                lower[j] = max(lower[j], mid)
+            mid = 0.5 * (a + b)
+        values[k] = mid
+    return values
+
+
+class _Reduction:
+    """Odd-even reduction of T - sigma I for a vector of shifts sigma
+    (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970), one row of
+    every array per shift.
+
+    Each level eliminates the even rows of the level above, which are
+    coupled only to odd rows, so their pivots form a diagonal block D and
+    the odd rows keep the Schur complement, again tridiagonal.  By
+    Sylvester's law of inertia the negative pivots of all levels count the
+    eigenvalues below sigma (``negative``).  The reduction does not pivot
+    and T - sigma I is indefinite, so neither the counts nor the solves are
+    backward stable: the counts only place seeds, and the polished values
+    only stand under their certificate.  The couplings are kept negated,
+    which leaves the pivots unchanged and turns the elimination's
+    subtractions into additions.
+
+    Without ``rhs`` the reduction runs down to one row and only counts.
+    With it, it stops at ``_TAIL`` rows, whose matrices it inverts densely
+    (LU with pivoting), and ``solution`` solves for ``rhs``, one row per
+    shift or one row for all, in the same pass; ``solve`` reuses the
+    multipliers and the inverses for further right-hand sides.
+    """
+
+    def __init__(self, d, e, shifts, rhs=None):
+        if rhs is None:
+            self._count(d, e, shifts)
+            return
+        self.levels, fes = [], []
+        # the first level splits d, not d - sigma, so its rows are contiguous
+        b, m, c, f = None, d.size, -e, rhs
+        with np.errstate(all="ignore"):
+            while m > _TAIL:
+                if b is None:
+                    even, odd = d[0::2] - shifts[:, None], d[1::2] - shifts[:, None]
+                else:
+                    even, odd = b[:, 0::2], b[:, 1::2]
+                k = m // 2
+                # the couplings and the eliminated rows' right-hand sides are
+                # read more than once, so they are copied out contiguous
+                cl, cr = np.ascontiguousarray(c[..., 0::2]), np.ascontiguousarray(c[..., 1::2])
+                j = cr.shape[-1]
+                inv = 1.0 / even
+                left = cl * inv[:, :k]
+                right = cr * inv[:, 1:j + 1]
+                b = odd - left * cl
+                b[:, :j] -= right * cr
+                m = k
+                c = right[:, :k - 1] * cl[..., 1:]
+                self.levels.append((inv, left, right))
+                fes.append(np.ascontiguousarray(f[..., 0::2]))
+                f = f[..., 1::2] + left * fes[-1][..., :k]
+                f[:, :j] += right * fes[-1][..., 1:j + 1]
+        if b is None:
+            b = d - shifts[:, None]
+        rows, m = b.shape
+        tail = np.zeros((rows, m, m))
+        flat = tail.reshape(rows, m * m)
+        flat[:, ::m + 1] = b
+        flat[:, 1::m + 1] = flat[:, m::m + 1] = -c
+        try:
+            self.inverse = np.linalg.inv(tail)
+        except np.linalg.LinAlgError:
+            self.inverse = np.full_like(tail, np.nan)
+        self.solution = self._back(np.broadcast_to(f, b.shape), fes)
+
+    def _count(self, d, e, shifts):
+        """The same reduction down to one row, pivots only: it carries the
+        squared couplings, e'^2 = e_r^2 e_l^2 / b^2 of the row between."""
+        pivots, b, m, c2 = [], None, d.size, e * e
+        with np.errstate(all="ignore"):
+            while m > 1:
+                if b is None:
+                    even, odd = d[0::2] - shifts[:, None], d[1::2] - shifts[:, None]
+                else:
+                    even, odd = b[:, 0::2], b[:, 1::2]
+                k = m // 2
+                cl, cr = c2[..., 0::2], c2[..., 1::2]
+                j = cr.shape[-1]
+                inv = 1.0 / even
+                b = odd - cl * inv[:, :k]
+                right = cr * inv[:, 1:j + 1]
+                b[:, :j] -= right
+                c2 = right[:, :k - 1] * (cl[..., 1:] * inv[:, 1:k])
+                pivots.append(inv)
+                m = k
+        pivots.append(d - shifts[:, None] if b is None else b)
+        self.pivots = np.concatenate(pivots, axis=1)
+
+    def negative(self):
+        """Negative pivots of T - sigma I, per shift, of a reduction
+        without ``rhs`` (the inverses of the eliminated pivots keep their
+        signs)."""
+        return (self.pivots < 0.0).sum(axis=1)
+
+    def solve(self, rhs):
+        """(T - sigma I)^-1 rhs, one row of rhs per shift."""
+        fes, f = [], rhs
+        with np.errstate(all="ignore"):
+            for _, left, right in self.levels:
+                k, j = left.shape[1], right.shape[1]
+                fes.append(f[:, 0::2])
+                f = f[:, 1::2] + left * fes[-1][:, :k]
+                f[:, :j] += right * fes[-1][:, 1:j + 1]
+        return self._back(f, fes)
+
+    def _back(self, f, fes):
+        """Solve the tail for its right-hand sides ``f``, then substitute
+        back through the levels with the eliminated rows' ``fes``."""
+        with np.errstate(all="ignore"):
+            x = np.einsum("sij,sj->si", self.inverse, f)
+            for (inv, left, right), fe in zip(reversed(self.levels), reversed(fes)):
+                k, j = left.shape[1], right.shape[1]
+                xe = fe * inv
+                xe[:, :k] += left * x
+                xe[:, 1:j + 1] += right * x[:, :j]
+                full = np.empty((x.shape[0], xe.shape[1] + k))
+                full[:, 0::2] = xe
+                full[:, 1::2] = x
+                x = full
+        return x
+
+
+def _multisect(d, e, count):
+    """Seeds for the lowest ``count`` eigenvalues: the midpoints of brackets
+    narrowed by the negative-pivot counts of ``_Reduction``.
+
+    The first pass counts at shifts geometrically spaced above the lower
+    Gershgorin bound, so it brackets every low level within a factor of its
+    distance from that bound; each later pass splits every bracket that is
+    wider than ``_SEED_WIDTH`` of the distance between its neighbours'
+    midpoints.
+    """
+    lo, hi = _gershgorin(d, e)
+    xs = np.concatenate(([lo], lo + (hi - lo) * np.geomspace(
+        _GEOM_FLOOR, 1.0, _FIRST_SHIFTS)))
+    counts = _Reduction(d, e, xs[1:]).negative()
+    counts = np.concatenate(([0], counts))
+    levels = np.arange(count)
+    split = np.arange(1, _BRACKET_SHIFTS + 1) / (_BRACKET_SHIFTS + 1)
+    for _ in range(_MULTISECTIONS):
+        order = np.argsort(xs, kind="stable")
+        xs, counts = xs[order], np.maximum.accumulate(counts[order])
+        # count(x) <= k up to lower, > k from upper on
+        upper = np.searchsorted(counts, levels, side="right")
+        lower, upper = upper - 1, np.minimum(upper, xs.size - 1)
+        mid = 0.5 * (xs[lower] + xs[upper])
+        wide = (xs[upper] - xs[lower]) > _SEED_WIDTH * _gaps(mid, np.zeros_like(mid))
+        if not wide.any():
+            break
+        # levels sharing a bracket are adjacent
+        lower, upper = lower[wide], upper[wide]
+        first = np.ones(lower.size, dtype=bool)
+        first[1:] = lower[1:] != lower[:-1]
+        a, b = xs[lower[first], None], xs[upper[first], None]
+        new = (a + (b - a) * split).ravel()
+        xs = np.concatenate((xs, new))
+        counts = np.concatenate((counts, _Reduction(d, e, new).negative()))
+    return mid
+
+
+def _iterate(d, e, seeds, start, steps, tol):
+    """Shifted inverse iteration from ``seeds``: values and unit vectors.
+
+    One ``_Reduction`` factors T - sigma I for every seed sigma, and each
+    seed iterates solves (T - sigma I) y = v from its row of ``start``.
+    The Rayleigh quotient of y is sigma + (y . v) / (y . y), and the
+    residual of y / |y| that the solve implies is
+    sqrt((v . v - (y . v)^2 / (y . y)) / (y . y)).  A seed stops once that
+    residual's Kato-Temple bound min(|r|, |r|^2 / gap), with gap half the
+    distance to the neighbouring seeds, is below ``tol``, or after
+    ``steps`` solves.  The first ``_FIXED_SOLVES`` solves keep the
+    seeds' shifts; after them a seed still unconverged moves its shift to
+    its Rayleigh quotient at every solve (Rayleigh quotient iteration).
+    """
+    # r^2 <= tol * max(tol, half gap) is the stop on the Kato-Temple bound
+    stop = tol * np.maximum(tol, 0.5 * _gaps(seeds, np.zeros_like(seeds)))
+    rows, shifts = np.arange(seeds.size), seeds
+    reduction = _Reduction(d, e, shifts, start)
+    y = reduction.solution
+    v = np.broadcast_to(start, y.shape)
+    vv = np.einsum("ij,ij->i", v, v)
+    values = np.empty_like(seeds)
+    vectors = np.empty((seeds.size, d.size))
+    todo = np.ones(seeds.size, dtype=bool)
+    # a solve that overflows gives non-finite values, which never certify
+    with np.errstate(all="ignore"):
+        for step in range(steps):
+            yy = np.einsum("ij,ij->i", y, y)
+            yv = np.einsum("ij,ij->i", y, v)
+            r2 = (vv - yv * yv / yy) / yy
+            v = y / np.sqrt(yy)[:, None]
+            quotient = shifts + yv / yy
+            done = todo & ((r2 <= stop[rows]) | (step == steps - 1))
+            if step == 0 and done.all():
+                return quotient, v
+            values[rows[done]] = quotient[done]
+            vectors[rows[done]] = v[done]
+            todo &= ~done
+            if not todo.any():
+                break
+            if step + 1 < _FIXED_SOLVES:
+                vv = np.einsum("ij,ij->i", v, v)
+                y = reduction.solve(v)
+                continue
+            rows, v, shifts = rows[todo], v[todo], quotient[todo]
+            todo = todo[todo]
+            vv = np.einsum("ij,ij->i", v, v)
+            reduction = _Reduction(d, e, shifts, v)
+            y = reduction.solution
+    return values, vectors
+
+
+def _polish(d, e, seeds, start=None, masses=None):
+    """Certified inverse-iteration refinement of ``seeds`` (``_iterate``):
+    the values and their vectors, or None.
 
     ``seeds`` approximate the lowest len(seeds) eigenvalues of the symmetric
     tridiagonal T = (d, e) in ascending order; the last is a guard that only
-    bounds the one below it.  Each seed sigma factors T - sigma I once and
-    iterates solves (T - sigma I) y = v from a fixed-seed random vector.
-    The Rayleigh quotient of y is sigma + (y . v) / (y . y), and the residual
-    of y / |y| that the solve implies is
-    sqrt((v . v - (y . v)^2 / (y . y)) / (y . y)).  A seed stops once that
-    residual's Kato-Temple bound min(|r|, |r|^2 / gap), with gap half the
-    distance to the neighbouring seeds, is below eps * ||T||_1.
+    bounds the one below it.  The iteration starts from the rows of
+    ``start``, the vectors of the grid below carried over (``_prolong``),
+    or from a fixed-seed random vector.  ``masses`` are the Sturm count's
+    weights (``_sturm``).
 
-    The implied residual leaves out the solve's round-off, so the
+    The residual the solves imply leaves out their round-off, so the
     certificate takes the explicit residuals r = |T v - value v| of the
     final iterates, formed for all seeds in one pass.  The values are
     returned only when they certify: the intervals value +- |r| are
-    disjoint, a Sturm count puts exactly len(seeds) eigenvalues at or below
-    the guard's interval, so each interval holds its own eigenvalue, and
-    every Kato-Temple bound below the guard, now with the gaps to the
-    neighbouring intervals, is at most eps * ||T||_1, the tolerance
-    bisection stops at.
+    disjoint, the Sturm count (``_sturm``) puts exactly len(seeds)
+    eigenvalues below the guard's interval, so each interval holds its own
+    eigenvalue, and every Kato-Temple bound below the guard, now with the
+    gaps to the neighbouring intervals, is at most eps * ||T||_1, the
+    tolerance bisection stops at.
     """
-    from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
-
-    norm1 = _norm1(d, e)
-    tol = _EPS * norm1
-    start = np.random.default_rng(1).uniform(-1.0, 1.0, d.size)
-    # r^2 <= tol * max(tol, half gap) is the stop on the Kato-Temple bound
-    stop = (tol * np.maximum(tol, 0.5 * _gaps(seeds, np.zeros_like(seeds)))).tolist()
-    values = np.empty_like(seeds)
-    vectors = np.empty((seeds.size, d.size))
-    for i, sigma in enumerate(seeds.tolist()):
-        *lu, info = dgttrf(e, d - sigma, e)
-        if info != 0:
-            return None
-        v = start
-        for _ in range(_POLISH_STEPS):
-            y = dgttrs(*lu, v)[0]
-            yy = float(y @ y)
-            yv = float(y @ v)
-            r2 = (float(v @ v) - yv * yv / yy) / yy
-            v = y / math.sqrt(yy)
-            if r2 <= stop[i]:
-                break
-        values[i] = sigma + yv / yy
-        vectors[i] = v
-    tv = d * vectors
-    tv[:, :-1] += e * vectors[:, 1:]
-    tv[:, 1:] += e * vectors[:, :-1]
-    tv -= values[:, None] * vectors
+    if start is None:
+        start = np.random.default_rng(1).uniform(-1.0, 1.0, d.size)
+    tol = _EPS * _norm1(d, e)
+    values, vectors = _iterate(d, e, seeds, start, _POLISH_STEPS, tol)
+    if not np.all(np.isfinite(values)):
+        return None
+    tv = _apply(d, e, vectors, values)
     resid = np.sqrt(np.einsum("ij,ij->i", tv, tv))
     if not np.all(values[:-1] + resid[:-1] < values[1:] - resid[1:]):
         return None
-    # range "V" (1) from below the spectrum; a tolerance wider than the
-    # spectrum stops stebz once it has counted, before any bisection
-    m, *_, info = dstebz(d, e, 1, -2.0 * norm1, values[-1] + resid[-1], 0, 0,
-                         4.0 * norm1, "E")
-    if info != 0 or m != values.size:
+    if _sturm(d, e, masses)(values[-1] + resid[-1]) != values.size:
         return None
     gap = _gaps(values, resid)[:-1]
     kept = resid[:-1]
     if not np.all((kept <= tol) | (kept * kept <= tol * gap)):
         return None
-    return values
+    return values, vectors
+
+
+def _dense(d, e, count, vectors):
+    """Lowest ``count`` eigenvalues of T = (d, e) by a dense eigensolver,
+    and with ``vectors`` their unit vectors, one row each."""
+    n = d.size
+    full = np.zeros((n, n))
+    full.flat[::n + 1] = d
+    full.flat[n::n + 1] = e
+    if not vectors:
+        return np.linalg.eigvalsh(full)[:count]
+    values, rows = np.linalg.eigh(full)
+    return values[:count], rows[:, :count].T
+
+
+def _rayleigh(d, e, vectors):
+    """Rayleigh quotient of each row of ``vectors`` on T = (d, e)."""
+    return (np.einsum("ij,ij->i", _apply(d, e, vectors, np.zeros(len(vectors))), vectors)
+            / np.einsum("ij,ij->i", vectors, vectors))
+
+
+def _prolong(vectors):
+    """Vectors of grid n carried to grid 2n: each coarse cell value
+    interpolated linearly to the two fine cell centres it holds, with zeros
+    beyond the walls.  Inverse iteration removes the interpolation's
+    rough part in its first solve."""
+    quarter = np.zeros((vectors.shape[0], vectors.shape[1] + 2))
+    np.multiply(vectors, 0.25, out=quarter[:, 1:-1])
+    rest = vectors - quarter[:, 1:-1]
+    fine = np.empty((vectors.shape[0], 2 * vectors.shape[1]))
+    np.add(rest, quarter[:, :-2], out=fine[:, 0::2])
+    np.add(rest, quarter[:, 2:], out=fine[:, 1::2])
+    return fine
+
+
+def _below(V, lo, hi, base, walls, count):
+    """Values of grids below the base that seed it, and vectors carried to
+    the base grid as its start (``_prolong``), or None.
+
+    While base/2 has at most ``_DENSE_MAX`` cells these are grids base/4
+    and base/2, solved densely, with the vectors of grid base/4 carried up
+    twice.  Above that it is grid base/2 alone, iterated from multisection
+    seeds (``_multisect``, ``_iterate``) and uncertified: its values only
+    seed the base grid, whose certificate decides.
+    """
+    if base // 2 <= _DENSE_MAX:
+        quarter, vectors = _dense(*_fd_matrix(V, lo, hi, base // 4, walls)[:2], count, True)
+        half = _dense(*_fd_matrix(V, lo, hi, base // 2, walls)[:2], count, False)
+        return [quarter, half], _prolong(_prolong(vectors))
+    d, e, _ = _fd_matrix(V, lo, hi, base // 2, walls)
+    values, vectors = _iterate(d, e, _multisect(d, e, count),
+                               np.random.default_rng(1).uniform(-1.0, 1.0, d.size),
+                               _SEED_STEPS, _EPS * _norm1(d, e))
+    return [values], _prolong(vectors)
 
 
 def fd_eigenvalues(well, count: int) -> SpectrumResult:
@@ -289,20 +651,22 @@ def fd_eigenvalues(well, count: int) -> SpectrumResult:
     Both ends are Dirichlet walls, their inverse-square coefficients
     measured from V (zero at a regular wall).  The grids are N, 2N and 4N
     cells of the factored scheme (``_fd_matrix``), N sized from the level
-    count and the wall exponents as ``_LEAST_BASE`` says.
-    The base grid bisects count + 1 seeds to ``_SEED_TOL`` * ||T||_1; the
-    extra one is a guard whose residual interval bounds the gap above the
-    top requested level.  Each grid then refines its seeds by certified
-    inverse iteration (``_polish``): grid 2N is seeded by the values of
-    grid N, and grid 4N by their Richardson prediction
-    lambda_2N - (lambda_N - lambda_2N) / 4.  A grid that fails the
-    certificate is bisected afresh to stebz's default tolerance,
-    eps * ||T||_1.  ``SpectrumResult.certified`` records which grids
-    certified.  The raw values then go through Richardson extrapolation
-    with the exponents 2 and 4, and ConvergenceFailure is raised where the
-    grids disagree.  Each error estimate adds to the Richardson terms the
-    three grids' tolerances eps * ||T||_1, weighted as the extrapolation
-    weights their values.
+    count and the wall exponents as ``_LEAST_BASE`` says.  Every grid
+    refines count + 1 seeds by certified inverse iteration (``_polish``);
+    the extra one is a guard whose residual interval bounds the gap above
+    the top requested level.  A grid starts from the vectors of the grid
+    below, carried to its cells (``_prolong``), and is seeded by the
+    Richardson prediction lambda_2 + (lambda_2 - lambda_1) / 4 from the two
+    grids below it, or by the Rayleigh quotients of the carried vectors
+    where there is one grid below (``_below``).  A grid that fails the
+    certificate is polished again
+    from multisection seeds (``_multisect``), and failing that bisected to
+    eps * ||T||_1 (``_bisect``).  ``SpectrumResult.certified`` records which
+    grids certified.  The raw values then go through Richardson
+    extrapolation with the exponents 2 and 4, and ConvergenceFailure is
+    raised where the grids disagree.  Each error estimate adds to the
+    Richardson terms the three grids' tolerances eps * ||T||_1, weighted as
+    the extrapolation weights their values.
     """
     lo, hi, V = well.q_lo, well.q_hi, well.V
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -327,23 +691,23 @@ def fd_eigenvalues(well, count: int) -> SpectrumResult:
             f"{need:.3g} cells, above the limit of {_MAX_BASE}")
     grids = (base, 2 * base, 4 * base)
     walls = _walls(s_lo, s_hi)
-    levels, certified, tols = [], [], []
+    levels, start = _below(V, lo, hi, base, walls, count + 1)
+    certified, tols = [], []
     for n in grids:
-        d, e = _fd_matrix(V, lo, hi, n, walls)
-        norm1 = _norm1(d, e)
-        tols.append(_EPS * norm1)
-        if not levels:
-            seeds = _bisect(d, e, count + 1, _SEED_TOL * norm1)
-        elif len(levels) == 1:
-            seeds = levels[0]
+        d, e, masses = _fd_matrix(V, lo, hi, n, walls)
+        tols.append(_EPS * _norm1(d, e))
+        if len(levels) > 1:
+            seeds = levels[-1] + (levels[-1] - levels[-2]) / 4.0
         else:
-            seeds = levels[1] - (levels[0] - levels[1]) / 4.0
-        values = _polish(d, e, seeds)
-        certified.append(values is not None)
-        if values is None:
-            values = _bisect(d, e, count + 1)
-        levels.append(values)
-    raw = [values[:count] for values in levels]
+            seeds = _rayleigh(d, e, start)
+        polished = _polish(d, e, seeds, start, masses)
+        if polished is None:
+            polished = _polish(d, e, _multisect(d, e, count + 1), None, masses)
+        certified.append(polished is not None)
+        levels.append(_bisect(d, e, count + 1) if polished is None else polished[0])
+        if n < grids[-1]:
+            start = None if polished is None else _prolong(polished[1])
+    raw = [values[:count] for values in levels[-3:]]
     a1 = (4.0 * raw[1] - raw[0]) / 3.0
     a2 = (4.0 * raw[2] - raw[1]) / 3.0
     best = (16.0 * a2 - a1) / 15.0

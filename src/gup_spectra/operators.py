@@ -106,8 +106,8 @@ def apply_P(rep: Representation, params: DeformationParams,
             psi: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """P psi = P(y) psi on the sample grid, P(y) from ``REALIZATIONS``."""
     _check_grid(rep, params, grid)
-    _, _, p, _ = REALIZATIONS[rep].fields(np.asarray(grid, dtype=float),
-                                          params.tau_check)
+    p, _ = REALIZATIONS[rep].p_fields(np.asarray(grid, dtype=float),
+                                      params.tau_check)
     return p * np.asarray(psi, dtype=complex)
 
 
@@ -123,7 +123,7 @@ def apply_X(rep: Representation, params: DeformationParams,
     entry = REALIZATIONS[rep]
     ihbar = 1j * params.hbar
     psi = np.asarray(psi, dtype=complex)
-    a, da, _, _ = entry.fields(np.asarray(grid, dtype=float), params.tau_check)
+    a, da = entry.x_fields(np.asarray(grid, dtype=float), params.tau_check)
     out = a * ihbar * (fd_derivative(psi) / dp)
     if entry.beta:
         out = out + entry.beta * da * ihbar * psi

@@ -43,14 +43,13 @@ from .errors import (
     ParameterError,
     UnsupportedPair,
 )
-# ``eigvalsh_tridiagonal`` and ``roots_jacobi`` stay bound here although only
-# ``fd`` calls the first: instrumentation looks both up on this module and
-# wraps them in every module that holds the same object.
-from .fd import SpectrumResult, eigvalsh_tridiagonal, fd_eigenvalues
+from .fd import SpectrumResult, fd_eigenvalues
 from .jets import Jet
 from .operators import LINE_REACH, apply_P, apply_X, line_map, mapped_grid
 from .solutions import classify_physical, solve, transformed_potential
 from .specfun import JacobiSpec, jacobi_jet, log_jacobi_mass
+# ``roots_jacobi`` keeps scipy's name: instrumentation looks it up on this
+# module and wraps it in every module that holds the same object.
 from .specfun import gauss_jacobi as roots_jacobi
 
 __all__ = [

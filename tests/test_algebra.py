@@ -269,7 +269,8 @@ class TestRealizations:
         entry = REALIZATIONS[rep]
         ys = _interior(p_domain(rep, params), tc)
         sign = -1.0 if rep is R.PI4_PRIME else 1.0
-        a, _, p, dp = entry.fields(ys, tc)
+        a, _ = entry.x_fields(ys, tc)
+        p, dp = entry.p_fields(ys, tc)
         lhs = a * dp
         rhs = 1.0 + sign * tc * p ** 2
         assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) <= 1e-13
@@ -282,13 +283,13 @@ class TestRealizations:
         tc = params.tau_check
         entry = REALIZATIONS[rep]
         ys = _interior(p_domain(rep, params), tc)
-        a, da, p, dp = (np.broadcast_to(x, ys.shape) for x in entry.fields(ys, tc))
+        a, da = (np.broadcast_to(x, ys.shape) for x in entry.x_fields(ys, tc))
+        p, dp = (np.broadcast_to(x, ys.shape) for x in entry.p_fields(ys, tc))
         assert np.allclose(a ** 2, (1.0 + entry.s * tc * ys ** 2) ** entry.k,
                            rtol=1e-14, atol=0.0)
         step = 1e-5
-        up, down = entry.fields(ys + step, tc), entry.fields(ys - step, tc)
-        for i, slope in ((0, da), (2, dp)):
-            stencil = (up[i] - down[i]) / (2 * step)
+        for half, slope in ((entry.x_fields, da), (entry.p_fields, dp)):
+            stencil = (half(ys + step, tc)[0] - half(ys - step, tc)[0]) / (2 * step)
             assert np.allclose(slope, stencil, rtol=1e-8, atol=1e-9)
 
 

@@ -358,6 +358,24 @@ class TestWavefunctionCommand:
         assert code == 1 and out == ""
         assert err.startswith("usage error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("--tau", "nan"), ("--tau", "inf"), ("--tau", "-1"),
+        ("--hbar", "0"), ("--hbar", "nan"), ("--mass", "-1"), ("--omega", "inf"),
+        ("--model", "swanson", "--alpha", "nan"), ("--model", "pt", "--beta", "inf"),
+    ])
+    @pytest.mark.parametrize("command", ["spectrum", "expectation"])
+    def test_malformed_physical_flag_is_a_usage_error(self, capsys, command, argv):
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
+    def test_malformed_physical_value_in_a_config_file(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("tau = nan\n")
+        code, out, err = run_cli(capsys, "spectrum", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
 
 class TestPhaseCommand:
     def test_undeformed_reference_point(self, capsys):
@@ -594,13 +612,22 @@ class TestStartup:
         assert codes == [0] * len(commands)
         assert loaded == []
 
-    def test_oracle_imports_scipy_quietly(self):
-        # the first scipy import happens inside main's warning capture
+    def test_oracle_loads_no_scipy(self):
+        # the FD eigensolver is numpy too
         done = run_fresh(_MAIN_PROBE.format(commands=[["spectrum", "--oracle", "--check"]]))
         codes, loaded = json.loads(done.stdout)
         assert codes == [0]
-        assert "scipy.linalg" in loaded
+        assert loaded == []
         assert "warnings:" not in done.stderr
+
+    def test_commands_run_with_scipy_blocked(self):
+        # an install without scipy: importing it raises ImportError
+        commands = [["spectrum", "--oracle", "--check"], ["verify", "all"]]
+        done = run_fresh('import sys\nsys.modules["scipy"] = None\n'
+                         + _MAIN_PROBE.format(commands=commands))
+        codes, loaded = json.loads(done.stdout)
+        assert codes == [0, 0]
+        assert loaded == ["scipy"]
 
 
 class TestReadmeQuickStart:

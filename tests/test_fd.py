@@ -34,7 +34,7 @@ def _raw_on_grids(well, base, count):
     exponents = [fd._wall_exponent(fd._wall_gamma(V, wall, side, hi - lo))
                  for wall, side in ((lo, -1), (hi, +1))]
     walls = fd._walls(*exponents)
-    return [fd._bisect(*fd._fd_matrix(V, lo, hi, n, walls), count)
+    return [fd._bisect(*fd._fd_matrix(V, lo, hi, n, walls)[:2], count)
             for n in (base, 2 * base, 4 * base)]
 
 
@@ -228,7 +228,7 @@ def _problem(case):
 
 def _grid_matrices(problem, res):
     walls = fd._walls(*res.wall_exponents)
-    return [fd._fd_matrix(problem.V, problem.q_lo, problem.q_hi, n, walls)
+    return [fd._fd_matrix(problem.V, problem.q_lo, problem.q_hi, n, walls)[:2]
             for n in res.grid_sizes]
 
 
@@ -242,46 +242,90 @@ POLISH_CASES = [
 
 
 class TestPolishedEigensolver:
-    """Bisection on the base grid, certified inverse iteration on every grid."""
+    """Seeds from the grids below, certified inverse iteration on every grid."""
 
     @pytest.mark.parametrize("count", [6, 64])
     @pytest.mark.parametrize("case", POLISH_CASES)
     def test_raw_values_match_tight_bisection(self, case, count):
-        # at the least base grid; grid 4N polishes the Richardson
-        # prediction from grids N and 2N.  With 64 levels grid 2N falls
-        # back to bisection (its seeds, the values of grid N, are too far
-        # off), and the other two still certify.
+        # at the least base grid; grid 2N polishes the Richardson prediction
+        # from grids N/2 and N, and grid 4N the one from grids N and 2N, so
+        # with 64 levels grid 2N certifies too
         from scipy.linalg import eigvalsh_tridiagonal
 
         problem = _problem(case)
         res = fd_eigenvalues(problem, count)
-        assert res.certified == ((True, True, True) if count == 6 else (True, False, True))
+        assert res.certified == (True, True, True)
         for raw, (d, e) in zip(res.raw, _grid_matrices(problem, res)):
             tight = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
                                          lapack_driver="stebz", tol=1e-300)
             norm1 = np.max(np.abs(d) + 2.0 * np.abs(e[0]))
             assert np.max(np.abs(raw - tight)) <= np.finfo(float).eps * norm1
 
-    def test_bisects_the_base_grid_only(self, monkeypatch):
-        rows, tols = [], []
-        real = fd.eigvalsh_tridiagonal
+    @pytest.mark.parametrize("case, dense, multisected", [
+        (POLISH_CASES[1], [32, 64], []),
+        (POLISH_CASES[3], [64, 128], []),
+        (POLISH_CASES[2], [], [512]),
+    ])
+    def test_seeds_come_from_the_grids_below(self, case, dense, multisected, monkeypatch):
+        # a base grid of 128 or 256 cells is seeded by dense solves of grids
+        # N/4 and N/2; a larger one by grid N/2 alone, from multisection.  No
+        # grid is bisected, and the three grids neither multisect nor
+        # need a dense solve.
+        calls = {"dense": [], "multisect": [], "bisect": []}
+        for name, key in (("_dense", "dense"), ("_multisect", "multisect"),
+                          ("_bisect", "bisect")):
+            real = getattr(fd, name)
 
-        def counting(d, e, **kwargs):
-            rows.append(len(d))
-            tols.append(kwargs["tol"])
-            return real(d, e, **kwargs)
+            def counting(d, *rest, real=real, key=key):
+                calls[key].append(d.size)
+                return real(d, *rest)
 
-        monkeypatch.setattr(fd, "eigvalsh_tridiagonal", counting)
-        problem = _problem(POLISH_CASES[1])
-        res = fd_eigenvalues(problem, 4)
+            monkeypatch.setattr(fd, name, counting)
+        res = fd_eigenvalues(_problem(case), 6)
         assert res.certified == (True, True, True)
-        assert rows == [128]
-        # the seeds are loose: inverse iteration, not bisection, reaches
-        # eps * ||T||_1 on the base grid too
-        d, e = _grid_matrices(problem, res)[0]
-        norm1 = np.max(np.abs(d) + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]))
-        assert tols == [fd._SEED_TOL * norm1]
-        assert fd._SEED_TOL == 1e-10
+        assert res.grid_sizes[0] == 2 * max(dense + multisected)
+        assert calls == {"dense": dense, "multisect": multisected, "bisect": []}
+
+    @pytest.mark.parametrize("case", POLISH_CASES)
+    def test_sturm_count_matches_lapack(self, case):
+        # dstebz range "V" counts the eigenvalues in (-2 ||T||_1, x]; the
+        # probes sit 1, 4 and 64 ulps of ||T||_1 from every eigenvalue.  The
+        # count weighted by the cell masses, which stops in the forbidden
+        # cells after the last turning point, counts the same.
+        from scipy.linalg import eigvalsh_tridiagonal
+        from scipy.linalg.lapack import dstebz
+
+        problem = _problem(case)
+        res = fd_eigenvalues(problem, 6)
+        walls = fd._walls(*res.wall_exponents)
+        for n in res.grid_sizes:
+            d, e, masses = fd._fd_matrix(problem.V, problem.q_lo, problem.q_hi, n, walls)
+            norm1 = fd._norm1(d, e)
+            counts = (fd._sturm(d, e), fd._sturm(d, e, masses))
+            levels = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 6))
+            for step in (1, 4, 64):
+                for x in np.concatenate([levels - step * np.finfo(float).eps * norm1,
+                                         levels + step * np.finfo(float).eps * norm1]):
+                    want = dstebz(d, e, 1, -2.0 * norm1, x, 0, 0, 4.0 * norm1, "E")[0]
+                    assert [below(x) for below in counts] == [want, want], (x, step)
+
+    def test_sturm_count_on_split_and_single_row_matrices(self):
+        from scipy.linalg.lapack import dstebz
+
+        rng = np.random.default_rng(5)
+        d = rng.uniform(-1.0, 1.0, 12)
+        e = rng.uniform(-1.0, 1.0, 11)
+        e[4] = 0.0
+        for dd, ee in ((d, e), (np.array([0.3]), np.zeros(0))):
+            norm1 = fd._norm1(dd, ee)
+            below = fd._sturm(dd, ee)
+            full = np.diag(dd) + np.diag(ee, 1) + np.diag(ee, -1)
+            for level in np.linalg.eigvalsh(full):
+                for x in (level - 4e-16, level + 4e-16, level - 1e-9, level + 1e-9):
+                    # the wrapper takes at least one off-diagonal entry
+                    want = dstebz(dd, np.r_[ee, 0.0][:max(dd.size - 1, 1)], 1,
+                                  -2.0 * norm1 - 1.0, x, 0, 0, 4.0 * norm1, "E")[0]
+                    assert below(x) == want, (dd.size, x)
 
     def test_duplicate_seeds_do_not_certify(self):
         problem = _problem(POLISH_CASES[1])
@@ -294,9 +338,10 @@ class TestPolishedEigensolver:
     def test_fallback_returns_the_bisection_values(self, monkeypatch):
         real = fd._polish
 
-        # duplicated seeds fail the certificate on every grid
-        def duplicated(d, e, seeds):
-            return real(d, e, np.repeat(seeds, 2)[:seeds.size])
+        # duplicated seeds fail the certificate on every grid, rescue
+        # included
+        def duplicated(d, e, seeds, *start):
+            return real(d, e, np.repeat(seeds, 2)[:seeds.size], *start)
 
         count = 4
         problem = _problem(POLISH_CASES[3])

@@ -14,13 +14,12 @@ Three checks, each with its named exemptions:
 * every dataclass field is read somewhere in src, as an ``Attribute`` in a
   load context.
 
-Three more have none: the only scipy imports in src are ``scipy.linalg``
-imports inside functions of ``fd.py``, so importing the package and every
-command but the FD oracle run on numpy alone; ``fd.py`` takes nothing from
-the package but ``errors`` and two quadrature rules of ``specfun``, so the
-FD eigensolver cannot be seeded from the closed forms it checks; and no
-file in src mentions ``fft``, since X differentiates by order-8 differences
-on every grid.
+Three more have none: no file in src imports scipy, so the package and
+every command, the FD oracle included, run on numpy alone; ``fd.py`` takes
+nothing from the package but ``errors`` and two quadrature rules of
+``specfun``, so the FD eigensolver cannot be seeded from the closed forms it
+checks; and no file in src mentions ``fft``, since X differentiates by
+order-8 differences on every grid.
 """
 
 import ast
@@ -169,14 +168,13 @@ def imports(path):
     return sorted(out)
 
 
-# numpy, the standard library, scipy.linalg inside its functions, and of the
-# package only the error types and two quadrature rules
+# numpy, the standard library, and of the package only the error types and
+# two quadrature rules
 FD_IMPORTS = sorted([
     ("__future__", "annotations"), ("math", ""), ("dataclasses", "dataclass"),
-    ("numpy", ""), (".errors", "ConvergenceFailure"), (".errors", "ParameterError"),
-    (".specfun", "gauss_jacobi"), (".specfun", "gauss_legendre_nodes"),
-    ("scipy.linalg", "eigvalsh_tridiagonal"), ("scipy.linalg.lapack", "dgttrf"),
-    ("scipy.linalg.lapack", "dgttrs"), ("scipy.linalg.lapack", "dstebz"),
+    ("itertools", "islice"), ("numpy", ""), (".errors", "ConvergenceFailure"),
+    (".errors", "ParameterError"), (".specfun", "gauss_jacobi"),
+    (".specfun", "gauss_legendre_nodes"),
 ])
 
 
@@ -199,11 +197,8 @@ def test_every_dataclass_field_is_read_in_src():
     assert found == sorted(RESULT_FIELDS), set(found) ^ set(RESULT_FIELDS)
 
 
-def test_scipy_is_imported_only_by_the_fd_oracle_on_first_use():
-    found = scipy_imports(_sources())
-    assert found
-    assert all(name == "fd.py" and (module + ".").startswith("scipy.linalg.")
-               and inside for name, module, inside in found), found
+def test_no_file_in_src_imports_scipy():
+    assert scipy_imports(_sources()) == []
 
 
 def test_fd_cannot_see_the_closed_forms():
