@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,11 +88,17 @@ _FIXED_SOLVES = 3
 # seeds (``_below``): enough for vectors whose Rayleigh quotients seed the
 # base grid well within their gaps.
 _SEED_STEPS = 2
-# A solving ``_Reduction`` stops at this many rows and inverts them densely.
-_TAIL = 8
 # Grids below the base of at most this many cells are solved densely for
 # seeds (``_below``).
 _DENSE_MAX = 128
+# A solving ``_Reduction`` stops at this many rows and inverts them densely.
+_TAIL = 8
+# A grid's eigenvectors are computed on a window of its rows (``_window``),
+# outside which they have decayed by e^-_DECAY; the grid below the base
+# places its window from a bound on its top level (``_probe``), computed on
+# at least _PROBE rows.
+_DECAY = 36.0
+_PROBE = 32
 # Multisection (``_multisect``): the first pass counts at _FIRST_SHIFTS
 # shifts above the lower Gershgorin bound, their distances from it
 # geometrically spaced from _GEOM_FLOOR of the Gershgorin width to all of
@@ -159,7 +165,8 @@ def _fd_matrix(V, lo, hi, n, walls):
     flux spans take ``_CELL_NODES`` Gauss-Legendre nodes, and the wall cells
     Gauss-Jacobi rules of weight t^(2a) and t^(2b) in t = distance / h.
     T = M^(-1/2) A M^(-1/2) is symmetric tridiagonal; it is returned as
-    (d, e) with the masses M_i, which ``_sturm`` takes as weights.
+    (d, e) with the cell averages R_i / M_i of W, the rows' potential,
+    which place a window on the grid (``_window``).
     """
     (a, t_lo, w_lo), (b, t_hi, w_hi) = walls
     span = hi - lo
@@ -170,8 +177,7 @@ def _fd_matrix(V, lo, hi, n, walls):
     cell[:, 0], weight[:, 0] = t_lo, w_lo
     cell[:, -1], weight[:, -1] = n - t_hi, w_hi
 
-    def log_gauge2(at):
-        xl, yh = at / n, (n - at) / n
+    def log_gauge2(xl, yh):
         return (2.0 * a * np.log(xl) + 2.0 * b * np.log(yh)
                 - (a * xl * xl + b * yh * yh))
 
@@ -184,14 +190,15 @@ def _fd_matrix(V, lo, hi, n, walls):
     # cap keeps ||T||_1, and with it the seed and certificate tolerances,
     # near the scale of the flux terms
     W = np.minimum(W, _BARRIER_CAP * (n / span) ** 2)
-    mass = weight * np.exp(log_gauge2(cell))
+    mass = weight * np.exp(log_gauge2(xl, yh))
     m = mass.sum(axis=0)
-    d = (mass * W).sum(axis=0) / m
+    potential = (mass * W).sum(axis=0) / m
     between = np.arange(1, n) + 0.5 * x[:, None]
-    flux = (n / span) ** 2 / ((0.5 * w) @ np.exp(-log_gauge2(between)))
+    flux = (n / span) ** 2 / ((0.5 * w) @ np.exp(-log_gauge2(between / n, (n - between) / n)))
+    d = potential.copy()
     d[:-1] += flux / m[:-1]
     d[1:] += flux / m[1:]
-    return d, -flux / np.sqrt(m[:-1] * m[1:]), m
+    return d, -flux / np.sqrt(m[:-1] * m[1:]), potential
 
 
 def _walls(s_lo, s_hi):
@@ -203,6 +210,7 @@ def _walls(s_lo, s_hi):
     return lo, lo if b == a else (b, *_wall_rule(b))
 
 
+@lru_cache(maxsize=16)
 def _wall_rule(s):
     """Nodes t in (0, 1) and weights w of a wall cell's rule: sum_k w_k f(t_k)
     integrates f over (0, 1), exactly where f is t^(2s) times a polynomial
@@ -246,7 +254,7 @@ def _gaps(values, radii):
     return gap
 
 
-def _sturm(d, e, masses=None):
+def _sturm(d, e):
     """The Sturm count of T = (d, e): x -> the number of eigenvalues below x.
 
     It runs the natural-order recurrence q_j = (d_j - e_{j-1}^2 / q_{j-1}) - x
@@ -254,55 +262,21 @@ def _sturm(d, e, masses=None):
     as LAPACK's dstebz counts: off-diagonals with e^2 <= |d_j d_{j+1}| eps^2
     + tiny split the matrix, and pivmin is tiny * max(1, max e^2) over the
     rest.  The count is exact for a matrix within a few ulps of T.
-
-    With positive weights w (``masses`` m, w = sqrt(m)) the recurrence
-    stops where it can count no more: on the trailing rows where
-    d_j - x >= |e_{j-1}| w_{j-1} / w_j + |e_j| w_{j+1} / w_j, by more than
-    a step's round-off and pivmin, a q_{j-1} >= |e_{j-1}| w_j / w_{j-1}
-    gives q_j >= |e_j| w_{j+1} / w_j > 0, so once q clears that bound in
-    them none of the rest is counted.  For the FD matrix these are the
-    rows where the cell's potential exceeds x, the classically forbidden
-    cells beyond the last turning point.
     """
     e2 = e * e
     e2[np.abs(d[1:] * d[:-1]) * _EPS ** 2 + _TINY > e2] = 0.0
     pivmin = _TINY * max(1.0, float(e2.max(initial=0.0)))
-    diag, off = d.tolist(), e2.tolist()
-    off.insert(0, 0.0)
-    if masses is None:
-        bound = entry = None
-    else:
-        ratio = np.sqrt(masses[1:] / masses[:-1])
-        entry = np.abs(e) * ratio
-        bound = np.zeros_like(d)
-        bound[1:] += np.abs(e) / ratio
-        bound[:-1] += entry
-        bound += 8.0 * _EPS * (np.abs(d) + bound) + pivmin
-        entry = entry.tolist()
+    diag, off = d.tolist(), [0.0] + e2.tolist()
 
     def below(x):
-        if bound is None:
-            tail = len(diag)
-        else:
-            weak = np.flatnonzero(~(d - x > bound + 8.0 * _EPS * abs(x)))
-            tail = weak[-1] + 1 if weak.size else 0
-        count, q, rows = 0, 1.0, zip(diag, off)
-        for dj, ej in islice(rows, tail):
+        # Python floats throughout: numpy scalars would slow the loop
+        x, count, q = float(x), 0, 1.0
+        for dj, ej in zip(diag, off):
             q = dj - ej / q - x
             if q < pivmin:
                 count += 1
                 if q > -pivmin:
                     q = -pivmin
-        # into the dominant rows, until q_j clears |e_j| w_{j+1} / w_j
-        j = tail - 1
-        while 0 <= j < len(diag) - 1 and q < entry[j]:
-            dj, ej = next(rows)
-            q = dj - ej / q - x
-            if q < pivmin:
-                count += 1
-                if q > -pivmin:
-                    q = -pivmin
-            j += 1
         return count
 
     return below
@@ -352,21 +326,19 @@ class _Reduction:
     subtractions into additions.
 
     Without ``rhs`` the reduction runs down to one row and only counts.
-    With it, it stops at ``_TAIL`` rows, whose matrices it inverts densely
-    (LU with pivoting), and ``solution`` solves for ``rhs``, one row per
-    shift or one row for all, in the same pass; ``solve`` reuses the
-    multipliers and the inverses for further right-hand sides.
+    With it, one row per shift or one row for all, it carries ``rhs``
+    along and stops at ``_TAIL`` rows, whose matrices it inverts densely
+    (LU with pivoting); ``solution`` is (T - sigma I)^-1 rhs, and
+    ``solve`` reuses the multipliers and the inverses for further
+    right-hand sides.
     """
 
     def __init__(self, d, e, shifts, rhs=None):
-        if rhs is None:
-            self._count(d, e, shifts)
-            return
         self.levels, fes = [], []
         # the first level splits d, not d - sigma, so its rows are contiguous
         b, m, c, f = None, d.size, -e, rhs
         with np.errstate(all="ignore"):
-            while m > _TAIL:
+            while m > (1 if rhs is None else _TAIL):
                 if b is None:
                     even, odd = d[0::2] - shifts[:, None], d[1::2] - shifts[:, None]
                 else:
@@ -384,50 +356,32 @@ class _Reduction:
                 m = k
                 c = right[:, :k - 1] * cl[..., 1:]
                 self.levels.append((inv, left, right))
-                fes.append(np.ascontiguousarray(f[..., 0::2]))
-                f = f[..., 1::2] + left * fes[-1][..., :k]
-                f[:, :j] += right * fes[-1][..., 1:j + 1]
-        if b is None:
-            b = d - shifts[:, None]
-        rows, m = b.shape
+                if rhs is not None:
+                    fes.append(np.ascontiguousarray(f[..., 0::2]))
+                    f = f[..., 1::2] + left * fes[-1][..., :k]
+                    f[:, :j] += right * fes[-1][..., 1:j + 1]
+        self.last = d - shifts[:, None] if b is None else b
+        if rhs is None:
+            return
+        rows, m = self.last.shape
         tail = np.zeros((rows, m, m))
         flat = tail.reshape(rows, m * m)
-        flat[:, ::m + 1] = b
+        flat[:, ::m + 1] = self.last
         flat[:, 1::m + 1] = flat[:, m::m + 1] = -c
         try:
             self.inverse = np.linalg.inv(tail)
         except np.linalg.LinAlgError:
             self.inverse = np.full_like(tail, np.nan)
-        self.solution = self._back(np.broadcast_to(f, b.shape), fes)
-
-    def _count(self, d, e, shifts):
-        """The same reduction down to one row, pivots only: it carries the
-        squared couplings, e'^2 = e_r^2 e_l^2 / b^2 of the row between."""
-        pivots, b, m, c2 = [], None, d.size, e * e
-        with np.errstate(all="ignore"):
-            while m > 1:
-                if b is None:
-                    even, odd = d[0::2] - shifts[:, None], d[1::2] - shifts[:, None]
-                else:
-                    even, odd = b[:, 0::2], b[:, 1::2]
-                k = m // 2
-                cl, cr = c2[..., 0::2], c2[..., 1::2]
-                j = cr.shape[-1]
-                inv = 1.0 / even
-                b = odd - cl * inv[:, :k]
-                right = cr * inv[:, 1:j + 1]
-                b[:, :j] -= right
-                c2 = right[:, :k - 1] * (cl[..., 1:] * inv[:, 1:k])
-                pivots.append(inv)
-                m = k
-        pivots.append(d - shifts[:, None] if b is None else b)
-        self.pivots = np.concatenate(pivots, axis=1)
+        self.solution = self._back(np.broadcast_to(f, self.last.shape), fes)
 
     def negative(self):
         """Negative pivots of T - sigma I, per shift, of a reduction
         without ``rhs`` (the inverses of the eliminated pivots keep their
         signs)."""
-        return (self.pivots < 0.0).sum(axis=1)
+        count = (self.last < 0.0).sum(axis=1)
+        for inv, _, _ in self.levels:
+            count += (inv < 0.0).sum(axis=1)
+        return count
 
     def solve(self, rhs):
         """(T - sigma I)^-1 rhs, one row of rhs per shift."""
@@ -438,7 +392,7 @@ class _Reduction:
                 fes.append(f[:, 0::2])
                 f = f[:, 1::2] + left * fes[-1][:, :k]
                 f[:, :j] += right * fes[-1][:, 1:j + 1]
-        return self._back(f, fes)
+            return self._back(f, fes)
 
     def _back(self, f, fes):
         """Solve the tail for its right-hand sides ``f``, then substitute
@@ -547,7 +501,7 @@ def _iterate(d, e, seeds, start, steps, tol):
     return values, vectors
 
 
-def _polish(d, e, seeds, start=None, masses=None):
+def _polish(d, e, seeds, start=None, window=None):
     """Certified inverse-iteration refinement of ``seeds`` (``_iterate``):
     the values and their vectors, or None.
 
@@ -555,8 +509,8 @@ def _polish(d, e, seeds, start=None, masses=None):
     tridiagonal T = (d, e) in ascending order; the last is a guard that only
     bounds the one below it.  The iteration starts from the rows of
     ``start``, the vectors of the grid below carried over (``_prolong``),
-    or from a fixed-seed random vector.  ``masses`` are the Sturm count's
-    weights (``_sturm``).
+    or from a fixed-seed random vector.  It runs on the rows i:j of
+    ``window`` (``_window``), all by default; the vectors are zero outside.
 
     The residual the solves imply leaves out their round-off, so the
     certificate takes the explicit residuals r = |T v - value v| of the
@@ -568,17 +522,24 @@ def _polish(d, e, seeds, start=None, masses=None):
     gaps to the neighbouring intervals, is at most eps * ||T||_1, the
     tolerance bisection stops at.
     """
+    i, j = (0, d.size) if window is None else window
     if start is None:
         start = np.random.default_rng(1).uniform(-1.0, 1.0, d.size)
     tol = _EPS * _norm1(d, e)
-    values, vectors = _iterate(d, e, seeds, start, _POLISH_STEPS, tol)
+    values, inner = _iterate(d[i:j], e[i:j - 1], seeds, start[..., i:j], _POLISH_STEPS, tol)
     if not np.all(np.isfinite(values)):
         return None
+    vectors = inner
+    if j - i < d.size:
+        vectors = np.zeros((seeds.size, d.size))
+        vectors[:, i:j] = inner
     tv = _apply(d, e, vectors, values)
     resid = np.sqrt(np.einsum("ij,ij->i", tv, tv))
     if not np.all(values[:-1] + resid[:-1] < values[1:] - resid[1:]):
         return None
-    if _sturm(d, e, masses)(values[-1] + resid[-1]) != values.size:
+    # the guard's interval reaches at least eps * ||T||_1 above its value,
+    # the round-off floor of a computed residual
+    if _sturm(d, e)(values[-1] + max(resid[-1], tol)) != values.size:
         return None
     gap = _gaps(values, resid)[:-1]
     kept = resid[:-1]
@@ -620,24 +581,65 @@ def _prolong(vectors):
     return fine
 
 
+def _probe(d, e, potential, count):
+    """An upper bound on the ``count``-th eigenvalue of T = (d, e): that of
+    the rows around the lowest ``potential``, at least ``_PROBE`` of them.
+    A principal submatrix's eigenvalues lie above T's (Cauchy interlacing)."""
+    rows = min(max(_PROBE, 2 * count), d.size)
+    i = min(max(int(np.argmin(potential)) - rows // 2, 0), d.size - rows)
+    return _dense(d[i:i + rows], e[i:i + rows - 1], count, False)[-1]
+
+
+def _window(potential, e, top):
+    """Rows i:j of a grid outside which every eigenvector of T = (d, e)
+    below ``top`` has decayed by e^-``_DECAY`` (``_polish``).
+
+    The vectors oscillate on the rows whose ``potential`` (``_fd_matrix``)
+    is below ``top`` and decay beyond them: by arccosh(1 + (w - top) /
+    (2 |e|)) per row of potential w, the rate of the decaying solution of
+    a uniform tridiagonal matrix.
+    """
+    allowed = np.flatnonzero(potential <= top)
+    if allowed.size == 0:
+        return 0, potential.size
+    a, b = allowed[0], allowed[-1] + 1
+    # the rows before a, nearest first, with their couplings to the next
+    # row, and the rows from b on with theirs to the row before
+    before = slice(a - 1, None, -1) if a else slice(0)
+    rates = [np.arccosh(1.0 + (potential[rows] - top) / (2.0 * np.abs(e[coupling])))
+             for rows, coupling in ((before, before), (slice(b, None), slice(b - 1, None)))]
+    return (int(a - np.searchsorted(np.cumsum(rates[0]), _DECAY)),
+            int(b + np.searchsorted(np.cumsum(rates[1]), _DECAY)))
+
+
 def _below(V, lo, hi, base, walls, count):
     """Values of grids below the base that seed it, and vectors carried to
-    the base grid as its start (``_prolong``), or None.
+    the base grid as its start (``_prolong``).
 
-    While base/2 has at most ``_DENSE_MAX`` cells these are grids base/4
-    and base/2, solved densely, with the vectors of grid base/4 carried up
-    twice.  Above that it is grid base/2 alone, iterated from multisection
-    seeds (``_multisect``, ``_iterate``) and uncertified: its values only
-    seed the base grid, whose certificate decides.
+    Grid base/2 is cut to a window (``_window``) from a bound on its top
+    level (``_probe``) once it has more than 2 ``_PROBE`` rows.  A window of
+    at most ``_DENSE_MAX`` rows and the same cells of grid base/4 are solved
+    densely, and the vectors of grid base/4 carried up twice.  A wider
+    window is iterated from multisection seeds (``_multisect``,
+    ``_iterate``) and uncertified: its values only seed the base grid,
+    whose certificate decides.
     """
-    if base // 2 <= _DENSE_MAX:
-        quarter, vectors = _dense(*_fd_matrix(V, lo, hi, base // 4, walls)[:2], count, True)
-        half = _dense(*_fd_matrix(V, lo, hi, base // 2, walls)[:2], count, False)
-        return [quarter, half], _prolong(_prolong(vectors))
-    d, e, _ = _fd_matrix(V, lo, hi, base // 2, walls)
-    values, vectors = _iterate(d, e, _multisect(d, e, count),
-                               np.random.default_rng(1).uniform(-1.0, 1.0, d.size),
-                               _SEED_STEPS, _EPS * _norm1(d, e))
+    d, e, potential = _fd_matrix(V, lo, hi, base // 2, walls)
+    i, j = 0, d.size
+    if d.size > 2 * _PROBE:
+        i, j = _window(potential, e, _probe(d, e, potential, count))
+    vectors = np.zeros((count, d.size))
+    if count <= (j - i) // 2 and j - i <= _DENSE_MAX:
+        # the cells i:j of grid base/2 are the cells i/2:j/2 of grid base/4
+        dq, eq, _ = _fd_matrix(V, lo, hi, base // 4, walls)
+        quarter, inner = _dense(dq[i // 2:(j + 1) // 2], eq[i // 2:(j + 1) // 2 - 1], count, True)
+        vectors[:, i // 2:(j + 1) // 2] = inner
+        half = _dense(d[i:j], e[i:j - 1], count, False)
+        return [quarter, half], _prolong(_prolong(vectors[:, :base // 4]))
+    d, e = d[i:j], e[i:j - 1]
+    values, vectors[:, i:j] = _iterate(d, e, _multisect(d, e, count),
+                                       np.random.default_rng(1).uniform(-1.0, 1.0, d.size),
+                                       _SEED_STEPS, _EPS * _norm1(d, e))
     return [values], _prolong(vectors)
 
 
@@ -659,9 +661,7 @@ def fd_eigenvalues(well, count: int) -> SpectrumResult:
     Richardson prediction lambda_2 + (lambda_2 - lambda_1) / 4 from the two
     grids below it, or by the Rayleigh quotients of the carried vectors
     where there is one grid below (``_below``).  A grid that fails the
-    certificate is polished again
-    from multisection seeds (``_multisect``), and failing that bisected to
-    eps * ||T||_1 (``_bisect``).  ``SpectrumResult.certified`` records which
+    certificate is bisected to eps * ||T||_1 (``_bisect``).  ``SpectrumResult.certified`` records which
     grids certified.  The raw values then go through Richardson
     extrapolation with the exponents 2 and 4, and ConvergenceFailure is
     raised where the grids disagree.  Each error estimate adds to the
@@ -694,15 +694,15 @@ def fd_eigenvalues(well, count: int) -> SpectrumResult:
     levels, start = _below(V, lo, hi, base, walls, count + 1)
     certified, tols = [], []
     for n in grids:
-        d, e, masses = _fd_matrix(V, lo, hi, n, walls)
+        d, e, potential = _fd_matrix(V, lo, hi, n, walls)
         tols.append(_EPS * _norm1(d, e))
         if len(levels) > 1:
             seeds = levels[-1] + (levels[-1] - levels[-2]) / 4.0
         else:
             seeds = _rayleigh(d, e, start)
-        polished = _polish(d, e, seeds, start, masses)
-        if polished is None:
-            polished = _polish(d, e, _multisect(d, e, count + 1), None, masses)
+        # a gap above the guard's seed
+        window = _window(potential, e, 2.0 * seeds[-1] - seeds[-2])
+        polished = _polish(d, e, seeds, start, window)
         certified.append(polished is not None)
         levels.append(_bisect(d, e, count + 1) if polished is None else polished[0])
         if n < grids[-1]:

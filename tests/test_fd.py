@@ -261,16 +261,22 @@ class TestPolishedEigensolver:
             norm1 = np.max(np.abs(d) + 2.0 * np.abs(e[0]))
             assert np.max(np.abs(raw - tight)) <= np.finfo(float).eps * norm1
 
-    @pytest.mark.parametrize("case, dense, multisected", [
-        (POLISH_CASES[1], [32, 64], []),
-        (POLISH_CASES[3], [64, 128], []),
-        (POLISH_CASES[2], [], [512]),
+    @pytest.mark.parametrize("case, count, dense, multisected", [
+        # base 128: grids 32 and 64, whole
+        (POLISH_CASES[1], 6, [32, 64], []),
+        # base 1024: a probe of 32 rows of grid 512, then the cells of its
+        # window on grids 256 and 512
+        (POLISH_CASES[2], 6, [32, 54, 106], []),
+        # base 512 for 64 levels: a probe of 130 rows, then the window, all
+        # of grid 256, by multisection
+        (POLISH_CASES[1], 64, [130], [256]),
     ])
-    def test_seeds_come_from_the_grids_below(self, case, dense, multisected, monkeypatch):
-        # a base grid of 128 or 256 cells is seeded by dense solves of grids
-        # N/4 and N/2; a larger one by grid N/2 alone, from multisection.  No
-        # grid is bisected, and the three grids neither multisect nor
-        # need a dense solve.
+    def test_seeds_come_from_the_grids_below(self, case, count, dense, multisected,
+                                             monkeypatch):
+        # grid N/2 is cut to a window once it has more than 2 _PROBE rows; a
+        # window of at most _DENSE_MAX rows and the same cells of grid N/4
+        # are solved densely, a wider one is multisected.  No grid is
+        # bisected, and the three grids need neither.
         calls = {"dense": [], "multisect": [], "bisect": []}
         for name, key in (("_dense", "dense"), ("_multisect", "multisect"),
                           ("_bisect", "bisect")):
@@ -281,17 +287,41 @@ class TestPolishedEigensolver:
                 return real(d, *rest)
 
             monkeypatch.setattr(fd, name, counting)
-        res = fd_eigenvalues(_problem(case), 6)
+        res = fd_eigenvalues(_problem(case), count)
         assert res.certified == (True, True, True)
-        assert res.grid_sizes[0] == 2 * max(dense + multisected)
         assert calls == {"dense": dense, "multisect": multisected, "bisect": []}
+
+    def test_window_holds_the_low_eigenvectors(self):
+        # the probe bounds the top level of grid N/2 from above (Cauchy
+        # interlacing); on every grid, the vectors certified on all rows are
+        # below e^-20 of their peak outside the window (their round-off
+        # floor is near e^-28), and the polish on the window certifies the
+        # same values to eps * ||T||_1
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        problem = _problem(POLISH_CASES[2])
+        res = fd_eigenvalues(problem, 6)
+        walls = fd._walls(*res.wall_exponents)
+        d, e, potential = fd._fd_matrix(problem.V, problem.q_lo, problem.q_hi,
+                                        res.grid_sizes[0] // 2, walls)
+        top = eigvalsh_tridiagonal(d, e, select="i", select_range=(6, 6))[0]
+        assert top <= fd._probe(d, e, potential, 7)
+        for n in res.grid_sizes:
+            d, e, potential = fd._fd_matrix(problem.V, problem.q_lo, problem.q_hi, n, walls)
+            seeds = fd._bisect(d, e, 7)
+            values, vectors = fd._polish(d, e, seeds)
+            i, j = fd._window(potential, e, 2.0 * values[-1] - values[-2])
+            assert 0 < i and j < n
+            peak = np.abs(vectors).max()
+            assert np.abs(vectors[:, :i]).max() < math.exp(-20.0) * peak
+            assert np.abs(vectors[:, j:]).max() < math.exp(-20.0) * peak
+            windowed, _ = fd._polish(d, e, seeds, None, (i, j))
+            assert np.max(np.abs(windowed - values)) <= np.finfo(float).eps * fd._norm1(d, e)
 
     @pytest.mark.parametrize("case", POLISH_CASES)
     def test_sturm_count_matches_lapack(self, case):
         # dstebz range "V" counts the eigenvalues in (-2 ||T||_1, x]; the
-        # probes sit 1, 4 and 64 ulps of ||T||_1 from every eigenvalue.  The
-        # count weighted by the cell masses, which stops in the forbidden
-        # cells after the last turning point, counts the same.
+        # probes sit 1, 4 and 64 ulps of ||T||_1 from every eigenvalue
         from scipy.linalg import eigvalsh_tridiagonal
         from scipy.linalg.lapack import dstebz
 
@@ -299,15 +329,15 @@ class TestPolishedEigensolver:
         res = fd_eigenvalues(problem, 6)
         walls = fd._walls(*res.wall_exponents)
         for n in res.grid_sizes:
-            d, e, masses = fd._fd_matrix(problem.V, problem.q_lo, problem.q_hi, n, walls)
+            d, e, _ = fd._fd_matrix(problem.V, problem.q_lo, problem.q_hi, n, walls)
             norm1 = fd._norm1(d, e)
-            counts = (fd._sturm(d, e), fd._sturm(d, e, masses))
+            below = fd._sturm(d, e)
             levels = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 6))
             for step in (1, 4, 64):
                 for x in np.concatenate([levels - step * np.finfo(float).eps * norm1,
                                          levels + step * np.finfo(float).eps * norm1]):
                     want = dstebz(d, e, 1, -2.0 * norm1, x, 0, 0, 4.0 * norm1, "E")[0]
-                    assert [below(x) for below in counts] == [want, want], (x, step)
+                    assert below(x) == want, (x, step)
 
     def test_sturm_count_on_split_and_single_row_matrices(self):
         from scipy.linalg.lapack import dstebz
@@ -338,8 +368,7 @@ class TestPolishedEigensolver:
     def test_fallback_returns_the_bisection_values(self, monkeypatch):
         real = fd._polish
 
-        # duplicated seeds fail the certificate on every grid, rescue
-        # included
+        # duplicated seeds fail the certificate on every grid
         def duplicated(d, e, seeds, *start):
             return real(d, e, np.repeat(seeds, 2)[:seeds.size], *start)
 

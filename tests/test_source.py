@@ -172,7 +172,7 @@ def imports(path):
 # two quadrature rules
 FD_IMPORTS = sorted([
     ("__future__", "annotations"), ("math", ""), ("dataclasses", "dataclass"),
-    ("itertools", "islice"), ("numpy", ""), (".errors", "ConvergenceFailure"),
+    ("functools", "lru_cache"), ("numpy", ""), (".errors", "ConvergenceFailure"),
     (".errors", "ParameterError"), (".specfun", "gauss_jacobi"),
     (".specfun", "gauss_legendre_nodes"),
 ])
