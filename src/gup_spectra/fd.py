@@ -15,25 +15,27 @@ Everything runs on numpy.  Each grid polishes count + 1 seeds by shifted
 inverse iteration, all seeds at once: one odd-even reduction of T - sigma I
 over the vector of shifts (Buzbee, Golub and Nielson, SIAM J. Numer. Anal.
 7, 1970) factors every shift and carries the first solve, and each further
-solve reuses its multipliers.  Every grid starts from the vectors of the
-grid below, interpolated to its cells, and takes its seeds from the grids
-below: the Richardson prediction lambda_2 + (lambda_2 - lambda_1) / 4 of
-the two grids below it, or the Rayleigh quotients of the carried vectors
-where there is one.  Below the base grid N, grids N/4 and N/2 are solved by
-a dense eigensolver while N/2 has at most 128 cells; above that, grid N/2
-is iterated from multisection seeds that the reduction's negative-pivot
-counts place.  A grid keeps the polished values only under a certificate
-built from their explicit residuals, all formed in one pass: disjoint
-residual intervals, a Sturm count with exactly the expected number of
-eigenvalues below them, and Kato-Temple bounds min(|r|, |r|^2 / gap) of at
-most eps * ||T||_1 (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).
-The count is the natural-order Sturm recurrence that LAPACK's bisection
-runs (Barth, Martin and Wilkinson, Numer. Math. 9, 1967), which is
-backward stable; it stops in the forbidden cells beyond the last turning
-point, where the cell masses show that no later row can count.  The
-reduction's counts only place seeds.  A grid whose
-values do not certify is polished again from multisection seeds, and if
-that fails too, bisected with the Sturm count to eps * ||T||_1.
+solve reuses its multipliers.  The iteration runs on a window of the grid's
+rows, outside which the wanted eigenvectors have decayed below round-off:
+where the wall exponents are large the levels sit in a narrow well, and
+the window holds a fifth to a half of the rows.  Every grid starts from
+the vectors of the grid below, interpolated to its cells, and takes its
+seeds from the grids below: the Richardson prediction
+lambda_2 + (lambda_2 - lambda_1) / 4 of the two grids below it, or the
+Rayleigh quotients of the carried vectors where there is one.  Below the
+base grid N, the same window of grids N/4 and N/2 is solved by a dense
+eigensolver while it has at most 128 rows of grid N/2; a wider one, which
+only many levels ask for, is iterated from multisection seeds that the
+reduction's negative-pivot counts place.  A grid keeps the polished values
+only under a certificate built from their explicit residuals on all its
+rows, formed in one pass: disjoint residual intervals, a Sturm count with
+exactly the expected number of eigenvalues below them, and Kato-Temple
+bounds min(|r|, |r|^2 / gap) of at most eps * ||T||_1 (Parlett, The
+Symmetric Eigenvalue Problem, SIAM 1998).  The count is the natural-order
+Sturm recurrence that LAPACK's bisection runs (Barth, Martin and Wilkinson,
+Numer. Math. 9, 1967), which is backward stable; the reduction's counts
+only place seeds.  A grid whose values do not certify is bisected with the
+Sturm count to eps * ||T||_1.
 Everything is computed from V alone, never seeded from the closed forms,
 keeping the check independent of what it validates: this module takes
 nothing from the package but ``errors`` and two quadrature rules of
@@ -79,8 +81,7 @@ _EPS = float(np.finfo(float).eps)
 # LAPACK's safe minimum, which sets the Sturm count's least pivot
 _TINY = float(np.finfo(float).tiny)
 # Inverse-iteration solves per seed: a seed predicted from the grids below
-# and started from their vectors stops after one or two, a multisection
-# seed from a random start after three to five.  The first _FIXED_SOLVES
+# and started from their vectors stops after one or two.  The first _FIXED_SOLVES
 # keep the seed's shift, the rest move it to the Rayleigh quotient.
 _POLISH_STEPS = 6
 _FIXED_SOLVES = 3
@@ -88,8 +89,8 @@ _FIXED_SOLVES = 3
 # seeds (``_below``): enough for vectors whose Rayleigh quotients seed the
 # base grid well within their gaps.
 _SEED_STEPS = 2
-# Grids below the base of at most this many cells are solved densely for
-# seeds (``_below``).
+# A window of grid N/2 below the base of at most this many rows is solved
+# densely for seeds (``_below``).
 _DENSE_MAX = 128
 # A solving ``_Reduction`` stops at this many rows and inverts them densely.
 _TAIL = 8
@@ -454,12 +455,12 @@ def _iterate(d, e, seeds, start, steps, tol):
 
     One ``_Reduction`` factors T - sigma I for every seed sigma, and each
     seed iterates solves (T - sigma I) y = v from its row of ``start``.
-    The Rayleigh quotient of y is sigma + (y . v) / (y . y), and the
-    residual of y / |y| that the solve implies is
-    sqrt((v . v - (y . v)^2 / (y . y)) / (y . y)).  A seed stops once that
-    residual's Kato-Temple bound min(|r|, |r|^2 / gap), with gap half the
-    distance to the neighbouring seeds, is below ``tol``, or after
-    ``steps`` solves.  The first ``_FIXED_SOLVES`` solves keep the
+    The Rayleigh quotient of y is sigma + (y . v) / (y . y).  The
+    reduction does not pivot, so a small pivot can spoil a solve while the
+    residual it implies looks converged; a seed stops once the Kato-Temple
+    bound min(|r|, |r|^2 / gap) of the explicit residual r of y / |y|,
+    with gap half the distance to the neighbouring seeds, is below
+    ``tol``, or after ``steps`` solves.  The first ``_FIXED_SOLVES`` solves keep the
     seeds' shifts; after them a seed still unconverged moves its shift to
     its Rayleigh quotient at every solve (Rayleigh quotient iteration).
     """
@@ -469,7 +470,6 @@ def _iterate(d, e, seeds, start, steps, tol):
     reduction = _Reduction(d, e, shifts, start)
     y = reduction.solution
     v = np.broadcast_to(start, y.shape)
-    vv = np.einsum("ij,ij->i", v, v)
     values = np.empty_like(seeds)
     vectors = np.empty((seeds.size, d.size))
     todo = np.ones(seeds.size, dtype=bool)
@@ -478,9 +478,10 @@ def _iterate(d, e, seeds, start, steps, tol):
         for step in range(steps):
             yy = np.einsum("ij,ij->i", y, y)
             yv = np.einsum("ij,ij->i", y, v)
-            r2 = (vv - yv * yv / yy) / yy
             v = y / np.sqrt(yy)[:, None]
             quotient = shifts + yv / yy
+            residual = _apply(d, e, v, quotient)
+            r2 = np.einsum("ij,ij->i", residual, residual)
             done = todo & ((r2 <= stop[rows]) | (step == steps - 1))
             if step == 0 and done.all():
                 return quotient, v
@@ -490,12 +491,10 @@ def _iterate(d, e, seeds, start, steps, tol):
             if not todo.any():
                 break
             if step + 1 < _FIXED_SOLVES:
-                vv = np.einsum("ij,ij->i", v, v)
                 y = reduction.solve(v)
                 continue
             rows, v, shifts = rows[todo], v[todo], quotient[todo]
             todo = todo[todo]
-            vv = np.einsum("ij,ij->i", v, v)
             reduction = _Reduction(d, e, shifts, v)
             y = reduction.solution
     return values, vectors
@@ -583,9 +582,12 @@ def _prolong(vectors):
 
 def _probe(d, e, potential, count):
     """An upper bound on the ``count``-th eigenvalue of T = (d, e): that of
-    the rows around the lowest ``potential``, at least ``_PROBE`` of them.
-    A principal submatrix's eigenvalues lie above T's (Cauchy interlacing)."""
-    rows = min(max(_PROBE, 2 * count), d.size)
+    the rows around the lowest ``potential``, max(``_PROBE``, 2 count) of
+    them, or None where they would be more than a quarter of T's.  A
+    principal submatrix's eigenvalues lie above T's (Cauchy interlacing)."""
+    rows = max(_PROBE, 2 * count)
+    if 4 * rows > d.size:
+        return None
     i = min(max(int(np.argmin(potential)) - rows // 2, 0), d.size - rows)
     return _dense(d[i:i + rows], e[i:i + rows - 1], count, False)[-1]
 
@@ -617,7 +619,7 @@ def _below(V, lo, hi, base, walls, count):
     the base grid as its start (``_prolong``).
 
     Grid base/2 is cut to a window (``_window``) from a bound on its top
-    level (``_probe``) once it has more than 2 ``_PROBE`` rows.  A window of
+    level where there is one (``_probe``).  A window of
     at most ``_DENSE_MAX`` rows and the same cells of grid base/4 are solved
     densely, and the vectors of grid base/4 carried up twice.  A wider
     window is iterated from multisection seeds (``_multisect``,
@@ -625,9 +627,8 @@ def _below(V, lo, hi, base, walls, count):
     whose certificate decides.
     """
     d, e, potential = _fd_matrix(V, lo, hi, base // 2, walls)
-    i, j = 0, d.size
-    if d.size > 2 * _PROBE:
-        i, j = _window(potential, e, _probe(d, e, potential, count))
+    top = _probe(d, e, potential, count)
+    i, j = (0, d.size) if top is None else _window(potential, e, top)
     vectors = np.zeros((count, d.size))
     if count <= (j - i) // 2 and j - i <= _DENSE_MAX:
         # the cells i:j of grid base/2 are the cells i/2:j/2 of grid base/4
@@ -656,13 +657,15 @@ def fd_eigenvalues(well, count: int) -> SpectrumResult:
     count and the wall exponents as ``_LEAST_BASE`` says.  Every grid
     refines count + 1 seeds by certified inverse iteration (``_polish``);
     the extra one is a guard whose residual interval bounds the gap above
-    the top requested level.  A grid starts from the vectors of the grid
-    below, carried to its cells (``_prolong``), and is seeded by the
-    Richardson prediction lambda_2 + (lambda_2 - lambda_1) / 4 from the two
-    grids below it, or by the Rayleigh quotients of the carried vectors
-    where there is one grid below (``_below``).  A grid that fails the
-    certificate is bisected to eps * ||T||_1 (``_bisect``).  ``SpectrumResult.certified`` records which
-    grids certified.  The raw values then go through Richardson
+    the top requested level; it runs on the grid's window for a level a
+    gap above the guard's seed (``_window``).  A grid starts from the
+    vectors of the grid below, carried to its cells (``_prolong``), and is
+    seeded by the Richardson prediction lambda_2 + (lambda_2 - lambda_1) / 4
+    from the two grids below it, or by the Rayleigh quotients of the
+    carried vectors where there is one grid below (``_below``).  A grid that
+    fails the certificate is bisected to eps * ||T||_1 (``_bisect``).
+    ``SpectrumResult.certified`` records which grids certified.  The raw
+    values then go through Richardson
     extrapolation with the exponents 2 and 4, and ConvergenceFailure is
     raised where the grids disagree.  Each error estimate adds to the
     Richardson terms the three grids' tolerances eps * ||T||_1, weighted as

@@ -267,16 +267,19 @@ class TestPolishedEigensolver:
         # base 1024: a probe of 32 rows of grid 512, then the cells of its
         # window on grids 256 and 512
         (POLISH_CASES[2], 6, [32, 54, 106], []),
-        # base 512 for 64 levels: a probe of 130 rows, then the window, all
-        # of grid 256, by multisection
-        (POLISH_CASES[1], 64, [130], [256]),
+        # base 512 for 64 levels: a probe would take 130 of the 256 rows of
+        # grid 256, which is multisected whole
+        (POLISH_CASES[1], 64, [], [256]),
+        # base 2048 for 64 levels: a probe of 130 rows of grid 1024, then
+        # its window, wider than _DENSE_MAX, by multisection
+        (POLISH_CASES[2], 64, [130], [374]),
     ])
     def test_seeds_come_from_the_grids_below(self, case, count, dense, multisected,
                                              monkeypatch):
-        # grid N/2 is cut to a window once it has more than 2 _PROBE rows; a
-        # window of at most _DENSE_MAX rows and the same cells of grid N/4
-        # are solved densely, a wider one is multisected.  No grid is
-        # bisected, and the three grids need neither.
+        # grid N/2 is cut to a window where a probe takes at most a quarter
+        # of its rows; a window of at most _DENSE_MAX rows and the same
+        # cells of grid N/4 are solved densely, a wider one is multisected.
+        # No grid is bisected, and the three grids need neither.
         calls = {"dense": [], "multisect": [], "bisect": []}
         for name, key in (("_dense", "dense"), ("_multisect", "multisect"),
                           ("_bisect", "bisect")):
