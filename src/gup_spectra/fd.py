@@ -373,7 +373,7 @@ class _Reduction:
             self.inverse = np.linalg.inv(tail)
         except np.linalg.LinAlgError:
             self.inverse = np.full_like(tail, np.nan)
-        self.solution = self._back(np.broadcast_to(f, self.last.shape), fes)
+        self.solution = self._back(f, fes)
 
     def negative(self):
         """Negative pivots of T - sigma I, per shift, of a reduction
@@ -399,7 +399,8 @@ class _Reduction:
         """Solve the tail for its right-hand sides ``f``, then substitute
         back through the levels with the eliminated rows' ``fes``."""
         with np.errstate(all="ignore"):
-            x = np.einsum("sij,sj->si", self.inverse, f)
+            # f is one row for all shifts where no level was eliminated
+            x = (self.inverse @ f[..., None])[..., 0]
             for (inv, left, right), fe in zip(reversed(self.levels), reversed(fes)):
                 k, j = left.shape[1], right.shape[1]
                 xe = fe * inv
@@ -451,7 +452,8 @@ def _multisect(d, e, count):
 
 
 def _iterate(d, e, seeds, start, steps, tol):
-    """Shifted inverse iteration from ``seeds``: values and unit vectors.
+    """Shifted inverse iteration from ``seeds``: values, unit vectors and
+    the squares of their explicit residuals |T v - value v|.
 
     One ``_Reduction`` factors T - sigma I for every seed sigma, and each
     seed iterates solves (T - sigma I) y = v from its row of ``start``.
@@ -460,33 +462,35 @@ def _iterate(d, e, seeds, start, steps, tol):
     residual it implies looks converged; a seed stops once the Kato-Temple
     bound min(|r|, |r|^2 / gap) of the explicit residual r of y / |y|,
     with gap half the distance to the neighbouring seeds, is below
-    ``tol``, or after ``steps`` solves.  The first ``_FIXED_SOLVES`` solves keep the
-    seeds' shifts; after them a seed still unconverged moves its shift to
-    its Rayleigh quotient at every solve (Rayleigh quotient iteration).
+    ``tol``, or after ``steps`` solves.  The first ``_FIXED_SOLVES`` solves
+    keep the seeds' shifts; after them a seed still unconverged moves its
+    shift to its Rayleigh quotient at every solve (Rayleigh quotient
+    iteration).
     """
     # r^2 <= tol * max(tol, half gap) is the stop on the Kato-Temple bound
     stop = tol * np.maximum(tol, 0.5 * _gaps(seeds, np.zeros_like(seeds)))
     rows, shifts = np.arange(seeds.size), seeds
     reduction = _Reduction(d, e, shifts, start)
-    y = reduction.solution
-    v = np.broadcast_to(start, y.shape)
-    values = np.empty_like(seeds)
+    y, v = reduction.solution, start
+    values, squares = np.empty_like(seeds), np.empty_like(seeds)
     vectors = np.empty((seeds.size, d.size))
     todo = np.ones(seeds.size, dtype=bool)
     # a solve that overflows gives non-finite values, which never certify
     with np.errstate(all="ignore"):
         for step in range(steps):
             yy = np.einsum("ij,ij->i", y, y)
-            yv = np.einsum("ij,ij->i", y, v)
+            # v is one row for all seeds, or one row each
+            yv = (y * v).sum(axis=1)
             v = y / np.sqrt(yy)[:, None]
             quotient = shifts + yv / yy
             residual = _apply(d, e, v, quotient)
             r2 = np.einsum("ij,ij->i", residual, residual)
             done = todo & ((r2 <= stop[rows]) | (step == steps - 1))
             if step == 0 and done.all():
-                return quotient, v
+                return quotient, v, r2
             values[rows[done]] = quotient[done]
             vectors[rows[done]] = v[done]
+            squares[rows[done]] = r2[done]
             todo &= ~done
             if not todo.any():
                 break
@@ -497,7 +501,7 @@ def _iterate(d, e, seeds, start, steps, tol):
             todo = todo[todo]
             reduction = _Reduction(d, e, shifts, v)
             y = reduction.solution
-    return values, vectors
+    return values, vectors, squares
 
 
 def _polish(d, e, seeds, start=None, window=None):
@@ -513,27 +517,33 @@ def _polish(d, e, seeds, start=None, window=None):
 
     The residual the solves imply leaves out their round-off, so the
     certificate takes the explicit residuals r = |T v - value v| of the
-    final iterates, formed for all seeds in one pass.  The values are
-    returned only when they certify: the intervals value +- |r| are
-    disjoint, the Sturm count (``_sturm``) puts exactly len(seeds)
-    eigenvalues below the guard's interval, so each interval holds its own
-    eigenvalue, and every Kato-Temple bound below the guard, now with the
-    gaps to the neighbouring intervals, is at most eps * ||T||_1, the
-    tolerance bisection stops at.
+    final iterates on all rows of T: those of the window's rows, which the
+    iteration formed, and the couplings of the rows next to the window to
+    its end rows.  The values are returned only when they certify: the
+    intervals value +- |r| are disjoint, the Sturm count (``_sturm``) puts
+    exactly len(seeds) eigenvalues below the guard's interval, so each
+    interval holds its own eigenvalue, and every Kato-Temple bound below
+    the guard, now with the gaps to the neighbouring intervals, is at most
+    eps * ||T||_1, the tolerance bisection stops at.
     """
     i, j = (0, d.size) if window is None else window
     if start is None:
         start = np.random.default_rng(1).uniform(-1.0, 1.0, d.size)
     tol = _EPS * _norm1(d, e)
-    values, inner = _iterate(d[i:j], e[i:j - 1], seeds, start[..., i:j], _POLISH_STEPS, tol)
+    values, inner, squares = _iterate(d[i:j], e[i:j - 1], seeds, start[..., i:j],
+                                      _POLISH_STEPS, tol)
     if not np.all(np.isfinite(values)):
         return None
     vectors = inner
     if j - i < d.size:
         vectors = np.zeros((seeds.size, d.size))
         vectors[:, i:j] = inner
-    tv = _apply(d, e, vectors, values)
-    resid = np.sqrt(np.einsum("ij,ij->i", tv, tv))
+        # the rows next to the window see its end rows through their couplings
+        if i > 0:
+            squares += (e[i - 1] * inner[:, 0]) ** 2
+        if j < d.size:
+            squares += (e[j - 1] * inner[:, -1]) ** 2
+    resid = np.sqrt(squares)
     if not np.all(values[:-1] + resid[:-1] < values[1:] - resid[1:]):
         return None
     # the guard's interval reaches at least eps * ||T||_1 above its value,
@@ -605,6 +615,8 @@ def _window(potential, e, top):
     if allowed.size == 0:
         return 0, potential.size
     a, b = allowed[0], allowed[-1] + 1
+    if a == 0 and b == potential.size:
+        return a, b
     # the rows before a, nearest first, with their couplings to the next
     # row, and the rows from b on with theirs to the row before
     before = slice(a - 1, None, -1) if a else slice(0)
@@ -638,9 +650,9 @@ def _below(V, lo, hi, base, walls, count):
         half = _dense(d[i:j], e[i:j - 1], count, False)
         return [quarter, half], _prolong(_prolong(vectors[:, :base // 4]))
     d, e = d[i:j], e[i:j - 1]
-    values, vectors[:, i:j] = _iterate(d, e, _multisect(d, e, count),
-                                       np.random.default_rng(1).uniform(-1.0, 1.0, d.size),
-                                       _SEED_STEPS, _EPS * _norm1(d, e))
+    values, vectors[:, i:j], _ = _iterate(d, e, _multisect(d, e, count),
+                                          np.random.default_rng(1).uniform(-1.0, 1.0, d.size),
+                                          _SEED_STEPS, _EPS * _norm1(d, e))
     return [values], _prolong(vectors)
 
 
