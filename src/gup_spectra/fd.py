@@ -81,8 +81,9 @@ _EPS = float(np.finfo(float).eps)
 # LAPACK's safe minimum, which sets the Sturm count's least pivot
 _TINY = float(np.finfo(float).tiny)
 # Inverse-iteration solves per seed: a seed predicted from the grids below
-# and started from their vectors stops after one or two.  The first _FIXED_SOLVES
-# keep the seed's shift, the rest move it to the Rayleigh quotient.
+# and started from their vectors stops after one or two.  The first
+# _FIXED_SOLVES keep the seed's shift, the rest move it to the Rayleigh
+# quotient.
 _POLISH_STEPS = 6
 _FIXED_SOLVES = 3
 # Solves on the grid below the base when it is iterated from multisection
@@ -469,12 +470,8 @@ def _iterate(d, e, seeds, start, steps, tol):
     """
     # r^2 <= tol * max(tol, half gap) is the stop on the Kato-Temple bound
     stop = tol * np.maximum(tol, 0.5 * _gaps(seeds, np.zeros_like(seeds)))
-    rows, shifts = np.arange(seeds.size), seeds
-    reduction = _Reduction(d, e, shifts, start)
-    y, v = reduction.solution, start
-    values, squares = np.empty_like(seeds), np.empty_like(seeds)
-    vectors = np.empty((seeds.size, d.size))
-    todo = np.ones(seeds.size, dtype=bool)
+    reduction = _Reduction(d, e, seeds, start)
+    y, v, rows, shifts = reduction.solution, start, np.arange(seeds.size), seeds
     # a solve that overflows gives non-finite values, which never certify
     with np.errstate(all="ignore"):
         for step in range(steps):
@@ -485,9 +482,14 @@ def _iterate(d, e, seeds, start, steps, tol):
             quotient = shifts + yv / yy
             residual = _apply(d, e, v, quotient)
             r2 = np.einsum("ij,ij->i", residual, residual)
-            done = todo & ((r2 <= stop[rows]) | (step == steps - 1))
-            if step == 0 and done.all():
-                return quotient, v, r2
+            done = (r2 <= stop[rows]) | (step == steps - 1)
+            if step == 0:
+                if done.all():
+                    return quotient, v, r2
+                todo = np.ones(seeds.size, dtype=bool)
+                values, squares = np.empty_like(seeds), np.empty_like(seeds)
+                vectors = np.empty((seeds.size, d.size))
+            done &= todo
             values[rows[done]] = quotient[done]
             vectors[rows[done]] = v[done]
             squares[rows[done]] = r2[done]
@@ -707,7 +709,7 @@ def fd_eigenvalues(well, count: int) -> SpectrumResult:
     grids = (base, 2 * base, 4 * base)
     walls = _walls(s_lo, s_hi)
     levels, start = _below(V, lo, hi, base, walls, count + 1)
-    certified, tols = [], []
+    certified, tols, window = [], [], None
     for n in grids:
         d, e, potential = _fd_matrix(V, lo, hi, n, walls)
         tols.append(_EPS * _norm1(d, e))
@@ -715,8 +717,12 @@ def fd_eigenvalues(well, count: int) -> SpectrumResult:
             seeds = levels[-1] + (levels[-1] - levels[-2]) / 4.0
         else:
             seeds = _rayleigh(d, e, start)
-        # a gap above the guard's seed
-        window = _window(potential, e, 2.0 * seeds[-1] - seeds[-2])
+        # a gap above the guard's seed; a grid above one that needed all its
+        # rows needs them too
+        if window != (0, n // 2):
+            window = _window(potential, e, 2.0 * seeds[-1] - seeds[-2])
+        else:
+            window = (0, n)
         polished = _polish(d, e, seeds, start, window)
         certified.append(polished is not None)
         levels.append(_bisect(d, e, count + 1) if polished is None else polished[0])
