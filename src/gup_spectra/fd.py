@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -212,7 +211,6 @@ def _walls(s_lo, s_hi):
     return lo, lo if b == a else (b, *_wall_rule(b))
 
 
-@lru_cache(maxsize=16)
 def _wall_rule(s):
     """Nodes t in (0, 1) and weights w of a wall cell's rule: sum_k w_k f(t_k)
     integrates f over (0, 1), exactly where f is t^(2s) times a polynomial

@@ -172,9 +172,8 @@ def imports(path):
 # two quadrature rules
 FD_IMPORTS = sorted([
     ("__future__", "annotations"), ("math", ""), ("dataclasses", "dataclass"),
-    ("functools", "lru_cache"), ("numpy", ""), (".errors", "ConvergenceFailure"),
-    (".errors", "ParameterError"), (".specfun", "gauss_jacobi"),
-    (".specfun", "gauss_legendre_nodes"),
+    ("numpy", ""), (".errors", "ConvergenceFailure"), (".errors", "ParameterError"),
+    (".specfun", "gauss_jacobi"), (".specfun", "gauss_legendre_nodes"),
 ])
 
 
