@@ -28,14 +28,14 @@ eigensolver while it has at most 128 rows of grid N/2; a wider one, which
 only many levels ask for, is iterated from multisection seeds that the
 reduction's negative-pivot counts place.  A grid keeps the polished values
 only under a certificate built from their explicit residuals on all its
-rows, formed in one pass: disjoint residual intervals, a Sturm count with
-exactly the expected number of eigenvalues below them, and Kato-Temple
-bounds min(|r|, |r|^2 / gap) of at most eps * ||T||_1 (Parlett, The
-Symmetric Eigenvalue Problem, SIAM 1998).  The count is the natural-order
-Sturm recurrence that LAPACK's bisection runs (Barth, Martin and Wilkinson,
-Numer. Math. 9, 1967), which is backward stable; the reduction's counts
-only place seeds.  A grid whose values do not certify is bisected with the
-Sturm count to eps * ||T||_1.
+rows, which the iteration also stops on: disjoint residual intervals, a
+Sturm count with exactly the expected number of eigenvalues below them,
+and Kato-Temple bounds min(|r|, |r|^2 / gap) of at most eps * ||T||_1
+(Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).  The count is the
+natural-order Sturm recurrence that LAPACK's bisection runs (Barth, Martin
+and Wilkinson, Numer. Math. 9, 1967), which is backward stable; the
+reduction's counts only place seeds.  A grid whose values do not certify
+is bisected with the Sturm count to eps * ||T||_1.
 Everything is computed from V alone, never seeded from the closed forms,
 keeping the check independent of what it validates: this module takes
 nothing from the package but ``errors`` and two quadrature rules of
