@@ -360,6 +360,23 @@ class TestPolishedEigensolver:
                                   -2.0 * norm1 - 1.0, x, 0, 0, 4.0 * norm1, "E")[0]
                     assert below(x) == want, (dd.size, x)
 
+    def test_guard_interval_reaches_the_round_off_floor(self):
+        # a Poschl-Teller well with wall exponents 47 and 3722: the guard
+        # level of grid N has a computed residual of about 6e-14, far below
+        # eps * ||T||_1 = 3e-9, and its eigenvalue lies just above
+        # value + residual, so the count certifies only because the guard's
+        # interval reaches eps * ||T||_1 above its value
+        problem = _problem((PoschlTeller(0.3699097702544974, 0.3922677540803103),
+                            R.PI1, 1.682993226066023e-4))
+        assert fd_eigenvalues(problem, 6).certified == (True, True, True)
+
+    def test_iteration_stops_on_explicit_residuals(self):
+        # at 101 levels a small pivot of the reduction spoils one solve on
+        # grid N of this well: the residual the solve implies looks
+        # converged while the explicit one is 0.016
+        problem = _problem((Swanson(0.1, 0.2), R.PI1, 50.0))
+        assert fd_eigenvalues(problem, 101).certified == (True, True, True)
+
     def test_duplicate_seeds_do_not_certify(self):
         problem = _problem(POLISH_CASES[1])
         res = fd_eigenvalues(problem, 3)
