@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke test of the installed gup-spectra console script, after
 # `pip install -e .` (numpy alone) or `pip install -e '.[test]'`.  Leaves
-# direct.csv, unified.csv and stderr.txt in the working directory.
+# direct.csv, unified.csv, pi2.csv and stderr.txt in the working directory.
 set -eo pipefail
 
 gup-spectra --version
@@ -33,6 +33,9 @@ gup-spectra spectrum --model swanson --alpha 0.0649192447101177 --beta 0.1050934
 # 21 levels double the oracle's least base grid 128 to 256 cells, 8 per
 # level; the oracle does not read --grid, which counts display samples
 gup-spectra spectrum --model ho --tau 0.25 --nmax 20 --oracle --check --grid 64 > /dev/null
+# Pi2 shares Pi1's transformed problem: the same oracle run, byte for byte
+gup-spectra spectrum --model swanson --alpha 0.1 --beta 0.2 --tau 0.25 --rep pi2 --nmax 3 --oracle --check > pi2.csv
+gup-spectra spectrum --model swanson --alpha 0.1 --beta 0.2 --tau 0.25 --rep pi1 --nmax 3 --oracle --check | cmp - pi2.csv
 # tau = 1e-40 puts every Gauss-Jacobi node within 1e-20 of z = 0
 gup-spectra expectation --nmax 3 --tau 1e-40 H > /dev/null
 # the direct engine's mapped Pi3 grid matches the unified engine

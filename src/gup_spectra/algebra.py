@@ -47,6 +47,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import (
+    DomainError,
     IntrinsicNoncommutativity,
     ParameterError,
     UnsupportedPair,
@@ -91,14 +92,16 @@ class DeformationParams:
     tau: float = 0.0
 
     def __post_init__(self):
-        for name in ("hbar", "mass", "omega", "tau"):
+        for name in ("tau", "hbar", "mass", "omega"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ParameterError(f"{name} must be finite, got {v!r}")
-        if self.hbar <= 0 or self.mass <= 0 or self.omega <= 0:
-            raise ParameterError("hbar, mass and omega must be positive")
         if self.tau < 0:
             raise ParameterError(f"tau must be >= 0, got {self.tau}")
+        for name in ("hbar", "mass", "omega"):
+            v = getattr(self, name)
+            if v <= 0:
+                raise ParameterError(f"{name} must be positive, got {v!r}")
 
     @property
     def tau_check(self) -> float:
@@ -133,8 +136,17 @@ class Domain:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
     def contains(self, values) -> bool:
+        """Every value strictly inside; NaN is not (it fails both tests)."""
         v = np.asarray(values, dtype=float)
-        return bool(np.all(v > self.lo) and np.all(v < self.hi))
+        return bool(v.size == 0 or (self.lo < v.min() and v.max() < self.hi))
+
+    def check(self, values):
+        """DomainError unless ``contains(values)``."""
+        if not self.contains(values):
+            v = np.asarray(values, dtype=float)
+            raise DomainError(
+                f"samples [{v.min():.6g}, {v.max():.6g}] leave the domain "
+                f"({self.lo:.6g}, {self.hi:.6g})")
 
 
 @dataclass(frozen=True)

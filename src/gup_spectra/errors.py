@@ -17,10 +17,6 @@ class IntrinsicNoncommutativity(GupSpectraError):
     """The model has no commutative limit and requires tau > 0."""
 
 
-class DomainMismatch(GupSpectraError):
-    """A sample grid leaves the natural momentum domain of the representation."""
-
-
 class DomainError(GupSpectraError, ValueError):
     """Function argument outside the evaluation domain."""
 

@@ -99,9 +99,6 @@ class Jet:
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
-    def __neg__(self):
-        return Jet(-self.d)
-
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.d * other)

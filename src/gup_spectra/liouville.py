@@ -328,8 +328,8 @@ class FactorizationAnsatz:
     that is Q = (b - a - (2+a+b) w)/(1-w^2) and
     R = nu (nu+1+a+b)/(1-w^2) - mu^2/(1-w^2)^2.  a = b = 0 is the associated
     Legendre equation of degree nu and order mu; mu = 0, nu = n the Jacobi
-    equation of P_n^(a, b).  w(q) = sin(sqrt(c) q + phase), so
-    (w')^2/(1-w^2) = c identically.
+    equation of P_n^(a, b).  w(q) = sin(sqrt(c) q + phase), so w'' = -c w
+    and (w')^2/(1-w^2) = c identically.
     """
 
     c: float
@@ -345,12 +345,6 @@ class FactorizationAnsatz:
     def dw(self, q):
         rc = np.sqrt(self.c)
         return rc * np.cos(rc * np.asarray(q) + self.phase)
-
-    def ddw(self, q):
-        return -self.c * self.w(q)
-
-    def dddw(self, q):
-        return -self.c * self.dw(q)
 
     def Q(self, w):
         a, b = self.a, self.b
@@ -377,8 +371,8 @@ def master_residual(ansatz: FactorizationAnsatz, transform: TransformResult,
     q = np.asarray(q_grid, dtype=float)
     w = ansatz.w(q)
     wp = ansatz.dw(q)
-    wpp = ansatz.ddw(q)
-    wppp = ansatz.dddw(q)
+    wpp = -ansatz.c * w
+    wppp = -ansatz.c * wp
     rhs = (wppp / (2 * wp) - 0.75 * (wpp / wp) ** 2 + wp ** 2 * ansatz.R(w)
            - wp ** 2 * ansatz.dQ(w) / 2.0 - wp ** 2 * ansatz.Q(w) ** 2 / 4.0)
     lhs = E - transform.V(q)

@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from .algebra import REALIZATIONS, DeformationParams, Representation, p_domain
-from .errors import DomainMismatch
 
 __all__ = [
     "line_map",
@@ -93,19 +92,10 @@ def fd_derivative(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_grid(rep, params, grid):
-    dom = p_domain(rep, params)
-    if dom.finite and not dom.contains(grid):
-        raise DomainMismatch(
-            f"grid [{grid.min():.6g}, {grid.max():.6g}] leaves the {rep.value} "
-            f"domain ({dom.lo:.6g}, {dom.hi:.6g})"
-        )
-
-
 def apply_P(rep: Representation, params: DeformationParams,
             psi: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """P psi = P(y) psi on the sample grid, P(y) from ``REALIZATIONS``."""
-    _check_grid(rep, params, grid)
+    p_domain(rep, params).check(grid)
     p, _ = REALIZATIONS[rep].p_fields(np.asarray(grid, dtype=float),
                                       params.tau_check)
     return p * np.asarray(psi, dtype=complex)
@@ -119,7 +109,7 @@ def apply_X(rep: Representation, params: DeformationParams,
     ``dp`` is each sample's width phi'(t_k) h on the map that placed the
     samples (module docstring).
     """
-    _check_grid(rep, params, grid)
+    p_domain(rep, params).check(grid)
     entry = REALIZATIONS[rep]
     ihbar = 1j * params.hbar
     psi = np.asarray(psi, dtype=complex)

@@ -211,18 +211,6 @@ def _shift(model, params, factors) -> tuple[int, int, int]:
     return u, v, x
 
 
-# A level asks for two rules, and callers do not come back to a level once
-# they move on, so a few levels' rules hold all the reuse there is.
-@lru_cache(maxsize=8)
-def _gauss_jacobi(alpha, beta, m):
-    """Read-only m-node Gauss-Jacobi rule for the weight (1-y)^alpha (1+y)^beta.
-
-    Its weights sum to 1, not to the weight's mass, which overflows at small
-    tau; the engine scales by ratios of masses only.
-    """
-    return tuple(_read_only(arr) for arr in roots_jacobi(m, alpha, beta))
-
-
 @lru_cache(maxsize=4)
 def _zspace(model, params, n, shifts, order):
     """The basis space of one level for the rules at ``shifts`` and jets of
@@ -287,7 +275,7 @@ class _ZSpace(_StateMemo):
             # a symmetric rule of even size is symmetric node for node and
             # has no node at y = 0, where the Legendre p is 0 and p_jet's
             # powers would divide by it
-            rules.append(_gauss_jacobi(alpha, beta, m + m % 2 if alpha == beta else m))
+            rules.append(roots_jacobi(m + m % 2 if alpha == beta else m, alpha, beta))
         ends = np.cumsum([0] + [y.size for y, _ in rules])
         self.slices = tuple(slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:]))
         z = np.concatenate([y for y, _ in rules])
@@ -296,7 +284,7 @@ class _ZSpace(_StateMemo):
         self.basis = jacobi_jet(JacobiSpec(n, self.a, self.b), z, order)
         self._p_jets = {}
         self._states = {(): self.basis}
-        # the measure (1-y)^a (1+y)^b is the rule's weight times the
+        # the measure (1-y)^a (1+y)^b is the rule's unit-mass weight times the
         # remainder (1-y)^(U/2) (1+y)^(V/2), and its mass ratio to the norm's
         log_mass = [log_jacobi_mass(self.a - u / 2.0, self.b - v / 2.0) for u, v in shifts]
         self.bras = tuple(

@@ -63,7 +63,6 @@ from .algebra import (
 )
 from .errors import (
     BranchAmbiguity,
-    DomainError,
     ParameterError,
     UnsupportedPair,
 )
@@ -198,7 +197,7 @@ class ClosedFormSolution:
     def metric(self, p):
         """Normalized positive metric density on the stored parametrization."""
         self._require_states()
-        self._check_samples(p)
+        self.domain.check(p)
         angle, x = self._angle(p)
         scale = _FAMILIES[self.family].scale * math.sqrt(self.params.tau_check)
         power = self._metric_power - 2 * angle.e
@@ -217,7 +216,7 @@ class ClosedFormSolution:
         """
         self._require_states()
         p = np.asarray(p, dtype=float)
-        self._check_samples(p)
+        self.domain.check(p)
         angle, x = self._angle(p)
         s, c = angle.sin(x), angle.cos(x)
         fam = _FAMILIES[self.family]
@@ -236,14 +235,6 @@ class ClosedFormSolution:
             raise ParameterError(
                 "bound-state evaluators unavailable for this pair "
                 "(unphysical variant, broken symmetry or commutative limit)")
-
-    def _check_samples(self, p):
-        """DomainError unless every sample lies inside the domain; NaN does not."""
-        d = self.domain
-        if not d.contains(p):
-            raise DomainError(
-                f"samples must lie inside ({d.lo:.6g}, {d.hi:.6g}) "
-                f"for {self.rep.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +375,6 @@ def transformed_potential(model: ModelSpec, rep: Representation,
     if rep is Representation.PI2:
         rep = Representation.PI1
     tau = params.tau
-    if tau == 0.0 and model.family == "jacobi":
-        raise ParameterError("the Jacobi family has no commutative limit; tau must be > 0")
     model.admit(params)
     base = model.scales(params)[0]
     if tau == 0.0:
@@ -402,6 +391,8 @@ def transformed_potential(model: ModelSpec, rep: Representation,
             return (k * np.asarray(q)) ** 2
 
         return PotentialSpec(V=V0, q_lo=-edge, q_hi=edge)
+    if rep not in ANGLES:
+        raise UnsupportedPair(f"no transformed potential for {rep}")
     if model.family == "jacobi":
         csc2, sec2 = model.well(params)
         c = 2.0 * tau * base
@@ -422,8 +413,6 @@ def transformed_potential(model: ModelSpec, rep: Representation,
             return amp * np.tan(rc * np.asarray(q)) ** 2
 
         q_lo, q_hi = -edge, edge
-    if rep not in ANGLES:
-        raise UnsupportedPair(f"no transformed potential for {rep}")
     return PotentialSpec(V=V, q_lo=q_lo, q_hi=q_hi)
 
 

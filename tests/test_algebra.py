@@ -16,7 +16,7 @@ from gup_spectra.algebra import (
     p_domain,
 )
 from gup_spectra.errors import (
-    DomainMismatch,
+    DomainError,
     GupSpectraError,
     IntrinsicNoncommutativity,
     ParameterError,
@@ -348,7 +348,7 @@ class TestOperatorActions:
     def test_grid_domain_check(self):
         params = DeformationParams(tau=1.0)
         grid = np.linspace(-3, 3, 512)  # exceeds pi/2
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(DomainError):
             apply_P(R.PI3, params, np.ones(512), grid)
 
 

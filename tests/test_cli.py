@@ -85,6 +85,17 @@ class TestSpectrumCommand:
             outputs.append(out)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    def test_pi2_oracle_checks_the_pi1_well(self, capsys):
+        # Pi2 shares Pi1's transformed problem, so its oracle run is Pi1's
+        args = ("spectrum", "--model", "swanson", "--alpha", "0.1", "--beta", "0.2",
+                "--tau", "0.25", "--nmax", "3", "--oracle", "--check")
+        outputs = []
+        for rep in ("pi2", "pi1"):
+            code, out, _ = run_cli(capsys, *args, "--rep", rep)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_check_breach_exit_code(self, capsys):
         # the FD relative errors here are about 6e-12 to 3e-10, above --tol
         code, out, _ = run_cli(capsys, "spectrum", "--model", "ho", "--tau", "0.2",

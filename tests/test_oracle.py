@@ -375,12 +375,11 @@ LEVEL_SPACE = (((2, 2), (1, 1)), 2)
 
 
 def _clear_unified_caches():
-    oracle._gauss_jacobi.cache_clear()
     oracle._zspace.cache_clear()
 
 
 class TestUnifiedMemo:
-    """The unified engine reuses its quadrature rule and basis spaces."""
+    """The unified engine reuses its basis spaces."""
 
     def test_word_order_does_not_matter(self):
         params = DeformationParams(tau=0.3)

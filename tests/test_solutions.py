@@ -157,7 +157,7 @@ class TestClassification:
         with pytest.raises(IntrinsicNoncommutativity):
             solve(model, R.PI1, params)
         # the closed-form potential has no commutative limit to fall back on
-        with pytest.raises(ParameterError):
+        with pytest.raises(IntrinsicNoncommutativity):
             transformed_potential(model, R.PI1, params)
         # nor has the generic transform an anchor there
         with pytest.raises(IntrinsicNoncommutativity):
@@ -488,6 +488,19 @@ class TestOrthonormality:
         for n_max in (4, 40, 100):
             dev = np.max(np.abs(gram_matrix(sol, n_max) - np.eye(n_max + 1)))
             assert dev <= 1e-10, n_max
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: below tau 1e-4 the closed-form states lose "
+        "orthonormality, 3.9e-6 for the oscillator at tau 1e-20 and 3.0e-5 "
+        "for PoschlTeller(1, 0.5) at 1e-12; the cause is not established"))
+    @pytest.mark.parametrize("model,tau,n_max", [
+        (HarmonicOscillator(), 1e-20, 3),
+        (PoschlTeller(1.0, 0.5), 1e-12, 4),
+    ])
+    def test_gram_identity_below_the_tau_range(self, model, tau, n_max):
+        sol = solve(model, R.PI1, DeformationParams(tau=tau))
+        dev = np.max(np.abs(gram_matrix(sol, n_max) - np.eye(n_max + 1)))
+        assert dev <= 1e-10
 
     def test_hermiticity_under_metric(self):
         params = DeformationParams(tau=0.25)

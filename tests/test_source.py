@@ -1,7 +1,7 @@
 """Nothing in src/gup_spectra exists only for callers outside it, and scipy
 stays where it is paid for.
 
-Three checks, each with its named exemptions:
+Four checks, each with its named exemptions:
 
 * every function and class is reached from src itself.  A definition
   counts as reached when its name appears as a ``Name`` or an
@@ -13,6 +13,9 @@ Three checks, each with its named exemptions:
   by its class name.
 * every dataclass field is read somewhere in src, as an ``Attribute`` in a
   load context.
+* every error class of ``errors.py`` is named by a ``raise`` in src, so
+  that each condition has one error type and no type outlives its
+  condition.  The base class is caught, not raised.
 
 Three more have none: no file in src imports scipy, so the package and
 every command, the FD oracle included, run on numpy alone; ``fd.py`` takes
@@ -40,6 +43,10 @@ RESULT_FIELDS = {
     "VerifyReport.closed": "the closed-form side of the comparison",
     "VerifyReport.tolerance": "the tolerance the verdict used",
     "PhaseCurve.monotone": "the scan's in-window consistency check",
+}
+
+BASE_ERRORS = {
+    "GupSpectraError": "the base class that callers catch",
 }
 
 
@@ -139,6 +146,20 @@ def unread_fields(paths):
     return sorted(out)
 
 
+def unraised_errors(errors, paths):
+    """Classes declared in the file ``errors`` that no ``raise`` in
+    ``paths`` names, with or without a call."""
+    raised = set()
+    for node, _ in _nodes(paths):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                raised.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    declared = [node.name for node in ast.parse(errors.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ClassDef)]
+    return sorted(name for name in declared if name not in raised)
+
+
 def scipy_imports(paths):
     """(file name, module, inside a function) of every scipy import."""
     out = []
@@ -196,6 +217,11 @@ def test_every_dataclass_field_is_read_in_src():
     assert found == sorted(RESULT_FIELDS), set(found) ^ set(RESULT_FIELDS)
 
 
+def test_every_error_type_is_raised_in_src():
+    found = unraised_errors(SRC / "errors.py", _sources())
+    assert found == sorted(BASE_ERRORS), set(found) ^ set(BASE_ERRORS)
+
+
 def test_no_file_in_src_imports_scipy():
     assert scipy_imports(_sources()) == []
 
@@ -236,6 +262,21 @@ def test_detects_an_unread_field(tmp_path):
                    "class Plain:\n    z: int = 0\n\n\n"
                    "p = Point(1.0)\np.y = 2.0\nprint(p.x, Tagged().tag)\n")
     assert unread_fields([mod]) == ["Point.y"]
+
+
+def test_detects_an_unraised_error_type(tmp_path):
+    errors = tmp_path / "errors.py"
+    errors.write_text((SRC / "errors.py").read_text(encoding="utf-8")
+                      + '\n\nclass Unraised(GupSpectraError):\n    """Never raised."""\n')
+    assert unraised_errors(errors, _sources()) == sorted([*BASE_ERRORS, "Unraised"])
+    errors.write_text("class Base(Exception):\n    pass\n\n\n"
+                      "class Called(Base):\n    pass\n\n\n"
+                      "class Bare(Base):\n    pass\n")
+    mod = tmp_path / "mod.py"
+    mod.write_text("import errors\n\n\n"
+                   "def f(x):\n    if x:\n        raise errors.Bare\n"
+                   "    raise Called('x')\n")
+    assert unraised_errors(errors, [mod]) == ["Base"]
 
 
 def test_detects_scipy_imports(tmp_path):
