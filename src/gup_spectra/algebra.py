@@ -29,7 +29,9 @@ second-order form
 
 and ``coefficients`` derives the (f, g, h) triple, with the analytic
 derivatives needed by the potential transform, by composing the model's H
-words with the representation's entry of ``REALIZATIONS``.  For Pi4 the
+words with the representation's entry of ``REALIZATIONS``.  Pi2 is no
+exception: its triple is its own, and its transform gives the Pi1 potential
+with a gauge of its own, which carries the similarity factor.  For Pi4 the
 natural domain is the segment p = i*s with s real; the triple is returned in
 the real parametrization s, on which f is positive and the transform
 machinery applies unchanged.
@@ -245,7 +247,8 @@ class _Model:
     """
 
     half_cell = False
-    coefficient_reps = (Representation.PI1, Representation.PI3, Representation.PI4)
+    coefficient_reps = (Representation.PI1, Representation.PI2, Representation.PI3,
+                        Representation.PI4)
     commutative_coefficient_reps = coefficient_reps
     pi4_prime_family = False
 
@@ -297,7 +300,7 @@ class Swanson(_Model):
     alpha: float
     beta: float
     family = "legendre"
-    # at tau = 0 Pi3 is Pi1 and has no table of its own
+    # at tau = 0 Pi2 and Pi3 are Pi1 and have no table of their own
     commutative_coefficient_reps = (Representation.PI1, Representation.PI4)
 
     def omega_shift(self, params: DeformationParams) -> float:
@@ -425,9 +428,8 @@ class Realization:
 
     a^2 = (1 + s tc y^2)^k is also kept as a polynomial in w = y^2, so f and
     its derivatives stay finite at a wall where a vanishes; b = beta a' with
-    beta 0, 1/2 (Pi2) or 1, and the (f, g, h) formulas of ``coefficients``
-    need beta 0 or 1.  ``x_fields`` gives a and a', ``p_fields`` P and P',
-    at (y, tc).
+    beta 0, 1/2 (Pi2) or 1.  ``x_fields`` gives a and a', ``p_fields`` P and
+    P', at (y, tc).
     """
 
     s: float
@@ -504,15 +506,11 @@ def coefficients(model: ModelSpec, rep: Representation,
             + i hbar [c_XP (a P' + b P) + c_PX b P] + const,
 
     as closed-form numpy callables built once per call; terms whose
-    coefficient vanishes are not evaluated.  Every model has a table on Pi1,
-    Pi3 and Pi4 (Pi4 in the real segment parametrization), the oscillator
-    also on Pi4'.  Pi2 is related to Pi1 by the similarity map
-    u = (1 + tc p^2)^(1/2) and shares its transformed potential; request Pi1
-    instead.
+    coefficient vanishes are not evaluated.  Every model has a table on Pi1
+    to Pi4 (Pi4 in the real segment parametrization), the oscillator also on
+    Pi4'.  At tau = 0 Pi2 and Pi3 coincide with Pi1, and only the oscillator
+    keeps a table of its own there.
     """
-    if rep is Representation.PI2:
-        raise UnsupportedPair(
-            "Pi2 is handled by similarity with Pi1 (same potential and spectrum)")
     if rep not in model.coefficient_reps:
         raise UnsupportedPair(f"no coefficient table for {type(model).__name__} with {rep}")
     model.admit(params)
@@ -532,14 +530,18 @@ def coefficients(model: ModelSpec, rep: Representation,
     x_fields, p_fields, beta = entry.x_fields, entry.p_fields, entry.beta
 
     # f = F(w) with w = y^2, so f' = 2y F'(w) and f'' = 2F'(w) + 4w F''(w);
-    # a a' + 2ab = (1/2 + beta) (a^2)' and a b' + b^2 = beta (a^2)''/2.
+    # a a' + 2ab = (1/2 + beta) (a^2)' and
+    # a b' + b^2 = beta (a^2)''/2 - beta (1 - beta) a'^2.
     # Coefficient lists run from w^0 up.
     F = [x2 * math.comb(entry.k, j) * (entry.s * tc) ** j for j in range(entry.k + 1)]
     F1 = [(i + 1) * c for i, c in enumerate(F[1:])] or [0.0]
     F2 = [2 * (i + 1) * (2 * i + 1) * c for i, c in enumerate(F[1:])] or [0.0]
     G = [-(1.0 + 2.0 * beta) * c for c in F1]
     DG = [-(0.5 + beta) * c for c in F2]
-    H = [const - 0.5 * F2[0]] + [-0.5 * c for c in F2[1:]] if beta else [const]
+    H = [const - 0.5 * beta * F2[0]] + [-0.5 * beta * c for c in F2[1:]] if beta else [const]
+    if 0.0 < beta < 1.0:
+        # a'^2 = 4 (s tc)^2 w on the k = 2 entry, the only one with such a beta
+        H[1] += x2 * beta * (1.0 - beta) * 4.0 * (entry.s * tc) ** 2
     DF = [2.0 * c for c in F1]
 
     def g(y):
@@ -567,7 +569,7 @@ def coefficients(model: ModelSpec, rep: Representation,
         if xp:
             out = out + xp * a * dp
         if beta and mixed:
-            out = out + mixed * da * p
+            out = out + mixed * beta * da * p
         return out
 
     domain = (angle_domain(rep, params, half_cell=True) if model.half_cell

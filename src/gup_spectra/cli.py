@@ -439,7 +439,8 @@ def _suite_invariance(config):
 def _suite_master_residual(config):
     checks = []
     for model, params in _suite_models(config):
-        for rep in (Representation.PI1, Representation.PI3, Representation.PI4):
+        for rep in (Representation.PI1, Representation.PI2, Representation.PI3,
+                    Representation.PI4):
             cls = classify_physical(model, rep, params)
             if not cls.physical:
                 continue

@@ -326,17 +326,16 @@ class _Reduction:
     subtractions into additions.
 
     Without ``rhs`` the reduction runs down to one row and only counts.
-    With it, one row per shift or one row for all, it carries ``rhs``
-    along and stops at ``_TAIL`` rows, whose matrices it inverts densely
-    (LU with pivoting); ``solution`` is (T - sigma I)^-1 rhs, and
-    ``solve`` reuses the multipliers and the inverses for further
-    right-hand sides.
+    With it, one row per shift or one row for all, it stops at ``_TAIL``
+    rows, whose matrices it inverts densely (LU with pivoting), and
+    ``solution`` is (T - sigma I)^-1 rhs by ``solve``, which reuses the
+    multipliers and the inverses for further right-hand sides.
     """
 
     def __init__(self, d, e, shifts, rhs=None):
-        self.levels, fes = [], []
+        self.levels = []
         # the first level splits d, not d - sigma, so its rows are contiguous
-        b, m, c, f = None, d.size, -e, rhs
+        b, m, c = None, d.size, -e
         with np.errstate(all="ignore"):
             while m > (1 if rhs is None else _TAIL):
                 if b is None:
@@ -344,8 +343,8 @@ class _Reduction:
                 else:
                     even, odd = b[:, 0::2], b[:, 1::2]
                 k = m // 2
-                # the couplings and the eliminated rows' right-hand sides are
-                # read more than once, so they are copied out contiguous
+                # the couplings are read more than once, so they are copied
+                # out contiguous
                 cl, cr = np.ascontiguousarray(c[..., 0::2]), np.ascontiguousarray(c[..., 1::2])
                 j = cr.shape[-1]
                 inv = 1.0 / even
@@ -356,10 +355,6 @@ class _Reduction:
                 m = k
                 c = right[:, :k - 1] * cl[..., 1:]
                 self.levels.append((inv, left, right))
-                if rhs is not None:
-                    fes.append(np.ascontiguousarray(f[..., 0::2]))
-                    f = f[..., 1::2] + left * fes[-1][..., :k]
-                    f[:, :j] += right * fes[-1][..., 1:j + 1]
         self.last = d - shifts[:, None] if b is None else b
         if rhs is None:
             return
@@ -372,7 +367,7 @@ class _Reduction:
             self.inverse = np.linalg.inv(tail)
         except np.linalg.LinAlgError:
             self.inverse = np.full_like(tail, np.nan)
-        self.solution = self._back(f, fes)
+        self.solution = self.solve(rhs)
 
     def negative(self):
         """Negative pivots of T - sigma I, per shift, of a reduction
@@ -384,20 +379,17 @@ class _Reduction:
         return count
 
     def solve(self, rhs):
-        """(T - sigma I)^-1 rhs, one row of rhs per shift."""
+        """(T - sigma I)^-1 rhs, one row of rhs per shift or one row for
+        all: eliminate down the levels, solve the tail, then substitute
+        back up with the eliminated rows' right-hand sides."""
         fes, f = [], rhs
         with np.errstate(all="ignore"):
             for _, left, right in self.levels:
                 k, j = left.shape[1], right.shape[1]
-                fes.append(f[:, 0::2])
-                f = f[:, 1::2] + left * fes[-1][:, :k]
-                f[:, :j] += right * fes[-1][:, 1:j + 1]
-            return self._back(f, fes)
-
-    def _back(self, f, fes):
-        """Solve the tail for its right-hand sides ``f``, then substitute
-        back through the levels with the eliminated rows' ``fes``."""
-        with np.errstate(all="ignore"):
+                # read twice, so copied out contiguous
+                fes.append(np.ascontiguousarray(f[..., 0::2]))
+                f = f[..., 1::2] + left * fes[-1][..., :k]
+                f[:, :j] += right * fes[-1][..., 1:j + 1]
             # f is one row for all shifts where no level was eliminated
             x = (self.inverse @ f[..., None])[..., 0]
             for (inv, left, right), fe in zip(reversed(self.levels), reversed(fes)):

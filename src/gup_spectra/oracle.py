@@ -494,11 +494,10 @@ def _wall_power(f_wall, h_wall):
 # request.
 @lru_cache(maxsize=len(_DIRECT_REPS))
 def _direct_level(model, rep, params, n, grid_size):
-    """The native grid of one level, shared read-only between words."""
-    # Pi2 shares the Pi1 domain and (f, g, h) table by similarity
-    shared = Representation.PI1 if rep is Representation.PI2 else rep
+    """The native grid of one level, shared read-only between words; the
+    map reads the representation's own (f, g, h)."""
     return _DirectLevel(solve(model, rep, params), n,
-                        mapped_grid(*_map(coefficients(model, shared, params)), grid_size))
+                        mapped_grid(*_map(coefficients(model, rep, params)), grid_size))
 
 
 class _DirectLevel(_StateMemo):

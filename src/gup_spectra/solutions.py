@@ -368,12 +368,12 @@ class PotentialSpec:
 
 def transformed_potential(model: ModelSpec, rep: Representation,
                           params: DeformationParams) -> PotentialSpec:
-    """Closed-form potential data for the pair (Pi2 shares the Pi1 problem).
+    """Closed-form potential data for the pair.
 
-    q is proportional to the momentum angle, q = sqrt(2 / (tau base)) theta.
+    q is proportional to the momentum angle, q = sqrt(2 / (tau base)) theta,
+    which every representation in ``ANGLES`` shares, so the well is the
+    model's alone.
     """
-    if rep is Representation.PI2:
-        rep = Representation.PI1
     tau = params.tau
     model.admit(params)
     base = model.scales(params)[0]
@@ -458,18 +458,14 @@ def metric_generic(model: ModelSpec, rep: Representation,
     rho = varrho(w) e^{-2 Re chi} |v|^{-2} dw/dp, summed as logarithms (the
     Jacobi varrho and |v|^{-2} carry powers in the thousands at small tau,
     which would overflow against each other) and normalized to 1 at the
-    anchor p0.  Pi2 shares the Pi1 transform; its metric gains cos^-2 of the
-    momentum angle, the inverse square of the similarity factor.
+    anchor p0.  Every factor comes from the pair's own transform: on Pi2
+    the gauge chi carries the similarity factor that relates it to Pi1.
     """
-    shared = Representation.PI1 if rep is Representation.PI2 else rep
-    sol = solve(model, shared, params)
-    fgh = coefficients(model, shared, params)
-    p0 = default_p0(model, shared, params)
+    sol = solve(model, rep, params)
+    fgh = coefficients(model, rep, params)
+    p0 = default_p0(model, rep, params)
     tr = to_potential(fgh, p0)
     ansatz = ansatz_for(sol, 0, coordinates="centered")
-    angle = ANGLES[rep]
-    similarity = 2.0 * (ANGLES[shared].e - angle.e)
-    stc = math.sqrt(params.tau_check)
 
     def log_rho(p):
         q = tr.q_of_p(p)
@@ -479,8 +475,7 @@ def metric_generic(model: ModelSpec, rep: Representation,
         # ln varrho - 2 Re chi + ln |v|^-2 + ln |dw/dp|
         return (ansatz.a * np.log1p(-w) + ansatz.b * np.log1p(w) - 2.0 * np.real(tr.chi(p))
                 + 2.0 * np.log(np.abs(ansatz.dw(q))) - np.real(ansatz.intQ(w))
-                - 0.5 * np.log(np.asarray(fgh.f(p), dtype=float))
-                + similarity * np.log(angle.cos(stc * p)))
+                - 0.5 * np.log(np.asarray(fgh.f(p), dtype=float)))
 
     ref = float(log_rho(np.array([p0]))[0])
 

@@ -3,7 +3,9 @@
 ``algebra.coefficients`` derives each table from the model's Hamiltonian words
 and the representation's realization of (X, P).  These closures are the tables
 as they were written out by hand, pair by pair, before that derivation; the
-tests compare the two.  They stay verbatim: do not edit them to match.
+tests compare the two.  They stay verbatim: do not edit them to match.  The
+Pi2 entry came later, written out once for every model from the
+coefficients of its H words.
 """
 
 import math
@@ -188,18 +190,61 @@ def _poschl_teller_coeffs(model, rep, params):
     raise UnsupportedPair(f"inverse-square model not tabulated for {rep}")
 
 
+def _pi2_coeffs(model, params):
+    """Pi2 for any model, from X = i hbar (a d/dp + a'/2) with a = 1 + tc p^2,
+    P = p and the coefficients c of the model's H words:
+
+        f = hbar^2 c_X2 a^2,
+        g = -2 hbar^2 c_X2 a a' + i hbar (c_XP + c_PX) a p,
+        h = sum_k c_k p^k - hbar^2 c_X2 (a a''/2 + a'^2/4)
+            + i hbar [c_XP (a + a' p/2) + c_PX a' p/2] + const.
+    """
+    if isinstance(model, Swanson):
+        _swanson_omega(model, params)
+        if params.tau == 0.0:
+            raise UnsupportedPair("Pi2 Swanson table needs tau > 0 (commutative limit is Pi1)")
+    if isinstance(model, PoschlTeller) and params.tau == 0.0:
+        raise IntrinsicNoncommutativity(
+            "the inverse-square model has no commutative limit; tau must be > 0"
+        )
+    hbar, tc = params.hbar, params.tau_check
+    terms, const = model.hamiltonian(params)
+    c = {tuple(word): coeff for coeff, word in terms}
+    x2 = hbar ** 2 * c.pop((("X", 2),))
+    xp = (1j * hbar * c.pop((("X", 1), ("P", 1)), 0.0)).real
+    px = (1j * hbar * c.pop((("P", 1), ("X", 1)), 0.0)).real
+    powers = [(word[0][1], ck) for word, ck in c.items()]
+
+    def a(p):
+        return 1 + tc * p ** 2
+
+    def h(p):
+        out = -x2 * (a(p) * tc + (tc * p) ** 2) + xp * (a(p) + tc * p ** 2) \
+            + px * tc * p ** 2 + const
+        for k, ck in powers:
+            out = out + ck * p ** k
+        return out
+
+    return FGHCoefficients(
+        f=lambda p: x2 * a(p) ** 2,
+        g=lambda p: -4 * x2 * tc * p * a(p) + (xp + px) * a(p) * p,
+        h=h,
+        df=lambda p: 4 * x2 * tc * p * a(p),
+        ddf=lambda p: 4 * x2 * tc * (1 + 3 * tc * p ** 2),
+        dg=lambda p: -4 * x2 * tc * (1 + 3 * tc * p ** 2) + (xp + px) * (1 + 3 * tc * p ** 2),
+        domain=(angle_domain(Representation.PI2, params, half_cell=True)
+                if isinstance(model, PoschlTeller) else p_domain(Representation.PI2, params)),
+    )
+
+
 def reference_coefficients(model, rep, params):
     """Closed-form (f, g, h) triple for a (model, representation) pair.
 
-    Implemented pairs: each model for Pi1, Pi3 and Pi4 (Pi4 in the real
-    segment parametrization), plus Pi4' for the harmonic oscillator.  Pi2 is
-    related to Pi1 by the similarity map u = (1 + tc p^2)^(1/2) and shares
-    its transformed potential; request Pi1 instead.
+    Implemented pairs: each model for Pi1 to Pi4 (Pi4 in the real segment
+    parametrization), plus Pi4' for the harmonic oscillator.
     """
     if rep is Representation.PI2:
-        raise UnsupportedPair(
-            "Pi2 is handled by similarity with Pi1 (same potential and spectrum)"
-        )
+        return _pi2_coeffs(model, params)
     if isinstance(model, HarmonicOscillator):
         return _ho_coeffs(rep, params)
     if isinstance(model, Swanson):

@@ -37,7 +37,8 @@ ALL_MODELS_REPS = [
     (HarmonicOscillator(), R.PI4), (HarmonicOscillator(), R.PI4_PRIME),
     (Swanson(0.1, 0.2), R.PI1), (Swanson(0.1, 0.2), R.PI3), (Swanson(0.1, 0.2), R.PI4),
     (PoschlTeller(1.0, 0.5), R.PI1), (PoschlTeller(1.0, 0.5), R.PI3),
-    (PoschlTeller(1.0, 0.5), R.PI4),
+    (PoschlTeller(1.0, 0.5), R.PI4), (HarmonicOscillator(), R.PI2),
+    (Swanson(0.1, 0.2), R.PI2), (PoschlTeller(1.0, 0.5), R.PI2),
 ]
 
 
@@ -95,8 +96,6 @@ class TestCoefficientTable:
         with pytest.raises(IntrinsicNoncommutativity):
             coefficients(PoschlTeller(1.0, 0.5), R.PI1, DeformationParams(tau=0.0))
         with pytest.raises(UnsupportedPair):
-            coefficients(HarmonicOscillator(), R.PI2, p)
-        with pytest.raises(UnsupportedPair):
             coefficients(Swanson(0.1, 0.2), R.PI4_PRIME, p)
         with pytest.raises(UnsupportedPair):
             coefficients(PoschlTeller(1.0, 0.5), R.PI4_PRIME, p)
@@ -144,7 +143,11 @@ FIXTURE_PAIRS = [
     for model in (HarmonicOscillator(), Swanson(0.1, 0.2), Swanson(0.3, 0.05),
                   PoschlTeller(1.0, 0.5))
     for rep in (R.PI1, R.PI3, R.PI4)
-] + [(HarmonicOscillator(), R.PI4_PRIME)]
+] + [(HarmonicOscillator(), R.PI4_PRIME)] + [
+    (model, R.PI2)
+    for model in (HarmonicOscillator(), Swanson(0.1, 0.2), Swanson(0.3, 0.05),
+                  PoschlTeller(1.0, 0.5))
+]
 FIXTURE_TAUS = (1e-4, 1e-2, 0.25, 1.0, 5.0, 50.0)
 FIXTURE_UNITS = ((1.0, 1.0, 1.0), (0.7, 2.3, 1.9))  # (hbar, mass, omega)
 
@@ -232,7 +235,10 @@ class TestCoefficientsMatchOperators:
         (model, rep) for model in (HarmonicOscillator(), Swanson(0.1, 0.2),
                                    PoschlTeller(1.0, 0.5))
         for rep in (R.PI1, R.PI3, R.PI4)
-    ] + [(HarmonicOscillator(), R.PI4_PRIME)])
+    ] + [(HarmonicOscillator(), R.PI4_PRIME)] + [
+        (model, R.PI2) for model in (HarmonicOscillator(), Swanson(0.1, 0.2),
+                                     PoschlTeller(1.0, 0.5))
+    ])
     def test_h_words_give_the_table(self, model, rep):
         params = DeformationParams(tau=0.3)
         fgh = coefficients(model, rep, params)

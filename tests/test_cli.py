@@ -255,6 +255,21 @@ class TestSpectrumCommand:
         assert err.startswith("numerical failure:")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv,reason", [
+        (("expectation", "--tau", "0", "H"), "the unified integral needs tau > 0"),
+        (("expectation", "--tau", "0", "--rep", "pi1", "H"),
+         "the direct engine needs tau > 0"),
+        (("expectation", "--model", "swanson", "--alpha", "1", "--beta", "1",
+          "--tau", "0.5", "H"), "complex spectrum"),
+        (("spectrum", "--rep", "pi4p", "--oracle"), "unbounded family"),
+        (("expectation", "--nmax", "0", "+"), "empty term"),
+    ])
+    def test_refusal_is_one_typed_line(self, capsys, argv, reason):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure:") and reason in err
+        assert len(err.splitlines()) == 1
+
     def test_oracle_on_a_too_narrow_well_exit_code(self, capsys):
         # the base grid this well asks for is capped, not allocated
         code, out, err = run_cli(capsys, "spectrum", "--tau", "1e-12", "--oracle")
@@ -545,7 +560,7 @@ class TestVerifyCommand:
         assert payload["passed"] is True
         checks = payload["suites"]["master-residual"]
         assert all(c["passed"] for c in checks), checks
-        assert len(calls) == len(checks) == 9
+        assert len(calls) == len(checks) == 12
 
     @pytest.mark.parametrize("tau", ["1e-4", "1e-2", "0.25", "1", "5", "50"])
     def test_commutators_suite(self, capsys, tau):

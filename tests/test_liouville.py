@@ -162,6 +162,21 @@ class TestTransform:
         pot = transformed_potential(model, rep, params)
         assert tr.q_hi - tr.q_lo == pytest.approx(pot.q_hi - pot.q_lo, abs=1e-12)
 
+    @pytest.mark.parametrize("tau", [1e-4, 1e-3, 1e-2, 0.1, 0.25, 1.0, 5.0, 50.0])
+    @pytest.mark.parametrize("model", [HarmonicOscillator(), Swanson(0.1, 0.2),
+                                       Swanson(2.0, 0.1), PoschlTeller(1.0, 0.5),
+                                       PoschlTeller(3.0, 2.0)])
+    def test_similarity_partner_has_the_pi1_potential(self, model, tau):
+        # Pi2's own (f, g, h) differs from Pi1's in g and h; the similarity
+        # moves only the gauge chi, so q and V are Pi1's
+        params = DeformationParams(tau=tau)
+        tr1, tr2 = (to_potential(coefficients(model, rep, params),
+                                 default_p0(model, rep, params)) for rep in (R.PI1, R.PI2))
+        span = tr1.q_hi - tr1.q_lo
+        qs = np.linspace(tr1.q_lo + 0.05 * span, tr1.q_hi - 0.05 * span, 101)
+        v1 = tr1.V(qs)
+        assert np.max(np.abs(tr2.V(qs) - v1) / np.maximum(1.0, np.abs(v1))) <= 1e-11
+
     @pytest.mark.parametrize("model,rep,tau", [
         (HarmonicOscillator(), R.PI1, 0.3), (Swanson(0.3, 0.2), R.PI3, 0.7),
         (PoschlTeller(1.0, 0.5), R.PI1, 2.0),

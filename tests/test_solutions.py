@@ -292,6 +292,7 @@ class TestMetrics:
         (Swanson(0.1, 0.2), R.PI4),
         (PoschlTeller(1.0, 0.5), R.PI1), (PoschlTeller(1.0, 0.5), R.PI2),
         (PoschlTeller(1.0, 0.5), R.PI3), (PoschlTeller(1.0, 0.5), R.PI4),
+        (HarmonicOscillator(), R.PI2), (Swanson(0.1, 0.2), R.PI2),
     ])
     def test_generic_assembly_matches_closed_form(self, model, rep):
         assert _assembly_spread(model, rep, DeformationParams(tau=0.25)) < 1e-8
