@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test of the installed gup-spectra console script, after
 # `pip install -e .` (numpy alone) or `pip install -e '.[test]'`.  Leaves
-# direct.csv, unified.csv, pi2.csv and stderr.txt in the working directory.
+# direct.csv, unified.csv, pi1.csv, pi2.csv and stderr.txt in the working
+# directory.
 set -eo pipefail
 
 gup-spectra --version
@@ -35,9 +36,13 @@ gup-spectra spectrum --model swanson --alpha 0.0649192447101177 --beta 0.1050934
 # 21 levels double the oracle's least base grid 128 to 256 cells, 8 per
 # level; the oracle does not read --grid, which counts display samples
 gup-spectra spectrum --model ho --tau 0.25 --nmax 20 --oracle --check --grid 64 > /dev/null
-# Pi2 shares Pi1's transformed problem: the same oracle run, byte for byte
+# Pi2 and Pi1 transform their own (f, g, h) to the same well: both pass,
+# with the same closed forms and oracles that agree to 1e-10
 gup-spectra spectrum --model swanson --alpha 0.1 --beta 0.2 --tau 0.25 --rep pi2 --nmax 3 --oracle --check > pi2.csv
-gup-spectra spectrum --model swanson --alpha 0.1 --beta 0.2 --tau 0.25 --rep pi1 --nmax 3 --oracle --check | cmp - pi2.csv
+gup-spectra spectrum --model swanson --alpha 0.1 --beta 0.2 --tau 0.25 --rep pi1 --nmax 3 --oracle --check > pi1.csv
+python -c "import csv; rows = [list(csv.DictReader(open(f))) for f in ('pi2.csv', 'pi1.csv')]; assert len(rows[0]) == len(rows[1]) == 4; assert all(a[k] == b[k] for a, b in zip(*rows) for k in ('n', 'energy_re', 'energy_im')), rows; assert all(abs(float(a['energy_oracle']) - float(b['energy_oracle'])) <= 1e-10 * abs(float(b['energy_oracle'])) for a, b in zip(*rows)), rows"
+# the oracle on the Pi4 segment's own transform
+gup-spectra spectrum --model pt --alpha 1 --beta 0.5 --tau 0.25 --rep pi4 --nmax 5 --oracle --check > /dev/null
 # tau = 1e-40 puts every Gauss-Jacobi node within 1e-20 of z = 0
 gup-spectra expectation --nmax 3 --tau 1e-40 H > /dev/null
 # the direct engine's mapped Pi3 grid matches the unified engine

@@ -20,7 +20,7 @@ that table.
 
 Each model is declared once, as a class that holds its Hamiltonian as X/P
 words and its spectral data (family, orders, energies, admissible range,
-reality test, closed-form well); no other module switches on the model type.
+reality test); no other module switches on the model type.
 
 In every representation the momentum-space Schroedinger equation takes the
 second-order form
@@ -239,17 +239,13 @@ class _Model:
     ``scales`` and the order from ``mu_minus``, or "jacobi" with (a+, b+) from
     ``orders``.  A ``half_cell`` model lives on theta in (0, pi/2).  Also
     declared: ``energy`` (E_n), ``admit`` (raises outside the solved regime),
-    ``reality`` (whether the spectrum is real), ``well`` (the closed-form
-    transformed potential at tau > 0: A of A tan^2 for the Legendre family,
-    (A, B) of A csc^2 + B sec^2 for the Jacobi family), the representations
-    with an (f, g, h) table, at tau > 0 and at tau = 0, and whether a formal
-    Pi4' energy family is published.
+    ``reality`` (whether the spectrum is real), the representations with an
+    (f, g, h) table, and whether a formal Pi4' energy family is published.
     """
 
     half_cell = False
     coefficient_reps = (Representation.PI1, Representation.PI2, Representation.PI3,
                         Representation.PI4)
-    commutative_coefficient_reps = coefficient_reps
     pi4_prime_family = False
 
     def admit(self, params):
@@ -268,7 +264,6 @@ class HarmonicOscillator(_Model):
 
     family = "legendre"
     coefficient_reps = _Model.coefficient_reps + (Representation.PI4_PRIME,)
-    commutative_coefficient_reps = coefficient_reps
     pi4_prime_family = True
 
     def hamiltonian(self, params):
@@ -284,10 +279,6 @@ class HarmonicOscillator(_Model):
         root = math.sqrt(1.0 + tau ** 2 / 4.0)
         return lambda n: hw * (0.5 + n) * root + tau * hw / 4.0 * (1 + 2 * n + 2 * n * n)
 
-    def well(self, params):
-        """A of the well A tan^2(sqrt(c) q)."""
-        return params.hbar * params.omega / (2.0 * params.tau)
-
 
 @dataclass(frozen=True)
 class Swanson(_Model):
@@ -300,8 +291,6 @@ class Swanson(_Model):
     alpha: float
     beta: float
     family = "legendre"
-    # at tau = 0 Pi2 and Pi3 are Pi1 and have no table of their own
-    commutative_coefficient_reps = (Representation.PI1, Representation.PI4)
 
     def omega_shift(self, params: DeformationParams) -> float:
         return self.alpha + self.beta + params.hbar * params.omega
@@ -336,12 +325,6 @@ class Swanson(_Model):
         sqrt_d = cmath.sqrt(complex(discriminant(self.alpha, self.beta, tau, params)))
         return lambda n: 0.25 * ((tau + 2 * n * tau + 2 * n * n * tau) * big
                                  + (2 * n + 1) * sqrt_d)
-
-    def well(self, params):
-        """A of the well A tan^2(sqrt(c) q)."""
-        tau, hw, al, be = params.tau, params.hbar * params.omega, self.alpha, self.beta
-        return (((1 - tau) * hw ** 2 - tau * hw * (al + be) - 4 * al * be)
-                / (2.0 * tau * self.omega_shift(params)))
 
 
 @dataclass(frozen=True)
@@ -387,11 +370,6 @@ class PoschlTeller(_Model):
         tau, hw = params.tau, params.hbar * params.omega
         a, b = self.orders(params)
         return lambda n: hw * tau / 2.0 * (1 + 2 * n + a + b) ** 2
-
-    def well(self, params):
-        """(A, B) of the cell A csc^2(sqrt(c) q / 2) + B sec^2(sqrt(c) q / 2)."""
-        hw = params.hbar * params.omega
-        return 0.5 * hw * self.alpha, self.beta / (2 * params.mass * params.tau_check)
 
 
 ModelSpec = Union[HarmonicOscillator, Swanson, PoschlTeller]
@@ -508,15 +486,12 @@ def coefficients(model: ModelSpec, rep: Representation,
     as closed-form numpy callables built once per call; terms whose
     coefficient vanishes are not evaluated.  Every model has a table on Pi1
     to Pi4 (Pi4 in the real segment parametrization), the oscillator also on
-    Pi4'.  At tau = 0 Pi2 and Pi3 coincide with Pi1, and only the oscillator
-    keeps a table of its own there.
+    Pi4'.
     """
     if rep not in model.coefficient_reps:
         raise UnsupportedPair(f"no coefficient table for {type(model).__name__} with {rep}")
     model.admit(params)
     tc = params.tau_check
-    if tc == 0.0 and rep not in model.commutative_coefficient_reps:
-        raise UnsupportedPair(f"{rep} coincides with Pi1 at tau = 0; request Pi1")
     entry, hbar = REALIZATIONS[rep], params.hbar
     terms, const = model.hamiltonian(params)
     words = {tuple(word): c for c, word in terms}

@@ -126,13 +126,12 @@ class SpectrumResult:
     certified: tuple[bool, ...]
 
 
-def _wall_gamma(V, q_wall, side, scale):
-    """Inverse-square coefficient of V at an endpoint, from V alone."""
-    d1 = 1e-4 * scale
-    d2 = 2e-4 * scale
-    g1 = float(V(np.array([q_wall - side * d1]))[0]) * d1 ** 2
-    g2 = float(V(np.array([q_wall - side * d2]))[0]) * d2 ** 2
-    return (4.0 * g1 - g2) / 3.0
+def _wall_gammas(V, lo, hi):
+    """Inverse-square coefficients of V at q_lo and q_hi, from V alone: one
+    call on the points 1e-4 and 2e-4 of the span inside each wall."""
+    d = np.array([1e-4, 2e-4]) * (hi - lo)
+    g = np.asarray(V(np.concatenate([lo + d, hi - d])), dtype=float).reshape(2, 2) * d ** 2
+    return [(4.0 * g1 - g2) / 3.0 for g1, g2 in g.tolist()]
 
 
 def _wall_exponent(gamma):
@@ -653,8 +652,8 @@ def fd_eigenvalues(well, count: int) -> SpectrumResult:
     extrapolated over three grids.
 
     ``well`` is anything with V and the finite ends q_lo < q_hi, such as
-    the closed-form ``solutions.PotentialSpec`` or the generic
-    ``liouville.TransformResult``; only those three attributes are read.
+    ``solutions.PotentialSpec`` or ``liouville.TransformResult``; only those
+    three attributes are read.
     Both ends are Dirichlet walls, their inverse-square coefficients
     measured from V (zero at a regular wall).  The grids are N, 2N and 4N
     cells of the factored scheme (``_fd_matrix``), N sized from the level
@@ -684,9 +683,7 @@ def fd_eigenvalues(well, count: int) -> SpectrumResult:
         raise ParameterError(
             f"{count} levels need a base grid of {_LEVEL_CELLS * count} cells, "
             f"above the limit of {_MAX_BASE}")
-    scale = hi - lo
-    s_lo = _wall_exponent(_wall_gamma(V, lo, -1, scale))
-    s_hi = _wall_exponent(_wall_gamma(V, hi, +1, scale))
+    s_lo, s_hi = (_wall_exponent(gamma) for gamma in _wall_gammas(V, lo, hi))
     need = max(_LEVEL_CELLS * count,
                _WIDTH_CELLS * math.sqrt((s_lo + s_hi) * (2 * count - 1)))
     base = _LEAST_BASE

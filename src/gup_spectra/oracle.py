@@ -2,7 +2,7 @@
 engines.
 
 ``verify_spectrum`` compares the closed-form energies with the FD
-eigensolver (``fd``) on the transformed well.
+eigensolver (``fd``) on the well of the Hamiltonian's own transform.
 
 Expectation values come in two independent flavors:
 
@@ -45,8 +45,9 @@ from .errors import (
 )
 from .fd import SpectrumResult, fd_eigenvalues
 from .jets import Jet
+from .liouville import to_potential
 from .operators import LINE_REACH, apply_P, apply_X, line_map, mapped_grid
-from .solutions import classify_physical, solve, transformed_potential
+from .solutions import PotentialSpec, classify_physical, default_p0, solve
 from .specfun import JacobiSpec, jacobi_jet, log_jacobi_mass
 # ``roots_jacobi`` keeps scipy's name: instrumentation looks it up on this
 # module and wraps it in every module that holds the same object.
@@ -59,6 +60,12 @@ __all__ = [
     "expectation_direct",
     "parse_word",
 ]
+
+
+# Degree of the well's Chebyshev series (``_series_well``), and the size of
+# its last coefficients, against the largest, that shows it converged
+_WELL_DEGREE = 24
+_WELL_TAIL = 1e-9
 
 
 @dataclass
@@ -74,18 +81,85 @@ class VerifyReport:
 def verify_spectrum(model: ModelSpec, rep: Representation,
                     params: DeformationParams, count: int = 6,
                     tolerance: float = 1e-5) -> VerifyReport:
-    """Compare closed-form energies against the FD oracle on the transformed well."""
+    """Compare closed-form energies against the FD oracle on the well of the
+    Hamiltonian's own transform (``liouville.to_potential`` of its (f, g, h)),
+    as one Chebyshev series (``_series_well``).  At tau = 0 q is unbounded,
+    and the well is the harmonic (k q)^2 with k = E_0, on a box wide enough
+    that the low levels do not feel its walls."""
     cls = classify_physical(model, rep, params)
     if cls.complex_spectrum:
         raise ParameterError("spectrum is complex here; the FD oracle needs a real well")
     if not cls.physical:
         raise ParameterError("unbounded family; nothing for the oracle to match")
     sol = solve(model, rep, params)
-    res = fd_eigenvalues(transformed_potential(model, rep, params), count)
     closed = np.real(sol.energies(count - 1))
+    if params.tau == 0.0:
+        k = closed[0]
+        edge = 9.0 / math.sqrt(k)
+        well = PotentialSpec(V=lambda q: (k * np.asarray(q)) ** 2, q_lo=-edge, q_hi=edge)
+    else:
+        well = _series_well(to_potential(coefficients(model, rep, params),
+                                         default_p0(model, rep, params)))
+    res = fd_eigenvalues(well, count)
     rel = np.abs(res.eigenvalues - closed) / np.maximum(np.abs(closed), 1e-300)
     return VerifyReport(closed=closed, spectrum=res, rel_errors=rel,
                         passed=bool(np.all(rel < tolerance)), tolerance=tolerance)
+
+
+def _series_well(tr) -> PotentialSpec:
+    """The well of a transform as one Chebyshev series.
+
+    With x and y the distances to q_lo and q_hi in units of the span, every
+    admissible well is an inverse-square term at each wall plus a part
+    analytic on the closed interval, so W = V x^2 y^2 is analytic there and
+    its Chebyshev coefficients in t = x - y fall geometrically (Trefethen,
+    *Approximation Theory and Approximation Practice*, SIAM 2013, ch. 8).
+    W is interpolated at ``_WELL_DEGREE`` + 1 Chebyshev points, one call of
+    the pointwise V, and V = W / (x y)^2.  Where the last two coefficients
+    stay above ``_WELL_TAIL`` of the largest, V is not such a well:
+    ``ConvergenceFailure``.
+    """
+    lo, hi = tr.q_lo, tr.q_hi
+    span = hi - lo
+    nodes, to_chebyshev, to_powers = _well_rule()
+    x, y = 0.5 * (1.0 + nodes), 0.5 * (1.0 - nodes)
+    c = to_chebyshev @ (tr.V(np.where(nodes < 0.0, lo + x * span, hi - y * span)) * (x * y) ** 2)
+    if np.max(np.abs(c[-2:])) > _WELL_TAIL * np.max(np.abs(c)):
+        raise ConvergenceFailure(
+            f"the well's Chebyshev series has not converged at degree {_WELL_DEGREE}: "
+            f"last coefficients {np.abs(c[-2:])} against {np.max(np.abs(c)):.3g}")
+    # W is analytic on the disc |t| < 3, since the nearest singularities of
+    # such a well lie a span beyond each wall, so its coefficients in powers
+    # of t fall like 3^-k and Horner's rule, two in-place steps per degree,
+    # is as stable as Clenshaw's
+    a = to_powers @ c
+
+    def V(q):
+        x, y = (q - lo) / span, (hi - q) / span
+        t = x - y
+        w = np.full_like(t, a[-1])
+        for ak in a[-2::-1]:
+            w *= t
+            w += ak
+        return w / (x * y) ** 2
+
+    return PotentialSpec(V=V, q_lo=lo, q_hi=hi)
+
+
+@lru_cache(maxsize=None)
+def _well_rule():
+    """The ``_WELL_DEGREE`` + 1 Chebyshev points of the first kind, the
+    matrix that takes values there to the Chebyshev coefficients of their
+    interpolant, and the one that takes those to its coefficients in powers
+    of t."""
+    cheb = np.polynomial.chebyshev
+    nodes = cheb.chebpts1(_WELL_DEGREE + 1)
+    # row k holds T_k in powers of t, from T_(k+1) = 2 t T_k - T_(k-1):
+    # integers, so exact
+    powers = np.eye(nodes.size)
+    for k in range(1, nodes.size - 1):
+        powers[k + 1] = np.roll(2.0 * powers[k], 1) - powers[k - 1]
+    return nodes, np.linalg.inv(cheb.chebvander(nodes, _WELL_DEGREE)), powers.T
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,6 @@ __all__ = [
     "solve",
     "classify_physical",
     "metric_generic",
-    "transformed_potential",
     "native_quadrature",
     "gram_matrix",
     "ansatz_for",
@@ -351,69 +350,16 @@ def gram_matrix(sol: ClosedFormSolution, n_max: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# transformed potentials (closed forms) and ansatz wiring
+# wells and ansatz wiring
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Closed-form transformed potential -phi'' + V phi = E phi.
-
-    Coordinates follow the model anchor: symmetric wells are centered at
-    q = 0; half-cell wells start at q = 0.
-    """
+    """A well: -phi'' + V phi = E phi on (q_lo, q_hi), as the FD oracle
+    reads it."""
 
     V: Callable[[np.ndarray], np.ndarray]
     q_lo: float
     q_hi: float
-
-
-def transformed_potential(model: ModelSpec, rep: Representation,
-                          params: DeformationParams) -> PotentialSpec:
-    """Closed-form potential data for the pair.
-
-    q is proportional to the momentum angle, q = sqrt(2 / (tau base)) theta,
-    which every representation in ``ANGLES`` shares, so the well is the
-    model's alone.
-    """
-    tau = params.tau
-    model.admit(params)
-    base = model.scales(params)[0]
-    if tau == 0.0:
-        # commutative limit: harmonic well (k q)^2 with k = E_0, in the
-        # stretched coordinate, on a box wide enough that low levels are
-        # unaffected by truncation
-        k = complex(model.energy(params)(0))
-        if k.imag:
-            raise ParameterError("complex commutative spectrum; no real well")
-        k = k.real
-        edge = 9.0 / math.sqrt(k)
-
-        def V0(q):
-            return (k * np.asarray(q)) ** 2
-
-        return PotentialSpec(V=V0, q_lo=-edge, q_hi=edge)
-    if rep not in ANGLES:
-        raise UnsupportedPair(f"no transformed potential for {rep}")
-    if model.family == "jacobi":
-        csc2, sec2 = model.well(params)
-        c = 2.0 * tau * base
-        rc2 = math.sqrt(tau * base / 2.0)  # = sqrt(c)/2
-
-        def V(q):
-            s = rc2 * np.asarray(q)
-            return csc2 / np.sin(s) ** 2 + sec2 / np.cos(s) ** 2
-
-        q_lo, q_hi = 0.0, math.pi / math.sqrt(c)
-    else:
-        amp = model.well(params)
-        c = tau * base / 2.0
-        rc = math.sqrt(c)
-        edge = math.pi / (2.0 * rc)
-
-        def V(q):
-            return amp * np.tan(rc * np.asarray(q)) ** 2
-
-        q_lo, q_hi = -edge, edge
-    return PotentialSpec(V=V, q_lo=q_lo, q_hi=q_hi)
 
 
 def default_p0(model: ModelSpec, rep: Representation,
@@ -433,9 +379,9 @@ def ansatz_for(sol: ClosedFormSolution, n: int,
                coordinates: str = "model") -> FactorizationAnsatz:
     """Factorization ansatz matching the solution's transformed problem.
 
-    ``coordinates`` is "model" for the closed-form PotentialSpec coordinate
-    (symmetric wells centered, half cells starting at 0) or "centered" for
-    the generic transform anchored at ``default_p0`` (half cells recentered).
+    ``coordinates`` is "model" for the model's own coordinate (symmetric
+    wells centered, half cells starting at q = 0) or "centered" for the
+    generic transform anchored at ``default_p0`` (half cells recentered).
     """
     if sol.family == "legendre":
         mu = sol.parameters["mu_minus"]

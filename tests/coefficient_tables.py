@@ -112,7 +112,8 @@ def _swanson_coeffs(model, rep, params):
         )
     if rep is Representation.PI3:
         if tc == 0.0:
-            raise UnsupportedPair("Pi3 Swanson table needs tau > 0 (commutative limit is Pi1)")
+            # X = x and P = p: Pi3 is Pi1 without deformation
+            return _swanson_coeffs(model, Representation.PI1, params)
         stc = math.sqrt(tc)
         return FGHCoefficients(
             f=lambda p: a0 * np.ones_like(np.asarray(p, dtype=float)),
@@ -201,8 +202,6 @@ def _pi2_coeffs(model, params):
     """
     if isinstance(model, Swanson):
         _swanson_omega(model, params)
-        if params.tau == 0.0:
-            raise UnsupportedPair("Pi2 Swanson table needs tau > 0 (commutative limit is Pi1)")
     if isinstance(model, PoschlTeller) and params.tau == 0.0:
         raise IntrinsicNoncommutativity(
             "the inverse-square model has no commutative limit; tau must be > 0"

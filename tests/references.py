@@ -1,12 +1,17 @@
-"""Independent references for the tests: adaptive Gauss-Legendre quadrature
-and the closed-form Jacobi norm.  The package normalizes through
-``specfun.orthonormal_ladder`` and ``specfun.log_jacobi_mass`` instead; these
-stay here to check it against."""
+"""Independent references for the tests: adaptive Gauss-Legendre quadrature,
+the closed-form Jacobi norm and the closed-form transformed wells.  The
+package normalizes through ``specfun.orthonormal_ladder`` and
+``specfun.log_jacobi_mass`` instead, and takes its wells from the Liouville
+transform of each Hamiltonian's (f, g, h); these stay here to check it
+against."""
 
 import math
 
 import numpy as np
 
+from gup_spectra.algebra import ANGLES, HarmonicOscillator, Swanson
+from gup_spectra.errors import UnsupportedPair
+from gup_spectra.solutions import PotentialSpec
 from gup_spectra.specfun import JacobiSpec, gauss_legendre_nodes
 
 
@@ -42,3 +47,50 @@ def jacobi_norm(spec: JacobiSpec) -> float:
     log_nn = ((a + b + 1) * math.log(2.0) + math.lgamma(n + a + 1) + math.lgamma(n + b + 1)
               - math.lgamma(n + 1) - tail)
     return float(np.exp(log_nn))
+
+
+def well_amplitudes(model, params):
+    """Amplitudes of the closed-form well at tau > 0: A of A tan^2(sqrt(c) q)
+    for the Legendre family, (A, B) of A csc^2(sqrt(c) q / 2)
+    + B sec^2(sqrt(c) q / 2) for the Jacobi family."""
+    tau, hw = params.tau, params.hbar * params.omega
+    if isinstance(model, HarmonicOscillator):
+        return hw / (2.0 * tau)
+    if isinstance(model, Swanson):
+        al, be = model.alpha, model.beta
+        return (((1 - tau) * hw ** 2 - tau * hw * (al + be) - 4 * al * be)
+                / (2.0 * tau * model.omega_shift(params)))
+    return 0.5 * hw * model.alpha, model.beta / (2 * params.mass * params.tau_check)
+
+
+def closed_form_well(model, rep, params) -> PotentialSpec:
+    """The closed-form transformed well of the pair at tau > 0.
+
+    q is proportional to the momentum angle, q = sqrt(2 / (tau base)) theta,
+    which every representation in ``ANGLES`` shares, so the well is the
+    model's alone: symmetric wells are centred at q = 0, half-cell wells
+    start at q = 0.
+    """
+    tau = params.tau
+    model.admit(params)
+    if rep not in ANGLES:
+        raise UnsupportedPair(f"no transformed potential for {rep}")
+    base = model.scales(params)[0]
+    if model.family == "jacobi":
+        csc2, sec2 = well_amplitudes(model, params)
+        c = 2.0 * tau * base
+        rc2 = math.sqrt(tau * base / 2.0)  # = sqrt(c)/2
+
+        def V(q):
+            s = rc2 * np.asarray(q)
+            return csc2 / np.sin(s) ** 2 + sec2 / np.cos(s) ** 2
+
+        return PotentialSpec(V=V, q_lo=0.0, q_hi=math.pi / math.sqrt(c))
+    amp = well_amplitudes(model, params)
+    rc = math.sqrt(tau * base / 2.0)
+    edge = math.pi / (2.0 * rc)
+
+    def V(q):
+        return amp * np.tan(rc * np.asarray(q)) ** 2
+
+    return PotentialSpec(V=V, q_lo=-edge, q_hi=edge)

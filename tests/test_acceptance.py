@@ -31,8 +31,8 @@ from gup_spectra.solutions import (
     gram_matrix,
     metric_generic,
     solve,
-    transformed_potential,
 )
+from references import closed_form_well
 
 R = Representation
 
@@ -187,7 +187,7 @@ class TestAcceptance:
         for model in (HarmonicOscillator(), Swanson(0.1, 0.2), PoschlTeller(1.0, 0.5)):
             for rep in (R.PI1, R.PI3, R.PI4):
                 sol = solve(model, rep, params)
-                pot = transformed_potential(model, rep, params)
+                pot = closed_form_well(model, rep, params)
                 span = pot.q_hi - pot.q_lo
                 qs = np.linspace(pot.q_lo + 0.05 * span, pot.q_hi - 0.05 * span, 101)
                 for n in range(6):

@@ -85,25 +85,32 @@ class TestSpectrumCommand:
             outputs.append(out)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    def test_pi2_oracle_checks_the_pi1_well(self, capsys):
-        # Pi2 shares Pi1's transformed problem, so its oracle run is Pi1's
+    def test_pi2_oracle_agrees_with_pi1(self, capsys):
+        # Pi2 and Pi1 transform their own (f, g, h) to the same well, so the
+        # closed forms match and the oracles agree to their round-off
         args = ("spectrum", "--model", "swanson", "--alpha", "0.1", "--beta", "0.2",
                 "--tau", "0.25", "--nmax", "3", "--oracle", "--check")
-        outputs = []
+        tables = []
         for rep in ("pi2", "pi1"):
             code, out, _ = run_cli(capsys, *args, "--rep", rep)
             assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
+            header, rows = parse_csv(out)
+            tables.append([dict(zip(header, row)) for row in rows])
+        for pi2, pi1 in zip(*tables):
+            for column in ("n", "energy_re", "energy_im"):
+                assert pi2[column] == pi1[column]
+            assert float(pi2["energy_oracle"]) == pytest.approx(
+                float(pi1["energy_oracle"]), rel=1e-10)
+        assert len(tables[0]) == len(tables[1]) == 4
 
     def test_check_breach_exit_code(self, capsys):
-        # the FD relative errors here are about 6e-12 to 3e-10, above --tol
+        # the FD relative errors here are about 6e-14 to 1.2e-10, above --tol
         code, out, _ = run_cli(capsys, "spectrum", "--model", "ho", "--tau", "0.2",
-                               "--oracle", "--check", "--tol", "1e-13")
+                               "--oracle", "--check", "--tol", "1e-14")
         assert code == 2
         _, rows = parse_csv(out)
         assert len(rows) == 6
-        assert all(float(r[-1]) > 1e-13 for r in rows)
+        assert all(float(r[-1]) > 1e-14 for r in rows)
 
     def test_byte_identical_reruns(self, capsys):
         args = ("spectrum", "--model", "swanson", "--alpha", "0.1", "--beta", "0.2",

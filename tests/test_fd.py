@@ -16,12 +16,8 @@ from gup_spectra.errors import ConvergenceFailure, ParameterError
 from gup_spectra.fd import fd_eigenvalues
 from gup_spectra.liouville import to_potential
 from gup_spectra.oracle import verify_spectrum
-from gup_spectra.solutions import (
-    PotentialSpec,
-    default_p0,
-    solve,
-    transformed_potential,
-)
+from gup_spectra.solutions import PotentialSpec, default_p0, solve
+from references import closed_form_well
 
 R = Representation
 
@@ -31,9 +27,7 @@ def _raw_on_grids(well, base, count):
     2 base and 4 base, bisected to eps * ||T||_1, with the wall exponents
     the oracle measures from V."""
     lo, hi, V = well.q_lo, well.q_hi, well.V
-    exponents = [fd._wall_exponent(fd._wall_gamma(V, wall, side, hi - lo))
-                 for wall, side in ((lo, -1), (hi, +1))]
-    walls = fd._walls(*exponents)
+    walls = fd._walls(*(fd._wall_exponent(gamma) for gamma in fd._wall_gammas(V, lo, hi)))
     return [fd._bisect(*fd._fd_matrix(V, lo, hi, n, walls)[:2], count)
             for n in (base, 2 * base, 4 * base)]
 
@@ -65,7 +59,7 @@ class TestEigensolver:
 
     def test_deformed_oscillator_well(self):
         params = DeformationParams(tau=0.5)
-        res = fd_eigenvalues(transformed_potential(HarmonicOscillator(), R.PI1, params), 4)
+        res = fd_eigenvalues(closed_form_well(HarmonicOscillator(), R.PI1, params), 4)
         sol = solve(HarmonicOscillator(), R.PI1, params)
         closed = np.real(sol.energies(3))
         assert np.max(np.abs(res.eigenvalues - closed) / closed) < 1e-5
@@ -88,7 +82,7 @@ class TestEigensolver:
     @pytest.mark.parametrize("model, k, count", ESTIMATE_CASES)
     def test_error_estimates_bound_the_true_error(self, model, k, count):
         params = DeformationParams(tau=float(np.geomspace(1e-4, 50.0, 13)[k]))
-        res = fd_eigenvalues(transformed_potential(model, R.PI1, params), count)
+        res = fd_eigenvalues(closed_form_well(model, R.PI1, params), count)
         closed = np.real(solve(model, R.PI1, params).energies(count - 1))
         assert np.all(np.abs(res.eigenvalues - closed) <= res.error_estimates)
 
@@ -133,8 +127,7 @@ class TestEigensolver:
             raise AssertionError("no grid may be built")
 
         monkeypatch.setattr(fd, "_fd_matrix", no_matrix)
-        pot = transformed_potential(HarmonicOscillator(), R.PI1,
-                                    DeformationParams(tau=1e-12))
+        pot = closed_form_well(HarmonicOscillator(), R.PI1, DeformationParams(tau=1e-12))
         with pytest.raises(ConvergenceFailure, match="too narrow"):
             fd_eigenvalues(pot, 6)
         problem = PotentialSpec(V=lambda q: np.full_like(q, np.inf), q_lo=0.0, q_hi=1.0)
@@ -144,7 +137,7 @@ class TestEigensolver:
     def test_observed_convergence_order(self):
         # raw (pre-extrapolation) sequences refine at second order
         for model, tau in ((HarmonicOscillator(), 0.5), (PoschlTeller(1.0, 0.5), 0.25)):
-            pot = transformed_potential(model, R.PI1, DeformationParams(tau=tau))
+            pot = closed_form_well(model, R.PI1, DeformationParams(tau=tau))
             raw = _raw_on_grids(pot, 1024, 4)
             d1 = np.abs(raw[0] - raw[1])
             d2 = np.abs(raw[1] - raw[2])
@@ -210,7 +203,7 @@ class TestFactoredScheme:
         # is about L / 135 wide, and the barrier reaches 1e11 in the wall
         # cells, where it would set the certificate's tolerance
         params = DeformationParams(tau=tau)
-        pot = transformed_potential(model, rep, params)
+        pot = closed_form_well(model, rep, params)
         res = fd_eigenvalues(pot, 6)
         assert res.grid_sizes == (2048, 4096, 8192)
         assert res.certified == (True, True, True)
@@ -223,7 +216,7 @@ def _problem(case):
     if case == "box":
         return PotentialSpec(V=lambda q: np.zeros_like(q), q_lo=0.0, q_hi=math.pi)
     model, rep, tau = case
-    return transformed_potential(model, rep, DeformationParams(tau=tau))
+    return closed_form_well(model, rep, DeformationParams(tau=tau))
 
 
 def _grid_matrices(problem, res):

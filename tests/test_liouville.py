@@ -19,9 +19,9 @@ from gup_spectra.algebra import (
 )
 from gup_spectra.errors import NonMonotoneMap, SingularCoefficient
 from gup_spectra.liouville import FactorizationAnsatz, master_residual, to_potential
-from gup_spectra.solutions import ansatz_for, default_p0, solve, transformed_potential
+from gup_spectra.solutions import ansatz_for, default_p0, solve
 from gup_spectra.specfun import JacobiSpec, jacobi
-from references import integrate_adaptive
+from references import closed_form_well, integrate_adaptive
 
 R = Representation
 
@@ -159,7 +159,7 @@ class TestTransform:
         params = DeformationParams(tau=tau)
         fgh = coefficients(model, rep, params)
         tr = to_potential(fgh, default_p0(model, rep, params))
-        pot = transformed_potential(model, rep, params)
+        pot = closed_form_well(model, rep, params)
         assert tr.q_hi - tr.q_lo == pytest.approx(pot.q_hi - pot.q_lo, abs=1e-12)
 
     @pytest.mark.parametrize("tau", [1e-4, 1e-3, 1e-2, 0.1, 0.25, 1.0, 5.0, 50.0])
@@ -278,7 +278,7 @@ class TestMasterIdentity:
     def test_oscillator_identifications(self):
         params = DeformationParams(tau=0.5)
         sol = solve(HarmonicOscillator(), R.PI1, params)
-        pot = transformed_potential(HarmonicOscillator(), R.PI1, params)
+        pot = closed_form_well(HarmonicOscillator(), R.PI1, params)
         qs = np.linspace(0.9 * pot.q_lo, 0.9 * pot.q_hi, 101)
         res = master_residual(ansatz_for(sol, 0), pot, float(sol.energy(0)), qs)
         assert res < 1e-9
@@ -286,7 +286,7 @@ class TestMasterIdentity:
     def test_energy_shift_moves_residual_affinely(self):
         params = DeformationParams(tau=0.5)
         sol = solve(HarmonicOscillator(), R.PI1, params)
-        pot = transformed_potential(HarmonicOscillator(), R.PI1, params)
+        pot = closed_form_well(HarmonicOscillator(), R.PI1, params)
         qs = np.linspace(0.9 * pot.q_lo, 0.9 * pot.q_hi, 101)
         res = master_residual(ansatz_for(sol, 0), pot, float(sol.energy(0)) + 0.1, qs)
         assert res == pytest.approx(0.1, rel=1e-9)
@@ -295,7 +295,7 @@ class TestMasterIdentity:
         params = DeformationParams(tau=0.25)
         model = PoschlTeller(1.0, 0.5)
         sol = solve(model, R.PI1, params)
-        pot = transformed_potential(model, R.PI1, params)
+        pot = closed_form_well(model, R.PI1, params)
         span = pot.q_hi - pot.q_lo
         qs = np.linspace(pot.q_lo + 0.05 * span, pot.q_hi - 0.05 * span, 101)
         res = master_residual(ansatz_for(sol, 1), pot, float(np.real(sol.energy(1))), qs)

@@ -13,6 +13,7 @@ from gup_spectra.algebra import (
 )
 from gup_spectra import oracle
 from gup_spectra.errors import (
+    ConvergenceFailure,
     NonFiniteResult,
     NonIntegrable,
     ParameterError,
@@ -24,7 +25,11 @@ from gup_spectra.oracle import (
     parse_word,
     verify_spectrum,
 )
-from gup_spectra.solutions import solve
+from gup_spectra.algebra import coefficients
+from gup_spectra.fd import fd_eigenvalues
+from gup_spectra.liouville import to_potential
+from gup_spectra.solutions import PotentialSpec, default_p0, solve
+from references import closed_form_well
 
 R = Representation
 
@@ -65,6 +70,76 @@ class TestVerifySpectrum:
     def test_broken_regime_refused(self):
         with pytest.raises(ParameterError):
             verify_spectrum(Swanson(2.0, 0.1), R.PI1, DeformationParams(tau=0.5))
+
+    @pytest.mark.parametrize("model, rep, tau", [
+        (HarmonicOscillator(), R.PI1, 0.25),
+        (Swanson(0.1, 0.2), R.PI3, 1.0),
+        (PoschlTeller(1.0, 0.5), R.PI4, 0.5),
+    ])
+    def test_one_transform_per_call(self, monkeypatch, model, rep, tau):
+        # the checked well is the transform of the Hamiltonian's (f, g, h),
+        # whose pointwise V the series samples in one call
+        calls, sizes = [], []
+        real = oracle.to_potential
+
+        def counted(*args):
+            calls.append(args)
+            tr = real(*args)
+            pointwise = tr.V
+
+            def V(q):
+                sizes.append(np.size(q))
+                return pointwise(q)
+
+            tr.V = V
+            return tr
+
+        monkeypatch.setattr(oracle, "to_potential", counted)
+        params = DeformationParams(tau=tau)
+        assert verify_spectrum(model, rep, params).passed
+        assert len(calls) == 1
+        assert calls[0][1] == default_p0(model, rep, params)
+        assert sizes == [oracle._WELL_DEGREE + 1]
+
+
+def _generic(model, rep, params):
+    return to_potential(coefficients(model, rep, params), default_p0(model, rep, params))
+
+
+SERIES_MODELS = [HarmonicOscillator(), Swanson(0.1, 0.2), Swanson(2.0, 0.1),
+                 PoschlTeller(1.0, 0.5), PoschlTeller(3.0, 2.0)]
+# the FD cases: those with a real spectrum, and so a real well
+SERIES_FD_CASES = [(model, rep, tau) for model in SERIES_MODELS
+                   for rep in (R.PI1, R.PI3, R.PI4) for tau in (1e-3, 0.1, 1.0, 10.0)
+                   if model.reality(DeformationParams(tau=tau))]
+
+
+class TestSeriesWell:
+    @pytest.mark.parametrize("tau", GRID_TAUS)
+    @pytest.mark.parametrize("rep", [R.PI1, R.PI3, R.PI4])
+    @pytest.mark.parametrize("model", SERIES_MODELS)
+    def test_matches_the_pointwise_well(self, model, rep, tau):
+        tr = _generic(model, rep, DeformationParams(tau=tau))
+        well = oracle._series_well(tr)
+        assert (well.q_lo, well.q_hi) == (tr.q_lo, tr.q_hi)
+        span = tr.q_hi - tr.q_lo
+        qs = np.linspace(tr.q_lo + 0.05 * span, tr.q_hi - 0.05 * span, 41)
+        want = tr.V(qs)
+        assert np.max(np.abs(well.V(qs) - want) / np.maximum(np.abs(want), 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("count", [6, 20])
+    @pytest.mark.parametrize("model, rep, tau", SERIES_FD_CASES)
+    def test_fd_levels_match_the_closed_form_well(self, model, rep, tau, count):
+        params = DeformationParams(tau=tau)
+        series = fd_eigenvalues(oracle._series_well(_generic(model, rep, params)), count)
+        closed = fd_eigenvalues(closed_form_well(model, rep, params), count)
+        assert np.max(np.abs(series.eigenvalues - closed.eigenvalues)
+                      / np.abs(closed.eigenvalues)) < 1e-9
+
+    def test_kinked_well_does_not_converge(self):
+        kinked = PotentialSpec(V=lambda q: np.abs(q), q_lo=-1.0, q_hi=1.0)
+        with pytest.raises(ConvergenceFailure, match="not converged"):
+            oracle._series_well(kinked)
 
 
 class TestWordParsing:

@@ -28,9 +28,8 @@ from gup_spectra.solutions import (
     metric_generic,
     native_quadrature,
     solve,
-    transformed_potential,
 )
-from references import integrate_adaptive
+from references import closed_form_well, integrate_adaptive
 
 R = Representation
 GRID_TAUS = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 5.0, 50.0)
@@ -128,7 +127,7 @@ class TestClassification:
         assert ok_b.physical and not bad_b.physical
 
     @pytest.mark.parametrize("call", [
-        classify_physical, solve, coefficients, transformed_potential, metric_generic,
+        classify_physical, solve, coefficients, oracle.verify_spectrum, metric_generic,
         default_p0, lambda model, rep, params: expectation_unified(model, params, 0, "H"),
     ])
     def test_swanson_outside_solved_regime_rejected(self, call):
@@ -156,9 +155,9 @@ class TestClassification:
             classify_physical(model, R.PI1, params)
         with pytest.raises(IntrinsicNoncommutativity):
             solve(model, R.PI1, params)
-        # the closed-form potential has no commutative limit to fall back on
+        # the FD oracle has no commutative limit to fall back on
         with pytest.raises(IntrinsicNoncommutativity):
-            transformed_potential(model, R.PI1, params)
+            oracle.verify_spectrum(model, R.PI1, params)
         # nor has the generic transform an anchor there
         with pytest.raises(IntrinsicNoncommutativity):
             default_p0(model, R.PI1, params)
@@ -545,21 +544,20 @@ class TestSolutionCache:
 class TestPotentials:
     def test_oscillator_domain_and_amplitude(self):
         params = DeformationParams(tau=0.5)
-        pot = transformed_potential(HarmonicOscillator(), R.PI1, params)
+        pot = closed_form_well(HarmonicOscillator(), R.PI1, params)
         assert pot.q_hi == pytest.approx(math.pi / math.sqrt(2 * 0.5), rel=1e-14)
         qs = np.array([0.3, 0.9])
         assert np.allclose(pot.V(qs), np.tan(math.sqrt(0.25) * qs) ** 2, rtol=1e-14)
 
     def test_half_cell_domain(self):
         params = DeformationParams(tau=0.25)
-        pot = transformed_potential(PoschlTeller(1.0, 0.5), R.PI1, params)
+        pot = closed_form_well(PoschlTeller(1.0, 0.5), R.PI1, params)
         assert pot.q_lo == 0.0
         assert pot.q_hi == pytest.approx(math.pi / math.sqrt(2 * 0.25), rel=1e-14)
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedPair):
-            transformed_potential(HarmonicOscillator(), R.PI4_PRIME,
-                                  DeformationParams(tau=0.5))
+            closed_form_well(HarmonicOscillator(), R.PI4_PRIME, DeformationParams(tau=0.5))
 
 
 class TestSchroedingerResidual:
