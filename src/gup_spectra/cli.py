@@ -253,6 +253,7 @@ def cmd_spectrum(args) -> int:
             "error_estimates": fd.error_estimates.tolist(),
             "wall_exponents": list(fd.wall_exponents),
             "raw": [values.tolist() for values in fd.raw],
+            "tolerance": report.tolerance,
         }
     _emit("spectrum", config, header, rows, extra)
     if args.check and not report.passed:
@@ -337,7 +338,8 @@ def cmd_phase(args) -> int:
     for curve in curves:
         for a, b in curve.points:
             rows.append([curve.tau, a, b])
-    extra = {"branch": "lower", "regions": {"above": "broken", "below": "unbroken"}}
+    extra = {"branch": "lower", "regions": {"above": "broken", "below": "unbroken"},
+             "monotone": [curve.monotone for curve in curves]}
     _emit("phase", config, ["tau", "alpha", "beta_boundary"], rows, extra)
     if args.check:
         # ``scan`` has re-verified every emitted point; these are the claims

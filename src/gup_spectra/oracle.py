@@ -13,7 +13,7 @@ Expectation values come in two independent flavors:
   endpoint exponents and degree, and a divergent term is NonIntegrable.
 * ``expectation_direct``: brute quadrature of psi* rho (F psi) on the
   representation's momentum domain using the numerical operator actions
-  (Pi1..Pi3; the segment representation is covered by the unified form).
+  (Pi1..Pi4; Pi4' has no bound states to take them on).
   The samples are uniform in a variable t that a double-exponential map
   takes to the domain, sized from the (f, g, h) coefficients; X takes
   order-8 differences in t.  Like the unified engine it evaluates a level
@@ -41,7 +41,6 @@ from .errors import (
     NonFiniteResult,
     NonIntegrable,
     ParameterError,
-    UnsupportedPair,
 )
 from .fd import SpectrumResult, fd_eigenvalues
 from .jets import Jet
@@ -95,6 +94,8 @@ def verify_spectrum(model: ModelSpec, rep: Representation,
     closed = np.real(sol.energies(count - 1))
     if params.tau == 0.0:
         k = closed[0]
+        if k <= 0.0:
+            raise ParameterError(f"E_0 = {k:.6g} at tau = 0: the well (E_0 q)^2 has no levels")
         edge = 9.0 / math.sqrt(k)
         well = PotentialSpec(V=lambda q: (k * np.asarray(q)) ** 2, q_lo=-edge, q_hi=edge)
     else:
@@ -479,7 +480,6 @@ def expectation_unified(model: ModelSpec, params: DeformationParams, n: int,
 # ---------------------------------------------------------------------------
 # direct engine (mapped momentum grid + numerical operator actions)
 
-_DIRECT_REPS = (Representation.PI1, Representation.PI2, Representation.PI3)
 # |u| of a cell's map: tanh(17) = 1 - 3.4e-15 keeps its outermost samples
 # representable inside its walls
 _CELL_REACH = 17.0
@@ -502,17 +502,16 @@ def _map(fgh: FGHCoefficients):
     alpha + beta > 1 psi_n or psi_n rho grows toward both ends.
 
     f turns from f(0) to its growth at about p_f = 2 (f(0) / f''(0))^(1/2),
-    1/sqrt(tc) on Pi1 (f is constant on Pi3).  On a symmetric domain the
-    state is centred at p = 0 and, to leading order, Gaussian of width
-    w = (4 f^2 / (g'^2 + 2 f h''))^(1/4) there; with L = min(w, p_f), the
-    line takes u0 = 0 and a = 1, the cell (-W, W) u0 = 0 and
-    a = min(1, 3 pi L / (2 W)).  On a half domain the state goes like p^k0
-    at the wall p = 0, and like p^-k1 toward infinity or d^k1 at the
-    distance d from the far wall, each k from the indicial equation of
-    -f psi'' + g psi' + h psi = 0 there.  The two power laws balance at
-    L = p_f (k0 / k1)^(1/2) on the half line (a = 1), and on the half cell
-    (a = 1/2) at u0 = log(k0 / k1) / 4, where the two wall distances have
-    the ratio (k0 / k1)^(1/2).
+    1/sqrt(tc) on Pi1 (f is constant on Pi3 and falls on Pi4: p_f = inf).
+    On a symmetric domain the state is centred at p = 0 and, to leading
+    order, Gaussian of width w = (4 f^2 / (g'^2 + 2 f h''))^(1/4) there;
+    with L = min(w, p_f), the line takes u0 = 0 and a = 1, the cell (-W, W)
+    u0 = 0 and a = min(1, 3 pi L / (2 W)).  On a half domain the state goes
+    like p^k0 at the wall p = 0, and like p^-k1 toward infinity or d^k1 at
+    the distance d from the far wall, each k from ``_indicial``.  The two
+    power laws balance at L = p_f (k0 / k1)^(1/2) on the half line (a = 1),
+    and on the half cell (a = 1/2) at u0 = log(k0 / k1) / 4, where the two
+    wall distances have the ratio (k0 / k1)^(1/2).
     """
     dom = fgh.domain
     f0, ddf0 = float(fgh.f(0.0)), float(fgh.ddf(0.0))
@@ -525,16 +524,9 @@ def _map(fgh: FGHCoefficients):
         if math.isinf(dom.hi):
             return line_map(L), 0.0, 1.0, LINE_REACH
         return _cell(dom), 0.0, min(1.0, 1.5 * math.pi * L / dom.hi), _CELL_REACH
-    d = 1e-6 * min(p_f, dom.hi)
-    k0 = _wall_power(f0, d * d * float(fgh.h(d)))
+    k0 = _indicial(fgh, 1e-6 * min(p_f, dom.hi), 0.0)
     if math.isinf(dom.hi):
-        # f ~ F p^4, g ~ G p^3 and h ~ H p^2 toward infinity, where p^-k
-        # solves the indicial equation F k (k + 1) + G k = H
-        big = 1e6 * p_f
-        F = float(fgh.f(big)) / big ** 4
-        G = float(fgh.g(big)) / big ** 3
-        H = float(fgh.h(big)) / big ** 2
-        k1 = (math.sqrt((F + G) ** 2 + 4.0 * F * H) - (F + G)) / (2.0 * F)
+        k1 = _indicial(fgh, 1e6 * p_f, math.inf)
         L = p_f * math.sqrt(k0 / k1)
 
         def phi(u):
@@ -542,8 +534,7 @@ def _map(fgh: FGHCoefficients):
             return p, p
 
         return phi, 0.0, 1.0, LINE_REACH
-    d = 1e-6 * dom.hi
-    k1 = _wall_power(float(fgh.f(dom.hi)), d * d * float(fgh.h(dom.hi - d)))
+    k1 = _indicial(fgh, (1.0 - 1e-6) * dom.hi, dom.hi)
     return _cell(dom), 0.25 * math.log(k0 / k1), 0.5, _CELL_REACH
 
 
@@ -558,15 +549,27 @@ def _cell(dom):
     return phi
 
 
-def _wall_power(f_wall, h_wall):
-    """k of psi ~ d^k at a wall where f -> f_wall, g d -> 0 and h d^2 -> h_wall."""
-    return 0.5 + math.sqrt(0.25 + h_wall / f_wall)
+def _indicial(fgh, p, wall):
+    """The larger root k of the leading-order equation of -f psi'' + g psi'
+    + h psi = 0 for psi ~ x^k, x the distance from ``wall`` to the probe p
+    (x = 1/|p| toward a wall at infinity), with f, g and h read at p.
+
+    With r = x / x', psi'/psi = k / r and psi''/psi = k (k - r') / r^2, so
+    f k^2 - (f r' + g r) k - h r^2 = 0: r = p - wall and r' = 1 at a finite
+    wall, r = -p and r' = -1 toward infinity.  Where f vanishes at the wall
+    (the Pi4 segment), f, g r and h r^2 all vanish like x, and their
+    ratios at the probe stay finite.
+    """
+    r, dr = (-p, -1.0) if math.isinf(wall) else (p - wall, 1.0)
+    f, g, h = (float(c(p)) for c in (fgh.f, fgh.g, fgh.h))
+    b = f * dr + g * r
+    return (b + math.sqrt(b * b + 4.0 * f * h * r * r)) / (2.0 * f)
 
 
-# A request asks Pi1..Pi3 for one level word after word, so one level per
-# representation holds all the reuse there is, and nothing outlives the
-# request.
-@lru_cache(maxsize=len(_DIRECT_REPS))
+# A request asks Pi1..Pi4 for one level word after word, so one level per
+# representation with states holds all the reuse there is, and nothing
+# outlives the request.
+@lru_cache(maxsize=4)
 def _direct_level(model, rep, params, n, grid_size):
     """The native grid of one level, shared read-only between words; the
     map reads the representation's own (f, g, h)."""
@@ -652,22 +655,18 @@ def expectation_direct(model: ModelSpec, rep: Representation,
 
     ``grid_size`` counts samples t_k uniform in a variable t, which a
     double-exponential map takes to the representation's momentum domain
-    (``_map``): sinh-sinh on the line of Pi1 and Pi2, exp-sinh on
-    the half line of the inverse-square model there, and tanh-sinh on the
-    Pi3 cells.  The quadrature weights are the samples' widths phi'(t_k) h,
-    and X differentiates as phi'(t)^(-1) d/dt by order-8 differences in t,
-    for every map.  Samples whose norm weight is below eps^2 of the largest
-    are dropped at the ends of the t-range (``_DirectLevel``), so a level
-    holds at most ``grid_size`` samples.  The level n (grid, psi_n, rho and
-    the states F builds from psi_n) is shared with the other words asked of
-    it, so each X or P step is taken once per level.  Where psi_n or rho
-    leaves the double range inside the density, or the value is not finite,
-    ``NonFiniteResult`` is raised.
+    (``_map``): sinh-sinh on the line of Pi1 and Pi2, exp-sinh on the half
+    line of the inverse-square model there, and tanh-sinh on the Pi3 cells
+    and the Pi4 segment.  The quadrature weights are the samples' widths
+    phi'(t_k) h, and X differentiates as phi'(t)^(-1) d/dt by order-8
+    differences in t, for every map.  Samples whose norm weight is below
+    eps^2 of the largest are dropped at the ends of the t-range
+    (``_DirectLevel``), so a level holds at most ``grid_size`` samples.  The
+    level n (grid, psi_n, rho and the states F builds from psi_n) is shared
+    with the other words asked of it, so each X or P step is taken once per
+    level.  Where psi_n or rho leaves the double range inside the density,
+    or the value is not finite, ``NonFiniteResult`` is raised.
     """
-    if rep not in _DIRECT_REPS:
-        raise UnsupportedPair(
-            "direct quadrature runs on Pi1..Pi3; the segment representation "
-            "is covered by the unified integral")
     if params.tau_check <= 0:
         raise ParameterError("the direct engine needs tau > 0")
     level = _direct_level(model, rep, params, n, grid_size)

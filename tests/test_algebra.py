@@ -12,6 +12,7 @@ from gup_spectra.algebra import (
     PoschlTeller,
     Representation,
     Swanson,
+    angle_domain,
     coefficients,
     p_domain,
 )
@@ -95,12 +96,25 @@ class TestCoefficientTable:
         p = DeformationParams(tau=0.3)
         with pytest.raises(IntrinsicNoncommutativity):
             coefficients(PoschlTeller(1.0, 0.5), R.PI1, DeformationParams(tau=0.0))
-        with pytest.raises(UnsupportedPair):
+        with pytest.raises(UnsupportedPair, match="no coefficient table for"):
             coefficients(Swanson(0.1, 0.2), R.PI4_PRIME, p)
-        with pytest.raises(UnsupportedPair):
+        with pytest.raises(UnsupportedPair, match="no coefficient table for"):
             coefficients(PoschlTeller(1.0, 0.5), R.PI4_PRIME, p)
+        # the sign-flipped relation has no angle arctan(sqrt(tc) P) to map
+        with pytest.raises(UnsupportedPair, match="no momentum angle for"):
+            angle_domain(R.PI4_PRIME, p)
         with pytest.raises(ParameterError):
             coefficients(Swanson(-3.0, 0.0), R.PI1, DeformationParams(tau=0.1))
+
+    def test_hamiltonian_outside_the_table_form(self):
+        # an X^4 word has no (f, g, h) form of a second-order equation
+        class Quartic(HarmonicOscillator):
+            def hamiltonian(self, params):
+                terms, const = super().hamiltonian(params)
+                return terms + [(0.1, [("X", 4)])], const
+
+        with pytest.raises(UnsupportedPair, match="H must be a real sum"):
+            coefficients(Quartic(), R.PI1, DeformationParams(tau=0.3))
 
     @pytest.mark.parametrize("model,rep", ALL_MODELS_REPS)
     def test_derivatives_match_finite_differences(self, model, rep):

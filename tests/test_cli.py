@@ -269,6 +269,9 @@ class TestSpectrumCommand:
         (("expectation", "--model", "swanson", "--alpha", "1", "--beta", "1",
           "--tau", "0.5", "H"), "complex spectrum"),
         (("spectrum", "--rep", "pi4p", "--oracle"), "unbounded family"),
+        # Swanson on the reality boundary at tau = 0: E_0 = 0, a flat well
+        (("spectrum", "--model", "swanson", "--alpha", "0.5", "--beta", "0.5", "--tau", "0",
+          "--oracle"), "E_0 = 0 at tau = 0"),
         (("expectation", "--nmax", "0", "+"), "empty term"),
     ])
     def test_refusal_is_one_typed_line(self, capsys, argv, reason):
@@ -324,7 +327,8 @@ class TestJsonEnvelope:
         assert payload["schema"] == "gup-spectra/1"
         oracle = payload["oracle"]
         assert sorted(oracle) == ["certified", "error_estimates", "grid_sizes",
-                                  "raw", "wall_exponents"]
+                                  "raw", "tolerance", "wall_exponents"]
+        assert oracle["tolerance"] == 1e-5
         assert oracle["grid_sizes"] == [128, 256, 512]
         assert oracle["certified"] == [True, True, True]
         assert len(oracle["raw"]) == 3 and all(len(raw) == 4 for raw in oracle["raw"])
@@ -418,6 +422,22 @@ class TestPhaseCommand:
         _, rows = parse_csv(out)
         table = {float(r[1]): float(r[2]) for r in rows}
         assert table[2.0] == pytest.approx(0.125, abs=1e-12)
+
+    def test_json_reports_each_curve_monotone(self, capsys):
+        argv = ("phase", "--taus", "0.5,15,0", "--alpha-lo", "1", "--alpha-hi", "16",
+                "--alpha-steps", "16")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        # one flag per curve, in --taus order: at tau 0.5 the boundary falls
+        # to beta = 0 at alpha = 3 and rises again; tau 15 has no root in
+        # the window, an empty curve
+        assert payload["monotone"] == [False, True, True]
+        assert [row["tau"] for row in payload["rows"][::16]] == [0.5, 0.0]
+        # the CSV carries no flag
+        code, out, _ = run_cli(capsys, *argv)
+        header, _ = parse_csv(out)
+        assert header == ["tau", "alpha", "beta_boundary"]
 
     def test_point_claim_check_passes(self, capsys):
         code, _, _ = run_cli(capsys, "phase", "--taus", "0,0.5", "--alpha-lo", "1",

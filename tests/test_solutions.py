@@ -22,6 +22,7 @@ from gup_spectra.errors import (
 from gup_spectra import oracle, solutions, specfun
 from gup_spectra.oracle import expectation_unified, parse_word
 from gup_spectra.solutions import (
+    ansatz_for,
     classify_physical,
     default_p0,
     gram_matrix,
@@ -145,8 +146,16 @@ class TestClassification:
         assert (cls.physical, cls.complex_spectrum) == (False, False)
         sol = solve(model, R.PI4_PRIME, params)
         assert sol.family == "unbounded" and not sol.physical
-        with pytest.raises(UnsupportedPair):
+        with pytest.raises(UnsupportedPair, match="no published energy family"):
             sol.energy(0)
+
+    def test_pi4_prime_has_no_anchor_or_ansatz(self):
+        # the variant has no momentum angle and no bound states to factorize
+        params = DeformationParams(tau=0.25)
+        with pytest.raises(UnsupportedPair, match="no anchor for"):
+            default_p0(PoschlTeller(1.0, 0.5), R.PI4_PRIME, params)
+        with pytest.raises(UnsupportedPair, match="no factorization ansatz"):
+            ansatz_for(solve(HarmonicOscillator(), R.PI4_PRIME, params), 0)
 
     def test_inverse_square_without_deformation_errors(self):
         params = DeformationParams(tau=0.0)
@@ -556,7 +565,7 @@ class TestPotentials:
         assert pot.q_hi == pytest.approx(math.pi / math.sqrt(2 * 0.25), rel=1e-14)
 
     def test_unsupported(self):
-        with pytest.raises(UnsupportedPair):
+        with pytest.raises(UnsupportedPair, match="no transformed potential"):
             closed_form_well(HarmonicOscillator(), R.PI4_PRIME, DeformationParams(tau=0.5))
 
 

@@ -17,6 +17,12 @@ Four checks, each with its named exemptions:
   that each condition has one error type and no type outlives its
   condition.  The base class is caught, not raised.
 
+One check reads the tests: the message of every ``raise
+UnsupportedPair(...)`` in src, each formatted value of an f-string read as
+``{}``, is matched by the ``match=`` of some ``pytest.raises(UnsupportedPair,
+...)`` in tests, and every such ``pytest.raises`` names a ``match=``.  So each
+refusal is reached by a test that shows its cause.
+
 Three more have none: no file in src imports scipy, so the package and
 every command, the FD oracle included, run on numpy alone; ``fd.py`` takes
 nothing from the package but ``errors`` and two quadrature rules of
@@ -27,8 +33,10 @@ order-8 differences on every grid.
 
 import ast
 import pathlib
+import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gup_spectra"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "gup_spectra"
 
 ENTRY_POINTS = {
     "_Parser.error": "argparse calls it on a malformed command line",
@@ -41,8 +49,6 @@ PUBLIC_KNOBS = {
 
 RESULT_FIELDS = {
     "VerifyReport.closed": "the closed-form side of the comparison",
-    "VerifyReport.tolerance": "the tolerance the verdict used",
-    "PhaseCurve.monotone": "the scan's in-window consistency check",
 }
 
 BASE_ERRORS = {
@@ -160,6 +166,34 @@ def unraised_errors(errors, paths):
     return sorted(name for name in declared if name not in raised)
 
 
+def refusals(paths, error):
+    """The message of every ``raise error(...)`` in ``paths``, each formatted
+    value of an f-string as {}."""
+    out = []
+    for node, _ in _nodes(paths):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name) and node.exc.func.id == error):
+            msg = node.exc.args[0]
+            parts = msg.values if isinstance(msg, ast.JoinedStr) else [msg]
+            out.append("".join(p.value if isinstance(p, ast.Constant) else "{}"
+                               for p in parts))
+    return out
+
+
+def raises_matches(paths, error):
+    """The ``match=`` pattern of every ``pytest.raises(error, ...)`` in
+    ``paths``; None where it names none, or none as a string literal."""
+    out = []
+    for node, _ in _nodes(paths):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "raises" and node.args
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == error):
+            match = [k.value for k in node.keywords if k.arg == "match"]
+            out.append(match[0].value if match and isinstance(match[0], ast.Constant)
+                       else None)
+    return out
+
+
 def scipy_imports(paths):
     """(file name, module, inside a function) of every scipy import."""
     out = []
@@ -222,6 +256,14 @@ def test_every_error_type_is_raised_in_src():
     assert found == sorted(BASE_ERRORS), set(found) ^ set(BASE_ERRORS)
 
 
+def test_every_unsupported_pair_is_shown_by_a_test():
+    patterns = raises_matches(sorted(TESTS.glob("*.py")), "UnsupportedPair")
+    assert None not in patterns
+    found = [msg for msg in refusals(_sources(), "UnsupportedPair")
+             if not any(re.search(pattern, msg) for pattern in patterns)]
+    assert found == []
+
+
 def test_no_file_in_src_imports_scipy():
     assert scipy_imports(_sources()) == []
 
@@ -277,6 +319,22 @@ def test_detects_an_unraised_error_type(tmp_path):
                    "def f(x):\n    if x:\n        raise errors.Bare\n"
                    "    raise Called('x')\n")
     assert unraised_errors(errors, [mod]) == ["Base"]
+
+
+def test_detects_an_unshown_refusal(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def f(rep):\n    if rep:\n        raise Refused(f'no table for {rep}')\n"
+                   "    raise Refused('plain')\n\n\n"
+                   "def g():\n    raise Other('elsewhere')\n")
+    assert refusals([mod], "Refused") == ["no table for {}", "plain"]
+    test = tmp_path / "test_mod.py"
+    test.write_text("import pytest\n\n\n"
+                    "def test_f(pattern):\n"
+                    "    with pytest.raises(Refused, match='no table'):\n        f(1)\n"
+                    "    with pytest.raises(Refused):\n        f(0)\n"
+                    "    with pytest.raises(Refused, match=pattern):\n        f(0)\n"
+                    "    with pytest.raises(Other, match='else'):\n        g()\n")
+    assert raises_matches([test], "Refused") == ["no table", None, None]
 
 
 def test_detects_scipy_imports(tmp_path):
