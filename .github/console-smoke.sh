@@ -21,10 +21,17 @@ exits_with() {
     cat stderr.txt >&2
     test "$status" -eq "$want" && ! grep -q Traceback stderr.txt
 }
+# same_values: direct.csv and unified.csv hold the same four values of
+# `expectation --nmax 1 X2 H`, to 1e-8 relative
+same_values() {
+    python -c "import csv; rows = [list(csv.DictReader(open(f))) for f in ('direct.csv', 'unified.csv')]; assert len(rows[0]) == len(rows[1]) == 4; assert all(abs(float(d['value_re']) - float(u['value_re'])) <= 1e-8 * abs(float(u['value_re'])) for d, u in zip(*rows)), rows"
+}
 # a divergent moment (lam = 0.54 at tau 5) is a typed failure, exit 3
 exits_with 3 gup-spectra expectation --model ho --tau 5 --nmax 0 P4
 # so is the oracle at tau = 0 on the Swanson reality boundary, E_0 = 0
 exits_with 3 gup-spectra spectrum --model swanson --alpha 0.5 --beta 0.5 --tau 0 --oracle
+# so is the direct engine on Pi4 where PT's state diverges at a wall
+exits_with 3 gup-spectra expectation --model pt --alpha 1 --beta -0.01 --tau 0.25 --rep pi4 --nmax 1 X2 H
 # a negative level index is a malformed flag, exit 1
 exits_with 1 gup-spectra wavefunction --n -1
 # a config file that cannot be read is a usage error, exit 1
@@ -51,8 +58,8 @@ gup-spectra expectation --nmax 3 --tau 1e-40 H > /dev/null
 # at tau 5, where the algebraic walls defeated a uniform grid
 gup-spectra expectation --model ho --tau 5 --rep pi3 --nmax 1 X2 H > direct.csv
 gup-spectra expectation --model ho --tau 5 --nmax 1 X2 H > unified.csv
-python -c "import csv; rows = [list(csv.DictReader(open(f))) for f in ('direct.csv', 'unified.csv')]; assert len(rows[0]) == len(rows[1]) == 4; assert all(abs(float(d['value_re']) - float(u['value_re'])) <= 1e-8 * abs(float(u['value_re'])) for d, u in zip(*rows)), rows"
+same_values
 # and its tanh-sinh map on the Pi4 segment, where f vanishes at the walls
 gup-spectra expectation --model pt --alpha 1 --beta 0.5 --tau 0.25 --rep pi4 --nmax 1 X2 H > direct.csv
 gup-spectra expectation --model pt --alpha 1 --beta 0.5 --tau 0.25 --nmax 1 X2 H > unified.csv
-python -c "import csv; rows = [list(csv.DictReader(open(f))) for f in ('direct.csv', 'unified.csv')]; assert len(rows[0]) == len(rows[1]) == 4; assert all(abs(float(d['value_re']) - float(u['value_re'])) <= 1e-8 * abs(float(u['value_re'])) for d, u in zip(*rows)), rows"
+same_values

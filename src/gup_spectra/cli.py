@@ -421,7 +421,7 @@ def _suite_invariance(config):
             for word in words:
                 vals = [expectation_unified(model, params, n, word)]
                 for rep in (Representation.PI1, Representation.PI2,
-                            Representation.PI3):
+                            Representation.PI3, Representation.PI4):
                     vals.append(expectation_direct(model, rep, params, n, word))
                 dev = max(abs(a - b) for a in vals for b in vals)
                 checks.append((f"invariance[{type(model).__name__}/n={n}/{word}]",

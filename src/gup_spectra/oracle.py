@@ -212,14 +212,10 @@ def _word_weight(terms) -> int:
     return max(sum(abs(k) for _, k in factors) for _, factors in terms)
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+def _read_only(arr):
+    """``arr``, an array or a Jet, with its values made read-only."""
+    (arr.d if isinstance(arr, Jet) else arr).flags.writeable = False
     return arr
-
-
-def _frozen(jet: Jet) -> Jet:
-    _read_only(jet.d)
-    return jet
 
 
 class _StateMemo:
@@ -372,25 +368,25 @@ class _ZSpace(_StateMemo):
     @cached_property
     def _z_over_root(self) -> Jet:
         """z (1-z^2)^(-1/2), shared by P and the Legendre X action."""
-        return _frozen(self.zjet * self.one_minus_z2.power(-0.5))
+        return _read_only(self.zjet * self.one_minus_z2.power(-0.5))
 
     @cached_property
     def _ratio(self) -> Jet:
         """p^2 on the Jacobi variable w: (1-w) / (tc (1+w))."""
-        return _frozen((1.0 - self.zjet) * (1.0 + self.zjet).reciprocal()
+        return _read_only((1.0 - self.zjet) * (1.0 + self.zjet).reciprocal()
                        * (1.0 / self.tc))
 
     @cached_property
     def _x_action(self) -> tuple[Jet, Jet, complex]:
         """(w, c, k) with X psi = (w psi' + c psi) k."""
         hbar = self.params.hbar
-        w = _frozen(self.one_minus_z2.power(0.5))
+        w = _read_only(self.one_minus_z2.power(0.5))
         if self.family == "legendre":
-            return (w, _frozen(self._z_over_root * (-self.kappa)),
+            return (w, _read_only(self._z_over_root * (-self.kappa)),
                     1j * hbar * math.sqrt(self.tc))
         lnu = ((1.0 - self.zjet).reciprocal() * (-(self.a + 0.5) / 2.0)
                + (1.0 + self.zjet).reciprocal() * ((self.b + 0.5) / 2.0))
-        return w, _frozen(w * lnu), -2j * hbar * math.sqrt(self.tc)
+        return w, _read_only(w * lnu), -2j * hbar * math.sqrt(self.tc)
 
     # multiplicative P and its powers --------------------------------------
     def p_jet(self, power):
@@ -404,7 +400,7 @@ class _ZSpace(_StateMemo):
                 out = self._ratio.power(power // 2)
             else:
                 out = self._ratio.power(power / 2.0)
-            out = self._p_jets[power] = _frozen(out)
+            out = self._p_jets[power] = _read_only(out)
         return out
 
     def apply_x(self, state: Jet) -> Jet:
@@ -414,9 +410,9 @@ class _ZSpace(_StateMemo):
     def _derive(self, key, sym, power) -> Jet:
         state = self._states[key]
         if sym == "P":
-            return _frozen(self.p_jet(power) * state)
+            return _read_only(self.p_jet(power) * state)
         if sym == "X":
-            return _frozen(self.apply_x(state))
+            return _read_only(self.apply_x(state))
         terms, const = self.model.hamiltonian(self.params)
         out = None
         for coeff, fs in terms:
@@ -424,7 +420,7 @@ class _ZSpace(_StateMemo):
             out = t * coeff if out is None else out + t * coeff
         if const:
             out = out + state * const
-        return _frozen(out)
+        return _read_only(out)
 
 
 def _lowest(e, shift):
@@ -526,8 +522,7 @@ def _map(fgh: FGHCoefficients):
         return _cell(dom), 0.0, min(1.0, 1.5 * math.pi * L / dom.hi), _CELL_REACH
     k0 = _indicial(fgh, 1e-6 * min(p_f, dom.hi), 0.0)
     if math.isinf(dom.hi):
-        k1 = _indicial(fgh, 1e6 * p_f, math.inf)
-        L = p_f * math.sqrt(k0 / k1)
+        L = p_f * math.sqrt(k0 / _indicial(fgh, 1e6 * p_f, math.inf))
 
         def phi(u):
             p = L * np.exp(u)
@@ -558,17 +553,22 @@ def _indicial(fgh, p, wall):
     f k^2 - (f r' + g r) k - h r^2 = 0: r = p - wall and r' = 1 at a finite
     wall, r = -p and r' = -1 toward infinity.  Where f vanishes at the wall
     (the Pi4 segment), f, g r and h r^2 all vanish like x, and their
-    ratios at the probe stay finite.
+    ratios at the probe stay finite.  Where k <= 0, psi does not vanish at
+    the wall (PT on Pi4 with beta <= 0), no balance of the walls sizes the
+    map, and order-8 differences do not resolve psi: ``ConvergenceFailure``.
     """
     r, dr = (-p, -1.0) if math.isinf(wall) else (p - wall, 1.0)
     f, g, h = (float(c(p)) for c in (fgh.f, fgh.g, fgh.h))
     b = f * dr + g * r
-    return (b + math.sqrt(b * b + 4.0 * f * h * r * r)) / (2.0 * f)
+    k = (b + math.sqrt(b * b + 4.0 * f * h * r * r)) / (2.0 * f)
+    if k <= 0.0:
+        raise ConvergenceFailure(f"psi_n ~ x^{k:.3g} does not vanish at the wall p = {wall:g}")
+    return k
 
 
 # A request asks Pi1..Pi4 for one level word after word, so one level per
-# representation with states holds all the reuse there is, and nothing
-# outlives the request.
+# representation with states holds all the reuse there is; a request that
+# asks three representations leaves one level to the next.
 @lru_cache(maxsize=4)
 def _direct_level(model, rep, params, n, grid_size):
     """The native grid of one level, shared read-only between words; the

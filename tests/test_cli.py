@@ -273,6 +273,9 @@ class TestSpectrumCommand:
         (("spectrum", "--model", "swanson", "--alpha", "0.5", "--beta", "0.5", "--tau", "0",
           "--oracle"), "E_0 = 0 at tau = 0"),
         (("expectation", "--nmax", "0", "+"), "empty term"),
+        # PT on Pi4 with beta < 0: psi_n diverges at the segment's far wall
+        (("expectation", "--model", "pt", "--alpha", "1", "--beta", "-0.01", "--tau", "0.25",
+          "--rep", "pi4", "--nmax", "1", "X2", "H"), "does not vanish at the wall"),
     ])
     def test_refusal_is_one_typed_line(self, capsys, argv, reason):
         code, out, err = run_cli(capsys, *argv)

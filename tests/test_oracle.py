@@ -388,6 +388,21 @@ class TestExpectations:
                 got = expectation_direct(model, R.PI4, params, 1, word)
                 assert _dev(got, ref) <= 1e-8, (model, word)
 
+    def test_segment_wall_where_the_state_does_not_vanish(self):
+        # PT's exponent at the segment's far wall is (b+ - 1/2) / 2 with
+        # b+ = (1/4 + beta / tau^2)^(1/2): at beta = 0 psi_n stays finite
+        # there, the probe reads k = 5e-6 and the values keep 3.7e-7
+        # (item 6); below it psi_n diverges and the map refuses
+        params = DeformationParams(tau=0.25)
+        for n in (0, 1, 3):
+            for word in ("P2", "X2", "H"):
+                ref = expectation_unified(PoschlTeller(1.0, 0.0), params, n, word)
+                got = expectation_direct(PoschlTeller(1.0, 0.0), R.PI4, params, n, word)
+                assert _dev(got, ref) <= 1e-6, (n, word)
+        with pytest.raises(ConvergenceFailure,
+                           match=r"x\^-0.1 does not vanish at the wall p = 2"):
+            expectation_direct(PoschlTeller(1.0, -0.01), R.PI4, params, 0, "H")
+
     @pytest.mark.parametrize("model, error, cause", [
         (HarmonicOscillator(), ParameterError, "bound-state evaluators unavailable"),
         (Swanson(0.1, 0.2), UnsupportedPair, "no coefficient table for Swanson"),
