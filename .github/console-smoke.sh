@@ -38,13 +38,19 @@ exits_with 1 gup-spectra wavefunction --n -1
 exits_with 1 gup-spectra spectrum --config /nonexistent
 # so is a physical flag that is not finite
 exits_with 1 gup-spectra spectrum --tau nan
+# an option the subcommand does not read, spelled in full or not
+exits_with 1 gup-spectra phase --tau 0.3
+# and a negative tau in a phase list
+exits_with 1 gup-spectra phase --taus -1
+# a superscript is not a power: an unknown symbol, exit 3
+exits_with 3 gup-spectra expectation --tau 0.2 --nmax 0 X²
 # a string word spells a power of H
 gup-spectra expectation --tau 0.25 --nmax 2 H2 > /dev/null
 # an attractive wall with s = 0.566, near the -1/4 collapse
 gup-spectra spectrum --model swanson --alpha 0.0649192447101177 --beta 0.10509346510543284 --tau 2.1061254796270354 --rep pi3 --nmax 5 --oracle --check --tol 1e-5 > /dev/null
 # 21 levels double the oracle's least base grid 128 to 256 cells, 8 per
-# level; the oracle does not read --grid, which counts display samples
-gup-spectra spectrum --model ho --tau 0.25 --nmax 20 --oracle --check --grid 64 > /dev/null
+# level
+gup-spectra spectrum --model ho --tau 0.25 --nmax 20 --oracle --check > /dev/null
 # Pi2 and Pi1 transform their own (f, g, h) to the same well: both pass,
 # with the same closed forms and oracles that agree to 1e-10
 gup-spectra spectrum --model swanson --alpha 0.1 --beta 0.2 --tau 0.25 --rep pi2 --nmax 3 --oracle --check > pi2.csv

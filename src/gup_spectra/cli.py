@@ -69,6 +69,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # options are spelled in full: a dropped phase --tau is not --taus
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -248,6 +252,7 @@ def cmd_spectrum(args) -> int:
     if report is not None:
         fd = report.spectrum
         extra["oracle"] = {
+            "closed": report.closed.tolist(),
             "grid_sizes": list(fd.grid_sizes),
             "certified": list(fd.certified),
             "error_estimates": fd.error_estimates.tolist(),
@@ -493,20 +498,26 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_common(p):
-    for key, default in _DEFAULTS.items():
+def _add_common(p, keys):
+    """``--config`` and the run keys ``keys``, the ones the subcommand reads;
+    a config file may set any run key, since one file serves them all."""
+    for key in keys.split():
+        default = _DEFAULTS[key]
         p.add_argument(f"--{key}", type=type(default), choices=_CHOICES.get(key),
                        default=None)
     p.add_argument("--config", default=None)
 
 
 def _tau_list(text):
-    """--taus: comma-separated numbers, at least one."""
+    """--taus: comma-separated finite numbers >= 0, at least one."""
     try:
-        return tuple(float(t) for t in text.split(","))
+        taus = tuple(float(t) for t in text.split(","))
+        if all(0.0 <= t < math.inf for t in taus):
+            return taus
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected comma-separated finite numbers >= 0, got {text!r}")
 
 
 def build_parser():
@@ -518,27 +529,27 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="closed-form energies, optional FD oracle")
-    _add_common(p)
+    _add_common(p, "model rep hbar mass omega tau alpha beta nmax tol format out")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--check", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("wavefunction", help="psi_n samples with the metric column")
-    _add_common(p)
+    _add_common(p, "model rep hbar mass omega tau alpha beta grid format out")
     p.add_argument("--n", type=int, default=0)
     p.set_defaults(func=cmd_wavefunction)
 
     p = sub.add_parser("metric", help="metric density on the natural domain")
-    _add_common(p)
+    _add_common(p, "model rep hbar mass omega tau alpha beta grid format out")
     p.set_defaults(func=cmd_metric)
 
     p = sub.add_parser("expectation", help="metric-weighted expectation values")
-    _add_common(p)
+    _add_common(p, "model rep hbar mass omega tau alpha beta nmax grid format out")
     p.add_argument("words", nargs="*", default=None)
     p.set_defaults(func=cmd_expectation)
 
     p = sub.add_parser("phase", help="broken/unbroken boundary curves")
-    _add_common(p)
+    _add_common(p, "hbar omega format out")
     p.add_argument("--taus", type=_tau_list, default="0,0.25,0.5")
     p.add_argument("--alpha-lo", dest="alpha_lo", type=float, default=0.5)
     p.add_argument("--alpha-hi", dest="alpha_hi", type=float, default=16.0)
@@ -546,8 +557,8 @@ def build_parser():
     p.add_argument("--check", action="store_true")
     p.set_defaults(func=cmd_phase)
 
-    p = sub.add_parser("verify", help="run a library verification suite")
-    _add_common(p)
+    p = sub.add_parser("verify", help="run a library verification suite (JSON)")
+    _add_common(p, "hbar mass omega tau alpha beta out")
     p.add_argument("suite", choices=sorted(_SUITES) + ["all"])
     p.set_defaults(func=cmd_verify)
 

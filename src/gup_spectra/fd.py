@@ -38,7 +38,7 @@ reduction's counts only place seeds.  A grid whose values do not certify
 is bisected with the Sturm count to eps * ||T||_1.
 Everything is computed from V alone, never seeded from the closed forms,
 keeping the check independent of what it validates: this module takes
-nothing from the package but ``errors`` and two quadrature rules of
+nothing from the package but ``errors`` and the Gauss-Jacobi rule of
 ``specfun``.
 """
 
@@ -50,13 +50,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, ParameterError
-from .specfun import gauss_jacobi, gauss_legendre_nodes
+from .specfun import gauss_jacobi
 
 __all__ = ["SpectrumResult", "fd_eigenvalues"]
 
 # Gauss nodes per interior cell and flux span, and of each wall cell's
-# Gauss-Jacobi rule (``_fd_matrix``)
+# Gauss-Jacobi rule (``_fd_matrix``); the interior Gauss-Legendre rule on (-1, 1)
 _CELL_NODES = 3
+_CELL_RULE = np.polynomial.legendre.leggauss(_CELL_NODES)
 # Largest wall exponent the FD gauge takes out of phi (``_fd_matrix``)
 _GAUGE_CAP = 2.0
 # The base grid puts at least this many cells across
@@ -170,7 +171,7 @@ def _fd_matrix(V, lo, hi, n, walls):
     """
     (a, t_lo, w_lo), (b, t_hi, w_hi) = walls
     span = hi - lo
-    x, w = gauss_legendre_nodes(_CELL_NODES)
+    x, w = _CELL_RULE
     # node positions and cell weights in units of h, one row per node
     cell = np.arange(n) + 0.5 * (1.0 + x)[:, None]
     weight = np.repeat(0.5 * w[:, None], n, axis=1)

@@ -38,7 +38,6 @@ import numpy as np
 
 from .algebra import FGHCoefficients
 from .errors import NonMonotoneMap, SingularCoefficient
-from .specfun import gauss_legendre_nodes
 
 __all__ = [
     "TransformResult",
@@ -119,7 +118,7 @@ class _Panels:
         edges = np.concatenate([[0.0, 0.25], 1.0 - 0.5 ** np.arange(1, _DEPTH + 1), [1.0]])
         n = len(edges) - 1
         width = np.diff(edges)
-        x, self.w = gauss_legendre_nodes(_ORDER)
+        x, self.w = np.polynomial.legendre.leggauss(_ORDER)
         s = (edges[:-1] + 0.5 * width)[:, None] + 0.5 * width[:, None] * x
         knots = np.concatenate([[-1.0], x, [1.0]])
         self.edges = edges

@@ -24,6 +24,7 @@ Expectation values come in two independent flavors:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -166,39 +167,28 @@ def _well_rule():
 # ---------------------------------------------------------------------------
 # operator words
 
-def parse_word(word) -> list[tuple[complex, list[tuple[str, int]]]]:
+# one factor of a term: a symbol and an optional signed decimal power
+_FACTOR = re.compile(r"(.)(-?\d*)", re.DOTALL)
+
+
+def parse_word(word: str) -> list[tuple[complex, list[tuple[str, int]]]]:
     """Parse an operator word into [(coefficient, [(symbol, power), ...]), ...].
 
-    Accepts strings like "X", "P2", "XP+PX", "P-2", "H", "H2", or an
-    already structured list of (symbol, power) factors, where ("H", k)
-    applies H k times.  Terms are summed; factors in a term compose
-    right-to-left.  Both forms are checked here: the symbols are X, P and
-    H, and only P has an inverse; a power of 0 is the identity.
+    A word is a string like "X", "P2", "XP+PX", "P-2", "H" or "H2", where H2
+    applies H twice.  Terms are summed; factors in a term compose
+    right-to-left.  The symbols are X, P and H, and only P has an inverse; a
+    power of 0 is the identity.
     """
-    if isinstance(word, str):
-        text = word.replace(" ", "")
-        terms = []
-        for chunk in text.split("+"):
-            if not chunk:
-                raise ParameterError(f"empty term in word {word!r}")
-            factors = []
-            i = 0
-            while i < len(chunk):
-                sym = chunk[i].upper()
-                i += 1
-                j = i
-                if j < len(chunk) and chunk[j] == "-":
-                    j += 1
-                while j < len(chunk) and chunk[j].isdigit():
-                    j += 1
-                if chunk[i:j] == "-":
-                    raise ParameterError(f"sign without a power in word {word!r}")
-                power = int(chunk[i:j]) if j > i else 1
-                factors.append((sym, power))
-                i = j
-            terms.append((1.0, factors))
-    else:
-        terms = [(1.0, [(str(s).upper(), int(k)) for (s, k) in word])]
+    terms = []
+    for chunk in word.replace(" ", "").split("+"):
+        if not chunk:
+            raise ParameterError(f"empty term in word {word!r}")
+        factors = []
+        for sym, power in _FACTOR.findall(chunk):
+            if power == "-":
+                raise ParameterError(f"sign without a power in word {word!r}")
+            factors.append((sym.upper(), int(power) if power else 1))
+        terms.append((1.0, factors))
     for _, factors in terms:
         for sym, power in factors:
             if sym not in ("X", "P", "H"):
@@ -667,10 +657,11 @@ def expectation_direct(model: ModelSpec, rep: Representation,
     level.  Where psi_n or rho leaves the double range inside the density,
     or the value is not finite, ``NonFiniteResult`` is raised.
     """
+    terms = parse_word(word)
     if params.tau_check <= 0:
         raise ParameterError("the direct engine needs tau > 0")
     level = _direct_level(model, rep, params, n, grid_size)
-    out = level.apply(parse_word(word))
+    out = level.apply(terms)
     value = complex(np.sum(level.bra * out))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise NonFiniteResult(

@@ -35,7 +35,6 @@ from .jets import Jet
 
 __all__ = [
     "JacobiSpec",
-    "gauss_legendre_nodes",
     "gauss_jacobi",
     "orthonormal_rows",
     "orthonormal_ladder",
@@ -62,14 +61,6 @@ class JacobiSpec:
 
 # ---------------------------------------------------------------------------
 # quadrature
-
-@lru_cache(maxsize=64)
-def gauss_legendre_nodes(count: int):
-    """Gauss-Legendre nodes and weights on (-1, 1), computed once per count."""
-    if count < 1:
-        raise ParameterError("node count must be positive")
-    return np.polynomial.legendre.leggauss(count)
-
 
 def _check_range(m: int, a: float, b: float):
     """ParameterError where (2m + a + b)^2 overflows."""

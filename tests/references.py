@@ -6,22 +6,29 @@ transform of each Hamiltonian's (f, g, h); these stay here to check it
 against."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from gup_spectra.algebra import ANGLES, HarmonicOscillator, Swanson
 from gup_spectra.errors import UnsupportedPair
 from gup_spectra.solutions import PotentialSpec
-from gup_spectra.specfun import JacobiSpec, gauss_legendre_nodes
+from gup_spectra.specfun import JacobiSpec
+
+
+@lru_cache(maxsize=64)
+def gauss_legendre(order: int):
+    """numpy's Gauss-Legendre nodes and weights on (-1, 1), once per order."""
+    return np.polynomial.legendre.leggauss(order)
 
 
 def integrate_adaptive(f, order: int = 128, tol: float = 1e-11, max_order: int = 4096):
     """Integrate f over (-1, 1), doubling the rule until two results agree."""
-    x, w = gauss_legendre_nodes(order)
+    x, w = gauss_legendre(order)
     prev = np.sum(w * f(x))
     order *= 2
     while order <= max_order:
-        x, w = gauss_legendre_nodes(order)
+        x, w = gauss_legendre(order)
         cur = np.sum(w * f(x))
         if abs(cur - prev) <= tol * max(1.0, abs(cur)):
             return cur

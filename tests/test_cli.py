@@ -1,14 +1,16 @@
+import argparse
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import gup_spectra
-from gup_spectra.cli import main
+from gup_spectra.cli import RunConfig, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -62,9 +64,9 @@ class TestSpectrumCommand:
 
     def test_level_count_sizes_the_oracle_grid(self, capsys):
         # 21 levels ask for 8 cells each: the least base grid 128 doubles to
-        # 256, whatever --grid says
+        # 256
         args = ("spectrum", "--model", "ho", "--tau", "0.25", "--nmax", "20",
-                "--oracle", "--check", "--grid", "64")
+                "--oracle", "--check")
         code, out, _ = run_cli(capsys, *args)
         assert code == 0
         _, rows = parse_csv(out)
@@ -73,17 +75,13 @@ class TestSpectrumCommand:
         assert code == 0
         assert json.loads(out)["oracle"]["grid_sizes"] == [256, 512, 1024]
 
-    def test_oracle_ignores_the_sample_count(self, capsys):
+    def test_spectrum_refuses_the_sample_count(self, capsys):
         # --grid counts display and direct-engine samples; the oracle sizes
-        # its own grids
-        args = ("spectrum", "--model", "swanson", "--tau", "0.5", "--rep", "pi3",
-                "--nmax", "4", "--oracle")
-        outputs = []
-        for grid in ((), ("--grid", "64"), ("--grid", "8192")):
-            code, out, _ = run_cli(capsys, *args, *grid)
-            assert code == 0
-            outputs.append(out)
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        # its own grids, so spectrum has no --grid to take
+        code, out, err = run_cli(capsys, "spectrum", "--model", "swanson", "--tau", "0.5",
+                                 "--rep", "pi3", "--nmax", "4", "--oracle", "--grid", "64")
+        assert code == 1 and out == ""
+        assert err == "usage error: unrecognized arguments: --grid 64\n"
 
     def test_pi2_oracle_agrees_with_pi1(self, capsys):
         # Pi2 and Pi1 transform their own (f, g, h) to the same well, so the
@@ -273,6 +271,8 @@ class TestSpectrumCommand:
         (("spectrum", "--model", "swanson", "--alpha", "0.5", "--beta", "0.5", "--tau", "0",
           "--oracle"), "E_0 = 0 at tau = 0"),
         (("expectation", "--nmax", "0", "+"), "empty term"),
+        # a superscript is not a power: the parser reads it as a symbol
+        (("expectation", "--tau", "0.2", "--nmax", "0", "X²"), "unknown symbol '²'"),
         # PT on Pi4 with beta < 0: psi_n diverges at the segment's far wall
         (("expectation", "--model", "pt", "--alpha", "1", "--beta", "-0.01", "--tau", "0.25",
           "--rep", "pi4", "--nmax", "1", "X2", "H"), "does not vanish at the wall"),
@@ -329,8 +329,9 @@ class TestJsonEnvelope:
         payload = json.loads(out)
         assert payload["schema"] == "gup-spectra/1"
         oracle = payload["oracle"]
-        assert sorted(oracle) == ["certified", "error_estimates", "grid_sizes",
+        assert sorted(oracle) == ["certified", "closed", "error_estimates", "grid_sizes",
                                   "raw", "tolerance", "wall_exponents"]
+        assert oracle["closed"] == [row["energy_re"] for row in payload["rows"]]
         assert oracle["tolerance"] == 1e-5
         assert oracle["grid_sizes"] == [128, 256, 512]
         assert oracle["certified"] == [True, True, True]
@@ -477,7 +478,7 @@ class TestPhaseCommand:
         assert len(rows) == 5
         assert np.all(np.isfinite(np.array(rows, dtype=float)))
 
-    @pytest.mark.parametrize("taus", ["abc", ""])
+    @pytest.mark.parametrize("taus", ["abc", "", "-1", "nan", "0,inf", "0.25,-0.5"])
     def test_malformed_tau_list_is_a_usage_error(self, capsys, taus):
         code, out, err = run_cli(capsys, "phase", "--taus", taus)
         assert code == 1 and out == ""
@@ -492,6 +493,63 @@ class TestPhaseCommand:
         with open(os.path.join(os.path.dirname(__file__), "data", "phase_readme.csv"),
                   "rb") as fh:
             assert out.encode() == fh.read()
+
+
+# the run keys each subcommand reads, and its own options
+RUN_KEYS = {
+    "spectrum": "model rep hbar mass omega tau alpha beta nmax tol format out",
+    "wavefunction": "model rep hbar mass omega tau alpha beta grid format out",
+    "metric": "model rep hbar mass omega tau alpha beta grid format out",
+    "expectation": "model rep hbar mass omega tau alpha beta nmax grid format out",
+    "phase": "hbar omega format out",
+    "verify": "hbar mass omega tau alpha beta out",
+}
+OWN_OPTIONS = {
+    "spectrum": "--oracle --check",
+    "wavefunction": "--n",
+    "metric": "",
+    "expectation": "",
+    "phase": "--taus --alpha-lo --alpha-hi --alpha-steps --check",
+    "verify": "",
+}
+# each subcommand's positional arguments, for a run that gets past them
+POSITIONALS = {"expectation": ["H"], "verify": ["commutators"]}
+DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+DROPPED = [(command, key) for command, keys in RUN_KEYS.items()
+           for key in DEFAULTS if key not in keys.split()]
+
+
+class TestRunKeys:
+    def test_each_subcommand_takes_the_options_it_reads(self):
+        parser = build_parser()
+        sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == sorted(RUN_KEYS)
+        assert len(DEFAULTS) == 13 and len(DROPPED) == 21
+        for command, subparser in sub.choices.items():
+            options = {opt for action in subparser._actions for opt in action.option_strings}
+            expected = ({f"--{key}" for key in RUN_KEYS[command].split()}
+                        | set(OWN_OPTIONS[command].split()) | {"--config", "-h", "--help"})
+            assert options == expected, command
+
+    @pytest.mark.parametrize("command, key", DROPPED)
+    def test_an_option_the_subcommand_does_not_read_is_a_usage_error(
+            self, capsys, command, key):
+        # phase --tau is not read as an abbreviated --taus either
+        code, out, err = run_cli(capsys, command, *POSITIONALS.get(command, []),
+                                 f"--{key}", str(DEFAULTS[key]))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: unrecognized arguments: --") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(RUN_KEYS))
+    def test_a_config_file_sets_every_run_key(self, capsys, tmp_path, command):
+        # one file serves every subcommand, so it may set a key one ignores
+        values = dict(DEFAULTS, nmax=1, grid=64)
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+        extra = ["--alpha-steps", "3"] if command == "phase" else []
+        code, out, err = run_cli(capsys, command, *POSITIONALS.get(command, []),
+                                 "--config", str(cfg), *extra)
+        assert code == 0 and out and err == ""
 
 
 class TestConfigPrecedence:

@@ -152,9 +152,6 @@ class TestWordParsing:
         assert parse_word("H2") == [(1.0, [("H", 2)])]
         assert parse_word("XH+h") == [(1.0, [("X", 1), ("H", 1)]), (1.0, [("H", 1)])]
 
-    def test_structured(self):
-        assert parse_word([("x", 1), ("p", 2)]) == [(1.0, [("X", 1), ("P", 2)])]
-
     def test_rejects_garbage_and_long_words(self):
         with pytest.raises(ParameterError):
             parse_word("Q2")
@@ -166,8 +163,9 @@ class TestWordParsing:
                                 0, "X2P2X")
 
     @pytest.mark.parametrize("word, message", [
-        ([("Q", 1)], "unknown symbol 'Q'"), ([("X", -1)], "X has no inverse"),
-        ([("H", -1)], "H has no inverse"), ("X-1P-2", "X has no inverse")])
+        ("Q", "unknown symbol 'Q'"), ("X-1", "X has no inverse"),
+        ("H-1", "H has no inverse"), ("X-1P-2", "X has no inverse"),
+        ("X²", "unknown symbol '²'")])
     def test_words_are_checked_by_the_parser(self, word, message):
         # both engines reject them before any state is built; X-1P-2 on HO
         # is also a pole of P^-2, which the parser's refusal comes before
@@ -178,6 +176,15 @@ class TestWordParsing:
             expectation_unified(model, params, 0, word)
         with pytest.raises(ParameterError, match=message):
             expectation_direct(model, R.PI3, params, 0, word)
+
+    def test_direct_engine_parses_before_it_builds_a_level(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("the level was built before the word was parsed")
+
+        monkeypatch.setattr(oracle, "_direct_level", build)
+        with pytest.raises(ParameterError, match="sign without a power"):
+            expectation_direct(HarmonicOscillator(), R.PI1, DeformationParams(tau=0.2),
+                               0, "XP-")
 
 
 class TestExpectations:
@@ -299,9 +306,9 @@ class TestExpectations:
         # in the Jacobi family.  H counts as X2, except on the basis state,
         # its eigenstate, which it only scales.
         words = ("P3", "P4", "X3", "X4", "X2P2", "XP2X", "PXP", "P-1P", "P-3",
-                 "P-4", "P-2X2", "XP-3", "P3X", [("H", 2)], [("H", 3)],
-                 [("H", 1), ("X", 1)], [("X", 1), ("H", 2)], [("H", 1), ("X", 2)],
-                 [("H", 1), ("P", 2)], [("H", 1), ("P", -1), ("P", 1)])
+                 "P-4", "P-2X2", "XP-3", "P3X", "H2", "H3",
+                 "HX", "XH2", "HX2",
+                 "HP2", "HP-1P")
         for tau in GRID_TAUS:
             params = DeformationParams(tau=tau)
             weight = solve(model, R.PI1, params).weight
@@ -343,7 +350,7 @@ class TestExpectations:
 
     def test_normalization_word(self):
         params = DeformationParams(tau=0.25)
-        val = expectation_direct(HarmonicOscillator(), R.PI1, params, 1, [])
+        val = expectation_direct(HarmonicOscillator(), R.PI1, params, 1, "P0")
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_hamiltonian_decomposition_identity(self):
@@ -425,14 +432,14 @@ class TestHamiltonianPowers:
     def test_power_applies_h_that_many_times(self, model):
         params = DeformationParams(tau=0.2)
         e0 = float(solve(model, R.PI1, params).energy(0))
-        squared = expectation_unified(model, params, 0, [("H", 2)])
+        squared = expectation_unified(model, params, 0, "H2")
         _clear_unified_caches()
-        assert squared == expectation_unified(model, params, 0, [("H", 1), ("H", 1)])
+        assert squared == expectation_unified(model, params, 0, "HH")
         assert abs(squared - e0 ** 2) <= 1e-12 * e0 ** 2
-        direct = expectation_direct(model, R.PI3, params, 0, [("H", 2)])
+        direct = expectation_direct(model, R.PI3, params, 0, "H2")
         assert abs(direct - squared) <= 1e-9 * abs(squared)
-        assert expectation_unified(model, params, 0, [("H", 0)]) == pytest.approx(1.0, abs=1e-12)
-        assert expectation_direct(model, R.PI3, params, 0, [("H", 0)]) == pytest.approx(1.0, abs=1e-9)
+        assert expectation_unified(model, params, 0, "H0") == pytest.approx(1.0, abs=1e-12)
+        assert expectation_direct(model, R.PI3, params, 0, "H0") == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("model, tau", [
         (HarmonicOscillator(), 5.0), (PoschlTeller(1.0, 0.5), 50.0),
@@ -447,17 +454,17 @@ class TestHamiltonianPowers:
             energy = float(np.real(sol.energy(n)))
             # round-off of the cancelling terms of H near the ends
             for k, tol in ((2, 1e-13), (3, 1e-11)):
-                value = expectation_unified(model, params, n, [("H", k)])
+                value = expectation_unified(model, params, n, f"H{k}")
                 assert abs(value - energy ** k) <= tol * energy ** k, (n, k)
 
     def test_negative_power_rejected(self):
         model, params = HarmonicOscillator(), DeformationParams(tau=0.2)
         with pytest.raises(ParameterError):
-            expectation_unified(model, params, 0, [("H", -1)])
+            expectation_unified(model, params, 0, "H-1")
         with pytest.raises(ParameterError):
-            expectation_direct(model, R.PI3, params, 0, [("H", -1)])
+            expectation_direct(model, R.PI3, params, 0, "H-1")
 
-    @pytest.mark.parametrize("word", [[("X", -1)], "X-2", "PX-1"])
+    @pytest.mark.parametrize("word", ["X-1", "X-2", "PX-1"])
     def test_negative_position_power_rejected(self, word):
         # X has no inverse either; "X-1" was the identity before
         model, params = HarmonicOscillator(), DeformationParams(tau=0.2)
@@ -751,6 +758,19 @@ class TestMappedGrid:
                 got = expectation_direct(model, R.PI4, params, n, word)
                 assert _dev(got, ref) <= 1e-8, (n, word)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="item 6: H psi_n = E_n psi_n holds only to "
+                       "round-off, so the second H picks up the divergent tail of X4; "
+                       "the direct <H2> is 7.0e22 and 6.2e23 against 0.49 and 11.56")
+    def test_hamiltonian_square_where_x4_is_not_integrable(self):
+        model, params = Swanson(0.1, 0.2), DeformationParams(tau=2.0)
+        with pytest.raises(NonIntegrable):
+            expectation_unified(model, params, 1, "X4")
+        for n in (0, 1):
+            ref = expectation_unified(model, params, n, "H2")
+            got = expectation_direct(model, R.PI1, params, n, "H2")
+            assert abs(got - ref) <= 1e-6 * abs(ref), (n, got, ref)
+
     @pytest.mark.parametrize("tau", [5.0, 50.0])
     def test_oscillator_cell_at_large_tau(self, tau):
         # the uniform 8192-point grid was off by 2.1e-6 and 4.1e-8 here
@@ -792,7 +812,7 @@ class TestMappedGrid:
         # samples strictly increasing inside the domain, positive widths
         # that integrate the norm, at most grid_size samples
         params = DeformationParams(tau=0.3)
-        expectation_direct(model, rep, params, 2, [])
+        expectation_direct(model, rep, params, 2, "P0")
         level = oracle._direct_level(model, rep, params, 2, 2048)
         assert 0 < level.grid.size <= 2048
         assert np.all(np.diff(level.grid) > 0) and np.all(level.dp > 0)

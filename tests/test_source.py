@@ -25,7 +25,7 @@ refusal is reached by a test that shows its cause.
 
 Three more have none: no file in src imports scipy, so the package and
 every command, the FD oracle included, run on numpy alone; ``fd.py`` takes
-nothing from the package but ``errors`` and two quadrature rules of
+nothing from the package but ``errors`` and the Gauss-Jacobi rule of
 ``specfun``, so the FD eigensolver cannot be seeded from the closed forms it
 checks; and no file in src mentions ``fft``, since X differentiates by
 order-8 differences on every grid.
@@ -47,9 +47,7 @@ PUBLIC_KNOBS = {
     "main.argv": "the console script passes none; embedding callers pass argv",
 }
 
-RESULT_FIELDS = {
-    "VerifyReport.closed": "the closed-form side of the comparison",
-}
+RESULT_FIELDS = {}
 
 BASE_ERRORS = {
     "GupSpectraError": "the base class that callers catch",
@@ -224,11 +222,11 @@ def imports(path):
 
 
 # numpy, the standard library, and of the package only the error types and
-# two quadrature rules
+# the Gauss-Jacobi rule
 FD_IMPORTS = sorted([
     ("__future__", "annotations"), ("math", ""), ("dataclasses", "dataclass"),
     ("numpy", ""), (".errors", "ConvergenceFailure"), (".errors", "ParameterError"),
-    (".specfun", "gauss_jacobi"), (".specfun", "gauss_legendre_nodes"),
+    (".specfun", "gauss_jacobi"),
 ])
 
 
