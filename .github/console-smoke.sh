@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test of the installed gup-spectra console script, after
 # `pip install -e .` (numpy alone) or `pip install -e '.[test]'`.  Leaves
-# direct.csv, unified.csv, pi1.csv, pi2.csv and stderr.txt in the working
-# directory.
+# direct.csv, unified.csv, pi1.csv, pi2.csv, pi3.cfg and stderr.txt in the
+# working directory.
 set -eo pipefail
 
 gup-spectra --version
@@ -36,6 +36,10 @@ exits_with 3 gup-spectra expectation --model pt --alpha 1 --beta -0.01 --tau 0.2
 exits_with 1 gup-spectra wavefunction --n -1
 # a config file that cannot be read is a usage error, exit 1
 exits_with 1 gup-spectra spectrum --config /nonexistent
+# so is a model name the library does not declare
+exits_with 1 gup-spectra spectrum --model harmonic-oscillator
+# a square past the double range is a typed failure, exit 3
+exits_with 3 gup-spectra spectrum --tau 1e200
 # so is a physical flag that is not finite
 exits_with 1 gup-spectra spectrum --tau nan
 # an option the subcommand does not read, spelled in full or not
@@ -60,6 +64,9 @@ python -c "import csv; rows = [list(csv.DictReader(open(f))) for f in ('pi2.csv'
 gup-spectra spectrum --model pt --alpha 1 --beta 0.5 --tau 0.25 --rep pi4 --nmax 5 --oracle --check > /dev/null
 # tau = 1e-40 puts every Gauss-Jacobi node within 1e-20 of z = 0
 gup-spectra expectation --nmax 3 --tau 1e-40 H > /dev/null
+# a config file's rep is read where --rep would be: the direct engine
+echo "rep=pi3" > pi3.cfg
+gup-spectra expectation --config pi3.cfg --nmax 0 --format json H | python -c "import json, sys; payload = json.load(sys.stdin); assert payload['engine'] == 'direct', payload"
 # the direct engine's mapped Pi3 grid matches the unified engine
 # at tau 5, where the algebraic walls defeated a uniform grid
 gup-spectra expectation --model ho --tau 5 --rep pi3 --nmax 1 X2 H > direct.csv

@@ -244,8 +244,7 @@ class _Model:
     """
 
     half_cell = False
-    coefficient_reps = (Representation.PI1, Representation.PI2, Representation.PI3,
-                        Representation.PI4)
+    coefficient_reps = tuple(ANGLES)
     pi4_prime_family = False
 
     def admit(self, params):

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
+    ANGLES,
     DeformationParams,
     HarmonicOscillator,
     PoschlTeller,
@@ -40,7 +41,6 @@ from .oracle import (
 from .phase import PhaseQuery, discriminant, scan
 from .solutions import (
     ansatz_for,
-    classify_physical,
     default_p0,
     gram_matrix,
     solve,
@@ -48,20 +48,14 @@ from .solutions import (
 
 SCHEMA = "gup-spectra/1"
 
+# each model from (alpha, beta); the oscillator reads neither
 _MODELS = {
-    "ho": "ho", "harmonic-oscillator": "ho", "harmonic_oscillator": "ho",
-    "swanson": "swanson",
-    "pt": "pt", "poschl-teller": "pt", "poschl_teller": "pt",
+    "ho": lambda alpha, beta: HarmonicOscillator(),
+    "swanson": Swanson,
+    "pt": PoschlTeller,
 }
-
-_REPS = {
-    "pi1": Representation.PI1,
-    "pi2": Representation.PI2,
-    "pi3": Representation.PI3,
-    "pi4": Representation.PI4,
-    "pi4p": Representation.PI4_PRIME,
-    "pi4prime": Representation.PI4_PRIME,
-}
+_REPS = {rep.value: rep for rep in Representation}
+_CHOICES = {"model": sorted(_MODELS), "rep": sorted(_REPS), "format": ("csv", "json")}
 
 
 class UsageError(Exception):
@@ -80,7 +74,7 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class RunConfig:
     model: str = "ho"
-    rep: str = "pi1"
+    rep: str = Representation.PI1.value
     hbar: float = 1.0
     mass: float = 1.0
     omega: float = 1.0
@@ -107,24 +101,16 @@ class RunConfig:
             raise UsageError("nmax must be >= 0")
         if self.grid < 64:
             raise UsageError("grid must be >= 64")
-        if self.format not in ("csv", "json"):
-            raise UsageError(f"unknown format {self.format!r}")
-        if self.model not in _MODELS:
-            raise UsageError(f"unknown model {self.model!r}")
-        if self.rep not in _REPS:
-            raise UsageError(f"unknown representation {self.rep!r}")
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise UsageError(f"unknown {key} {getattr(self, key)!r}")
 
     def params(self) -> DeformationParams:
         return DeformationParams(hbar=self.hbar, mass=self.mass,
                                  omega=self.omega, tau=self.tau)
 
     def model_spec(self):
-        kind = _MODELS[self.model]
-        if kind == "ho":
-            return HarmonicOscillator()
-        if kind == "swanson":
-            return Swanson(alpha=self.alpha, beta=self.beta)
-        return PoschlTeller(alpha=self.alpha, beta=self.beta)
+        return _MODELS[self.model](self.alpha, self.beta)
 
     def representation(self) -> Representation:
         return _REPS[self.rep]
@@ -136,7 +122,6 @@ class RunConfig:
 # the run keys (options and config-file keys) and their defaults, in
 # declaration order; each key's value has the type of its default
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
-_CHOICES = {"model": sorted(_MODELS), "rep": sorted(_REPS), "format": ("csv", "json")}
 
 
 def _read_config_file(path) -> dict:
@@ -169,9 +154,13 @@ def _read_config_file(path) -> dict:
 
 
 def build_config(args) -> RunConfig:
-    merged = dict(_DEFAULTS)
+    """The run's configuration; a config file's value lands on ``args``
+    wherever no flag gave one, so both read the same record."""
     if getattr(args, "config", None):
-        merged.update(_read_config_file(args.config))
+        for key, val in _read_config_file(args.config).items():
+            if getattr(args, key, None) is None:
+                setattr(args, key, val)
+    merged = dict(_DEFAULTS)
     for key in _DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
@@ -198,20 +187,21 @@ def _emit(command, config, header, rows, extra):
            for row in rows for v in row):
         raise NonFiniteResult(f"{command} produced inf or NaN values")
     if config.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": command,
-            "config": config.as_dict(),
+        text = _envelope(command, config, {
             "rows": [dict(zip(header, [r if isinstance(r, str) else float(r)
                                        for r in row])) for row in rows],
-        }
-        payload.update(extra)
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            **extra})
     else:
         lines = [",".join(header)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
     _write(config, text)
+
+
+def _envelope(command, config, body) -> str:
+    """The JSON envelope: schema, command and configuration around ``body``."""
+    payload = {"schema": SCHEMA, "command": command, "config": config.as_dict(), **body}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _write(config, text):
@@ -269,7 +259,7 @@ def cmd_spectrum(args) -> int:
 def _display_grid(sol, config):
     dom = sol.domain
     lo, hi = dom.lo, dom.hi
-    n = min(config.grid, 4096)
+    n = config.grid
     if math.isfinite(lo) and math.isfinite(hi):
         h = (hi - lo) / (n + 1)
         return np.linspace(lo + h, hi - h, n)
@@ -367,22 +357,20 @@ def _suite_commutators(config):
     params = config.params()
     checks = []
     sigmas = (0.5, 1.0, 2.0)
-    for rep in (Representation.PI1, Representation.PI2, Representation.PI3,
-                Representation.PI4):
+    for rep in ANGLES:
         grid, dp = default_grid(rep, params)
         psis = [np.exp(-s * grid ** 2) for s in sigmas]
         psis += [grid * np.exp(-s * grid ** 2) for s in sigmas[:2]]
         worst = max(commutator_residual(rep, params, psi, grid, dp) for psi in psis)
         checks.append((f"commutator[{rep.value}]", worst < 1e-7, worst, 1e-7))
-    p05 = DeformationParams(tau=0.5)
-    grid, dp = default_grid(Representation.PI4_PRIME, p05)
+    prime, p05 = Representation.PI4_PRIME, DeformationParams(tau=0.5)
+    grid, dp = default_grid(prime, p05)
     psi = np.exp(-grid ** 2)
-    ok = commutator_residual(Representation.PI4_PRIME, p05, psi, grid, dp,
-                             reference_sign=-1)
-    bad = commutator_residual(Representation.PI4_PRIME, p05, psi, grid, dp,
-                              reference_sign=+1)
-    checks.append(("commutator[pi4p] flipped-sign relation", ok < 1e-7, ok, 1e-7))
-    checks.append(("commutator[pi4p] violates unflipped relation", bad > 0.1, bad, 0.1))
+    ok, bad = (commutator_residual(prime, p05, psi, grid, dp, reference_sign=sign)
+               for sign in (-1, +1))
+    checks.append((f"commutator[{prime.value}] flipped-sign relation", ok < 1e-7, ok, 1e-7))
+    checks.append((f"commutator[{prime.value}] violates unflipped relation",
+                   bad > 0.1, bad, 0.1))
     return checks
 
 
@@ -390,8 +378,8 @@ def _suite_models(config):
     """Reference configurations for the verification suites.
 
     Swanson follows the configured alpha/beta; the inverse-square model uses
-    a fixed well-conditioned reference point (its direct-grid cross-checks
-    degrade when the origin exponent a+ drops below ~2).
+    the fixed point PT(1, 0.5), since one (alpha, beta) need not be
+    admissible for both models.
     """
     params = config.params()
     return [
@@ -404,12 +392,10 @@ def _suite_models(config):
 def _suite_orthonormality(config):
     checks = []
     for model, params in _suite_models(config):
-        for rep in (Representation.PI1, Representation.PI2, Representation.PI3,
-                    Representation.PI4):
-            cls = classify_physical(model, rep, params)
-            if not cls.physical:
-                continue
+        for rep in ANGLES:
             sol = solve(model, rep, params)
+            if not sol.physical:
+                continue
             g = gram_matrix(sol, 4)
             dev = float(np.max(np.abs(g - np.eye(5))))
             checks.append((f"gram[{type(model).__name__}/{rep.value}]",
@@ -425,9 +411,7 @@ def _suite_invariance(config):
         for n in (0, 2):
             for word in words:
                 vals = [expectation_unified(model, params, n, word)]
-                for rep in (Representation.PI1, Representation.PI2,
-                            Representation.PI3, Representation.PI4):
-                    vals.append(expectation_direct(model, rep, params, n, word))
+                vals += [expectation_direct(model, rep, params, n, word) for rep in ANGLES]
                 dev = max(abs(a - b) for a in vals for b in vals)
                 checks.append((f"invariance[{type(model).__name__}/n={n}/{word}]",
                                dev < 1e-6, dev, 1e-6))
@@ -446,12 +430,10 @@ def _suite_invariance(config):
 def _suite_master_residual(config):
     checks = []
     for model, params in _suite_models(config):
-        for rep in (Representation.PI1, Representation.PI2, Representation.PI3,
-                    Representation.PI4):
-            cls = classify_physical(model, rep, params)
-            if not cls.physical:
-                continue
+        for rep in ANGLES:
             sol = solve(model, rep, params)
+            if not sol.physical:
+                continue
             # the transform of the Hamiltonian's own (f, g, h), in the
             # coordinates ``ansatz_for`` calls centered
             tr = to_potential(coefficients(model, rep, params),
@@ -479,20 +461,16 @@ _SUITES = {
 def cmd_verify(args) -> int:
     config = build_config(args)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    report = {"schema": SCHEMA, "command": "verify", "config": config.as_dict(),
-              "suites": {}}
-    all_ok = True
+    suites = {}
     for name in names:
-        checks = _SUITES[name](config)
-        report["suites"][name] = [
+        suites[name] = [
             {"name": cname, "passed": bool(ok), "value": float(val),
              "tolerance": float(tol)}
-            for cname, ok, val, tol in checks
+            for cname, ok, val, tol in _SUITES[name](config)
         ]
-        all_ok = all_ok and all(ok for _, ok, _, _ in checks)
-    report["passed"] = all_ok
-    _write(config, json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return 0 if all_ok else 2
+    passed = all(check["passed"] for checks in suites.values() for check in checks)
+    _write(config, _envelope("verify", config, {"suites": suites, "passed": passed}))
+    return 0 if passed else 2
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +556,12 @@ def main(argv=None) -> int:
             return 1
         except GupSpectraError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
+        except OverflowError:
+            # Python's float ** raises where numpy gives inf, on parameters
+            # far outside the admissible domain
+            print("numerical failure: the parameters overflow the double range",
+                  file=sys.stderr)
             return 3
         finally:
             if caught:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gup_spectra
+from gup_spectra.algebra import Representation
 from gup_spectra.cli import RunConfig, build_parser, main
 
 
@@ -24,6 +25,13 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+# model and representation spellings the CLI no longer takes
+DROPPED_SPELLINGS = {
+    "model": ("harmonic-oscillator", "harmonic_oscillator", "poschl-teller", "poschl_teller"),
+    "rep": ("pi4prime",),
+}
 
 
 # Swanson's cos(theta)^(-4 eps) metric with eps ~ 1e3 overflows on Pi3
@@ -260,6 +268,28 @@ class TestSpectrumCommand:
         assert err.startswith("numerical failure:")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        *((command, "--tau", "1e200", *model, *words)
+          for model in ((), ("--model", "pt", "--alpha", "1", "--beta", "0.5"))
+          for command, *words in (("spectrum",), ("wavefunction",), ("metric",),
+                                  ("expectation", "H"),
+                                  ("expectation", "--rep", "pi1", "H"))),
+        ("verify", "all", "--tau", "1e200"),
+        ("spectrum", "--model", "swanson", "--hbar", "1e200"),
+        ("phase", "--hbar", "1e200"),
+        ("spectrum", "--tau", "1e100", "--mass", "1e-100", "--oracle"),
+        ("expectation", "--tau", "1", "--mass", "1e-200", "--rep", "pi1", "--nmax", "0", "H"),
+        ("verify", "all", "--mass", "1e-300"),
+        ("expectation", "--omega", "1e160", "--hbar", "1e-10", "--nmax", "0", "H"),
+    ])
+    def test_a_parameter_past_the_double_range_is_one_typed_line(self, capsys, argv):
+        # float ** raises OverflowError on a square past 1.8e308
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "" and "Traceback" not in err
+        lines = err.splitlines()
+        assert lines[0] == "numerical failure: the parameters overflow the double range"
+        assert all(line.startswith("warnings: ") for line in lines[1:]) and len(lines) <= 2
+
     @pytest.mark.parametrize("argv,reason", [
         (("expectation", "--tau", "0", "H"), "the unified integral needs tau > 0"),
         (("expectation", "--tau", "0", "--rep", "pi1", "H"),
@@ -392,6 +422,14 @@ class TestWavefunctionCommand:
         assert header == ["p", "psi_re", "psi_im", "metric"]
         assert all(float(r[3]) > 0 for r in rows)
 
+    @pytest.mark.parametrize("command", ["wavefunction", "metric"])
+    def test_grid_is_the_row_count(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--tau", "0.2", "--grid", "5000",
+                               "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["config"]["grid"] == 5000
+        assert len(payload["rows"]) == 5000
+
     @pytest.mark.parametrize("argv", [("wavefunction", "--n", "-1"),
                                       ("spectrum", "--nmax", "-1")])
     def test_negative_level_is_a_usage_error(self, capsys, argv):
@@ -403,6 +441,9 @@ class TestWavefunctionCommand:
         ("--tau", "nan"), ("--tau", "inf"), ("--tau", "-1"),
         ("--hbar", "0"), ("--hbar", "nan"), ("--mass", "-1"), ("--omega", "inf"),
         ("--model", "swanson", "--alpha", "nan"), ("--model", "pt", "--beta", "inf"),
+        # the names are the library's: Representation values, one per model
+        *(("--model", name) for name in DROPPED_SPELLINGS["model"]),
+        *(("--rep", name) for name in DROPPED_SPELLINGS["rep"]),
     ])
     @pytest.mark.parametrize("command", ["spectrum", "expectation"])
     def test_malformed_physical_flag_is_a_usage_error(self, capsys, command, argv):
@@ -410,9 +451,13 @@ class TestWavefunctionCommand:
         assert code == 1 and out == ""
         assert err.startswith("usage error:") and len(err.splitlines()) == 1
 
-    def test_malformed_physical_value_in_a_config_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("line", [
+        "tau = nan",
+        *(f"{key} = {name}" for key, names in DROPPED_SPELLINGS.items() for name in names),
+    ])
+    def test_malformed_physical_value_in_a_config_file(self, capsys, tmp_path, line):
         path = tmp_path / "run.cfg"
-        path.write_text("tau = nan\n")
+        path.write_text(line + "\n")
         code, out, err = run_cli(capsys, "spectrum", "--config", str(path))
         assert code == 1 and out == ""
         assert err.startswith("usage error:") and len(err.splitlines()) == 1
@@ -530,6 +575,10 @@ class TestRunKeys:
             expected = ({f"--{key}" for key in RUN_KEYS[command].split()}
                         | set(OWN_OPTIONS[command].split()) | {"--config", "-h", "--help"})
             assert options == expected, command
+            choices = {action.dest: action.choices for action in subparser._actions}
+            if "--model" in options:
+                assert choices["model"] == ["ho", "pt", "swanson"]
+                assert choices["rep"] == sorted(rep.value for rep in Representation)
 
     @pytest.mark.parametrize("command, key", DROPPED)
     def test_an_option_the_subcommand_does_not_read_is_a_usage_error(
@@ -566,6 +615,17 @@ class TestConfigPrecedence:
                                "--tau", "0")
         _, rows = parse_csv(out)
         assert float(rows[0][1]) == pytest.approx(0.5, abs=1e-13)
+
+    def test_a_file_rep_selects_the_direct_engine(self, capsys, tmp_path):
+        # the file's rep is read where --rep would be: engine and echo agree
+        cfg = tmp_path / "pi3.cfg"
+        cfg.write_text("rep=pi3\n")
+        argv = ("expectation", "--tau", "0.2", "--nmax", "1", "--format", "json", "X2", "H")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["engine"] == "direct" and payload["config"]["rep"] == "pi3"
+        assert run_cli(capsys, *argv, "--rep", "pi3") == (0, out, "")
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
