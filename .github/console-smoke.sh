@@ -46,15 +46,18 @@ exits_with 1 gup-spectra spectrum --tau nan
 exits_with 1 gup-spectra phase --tau 0.3
 # and a negative tau in a phase list
 exits_with 1 gup-spectra phase --taus -1
+# and a sample count for the unified engine, which reads none
+exits_with 1 gup-spectra expectation --model ho --tau 0.2 --nmax 1 --grid 64 H
 # a superscript is not a power: an unknown symbol, exit 3
 exits_with 3 gup-spectra expectation --tau 0.2 --nmax 0 X²
 # a string word spells a power of H
 gup-spectra expectation --tau 0.25 --nmax 2 H2 > /dev/null
 # an attractive wall with s = 0.566, near the -1/4 collapse
 gup-spectra spectrum --model swanson --alpha 0.0649192447101177 --beta 0.10509346510543284 --tau 2.1061254796270354 --rep pi3 --nmax 5 --oracle --check --tol 1e-5 > /dev/null
-# 21 levels double the oracle's least base grid 128 to 256 cells, 8 per
-# level
+# 21 levels start the oracle's degrees at 45
 gup-spectra spectrum --model ho --tau 0.25 --nmax 20 --oracle --check > /dev/null
+# 101 levels of a narrow well near the commutative limit, wall exponents 1e4
+gup-spectra spectrum --model ho --tau 1e-4 --nmax 100 --oracle --check > /dev/null
 # Pi2 and Pi1 transform their own (f, g, h) to the same well: both pass,
 # with the same closed forms and oracles that agree to 1e-10
 gup-spectra spectrum --model swanson --alpha 0.1 --beta 0.2 --tau 0.25 --rep pi2 --nmax 3 --oracle --check > pi2.csv

@@ -1,6 +1,6 @@
 """Quantum models on a 1D space with the deformed commutator
 [X, P] = i hbar (1 + tau_check P^2): closed-form spectra, wavefunctions and
-metrics in several operator representations, an independent finite-difference
+metrics in several operator representations, an independent spectral
 eigensolver, metric-weighted expectation values, and reality phase diagrams.
 
 The package namespace holds what the README quick start and the benchmark

@@ -46,7 +46,7 @@ from .solutions import (
     solve,
 )
 
-SCHEMA = "gup-spectra/1"
+SCHEMA = "gup-spectra/2"
 
 # each model from (alpha, beta); the oscillator reads neither
 _MODELS = {
@@ -115,13 +115,19 @@ class RunConfig:
     def representation(self) -> Representation:
         return _REPS[self.rep]
 
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 # the run keys (options and config-file keys) and their defaults, in
 # declaration order; each key's value has the type of its default
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+# the run keys each subcommand reads: its options, and its JSON echo
+_RUN_KEYS = {
+    "spectrum": "model rep hbar mass omega tau alpha beta nmax tol format out",
+    "wavefunction": "model rep hbar mass omega tau alpha beta grid format out",
+    "metric": "model rep hbar mass omega tau alpha beta grid format out",
+    "expectation": "model rep hbar mass omega tau alpha beta nmax grid format out",
+    "phase": "hbar omega format out",
+    "verify": "hbar mass omega tau alpha beta out",
+}
 
 
 def _read_config_file(path) -> dict:
@@ -199,8 +205,10 @@ def _emit(command, config, header, rows, extra):
 
 
 def _envelope(command, config, body) -> str:
-    """The JSON envelope: schema, command and configuration around ``body``."""
-    payload = {"schema": SCHEMA, "command": command, "config": config.as_dict(), **body}
+    """The JSON envelope: schema, command and the run keys the command reads
+    around ``body``."""
+    echo = {key: getattr(config, key) for key in _RUN_KEYS[command].split()}
+    payload = {"schema": SCHEMA, "command": command, "config": echo, **body}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -240,14 +248,13 @@ def cmd_spectrum(args) -> int:
         rows.append(row)
     extra = {"physical": sol.physical}
     if report is not None:
-        fd = report.spectrum
+        oracle = report.spectrum
         extra["oracle"] = {
             "closed": report.closed.tolist(),
-            "grid_sizes": list(fd.grid_sizes),
-            "certified": list(fd.certified),
-            "error_estimates": fd.error_estimates.tolist(),
-            "wall_exponents": list(fd.wall_exponents),
-            "raw": [values.tolist() for values in fd.raw],
+            "degrees": list(oracle.degrees),
+            "error_estimates": oracle.error_estimates.tolist(),
+            "wall_exponents": list(oracle.wall_exponents),
+            "raw": [values.tolist() for values in oracle.raw],
             "tolerance": report.tolerance,
         }
     _emit("spectrum", config, header, rows, extra)
@@ -298,11 +305,15 @@ def cmd_metric(args) -> int:
 
 
 def cmd_expectation(args) -> int:
+    grid_given = args.grid is not None
     config = build_config(args)
     model = config.model_spec()
     params = config.params()
     words = args.words or ["P", "P2", "X", "X2", "H"]
     rep_given = args.rep is not None
+    if grid_given and not rep_given:
+        raise UsageError("--grid sets the direct engine's samples; "
+                         "the unified engine (no --rep) takes none")
     rows = []
     for n in range(config.nmax + 1):
         for word in words:
@@ -476,10 +487,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_common(p, keys):
-    """``--config`` and the run keys ``keys``, the ones the subcommand reads;
-    a config file may set any run key, since one file serves them all."""
-    for key in keys.split():
+def _add_common(p, command):
+    """``--config`` and the run keys ``command`` reads (``_RUN_KEYS``); a
+    config file may set any run key, since one file serves them all."""
+    for key in _RUN_KEYS[command].split():
         default = _DEFAULTS[key]
         p.add_argument(f"--{key}", type=type(default), choices=_CHOICES.get(key),
                        default=None)
@@ -506,28 +517,28 @@ def build_parser():
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="closed-form energies, optional FD oracle")
-    _add_common(p, "model rep hbar mass omega tau alpha beta nmax tol format out")
+    p = sub.add_parser("spectrum", help="closed-form energies, optional spectral oracle")
+    _add_common(p, "spectrum")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--check", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("wavefunction", help="psi_n samples with the metric column")
-    _add_common(p, "model rep hbar mass omega tau alpha beta grid format out")
+    _add_common(p, "wavefunction")
     p.add_argument("--n", type=int, default=0)
     p.set_defaults(func=cmd_wavefunction)
 
     p = sub.add_parser("metric", help="metric density on the natural domain")
-    _add_common(p, "model rep hbar mass omega tau alpha beta grid format out")
+    _add_common(p, "metric")
     p.set_defaults(func=cmd_metric)
 
     p = sub.add_parser("expectation", help="metric-weighted expectation values")
-    _add_common(p, "model rep hbar mass omega tau alpha beta nmax grid format out")
+    _add_common(p, "expectation")
     p.add_argument("words", nargs="*", default=None)
     p.set_defaults(func=cmd_expectation)
 
     p = sub.add_parser("phase", help="broken/unbroken boundary curves")
-    _add_common(p, "hbar omega format out")
+    _add_common(p, "phase")
     p.add_argument("--taus", type=_tau_list, default="0,0.25,0.5")
     p.add_argument("--alpha-lo", dest="alpha_lo", type=float, default=0.5)
     p.add_argument("--alpha-hi", dest="alpha_hi", type=float, default=16.0)
@@ -536,7 +547,7 @@ def build_parser():
     p.set_defaults(func=cmd_phase)
 
     p = sub.add_parser("verify", help="run a library verification suite (JSON)")
-    _add_common(p, "hbar mass omega tau alpha beta out")
+    _add_common(p, "verify")
     p.add_argument("suite", choices=sorted(_SUITES) + ["all"])
     p.set_defaults(func=cmd_verify)
 

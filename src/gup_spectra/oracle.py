@@ -1,8 +1,8 @@
-"""Independent numerical checks: the FD spectrum check and two expectation
+"""Independent numerical checks: the spectrum check and two expectation
 engines.
 
-``verify_spectrum`` compares the closed-form energies with the FD
-eigensolver (``fd``) on the well of the Hamiltonian's own transform.
+``verify_spectrum`` compares the closed-form energies with the spectral
+eigensolver (``spectral``) on the well of the Hamiltonian's own transform.
 
 Expectation values come in two independent flavors:
 
@@ -43,7 +43,6 @@ from .errors import (
     NonIntegrable,
     ParameterError,
 )
-from .fd import SpectrumResult, fd_eigenvalues
 from .jets import Jet
 from .liouville import to_potential
 from .operators import LINE_REACH, apply_P, apply_X, line_map, mapped_grid
@@ -52,6 +51,7 @@ from .specfun import JacobiSpec, jacobi_jet, log_jacobi_mass
 # ``roots_jacobi`` keeps scipy's name: instrumentation looks it up on this
 # module and wraps it in every module that holds the same object.
 from .specfun import gauss_jacobi as roots_jacobi
+from .spectral import SpectrumResult, spectral_eigenvalues
 
 __all__ = [
     "verify_spectrum",
@@ -71,7 +71,7 @@ _WELL_TAIL = 1e-9
 @dataclass
 class VerifyReport:
     closed: np.ndarray
-    # the FD oracle's result: its eigenvalues and their provenance
+    # the spectral oracle's result: its eigenvalues and their provenance
     spectrum: SpectrumResult
     rel_errors: np.ndarray
     passed: bool
@@ -81,14 +81,14 @@ class VerifyReport:
 def verify_spectrum(model: ModelSpec, rep: Representation,
                     params: DeformationParams, count: int = 6,
                     tolerance: float = 1e-5) -> VerifyReport:
-    """Compare closed-form energies against the FD oracle on the well of the
-    Hamiltonian's own transform (``liouville.to_potential`` of its (f, g, h)),
-    as one Chebyshev series (``_series_well``).  At tau = 0 q is unbounded,
-    and the well is the harmonic (k q)^2 with k = E_0, on a box wide enough
-    that the low levels do not feel its walls."""
+    """Compare closed-form energies against the spectral oracle on the well
+    of the Hamiltonian's own transform (``liouville.to_potential`` of its
+    (f, g, h)), as one Chebyshev series (``_series_well``).  At tau = 0 q is
+    unbounded, and the well is the harmonic (k q)^2 with k = E_0, on a box
+    wide enough that the low levels do not feel its walls."""
     cls = classify_physical(model, rep, params)
     if cls.complex_spectrum:
-        raise ParameterError("spectrum is complex here; the FD oracle needs a real well")
+        raise ParameterError("spectrum is complex here; the spectral oracle needs a real well")
     if not cls.physical:
         raise ParameterError("unbounded family; nothing for the oracle to match")
     sol = solve(model, rep, params)
@@ -102,7 +102,7 @@ def verify_spectrum(model: ModelSpec, rep: Representation,
     else:
         well = _series_well(to_potential(coefficients(model, rep, params),
                                          default_p0(model, rep, params)))
-    res = fd_eigenvalues(well, count)
+    res = spectral_eigenvalues(well, count)
     rel = np.abs(res.eigenvalues - closed) / np.maximum(np.abs(closed), 1e-300)
     return VerifyReport(closed=closed, spectrum=res, rel_errors=rel,
                         passed=bool(np.all(rel < tolerance)), tolerance=tolerance)

@@ -354,8 +354,8 @@ def gram_matrix(sol: ClosedFormSolution, n_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """A well: -phi'' + V phi = E phi on (q_lo, q_hi), as the FD oracle
-    reads it."""
+    """A well: -phi'' + V phi = E phi on (q_lo, q_hi), as the spectral
+    oracle reads it."""
 
     V: Callable[[np.ndarray], np.ndarray]
     q_lo: float

@@ -53,7 +53,7 @@ class TestAcceptance:
             worst = max(worst, float(np.max(report.rel_errors)))
         elapsed = time.perf_counter() - start
         _report("criterion-01", worst < 1e-5 and elapsed < 10.0,
-                f"oscillator FD oracle, n<=5, tau in {{0.1,0.5,1.0}}: "
+                f"oscillator spectral oracle, n<=5, tau in {{0.1,0.5,1.0}}: "
                 f"max rel err {worst:.2e} (tol 1e-5), runtime {elapsed:.2f}s (< 10s)")
 
     def test_c02_commutative_limits(self):

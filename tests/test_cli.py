@@ -70,9 +70,8 @@ class TestSpectrumCommand:
         assert header[-2:] == ["energy_oracle", "rel_err"]
         assert all(float(r[-1]) < 1e-5 for r in rows)
 
-    def test_level_count_sizes_the_oracle_grid(self, capsys):
-        # 21 levels ask for 8 cells each: the least base grid 128 doubles to
-        # 256
+    def test_level_count_sets_the_first_degree(self, capsys):
+        # the oracle's first degree is count + 24
         args = ("spectrum", "--model", "ho", "--tau", "0.25", "--nmax", "20",
                 "--oracle", "--check")
         code, out, _ = run_cli(capsys, *args)
@@ -81,11 +80,11 @@ class TestSpectrumCommand:
         assert len(rows) == 21
         code, out, _ = run_cli(capsys, *args, "--format", "json")
         assert code == 0
-        assert json.loads(out)["oracle"]["grid_sizes"] == [256, 512, 1024]
+        assert json.loads(out)["oracle"]["degrees"][0] == 45
 
     def test_spectrum_refuses_the_sample_count(self, capsys):
         # --grid counts display and direct-engine samples; the oracle sizes
-        # its own grids, so spectrum has no --grid to take
+        # its own basis, so spectrum has no --grid to take
         code, out, err = run_cli(capsys, "spectrum", "--model", "swanson", "--tau", "0.5",
                                  "--rep", "pi3", "--nmax", "4", "--oracle", "--grid", "64")
         assert code == 1 and out == ""
@@ -110,13 +109,14 @@ class TestSpectrumCommand:
         assert len(tables[0]) == len(tables[1]) == 4
 
     def test_check_breach_exit_code(self, capsys):
-        # the FD relative errors here are about 6e-14 to 1.2e-10, above --tol
+        # the oracle's relative errors here are about 1e-16 to 2e-15, and
+        # those above --tol fail the check
         code, out, _ = run_cli(capsys, "spectrum", "--model", "ho", "--tau", "0.2",
-                               "--oracle", "--check", "--tol", "1e-14")
+                               "--oracle", "--check", "--tol", "1e-16")
         assert code == 2
         _, rows = parse_csv(out)
         assert len(rows) == 6
-        assert all(float(r[-1]) > 1e-14 for r in rows)
+        assert any(float(r[-1]) >= 1e-16 for r in rows)
 
     def test_byte_identical_reruns(self, capsys):
         args = ("spectrum", "--model", "swanson", "--alpha", "0.1", "--beta", "0.2",
@@ -344,7 +344,7 @@ class TestJsonEnvelope:
         code, out, _ = run_cli(capsys, "spectrum", "--model", "ho", "--tau", "0.2",
                                "--nmax", "1", "--format", "json")
         payload = json.loads(out)
-        assert payload["schema"] == "gup-spectra/1"
+        assert payload["schema"] == "gup-spectra/2"
         assert payload["command"] == "spectrum"
         assert payload["config"]["tau"] == 0.2
         assert len(payload["rows"]) == 2
@@ -357,15 +357,15 @@ class TestJsonEnvelope:
                                "--nmax", "3", "--oracle", "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == "gup-spectra/1"
+        assert payload["schema"] == "gup-spectra/2"
         oracle = payload["oracle"]
-        assert sorted(oracle) == ["certified", "closed", "error_estimates", "grid_sizes",
-                                  "raw", "tolerance", "wall_exponents"]
+        assert sorted(oracle) == ["closed", "degrees", "error_estimates", "raw",
+                                  "tolerance", "wall_exponents"]
         assert oracle["closed"] == [row["energy_re"] for row in payload["rows"]]
         assert oracle["tolerance"] == 1e-5
-        assert oracle["grid_sizes"] == [128, 256, 512]
-        assert oracle["certified"] == [True, True, True]
-        assert len(oracle["raw"]) == 3 and all(len(raw) == 4 for raw in oracle["raw"])
+        # from count + 24 in steps of 24, until two degrees agree
+        assert oracle["degrees"] == [28, 52]
+        assert len(oracle["raw"]) == 2 and all(len(raw) == 4 for raw in oracle["raw"])
         assert len(oracle["error_estimates"]) == 4
         assert len(oracle["wall_exponents"]) == 2
         for row, err in zip(payload["rows"], oracle["error_estimates"]):
@@ -392,7 +392,7 @@ class TestJsonEnvelope:
             code, out, _ = run_cli(capsys, *case, "--format", "json")
             assert code == 0
             payload = json.loads(out)
-            assert payload["schema"] == "gup-spectra/1"
+            assert payload["schema"] == "gup-spectra/2"
             assert payload["command"] == case[0]
 
 
@@ -590,6 +590,17 @@ class TestRunKeys:
         assert err.startswith("usage error: unrecognized arguments: --") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", sorted(RUN_KEYS))
+    def test_json_echoes_the_run_keys_the_subcommand_reads(self, capsys, command):
+        json_format = [] if command == "verify" else ["--format", "json"]
+        extra = ["--alpha-steps", "3"] if command == "phase" else []
+        code, out, _ = run_cli(capsys, command, *POSITIONALS.get(command, []),
+                               *json_format, *extra)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["schema"] == "gup-spectra/2"
+        assert sorted(payload["config"]) == sorted(RUN_KEYS[command].split())
+
+    @pytest.mark.parametrize("command", sorted(RUN_KEYS))
     def test_a_config_file_sets_every_run_key(self, capsys, tmp_path, command):
         # one file serves every subcommand, so it may set a key one ignores
         values = dict(DEFAULTS, nmax=1, grid=64)
@@ -626,6 +637,20 @@ class TestConfigPrecedence:
         payload = json.loads(out)
         assert payload["engine"] == "direct" and payload["config"]["rep"] == "pi3"
         assert run_cli(capsys, *argv, "--rep", "pi3") == (0, out, "")
+
+    def test_grid_needs_the_direct_engine(self, capsys, tmp_path):
+        # the unified engine reads no sample count, so --grid without --rep
+        # is refused; a config file's grid serves every subcommand and stays
+        argv = ("expectation", "--model", "ho", "--tau", "0.2", "--nmax", "1")
+        code, out, err = run_cli(capsys, *argv, "--grid", "64", "H")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: --grid") and len(err.splitlines()) == 1
+        assert run_cli(capsys, *argv, "--rep", "pi1", "--grid", "64", "H")[0] == 0
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("grid=64\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg), "H")
+        assert code == 0 and err == ""
+        assert out == run_cli(capsys, *argv, "H")[1]
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -787,7 +812,7 @@ class TestStartup:
         assert loaded == []
 
     def test_oracle_loads_no_scipy(self):
-        # the FD eigensolver is numpy too
+        # the spectral eigensolver is numpy too
         done = run_fresh(_MAIN_PROBE.format(commands=[["spectrum", "--oracle", "--check"]]))
         codes, loaded = json.loads(done.stdout)
         assert codes == [0]

@@ -221,7 +221,7 @@ class TestTransform:
 
 class TestPotentialShape:
     def test_keeps_the_input_shape(self):
-        # the FD oracle evaluates V on (nodes, cells) arrays
+        # V keeps the shape of its argument, whatever the caller passes
         params = DeformationParams(tau=0.5)
         model, rep = Swanson(0.1, 0.2), Representation.PI3
         tr = to_potential(coefficients(model, rep, params), default_p0(model, rep, params))

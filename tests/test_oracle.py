@@ -26,9 +26,9 @@ from gup_spectra.oracle import (
     verify_spectrum,
 )
 from gup_spectra.algebra import coefficients
-from gup_spectra.fd import fd_eigenvalues
 from gup_spectra.liouville import to_potential
 from gup_spectra.solutions import PotentialSpec, default_p0, solve
+from gup_spectra.spectral import spectral_eigenvalues
 from references import closed_form_well
 
 R = Representation
@@ -108,8 +108,8 @@ def _generic(model, rep, params):
 
 SERIES_MODELS = [HarmonicOscillator(), Swanson(0.1, 0.2), Swanson(2.0, 0.1),
                  PoschlTeller(1.0, 0.5), PoschlTeller(3.0, 2.0)]
-# the FD cases: those with a real spectrum, and so a real well
-SERIES_FD_CASES = [(model, rep, tau) for model in SERIES_MODELS
+# the oracle's cases: those with a real spectrum, and so a real well
+SERIES_ORACLE_CASES = [(model, rep, tau) for model in SERIES_MODELS
                    for rep in (R.PI1, R.PI3, R.PI4) for tau in (1e-3, 0.1, 1.0, 10.0)
                    if model.reality(DeformationParams(tau=tau))]
 
@@ -128,11 +128,11 @@ class TestSeriesWell:
         assert np.max(np.abs(well.V(qs) - want) / np.maximum(np.abs(want), 1.0)) < 1e-10
 
     @pytest.mark.parametrize("count", [6, 20])
-    @pytest.mark.parametrize("model, rep, tau", SERIES_FD_CASES)
-    def test_fd_levels_match_the_closed_form_well(self, model, rep, tau, count):
+    @pytest.mark.parametrize("model, rep, tau", SERIES_ORACLE_CASES)
+    def test_oracle_levels_match_the_closed_form_well(self, model, rep, tau, count):
         params = DeformationParams(tau=tau)
-        series = fd_eigenvalues(oracle._series_well(_generic(model, rep, params)), count)
-        closed = fd_eigenvalues(closed_form_well(model, rep, params), count)
+        series = spectral_eigenvalues(oracle._series_well(_generic(model, rep, params)), count)
+        closed = spectral_eigenvalues(closed_form_well(model, rep, params), count)
         assert np.max(np.abs(series.eigenvalues - closed.eigenvalues)
                       / np.abs(closed.eigenvalues)) < 1e-9
 

@@ -164,7 +164,7 @@ class TestClassification:
             classify_physical(model, R.PI1, params)
         with pytest.raises(IntrinsicNoncommutativity):
             solve(model, R.PI1, params)
-        # the FD oracle has no commutative limit to fall back on
+        # the spectral oracle has no commutative limit to fall back on
         with pytest.raises(IntrinsicNoncommutativity):
             oracle.verify_spectrum(model, R.PI1, params)
         # nor has the generic transform an anchor there
@@ -610,7 +610,7 @@ class TestSchroedingerResidual:
 
 
 class TestDimensionalUnits:
-    """Nothing is tied to natural units; the FD oracle is the detector."""
+    """Nothing is tied to natural units; the spectral oracle is the detector."""
 
     def test_off_natural_units(self):
         from gup_spectra.oracle import verify_spectrum

@@ -24,10 +24,10 @@ UnsupportedPair(...)`` in src, each formatted value of an f-string read as
 refusal is reached by a test that shows its cause.
 
 Three more have none: no file in src imports scipy, so the package and
-every command, the FD oracle included, run on numpy alone; ``fd.py`` takes
-nothing from the package but ``errors`` and the Gauss-Jacobi rule of
-``specfun``, so the FD eigensolver cannot be seeded from the closed forms it
-checks; and no file in src mentions ``fft``, since X differentiates by
+every command, the spectral oracle included, run on numpy alone;
+``spectral.py`` takes nothing from the package but ``errors`` and the
+Gauss-Jacobi rule and chain sequence of ``specfun``, so the oracle cannot be
+seeded from the closed forms it checks; and no file in src mentions ``fft``, since X differentiates by
 order-8 differences on every grid.
 """
 
@@ -223,10 +223,10 @@ def imports(path):
 
 # numpy, the standard library, and of the package only the error types and
 # the Gauss-Jacobi rule
-FD_IMPORTS = sorted([
+SPECTRAL_IMPORTS = sorted([
     ("__future__", "annotations"), ("math", ""), ("dataclasses", "dataclass"),
     ("numpy", ""), (".errors", "ConvergenceFailure"), (".errors", "ParameterError"),
-    (".specfun", "gauss_jacobi"),
+    (".specfun", "_jacobi_chain"), (".specfun", "gauss_jacobi"),
 ])
 
 
@@ -266,8 +266,8 @@ def test_no_file_in_src_imports_scipy():
     assert scipy_imports(_sources()) == []
 
 
-def test_fd_cannot_see_the_closed_forms():
-    assert imports(SRC / "fd.py") == FD_IMPORTS
+def test_spectral_cannot_see_the_closed_forms():
+    assert imports(SRC / "spectral.py") == SPECTRAL_IMPORTS
 
 
 def test_no_fft_in_src():
@@ -344,12 +344,12 @@ def test_detects_scipy_imports(tmp_path):
                                     ("mod.py", "scipy.linalg", True)]
 
 
-def test_detects_a_closed_form_import_in_fd(tmp_path):
-    text = (SRC / "fd.py").read_text(encoding="utf-8")
-    mod = tmp_path / "fd.py"
+def test_detects_a_closed_form_import_in_spectral(tmp_path):
+    text = (SRC / "spectral.py").read_text(encoding="utf-8")
+    mod = tmp_path / "spectral.py"
     mod.write_text(text.replace("import numpy as np\n",
                                 "import numpy as np\n\nfrom .solutions import solve\n", 1))
-    assert imports(mod) == sorted(FD_IMPORTS + [(".solutions", "solve")])
+    assert imports(mod) == sorted(SPECTRAL_IMPORTS + [(".solutions", "solve")])
     mod.write_text("import gup_spectra.solutions as s\n\n\n"
                    "def f():\n    from .. import x\n    from . import oracle\n")
     assert imports(mod) == [(".", "oracle"), ("..", "x"), ("gup_spectra.solutions", "")]
