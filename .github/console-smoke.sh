@@ -46,8 +46,10 @@ exits_with 1 gup-spectra spectrum --tau nan
 exits_with 1 gup-spectra phase --tau 0.3
 # and a negative tau in a phase list
 exits_with 1 gup-spectra phase --taus -1
-# and a sample count for the unified engine, which reads none
+# and a sample count for either engine: the direct engine sizes its
+# samples from the level, the unified engine reads none
 exits_with 1 gup-spectra expectation --model ho --tau 0.2 --nmax 1 --grid 64 H
+exits_with 1 gup-spectra expectation --model ho --tau 0.2 --rep pi1 --nmax 1 --grid 64 H
 # a superscript is not a power: an unknown symbol, exit 3
 exits_with 3 gup-spectra expectation --tau 0.2 --nmax 0 X²
 # a string word spells a power of H
@@ -58,6 +60,8 @@ gup-spectra spectrum --model swanson --alpha 0.0649192447101177 --beta 0.1050934
 gup-spectra spectrum --model ho --tau 0.25 --nmax 20 --oracle --check > /dev/null
 # 101 levels of a narrow well near the commutative limit, wall exponents 1e4
 gup-spectra spectrum --model ho --tau 1e-4 --nmax 100 --oracle --check > /dev/null
+# 901 levels, the degree growing by an eighth per step past 192
+gup-spectra spectrum --model ho --tau 0.25 --nmax 900 --oracle --check > /dev/null
 # Pi2 and Pi1 transform their own (f, g, h) to the same well: both pass,
 # with the same closed forms and oracles that agree to 1e-10
 gup-spectra spectrum --model swanson --alpha 0.1 --beta 0.2 --tau 0.25 --rep pi2 --nmax 3 --oracle --check > pi2.csv
@@ -65,6 +69,8 @@ gup-spectra spectrum --model swanson --alpha 0.1 --beta 0.2 --tau 0.25 --rep pi1
 python -c "import csv; rows = [list(csv.DictReader(open(f))) for f in ('pi2.csv', 'pi1.csv')]; assert len(rows[0]) == len(rows[1]) == 4; assert all(a[k] == b[k] for a, b in zip(*rows) for k in ('n', 'energy_re', 'energy_im')), rows; assert all(abs(float(a['energy_oracle']) - float(b['energy_oracle'])) <= 1e-10 * abs(float(b['energy_oracle'])) for a, b in zip(*rows)), rows"
 # the oracle on the Pi4 segment's own transform
 gup-spectra spectrum --model pt --alpha 1 --beta 0.5 --tau 0.25 --rep pi4 --nmax 5 --oracle --check > /dev/null
+# the direct engine through n = 100, where its count reaches 16384 samples
+gup-spectra expectation --model ho --tau 1e-3 --rep pi1 --nmax 100 X2 > /dev/null
 # tau = 1e-40 puts every Gauss-Jacobi node within 1e-20 of z = 0
 gup-spectra expectation --nmax 3 --tau 1e-40 H > /dev/null
 # a config file's rep is read where --rep would be: the direct engine

@@ -124,7 +124,7 @@ _RUN_KEYS = {
     "spectrum": "model rep hbar mass omega tau alpha beta nmax tol format out",
     "wavefunction": "model rep hbar mass omega tau alpha beta grid format out",
     "metric": "model rep hbar mass omega tau alpha beta grid format out",
-    "expectation": "model rep hbar mass omega tau alpha beta nmax grid format out",
+    "expectation": "model rep hbar mass omega tau alpha beta nmax format out",
     "phase": "hbar omega format out",
     "verify": "hbar mass omega tau alpha beta out",
 }
@@ -305,21 +305,16 @@ def cmd_metric(args) -> int:
 
 
 def cmd_expectation(args) -> int:
-    grid_given = args.grid is not None
     config = build_config(args)
     model = config.model_spec()
     params = config.params()
     words = args.words or ["P", "P2", "X", "X2", "H"]
     rep_given = args.rep is not None
-    if grid_given and not rep_given:
-        raise UsageError("--grid sets the direct engine's samples; "
-                         "the unified engine (no --rep) takes none")
     rows = []
     for n in range(config.nmax + 1):
         for word in words:
             if rep_given:
-                val = expectation_direct(model, config.representation(), params,
-                                         n, word, grid_size=config.grid)
+                val = expectation_direct(model, config.representation(), params, n, word)
             else:
                 val = expectation_unified(model, params, n, word)
             rows.append([n, word, val.real, val.imag])

@@ -29,16 +29,14 @@ class NonMonotoneMap(GupSpectraError):
     """The coordinate map q(p) failed to be strictly monotone/integrable."""
 
 
-class BranchAmbiguity(GupSpectraError):
-    """1 - w^2 changes sign on the requested domain; no single real branch."""
-
-
 class NonIntegrable(GupSpectraError):
     """An operator word creates a non-integrable endpoint singularity."""
 
 
 class ConvergenceFailure(GupSpectraError):
-    """Grid-refinement estimates disagree beyond the requested tolerance."""
+    """The numerical method cannot resolve the problem to its tolerance:
+    successive degrees disagree, round-off swamps the levels, or the
+    samples cannot hold the state."""
 
 
 class NonFiniteResult(GupSpectraError):

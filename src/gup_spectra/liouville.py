@@ -23,8 +23,8 @@ over the whole domain (Boyd, *Chebyshev and Fourier Spectral Methods*, 2001),
 and answers each later query from that table: one panel lookup and one series
 evaluation, with no further coefficient evaluation.  ``p_of_q`` inverts the
 table by barycentric interpolation (Berrut & Trefethen, SIAM Review 46 (2004)
-501) and one Newton step.  ``solutions.metric_generic`` takes log |v|^-2 from
-the closed-form antiderivative ``FactorizationAnsatz.intQ``.
+501) and one Newton step.  ``solutions.metric_generic`` reads the metric
+f^(-1/2) e^(-2 Re chi) off the same table.
 """
 
 from __future__ import annotations
@@ -352,11 +352,6 @@ class FactorizationAnsatz:
     def dQ(self, w):
         a, b = self.a, self.b
         return -((2 + a + b) - 2 * (b - a) * w + (2 + a + b) * w ** 2) / (1 - w ** 2) ** 2
-
-    def intQ(self, w):
-        """The antiderivative of Q in w that vanishes at w = 0, valid on each
-        interval that avoids w = +-1."""
-        return (1 + self.a) * np.log(np.abs(1 - w)) + (1 + self.b) * np.log(np.abs(1 + w))
 
     def R(self, w):
         nu, mu = self.nu, self.mu

@@ -15,10 +15,11 @@ Expectation values come in two independent flavors:
   representation's momentum domain using the numerical operator actions
   (Pi1..Pi4; Pi4' has no bound states to take them on).
   The samples are uniform in a variable t that a double-exponential map
-  takes to the domain, sized from the (f, g, h) coefficients; X takes
-  order-8 differences in t.  Like the unified engine it evaluates a level
-  once: the grid, psi_n, rho and the states the words build from psi_n are
-  shared by every word asked of that level.
+  takes to the domain, sized from the (f, g, h) coefficients, and their
+  count grows with the level n; X takes order-8 differences in t.  Like
+  the unified engine it evaluates a level once: the grid, psi_n, rho and
+  the states the words build from psi_n are shared by every word asked of
+  that level.
 """
 
 from __future__ import annotations
@@ -556,22 +557,29 @@ def _indicial(fgh, p, wall):
     return k
 
 
+# Samples of a level up to n = 15.  Past it the count doubles each time
+# n // 16 gains a binary digit, to the least power of two that holds
+# 128 (n + 1), so that the n nodes of psi_n stay resolved: 4096 at n = 20,
+# 8192 at n = 50 and 16384 at n = 100
+_SAMPLES = 2048
+
+
 # A request asks Pi1..Pi4 for one level word after word, so one level per
 # representation with states holds all the reuse there is; a request that
 # asks three representations leaves one level to the next.
 @lru_cache(maxsize=4)
-def _direct_level(model, rep, params, n, grid_size):
+def _direct_level(model, rep, params, n):
     """The native grid of one level, shared read-only between words; the
     map reads the representation's own (f, g, h)."""
+    count = _SAMPLES << (n // 16).bit_length()
     return _DirectLevel(solve(model, rep, params), n,
-                        mapped_grid(*_map(coefficients(model, rep, params)), grid_size))
+                        mapped_grid(*_map(coefficients(model, rep, params)), count))
 
 
 class _DirectLevel(_StateMemo):
     """Grid, ket, metric and derived states (``_StateMemo``) of one
-    (model, rep, params, n, grid_size).  A word sums its terms onto a zero
-    array in order and H adds its constant last, the sums a cold evaluation
-    makes.
+    (model, rep, params, n).  A word sums its terms onto a zero array in
+    order and H adds its constant last, the sums a cold evaluation makes.
 
     The t-range ends at the outermost samples whose norm weight
     |psi_n|^2 rho dp is finite and reaches eps^2 of the largest finite one.
@@ -588,9 +596,12 @@ class _DirectLevel(_StateMemo):
     def __init__(self, sol, n, samples):
         self.sol = sol
         grid, dp = samples
-        ket = sol.psi(n, grid)
-        rho = sol.metric(grid)
-        weight = np.abs(ket) ** 2 * rho * dp
+        # samples past the double range are masked below, and raise where
+        # they are kept
+        with np.errstate(over="ignore", invalid="ignore"):
+            ket = sol.psi(n, grid)
+            rho = sol.metric(grid)
+            weight = np.abs(ket) ** 2 * rho * dp
         finite = np.isfinite(weight)
         top = np.max(weight, where=finite, initial=0.0)
         keep = np.flatnonzero(finite & (weight >= _EPS ** 2 * top))
@@ -639,28 +650,29 @@ class _DirectLevel(_StateMemo):
 
 
 def expectation_direct(model: ModelSpec, rep: Representation,
-                       params: DeformationParams, n: int, word,
-                       grid_size: int = 2048) -> complex:
+                       params: DeformationParams, n: int, word) -> complex:
     """<psi_n| F |psi_n>_rho by quadrature on a mapped grid with operator actions.
 
-    ``grid_size`` counts samples t_k uniform in a variable t, which a
-    double-exponential map takes to the representation's momentum domain
-    (``_map``): sinh-sinh on the line of Pi1 and Pi2, exp-sinh on the half
-    line of the inverse-square model there, and tanh-sinh on the Pi3 cells
-    and the Pi4 segment.  The quadrature weights are the samples' widths
-    phi'(t_k) h, and X differentiates as phi'(t)^(-1) d/dt by order-8
-    differences in t, for every map.  Samples whose norm weight is below
-    eps^2 of the largest are dropped at the ends of the t-range
-    (``_DirectLevel``), so a level holds at most ``grid_size`` samples.  The
-    level n (grid, psi_n, rho and the states F builds from psi_n) is shared
-    with the other words asked of it, so each X or P step is taken once per
-    level.  Where psi_n or rho leaves the double range inside the density,
-    or the value is not finite, ``NonFiniteResult`` is raised.
+    The level takes samples t_k uniform in a variable t: 2048 up to n = 15,
+    and past it the least power of two that holds 128 (n + 1)
+    (``_SAMPLES``).  A double-exponential map takes t to the
+    representation's momentum domain (``_map``): sinh-sinh on the line of
+    Pi1 and Pi2, exp-sinh on the half line of the inverse-square model
+    there, and tanh-sinh on the Pi3 cells and the Pi4 segment.  The
+    quadrature weights are the samples' widths phi'(t_k) h, and X
+    differentiates as phi'(t)^(-1) d/dt by order-8 differences in t, for
+    every map.  Samples whose norm weight is below eps^2 of the largest are
+    dropped at the ends of the t-range (``_DirectLevel``), so a level holds
+    at most that many samples.  The level n (grid, psi_n, rho and the
+    states F builds from psi_n) is shared with the other words asked of it,
+    so each X or P step is taken once per level.  Where psi_n or rho leaves
+    the double range inside the density, or the value is not finite,
+    ``NonFiniteResult`` is raised.
     """
     terms = parse_word(word)
     if params.tau_check <= 0:
         raise ParameterError("the direct engine needs tau > 0")
-    level = _direct_level(model, rep, params, n, grid_size)
+    level = _direct_level(model, rep, params, n)
     out = level.apply(terms)
     value = complex(np.sum(level.bra * out))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):

@@ -61,11 +61,7 @@ from .algebra import (
     coefficients,
     p_domain,
 )
-from .errors import (
-    BranchAmbiguity,
-    ParameterError,
-    UnsupportedPair,
-)
+from .errors import ParameterError, UnsupportedPair
 from .liouville import FactorizationAnsatz, to_potential
 from .specfun import gauss_jacobi, log_jacobi_mass, orthonormal_ladder, orthonormal_rows
 
@@ -399,29 +395,22 @@ def ansatz_for(sol: ClosedFormSolution, n: int,
 
 def metric_generic(model: ModelSpec, rep: Representation,
                    params: DeformationParams) -> Callable[[np.ndarray], np.ndarray]:
-    """Metric density assembled from the generic transform parts.
+    """Metric density of the pair's own (f, g, h), normalized to 1 at the
+    anchor p0.
 
-    rho = varrho(w) e^{-2 Re chi} |v|^{-2} dw/dp, summed as logarithms (the
-    Jacobi varrho and |v|^{-2} carry powers in the thousands at small tau,
-    which would overflow against each other) and normalized to 1 at the
-    anchor p0.  Every factor comes from the pair's own transform: on Pi2
-    the gauge chi carries the similarity factor that relates it to Pi1.
+    -f psi'' + g psi' + h psi is symmetric in L^2(rho dp) exactly when
+    (rho f)' = -rho g, the Sturm-Liouville weight (Zettl, *Sturm-Liouville
+    Theory*, AMS 2005).  With the gauge chi' = (f' + 2g) / (4f) of
+    ``to_potential`` that weight is rho = f^(-1/2) e^(-2 Re chi), summed
+    as logarithms.  Nothing here reads the closed form it is checked
+    against.
     """
-    sol = solve(model, rep, params)
     fgh = coefficients(model, rep, params)
     p0 = default_p0(model, rep, params)
     tr = to_potential(fgh, p0)
-    ansatz = ansatz_for(sol, 0, coordinates="centered")
 
     def log_rho(p):
-        q = tr.q_of_p(p)
-        w = ansatz.w(q)
-        if np.any((1 - w ** 2) <= 0):
-            raise BranchAmbiguity("1 - w^2 must keep one sign on the domain")
-        # ln varrho - 2 Re chi + ln |v|^-2 + ln |dw/dp|
-        return (ansatz.a * np.log1p(-w) + ansatz.b * np.log1p(w) - 2.0 * np.real(tr.chi(p))
-                + 2.0 * np.log(np.abs(ansatz.dw(q))) - np.real(ansatz.intQ(w))
-                - 0.5 * np.log(np.asarray(fgh.f(p), dtype=float)))
+        return -2.0 * np.real(tr.chi(p)) - 0.5 * np.log(np.asarray(fgh.f(p), dtype=float))
 
     ref = float(log_rho(np.array([p0]))[0])
 

@@ -41,13 +41,13 @@ V - g''/g that cancel, weighted by the level's state, and 8.3 eps E_top
 per degree for the pencil.  Where the first passes ``_AGREE`` of
 max(|E|, 1) (the wall exponents of a well near tau = 0 are in the
 millions), the well is too narrow for the oracle.  The degree starts at
-count + ``_STEP`` and grows by ``_STEP`` until two degrees agree to
-``_AGREE`` of max(|E|, 1) plus that round-off on every level, and each
-error estimate is the last difference plus the round-off.  Everything is
-computed from V alone, never seeded from the closed forms, keeping the
-check independent of what it validates: this module takes nothing from the
-package but ``errors`` and the Gauss-Jacobi rule and chain sequence of
-``specfun``.
+count + ``_STEP`` and grows by ``_STEP``, or by an eighth where that is
+more, until two degrees agree to ``_AGREE`` of max(|E|, 1) plus that
+round-off on every level, and each error estimate is the last difference
+plus the round-off.  Everything is computed from V alone, never seeded
+from the closed forms, keeping the check independent of what it
+validates: this module takes nothing from the package but ``errors`` and
+the Gauss-Jacobi rule and chain sequence of ``specfun``.
 """
 
 from __future__ import annotations
@@ -62,11 +62,11 @@ from .specfun import _jacobi_chain, gauss_jacobi
 
 __all__ = ["SpectrumResult", "spectral_eigenvalues"]
 
-# The degree grows in steps of _STEP from count + _STEP, to no more than
-# _MAX_DEGREE, until two degrees agree to _AGREE of max(|E|, 1) plus the
-# round-off
+# The degree grows from count + _STEP in steps of _STEP, or of an eighth
+# of the degree past 192, to no more than _MAX_DEGREE, until two degrees
+# agree to _AGREE of max(|E|, 1) plus the round-off
 _STEP = 24
-_MAX_DEGREE = 1024
+_MAX_DEGREE = 2048
 _AGREE = 1e-9
 # nodes of the rule past the degree
 _EXTRA_NODES = 20
@@ -185,6 +185,10 @@ def _ritz(V, lo, hi, a, b, degree, count):
             _EPS * ((states * states) @ size))
 
 
+def _next_degree(degree):
+    return degree + max(_STEP, degree // 8)
+
+
 def spectral_eigenvalues(well, count: int) -> SpectrumResult:
     """Lowest ``count`` eigenvalues of -phi'' + V phi = E phi on the well,
     by Rayleigh-Ritz over polynomials of growing degree.
@@ -202,13 +206,15 @@ def spectral_eigenvalues(well, count: int) -> SpectrumResult:
         raise ParameterError("q domain must be a finite nonempty interval")
     if count < 1:
         raise ParameterError("count must be positive")
-    if count + 2 * _STEP > _MAX_DEGREE:
+    second = _next_degree(count + _STEP)
+    if second > _MAX_DEGREE:
         raise ParameterError(
-            f"{count} levels need degree {count + 2 * _STEP}, above the limit of {_MAX_DEGREE}")
+            f"{count} levels need degree {second}, above the limit of {_MAX_DEGREE}")
     s_lo, s_hi = (_wall_exponent(gamma) for gamma in _wall_gammas(V, lo, hi))
     a, b = _gauge(V, lo, hi, s_lo, s_hi)
     degrees, raw = [], []
-    for degree in range(count + _STEP, _MAX_DEGREE + 1, _STEP):
+    degree = count + _STEP
+    while degree <= _MAX_DEGREE:
         values, roundoff = _ritz(V, lo, hi, a, b, degree, count)
         scale = _AGREE * np.maximum(np.abs(values), 1.0)
         if np.any(roundoff > scale):
@@ -221,6 +227,7 @@ def spectral_eigenvalues(well, count: int) -> SpectrumResult:
         roundoff += 8.3 * _EPS * float(np.max(np.abs(values))) * degree
         if len(raw) > 1 and np.all(np.abs(raw[-1] - raw[-2]) <= scale + roundoff):
             break
+        degree = _next_degree(degree)
     else:
         raise ConvergenceFailure(f"the levels have not converged at degree {degrees[-1]}")
     err = np.abs(raw[-1] - raw[-2]) + roundoff

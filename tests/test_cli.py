@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gup_spectra
+from gup_spectra import oracle
 from gup_spectra.algebra import Representation
 from gup_spectra.cli import RunConfig, build_parser, main
 
@@ -320,11 +321,14 @@ class TestSpectrumCommand:
         assert err.startswith("numerical failure: the well is too narrow")
         assert len(err.splitlines()) == 1
 
-    def test_direct_level_too_thin_for_the_stencil_exit_code(self, capsys):
-        # the level keeps 4 of 64 samples, fewer than X's order-8 stencil
+    def test_direct_level_too_thin_for_the_stencil_exit_code(self, capsys, monkeypatch):
+        # at 64 samples the level keeps 4, fewer than X's order-8 stencil
+        monkeypatch.setattr(oracle, "_SAMPLES", 64)
+        oracle._direct_level.cache_clear()
         code, out, err = run_cli(capsys, "expectation", "--model", "swanson", "--alpha",
                                  "9.36", "--beta", "0.0265", "--tau", "1e-4", "--rep",
-                                 "pi3", "--nmax", "0", "--grid", "64", "X2")
+                                 "pi3", "--nmax", "0", "X2")
+        oracle._direct_level.cache_clear()
         assert code == 3 and out == ""
         lines = err.splitlines()
         assert lines[0].startswith("numerical failure: psi_0 on pi3 keeps 4 of 64")
@@ -545,7 +549,7 @@ RUN_KEYS = {
     "spectrum": "model rep hbar mass omega tau alpha beta nmax tol format out",
     "wavefunction": "model rep hbar mass omega tau alpha beta grid format out",
     "metric": "model rep hbar mass omega tau alpha beta grid format out",
-    "expectation": "model rep hbar mass omega tau alpha beta nmax grid format out",
+    "expectation": "model rep hbar mass omega tau alpha beta nmax format out",
     "phase": "hbar omega format out",
     "verify": "hbar mass omega tau alpha beta out",
 }
@@ -569,7 +573,7 @@ class TestRunKeys:
         parser = build_parser()
         sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert sorted(sub.choices) == sorted(RUN_KEYS)
-        assert len(DEFAULTS) == 13 and len(DROPPED) == 21
+        assert len(DEFAULTS) == 13 and len(DROPPED) == 22
         for command, subparser in sub.choices.items():
             options = {opt for action in subparser._actions for opt in action.option_strings}
             expected = ({f"--{key}" for key in RUN_KEYS[command].split()}
@@ -638,19 +642,23 @@ class TestConfigPrecedence:
         assert payload["engine"] == "direct" and payload["config"]["rep"] == "pi3"
         assert run_cli(capsys, *argv, "--rep", "pi3") == (0, out, "")
 
-    def test_grid_needs_the_direct_engine(self, capsys, tmp_path):
-        # the unified engine reads no sample count, so --grid without --rep
-        # is refused; a config file's grid serves every subcommand and stays
+    def test_expectation_takes_no_grid(self, capsys, tmp_path, monkeypatch):
+        # neither engine reads a sample count from the run, so --grid is
+        # refused with or without --rep; a config file's grid serves every
+        # subcommand and stays, and the direct engine runs at 64 samples
+        monkeypatch.setattr(oracle, "_SAMPLES", 64)
+        oracle._direct_level.cache_clear()
         argv = ("expectation", "--model", "ho", "--tau", "0.2", "--nmax", "1")
-        code, out, err = run_cli(capsys, *argv, "--grid", "64", "H")
-        assert code == 1 and out == ""
-        assert err.startswith("usage error: --grid") and len(err.splitlines()) == 1
-        assert run_cli(capsys, *argv, "--rep", "pi1", "--grid", "64", "H")[0] == 0
         cfg = tmp_path / "grid.cfg"
         cfg.write_text("grid=64\n")
-        code, out, err = run_cli(capsys, *argv, "--config", str(cfg), "H")
-        assert code == 0 and err == ""
-        assert out == run_cli(capsys, *argv, "H")[1]
+        for rep in ((), ("--rep", "pi1")):
+            code, out, err = run_cli(capsys, *argv, *rep, "--grid", "64", "H")
+            assert code == 1 and out == ""
+            assert err == "usage error: unrecognized arguments: --grid\n"
+            code, out, err = run_cli(capsys, *argv, *rep, "--config", str(cfg), "H")
+            assert code == 0 and err == ""
+            assert out == run_cli(capsys, *argv, *rep, "H")[1]
+        oracle._direct_level.cache_clear()
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -673,7 +673,7 @@ class TestDirectMemo:
         model = PoschlTeller(1.0, 0.5)
         for word in DIRECT_WORDS[model]:
             expectation_direct(model, R.PI2, params, 1, word)
-        level = oracle._direct_level(model, R.PI2, params, 1, 2048)
+        level = oracle._direct_level(model, R.PI2, params, 1)
         arrays = [level.grid, level.dp, level.ket, level.rho, level.bra,
                   *level._states.values()]
         assert len(arrays) > 8
@@ -738,6 +738,18 @@ class TestMappedGrid:
                     ref = expectation_unified(model, params, n, word)
                     got = expectation_direct(model, rep, params, n, word)
                     assert _dev(got, ref) <= 1e-8, (tau, n, word)
+
+    @pytest.mark.parametrize("model, rep", MAPPED_CELLS)
+    def test_high_levels_against_unified(self, model, rep):
+        # the count grows with n; at 2048 samples for every level the
+        # oscillator on Pi1 at tau 1e-3 missed by 4.2e-3 at n = 100
+        for tau in (1e-3, 0.1):
+            params = DeformationParams(tau=tau)
+            for n in (20, 50, 100):
+                for word in ("P2", "X2", "H"):
+                    ref = expectation_unified(model, params, n, word)
+                    got = expectation_direct(model, rep, params, n, word)
+                    assert abs(got - ref) <= 1e-8 * abs(ref), (tau, n, word)
 
     @pytest.mark.parametrize("model, tau", [
         (HarmonicOscillator(), 1.0),
@@ -810,11 +822,11 @@ class TestMappedGrid:
     @pytest.mark.parametrize("model, rep", MAPPED_CELLS)
     def test_samples_and_widths(self, model, rep):
         # samples strictly increasing inside the domain, positive widths
-        # that integrate the norm, at most grid_size samples
+        # that integrate the norm, at most the base count at n = 2
         params = DeformationParams(tau=0.3)
         expectation_direct(model, rep, params, 2, "P0")
-        level = oracle._direct_level(model, rep, params, 2, 2048)
-        assert 0 < level.grid.size <= 2048
+        level = oracle._direct_level(model, rep, params, 2)
+        assert 0 < level.grid.size <= oracle._SAMPLES == 2048
         assert np.all(np.diff(level.grid) > 0) and np.all(level.dp > 0)
         assert level.sol.domain.contains(level.grid)
         assert abs(np.sum(level.bra * level.ket) - 1.0) < 1e-12

@@ -106,9 +106,10 @@ class TestEigensolver:
                 spectral_eigenvalues(PotentialSpec(V=lambda q: q, q_lo=lo, q_hi=hi), 4)
 
     def test_more_levels_than_the_largest_degree_holds(self):
-        # two degrees must fit below the limit; V is never read
+        # two degrees must fit below the limit: 1798 levels start at degree
+        # 1822, and the next, 2049, does not; V is never read
         calls = []
-        count = spectral._MAX_DEGREE - 2 * spectral._STEP + 1
+        count = 1798
         with pytest.raises(ParameterError, match="levels need degree"):
             spectral_eigenvalues(_box(calls), count)
         assert calls == []
