@@ -60,6 +60,8 @@ gup-spectra spectrum --model swanson --alpha 0.0649192447101177 --beta 0.1050934
 gup-spectra spectrum --model ho --tau 0.25 --nmax 20 --oracle --check > /dev/null
 # 101 levels of a narrow well near the commutative limit, wall exponents 1e4
 gup-spectra spectrum --model ho --tau 1e-4 --nmax 100 --oracle --check > /dev/null
+# and of PT(1, 0.5) there on Pi1, where the mass matrix reaches degree 313
+gup-spectra spectrum --model pt --alpha 1 --beta 0.5 --tau 1e-4 --nmax 100 --oracle --check > /dev/null
 # 901 levels, the degree growing by an eighth per step past 192
 gup-spectra spectrum --model ho --tau 0.25 --nmax 900 --oracle --check > /dev/null
 # Pi2 and Pi1 transform their own (f, g, h) to the same well: both pass,

@@ -4,13 +4,13 @@ and Jacobi polynomials.
 Every solvable pair's states come from one Jacobi-type weight
 (1-y)^a (1+y)^b on (-1, 1): (1-z^2)^lam in z for the oscillator and
 Swanson, (1-w)^a+ (1+w)^b+ in w for the inverse-square model.  One chain
-sequence of that weight (Chihara) drives both
+sequence of that weight (Chihara) and one recurrence of its rows drive
 
-* ``gauss_jacobi``, the Golub-Welsch rule of unit total mass, and
+* ``gauss_jacobi``, the Golub-Welsch rule of unit total mass;
 * ``orthonormal_rows``, the polynomials phat_0, ..., phat_n orthonormal
-  for the unit-mass weight (DLMF 18.3, 18.9), row by row from the same
-  recurrence the rule's Christoffel weights sum; ``orthonormal_ladder``
-  keeps every row of that sweep.
+  for the unit-mass weight (DLMF 18.3, 18.9), whose squares the rule's
+  Christoffel weights sum; ``orthonormal_ladder`` keeps every row; and
+* the spectrum oracle's basis, derivatives from a complex argument.
 
 So the one normalization constant left is the weight's mass
 2^(a+b+1) B(a+1, b+1), which ``log_jacobi_mass`` gives in log space by
@@ -112,6 +112,9 @@ def _orthonormal_rows(t, odd, even):
     (1 / e_k) in that order, d and e the matrix's diagonal and
     off-diagonal; the sweep holds those two rows and one work row, so a
     caller that keeps only the last row holds no others.
+    At t = x + ih a row's real part is p_k(x) and its imaginary part
+    h p_k'(x), each to O(h^2) with no difference to cancel (the complex
+    step; Squire and Trapp, SIAM Rev. 40 (1998) 110).
     """
     diag = (odd + even).tolist()
     off = np.sqrt(odd[:-1] * even[1:]).tolist()

@@ -17,12 +17,13 @@ the degree.  One Gauss-Jacobi rule of that weight, ``_EXTRA_NODES`` nodes
 past the degree, takes every integral; the weight stays integrable down to
 a = 1/2, the wall of the -1/4 collapse threshold.
 
-The basis is the orthonormal polynomials of the weight x^(2a) y^(2b), run
-by the three-term recurrence of the weight's chain sequence with its
-derivative alongside, each carried times sqrt(w x y) at the rule's nodes so
-that no value overflows.  The mass matrix is formed on the same rule, not
-taken to be the identity, so a defect in the chain changes only which basis
-of the same polynomials the solve takes, never the levels.  Each level is
+The basis is the orthonormal polynomials of the weight x^(2a) y^(2b),
+``specfun._orthonormal_rows`` of its chain sequence at the nodes x + ih:
+the real parts are p_k(x) and the imaginary parts h p_k'(x) to O(h^2) (the
+complex step; Squire and Trapp, SIAM Rev. 40 (1998) 110), each then times
+sqrt(w x y).  The mass matrix is formed on the same rule, not taken to be
+the identity, so a defect in the chain changes only which basis of the
+same polynomials the solve takes, never the levels.  Each level is
 the Rayleigh quotient of an eigenvector of the Cholesky-reduced pencil: the
 eigensolver's values carry eps times the pencil's norm, which grows like
 the fourth power of the degree, while the quotients of the low, smooth
@@ -47,7 +48,7 @@ round-off on every level, and each error estimate is the last difference
 plus the round-off.  Everything is computed from V alone, never seeded
 from the closed forms, keeping the check independent of what it
 validates: this module takes nothing from the package but ``errors`` and
-the Gauss-Jacobi rule and chain sequence of ``specfun``.
+the Gauss-Jacobi rule, chain sequence and orthonormal rows of ``specfun``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, ParameterError
-from .specfun import _jacobi_chain, gauss_jacobi
+from .specfun import _jacobi_chain, _orthonormal_rows, gauss_jacobi
 
 __all__ = ["SpectrumResult", "spectral_eigenvalues"]
 
@@ -76,6 +77,8 @@ _EXTRA_NODES = 20
 _WIDE_WALL = 5.0
 _WALL_RATIO = 4.0
 _GAUGE_SAMPLES = 1024
+# the basis's complex step, a power of two so that dividing by it is exact
+_COMPLEX_STEP = 2.0 ** -70
 _EPS = float(np.finfo(float).eps)
 
 
@@ -134,35 +137,13 @@ def _gauge(V, lo, hi, s_lo, s_hi):
     return xm * total, (1.0 - xm) * total
 
 
-def _basis(x, scale, odd, even):
-    """Values and x-derivatives of the orthonormal polynomials of a chain
-    sequence (``specfun._jacobi_chain``), one row per degree, times
-    ``scale``: p_(k+1) = ((x - d_k) p_k - e_(k-1) p_(k-1)) / e_k with d and
-    e the diagonal and off-diagonal of the Jacobi matrix, differentiated
-    term by term for the derivatives."""
-    diag = (odd + even).tolist()
-    off = np.sqrt(odd[:-1] * even[1:]).tolist()
-    p = np.zeros((len(diag), x.size))
-    dp = np.zeros_like(p)
-    p[0] = scale
-    for k, (d, e) in enumerate(zip(diag, off)):
-        t = x - d
-        p[k + 1] = t * p[k]
-        dp[k + 1] = p[k] + t * dp[k]
-        if k:
-            p[k + 1] -= off[k - 1] * p[k - 1]
-            dp[k + 1] -= off[k - 1] * dp[k - 1]
-        p[k + 1] /= e
-        dp[k + 1] /= e
-    return p, dp
-
-
 def _ritz(V, lo, hi, a, b, degree, count):
     """The lowest ``count`` Ritz values of the ground-state form over the
     ``degree`` polynomials p_0 ... p_(degree-1) in the gauge x^a y^b, as
     Rayleigh quotients of the reduced pencil's eigenvectors, and the
     round-off of each: eps times the level's mean of |V| and of the terms
-    of g''/g, whose difference is the potential of the form."""
+    of g''/g, whose difference is the potential of the form.  Each matrix
+    is dropped once the solve has used it."""
     span = hi - lo
     nodes, w = gauss_jacobi(degree + _EXTRA_NODES, 2.0 * b - 1.0, 2.0 * a - 1.0)
     x, y = 0.5 * (1.0 + nodes), 0.5 * (1.0 - nodes)
@@ -170,18 +151,28 @@ def _ritz(V, lo, hi, a, b, degree, count):
     # g''/g = (a(a-1)/x^2 + b(b-1)/y^2 - 2ab/(xy)) / L^2
     terms = np.array([a * (a - 1.0) / (x * x), b * (b - 1.0) / (y * y),
                       -2.0 * a * b / (x * y)]) / span ** 2
-    p, dp = _basis(x, np.sqrt(w * x * y), *_jacobi_chain(degree, 2.0 * b, 2.0 * a))
+    rows = np.empty((degree, x.size), dtype=complex)
+    chain = _jacobi_chain(degree, 2.0 * b, 2.0 * a)
+    for k, row in enumerate(_orthonormal_rows(x + 1j * _COMPLEX_STEP, *chain)):
+        rows[k] = row
+    scale = np.sqrt(w * x * y)
+    dp = rows.imag / _COMPLEX_STEP * scale
+    pencil = dp @ dp.T / span ** 2
+    del dp
+    p = rows.real * scale
+    del rows
     try:
         factor = np.linalg.inv(np.linalg.cholesky(p @ p.T))
     except np.linalg.LinAlgError:
         raise ConvergenceFailure(
             f"the mass matrix of degree {degree} is not positive definite") from None
-    stiffness = dp @ dp.T / span ** 2 + (p * (v - terms.sum(axis=0))) @ p.T
-    reduced = factor @ stiffness @ factor.T
-    vectors = np.linalg.eigh(reduced)[1][:, :count]
+    pencil += (p * (v - terms.sum(axis=0))) @ p.T
+    pencil = factor @ pencil @ factor.T
+    vectors = np.linalg.eigh(pencil)[1][:, :count]
     states = (factor.T @ vectors).T @ p
+    del factor, p
     size = np.abs(v) + np.abs(terms).sum(axis=0)
-    return (np.einsum("ij,ij->j", vectors, reduced @ vectors),
+    return (np.einsum("ij,ij->j", vectors, pencil @ vectors),
             _EPS * ((states * states) @ size))
 
 

@@ -506,9 +506,11 @@ class TestOrthonormality:
             assert dev <= 1e-10, n_max
 
     @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: below tau 1e-4 the closed-form states lose "
+        "ROADMAP item 2(e): below tau 1e-4 the closed-form states lose "
         "orthonormality, 3.9e-6 for the oscillator at tau 1e-20 and 3.0e-5 "
-        "for PoschlTeller(1, 0.5) at 1e-12; the cause is not established"))
+        "for PoschlTeller(1, 0.5) at 1e-12: the rule and the ladder run in "
+        "t = (1 + y)/2, so nodes near t = 1/2 keep only eps lam^(1/2) "
+        "relative precision"))
     @pytest.mark.parametrize("model,tau,n_max", [
         (HarmonicOscillator(), 1e-20, 3),
         (PoschlTeller(1.0, 0.5), 1e-12, 4),

@@ -18,7 +18,7 @@ from gup_spectra.specfun import (
     orthonormal_ladder,
     orthonormal_rows,
 )
-from gup_spectra.specfun import _christoffel_weights, _jacobi_chain
+from gup_spectra.specfun import _christoffel_weights, _jacobi_chain, _orthonormal_rows
 from references import gauss_legendre, integrate_adaptive, jacobi_norm
 
 mp.mp.dps = 30
@@ -399,6 +399,25 @@ class TestOrthonormalLadder:
         assert rows.tobytes() == np.array(ref).tobytes()
         assert last.tobytes() == ref[-1].tobytes()
         assert np.all(np.isfinite(rows)) == finite
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (3.3, 0.7), (1e3, 50.0)])
+    def test_complex_step_gives_values_and_derivatives(self, a, b):
+        # at t + ih the real part is phat_n(t) and the imaginary part
+        # h phat_n'(t), to O(h^2); phat_n' = 2 (mass / h_n)^(1/2) dP_n/dy
+        h = 2.0 ** -70
+        y = np.concatenate([gauss_jacobi(61, a, b)[0], np.linspace(-0.99, 0.99, 41)])
+        t = (1.0 + y) / 2.0
+        rows = np.array(list(_orthonormal_rows(t + 1j * h, *_jacobi_chain(61, a, b))))
+        real = orthonormal_ladder(60, a, b, t)
+        mass = jacobi_norm(JacobiSpec(0, a, b))
+        for n in range(61):
+            spec = JacobiSpec(n, a, b)
+            jet = jacobi_jet(spec, y, 1)
+            scale = math.sqrt(mass / jacobi_norm(spec))
+            value, slope = jet.value * scale, 2.0 * scale * jet.d[1]
+            assert np.max(np.abs(rows[n].real - value)) <= 5e-12 * np.max(np.abs(value)), n
+            assert np.max(np.abs(rows[n].imag / h - slope)) <= 5e-12 * np.max(np.abs(slope)), n
+            assert np.max(np.abs(rows[n].real - real[n])) <= 1e-15 * np.max(np.abs(real[n])), n
 
     def test_scalar_argument_and_validation(self):
         rows = orthonormal_ladder(3, 0.5, 1.5, 0.2)
