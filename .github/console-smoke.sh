@@ -75,6 +75,8 @@ gup-spectra spectrum --model pt --alpha 1 --beta 0.5 --tau 0.25 --rep pi4 --nmax
 gup-spectra expectation --model ho --tau 1e-3 --rep pi1 --nmax 100 X2 > /dev/null
 # tau = 1e-40 puts every Gauss-Jacobi node within 1e-20 of z = 0
 gup-spectra expectation --nmax 3 --tau 1e-40 H > /dev/null
+# the orthonormal basis in z stays in the double range through level 40 at tau 1e-30
+gup-spectra expectation --model ho --tau 1e-30 --nmax 40 X2 H > /dev/null
 # a config file's rep is read where --rep would be: the direct engine
 echo "rep=pi3" > pi3.cfg
 gup-spectra expectation --config pi3.cfg --nmax 0 --format json H | python -c "import json, sys; payload = json.load(sys.stdin); assert payload['engine'] == 'direct', payload"

@@ -48,7 +48,7 @@ from .jets import Jet
 from .liouville import to_potential
 from .operators import LINE_REACH, apply_P, apply_X, line_map, mapped_grid
 from .solutions import PotentialSpec, classify_physical, default_p0, solve
-from .specfun import JacobiSpec, jacobi_jet, log_jacobi_mass
+from .specfun import log_jacobi_mass, orthonormal_rows
 # ``roots_jacobi`` keeps scipy's name: instrumentation looks it up on this
 # module and wraps it in every module that holds the same object.
 from .specfun import gauss_jacobi as roots_jacobi
@@ -287,9 +287,10 @@ class _ZSpace(_StateMemo):
     """Unified basis-variable machinery for one (model, params, n), the two
     Gauss-Jacobi rules at ``shifts`` and jets of ``order``.
 
-    The level's state is the Jacobi polynomial P_n^(a,b)(y) of the weight
-    (1-y)^a (1+y)^b of the Pi1 states of ``solve``: (lam, lam) in z for the
-    Legendre family, (a+, b+) in w for the Jacobi family.  P acts as the
+    The level's state is the orthonormal polynomial phat_n(y)
+    (``_basis_jet``) of the weight (1-y)^a (1+y)^b of the Pi1 states of
+    ``solve``: (lam, lam) in z for the Legendre family, (a+, b+) in w for
+    the Jacobi family.  P acts as the
     multiplier p(y), X as the derivative conjugated by the square root of
     that weight.  A state (1-y)^(-u/2) (1+y)^(-v/2) r, with r a polynomial
     of degree n + (u + v)/2, keeps that form (``_shift``): X adds 1 to u
@@ -343,7 +344,7 @@ class _ZSpace(_StateMemo):
         z = np.concatenate([y for y, _ in rules])
         self.zjet = Jet.variable(z, order)
         self.one_minus_z2 = (1.0 - self.zjet) * (1.0 + self.zjet)
-        self.basis = jacobi_jet(JacobiSpec(n, self.a, self.b), z, order)
+        self.basis = _basis_jet(n, self.a, self.b, z, order)
         self._p_jets = {}
         self._states = {(): self.basis}
         # the measure (1-y)^a (1+y)^b is the rule's unit-mass weight times the
@@ -412,6 +413,27 @@ class _ZSpace(_StateMemo):
         if const:
             out = out + state * const
         return _read_only(out)
+
+
+def _basis_jet(n, a, b, y, order) -> Jet:
+    """phat_n(y) of the weight (1-y)^a (1+y)^b and its first ``order``
+    derivatives, each the last row of an ``orthonormal_rows`` sweep:
+    d/dy phat_n^(a,b) = c phat_(n-1)^(a+1,b+1), with s = a + b and
+    c^2 = n (n+s+1) (s+2) (s+3) / (4 (a+1) (b+1)) (DLMF 18.9.15 with
+    unit-mass norms), formed from the ratios (s+2) / (2 (a+1)) and
+    (s+3) / (2 (b+1)) so that c stays in the double range wherever the
+    chain does.  The scale of the basis cancels in each value over the norm."""
+    rows = np.zeros((order + 1, y.size))
+    scale = 1.0
+    for k in range(min(order, n) + 1):
+        for row in orthonormal_rows(n - k, a + k, b + k, y):
+            pass
+        rows[k] = scale * row
+        s = a + b + 2 * k
+        scale *= math.sqrt((n - k) * (n - k + s + 1.0)
+                           * ((s + 2.0) / (2.0 * (a + k + 1.0)))
+                           * ((s + 3.0) / (2.0 * (b + k + 1.0))))
+    return Jet(rows)
 
 
 def _lowest(e, shift):

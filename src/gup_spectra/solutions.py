@@ -19,7 +19,7 @@ Both families share one normalization, in closed form.  The states are
 orthogonal for one Jacobi-type weight in y, (1-z^2)^lam or
 (1-w)^a+ (1+w)^b+, so
 
-    psi_n(p) = e(p) phat_n((1 + y) / 2),   e^2 rho = weight(y) |dy/dp| / mass,
+    psi_n(p) = e(p) phat_n(y),   e^2 rho = weight(y) |dy/dp| / mass,
 
 with phat_n the orthonormal ladder of ``specfun.orthonormal_rows`` and
 mass = 2^(a+b+1) B(a+1, b+1).  The envelope e is one sum of logarithms and
@@ -63,7 +63,7 @@ from .algebra import (
 )
 from .errors import ParameterError, UnsupportedPair
 from .liouville import FactorizationAnsatz, to_potential
-from .specfun import gauss_jacobi, log_jacobi_mass, orthonormal_ladder, orthonormal_rows
+from .specfun import gauss_jacobi, log_jacobi_mass, orthonormal_rows
 
 __all__ = [
     "ClosedFormSolution",
@@ -177,15 +177,15 @@ class ClosedFormSolution:
     def psi_ladder(self, n_max: int, p):
         """Rows psi_0(p), ..., psi_{n_max}(p): every row of one recurrence
         sweep, each times the envelope."""
-        log_env, t = self._envelope(p)
-        return np.exp(log_env) * orthonormal_ladder(n_max, *self.weight, t)
+        log_env, y = self._envelope(p)
+        return np.exp(log_env) * np.array(list(orthonormal_rows(n_max, *self.weight, y)))
 
     def psi(self, n: int, p):
         """Metric-orthonormal psi_n(p), row n of ``psi_ladder`` bit for bit:
         one sweep to row n, holding two rows at a time, and only that row
         times the envelope."""
-        log_env, t = self._envelope(p)
-        for row in orthonormal_rows(n, *self.weight, t):
+        log_env, y = self._envelope(p)
+        for row in orthonormal_rows(n, *self.weight, y):
             pass
         return np.exp(log_env) * row
 
@@ -203,7 +203,7 @@ class ClosedFormSolution:
     # -- helpers -------------------------------------------------------------
 
     def _envelope(self, p):
-        """log e(p) of psi_n = e phat_n(t), and t = (1 + y) / 2, at the samples.
+        """log e(p) of psi_n = e phat_n(y), and y, at the samples.
 
         e^2 rho = weight(y) |dy/dp| / mass.  rho and |dy/dp| share the factor
         sqrt(tc) dtheta/dx, which cancels, so e is a power of sin and cos of
@@ -219,7 +219,7 @@ class ClosedFormSolution:
         log_env = 0.5 * (fam.log_dy(s, c) + fam.log_weight(s, c, a, b)
                          - (self._metric_power - 2 * angle.e) * np.log(c)
                          - math.log(fam.scale) - log_jacobi_mass(a, b))
-        return log_env, 0.5 * (1.0 + fam.y(s, c))
+        return log_env, fam.y(s, c)
 
     def _angle(self, p):
         """The table entry and x = sqrt(tc) p at the samples."""

@@ -1,62 +1,39 @@
-"""Special-function kernel: Gauss-Jacobi rules, orthonormal Jacobi ladders
-and Jacobi polynomials.
+"""Special-function kernel: Gauss-Jacobi rules and orthonormal Jacobi ladders.
 
 Every solvable pair's states come from one Jacobi-type weight
 (1-y)^a (1+y)^b on (-1, 1): (1-z^2)^lam in z for the oscillator and
 Swanson, (1-w)^a+ (1+w)^b+ in w for the inverse-square model.  One chain
-sequence of that weight (Chihara) and one recurrence of its rows drive
+sequence of that weight (Chihara) and one three-term recurrence of its
+rows, centred on the weight (``_recurrence``: in y itself where a == b,
+else from the end where the nodes crowd), drive
 
 * ``gauss_jacobi``, the Golub-Welsch rule of unit total mass;
 * ``orthonormal_rows``, the polynomials phat_0, ..., phat_n orthonormal
   for the unit-mass weight (DLMF 18.3, 18.9), whose squares the rule's
-  Christoffel weights sum; ``orthonormal_ladder`` keeps every row; and
-* the spectrum oracle's basis, derivatives from a complex argument.
+  Christoffel weights sum; the closed-form states and the unified
+  expectation engine's basis jets both take them; and
+* the spectrum oracle's basis, the same recurrence on the t-form of its
+  own chain, derivatives from a complex argument.
 
 So the one normalization constant left is the weight's mass
 2^(a+b+1) B(a+1, b+1), which ``log_jacobi_mass`` gives in log space by
 Stirling's formula: it leaves the double range for exponents in the thousands.
-
-The unified expectation engine's basis jets use the classical Jacobi
-polynomials P_n^{(a,b)} with real a, b > -1, by the standard three-term
-recurrence.  ``jacobi_jet`` returns value and derivatives up to a requested
-order from d/dx P_n^{(a,b)} = (n+a+b+1)/2 P_{n-1}^{(a+1,b+1)}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ParameterError
-from .jets import Jet
 
 __all__ = [
-    "JacobiSpec",
     "gauss_jacobi",
     "orthonormal_rows",
-    "orthonormal_ladder",
     "log_jacobi_mass",
-    "jacobi",
-    "jacobi_jet",
 ]
-
-
-@dataclass(frozen=True)
-class JacobiSpec:
-    n: int
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.n < 0 or self.n != int(self.n):
-            raise ParameterError(f"degree must be a nonnegative integer, got {self.n}")
-        if self.a <= -1 or self.b <= -1:
-            raise ParameterError(
-                f"Jacobi parameters must exceed -1, got a={self.a}, b={self.b}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -101,30 +78,28 @@ def _jacobi_chain(m: int, a: float, b: float):
     return odd, even
 
 
-def _orthonormal_rows(t, odd, even):
-    """Yield p_0(t), ..., p_{m-1}(t) for a chain of length m, in one sweep.
+def _orthonormal_rows(x, diag, off):
+    """Yield p_0(x), ..., p_{m-1}(x) of a Jacobi matrix of size m, in one sweep.
 
-    p_k are the orthonormal polynomials of the chain's unit-mass weight,
-    p_0 = 1, by the three-term recurrence of the Jacobi matrix L L^T.  Its
-    off-diagonal is positive, so every p_k has a positive leading
-    coefficient.  Each row is a fresh array, formed in place from the two
-    before it by the operations of ((t - d_k) p_k - e_{k-1} p_{k-1}) *
-    (1 / e_k) in that order, d and e the matrix's diagonal and
-    off-diagonal; the sweep holds those two rows and one work row, so a
-    caller that keeps only the last row holds no others.
-    At t = x + ih a row's real part is p_k(x) and its imaginary part
+    p_k are the orthonormal polynomials of the matrix's unit-mass weight,
+    p_0 = 1, by its three-term recurrence; ``diag`` and ``off`` are its
+    diagonal and off-diagonal.  The off-diagonal is positive, so every p_k
+    has a positive leading coefficient.  Each row is a fresh array, formed
+    in place from the two before it by the operations of
+    ((x - d_k) p_k - e_{k-1} p_{k-1}) * (1 / e_k) in that order, d and e
+    the diagonal and off-diagonal; the sweep holds those two rows and one
+    work row, so a caller that keeps only the last row holds no others.
+    At x + ih a row's real part is p_k(x) and its imaginary part
     h p_k'(x), each to O(h^2) with no difference to cancel (the complex
     step; Squire and Trapp, SIAM Rev. 40 (1998) 110).
     """
-    diag = (odd + even).tolist()
-    off = np.sqrt(odd[:-1] * even[1:]).tolist()
-    prev = np.zeros_like(t)
-    cur = np.ones_like(t)
+    prev = np.zeros_like(x)
+    cur = np.ones_like(x)
     yield cur
     below = 0.0
-    term = np.empty_like(t)
-    for d, above in zip(diag, off):
-        row = np.subtract(t, d)
+    term = np.empty_like(x)
+    for d, above in zip(diag.tolist(), off.tolist()):
+        row = np.subtract(x, d)
         row *= cur
         np.multiply(below, prev, out=term)
         row -= term
@@ -134,16 +109,42 @@ def _orthonormal_rows(t, odd, even):
         below = above
 
 
-def _christoffel_weights(t, odd, even):
-    """Unit-mass Gauss weights 1 / sum_k p_k(t)^2 at the nodes t (Christoffel).
+def _t_form(odd, even):
+    """(diagonal, off-diagonal) of the Jacobi matrix L L^T of a chain, in t."""
+    return odd + even, np.sqrt(odd[:-1] * even[1:])
+
+
+def _recurrence(m: int, a: float, b: float):
+    """(end, diag, off): the Jacobi matrix of the unit-mass weight
+    (1-y)^a (1+y)^b, degrees 0..m-1, in a variable centred on the weight.
+
+    Where a == b (the oscillator and every Swanson pair) the variable is y
+    itself and ``end`` is 0: the diagonal is 0 and the off-diagonal is
+    2 sqrt(z_{2k+1} z_{2k+2}) of the chain, each entry at its relative
+    precision, so no node near y = 0 loses digits to a difference from the
+    t-form's diagonal near 1/2.  Otherwise the variable is
+    x = (y - end) / 2, measured from the end y = end of the smaller
+    exponent, where the nodes crowd: the t-form of the chain (a, b) from
+    end = -1, or of (b, a) from end = 1 with the diagonal negated, whose
+    rows are (-1)^k those of (b, a) at -x, that is, the rows in y.
+    """
+    flip = a < b
+    diag, off = _t_form(*_jacobi_chain(m, *((b, a) if flip else (a, b))))
+    if a == b:
+        return 0, np.zeros(m), 2.0 * off
+    return (1, -diag, off) if flip else (-1, diag, off)
+
+
+def _christoffel_weights(x, diag, off):
+    """Unit-mass Gauss weights 1 / sum_k p_k(x)^2 at the nodes x (Christoffel).
 
     Near the ends of a rule concentrated by large exponents the sum can pass
     the double range: those weights lie below 1e-308 of the mass and come
     out as 0.
     """
-    total = np.zeros_like(t)
+    total = np.zeros_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in _orthonormal_rows(t, odd, even):
+        for row in _orthonormal_rows(x, diag, off):
             total += row * row
     # an overflowed sum is inf, or NaN once inf - inf followed
     return np.where(np.isnan(total), 0.0, 1.0 / total)
@@ -155,19 +156,22 @@ def gauss_jacobi(m: int, alpha: float, beta: float):
     Called like ``scipy.special.roots_jacobi``, with ascending nodes, but
     the weights sum to 1, not to the mass 2^(alpha+beta+1) B(alpha+1,
     beta+1), which overflows for large exponents.  Golub-Welsch (Math.
-    Comp. 23 (1969) 221): the nodes are the eigenvalues of the dense Jacobi
-    matrix (only the lower triangle, which ``eigvalsh`` reads, is filled) in
-    t = (1 -+ x)/2, measured from the end with the smaller exponent, where
-    the nodes crowd and the chain keeps its relative precision.
+    Comp. 23 (1969) 221): for alpha != beta the nodes are the eigenvalues
+    of the dense matrix of ``_recurrence`` (only the lower triangle, which
+    ``eigvalsh`` reads, is filled), measured from the end where they crowd,
+    and the weights the Christoffel sums of its rows there.
 
-    For alpha == beta and even m the weight in x^2 = t is (1-t)^alpha
-    t^(-1/2) on (0, 1), and the rule is +-sqrt(t) of that weight's
-    m/2-point rule, with half its weights.  Those sqrt(t) are the singular
-    values of the chain's bidiagonal factor, which LAPACK computes to high
-    relative accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11 (1990)
-    873).  The square roots of eigenvalues accurate to eps would be off by
-    about 2e-12 relative at the nodes nearest x = 0, where the weights are
-    largest.
+    For alpha == beta the rule is symmetric.  Its nonzero nodes are +-sqrt(t)
+    of the m // 2-point rule of (1-t)^alpha t^(-+1/2) on (0, 1), the weight
+    of the even or odd polynomials in x^2 = t, and a rule of odd size adds
+    x = 0.  Those sqrt(t) are the singular values of the chain's bidiagonal
+    factor, which LAPACK computes to high relative accuracy (Demmel & Kahan,
+    SIAM J. Sci. Stat. Comput. 11 (1990) 873); the square roots of
+    eigenvalues accurate to eps would be off by about 2e-12 relative at the
+    nodes nearest x = 0, where the weights are largest.  An even rule takes
+    half the Christoffel weights of the half-size rule, an odd one the
+    Christoffel sums of the centred rows in x, so both are symmetric node
+    for node.
 
     Past alpha + beta ~ 1.3e154 no rule is made, one node or many: the
     chain's denominators (2m + alpha + beta)^2 overflow (``_jacobi_chain``),
@@ -180,47 +184,47 @@ def gauss_jacobi(m: int, alpha: float, beta: float):
             f"Jacobi exponents must exceed -1, got alpha={alpha}, beta={beta}")
     m = int(m)
     _check_range(m, alpha, beta)
-    if alpha == beta and m % 2 == 0:
-        half = m // 2
-        odd, even = _jacobi_chain(half, alpha, -0.5)
+    if alpha != beta:
+        end, diag, off = _recurrence(m, alpha, beta)
+        mat = np.zeros((m, m))
+        mat.flat[::m + 1] = diag
+        mat.flat[m::m + 1] = off
+        x = np.linalg.eigvalsh(mat)
+        return 2.0 * x + end, _christoffel_weights(x, diag, off)
+    half, parity = divmod(m, 2)
+    r = np.empty(0)
+    if half:
+        odd, even = _jacobi_chain(half, alpha, parity - 0.5)
         # L^T: LAPACK's reduction to bidiagonal form leaves an upper
         # bidiagonal matrix exactly as it is
         upper = np.zeros((half, half))
         upper.flat[::half + 1] = np.sqrt(odd)
         upper.flat[1::half + 1] = np.sqrt(even[1:])
         r = np.linalg.svd(upper, compute_uv=False)[::-1]
-        w = 0.5 * _christoffel_weights(r * r, odd, even)
-        return np.concatenate((-r[::-1], r)), np.concatenate((w[::-1], w))
-    flip = alpha < beta
-    odd, even = _jacobi_chain(m, *((beta, alpha) if flip else (alpha, beta)))
-    mat = np.zeros((m, m))
-    mat.flat[::m + 1] = odd + even
-    mat.flat[m::m + 1] = np.sqrt(odd[:-1] * even[1:])
-    t = np.linalg.eigvalsh(mat)
-    w = _christoffel_weights(t, odd, even)
-    if flip:
-        return 1.0 - 2.0 * t[::-1], w[::-1]
-    return 2.0 * t - 1.0, w
+    if parity:
+        x = np.concatenate((-r[::-1], [0.0], r))
+        _, diag, off = _recurrence(m, alpha, beta)
+        return x, _christoffel_weights(x, diag, off)
+    w = 0.5 * _christoffel_weights(r * r, *_t_form(odd, even))
+    return np.concatenate((-r[::-1], r)), np.concatenate((w[::-1], w))
 
 
-def orthonormal_rows(n: int, a: float, b: float, t):
-    """The sweep phat_0(t), ..., phat_n(t), one row at a time.
+def orthonormal_rows(n: int, a: float, b: float, y):
+    """The sweep phat_0(y), ..., phat_n(y), one row at a time.
 
-    phat_k are orthonormal for the unit-mass weight (1-t)^a t^b / B(a+1, b+1)
-    on (0, 1), that is, for (1-y)^a (1+y)^b / mass in y = 2t - 1 (DLMF 18.3),
-    and have positive leading coefficients.  Taking t rather than y keeps
-    the recurrence coefficients at their relative precision near t = 0.
-    The degree is checked here, before the first row is drawn.
+    phat_k are orthonormal for the unit-mass weight (1-y)^a (1+y)^b / mass
+    on (-1, 1) (DLMF 18.3, 18.9) and have positive leading coefficients.
+    The recurrence runs in the variable of ``_recurrence``: y itself where
+    a == b, else the distance from the end where the nodes crowd.  The
+    degree and exponents are checked here, before the first row is drawn.
     """
     if n < 0 or n != int(n):
         raise ParameterError(f"degree must be a nonnegative integer, got {n}")
-    return _orthonormal_rows(np.asarray(t, dtype=float), *_jacobi_chain(int(n) + 1, a, b))
-
-
-def orthonormal_ladder(n: int, a: float, b: float, t):
-    """Every row of the sweep ``orthonormal_rows``, kept: phat_0(t), ...,
-    phat_n(t) as an (n + 1) x len(t) array."""
-    return np.array(list(orthonormal_rows(n, a, b, t)))
+    if not (a > -1.0 and b > -1.0):
+        raise ParameterError(f"Jacobi exponents must exceed -1, got a={a}, b={b}")
+    end, diag, off = _recurrence(int(n) + 1, a, b)
+    y = np.asarray(y, dtype=float)
+    return _orthonormal_rows(y if end == 0 else (y - end) * 0.5, diag, off)
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -269,37 +273,3 @@ def log_jacobi_mass(a: float, b: float) -> float:
         logs = (p - 0.5) * math.log(2.0 * p / s) + (q - 0.5) * math.log(2.0 * q / s)
     return (logs - 0.5 * math.log(s) + _HALF_LOG_2PI + _stirling_remainder(p)
             + _stirling_remainder(q) - _stirling_remainder(s))
-
-
-# ---------------------------------------------------------------------------
-# Jacobi
-
-def jacobi(spec: JacobiSpec, x):
-    """P_n^{(a,b)}(x) by the standard three-term recurrence."""
-    n, a, b = spec.n, spec.a, spec.b
-    x = np.asarray(x)
-    pm1 = np.ones_like(x)
-    if n == 0:
-        return pm1
-    pm2, pm1 = pm1, ((a - b) + (a + b + 2) * x) / 2
-    for k in range(2, n + 1):
-        c1 = 2 * k * (k + a + b) * (2 * k + a + b - 2)
-        c2 = (2 * k + a + b - 1) * (a ** 2 - b ** 2)
-        c3 = (2 * k + a + b - 1) * (2 * k + a + b) * (2 * k + a + b - 2)
-        c4 = 2 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
-        pm2, pm1 = pm1, ((c2 + c3 * x) * pm1 - c4 * pm2) / c1
-    return pm1
-
-
-def jacobi_jet(spec: JacobiSpec, x, order: int) -> Jet:
-    rows = []
-    n, a, b = spec.n, spec.a, spec.b
-    fac = 1.0
-    for k in range(order + 1):
-        if k > 0:
-            fac = fac * 0.5 * (n + a + b + k)
-        if n - k < 0:
-            rows.append(np.zeros_like(np.asarray(x, dtype=float)))
-        else:
-            rows.append(fac * jacobi(JacobiSpec(n - k, a + k, b + k), x))
-    return Jet(np.asarray(rows))

@@ -18,7 +18,8 @@ past the degree, takes every integral; the weight stays integrable down to
 a = 1/2, the wall of the -1/4 collapse threshold.
 
 The basis is the orthonormal polynomials of the weight x^(2a) y^(2b),
-``specfun._orthonormal_rows`` of its chain sequence at the nodes x + ih:
+``specfun._orthonormal_rows`` of the t-form of its chain sequence
+(``specfun._t_form``) at the nodes x + ih:
 the real parts are p_k(x) and the imaginary parts h p_k'(x) to O(h^2) (the
 complex step; Squire and Trapp, SIAM Rev. 40 (1998) 110), each then times
 sqrt(w x y).  The mass matrix is formed on the same rule, not taken to be
@@ -48,7 +49,8 @@ round-off on every level, and each error estimate is the last difference
 plus the round-off.  Everything is computed from V alone, never seeded
 from the closed forms, keeping the check independent of what it
 validates: this module takes nothing from the package but ``errors`` and
-the Gauss-Jacobi rule, chain sequence and orthonormal rows of ``specfun``.
+the Gauss-Jacobi rule, chain sequence, its t-form matrix and orthonormal
+rows of ``specfun``.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, ParameterError
-from .specfun import _jacobi_chain, _orthonormal_rows, gauss_jacobi
+from .specfun import _jacobi_chain, _orthonormal_rows, _t_form, gauss_jacobi
 
 __all__ = ["SpectrumResult", "spectral_eigenvalues"]
 
@@ -152,8 +154,8 @@ def _ritz(V, lo, hi, a, b, degree, count):
     terms = np.array([a * (a - 1.0) / (x * x), b * (b - 1.0) / (y * y),
                       -2.0 * a * b / (x * y)]) / span ** 2
     rows = np.empty((degree, x.size), dtype=complex)
-    chain = _jacobi_chain(degree, 2.0 * b, 2.0 * a)
-    for k, row in enumerate(_orthonormal_rows(x + 1j * _COMPLEX_STEP, *chain)):
+    matrix = _t_form(*_jacobi_chain(degree, 2.0 * b, 2.0 * a))
+    for k, row in enumerate(_orthonormal_rows(x + 1j * _COMPLEX_STEP, *matrix)):
         rows[k] = row
     scale = np.sqrt(w * x * y)
     dp = rows.imag / _COMPLEX_STEP * scale

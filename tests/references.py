@@ -1,6 +1,7 @@
 """Independent references for the tests: adaptive Gauss-Legendre quadrature,
-the closed-form Jacobi norm and the closed-form transformed wells.  The
-package normalizes through ``specfun.orthonormal_ladder`` and
+the classical Jacobi polynomials and their closed-form norms, and the
+closed-form transformed wells.  The package runs the orthonormal rows of
+``specfun.orthonormal_rows`` and normalizes through
 ``specfun.log_jacobi_mass`` instead, and takes its wells from the Liouville
 transform of each Hamiltonian's (f, g, h); these stay here to check it
 against."""
@@ -13,7 +14,6 @@ import numpy as np
 from gup_spectra.algebra import ANGLES, HarmonicOscillator, Swanson
 from gup_spectra.errors import UnsupportedPair
 from gup_spectra.solutions import PotentialSpec
-from gup_spectra.specfun import JacobiSpec
 
 
 @lru_cache(maxsize=64)
@@ -37,7 +37,25 @@ def integrate_adaptive(f, order: int = 128, tol: float = 1e-11, max_order: int =
     return prev
 
 
-def jacobi_norm(spec: JacobiSpec) -> float:
+def jacobi(n: int, a: float, b: float, x):
+    """P_n^(a,b)(x) by the classical three-term recurrence in x (DLMF 18.9.1),
+    unnormalized: its values leave the double range where the orthonormal
+    rows do not."""
+    x = np.asarray(x)
+    pm1 = np.ones_like(x)
+    if n == 0:
+        return pm1
+    pm2, pm1 = pm1, ((a - b) + (a + b + 2) * x) / 2
+    for k in range(2, n + 1):
+        c1 = 2 * k * (k + a + b) * (2 * k + a + b - 2)
+        c2 = (2 * k + a + b - 1) * (a ** 2 - b ** 2)
+        c3 = (2 * k + a + b - 1) * (2 * k + a + b) * (2 * k + a + b - 2)
+        c4 = 2 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
+        pm2, pm1 = pm1, ((c2 + c3 * x) * pm1 - c4 * pm2) / c1
+    return pm1
+
+
+def jacobi_norm(n: int, a: float, b: float) -> float:
     """Orthogonality normalization: integral of (1-x)^a (1+x)^b P_n^2 over (-1,1).
 
     N_n = 2^(a+b+1) Gamma(n+a+1) Gamma(n+b+1)
@@ -46,7 +64,6 @@ def jacobi_norm(spec: JacobiSpec) -> float:
     At n = 0 the last two factors merge into Gamma(a+b+2), giving the Beta
     function form 2^(a+b+1) B(a+1, b+1), which stays finite at a+b+1 = 0.
     """
-    n, a, b = spec.n, spec.a, spec.b
     if n == 0:
         tail = math.lgamma(a + b + 2)
     else:

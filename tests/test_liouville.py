@@ -20,8 +20,7 @@ from gup_spectra.algebra import (
 from gup_spectra.errors import NonMonotoneMap, SingularCoefficient
 from gup_spectra.liouville import FactorizationAnsatz, master_residual, to_potential
 from gup_spectra.solutions import ansatz_for, default_p0, solve
-from gup_spectra.specfun import JacobiSpec, jacobi
-from references import closed_form_well
+from references import closed_form_well, jacobi
 
 R = Representation
 
@@ -317,9 +316,8 @@ def _classical_basis(sol, n, w):
     its k_n(lam), or the Jacobi polynomial P_n^(a+, b+)."""
     if sol.family == "legendre":
         lam = -sol.parameters["mu_minus"]
-        return (1 - w ** 2) ** (lam / 2) * jacobi(JacobiSpec(n, lam, lam), w)
-    return jacobi(JacobiSpec(n, sol.parameters["a_plus"].real,
-                             sol.parameters["b_plus"].real), w)
+        return (1 - w ** 2) ** (lam / 2) * jacobi(n, lam, lam, w)
+    return jacobi(n, sol.parameters["a_plus"].real, sol.parameters["b_plus"].real, w)
 
 
 class TestGenericAssembly:

@@ -11,7 +11,7 @@ from gup_spectra.algebra import (
     Representation,
     Swanson,
 )
-from gup_spectra import oracle
+from gup_spectra import oracle, specfun
 from gup_spectra.errors import (
     ConvergenceFailure,
     NonFiniteResult,
@@ -228,6 +228,49 @@ class TestExpectations:
                 val = expectation_unified(model, params, n, "H")
             energy = sol.energy(n)
             assert abs(val - energy) <= 1e-12 * abs(energy), n
+
+    @pytest.mark.parametrize("tau", [1e-6, 1e-8, 1e-12, 1e-20, 1e-30])
+    @pytest.mark.parametrize("model", [HarmonicOscillator(), Swanson(0.1, 0.2)])
+    def test_hamiltonian_word_below_the_tau_range(self, model, tau):
+        # the basis is orthonormal, so it stays in the double range where
+        # P_n^(lam, lam) of lam ~ 1/tau left it (n = 100 from tau 1e-6), and
+        # runs in z itself, so the nodes near z = 0 keep their precision
+        params = DeformationParams(tau=tau)
+        sol = solve(model, R.PI1, params)
+        for n in (20, 100):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                val = expectation_unified(model, params, n, "H")
+            energy = sol.energy(n)
+            assert abs(val - energy) <= 1e-12 * abs(energy), n
+
+    @pytest.mark.parametrize("model", [HarmonicOscillator(), Swanson(0.1, 0.2),
+                                       PoschlTeller(1.0, 0.5)])
+    def test_a_defect_in_the_one_chain_reaches_the_energies(self, monkeypatch, model):
+        # the states, the rules and the basis jets all take their recurrence
+        # from ``specfun._jacobi_chain``; one entry off by 1e-6 moves <H>
+        # off E_n by about 1e-7.  Where the rule and the rows share the
+        # defect (the inverse-square model's flipped chain), the Gram
+        # identity alone does not see it.
+        params = DeformationParams(tau=0.25)
+        sol = solve(model, R.PI1, params)
+        real = specfun._jacobi_chain
+
+        def defective(m, a, b):
+            odd, even = real(m, a, b)
+            odd[1:2] *= 1.0 + 1e-6
+            return odd, even
+
+        monkeypatch.setattr(specfun, "_jacobi_chain", defective)
+        _clear_unified_caches()
+        try:
+            for n in (2, 3):
+                energy = sol.energy(n)
+                val = expectation_unified(model, params, n, "H")
+                assert abs(val - energy) > 1e-8 * abs(energy), n
+        finally:
+            monkeypatch.undo()
+            _clear_unified_caches()
 
     def test_high_level_value(self):
         # n = 100 at lam = 71.3, where a Ferrers-normalized basis overflows

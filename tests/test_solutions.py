@@ -457,10 +457,9 @@ class TestOrthonormality:
             ladders.append(1)
             return ladder(*args)
 
-        rows, ladder = specfun._orthonormal_rows, specfun.orthonormal_ladder
+        rows, ladder = specfun._orthonormal_rows, solutions.ClosedFormSolution.psi_ladder
         monkeypatch.setattr(specfun, "_orthonormal_rows", counting_rows)
-        monkeypatch.setattr(specfun, "orthonormal_ladder", counting_ladder)
-        monkeypatch.setattr(solutions, "orthonormal_ladder", counting_ladder)
+        monkeypatch.setattr(solutions.ClosedFormSolution, "psi_ladder", counting_ladder)
         sol = solve(HarmonicOscillator(), R.PI1, DeformationParams(tau=0.1))
         psi = sol.psi(50, np.linspace(-20.0, 20.0, 2048))
         assert len(drawn) == 51 and not ladders
@@ -505,20 +504,31 @@ class TestOrthonormality:
             dev = np.max(np.abs(gram_matrix(sol, n_max) - np.eye(n_max + 1)))
             assert dev <= 1e-10, n_max
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2(e): below tau 1e-4 the closed-form states lose "
-        "orthonormality, 3.9e-6 for the oscillator at tau 1e-20 and 3.0e-5 "
-        "for PoschlTeller(1, 0.5) at 1e-12: the rule and the ladder run in "
-        "t = (1 + y)/2, so nodes near t = 1/2 keep only eps lam^(1/2) "
-        "relative precision"))
     @pytest.mark.parametrize("model,tau,n_max", [
         (HarmonicOscillator(), 1e-20, 3),
-        (PoschlTeller(1.0, 0.5), 1e-12, 4),
+        pytest.param(PoschlTeller(1.0, 0.5), 1e-12, 4, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP items 2(e) and 14: below tau 1e-4 PoschlTeller(1, 0.5) "
+            "loses orthonormality, 3.0e-5 at tau 1e-12: its asymmetric weight "
+            "puts the nodes near an interior point y_c, but the rule and the "
+            "ladder run in the distance from the end y = 1, so the offsets "
+            "from y_c lose their relative precision; item 14's distance "
+            "form, taken at the weight's centre, is the remedy"))),
     ])
     def test_gram_identity_below_the_tau_range(self, model, tau, n_max):
         sol = solve(model, R.PI1, DeformationParams(tau=tau))
         dev = np.max(np.abs(gram_matrix(sol, n_max) - np.eye(n_max + 1)))
         assert dev <= 1e-10
+
+    @pytest.mark.parametrize("tau", [1e-8, 1e-12, 1e-20, 1e-30])
+    @pytest.mark.parametrize("rep", [R.PI1, R.PI3])
+    @pytest.mark.parametrize("model", [HarmonicOscillator(), Swanson(0.2, 0.2)])
+    def test_legendre_family_gram_identity_to_tau_1e_30(self, model, rep, tau):
+        # the symmetric weight (1-z^2)^lam runs its rule and ladder in z
+        # itself, so the nodes near z = 0 keep their relative precision
+        sol = solve(model, rep, DeformationParams(tau=tau))
+        for n_max in (3, 40):
+            dev = np.max(np.abs(gram_matrix(sol, n_max) - np.eye(n_max + 1)))
+            assert dev <= 1e-12, n_max
 
     def test_hermiticity_under_metric(self, monkeypatch):
         params = DeformationParams(tau=0.25)

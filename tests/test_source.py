@@ -222,13 +222,14 @@ def imports(path):
 
 
 # numpy, the standard library, and of the package only the error types and
-# the Gauss-Jacobi rule, its chain sequence and the chain's orthonormal rows,
-# which give the oracle's basis and, at a complex point, its derivative
+# the Gauss-Jacobi rule, its chain sequence, the chain's t-form matrix and
+# its orthonormal rows, which give the oracle's basis and, at a complex
+# point, its derivative
 SPECTRAL_IMPORTS = sorted([
     ("__future__", "annotations"), ("math", ""), ("dataclasses", "dataclass"),
     ("numpy", ""), (".errors", "ConvergenceFailure"), (".errors", "ParameterError"),
     (".specfun", "_jacobi_chain"), (".specfun", "_orthonormal_rows"),
-    (".specfun", "gauss_jacobi"),
+    (".specfun", "_t_form"), (".specfun", "gauss_jacobi"),
 ])
 
 

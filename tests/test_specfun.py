@@ -9,17 +9,16 @@ from scipy.special import eval_gegenbauer, eval_jacobi, gammaln, roots_jacobi
 
 from gup_spectra.errors import ParameterError
 from gup_spectra.jets import Jet
+from gup_spectra.oracle import _basis_jet
+from gup_spectra.specfun import gauss_jacobi, log_jacobi_mass, orthonormal_rows
 from gup_spectra.specfun import (
-    JacobiSpec,
-    gauss_jacobi,
-    jacobi,
-    jacobi_jet,
-    log_jacobi_mass,
-    orthonormal_ladder,
-    orthonormal_rows,
+    _christoffel_weights,
+    _jacobi_chain,
+    _orthonormal_rows,
+    _recurrence,
+    _t_form,
 )
-from gup_spectra.specfun import _christoffel_weights, _jacobi_chain, _orthonormal_rows
-from references import gauss_legendre, integrate_adaptive, jacobi_norm
+from references import gauss_legendre, integrate_adaptive, jacobi, jacobi_norm
 
 mp.mp.dps = 30
 
@@ -71,24 +70,36 @@ def _mp_rule(m, a, b):
 
 
 def _full_size_rule(m, a, b):
-    """The m-point rule without the halving of the symmetric case."""
-    odd, even = _jacobi_chain(m, a, b)
-    mat = np.diag(odd + even) + np.diag(np.sqrt(odd[:-1] * even[1:]), -1)
-    t = np.linalg.eigvalsh(mat)
-    return 2.0 * t - 1.0, _christoffel_weights(t, odd, even)
+    """The m-point rule in t = (1 + x)/2, without the halving of the
+    symmetric case."""
+    diag, off = _t_form(*_jacobi_chain(m, a, b))
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    return 2.0 * t - 1.0, _christoffel_weights(t, diag, off)
+
+
+def _ladder(n, a, b, y):
+    """Every row of the sweep ``orthonormal_rows``, as an array."""
+    return np.array(list(orthonormal_rows(n, a, b, y)))
 
 
 class TestGaussJacobi:
     """The numpy Golub-Welsch rule, unit mass."""
 
-    @pytest.mark.parametrize("a, b", _JACOBI_EXPONENTS)
+    # and the symmetric rules of the oscillator's exponents lam - 1 down to
+    # tau ~ 1e-12, whose nodes lie within ~1e-5 of x = 0
+    @pytest.mark.parametrize("a, b", _JACOBI_EXPONENTS + [(lam - 1.0, lam - 1.0)
+                                                          for lam in (1e4, 1e8, 1e12)])
     def test_matches_mpmath(self, a, b):
         for m in (1, 2, 3, 8, 21, 40):
             x, w = gauss_jacobi(m, a, b)
             ref_x, ref_w = _mp_rule(m, a, b)
             assert np.all(np.diff(x) > 0)
-            assert np.max(np.abs(x - ref_x)) < 2e-15
-            assert np.max(np.abs(w - ref_w) / ref_w) < 1e-12
+            assert np.max(np.abs(x - ref_x)) <= 2e-15 * np.max(np.abs(ref_x)), m
+            assert np.max(np.abs(w - ref_w) / ref_w) < 1e-12, m
+            if a == b:
+                # symmetric node for node, an odd rule through x = 0 itself
+                assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), m
+                assert m % 2 == 0 or x[m // 2] == 0.0, m
 
     @pytest.mark.parametrize("a, b", _JACOBI_EXPONENTS)
     def test_nodes_match_scipy(self, a, b):
@@ -105,9 +116,9 @@ class TestGaussJacobi:
         # products of the orthonormal Jacobi polynomials up to degree 128
         # have degree 256 <= 2 * 256 - 1, so the rule integrates them exactly
         x, w = gauss_jacobi(256, a, b)
-        mass = jacobi_norm(JacobiSpec(0, a, b))
-        ladder = np.array([jacobi(JacobiSpec(k, a, b), x) for k in range(129)])
-        scale = [math.sqrt(mass / jacobi_norm(JacobiSpec(k, a, b))) for k in range(129)]
+        mass = jacobi_norm(0, a, b)
+        ladder = np.array([jacobi(k, a, b, x) for k in range(129)])
+        scale = [math.sqrt(mass / jacobi_norm(k, a, b)) for k in range(129)]
         basis = ladder * np.array(scale)[:, None]
         gram = (basis * w) @ basis.T
         assert np.max(np.abs(gram - np.eye(129))) < 1e-12
@@ -165,7 +176,7 @@ def _ferrers(n, lam, z):
     (1-z^2)^(lam/2) P_n^(lam, lam)(z)."""
     z = np.asarray(z)
     return (math.exp(_log_ferrers_constant(n, lam)) * (1 - z * z) ** (lam / 2)
-            * jacobi(JacobiSpec(n, lam, lam), z))
+            * jacobi(n, lam, lam, z))
 
 
 def _ferrers_norm(n, lam):
@@ -181,8 +192,9 @@ def _ferrers_norm(n, lam):
 
 class TestAssociatedLegendre:
     """The oscillator and Swanson states carry the Ferrers function
-    P_{n+lam}^{-lam}; the engine builds it, up to its constant, as
-    (1-z^2)^(lam/2) P_n^(lam, lam)(z) through ``jacobi``."""
+    P_{n+lam}^{-lam}; up to its constant it is (1-z^2)^(lam/2)
+    P_n^(lam, lam)(z), which ``_ferrers`` builds from the classical
+    reference and the unified engine from the orthonormal rows."""
 
     def test_lowest_band_closed_form(self):
         # P_nu^{-nu}(z) = (1-z^2)^(nu/2) / (2^nu Gamma(nu+1)); nu=2, z=0
@@ -192,7 +204,7 @@ class TestAssociatedLegendre:
             assert abs(_ferrers(0, 2.0, z) - exact) < 1e-15
 
     def test_classical_legendre_value(self):
-        assert abs(jacobi(JacobiSpec(2, 0.0, 0.0), 0.5) - (-0.125)) < 1e-14
+        assert abs(jacobi(2, 0.0, 0.0, 0.5) - (-0.125)) < 1e-14
 
     def test_boundary_zero_for_negative_order(self):
         val = _ferrers(1, 2.5, 1.0)
@@ -242,7 +254,7 @@ class TestAssociatedLegendre:
 
             z = np.array([-0.6, 0.05, 0.71])
             zj = Jet.variable(z, 2)
-            jet = (1.0 - zj * zj).power(lam / 2.0) * jacobi_jet(JacobiSpec(n, lam, lam), z, 2)
+            jet = (1.0 - zj * zj).power(lam / 2.0) * _basis_jet(n, lam, lam, z, 2)
             ratio = np.array([float(ferrers(x)) for x in z]) / jet.value
             assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-13
             slope = np.array([float(mp.diff(ferrers, x)) for x in z])
@@ -250,20 +262,39 @@ class TestAssociatedLegendre:
             assert np.all(np.abs(exact - slope) < 1e-7 * np.maximum(1.0, np.abs(exact)))
 
 
+def _mp_orthonormal(n, a, b, k=0):
+    """The k-th derivative of phat_n of (1-y)^a (1+y)^b in mpmath, by
+    DLMF 18.9.15: (mass / h_n)^(1/2) (n+a+b+1)_k / 2^k P_(n-k)^(a+k, b+k)."""
+    a, b = mp.mpf(a), mp.mpf(b)
+    s = a + b
+    log_ratio = (mp.loggamma(a + 1) + mp.loggamma(b + 1) - mp.loggamma(s + 2)
+                 + mp.log(2 * n + s + 1) + mp.loggamma(n + s + 1) + mp.loggamma(n + 1)
+                 - mp.loggamma(n + a + 1) - mp.loggamma(n + b + 1))
+    c = mp.exp(log_ratio / 2) * mp.rf(n + s + 1, k) / 2 ** k
+    return lambda y: c * mp.jacobi(n - k, a + k, b + k, y) if k <= n else mp.mpf(0)
+
+
+# exponents of the unified engine's bases: small, a Legendre-family pair at
+# tau ~ 1e-4 and the inverse-square pair there, where P_n leaves the double range
+JET_AB = [(0.5, 1.5), (1.2, 0.3), (1e4, 1e4), (100.0, 7070.0)]
+
+
 class TestJacobi:
+    """The classical reference ``references.jacobi`` and its norms, and the
+    unified engine's basis jet, the orthonormal rows and their derivatives."""
+
     def test_degree_zero_is_one(self):
-        assert jacobi(JacobiSpec(0, 2.3, -0.4), 0.77) == 1.0
+        assert jacobi(0, 2.3, -0.4, 0.77) == 1.0
 
     def test_degree_one_legendre(self):
-        assert jacobi(JacobiSpec(1, 0.0, 0.0), 0.3) == pytest.approx(0.3, abs=1e-15)
+        assert jacobi(1, 0.0, 0.0, 0.3) == pytest.approx(0.3, abs=1e-15)
 
     @pytest.mark.parametrize("a", [1e4, 1e20])
     def test_degree_one_keeps_its_precision_near_zero(self, a):
         # P_1^(a,a)(x) = (a + 1) x; the form (a + 1) + (a + b + 2)(x - 1)/2
         # loses eps / |x| of it to cancellation, all of it at |x| = 1e-20
         x = np.array([1e-20, -3e-9, 0.25])
-        assert np.allclose(jacobi(JacobiSpec(1, a, a), x), (a + 1.0) * x,
-                           rtol=1e-15, atol=0.0)
+        assert np.allclose(jacobi(1, a, a, x), (a + 1.0) * x, rtol=1e-15, atol=0.0)
 
     def test_degree_two_explicit_expansion(self):
         # P_2 = C(a+2,2) v^2 + C(a+2,1) C(b+2,1) u v + C(b+2,2) u^2,
@@ -274,7 +305,7 @@ class TestJacobi:
         c2a = (a + 2) * (a + 1) / 2
         c2b = (b + 2) * (b + 1) / 2
         exact = c2a * v * v + (a + 2) * (b + 2) * u * v + c2b * u * u
-        assert jacobi(JacobiSpec(2, a, b), x) == pytest.approx(exact, rel=1e-14)
+        assert jacobi(2, a, b, x) == pytest.approx(exact, rel=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 8),
@@ -282,55 +313,68 @@ class TestJacobi:
            b=st.floats(-0.9, 6.0),
            x=st.floats(-1.0, 1.0))
     def test_against_scipy(self, n, a, b, x):
-        mine = jacobi(JacobiSpec(n, a, b), x)
+        mine = jacobi(n, a, b, x)
         ref = eval_jacobi(n, a, b, x)
         assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 
     def test_parameter_validation(self):
+        y = np.array([0.1])
         with pytest.raises(ParameterError):
-            JacobiSpec(1, -1.0, 0.0)
+            orthonormal_rows(1, -1.0, 0.0, y)
         with pytest.raises(ParameterError):
-            JacobiSpec(-1, 0.0, 0.0)
+            orthonormal_rows(1, 0.5, -1.5, y)
+        with pytest.raises(ParameterError):
+            orthonormal_rows(-1, 0.0, 0.0, y)
 
     def test_norm_classical_values(self):
-        assert jacobi_norm(JacobiSpec(0, 0.0, 0.0)) == pytest.approx(2.0, rel=1e-14)
-        assert jacobi_norm(JacobiSpec(1, 0.0, 0.0)) == pytest.approx(2.0 / 3.0, rel=1e-14)
+        assert jacobi_norm(0, 0.0, 0.0) == pytest.approx(2.0, rel=1e-14)
+        assert jacobi_norm(1, 0.0, 0.0) == pytest.approx(2.0 / 3.0, rel=1e-14)
 
     def test_norm_against_direct_integral(self):
         # n = 0, a = 1, b = 2: integral of (1-x)(1+x)^2 over (-1, 1) is 4/3
-        assert jacobi_norm(JacobiSpec(0, 1.0, 2.0)) == pytest.approx(4.0 / 3.0, rel=1e-14)
+        assert jacobi_norm(0, 1.0, 2.0) == pytest.approx(4.0 / 3.0, rel=1e-14)
 
     def test_norm_at_degree_zero_with_vanishing_a_plus_b_plus_one(self):
         # Chebyshev T_0: integral of (1 - x^2)^(-1/2) over (-1, 1) is pi
-        assert jacobi_norm(JacobiSpec(0, -0.5, -0.5)) == pytest.approx(math.pi, abs=1e-14)
+        assert jacobi_norm(0, -0.5, -0.5) == pytest.approx(math.pi, abs=1e-14)
 
     def test_norm_against_quadrature_orthogonality(self):
         a, b = 2.0615528128088303, 2.8722813232690143
         x, w = roots_jacobi(80, a, b)
         for n in range(4):
             for m in range(n, 4):
-                val = np.sum(w * jacobi(JacobiSpec(n, a, b), x)
-                             * jacobi(JacobiSpec(m, a, b), x))
-                target = jacobi_norm(JacobiSpec(n, a, b)) if n == m else 0.0
+                val = np.sum(w * jacobi(n, a, b, x) * jacobi(m, a, b, x))
+                target = jacobi_norm(n, a, b) if n == m else 0.0
                 assert val == pytest.approx(target, rel=1e-10, abs=1e-10)
 
-    def test_derivative(self):
-        assert jacobi_jet(JacobiSpec(0, 0.5, 1.5), 0.2, 1).d[1] == 0.0
-        h = 1e-5
-        spec = JacobiSpec(3, 0.5, 1.5)
-        x = 0.2
-        stencil = (jacobi(spec, x - 2 * h) - 8 * jacobi(spec, x - h)
-                   + 8 * jacobi(spec, x + h) - jacobi(spec, x + 2 * h)) / (12 * h)
-        assert jacobi_jet(spec, x, 1).d[1] == pytest.approx(stencil, rel=1e-7)
+    @pytest.mark.parametrize("a, b", JET_AB)
+    def test_derivative(self, a, b):
+        # every row of the jet against mpmath's numerical derivatives of
+        # phat_n, at nodes of the weight's own rule
+        y = gauss_jacobi(12, a, b)[0][::3]
+        for n in (0, 3, 9):
+            jet = _basis_jet(n, a, b, y, 4)
+            with mp.workdps(60):
+                f = _mp_orthonormal(n, a, b)
+                ref = np.array([[float(mp.diff(f, mp.mpf(x), k)) for x in y.tolist()]
+                                for k in range(5)])
+            for k in range(5):
+                err = np.max(np.abs(jet.d[k] - ref[k]))
+                assert err <= 1e-12 * np.max(np.abs(ref[k])), (n, k)
 
-    def test_jet_consistency(self):
-        spec = JacobiSpec(4, 1.2, 0.3)
-        x = np.array([-0.5, 0.0, 0.8])
-        jet = jacobi_jet(spec, x, 3)
-        assert np.allclose(jet.value, jacobi(spec, x), atol=1e-13)
-        # d/dx P_n^(a,b) = (n+a+b+1)/2 P_{n-1}^(a+1,b+1)
-        ladder = 0.5 * (4 + 1.2 + 0.3 + 1) * jacobi(JacobiSpec(3, 2.2, 1.3), x)
-        assert np.allclose(jet.d[1], ladder, atol=1e-12)
+    @pytest.mark.parametrize("a, b", JET_AB)
+    def test_jet_consistency(self, a, b):
+        # the jet against DLMF 18.9.15 in mpmath, through degree 40
+        y = gauss_jacobi(42, a, b)[0][::4]
+        for n in (0, 1, 2, 5, 17, 40):
+            jet = _basis_jet(n, a, b, y, 4)
+            assert jet.value.tobytes() == _ladder(n, a, b, y)[n].tobytes(), n
+            with mp.workdps(60):
+                ref = np.array([[float(_mp_orthonormal(n, a, b, k)(mp.mpf(x)))
+                                 for x in y.tolist()] for k in range(5)])
+            for k in range(5):
+                err = np.max(np.abs(jet.d[k] - ref[k]))
+                assert err <= 1e-12 * np.max(np.abs(ref[k])), (n, k)
 
 
 # weight exponents (a, b) of the solvable families: the oscillator and
@@ -342,18 +386,17 @@ ORTHONORMAL_AB = ((0.5004, 0.5004), (4.0311289, 4.0311289), (1e4, 1e4),
 
 
 class TestOrthonormalLadder:
-    """The chain recurrence the Gauss-Jacobi weights sum gives the states."""
+    """The recurrence whose rows the Gauss-Jacobi weights sum gives the states."""
 
     # at (1e4, 1e4) and (100, 7070) the classical norms overflow
     @pytest.mark.parametrize("a, b", [ab for ab in ORTHONORMAL_AB if max(ab) < 1e2])
     def test_matches_normalized_jacobi_polynomials(self, a, b):
         # phat_n = P_n^(a,b) (mass / h_n)^(1/2), with a positive leading term
         y = np.linspace(-0.99, 0.99, 157)
-        rows = orthonormal_ladder(40, a, b, (1.0 + y) / 2.0)
-        mass = jacobi_norm(JacobiSpec(0, a, b))
+        rows = _ladder(40, a, b, y)
+        mass = jacobi_norm(0, a, b)
         for n in range(41):
-            scale = math.sqrt(mass / jacobi_norm(JacobiSpec(n, a, b)))
-            ref = jacobi(JacobiSpec(n, a, b), y) * scale
+            ref = jacobi(n, a, b, y) * math.sqrt(mass / jacobi_norm(n, a, b))
             assert np.max(np.abs(rows[n] - ref)) <= 1e-12 * np.max(np.abs(ref)), n
 
     @pytest.mark.parametrize("a, b", ORTHONORMAL_AB)
@@ -361,7 +404,7 @@ class TestOrthonormalLadder:
         # degree 2 * 100 <= 2 * 102 - 1, so the rule integrates exactly; at
         # (1e4, 1e4) and (100, 7070) the classical norms overflow
         y, w = gauss_jacobi(102, a, b)
-        rows = orthonormal_ladder(100, a, b, (1.0 + y) / 2.0)
+        rows = _ladder(100, a, b, y)
         assert np.all(np.isfinite(rows))
         gram = (rows * w) @ rows.T
         assert np.max(np.abs(gram - np.eye(101))) < 1e-12
@@ -369,66 +412,69 @@ class TestOrthonormalLadder:
     def test_christoffel_weights_sum_the_same_rows(self):
         a, b = 2.0615528, 2.8722813
         y, w = gauss_jacobi(21, a, b)
-        rows = orthonormal_ladder(20, a, b, (1.0 + y) / 2.0)
+        rows = _ladder(20, a, b, y)
         assert np.max(np.abs(1.0 / np.sum(rows ** 2, axis=0) - w) / w) < 1e-13
 
     def test_rows_independent_of_ladder_length(self):
-        t = np.linspace(0.01, 0.99, 31)
-        full = orthonormal_ladder(30, 3.3, 0.7, t)
+        y = np.linspace(-0.98, 0.98, 31)
+        full = _ladder(30, 3.3, 0.7, y)
         for n in (0, 1, 7, 30):
-            assert full[n].tobytes() == orthonormal_ladder(n, 3.3, 0.7, t)[n].tobytes()
+            assert full[n].tobytes() == _ladder(n, 3.3, 0.7, y)[n].tobytes()
 
-    @pytest.mark.parametrize("a, b, n, finite", [(3.3, 0.7, 30, True), (1e4, 1e4, 100, True),
+    @pytest.mark.parametrize("a, b, n, finite", [(3.3, 0.7, 30, True), (0.7, 3.3, 30, True),
+                                                 (1e4, 1e4, 100, True),
                                                  (2e4, 0.5, 200, False)])
     def test_in_place_rows_bit_identical_to_the_plain_recurrence(self, a, b, n, finite):
-        # the recurrence written out of place; at (2e4, 0.5) degree 200 the
-        # rows leave the double range near t = 0, so inf and NaN entries
-        # must match too
-        odd, even = _jacobi_chain(n + 1, a, b)
-        diag, off = odd + even, np.sqrt(odd[:-1] * even[1:])
-        t = np.concatenate([np.linspace(0.0, 1.0, 301), np.geomspace(1e-300, 1e-3, 50)])
-        prev, cur, below = np.zeros_like(t), np.ones_like(t), 0.0
+        # the recurrence written out of place, in the variable of
+        # ``_recurrence``; at (2e4, 0.5) degree 200 the rows leave the
+        # double range near y = -1, so inf and NaN entries must match too
+        end, diag, off = _recurrence(n + 1, a, b)
+        y = np.concatenate([np.linspace(-1.0, 1.0, 301), np.geomspace(1e-300, 1e-3, 50) - 1.0,
+                            1.0 - np.geomspace(1e-300, 1e-3, 50)])
+        x = y if end == 0 else (y - end) * 0.5
+        prev, cur, below = np.zeros_like(x), np.ones_like(x), 0.0
         ref = [cur]
         with np.errstate(over="ignore", invalid="ignore"):
             for d, above in zip(diag.tolist(), off.tolist()):
-                prev, cur = cur, ((t - d) * cur - below * prev) * (1.0 / above)
+                prev, cur = cur, ((x - d) * cur - below * prev) * (1.0 / above)
                 ref.append(cur)
                 below = above
-            rows = orthonormal_ladder(n, a, b, t)
-            last = list(orthonormal_rows(n, a, b, t))[-1]
+            rows = _ladder(n, a, b, y)
+            last = list(orthonormal_rows(n, a, b, y))[-1]
         assert rows.tobytes() == np.array(ref).tobytes()
         assert last.tobytes() == ref[-1].tobytes()
         assert np.all(np.isfinite(rows)) == finite
 
     @pytest.mark.parametrize("a, b", [(0.5, 0.5), (3.3, 0.7), (1e3, 50.0)])
     def test_complex_step_gives_values_and_derivatives(self, a, b):
-        # at t + ih the real part is phat_n(t) and the imaginary part
-        # h phat_n'(t), to O(h^2); phat_n' = 2 (mass / h_n)^(1/2) dP_n/dy
+        # the spectrum oracle's use: the t-form of a chain at t + ih, whose
+        # real part is phat_n(t) and imaginary part h phat_n'(t), to O(h^2);
+        # phat_n' = 2 (mass / h_n)^(1/2) dP_n/dy
         h = 2.0 ** -70
         y = np.concatenate([gauss_jacobi(61, a, b)[0], np.linspace(-0.99, 0.99, 41)])
         t = (1.0 + y) / 2.0
-        rows = np.array(list(_orthonormal_rows(t + 1j * h, *_jacobi_chain(61, a, b))))
-        real = orthonormal_ladder(60, a, b, t)
-        mass = jacobi_norm(JacobiSpec(0, a, b))
+        matrix = _t_form(*_jacobi_chain(61, a, b))
+        rows = np.array(list(_orthonormal_rows(t + 1j * h, *matrix)))
+        real = np.array(list(_orthonormal_rows(t, *matrix)))
+        mass = jacobi_norm(0, a, b)
         for n in range(61):
-            spec = JacobiSpec(n, a, b)
-            jet = jacobi_jet(spec, y, 1)
-            scale = math.sqrt(mass / jacobi_norm(spec))
-            value, slope = jet.value * scale, 2.0 * scale * jet.d[1]
+            scale = math.sqrt(mass / jacobi_norm(n, a, b))
+            value = jacobi(n, a, b, y) * scale
+            slope = (n + a + b + 1.0) * scale * jacobi(n - 1, a + 1, b + 1, y) if n else 0.0 * y
             assert np.max(np.abs(rows[n].real - value)) <= 5e-12 * np.max(np.abs(value)), n
             assert np.max(np.abs(rows[n].imag / h - slope)) <= 5e-12 * np.max(np.abs(slope)), n
             assert np.max(np.abs(rows[n].real - real[n])) <= 1e-15 * np.max(np.abs(real[n])), n
 
     def test_scalar_argument_and_validation(self):
-        rows = orthonormal_ladder(3, 0.5, 1.5, 0.2)
+        rows = _ladder(3, 0.5, 1.5, 0.2)
         assert rows.shape == (4,) and rows[0] == 1.0
         with pytest.raises(ParameterError):
-            orthonormal_ladder(-1, 0.5, 1.5, 0.2)
+            _ladder(-1, 0.5, 1.5, 0.2)
         # past a + b ~ 1.3e154 the chain's off-diagonal underflows; row 0
         # needs none
-        assert orthonormal_ladder(0, 1e200, 1e200, 0.2)[0] == 1.0
+        assert _ladder(0, 1e200, 1e200, 0.2)[0] == 1.0
         with pytest.raises(ParameterError, match="double range"):
-            orthonormal_ladder(1, 1e200, 1e200, 0.2)
+            _ladder(1, 1e200, 1e200, 0.2)
         with pytest.raises(ParameterError, match="double range"):
             gauss_jacobi(4, 1e200, 1e200)
 
@@ -456,7 +502,7 @@ class TestLogGammaParity:
     @pytest.mark.parametrize("lam", LAMS)
     def test_ladder_endpoint_log_norm(self, lam):
         # |phat_n(+-1)| = P_n(1) (mass / h_n)^(1/2), P_n(1) = (lam+1)_n / n!
-        rows = orthonormal_ladder(self.NMAX, lam, lam, np.array([0.0, 1.0]))
+        rows = _ladder(self.NMAX, lam, lam, np.array([-1.0, 1.0]))
         a = mp.mpf(lam)
         log_mass = (2 * a + 1) * mp.log(2) + 2 * mp.loggamma(a + 1) - mp.loggamma(2 * a + 2)
         for n in range(self.NMAX + 1):
@@ -477,7 +523,7 @@ class TestLogGammaParity:
             terms = (gammaln(n + lam + 1), -gammaln(lam + 1),
                      -gammaln(n + 2 * lam + 1), gammaln(2 * lam + 1))
             ref = math.exp(sum(terms)) * eval_gegenbauer(n, lam + 0.5, z)
-            got = jacobi(JacobiSpec(n, lam, lam), z)
+            got = jacobi(n, lam, lam, z)
             assert _agree_after_exp(got, ref, sum(abs(t) for t in terms)), n
 
     @pytest.mark.parametrize("lam", LAMS + (1e4,))
