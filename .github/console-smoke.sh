@@ -62,6 +62,9 @@ gup-spectra spectrum --model ho --tau 0.25 --nmax 20 --oracle --check > /dev/nul
 gup-spectra spectrum --model ho --tau 1e-4 --nmax 100 --oracle --check > /dev/null
 # and of PT(1, 0.5) there on Pi1, where the mass matrix reaches degree 313
 gup-spectra spectrum --model pt --alpha 1 --beta 0.5 --tau 1e-4 --nmax 100 --oracle --check > /dev/null
+# and of PT(1, 0.5) on Pi3 at tau 50, which takes five degrees: the first
+# two share one rule, the later ones take their own
+gup-spectra spectrum --model pt --alpha 1 --beta 0.5 --tau 50 --rep pi3 --nmax 100 --oracle --check > /dev/null
 # 901 levels, the degree growing by an eighth per step past 192
 gup-spectra spectrum --model ho --tau 0.25 --nmax 900 --oracle --check > /dev/null
 # Pi2 and Pi1 transform their own (f, g, h) to the same well: both pass,

@@ -44,6 +44,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -470,6 +471,10 @@ def _horner(c, w):
     return out
 
 
+# A request reads its configuration's (f, g, h) for the spectrum check, the
+# metric and the round trip, and the direct engine reads those of Pi1 to Pi3
+# in between, so four triples hold all the reuse there is.
+@lru_cache(maxsize=4)
 def coefficients(model: ModelSpec, rep: Representation,
                  params: DeformationParams) -> FGHCoefficients:
     """(f, g, h) of a (model, representation) pair, derived from the model's H.
@@ -482,10 +487,10 @@ def coefficients(model: ModelSpec, rep: Representation,
         h = sum c_k P^k - hbar^2 c_X2 (a b' + b^2)
             + i hbar [c_XP (a P' + b P) + c_PX b P] + const,
 
-    as closed-form numpy callables built once per call; terms whose
-    coefficient vanishes are not evaluated.  Every model has a table on Pi1
-    to Pi4 (Pi4 in the real segment parametrization), the oscillator also on
-    Pi4'.
+    as closed-form numpy callables; equal arguments share one frozen triple.
+    Terms whose coefficient vanishes are not evaluated.  Every model has a
+    table on Pi1 to Pi4 (Pi4 in the real segment parametrization), the
+    oscillator also on Pi4'.
     """
     if rep not in model.coefficient_reps:
         raise UnsupportedPair(f"no coefficient table for {type(model).__name__} with {rep}")

@@ -551,7 +551,7 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
-    # numpy / scipy warnings end up as one summary line, not raw stderr lines
+    # numpy RuntimeWarnings end up as one summary line, not raw stderr lines
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         try:

@@ -18,10 +18,12 @@ the master identity
 
 whose pointwise residual is the structural check for every shipped solution.
 
-``to_potential`` tabulates q and chi once, as per-panel Chebyshev series
-over the whole domain (Boyd, *Chebyshev and Fourier Spectral Methods*, 2001),
-and answers each later query from that table: one panel lookup and one series
-evaluation, with no further coefficient evaluation.  ``p_of_q`` inverts the
+``to_potential`` tabulates q and chi once per (f, g, h) and anchor, as
+per-panel Chebyshev series over the whole domain (Boyd, *Chebyshev and
+Fourier Spectral Methods*, 2001), and answers each later query from that
+table: one panel lookup and one series evaluation, with no further
+coefficient evaluation.  Every transform of the same (f, g, h) triple and
+anchor shares the table and its inverse.  ``p_of_q`` inverts the
 table by barycentric interpolation (Berrut & Trefethen, SIAM Review 46 (2004)
 501) and one Newton step.  ``solutions.metric_generic`` reads the metric
 f^(-1/2) e^(-2 Re chi) off the same table.
@@ -74,7 +76,31 @@ def to_potential(fgh: FGHCoefficients, p0: float) -> TransformResult:
     for the length scale L of that side.  After this returns, ``chi``,
     ``q_of_p`` and ``p_of_q`` read the table only; ``V`` evaluates the
     coefficients at the points ``p_of_q`` gives, in the shape of its input.
+    Equal (fgh, p0) share one table (``_table``), and each call returns a
+    new result around it.
     """
+    table = _table(fgh, p0)
+
+    def V(q):
+        shape = np.shape(q)
+        p = table.p_of_q(np.ravel(q))
+        f = fgh.f(p)
+        df = fgh.df(p)
+        g = fgh.g(p)
+        return ((4 * g ** 2 + 3 * df ** 2 + 8 * g * df) / (16 * f)
+                - fgh.ddf(p) / 4.0 - fgh.dg(p) / 2.0 + fgh.h(p)).reshape(shape)
+
+    return TransformResult(chi=table.chi, q_of_p=table.q_of_p, p_of_q=table.p_of_q,
+                           V=V, q_lo=table.q_lo, q_hi=table.q_hi)
+
+
+# A request transforms its configuration's (f, g, h) for the spectrum check,
+# the metric and the round trip, and then moves on, so two tables hold all
+# the reuse there is.
+@lru_cache(maxsize=2)
+def _table(fgh: FGHCoefficients, p0: float) -> _Table:
+    """The table of (fgh, p0), after checking the anchor and the sign of f
+    on 211 probes of the domain."""
     dom = fgh.domain
     lo, hi = dom.lo, dom.hi
     if not (lo < p0 < hi):
@@ -95,19 +121,7 @@ def to_potential(fgh: FGHCoefficients, p0: float) -> TransformResult:
     f_p0 = float(fgh.f(p0))
     ddf_p0 = float(fgh.ddf(p0))
     scale = 2.0 * math.sqrt(f_p0 / ddf_p0) if ddf_p0 > 0.0 else 1.0
-    table = _Table(fgh, p0, scale, f_p0)
-
-    def V(q):
-        shape = np.shape(q)
-        p = table.p_of_q(np.ravel(q))
-        f = fgh.f(p)
-        df = fgh.df(p)
-        g = fgh.g(p)
-        return ((4 * g ** 2 + 3 * df ** 2 + 8 * g * df) / (16 * f)
-                - fgh.ddf(p) / 4.0 - fgh.dg(p) / 2.0 + fgh.h(p)).reshape(shape)
-
-    return TransformResult(chi=table.chi, q_of_p=table.q_of_p, p_of_q=table.p_of_q,
-                           V=V, q_lo=table.q_lo, q_hi=table.q_hi)
+    return _Table(fgh, p0, scale, f_p0)
 
 
 class _Panels:

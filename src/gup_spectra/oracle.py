@@ -344,17 +344,20 @@ class _ZSpace(_StateMemo):
         z = np.concatenate([y for y, _ in rules])
         self.zjet = Jet.variable(z, order)
         self.one_minus_z2 = (1.0 - self.zjet) * (1.0 + self.zjet)
-        self.basis = _basis_jet(n, self.a, self.b, z, order)
-        self._p_jets = {}
-        self._states = {(): self.basis}
         # the measure (1-y)^a (1+y)^b is the rule's unit-mass weight times the
         # remainder (1-y)^(U/2) (1+y)^(V/2), and its mass ratio to the norm's
         log_mass = [log_jacobi_mass(self.a - u / 2.0, self.b - v / 2.0) for u, v in shifts]
-        self.bras = tuple(
-            _read_only(w * (1.0 - y) ** (u / 2.0) * (1.0 + y) ** (v / 2.0)
-                       * math.exp(lm - log_mass[0]) * self.basis.value[sl])
-            for (u, v), (y, w), lm, sl in zip(shifts, rules, log_mass, self.slices))
-        self.norm = float(np.sum(self.bras[0] * self.basis.value[self.slices[0]]))
+        # a basis past the double range leaves a norm that is not finite,
+        # which expectation_unified raises on
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.basis = _basis_jet(n, self.a, self.b, z, order)
+            self.bras = tuple(
+                _read_only(w * (1.0 - y) ** (u / 2.0) * (1.0 + y) ** (v / 2.0)
+                           * math.exp(lm - log_mass[0]) * self.basis.value[sl])
+                for (u, v), (y, w), lm, sl in zip(shifts, rules, log_mass, self.slices))
+            self.norm = float(np.sum(self.bras[0] * self.basis.value[self.slices[0]]))
+        self._p_jets = {}
+        self._states = {(): self.basis}
 
     # state-independent jets, built on first use ---------------------------
     @cached_property
@@ -473,16 +476,16 @@ def expectation_unified(model: ModelSpec, params: DeformationParams, n: int,
     # and the jets carry a derivative for each X, at least for those of H
     order = max(2, *(x for _, _, x in shifts))
     zs = _zspace(model, params, n, tuple(map(tuple, rules)), order)
+    norm = zs.norm
+    # A basis that under- or overflows leaves a norm of 0, inf or NaN (0 * inf
+    # at a node of zero weight), and the quotient would be a bare
+    # ZeroDivisionError, a silent 0 or a NaN.
+    if not 0.0 < norm < math.inf:
+        raise NonFiniteResult(f"basis norm of level {n} is {norm!r}")
     acc = 0.0 + 0.0j
     for (coeff, factors), (u, _, _) in zip(terms, shifts):
         part = zs.bras[u % 2] * zs.apply_term(factors).value[zs.slices[u % 2]]
         acc += coeff * np.sum(part)
-    norm = zs.norm
-    # A basis that under- or overflows leaves a norm of 0 or inf, and the
-    # quotient would be a bare ZeroDivisionError or a silent 0.  A NaN norm
-    # needs no check: it makes the value NaN, which callers already reject.
-    if norm == 0.0 or norm == math.inf:
-        raise NonFiniteResult(f"basis norm of level {n} is {norm!r}")
     return complex(acc / norm)
 
 

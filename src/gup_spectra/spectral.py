@@ -46,7 +46,12 @@ millions), the well is too narrow for the oracle.  The degree starts at
 count + ``_STEP`` and grows by ``_STEP``, or by an eighth where that is
 more, until two degrees agree to ``_AGREE`` of max(|E|, 1) plus that
 round-off on every level, and each error estimate is the last difference
-plus the round-off.  Everything is computed from V alone, never seeded
+plus the round-off.  The first two degrees share the second's rule, basis
+and Cholesky factor: the inverse factor is lower triangular, so the first
+degree's reduced pencil is the leading block of the second's, and by
+Cauchy interlacing no level of the first lies below the second's, so the
+first difference is one-signed up to round-off.  Every later degree takes
+a rule of its own.  Everything is computed from V alone, never seeded
 from the closed forms, keeping the check independent of what it
 validates: this module takes nothing from the package but ``errors`` and
 the Gauss-Jacobi rule, chain sequence, its t-form matrix and orthonormal
@@ -139,13 +144,17 @@ def _gauge(V, lo, hi, s_lo, s_hi):
     return xm * total, (1.0 - xm) * total
 
 
-def _ritz(V, lo, hi, a, b, degree, count):
-    """The lowest ``count`` Ritz values of the ground-state form over the
-    ``degree`` polynomials p_0 ... p_(degree-1) in the gauge x^a y^b, as
-    Rayleigh quotients of the reduced pencil's eigenvectors, and the
-    round-off of each: eps times the level's mean of |V| and of the terms
-    of g''/g, whose difference is the potential of the form.  Each matrix
-    is dropped once the solve has used it."""
+def _ritz(V, lo, hi, a, b, degrees, count):
+    """For each of the ascending ``degrees``, the lowest ``count`` Ritz
+    values of the ground-state form over the polynomials p_0 ... p_(degree-1)
+    in the gauge x^a y^b, as Rayleigh quotients of the reduced pencil's
+    eigenvectors, and the round-off of each: eps times the level's mean of
+    |V| and of the terms of g''/g, whose difference is the potential of the
+    form.  The rule, the basis and the Cholesky factor are those of the last
+    degree; the inverse factor is lower triangular, so an earlier degree's
+    reduced pencil is the leading block of the last one's.  Each matrix is
+    dropped once the solves have used it."""
+    degree = degrees[-1]
     span = hi - lo
     nodes, w = gauss_jacobi(degree + _EXTRA_NODES, 2.0 * b - 1.0, 2.0 * a - 1.0)
     x, y = 0.5 * (1.0 + nodes), 0.5 * (1.0 - nodes)
@@ -170,12 +179,15 @@ def _ritz(V, lo, hi, a, b, degree, count):
             f"the mass matrix of degree {degree} is not positive definite") from None
     pencil += (p * (v - terms.sum(axis=0))) @ p.T
     pencil = factor @ pencil @ factor.T
-    vectors = np.linalg.eigh(pencil)[1][:, :count]
-    states = (factor.T @ vectors).T @ p
-    del factor, p
     size = np.abs(v) + np.abs(terms).sum(axis=0)
-    return (np.einsum("ij,ij->j", vectors, pencil @ vectors),
-            _EPS * ((states * states) @ size))
+    out = []
+    for d in degrees:
+        block = pencil[:d, :d]
+        vectors = np.linalg.eigh(block)[1][:, :count]
+        states = (factor[:d].T @ vectors).T @ p
+        out.append((np.einsum("ij,ij->j", vectors, block @ vectors),
+                    _EPS * ((states * states) @ size)))
+    return out
 
 
 def _next_degree(degree):
@@ -190,7 +202,10 @@ def spectral_eigenvalues(well, count: int) -> SpectrumResult:
     ``solutions.PotentialSpec``; only those three attributes are read.  Both
     ends are Dirichlet walls, their inverse-square coefficients measured
     from V (zero at a regular wall).  The module docstring gives the
-    method, the degrees and the error estimates.  ConvergenceFailure is
+    method, the degrees and the error estimates.  The first two degrees
+    come from one solve, the first a leading block of the second, so
+    ``raw[0]`` lies above ``raw[1]`` up to round-off; every later degree is
+    solved on its own.  ConvergenceFailure is
     raised where the degrees do not agree by ``_MAX_DEGREE`` or round-off
     passes ``_AGREE``.
     """
@@ -206,21 +221,22 @@ def spectral_eigenvalues(well, count: int) -> SpectrumResult:
     s_lo, s_hi = (_wall_exponent(gamma) for gamma in _wall_gammas(V, lo, hi))
     a, b = _gauge(V, lo, hi, s_lo, s_hi)
     degrees, raw = [], []
-    degree = count + _STEP
-    while degree <= _MAX_DEGREE:
-        values, roundoff = _ritz(V, lo, hi, a, b, degree, count)
-        scale = _AGREE * np.maximum(np.abs(values), 1.0)
-        if np.any(roundoff > scale):
-            raise ConvergenceFailure(
-                "the well is too narrow: round-off in V - g''/g reaches "
-                f"{np.max(roundoff / scale) * _AGREE:.3g} of max(|E|, 1), above {_AGREE:g}")
-        degrees.append(degree)
-        raw.append(values)
-        # the pencil's round-off, which no degree removes
-        roundoff += 8.3 * _EPS * float(np.max(np.abs(values))) * degree
-        if len(raw) > 1 and np.all(np.abs(raw[-1] - raw[-2]) <= scale + roundoff):
+    # the first two degrees share one rule, basis and factor
+    sizes = (count + _STEP, second)
+    while sizes[-1] <= _MAX_DEGREE:
+        for degree, (values, roundoff) in zip(sizes, _ritz(V, lo, hi, a, b, sizes, count)):
+            scale = _AGREE * np.maximum(np.abs(values), 1.0)
+            if np.any(roundoff > scale):
+                raise ConvergenceFailure(
+                    "the well is too narrow: round-off in V - g''/g reaches "
+                    f"{np.max(roundoff / scale) * _AGREE:.3g} of max(|E|, 1), above {_AGREE:g}")
+            degrees.append(degree)
+            raw.append(values)
+            # the pencil's round-off, which no degree removes
+            roundoff += 8.3 * _EPS * float(np.max(np.abs(values))) * degree
+        if np.all(np.abs(raw[-1] - raw[-2]) <= scale + roundoff):
             break
-        degree = _next_degree(degree)
+        sizes = (_next_degree(degrees[-1]),)
     else:
         raise ConvergenceFailure(f"the levels have not converged at degree {degrees[-1]}")
     err = np.abs(raw[-1] - raw[-2]) + roundoff

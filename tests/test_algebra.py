@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -75,6 +76,14 @@ class TestCoefficientTable:
         assert fgh.f(0.0) == pytest.approx(0.5, abs=1e-15)
         assert fgh.g(0.0) == pytest.approx(0.0, abs=1e-15)
         assert fgh.h(1.0) == pytest.approx(0.5, abs=1e-15)
+
+    def test_equal_arguments_share_one_frozen_triple(self):
+        params = DeformationParams(tau=0.25)
+        fgh = coefficients(Swanson(0.1, 0.2), R.PI3, params)
+        assert coefficients(Swanson(0.1, 0.2), R.PI3, DeformationParams(tau=0.25)) is fgh
+        assert coefficients(Swanson(0.1, 0.2), R.PI1, params) is not fgh
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fgh.f = None
 
     def test_commutative_limit_kills_deformation(self):
         p = DeformationParams(tau=0.0)

@@ -18,6 +18,7 @@ from gup_spectra.algebra import (
     coefficients,
 )
 from gup_spectra.errors import NonMonotoneMap, SingularCoefficient
+from gup_spectra import liouville
 from gup_spectra.liouville import FactorizationAnsatz, master_residual, to_potential
 from gup_spectra.solutions import ansatz_for, default_p0, solve
 from references import closed_form_well, jacobi
@@ -271,6 +272,61 @@ class TestTableMemo:
         assert calls == Counter(f=1, df=1, g=1)
         expect = tr.p_of_q(qs)
         assert all(np.array_equal(p, expect) for p in seen)
+
+
+class TestOneTablePerConfiguration:
+    """Equal (fgh, p0) share one table, built once with its inverse, and
+    each to_potential call returns a new result around it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        builds = Counter()
+        inverse = liouville._Table._build_inverse
+
+        class Counted(liouville._Table):
+            def __init__(self, *args):
+                builds["table"] += 1
+                super().__init__(*args)
+
+            def _build_inverse(self):
+                builds["inverse"] += 1
+                return inverse(self)
+
+        monkeypatch.setattr(liouville, "_Table", Counted)
+        return builds
+
+    @pytest.mark.parametrize("model,rep", NINE_PAIRS)
+    def test_one_table_and_one_inverse(self, builds, model, rep):
+        params = DeformationParams(tau=0.25)
+        base, p0 = coefficients(model, rep, params), default_p0(model, rep, params)
+        # a triple of its own, which no table holds yet
+        fgh = dataclasses.replace(base, f=lambda p: base.f(p))
+        results = [to_potential(fgh, p0) for _ in range(3)]
+        for tr in results:
+            tr.p_of_q(tr.q_of_p(np.array([p0])))
+        assert builds == Counter(table=1, inverse=1)
+        # a caller that decorates its result leaves the others as they were
+        results[0].V = None
+        assert results[1].V is not None and results[1] is not results[2]
+
+    @pytest.mark.parametrize("model,rep", NINE_PAIRS)
+    def test_a_shared_table_answers_as_a_fresh_one(self, model, rep):
+        params = DeformationParams(tau=0.25)
+        fgh, p0 = coefficients(model, rep, params), default_p0(model, rep, params)
+
+        def values(tr):
+            dom = fgh.domain
+            lo = dom.lo if math.isfinite(dom.lo) else -5.0
+            hi = dom.hi if math.isfinite(dom.hi) else 5.0
+            ps = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 11)
+            qs = np.linspace(tr.q_lo, tr.q_hi, 13)[1:-1]
+            return [a.tobytes() for a in (tr.V(qs), tr.chi(ps), tr.q_of_p(ps), tr.p_of_q(qs))]
+
+        liouville._table.cache_clear()
+        first = values(to_potential(fgh, p0))
+        shared = values(to_potential(fgh, p0))
+        liouville._table.cache_clear()
+        assert first == shared == values(to_potential(fgh, p0))
 
 
 class TestMasterIdentity:

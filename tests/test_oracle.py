@@ -244,6 +244,16 @@ class TestExpectations:
             energy = sol.energy(n)
             assert abs(val - energy) <= 1e-12 * abs(energy), n
 
+    def test_a_basis_past_the_double_range_raises(self):
+        # the flipped rows of the inverse-square model overflow at nodes of
+        # zero weight, and 0 * inf leaves a NaN norm: a typed failure, with
+        # no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult, match="basis norm of level 100 is nan"):
+                expectation_unified(PoschlTeller(1.0, 0.5), DeformationParams(tau=1e-30),
+                                    100, "H")
+
     @pytest.mark.parametrize("model", [HarmonicOscillator(), Swanson(0.1, 0.2),
                                        PoschlTeller(1.0, 0.5)])
     def test_a_defect_in_the_one_chain_reaches_the_energies(self, monkeypatch, model):

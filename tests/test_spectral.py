@@ -131,6 +131,31 @@ class TestEigensolver:
         with pytest.raises(ConvergenceFailure, match="not converged at degree 136"):
             spectral_eigenvalues(_box(), 64)
 
+    @pytest.mark.parametrize("well, count, degrees", [
+        (lambda: closed_form_well(PoschlTeller(1.0, 0.5), R.PI1, DeformationParams(tau=1.0)),
+         6, (30, 54)),
+        (lambda: closed_form_well(Swanson(0.1, 0.2), R.PI3, DeformationParams(tau=50.0)),
+         6, (30, 54)),
+        (_box, 64, (88, 112, 136, 160)),
+    ])
+    def test_the_first_two_degrees_share_one_rule(self, monkeypatch, well, count, degrees):
+        # the first degree's reduced pencil is the leading block of the
+        # second's, so one Gauss-Jacobi rule serves both, and by Cauchy
+        # interlacing no level of the first lies below the second's; each
+        # later degree takes a rule of its own
+        sizes = []
+        rule = spectral.gauss_jacobi
+
+        def counted(m, alpha, beta):
+            sizes.append(m)
+            return rule(m, alpha, beta)
+
+        monkeypatch.setattr(spectral, "gauss_jacobi", counted)
+        res = spectral_eigenvalues(well(), count)
+        assert res.degrees == degrees
+        assert sizes == [d + spectral._EXTRA_NODES for d in degrees[1:]]
+        assert np.all(res.raw[0] >= res.raw[1] - res.error_estimates)
+
     def test_reruns_are_bit_identical(self):
         problem = closed_form_well(PoschlTeller(1.0, 0.5), R.PI1, DeformationParams(tau=1.0))
         first = spectral_eigenvalues(problem, 6)
