@@ -92,3 +92,8 @@ same_values
 gup-spectra expectation --model pt --alpha 1 --beta 0.5 --tau 0.25 --rep pi4 --nmax 1 X2 H > direct.csv
 gup-spectra expectation --model pt --alpha 1 --beta 0.5 --tau 0.25 --nmax 1 X2 H > unified.csv
 same_values
+# and on Pi2, the one representation whose X has a b = beta a' term, with
+# Swanson's XP and PX in H
+gup-spectra expectation --model swanson --alpha 0.1 --beta 0.2 --tau 0.25 --rep pi2 --nmax 1 X2 H > direct.csv
+gup-spectra expectation --model swanson --alpha 0.1 --beta 0.2 --tau 0.25 --nmax 1 X2 H > unified.csv
+same_values

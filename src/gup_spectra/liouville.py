@@ -76,19 +76,26 @@ def to_potential(fgh: FGHCoefficients, p0: float) -> TransformResult:
     for the length scale L of that side.  After this returns, ``chi``,
     ``q_of_p`` and ``p_of_q`` read the table only; ``V`` evaluates the
     coefficients at the points ``p_of_q`` gives, in the shape of its input.
-    Equal (fgh, p0) share one table (``_table``), and each call returns a
-    new result around it.
+    ``V`` keeps its last query and answer: a query equal to the last in
+    shape and values (a master residual per level on one q-grid) returns a
+    copy of that answer, and any other query, or the same array changed in
+    place, is evaluated afresh.  Equal (fgh, p0) share one table
+    (``_table``), and each call returns a new result around it.
     """
     table = _table(fgh, p0)
+    last = []   # V's last query, as floats, and its answer
 
     def V(q):
-        shape = np.shape(q)
-        p = table.p_of_q(np.ravel(q))
-        f = fgh.f(p)
-        df = fgh.df(p)
-        g = fgh.g(p)
-        return ((4 * g ** 2 + 3 * df ** 2 + 8 * g * df) / (16 * f)
-                - fgh.ddf(p) / 4.0 - fgh.dg(p) / 2.0 + fgh.h(p)).reshape(shape)
+        q = np.asarray(q, dtype=float)
+        if not (last and q.shape == last[0].shape and np.all(q == last[0])):
+            p = table.p_of_q(np.ravel(q))
+            f = fgh.f(p)
+            df = fgh.df(p)
+            g = fgh.g(p)
+            last[:] = q.copy(), ((4 * g ** 2 + 3 * df ** 2 + 8 * g * df) / (16 * f)
+                                 - fgh.ddf(p) / 4.0 - fgh.dg(p) / 2.0
+                                 + fgh.h(p)).reshape(q.shape)
+        return last[1].copy()
 
     return TransformResult(chi=table.chi, q_of_p=table.q_of_p, p_of_q=table.p_of_q,
                            V=V, q_lo=table.q_lo, q_hi=table.q_hi)

@@ -22,6 +22,9 @@ __all__ = [
     "mapped_grid",
     "default_grid",
     "fd_derivative",
+    "p_multiplier",
+    "x_coefficients",
+    "x_action",
     "apply_X",
     "apply_P",
     "commutator_residual",
@@ -78,46 +81,78 @@ _CENTRAL8 = _stencil(range(-4, 5))
 _EDGE8 = np.array([_stencil(range(-i, 9 - i)) for i in range(4)])
 
 
-def fd_derivative(values: np.ndarray) -> np.ndarray:
-    """Order-8 first derivative in the sample index (unit spacing); shifted
-    stencils within 4 samples of the ends."""
-    v = np.asarray(values)
+def _derivative(v: np.ndarray) -> np.ndarray:
+    """``fd_derivative`` of real samples."""
     n = len(v)
-    if n < 9:
-        raise ValueError("need at least 9 samples for the order-8 stencil")
-    out = np.empty_like(v, dtype=complex)
+    out = np.empty(n)
     out[4:n - 4] = np.convolve(v, _CENTRAL8[::-1], mode="valid")
     out[:4] = _EDGE8 @ v[:9]
     out[n - 4:] = -(_EDGE8 @ v[n - 9:][::-1])[::-1]
     return out
 
 
-def apply_P(rep: Representation, params: DeformationParams,
-            psi: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """P psi = P(y) psi on the sample grid, P(y) from ``REALIZATIONS``."""
-    p_domain(rep, params).check(grid)
+def fd_derivative(values: np.ndarray) -> np.ndarray:
+    """Order-8 first derivative in the sample index (unit spacing); shifted
+    stencils within 4 samples of the ends.  The result is complex; the real
+    and imaginary parts of the samples are differentiated as two float
+    arrays, which is faster than one complex convolution and differs from
+    it by round-off only."""
+    v = np.asarray(values)
+    if len(v) < 9:
+        raise ValueError("need at least 9 samples for the order-8 stencil")
+    out = np.empty(len(v), dtype=complex)
+    out.real = _derivative(v.real)
+    out.imag = _derivative(v.imag) if np.iscomplexobj(v) else 0.0
+    return out
+
+
+def p_multiplier(rep: Representation, params: DeformationParams,
+                 grid: np.ndarray) -> np.ndarray:
+    """P(y) from ``REALIZATIONS`` on the sample grid, as complex values."""
     p, _ = REALIZATIONS[rep].p_fields(np.asarray(grid, dtype=float),
                                       params.tau_check)
-    return p * np.asarray(psi, dtype=complex)
+    return np.asarray(p, dtype=complex)
+
+
+def x_coefficients(rep: Representation, params: DeformationParams,
+                   grid: np.ndarray):
+    """(i hbar a, i hbar b) of X = i hbar (a d/dy + b) on the sample grid,
+    with a and b = beta a' from ``REALIZATIONS``; b is None where beta = 0."""
+    entry = REALIZATIONS[rep]
+    ihbar = 1j * params.hbar
+    a, da = entry.x_fields(np.asarray(grid, dtype=float), params.tau_check)
+    return a * ihbar, (entry.beta * da * ihbar if entry.beta else None)
+
+
+def x_action(coefficients, psi: np.ndarray, dp) -> np.ndarray:
+    """X psi from ``x_coefficients``'s (i hbar a, i hbar b) and the sample
+    widths ``dp``: i hbar a psi' + i hbar b psi."""
+    ia, ib = coefficients
+    psi = np.asarray(psi, dtype=complex)
+    out = ia * (fd_derivative(psi) / dp)
+    return out if ib is None else out + ib * psi
+
+
+def apply_P(rep: Representation, params: DeformationParams,
+            psi: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """P psi = P(y) psi on the sample grid (``p_multiplier``)."""
+    p_domain(rep, params).check(grid)
+    return p_multiplier(rep, params, grid) * np.asarray(psi, dtype=complex)
 
 
 def apply_X(rep: Representation, params: DeformationParams,
             psi: np.ndarray, grid: np.ndarray, dp) -> np.ndarray:
     """X psi = i hbar (a psi' + b psi) on the sample grid, with a and
-    b = beta a' from ``REALIZATIONS``.
+    b = beta a' from ``REALIZATIONS``: ``x_action`` of the grid's
+    ``x_coefficients``, after checking the grid against the domain.  A
+    caller that applies X many times on one grid (the direct engine's
+    level) evaluates the coefficients once and calls ``x_action`` itself.
 
     ``dp`` is each sample's width phi'(t_k) h on the map that placed the
     samples (module docstring).
     """
     p_domain(rep, params).check(grid)
-    entry = REALIZATIONS[rep]
-    ihbar = 1j * params.hbar
-    psi = np.asarray(psi, dtype=complex)
-    a, da = entry.x_fields(np.asarray(grid, dtype=float), params.tau_check)
-    out = a * ihbar * (fd_derivative(psi) / dp)
-    if entry.beta:
-        out = out + entry.beta * da * ihbar * psi
-    return out
+    return x_action(x_coefficients(rep, params, grid), psi, dp)
 
 
 def commutator_residual(rep: Representation, params: DeformationParams,

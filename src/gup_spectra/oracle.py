@@ -17,9 +17,9 @@ Expectation values come in two independent flavors:
   The samples are uniform in a variable t that a double-exponential map
   takes to the domain, sized from the (f, g, h) coefficients, and their
   count grows with the level n; X takes order-8 differences in t.  Like
-  the unified engine it evaluates a level once: the grid, psi_n, rho and
-  the states the words build from psi_n are shared by every word asked of
-  that level.
+  the unified engine it evaluates a level once: the grid, psi_n, rho, the
+  fields of X and P and the states the words build from psi_n are shared
+  by every word asked of that level.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .algebra import (
     ModelSpec,
     Representation,
     coefficients,
+    p_domain,
 )
 from .errors import (
     ConvergenceFailure,
@@ -46,7 +47,14 @@ from .errors import (
 )
 from .jets import Jet
 from .liouville import to_potential
-from .operators import LINE_REACH, apply_P, apply_X, line_map, mapped_grid
+from .operators import (
+    LINE_REACH,
+    line_map,
+    mapped_grid,
+    p_multiplier,
+    x_action,
+    x_coefficients,
+)
 from .solutions import PotentialSpec, classify_physical, default_p0, solve
 from .specfun import log_jacobi_mass, orthonormal_rows
 # ``roots_jacobi`` keeps scipy's name: instrumentation looks it up on this
@@ -606,6 +614,14 @@ class _DirectLevel(_StateMemo):
     (model, rep, params, n).  A word sums its terms onto a zero array in
     order and H adds its constant last, the sums a cold evaluation makes.
 
+    The level checks its kept samples against the domain once, and
+    evaluates X's coefficients (``operators.x_coefficients``) and P's
+    multiplier (``operators.p_multiplier``) on them once, when it is built.
+    An X step is ``operators.x_action`` on those coefficients, the formula
+    ``apply_X`` applies, and a P^k step k products with the multiplier, so
+    each step gives what ``apply_X`` and ``apply_P`` give on the grid, bit
+    for bit.
+
     The t-range ends at the outermost samples whose norm weight
     |psi_n|^2 rho dp is finite and reaches eps^2 of the largest finite one.
     Beyond them the level keeps no sample: they add nothing a double can
@@ -644,6 +660,10 @@ class _DirectLevel(_StateMemo):
         self.ket, self.rho = _read_only(ket), _read_only(rho)
         self.bra = _read_only(np.conj(ket) * rho * dp)
         self._states = {(): _read_only(np.asarray(ket, dtype=complex))}
+        # the fields of X and P on the kept samples, for every step
+        p_domain(sol.rep, sol.params).check(grid)
+        self._x = x_coefficients(sol.rep, sol.params, grid)
+        self._p = p_multiplier(sol.rep, sol.params, grid)
 
     def apply(self, terms, key=()) -> np.ndarray:
         """The word ``terms`` applied to the memoized state at ``key``."""
@@ -653,23 +673,21 @@ class _DirectLevel(_StateMemo):
         return acc
 
     def _derive(self, key, sym, power) -> np.ndarray:
-        rep, params = self.sol.rep, self.sol.params
         cur = self._states[key]
         if sym == "P" and power >= 0:
             for _ in range(power):
-                cur = apply_P(rep, params, cur, self.grid)
+                cur = self._p * cur
         elif sym == "P":
             # P vanishes only at p = 0: off a half cell's wall, P^{-k} has a
             # pole inside the domain, which no grid integrates
             if self.sol.domain.contains(0.0):
                 raise NonIntegrable(
-                    f"P^{power} has a pole at p = 0, inside the {rep.value} domain")
-            pmul = apply_P(rep, params, np.ones_like(cur), self.grid)
-            cur = cur * pmul ** power
+                    f"P^{power} has a pole at p = 0, inside the {self.sol.rep.value} domain")
+            cur = cur * self._p ** power
         elif sym == "X":
-            cur = apply_X(rep, params, cur, self.grid, self.dp)
+            cur = x_action(self._x, cur, self.dp)
         else:
-            hterms, const = self.sol.model.hamiltonian(params)
+            hterms, const = self.sol.model.hamiltonian(self.sol.params)
             cur = self.apply(hterms, key) + const * cur
         return _read_only(cur)
 
@@ -688,9 +706,10 @@ def expectation_direct(model: ModelSpec, rep: Representation,
     differentiates as phi'(t)^(-1) d/dt by order-8 differences in t, for
     every map.  Samples whose norm weight is below eps^2 of the largest are
     dropped at the ends of the t-range (``_DirectLevel``), so a level holds
-    at most that many samples.  The level n (grid, psi_n, rho and the
-    states F builds from psi_n) is shared with the other words asked of it,
-    so each X or P step is taken once per level.  Where psi_n or rho leaves
+    at most that many samples.  The level n (grid, psi_n, rho, the fields
+    of X and P on the grid and the states F builds from psi_n) is shared
+    with the other words asked of it, so the fields are evaluated and each
+    X or P step is taken once per level.  Where psi_n or rho leaves
     the double range inside the density, or the value is not finite,
     ``NonFiniteResult`` is raised.
     """

@@ -24,11 +24,13 @@ from gup_spectra.errors import (
     ParameterError,
     UnsupportedPair,
 )
+from gup_spectra import operators
 from gup_spectra.operators import (
     apply_P,
     apply_X,
     commutator_residual,
     default_grid,
+    fd_derivative,
     line_map,
     mapped_grid,
 )
@@ -373,6 +375,22 @@ class TestOperatorActions:
         exact = 1j * (du * psi + u * (-2 * 0.6 * grid) * psi)
         idx = np.searchsorted(grid, [-1.7, -0.4, 0.0, 0.9, 1.9])
         assert np.max(np.abs(got[idx] - exact[idx])) < 1e-9
+
+    def test_complex_derivative_is_that_of_its_parts(self):
+        grid, dp = default_grid(R.PI1, DeformationParams(tau=0.3))
+        psi = _gauss(0.8)(grid) * np.exp(1.3j * grid)
+        got = fd_derivative(psi)
+        assert np.array_equal(got.real, fd_derivative(psi.real).real)
+        assert np.array_equal(got.imag, fd_derivative(psi.imag).real)
+        assert not np.any(fd_derivative(psi.real).imag)
+        # one complex convolution and complex edge products, as numpy takes
+        # them, agree to round-off
+        n = len(psi)
+        whole = np.empty(n, dtype=complex)
+        whole[4:n - 4] = np.convolve(psi, operators._CENTRAL8[::-1], mode="valid")
+        whole[:4] = operators._EDGE8 @ psi[:9]
+        whole[n - 4:] = -(operators._EDGE8 @ psi[n - 9:][::-1])[::-1]
+        assert np.max(np.abs(got - whole)) <= 1e-15 * np.max(np.abs(psi))
 
     def test_grid_domain_check(self):
         params = DeformationParams(tau=1.0)

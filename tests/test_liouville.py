@@ -274,6 +274,61 @@ class TestTableMemo:
         assert all(np.array_equal(p, expect) for p in seen)
 
 
+    @pytest.mark.parametrize("model,rep", NINE_PAIRS)
+    def test_v_answers_a_repeated_query_once(self, model, rep):
+        params = DeformationParams(tau=0.25)
+        base = coefficients(model, rep, params)
+        calls = Counter()
+
+        def counted(p):
+            calls["f"] += 1
+            return base.f(p)
+
+        tr = to_potential(dataclasses.replace(base, f=counted),
+                          default_p0(model, rep, params))
+        calls.clear()
+        span = tr.q_hi - tr.q_lo
+        qs = np.linspace(tr.q_lo + 0.1 * span, tr.q_hi - 0.1 * span, 7)
+        first = tr.V(qs)
+        assert calls["f"] == 1
+        # an equal query, in another array, is answered from the last one
+        again = tr.V(qs.copy())
+        assert calls["f"] == 1
+        assert np.array_equal(again, first) and not np.shares_memory(again, first)
+        # the caller owns each answer
+        again[0] = np.nan
+        assert np.array_equal(tr.V(qs), first) and calls["f"] == 1
+        # other values, another shape or the same array changed in place
+        # are evaluated afresh, and the first query after them too
+        fresh = tr.V(qs[::-1])
+        assert calls["f"] == 2 and np.array_equal(fresh, first[::-1])
+        assert tr.V(qs[None, :]).shape == (1, 7) and calls["f"] == 3
+        assert np.array_equal(tr.V(qs), first) and calls["f"] == 4
+        qs[3] = 0.5 * (qs[3] + qs[4])
+        moved = tr.V(qs)
+        assert calls["f"] == 5 and moved[3] != first[3]
+        assert np.array_equal(np.delete(moved, 3), np.delete(first, 3))
+
+    def test_two_master_residuals_on_one_grid_evaluate_v_once(self):
+        model, rep, params = Swanson(0.1, 0.2), Representation.PI3, DeformationParams(tau=0.25)
+        base = coefficients(model, rep, params)
+        calls = Counter()
+
+        def counted(p):
+            calls["f"] += 1
+            return base.f(p)
+
+        sol = solve(model, rep, params)
+        tr = to_potential(dataclasses.replace(base, f=counted),
+                          default_p0(model, rep, params))
+        calls.clear()
+        span = tr.q_hi - tr.q_lo
+        qs = np.linspace(tr.q_lo + 0.05 * span, tr.q_hi - 0.05 * span, 11)
+        res = [master_residual(ansatz_for(sol, n, coordinates="centered"), tr,
+                               float(np.real(sol.energy(n))), qs) for n in (0, 1)]
+        assert calls["f"] == 1 and max(res) < 1e-8
+
+
 class TestOneTablePerConfiguration:
     """Equal (fgh, p0) share one table, built once with its inverse, and
     each to_potential call returns a new result around it."""
