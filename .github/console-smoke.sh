@@ -11,6 +11,8 @@ gup-spectra verify all > /dev/null
 # suite at both ends of the tau range
 gup-spectra verify commutators --tau 1e-4 > /dev/null
 gup-spectra verify commutators --tau 50 > /dev/null
+# and off natural units, where hbar scales X's coefficients
+gup-spectra verify commutators --hbar 2 --mass 3 --omega 0.5 --tau 0.3 > /dev/null
 # the master identity holds on Pi2's own (f, g, h) table
 gup-spectra verify master-residual | python -c "import json, sys; checks = json.load(sys.stdin)['suites']['master-residual']; assert any('/pi2]' in c['name'] and c['passed'] for c in checks), checks"
 # exits_with CODE CMD...: CMD exits CODE with one message and no traceback

@@ -15,8 +15,11 @@ with tc = tau / (m * omega * hbar).  Pi4' satisfies the sign-flipped relation
 is written once, in ``REALIZATIONS``, as X = i*hbar*(a d/dy + b) and P = P(y)
 on a stored real coordinate y: p, or s on the Pi4 segment p = i*s, where
 X = i*hbar*(u d/ds + u') and P = s/u with u = (1 - tc s^2)^(1/2).  The
-operator actions, ``coefficients`` and everything derived from them read
-that table.
+same entry holds the representation's wall, from which ``p_domain`` builds
+its domain, and its momentum angle theta = arctan(sqrt(tc) P), on which the
+closed-form states live (none for Pi4').  The operator actions,
+``coefficients``, the states and everything derived from them read that
+table.
 
 Each model is declared once, as a class that holds its Hamiltonian as X/P
 words and its spectral data (family, orders, energies, admissible range,
@@ -61,7 +64,6 @@ __all__ = [
     "Representation",
     "Domain",
     "MomentumAngle",
-    "ANGLES",
     "Realization",
     "REALIZATIONS",
     "HarmonicOscillator",
@@ -70,7 +72,6 @@ __all__ = [
     "ModelSpec",
     "FGHCoefficients",
     "p_domain",
-    "angle_domain",
     "coefficients",
     "discriminant",
     "pt_model_reality",
@@ -126,8 +127,8 @@ class Domain:
     For Pi4 the physical momenta lie on the imaginary segment p = i*s with
     s in (lo, hi); ``imaginary_segment`` marks that the coordinate stored
     here is s rather than p.  Models that live on a half cell (the
-    inverse-square models) use the half-cell domain from ``angle_domain``,
-    which starts at lo = 0.
+    inverse-square models) use ``p_domain``'s half-cell domain, which starts
+    at lo = 0.
     """
 
     lo: float
@@ -159,58 +160,109 @@ class MomentumAngle:
     P is the same physical momentum in every representation, so theta is the
     one coordinate they share.  Each map takes x = sqrt(tc) p (x = sqrt(tc) s
     on the Pi4 segment) and gives sin and cos of theta in closed form, so no
-    precision is lost near the walls.  ``wall`` is x at theta = pi/2.  States
-    of the representation carry cos(theta)^e beyond the Pi1 shape: e = 1 is
-    the u^(-1) similarity factor of Pi2, e = -1 the segment factor of Pi4.
+    precision is lost near the walls.  States of the representation carry
+    cos(theta)^e beyond the Pi1 shape: e = 1 is the u^(-1) similarity factor
+    of Pi2, e = -1 the segment factor of Pi4.
     """
 
     sin: Callable
     cos: Callable
     dtheta: Callable   # d theta / dx
     x_of: Callable     # inverse of theta
-    wall: float
     e: int
-    segment: bool = False
+
+
+@dataclass(frozen=True)
+class Realization:
+    """One representation: X = i hbar (a(y) d/dy + b(y)) and P = P(y) on the
+    stored coordinate y, its wall and its momentum angle.
+
+    a^2 = (1 + s tc y^2)^k is also kept as a polynomial in w = y^2, so f and
+    its derivatives stay finite at a wall where a vanishes; b = beta a' with
+    beta 0, 1/2 (Pi2) or 1.  ``x_fields`` gives a and a', ``p_fields`` P and
+    P', at (y, tc).  s < 0 marks the Pi4 segment p = i*y.  ``wall`` is
+    sqrt(tc) y where the domain ends, and ``angle`` is None for Pi4', whose
+    sign-flipped relation has no angle arctan(sqrt(tc) P) to map.
+    """
+
+    s: float
+    k: int
+    beta: float
+    x_fields: Callable
+    p_fields: Callable
+    wall: float
+    angle: MomentumAngle | None
+
+
+def _pi1_x(y, tc):
+    return 1.0 + tc * y * y, 2.0 * tc * y
+
+
+def _pi1_p(y, tc):
+    return y, 1.0
+
+
+def _pi3_x(y, tc):
+    return 1.0, 0.0
+
+
+def _pi3_p(y, tc):
+    if tc == 0.0:
+        return y, 1.0
+    rt = math.sqrt(tc)
+    return np.tan(rt * y) / rt, 1.0 / np.cos(rt * y) ** 2
+
+
+def _u_entry(s, wall, angle):
+    """a = u, b = u', P = y / u with u^2 = v = 1 + s tc y^2."""
+    def x_fields(y, tc):
+        u = np.sqrt(1.0 + s * tc * y * y)
+        return u, s * tc * y / u
+
+    def p_fields(y, tc):
+        v = 1.0 + s * tc * y * y
+        u = np.sqrt(v)
+        return y / u, 1.0 / (u * v)
+
+    return Realization(s, 1, 1.0, x_fields, p_fields, wall, angle)
 
 
 _TAN_ANGLE = MomentumAngle(
     sin=lambda x: x / np.sqrt(1.0 + x * x),
     cos=lambda x: 1.0 / np.sqrt(1.0 + x * x),
     dtheta=lambda x: 1.0 / (1.0 + x * x),
-    x_of=np.tan, wall=math.inf, e=0)
+    x_of=np.tan, e=0)
 
-ANGLES = {
-    Representation.PI1: _TAN_ANGLE,
-    Representation.PI2: replace(_TAN_ANGLE, e=1),
-    Representation.PI3: MomentumAngle(
-        sin=np.sin, cos=np.cos, dtheta=np.ones_like,
-        x_of=lambda t: t, wall=math.pi / 2.0, e=0),
-    Representation.PI4: MomentumAngle(
+# Pi2's X = u x u is i hbar (u^2 d/dp + u u').  Pi4 stores the segment
+# p = i s, where X = i x u is i hbar (u d/ds + u') and P = -i p/u is s/u.
+REALIZATIONS = {
+    Representation.PI1: Realization(1.0, 2, 0.0, _pi1_x, _pi1_p, math.inf, _TAN_ANGLE),
+    Representation.PI2: Realization(1.0, 2, 0.5, _pi1_x, _pi1_p, math.inf,
+                                    replace(_TAN_ANGLE, e=1)),
+    Representation.PI3: Realization(
+        0.0, 0, 0.0, _pi3_x, _pi3_p, math.pi / 2.0,
+        MomentumAngle(sin=np.sin, cos=np.cos, dtheta=np.ones_like,
+                      x_of=lambda t: t, e=0)),
+    Representation.PI4: _u_entry(-1.0, 1.0, MomentumAngle(
         sin=lambda x: x, cos=lambda x: np.sqrt(1.0 - x * x),
-        dtheta=lambda x: 1.0 / np.sqrt(1.0 - x * x),
-        x_of=np.sin, wall=1.0, e=-1, segment=True),
+        dtheta=lambda x: 1.0 / np.sqrt(1.0 - x * x), x_of=np.sin, e=-1)),
+    Representation.PI4_PRIME: _u_entry(1.0, math.inf, None),
 }
 
 
-def angle_domain(rep: Representation, params: DeformationParams,
-                 half_cell: bool = False) -> Domain:
-    """Preimage of theta in (-pi/2, pi/2), or of the half cell (0, pi/2).
+def p_domain(rep: Representation, params: DeformationParams,
+             half_cell: bool = False) -> Domain:
+    """Natural momentum domain of a representation: the stored coordinate
+    between its walls, or from 0 to the wall on a half cell.  On the four
+    representations with an angle that is the preimage of theta in
+    (-pi/2, pi/2), or of the half cell (0, pi/2).
 
     Without deformation every wall recedes to infinity.
     """
-    if rep not in ANGLES:
-        raise UnsupportedPair(f"no momentum angle for {rep}")
-    angle = ANGLES[rep]
+    entry = REALIZATIONS[rep]
     tc = params.tau_check
-    hi = angle.wall / math.sqrt(tc) if tc > 0.0 else math.inf
-    return Domain(0.0 if half_cell else -hi, hi, imaginary_segment=angle.segment)
-
-
-def p_domain(rep: Representation, params: DeformationParams) -> Domain:
-    """Natural momentum domain of a representation."""
-    if rep is Representation.PI4_PRIME:
-        return Domain(-math.inf, math.inf)
-    return angle_domain(rep, params)
+    hi = entry.wall / math.sqrt(tc) if tc > 0.0 else math.inf
+    return Domain(0.0 if half_cell else -hi, hi, imaginary_segment=entry.s < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +297,7 @@ class _Model:
     """
 
     half_cell = False
-    coefficient_reps = tuple(ANGLES)
+    coefficient_reps = tuple(rep for rep, entry in REALIZATIONS.items() if entry.angle)
     pi4_prime_family = False
 
     def admit(self, params):
@@ -400,67 +452,6 @@ class FGHCoefficients:
     domain: Domain
 
 
-@dataclass(frozen=True)
-class Realization:
-    """X = i hbar (a(y) d/dy + b(y)) and P = P(y) on the stored coordinate y.
-
-    a^2 = (1 + s tc y^2)^k is also kept as a polynomial in w = y^2, so f and
-    its derivatives stay finite at a wall where a vanishes; b = beta a' with
-    beta 0, 1/2 (Pi2) or 1.  ``x_fields`` gives a and a', ``p_fields`` P and
-    P', at (y, tc).
-    """
-
-    s: float
-    k: int
-    beta: float
-    x_fields: Callable
-    p_fields: Callable
-
-
-def _pi1_x(y, tc):
-    return 1.0 + tc * y * y, 2.0 * tc * y
-
-
-def _pi1_p(y, tc):
-    return y, 1.0
-
-
-def _pi3_x(y, tc):
-    return 1.0, 0.0
-
-
-def _pi3_p(y, tc):
-    if tc == 0.0:
-        return y, 1.0
-    rt = math.sqrt(tc)
-    return np.tan(rt * y) / rt, 1.0 / np.cos(rt * y) ** 2
-
-
-def _u_entry(s):
-    """a = u, b = u', P = y / u with u^2 = v = 1 + s tc y^2."""
-    def x_fields(y, tc):
-        u = np.sqrt(1.0 + s * tc * y * y)
-        return u, s * tc * y / u
-
-    def p_fields(y, tc):
-        v = 1.0 + s * tc * y * y
-        u = np.sqrt(v)
-        return y / u, 1.0 / (u * v)
-
-    return Realization(s, 1, 1.0, x_fields, p_fields)
-
-
-# Pi2's X = u x u is i hbar (u^2 d/dp + u u').  Pi4 stores the segment
-# p = i s, where X = i x u is i hbar (u d/ds + u') and P = -i p/u is s/u.
-REALIZATIONS = {
-    Representation.PI1: Realization(1.0, 2, 0.0, _pi1_x, _pi1_p),
-    Representation.PI2: Realization(1.0, 2, 0.5, _pi1_x, _pi1_p),
-    Representation.PI3: Realization(0.0, 0, 0.0, _pi3_x, _pi3_p),
-    Representation.PI4: _u_entry(-1.0),
-    Representation.PI4_PRIME: _u_entry(1.0),
-}
-
-
 def _horner(c, w):
     """sum c[i] w^i for a list of floats c, shaped like w."""
     if len(c) == 1:
@@ -551,8 +542,7 @@ def coefficients(model: ModelSpec, rep: Representation,
             out = out + mixed * beta * da * p
         return out
 
-    domain = (angle_domain(rep, params, half_cell=True) if model.half_cell
-              else p_domain(rep, params))
     return FGHCoefficients(
         f=lambda y: _horner(F, y * y), g=g, h=h, df=lambda y: y * _horner(DF, y * y),
-        ddf=lambda y: _horner(F2, y * y), dg=dg, domain=domain)
+        ddf=lambda y: _horner(F2, y * y), dg=dg,
+        domain=p_domain(rep, params, half_cell=model.half_cell))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
-    ANGLES,
+    REALIZATIONS,
     DeformationParams,
     HarmonicOscillator,
     PoschlTeller,
@@ -359,11 +359,15 @@ def cmd_phase(args) -> int:
 # ---------------------------------------------------------------------------
 # verify suites
 
+# the representations with a momentum angle, on which every model has states
+_STATE_REPS = tuple(rep for rep, entry in REALIZATIONS.items() if entry.angle)
+
+
 def _suite_commutators(config):
     params = config.params()
     checks = []
     sigmas = (0.5, 1.0, 2.0)
-    for rep in ANGLES:
+    for rep in _STATE_REPS:
         grid, dp = default_grid(rep, params)
         psis = [np.exp(-s * grid ** 2) for s in sigmas]
         psis += [grid * np.exp(-s * grid ** 2) for s in sigmas[:2]]
@@ -398,7 +402,7 @@ def _suite_models(config):
 def _suite_orthonormality(config):
     checks = []
     for model, params in _suite_models(config):
-        for rep in ANGLES:
+        for rep in _STATE_REPS:
             sol = solve(model, rep, params)
             if not sol.physical:
                 continue
@@ -417,7 +421,8 @@ def _suite_invariance(config):
         for n in (0, 2):
             for word in words:
                 vals = [expectation_unified(model, params, n, word)]
-                vals += [expectation_direct(model, rep, params, n, word) for rep in ANGLES]
+                vals += [expectation_direct(model, rep, params, n, word)
+                         for rep in _STATE_REPS]
                 dev = max(abs(a - b) for a in vals for b in vals)
                 checks.append((f"invariance[{type(model).__name__}/n={n}/{word}]",
                                dev < 1e-6, dev, 1e-6))
@@ -436,7 +441,7 @@ def _suite_invariance(config):
 def _suite_master_residual(config):
     checks = []
     for model, params in _suite_models(config):
-        for rep in ANGLES:
+        for rep in _STATE_REPS:
             sol = solve(model, rep, params)
             if not sol.physical:
                 continue

@@ -2,11 +2,12 @@
 
 X and P act as the representation's entry of ``algebra.REALIZATIONS`` says:
 X = i*hbar*(a(y) d/dy + b(y)) and P = P(y) on the stored coordinate y, which
-is p, or s on the Pi4 segment p = i*s.  Every grid is ``mapped_grid``'s:
-samples y_k = phi(t_k) of a map from a variable t sampled uniformly, with
-widths dp_k = phi'(t_k) h (h the t spacing), which are also the quadrature
-weights.  d/dy is phi'(t)^(-1) d/dt, with d/dt by order-8 differences
-(one-sided stencils near the ends).
+is p, or s on the Pi4 segment p = i*s.  ``fields`` evaluates that entry on
+a grid once, and ``x_action`` applies X from it.  Every grid is
+``mapped_grid``'s: samples y_k = phi(t_k) of a map from a variable t
+sampled uniformly, with widths dp_k = phi'(t_k) h (h the t spacing), which
+are also the quadrature weights.  d/dy is phi'(t)^(-1) d/dt, with d/dt by
+order-8 differences (one-sided stencils near the ends).
 """
 
 from __future__ import annotations
@@ -22,11 +23,8 @@ __all__ = [
     "mapped_grid",
     "default_grid",
     "fd_derivative",
-    "p_multiplier",
-    "x_coefficients",
+    "fields",
     "x_action",
-    "apply_X",
-    "apply_P",
     "commutator_residual",
 ]
 
@@ -106,53 +104,32 @@ def fd_derivative(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def p_multiplier(rep: Representation, params: DeformationParams,
-                 grid: np.ndarray) -> np.ndarray:
-    """P(y) from ``REALIZATIONS`` on the sample grid, as complex values."""
-    p, _ = REALIZATIONS[rep].p_fields(np.asarray(grid, dtype=float),
-                                      params.tau_check)
-    return np.asarray(p, dtype=complex)
+def fields(rep: Representation, params: DeformationParams, grid: np.ndarray):
+    """X's coefficients (i hbar a, i hbar b) and P's multiplier P(y), as
+    complex values, on a grid checked against ``p_domain``.
 
-
-def x_coefficients(rep: Representation, params: DeformationParams,
-                   grid: np.ndarray):
-    """(i hbar a, i hbar b) of X = i hbar (a d/dy + b) on the sample grid,
-    with a and b = beta a' from ``REALIZATIONS``; b is None where beta = 0."""
-    entry = REALIZATIONS[rep]
+    a and b = beta a' come from ``REALIZATIONS``, with b None where
+    beta = 0.  X psi is ``x_action`` on the coefficients and P psi the
+    product with the multiplier, so a caller that applies X and P many times
+    on one grid evaluates them once.
+    """
+    p_domain(rep, params).check(grid)
+    entry, y, tc = REALIZATIONS[rep], np.asarray(grid, dtype=float), params.tau_check
     ihbar = 1j * params.hbar
-    a, da = entry.x_fields(np.asarray(grid, dtype=float), params.tau_check)
-    return a * ihbar, (entry.beta * da * ihbar if entry.beta else None)
+    a, da = entry.x_fields(y, tc)
+    p, _ = entry.p_fields(y, tc)
+    return ((a * ihbar, entry.beta * da * ihbar if entry.beta else None),
+            np.asarray(p, dtype=complex))
 
 
 def x_action(coefficients, psi: np.ndarray, dp) -> np.ndarray:
-    """X psi from ``x_coefficients``'s (i hbar a, i hbar b) and the sample
-    widths ``dp``: i hbar a psi' + i hbar b psi."""
+    """X psi = i hbar a psi' + i hbar b psi from ``fields``'s coefficients
+    (i hbar a, i hbar b) and the sample widths ``dp``: each sample's width
+    phi'(t_k) h on the map that placed the samples (module docstring)."""
     ia, ib = coefficients
     psi = np.asarray(psi, dtype=complex)
     out = ia * (fd_derivative(psi) / dp)
     return out if ib is None else out + ib * psi
-
-
-def apply_P(rep: Representation, params: DeformationParams,
-            psi: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """P psi = P(y) psi on the sample grid (``p_multiplier``)."""
-    p_domain(rep, params).check(grid)
-    return p_multiplier(rep, params, grid) * np.asarray(psi, dtype=complex)
-
-
-def apply_X(rep: Representation, params: DeformationParams,
-            psi: np.ndarray, grid: np.ndarray, dp) -> np.ndarray:
-    """X psi = i hbar (a psi' + b psi) on the sample grid, with a and
-    b = beta a' from ``REALIZATIONS``: ``x_action`` of the grid's
-    ``x_coefficients``, after checking the grid against the domain.  A
-    caller that applies X many times on one grid (the direct engine's
-    level) evaluates the coefficients once and calls ``x_action`` itself.
-
-    ``dp`` is each sample's width phi'(t_k) h on the map that placed the
-    samples (module docstring).
-    """
-    p_domain(rep, params).check(grid)
-    return x_action(x_coefficients(rep, params, grid), psi, dp)
 
 
 def commutator_residual(rep: Representation, params: DeformationParams,
@@ -167,11 +144,12 @@ def commutator_residual(rep: Representation, params: DeformationParams,
     """
     if reference_sign is None:
         reference_sign = -1 if rep is Representation.PI4_PRIME else +1
-    xp = apply_X(rep, params, apply_P(rep, params, psi, grid), grid, dp)
-    px = apply_P(rep, params, apply_X(rep, params, psi, grid, dp), grid)
-    p2 = apply_P(rep, params, apply_P(rep, params, psi, grid), grid)
-    ref = 1j * params.hbar * (np.asarray(psi, dtype=complex)
-                              + reference_sign * params.tau_check * p2)
+    x, p = fields(rep, params, grid)
+    psi_c = np.asarray(psi, dtype=complex)
+    p_psi = p * psi_c
+    xp = x_action(x, p_psi, dp)
+    px = p * x_action(x, psi_c, dp)
+    ref = 1j * params.hbar * (psi_c + reference_sign * params.tau_check * (p * p_psi))
     num = np.sqrt(np.sum(np.abs(xp - px - ref) ** 2 * dp))
     den = np.sqrt(np.sum(np.abs(psi) ** 2 * dp))
     return float(num / den)

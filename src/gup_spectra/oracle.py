@@ -37,7 +37,6 @@ from .algebra import (
     ModelSpec,
     Representation,
     coefficients,
-    p_domain,
 )
 from .errors import (
     ConvergenceFailure,
@@ -49,11 +48,10 @@ from .jets import Jet
 from .liouville import to_potential
 from .operators import (
     LINE_REACH,
+    fields,
     line_map,
     mapped_grid,
-    p_multiplier,
     x_action,
-    x_coefficients,
 )
 from .solutions import PotentialSpec, classify_physical, default_p0, solve
 from .specfun import log_jacobi_mass, orthonormal_rows
@@ -614,13 +612,11 @@ class _DirectLevel(_StateMemo):
     (model, rep, params, n).  A word sums its terms onto a zero array in
     order and H adds its constant last, the sums a cold evaluation makes.
 
-    The level checks its kept samples against the domain once, and
-    evaluates X's coefficients (``operators.x_coefficients``) and P's
-    multiplier (``operators.p_multiplier``) on them once, when it is built.
-    An X step is ``operators.x_action`` on those coefficients, the formula
-    ``apply_X`` applies, and a P^k step k products with the multiplier, so
-    each step gives what ``apply_X`` and ``apply_P`` give on the grid, bit
-    for bit.
+    The level takes the fields of X and P on its kept samples from
+    ``operators.fields`` once, when it is built, which also checks the
+    samples against the domain.  An X step is ``operators.x_action`` on X's
+    coefficients and a P^k step k products with P's multiplier, as
+    ``operators.commutator_residual`` applies them.
 
     The t-range ends at the outermost samples whose norm weight
     |psi_n|^2 rho dp is finite and reaches eps^2 of the largest finite one.
@@ -661,9 +657,7 @@ class _DirectLevel(_StateMemo):
         self.bra = _read_only(np.conj(ket) * rho * dp)
         self._states = {(): _read_only(np.asarray(ket, dtype=complex))}
         # the fields of X and P on the kept samples, for every step
-        p_domain(sol.rep, sol.params).check(grid)
-        self._x = x_coefficients(sol.rep, sol.params, grid)
-        self._p = p_multiplier(sol.rep, sol.params, grid)
+        self._x, self._p = fields(sol.rep, sol.params, grid)
 
     def apply(self, terms, key=()) -> np.ndarray:
         """The word ``terms`` applied to the memoized state at ``key``."""

@@ -10,10 +10,11 @@ transform, to one of two special-function ladders:
   proportional to P_n^{(a+, b+)}(w) on a half cell with csc^2 + sec^2 walls.
 
 Both ladders live on the momentum angle theta = arctan(sqrt(tc) P), which
-``algebra.ANGLES`` gives in closed form for every representation: the basis
-variable is y = z = sin(theta) or y = w = cos(2 theta), and the metric,
-domain, quadrature and q(p) are powers and images of theta assembled
-once per family.  Adding a representation is one entry in that table.
+each representation's entry of ``algebra.REALIZATIONS`` gives in closed
+form: the basis variable is y = z = sin(theta) or y = w = cos(2 theta), and
+the metric, domain, quadrature and q(p) are powers and images of theta
+assembled once per family.  Adding a representation is one entry in that
+table; Pi4', whose entry has no angle, has no states.
 
 Both families share one normalization, in closed form.  The states are
 orthogonal for one Jacobi-type weight in y, (1-z^2)^lam or
@@ -52,12 +53,11 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .algebra import (
-    ANGLES,
+    REALIZATIONS,
     DeformationParams,
     Domain,
     ModelSpec,
     Representation,
-    angle_domain,
     coefficients,
     p_domain,
 )
@@ -222,14 +222,20 @@ class ClosedFormSolution:
         return log_env, fam.y(s, c)
 
     def _angle(self, p):
-        """The table entry and x = sqrt(tc) p at the samples."""
-        return ANGLES[self.rep], math.sqrt(self.params.tau_check) * np.asarray(p, dtype=float)
+        """The entry's angle and x = sqrt(tc) p at the samples."""
+        return (REALIZATIONS[self.rep].angle,
+                math.sqrt(self.params.tau_check) * np.asarray(p, dtype=float))
 
     def _require_states(self):
         if self.weight is None:
+            if REALIZATIONS[self.rep].angle is None:
+                cause = f"{self.rep.value} has no momentum angle"
+            elif not self.physical:
+                cause = "the spectrum is complex"
+            else:
+                cause = "tau = 0, the commutative limit, where mu_- diverges"
             raise ParameterError(
-                "bound-state evaluators unavailable for this pair "
-                "(unphysical variant, broken symmetry or commutative limit)")
+                f"bound-state evaluators unavailable for this pair: {cause}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +249,8 @@ def solve(model: ModelSpec, rep: Representation,
           params: DeformationParams) -> ClosedFormSolution:
     """Closed-form solution for the pair, or a flagged unphysical record.
 
-    States and metric come from the angle table: the states are orthogonal
+    States and metric come from the representation's momentum angle
+    (``REALIZATIONS``): the states are orthogonal
     for the weight (1-y)^a (1+y)^b, with (a, b) = (lam, lam) or (a+, b+),
     the metric is scale * sqrt(tc) * cos^(m-2e) dtheta/dx for the family's
     power m, and the domain is the preimage of the family's angle range.
@@ -274,15 +281,15 @@ def solve(model: ModelSpec, rep: Representation,
             if cls.physical:
                 weight, power = (-mu, -mu), -4.0 * eps
     fam = _FAMILIES[model.family]
+    domain = p_domain(rep, params, half_cell=model.half_cell)
     # the paper-form metric on the segment carries the factor -i; written as
     # -(1j * sign) so the printed constant keeps its signed zero, (-0-1j)
-    const = (1.0 if weight is None else -(1j * fam.sign) if ANGLES[rep].segment
+    const = (1.0 if weight is None else -(1j * fam.sign) if domain.imaginary_segment
              else fam.sign)
     return ClosedFormSolution(
         model=model, rep=rep, params=params, family=model.family, c=c,
         parameters=MappingProxyType(parameters), physical=cls.physical,
-        metric_constant=const,
-        domain=angle_domain(rep, params, half_cell=model.half_cell),
+        metric_constant=const, domain=domain,
         _energy=model.energy(params), weight=weight, _metric_power=power)
 
 
@@ -322,7 +329,7 @@ def native_quadrature(sol: ClosedFormSolution, order: int):
     a, b = sol.weight
     y, w = gauss_jacobi(order, a, b)
     fam = _FAMILIES[sol.family]
-    angle = ANGLES[sol.rep]
+    angle = REALIZATIONS[sol.rep].angle
     stc = math.sqrt(sol.params.tau_check)
     x = angle.x_of(fam.theta_of(y))
     s, c = angle.sin(x), angle.cos(x)
@@ -366,9 +373,10 @@ def default_p0(model: ModelSpec, rep: Representation,
     model.admit(params)
     if not model.half_cell:
         return 0.0
-    if rep not in ANGLES:
+    angle = REALIZATIONS[rep].angle
+    if angle is None:
         raise UnsupportedPair(f"no anchor for {rep}")
-    return float(ANGLES[rep].x_of(math.pi / 4.0)) / math.sqrt(params.tau_check)
+    return float(angle.x_of(math.pi / 4.0)) / math.sqrt(params.tau_check)
 
 
 def ansatz_for(sol: ClosedFormSolution, n: int,

@@ -19,7 +19,6 @@ from gup_spectra.algebra import (
     PoschlTeller,
     Representation,
     Swanson,
-    angle_domain,
     p_domain,
 )
 from gup_spectra.errors import IntrinsicNoncommutativity, ParameterError, UnsupportedPair
@@ -152,7 +151,7 @@ def _poschl_teller_coeffs(model, rep, params):
     f0 = 0.5 * m * om ** 2 * hbar ** 2
     g0 = tau * hbar * om
     stc = math.sqrt(tc)
-    half_cell = angle_domain(rep, params, half_cell=True)
+    half_cell = p_domain(rep, params, half_cell=True)
 
     if rep is Representation.PI1:
         return FGHCoefficients(
@@ -231,7 +230,7 @@ def _pi2_coeffs(model, params):
         df=lambda p: 4 * x2 * tc * p * a(p),
         ddf=lambda p: 4 * x2 * tc * (1 + 3 * tc * p ** 2),
         dg=lambda p: -4 * x2 * tc * (1 + 3 * tc * p ** 2) + (xp + px) * (1 + 3 * tc * p ** 2),
-        domain=(angle_domain(Representation.PI2, params, half_cell=True)
+        domain=(p_domain(Representation.PI2, params, half_cell=True)
                 if isinstance(model, PoschlTeller) else p_domain(Representation.PI2, params)),
     )
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from gup_spectra.algebra import ANGLES, HarmonicOscillator, Swanson
+from gup_spectra.algebra import REALIZATIONS, HarmonicOscillator, Swanson
 from gup_spectra.errors import UnsupportedPair
 from gup_spectra.solutions import PotentialSpec
 
@@ -91,13 +91,13 @@ def closed_form_well(model, rep, params) -> PotentialSpec:
     """The closed-form transformed well of the pair at tau > 0.
 
     q is proportional to the momentum angle, q = sqrt(2 / (tau base)) theta,
-    which every representation in ``ANGLES`` shares, so the well is the
-    model's alone: symmetric wells are centred at q = 0, half-cell wells
-    start at q = 0.
+    which every representation with an angle in ``REALIZATIONS`` shares, so
+    the well is the model's alone: symmetric wells are centred at q = 0,
+    half-cell wells start at q = 0.
     """
     tau = params.tau
     model.admit(params)
-    if rep not in ANGLES:
+    if REALIZATIONS[rep].angle is None:
         raise UnsupportedPair(f"no transformed potential for {rep}")
     base = model.scales(params)[0]
     if model.family == "jacobi":

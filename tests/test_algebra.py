@@ -13,7 +13,6 @@ from gup_spectra.algebra import (
     PoschlTeller,
     Representation,
     Swanson,
-    angle_domain,
     coefficients,
     p_domain,
 )
@@ -26,13 +25,13 @@ from gup_spectra.errors import (
 )
 from gup_spectra import operators
 from gup_spectra.operators import (
-    apply_P,
-    apply_X,
     commutator_residual,
     default_grid,
     fd_derivative,
+    fields,
     line_map,
     mapped_grid,
+    x_action,
 )
 
 R = Representation
@@ -69,6 +68,9 @@ class TestParams:
         d4 = p_domain(R.PI4, p)
         assert d4.imaginary_segment
         assert d4.hi == pytest.approx(2.0)
+        # the half cell runs from 0 to the same wall
+        assert p_domain(R.PI3, p, half_cell=True) == dataclasses.replace(d3, lo=0.0)
+        assert p_domain(R.PI4, p, half_cell=True) == dataclasses.replace(d4, lo=0.0)
 
 
 class TestCoefficientTable:
@@ -111,9 +113,6 @@ class TestCoefficientTable:
             coefficients(Swanson(0.1, 0.2), R.PI4_PRIME, p)
         with pytest.raises(UnsupportedPair, match="no coefficient table for"):
             coefficients(PoschlTeller(1.0, 0.5), R.PI4_PRIME, p)
-        # the sign-flipped relation has no angle arctan(sqrt(tc) P) to map
-        with pytest.raises(UnsupportedPair, match="no momentum angle for"):
-            angle_domain(R.PI4_PRIME, p)
         with pytest.raises(ParameterError):
             coefficients(Swanson(-3.0, 0.0), R.PI1, DeformationParams(tau=0.1))
 
@@ -236,24 +235,34 @@ class TestDerivedCoefficients:
                 assert np.allclose(a, b, rtol=1e-14, atol=0.0)
 
 
+def _x(rep, params, psi, grid, dp):
+    """X psi: ``x_action`` on the grid's ``fields``."""
+    return x_action(fields(rep, params, grid)[0], psi, dp)
+
+
+def _p(rep, params, psi, grid):
+    """P psi: the product with the grid's multiplier from ``fields``."""
+    return fields(rep, params, grid)[1] * np.asarray(psi, dtype=complex)
+
+
 def _apply_term(rep, params, factors, psi, grid, dp):
     """A term of H applied right to left by the operator actions; P^k with
     k < 0 divides by P's multiplier."""
     for sym, power in reversed(factors):
         if sym == "X":
             for _ in range(power):
-                psi = apply_X(rep, params, psi, grid, dp)
+                psi = _x(rep, params, psi, grid, dp)
         elif power >= 0:
             for _ in range(power):
-                psi = apply_P(rep, params, psi, grid)
+                psi = _p(rep, params, psi, grid)
         else:
-            psi = psi * apply_P(rep, params, np.ones_like(psi), grid) ** power
+            psi = psi * _p(rep, params, np.ones_like(psi), grid) ** power
     return psi
 
 
 class TestCoefficientsMatchOperators:
     """The closed-form (f, g, h) of ``coefficients`` and the model's H words
-    applied by ``apply_X``/``apply_P`` give the same H psi: the formulas and
+    applied by ``operators.fields`` and ``x_action`` give the same H psi: the formulas and
     the finite differences read one table, ``REALIZATIONS``."""
 
     @pytest.mark.parametrize("model,rep", [
@@ -323,6 +332,35 @@ class TestRealizations:
             stencil = (half(ys + step, tc)[0] - half(ys - step, tc)[0]) / (2 * step)
             assert np.allclose(slope, stencil, rtol=1e-8, atol=1e-9)
 
+    @pytest.mark.parametrize("tau", [1e-4, 0.25, 50.0])
+    @pytest.mark.parametrize("rep", [R.PI1, R.PI2, R.PI3, R.PI4])
+    def test_angle_is_that_of_the_fields(self, rep, tau):
+        """theta = arctan(sqrt(tc) P) of the entry's own X and P, at
+        x = sqrt(tc) y: sin/cos = sqrt(tc) P; dtheta/dx = 1/a, since
+        a P' = 1 + tc P^2; the similarity factor cos^e is a^(-beta); x_of
+        inverts theta; and cos vanishes at a finite wall of ``p_domain``."""
+        params = DeformationParams(tau=tau)
+        tc = params.tau_check
+        entry, dom = REALIZATIONS[rep], p_domain(rep, params)
+        angle = entry.angle
+        # an even count keeps y = 0, where sqrt(tc) P vanishes, off the samples
+        ys = _interior(dom, tc, count=40)
+        x = math.sqrt(tc) * ys
+        a, _ = (np.broadcast_to(v, ys.shape) for v in entry.x_fields(ys, tc))
+        p, _ = entry.p_fields(ys, tc)
+        s, c = angle.sin(x), angle.cos(x)
+
+        def rel(got, want):
+            return np.max(np.abs(got - want) / np.abs(want))
+
+        assert rel(s / c, math.sqrt(tc) * p) <= 1e-13
+        assert rel(a * angle.dtheta(x), 1.0) <= 1e-13
+        assert rel(a ** -entry.beta, c ** angle.e) <= 1e-13
+        assert rel(angle.x_of(np.arctan2(s, c)), x) <= 1e-13
+        if dom.finite:
+            assert abs(angle.cos(math.sqrt(tc) * dom.hi)) <= 1e-16
+            assert abs(angle.cos(math.sqrt(tc) * dom.lo)) <= 1e-16
+
 
 def _gauss(sigma):
     return lambda p: np.exp(-sigma * p ** 2)
@@ -333,24 +371,24 @@ class TestOperatorActions:
         params = DeformationParams(tau=1.0)  # tau_check = 1
         grid = np.array([0.25, math.pi / 4, 1.0])
         psi = np.ones(3, dtype=complex)
-        assert np.allclose(apply_P(R.PI1, params, psi, grid), grid)
+        assert np.allclose(_p(R.PI1, params, psi, grid), grid)
         # tangent multiplier equals 1 at p = pi/4 when tau_check = 1
-        p3 = apply_P(R.PI3, params, psi, grid)
+        p3 = _p(R.PI3, params, psi, grid)
         assert p3[1] == pytest.approx(1.0, abs=1e-15)
         # primed variant at p = 1: 1/sqrt(2)
-        p4p = apply_P(R.PI4_PRIME, params, psi, grid)
+        p4p = _p(R.PI4_PRIME, params, psi, grid)
         assert p4p[2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
         # segment variant is s / u with u = (1 - tc s^2)^(1/2): 1 at
         # s = 1/sqrt(2), inside the segment (-1, 1)
         s = np.array([1 / math.sqrt(2)])
-        p4 = apply_P(R.PI4, params, np.ones(1, dtype=complex), s)
+        p4 = _p(R.PI4, params, np.ones(1, dtype=complex), s)
         assert p4[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_position_commutative_limit(self):
         params = DeformationParams(tau=0.0)
         grid, dp = default_grid(R.PI1, params)
         psi = _gauss(0.8)(grid)
-        got = apply_X(R.PI1, params, psi, grid, dp)
+        got = _x(R.PI1, params, psi, grid, dp)
         exact = 1j * (-2 * 0.8 * grid) * psi
         assert np.max(np.abs(got - exact)) < 1e-10
 
@@ -358,7 +396,7 @@ class TestOperatorActions:
         params = DeformationParams(tau=0.4)
         grid, dp = default_grid(R.PI3, params)
         psi = _gauss(1.0)(grid)
-        got = apply_X(R.PI3, params, psi, grid, dp)
+        got = _x(R.PI3, params, psi, grid, dp)
         exact = 1j * (-2.0 * grid) * psi
         assert np.max(np.abs(got - exact)) < 1e-8
 
@@ -369,7 +407,7 @@ class TestOperatorActions:
         reach = math.asinh(0.9 * p_domain(R.PI4, params).hi)
         grid, dp = mapped_grid(line_map(1.0), 0.0, 1.0, reach, 4096)
         psi = _gauss(0.6)(grid)
-        got = apply_X(R.PI4, params, psi, grid, dp)
+        got = _x(R.PI4, params, psi, grid, dp)
         u = np.sqrt(1 - tc * grid ** 2)
         du = -tc * grid / u
         exact = 1j * (du * psi + u * (-2 * 0.6 * grid) * psi)
@@ -396,7 +434,7 @@ class TestOperatorActions:
         params = DeformationParams(tau=1.0)
         grid = np.linspace(-3, 3, 512)  # exceeds pi/2
         with pytest.raises(DomainError):
-            apply_P(R.PI3, params, np.ones(512), grid)
+            fields(R.PI3, params, grid)
 
 
 class TestCommutators:
@@ -452,11 +490,11 @@ class TestPTAction:
                 return np.conj(v[::-1])
         else:
             sx, sp, theta = -1, +1, np.conj
-        lhs_x = theta(apply_X(rep, params, theta(psi), grid, dp))
-        rhs_x = sx * apply_X(rep, params, psi, grid, dp)
+        lhs_x = theta(_x(rep, params, theta(psi), grid, dp))
+        rhs_x = sx * _x(rep, params, psi, grid, dp)
         assert np.max(np.abs(lhs_x - rhs_x)) < 1e-8 * np.max(np.abs(rhs_x))
-        lhs_p = theta(apply_P(rep, params, theta(psi), grid))
-        rhs_p = sp * apply_P(rep, params, psi, grid)
+        lhs_p = theta(_p(rep, params, theta(psi), grid))
+        rhs_p = sp * _p(rep, params, psi, grid)
         assert np.max(np.abs(lhs_p - rhs_p)) < 1e-12 * np.max(np.abs(rhs_p))
 
 
@@ -467,8 +505,8 @@ class TestSimilarity:
         grid, dp = default_grid(R.PI1, params)
         psi = _gauss(0.9)(grid).astype(complex)
         s = (1 + tc * grid ** 2) ** -0.5
-        lhs = apply_X(R.PI2, params, psi, grid, dp)
-        rhs = s * apply_X(R.PI1, params, psi / s, grid, dp)
+        lhs = _x(R.PI2, params, psi, grid, dp)
+        rhs = s * _x(R.PI1, params, psi / s, grid, dp)
         mask = np.abs(grid) < 8
         scale = np.max(np.abs(rhs))
         assert np.max(np.abs((lhs - rhs)[mask])) < 1e-8 * scale

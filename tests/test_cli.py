@@ -434,6 +434,17 @@ class TestWavefunctionCommand:
         assert code == 0 and payload["config"]["grid"] == 5000
         assert len(payload["rows"]) == 5000
 
+    @pytest.mark.parametrize("argv, cause", [
+        (("--rep", "pi4p"), "pi4p has no momentum angle"),
+        (("--model", "swanson", "--alpha", "0.6", "--beta", "0.6", "--tau", "0.1"),
+         "the spectrum is complex"),
+        (("--tau", "0"), "tau = 0, the commutative limit")])
+    def test_pair_without_states_names_its_cause(self, capsys, argv, cause):
+        code, out, err = run_cli(capsys, "wavefunction", *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: bound-state evaluators unavailable "
+                              f"for this pair: {cause}") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("argv", [("wavefunction", "--n", "-1"),
                                       ("spectrum", "--nmax", "-1")])
     def test_negative_level_is_a_usage_error(self, capsys, argv):
@@ -758,9 +769,13 @@ class TestVerifyCommand:
         # the suite applies the table every other evaluator derives from.
         # a or P must change; b = beta a' commutes with P and passes any
         # commutator check
-        from gup_spectra.algebra import REALIZATIONS, Representation, _u_entry
+        from dataclasses import replace
 
-        monkeypatch.setitem(REALIZATIONS, Representation.PI4, _u_entry(1.0))
+        from gup_spectra.algebra import REALIZATIONS, Representation
+
+        pi4, prime = REALIZATIONS[Representation.PI4], REALIZATIONS[Representation.PI4_PRIME]
+        monkeypatch.setitem(REALIZATIONS, Representation.PI4, replace(
+            pi4, x_fields=prime.x_fields, p_fields=prime.p_fields))
         code, out, _ = run_cli(capsys, "verify", "commutators", "--tau", "0.25")
         assert code == 2
         checks = {c["name"]: c for c in json.loads(out)["suites"]["commutators"]}

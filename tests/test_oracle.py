@@ -27,7 +27,7 @@ from gup_spectra.oracle import (
 )
 from gup_spectra.algebra import coefficients
 from gup_spectra.liouville import to_potential
-from gup_spectra.operators import apply_P, apply_X
+from gup_spectra.operators import fields, x_action
 from gup_spectra.solutions import PotentialSpec, default_p0, solve
 from gup_spectra.spectral import spectral_eigenvalues
 from references import closed_form_well
@@ -764,17 +764,18 @@ class TestDirectMemo:
     @pytest.mark.parametrize("rep", [R.PI1, R.PI2, R.PI3, R.PI4])
     def test_steps_are_the_operator_actions(self, model, rep):
         # the level evaluates X's coefficients and P's multiplier once, and
-        # each step gives what apply_X and apply_P give on its grid
+        # each step gives what x_action and P's product give on its grid
         params = DeformationParams(tau=0.3)
         oracle._direct_level.cache_clear()
         level = oracle._direct_level(model, rep, params, 1)
         grid, dp, ket = level.grid, level.dp, level._states[()]
+        x_coeffs, p_mult = fields(rep, params, grid)
 
         def x(psi):
-            return apply_X(rep, params, psi, grid, dp)
+            return x_action(x_coeffs, psi, dp)
 
         def p(psi):
-            return apply_P(rep, params, psi, grid)
+            return p_mult * np.asarray(psi, dtype=complex)
 
         steps = {"X": x(ket), "P": p(ket), "P3": p(p(p(ket))), "XP": x(p(ket)),
                  "PX": p(x(ket)), "X2": x(x(ket))}
@@ -802,6 +803,40 @@ MAPPED_CELLS = [(model, rep) for model in (HarmonicOscillator(), Swanson(0.1, 0.
 
 def _dev(direct, unified):
     return abs(direct - unified) / max(1.0, abs(unified))
+
+
+# hbar, mass and omega off natural units; each word's scale in them
+UNITS = dict(hbar=0.7, mass=2.3, omega=1.9)
+WORD_SCALES = {"X2": UNITS["hbar"] / (UNITS["mass"] * UNITS["omega"]),
+               "P2": UNITS["mass"] * UNITS["omega"] * UNITS["hbar"],
+               "H": UNITS["hbar"] * UNITS["omega"]}
+
+
+class TestUnits:
+    """hbar, m and omega enter X's coefficients, P's multiplier and the
+    unified engine's X action: off natural units every value is its natural
+    one times the word's scale, and the direct engine agrees."""
+
+    @pytest.mark.parametrize("tau", [1e-2, 0.3])
+    @pytest.mark.parametrize("model, natural", [
+        (HarmonicOscillator(), HarmonicOscillator()),
+        # Swanson's alpha and beta are energies, in units of hbar omega
+        (Swanson(0.1 * UNITS["hbar"] * UNITS["omega"], 0.2 * UNITS["hbar"] * UNITS["omega"]),
+         Swanson(0.1, 0.2)),
+        (PoschlTeller(1.0, 0.5), PoschlTeller(1.0, 0.5))])
+    def test_values_scale_with_the_units(self, model, natural, tau):
+        # measured worst: 8.4e-16 for the scaling, 1.9e-12 for the direct
+        # engine against the unified one
+        params = DeformationParams(tau=tau, **UNITS)
+        unit = DeformationParams(tau=tau)
+        for n in (0, 1, 5):
+            for word, scale in WORD_SCALES.items():
+                ref = expectation_unified(model, params, n, word)
+                want = scale * expectation_unified(natural, unit, n, word)
+                assert abs(ref - want) <= 1e-12 * abs(want), (n, word)
+                for rep in (R.PI1, R.PI2, R.PI3, R.PI4):
+                    got = expectation_direct(model, rep, params, n, word)
+                    assert abs(got - ref) <= 1e-8 * abs(ref), (rep, n, word)
 
 
 class TestMappedGrid:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gup_spectra.algebra import (
-    ANGLES,
+    REALIZATIONS,
     DeformationParams,
     HarmonicOscillator,
     PoschlTeller,
@@ -264,6 +264,27 @@ class TestWavefunctions:
                 evaluate()
 
 
+# each cause of a pair without states, and the message that names it
+MISSING_STATES = {
+    "no-angle": (HarmonicOscillator(), R.PI4_PRIME, 0.25, "pi4p has no momentum angle"),
+    "complex": (Swanson(0.6, 0.6), R.PI1, 0.1, "the spectrum is complex"),
+    "tau-zero": (HarmonicOscillator(), R.PI1, 0.0, "tau = 0, the commutative limit"),
+}
+
+
+class TestMissingStates:
+    @pytest.mark.parametrize("case", list(MISSING_STATES))
+    def test_names_its_cause(self, case):
+        model, rep, tau, cause = MISSING_STATES[case]
+        sol = solve(model, rep, DeformationParams(tau=tau))
+        assert sol.weight is None
+        message = "^bound-state evaluators unavailable for this pair: " + cause
+        for evaluate in (lambda: sol.psi(0, [0.1]), lambda: sol.metric([0.1]),
+                         lambda: native_quadrature(sol, 3)):
+            with pytest.raises(ParameterError, match=message):
+                evaluate()
+
+
 class TestMetrics:
     @pytest.mark.parametrize("model,rep", SOLVABLE)
     def test_positive_on_interior(self, model, rep):
@@ -341,7 +362,7 @@ class TestMetrics:
         else:
             big_p, dbig_p = p / np.sqrt(1.0 - tc * p ** 2), (1.0 - tc * p ** 2) ** -1.5
         theta = np.arctan(stc * big_p)
-        angle = ANGLES[rep]
+        angle = REALIZATIONS[rep].angle
         assert np.allclose(angle.sin(stc * p) / angle.cos(stc * p) / stc, big_p,
                            rtol=1e-12, atol=0.0)
 
@@ -350,7 +371,7 @@ class TestMetrics:
         # over the weight's mass, the ground state's row phat_0 being 1.  At
         # small tau psi_0 itself leaves the double range, so the relation is
         # checked on its logarithm.
-        s, c = ANGLES[rep].sin(stc * p), ANGLES[rep].cos(stc * p)
+        s, c = angle.sin(stc * p), angle.cos(stc * p)
         z = s if sol.family == "legendre" else c * c - s * s
         dtheta = stc * dbig_p / (1.0 + tc * big_p ** 2)
         if sol.family == "legendre":
